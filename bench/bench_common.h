@@ -12,6 +12,8 @@
 // that synthesis cost depends on schema complexity, not observation count.
 // Override the default scale with the RE2X_BENCH_OBS environment variable.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -24,6 +26,7 @@
 #include "core/session.h"
 #include "core/virtual_schema_graph.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "qb/datasets.h"
 #include "qb/generator.h"
 #include "rdf/text_index.h"
@@ -157,6 +160,16 @@ inline std::vector<std::string> SampleExampleTuple(const BenchEnv& env,
   return {};
 }
 
+/// Nearest-rank percentile: the smallest sample with at least a fraction
+/// `p` of all samples at or below it (0 for no samples).
+inline double Percentile(std::vector<double> v, double p) {
+  if (v.empty()) return 0;
+  std::sort(v.begin(), v.end());
+  const double rank = std::ceil(p * static_cast<double>(v.size()));
+  const size_t idx = rank < 1 ? 0 : static_cast<size_t>(rank) - 1;
+  return v[std::min(idx, v.size() - 1)];
+}
+
 /// Formats milliseconds with 1 decimal.
 inline std::string Ms(double v) {
   char buf[32];
@@ -187,7 +200,7 @@ class JsonBenchLog {
   class Record {
    public:
     Record& Str(const std::string& key, const std::string& value) {
-      Add(key, "\"" + value + "\"");
+      Add(key, "\"" + obs::JsonEscape(value) + "\"");
       return *this;
     }
     Record& Num(const std::string& key, double value) {

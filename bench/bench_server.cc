@@ -48,13 +48,6 @@ struct LoadResult {
   double wall_millis = 0;
 };
 
-double Percentile(std::vector<double>* v, double p) {
-  if (v->empty()) return 0;
-  std::sort(v->begin(), v->end());
-  size_t idx = static_cast<size_t>(p * static_cast<double>(v->size() - 1));
-  return (*v)[idx];
-}
-
 /// `clients` closed-loop threads, each with its own keep-alive
 /// connection, hammering POST /query for `duration_millis`.
 LoadResult RunClosedLoop(uint16_t port, size_t clients,
@@ -135,16 +128,18 @@ void RecordPhase(bench::JsonBenchLog& log, const std::string& phase,
       .Int("transport_errors", static_cast<long long>(result.transport_errors))
       .Num("wall_millis", result.wall_millis)
       .Num("qps", qps)
-      .Num("p50_millis", Percentile(&result.latencies_millis, 0.50))
-      .Num("p99_millis", Percentile(&result.latencies_millis, 0.99))
-      .Num("p999_millis", Percentile(&result.latencies_millis, 0.999))
+      .Num("p50_millis", bench::Percentile(result.latencies_millis, 0.50))
+      .Num("p99_millis", bench::Percentile(result.latencies_millis, 0.99))
+      .Num("p999_millis", bench::Percentile(result.latencies_millis, 0.999))
       .Int("server_max_inflight", static_cast<long long>(stats.max_inflight))
       .Int("server_shed", static_cast<long long>(stats.shed))
       .Int("server_requests", static_cast<long long>(stats.requests));
   std::cout << phase << ": " << clients << " clients, " << result.ok
             << " ok (" << bench::Ms(qps) << " qps), " << result.shed_503
-            << " shed, p50=" << bench::Ms(Percentile(&result.latencies_millis, 0.5))
-            << "ms p99=" << bench::Ms(Percentile(&result.latencies_millis, 0.99))
+            << " shed, p50="
+            << bench::Ms(bench::Percentile(result.latencies_millis, 0.5))
+            << "ms p99="
+            << bench::Ms(bench::Percentile(result.latencies_millis, 0.99))
             << "ms, server peak in-flight " << stats.max_inflight << "\n";
 }
 

@@ -52,13 +52,22 @@ util::Result<GeneratedDataset> Generate(DatasetSpec spec,
   auto store = std::make_unique<rdf::TripleStore>();
   util::Rng rng(spec.seed);
 
-  const rdf::Term label_pred = rdf::Term::Iri(kHasLabel);
-  const rdf::Term type_pred = rdf::Term::Iri(kRdfType);
-  const rdf::Term obs_class = rdf::Term::Iri(spec.observation_class);
-
-  // --- interning helpers ----------------------------------------------------
-  auto member_iri = [&](const std::string& level, size_t i) {
-    return rdf::Term::Iri(spec.iri_base + level + "/" + std::to_string(i));
+  // --- memoized interning ----------------------------------------------------
+  // Each distinct term is interned once, the first time a triple needs it.
+  // Every triple resolves its terms in s, p, o order, so first interns
+  // happen in exactly the order per-triple Add() calls would make them and
+  // the dictionary assigns the same ids. Interning goes through the
+  // copying TripleStore::Intern: the dictionary then keeps an exact-size
+  // copy of each concatenated IRI rather than its growth slack.
+  auto memo = [&store](rdf::TermId* slot, auto&& make_term) {
+    if (*slot == rdf::kInvalidTermId) *slot = store->Intern(make_term());
+    return *slot;
+  };
+  rdf::TermId label_pred = rdf::kInvalidTermId;
+  rdf::TermId type_pred = rdf::kInvalidTermId;
+  rdf::TermId obs_class = rdf::kInvalidTermId;
+  auto label_pred_id = [&] {
+    return memo(&label_pred, [] { return rdf::Term::Iri(kHasLabel); });
   };
 
   // Validate level references and index levels by name.
@@ -81,6 +90,18 @@ util::Result<GeneratedDataset> Generate(DatasetSpec spec,
     return it->second;
   };
 
+  // Member ids per level (indexed like spec.levels), then member index.
+  std::vector<std::vector<rdf::TermId>> member_ids(spec.levels.size());
+  for (size_t l = 0; l < spec.levels.size(); ++l) {
+    member_ids[l].assign(spec.levels[l].member_count(), rdf::kInvalidTermId);
+  }
+  auto member_id = [&](const LevelSpec& level, size_t i) {
+    return memo(&member_ids[&level - spec.levels.data()][i], [&] {
+      return rdf::Term::Iri(spec.iri_base + level.name + "/" +
+                            std::to_string(i));
+    });
+  };
+
   // --- emit level members and their labels ---------------------------------
   // Track which levels are actually reachable from some dimension, emitting
   // members once even when shared by several branches.
@@ -88,15 +109,20 @@ util::Result<GeneratedDataset> Generate(DatasetSpec spec,
   auto emit_level = [&](const LevelSpec& level) {
     if (!emitted.insert(level.name).second) return;
     for (size_t i = 0; i < level.labels.size(); ++i) {
-      store->Add(member_iri(level.name, i), label_pred,
-                 rdf::Term::StringLiteral(level.labels[i]));
+      rdf::TermId s = member_id(level, i);
+      rdf::TermId p = label_pred_id();
+      rdf::TermId o =
+          store->Intern(rdf::Term::StringLiteral(level.labels[i]));
+      store->AddEncoded({s, p, o});
     }
   };
 
   // --- predicate labels --------------------------------------------------------
   for (const auto& [local, text] : spec.predicate_labels) {
-    store->Add(rdf::Term::Iri(spec.iri_base + local), label_pred,
-               rdf::Term::StringLiteral(text));
+    rdf::TermId s = store->Intern(rdf::Term::Iri(spec.iri_base + local));
+    rdf::TermId p = label_pred_id();
+    rdf::TermId o = store->Intern(rdf::Term::StringLiteral(text));
+    store->AddEncoded({s, p, o});
   }
 
   // --- hierarchy edges -------------------------------------------------------
@@ -118,7 +144,7 @@ util::Result<GeneratedDataset> Generate(DatasetSpec spec,
                               require_level(step.to_level));
         emit_level(*from_level);
         emit_level(*to_level);
-        const rdf::Term pred = rdf::Term::Iri(spec.iri_base + step.predicate);
+        rdf::TermId pred = rdf::kInvalidTermId;
         const size_t parents = to_level->member_count();
         for (size_t i = 0; i < from_level->member_count(); ++i) {
           size_t fanout = std::min(step.parents_per_member, parents);
@@ -133,8 +159,12 @@ util::Result<GeneratedDataset> Generate(DatasetSpec spec,
             } else {
               parent = HashedParent(i, parents, salt + k);
             }
-            store->Add(member_iri(step.from_level, i), pred,
-                       member_iri(step.to_level, parent % parents));
+            rdf::TermId s = member_id(*from_level, i);
+            rdf::TermId p = memo(&pred, [&] {
+              return rdf::Term::Iri(spec.iri_base + step.predicate);
+            });
+            rdf::TermId o = member_id(*to_level, parent % parents);
+            store->AddEncoded({s, p, o});
           }
         }
         from = step.to_level;
@@ -144,12 +174,34 @@ util::Result<GeneratedDataset> Generate(DatasetSpec spec,
   }
 
   // --- observations ----------------------------------------------------------
+  // Every base level was validated by the hierarchy pass above.
+  std::vector<const LevelSpec*> dim_base;
+  for (const DimensionSpec& dim : spec.dimensions) {
+    dim_base.push_back(levels.at(dim.base_level));
+  }
+  std::vector<rdf::TermId> dim_pred(spec.dimensions.size());
+  std::vector<rdf::TermId> measure_pred(spec.measure_predicates.size());
+  std::vector<rdf::TermId> attr_pred(spec.observation_attrs.size());
+  std::vector<std::vector<rdf::TermId>> attr_value(
+      spec.observation_attrs.size());
+  for (size_t a = 0; a < spec.observation_attrs.size(); ++a) {
+    attr_value[a].assign(spec.observation_attrs[a].values.size(),
+                         rdf::kInvalidTermId);
+  }
+  // Measure literals by value: values are 1 + Skewed(kMeasureRange).
+  constexpr uint64_t kMeasureRange = 10000;
+  std::vector<rdf::TermId> measure_literal(kMeasureRange + 1);
   for (uint64_t n = 0; n < spec.observations; ++n) {
-    rdf::Term obs =
-        rdf::Term::Iri(spec.iri_base + "obs/" + std::to_string(n));
-    store->Add(obs, type_pred, obs_class);
-    for (const DimensionSpec& dim : spec.dimensions) {
-      const LevelSpec* base = levels.at(dim.base_level);
+    const rdf::TermId obs = store->Intern(
+        rdf::Term::Iri(spec.iri_base + "obs/" + std::to_string(n)));
+    rdf::TermId p =
+        memo(&type_pred, [] { return rdf::Term::Iri(kRdfType); });
+    rdf::TermId o = memo(&obs_class, [&] {
+      return rdf::Term::Iri(spec.observation_class);
+    });
+    store->AddEncoded({obs, p, o});
+    for (size_t d = 0; d < spec.dimensions.size(); ++d) {
+      const LevelSpec* base = dim_base[d];
       // Coverage pass: the first |base| observations cycle through every
       // member so that each base member is referenced at least once (the
       // real KGs are dense in this sense); afterwards, skewed sampling.
@@ -160,20 +212,31 @@ util::Result<GeneratedDataset> Generate(DatasetSpec spec,
         member = static_cast<size_t>(rng.Skewed(base->member_count()));
         if (member >= base->member_count()) member = base->member_count() - 1;
       }
-      store->Add(obs, rdf::Term::Iri(spec.iri_base + dim.predicate),
-                 member_iri(dim.base_level, member));
+      p = memo(&dim_pred[d], [&] {
+        return rdf::Term::Iri(spec.iri_base + spec.dimensions[d].predicate);
+      });
+      o = member_id(*base, member);
+      store->AddEncoded({obs, p, o});
     }
-    for (const std::string& mp : spec.measure_predicates) {
+    for (size_t m = 0; m < spec.measure_predicates.size(); ++m) {
       // Skewed positive integer measure (long tail of large values).
-      int64_t value = 1 + static_cast<int64_t>(rng.Skewed(10000));
-      store->Add(obs, rdf::Term::Iri(spec.iri_base + mp),
-                 rdf::Term::IntegerLiteral(value));
+      int64_t value = 1 + static_cast<int64_t>(rng.Skewed(kMeasureRange));
+      p = memo(&measure_pred[m], [&] {
+        return rdf::Term::Iri(spec.iri_base + spec.measure_predicates[m]);
+      });
+      o = memo(&measure_literal[value],
+               [value] { return rdf::Term::IntegerLiteral(value); });
+      store->AddEncoded({obs, p, o});
     }
-    for (const ObservationAttrSpec& attr : spec.observation_attrs) {
-      const std::string& v =
-          attr.values[rng.Uniform(attr.values.size())];
-      store->Add(obs, rdf::Term::Iri(spec.iri_base + attr.predicate),
-                 rdf::Term::StringLiteral(v));
+    for (size_t a = 0; a < spec.observation_attrs.size(); ++a) {
+      const ObservationAttrSpec& attr = spec.observation_attrs[a];
+      const size_t v = rng.Uniform(attr.values.size());
+      p = memo(&attr_pred[a], [&] {
+        return rdf::Term::Iri(spec.iri_base + attr.predicate);
+      });
+      o = memo(&attr_value[a][v],
+               [&] { return rdf::Term::StringLiteral(attr.values[v]); });
+      store->AddEncoded({obs, p, o});
     }
   }
 

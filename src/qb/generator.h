@@ -35,9 +35,14 @@ struct GeneratedDataset {
 ///  - `spec.observations` observation nodes typed `observation_class`, each
 ///    linked to one (skewed-random) base member per dimension, one numeric
 ///    literal per measure, and the literal observation attributes.
-/// Fails on specs referencing undefined levels. When `freeze_pool` is
-/// non-null the final TripleStore::Freeze() sorts its index permutations
-/// on that pool (same store bits, less wall time).
+/// Fails on specs referencing undefined levels. Loading is linear in the
+/// dataset size: each distinct term is interned once (memoized per
+/// predicate, level member, observation, measure value and attribute
+/// value) in the order per-triple Add() calls would intern it, so term ids
+/// are a pure function of the spec, and triples go in via AddEncoded().
+/// `freeze_pool` is handed to the final TripleStore::Freeze(), which uses
+/// it to compress the permutations when the store's index format is
+/// compressed (same store bits either way).
 util::Result<GeneratedDataset> Generate(
     DatasetSpec spec, util::ThreadPool* freeze_pool = nullptr);
 

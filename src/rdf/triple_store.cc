@@ -147,11 +147,11 @@ void TripleStore::Freeze(util::ThreadPool* pool) {
   span.SetAttr("triples", static_cast<uint64_t>(spo_.size()));
   {
     obs::Span child("store.build_indexes");
-    BuildIndexes(pool);
+    BuildIndexes();
   }
   {
     obs::Span child("store.compute_stats");
-    ComputeStats(pool);
+    ComputeStats();
   }
   if (format_ == IndexFormat::kCompressed) {
     obs::Span child("store.compress_indexes");
@@ -162,93 +162,82 @@ void TripleStore::Freeze(util::ThreadPool* pool) {
   UpdateStoreGauges();
 }
 
-void TripleStore::BuildIndexes(util::ThreadPool* pool) {
-  if (pool != nullptr && pool->size() > 0) {
-    // Each permutation sorts an independent copy of the raw triple list
-    // and deduplicates in place (duplicates are adjacent under any total
-    // order over (s,p,o)), so the three tasks share nothing.
-    pos_ = spo_;
-    osp_ = spo_;
-    auto sort_one = [this](size_t task) {
-      switch (task) {
-        case 0:
-          std::sort(spo_.begin(), spo_.end(), SpoLess());
-          spo_.erase(std::unique(spo_.begin(), spo_.end()), spo_.end());
-          spo_.shrink_to_fit();
-          break;
-        case 1:
-          std::sort(pos_.begin(), pos_.end(), PosLess());
-          pos_.erase(std::unique(pos_.begin(), pos_.end()), pos_.end());
-          pos_.shrink_to_fit();
-          break;
-        default:
-          std::sort(osp_.begin(), osp_.end(), OspLess());
-          osp_.erase(std::unique(osp_.begin(), osp_.end()), osp_.end());
-          osp_.shrink_to_fit();
-          break;
-      }
-    };
-    pool->ParallelFor(3, sort_one);
-    return;
+namespace {
+
+// Stable counting sort of `in` by one id column into `out` (resized to
+// in.size()). Keys are term ids below `key_bound`, so the sort costs
+// O(n + key_bound); stability is what lets consecutive passes build a
+// lexicographic order one column at a time.
+void CountingSortBy(std::span<const EncodedTriple> in,
+                    TermId EncodedTriple::*key, size_t key_bound,
+                    std::vector<EncodedTriple>* out) {
+  std::vector<size_t> offset(key_bound + 1, 0);
+  for (const EncodedTriple& t : in) {
+    assert(t.*key < key_bound);
+    ++offset[t.*key + 1];
   }
-  std::sort(spo_.begin(), spo_.end(), SpoLess());
+  for (size_t k = 1; k <= key_bound; ++k) offset[k] += offset[k - 1];
+  out->resize(in.size());
+  for (const EncodedTriple& t : in) (*out)[offset[t.*key]++] = t;
+}
+
+}  // namespace
+
+void TripleStore::BuildIndexes() {
+  // Term ids are dense in [1, dictionary().size()], so every column sorts
+  // by counting. SPO is a least-significant-column-first radix sort
+  // (o, then p, then s) followed by the dedup; OSP and POS each take one
+  // more stable pass over an already sorted permutation, whose order
+  // breaks their ties: OSP sorts SPO by o, keeping (s,p) order within an
+  // object, and POS sorts OSP by p, keeping (o,s) order within a
+  // predicate. Peak memory is the raw list plus one scratch buffer.
+  const size_t key_bound = dict_.size() + 1;
+  {
+    std::vector<EncodedTriple> scratch;
+    CountingSortBy(spo_, &EncodedTriple::o, key_bound, &scratch);
+    CountingSortBy(scratch, &EncodedTriple::p, key_bound, &spo_);
+    CountingSortBy(spo_, &EncodedTriple::s, key_bound, &scratch);
+    spo_.swap(scratch);
+  }
   spo_.erase(std::unique(spo_.begin(), spo_.end()), spo_.end());
   spo_.shrink_to_fit();
-  pos_ = spo_;
-  std::sort(pos_.begin(), pos_.end(), PosLess());
-  osp_ = spo_;
-  std::sort(osp_.begin(), osp_.end(), OspLess());
+  CountingSortBy(spo_, &EncodedTriple::o, key_bound, &osp_);
+  CountingSortBy(osp_, &EncodedTriple::p, key_bound, &pos_);
 }
 
 std::unordered_map<TermId, PredicateStats> ComputePredicateStats(
-    std::span<const EncodedTriple> pos_sorted, util::ThreadPool* pool) {
+    std::span<const EncodedTriple> spo_sorted,
+    std::span<const EncodedTriple> pos_sorted) {
   std::unordered_map<TermId, PredicateStats> stats;
-  // The input is sorted by (p, o, s): per-predicate runs are contiguous,
-  // and within a run objects are grouped, enabling distinct-object
-  // counting in one pass. Distinct subjects need a second pass over a
-  // scratch copy per predicate run sorted by subject.
-  std::vector<std::pair<size_t, size_t>> runs;  // [begin, end) per predicate
-  size_t i = 0;
-  while (i < pos_sorted.size()) {
-    size_t j = i;
-    while (j < pos_sorted.size() && pos_sorted[j].p == pos_sorted[i].p) ++j;
-    runs.emplace_back(i, j);
-    i = j;
-  }
-  std::vector<PredicateStats> per_run(runs.size());
-  auto stat_one = [pos_sorted, &runs, &per_run](size_t r) {
-    auto [begin, end] = runs[r];
-    PredicateStats st;
-    TermId prev_o = kInvalidTermId;
-    std::vector<TermId> subjects;
-    subjects.reserve(end - begin);
-    for (size_t k = begin; k < end; ++k) {
-      ++st.triple_count;
-      if (pos_sorted[k].o != prev_o) {
-        ++st.distinct_objects;
-        prev_o = pos_sorted[k].o;
-      }
-      subjects.push_back(pos_sorted[k].s);
+  if (pos_sorted.empty()) return stats;
+  // POS is sorted by (p, o, s): per-predicate runs are contiguous and
+  // objects are grouped within a run, so triple and distinct-object counts
+  // take one pass. Each distinct (s, p) pair is one run of SPO, so
+  // counting those runs per predicate gives the distinct subjects. The
+  // last POS triple carries the largest predicate id.
+  std::vector<uint64_t> subjects(pos_sorted.back().p + 1, 0);
+  for (size_t k = 0; k < spo_sorted.size(); ++k) {
+    if (k == 0 || spo_sorted[k].s != spo_sorted[k - 1].s ||
+        spo_sorted[k].p != spo_sorted[k - 1].p) {
+      ++subjects[spo_sorted[k].p];
     }
-    std::sort(subjects.begin(), subjects.end());
-    st.distinct_subjects = static_cast<uint64_t>(
-        std::unique(subjects.begin(), subjects.end()) - subjects.begin());
-    per_run[r] = st;
-  };
-  if (pool != nullptr && pool->size() > 0) {
-    pool->ParallelFor(runs.size(), stat_one);
-  } else {
-    for (size_t r = 0; r < runs.size(); ++r) stat_one(r);
   }
-  stats.reserve(runs.size());
-  for (size_t r = 0; r < runs.size(); ++r) {
-    stats.emplace(pos_sorted[runs[r].first].p, per_run[r]);
+  PredicateStats* st = nullptr;
+  for (size_t k = 0; k < pos_sorted.size(); ++k) {
+    const EncodedTriple& t = pos_sorted[k];
+    const bool new_run = k == 0 || t.p != pos_sorted[k - 1].p;
+    if (new_run) {
+      st = &stats[t.p];
+      st->distinct_subjects = subjects[t.p];
+    }
+    ++st->triple_count;
+    if (new_run || t.o != pos_sorted[k - 1].o) ++st->distinct_objects;
   }
   return stats;
 }
 
-void TripleStore::ComputeStats(util::ThreadPool* pool) {
-  stats_ = ComputePredicateStats(pos_, pool);
+void TripleStore::ComputeStats() {
+  stats_ = ComputePredicateStats(spo_, pos_);
 }
 
 void TripleStore::CompressIndexes(util::ThreadPool* pool) {

@@ -43,13 +43,16 @@ enum class IndexFormat : uint8_t {
 /// ("raw" | "compressed"; anything else falls back to raw).
 IndexFormat DefaultIndexFormat();
 
-/// Per-predicate statistics computed from a (p,o,s)-sorted, deduplicated
-/// triple array — the exact computation Freeze() runs over its POS index,
-/// exposed for epoch-chain compaction (which folds base + deltas into new
-/// sorted arrays and needs fresh stats without a TripleStore). When `pool`
-/// is non-null the per-predicate runs are processed as concurrent tasks.
+/// Per-predicate statistics from the same deduplicated triples sorted
+/// two ways — (s,p,o) and (p,o,s) — the exact computation Freeze() runs
+/// over its SPO and POS indexes, exposed for epoch-chain compaction (which
+/// folds base + deltas into new sorted arrays and needs fresh stats
+/// without a TripleStore). Two linear passes, no sorting: triple and
+/// distinct-object counts come from POS runs, distinct subjects from
+/// counting (s,p) runs in SPO.
 std::unordered_map<TermId, PredicateStats> ComputePredicateStats(
-    std::span<const EncodedTriple> pos_sorted, util::ThreadPool* pool);
+    std::span<const EncodedTriple> spo_sorted,
+    std::span<const EncodedTriple> pos_sorted);
 
 /// Heap vs file-backed split of a store's footprint: `heap_bytes` is
 /// malloc'd memory (dictionary, owned indexes, stats), `mapped_bytes` the
@@ -108,9 +111,11 @@ class TripleStore {
   /// Sorts and deduplicates the three index permutations and computes
   /// predicate statistics; when index_format() is kCompressed the sorted
   /// permutations are then compressed and the raw arrays released. Must be
-  /// called after loading, before querying. When `pool` is non-null the
-  /// per-permutation work runs as concurrent tasks; the resulting store is
-  /// bit-identical to a serial Freeze().
+  /// called after loading, before querying. The permutations come from
+  /// stable counting sorts over the dense term ids, so the build is linear
+  /// in triples plus dictionary size. When `pool` is non-null the three
+  /// permutations are compressed as concurrent tasks; the resulting store
+  /// is bit-identical to a serial Freeze().
   void Freeze(util::ThreadPool* pool = nullptr);
 
   bool frozen() const { return frozen_; }
@@ -384,9 +389,10 @@ class TripleStore {
   /// storage. No-op for owned raw stores.
   void Materialize();
 
-  /// Reorders [first,last) of spo_ range helpers.
-  void BuildIndexes(util::ThreadPool* pool);
-  void ComputeStats(util::ThreadPool* pool);
+  /// Freeze() phases: sort and deduplicate the permutations, compute the
+  /// predicate stats, and (compressed format) encode the blocks.
+  void BuildIndexes();
+  void ComputeStats();
   void CompressIndexes(util::ThreadPool* pool);
   /// PermutationRange over the store's own frozen arrays/blocks, ignoring
   /// any epoch chain (the chain's base when EpochChain::base is null).

@@ -264,7 +264,7 @@ util::Status Ingestor::CompactNow(const ExecGuard* guard,
   for (const Status& st : merge_status) {
     if (!st.ok()) return st;
   }
-  base->stats = rdf::ComputePredicateStats(base->pos, merge_pool);
+  base->stats = rdf::ComputePredicateStats(base->spo, base->pos);
 
   {
     std::lock_guard<std::mutex> lk(ingest_mu_);

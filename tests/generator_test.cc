@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "qb/datasets.h"
 #include "qb/generator.h"
+#include "util/hash.h"
 
 namespace re2xolap::qb {
 namespace {
@@ -161,6 +165,93 @@ TEST(GeneratorTest, ObservationAttrsAttached) {
   ASSERT_NE(sex, rdf::kInvalidTermId);
   EXPECT_EQ(s.CountMatches({rdf::kInvalidTermId, sex, rdf::kInvalidTermId}),
             20u);
+}
+
+// XXH64 over a byte stream built from fixed-width fields, so the digest
+// depends on nothing but the values appended.
+class Fingerprint {
+ public:
+  void Add(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      bytes_.push_back(static_cast<char>(v >> (8 * i)));
+    }
+  }
+  void Add(const std::string& s) {
+    Add(s.size());
+    bytes_ += s;
+  }
+  uint64_t Digest() const { return util::Xxh64(bytes_.data(), bytes_.size()); }
+
+ private:
+  std::string bytes_;
+};
+
+struct StoreDigests {
+  uint64_t dictionary, spo, pos, osp, stats;
+};
+
+StoreDigests DigestStore(const rdf::TripleStore& s) {
+  Fingerprint dict;
+  s.dictionary().ForEach([&](rdf::TermId id, const rdf::Term& t) {
+    dict.Add(id);
+    dict.Add(static_cast<uint64_t>(t.kind));
+    dict.Add(static_cast<uint64_t>(t.literal_type));
+    dict.Add(t.value);
+  });
+  auto perm_digest = [&s](rdf::Perm perm) {
+    Fingerprint f;
+    for (const rdf::EncodedTriple& t : s.PermutationRange(perm)) {
+      f.Add(t.s);
+      f.Add(t.p);
+      f.Add(t.o);
+    }
+    return f.Digest();
+  };
+  std::vector<rdf::TermId> preds = s.AllPredicates();
+  Fingerprint stats;
+  for (rdf::TermId p : preds) {
+    rdf::PredicateStats st = s.predicate_stats(p);
+    stats.Add(p);
+    stats.Add(st.triple_count);
+    stats.Add(st.distinct_subjects);
+    stats.Add(st.distinct_objects);
+  }
+  return {dict.Digest(), perm_digest(rdf::Perm::kSpo),
+          perm_digest(rdf::Perm::kPos), perm_digest(rdf::Perm::kOsp),
+          stats.Digest()};
+}
+
+// Term ids, the three permutations and the predicate stats of generated
+// stores are pinned to digests of the store that per-triple Add() calls
+// and comparison sorts build: memoized interning and the counting-sort
+// index build must reproduce it bit for bit, in either index format.
+TEST(GeneratorTest, GeneratedStoreIsBitIdenticalToRecordedDigests) {
+  struct Case {
+    const char* name;
+    DatasetSpec spec;
+    StoreDigests want;
+  };
+  const Case cases[] = {
+      {"eurostat-3000", EurostatSpec(3000),
+       {18042907088273982241ull, 10333071212324549493ull,
+        6806650602963244226ull, 12889266276655732789ull,
+        13061530376661414404ull}},
+      {"dbpedia-1000", DbpediaSpec(1000),
+       {14500672023350541730ull, 10042637518140192401ull,
+        15711433426334556387ull, 10971972233451666563ull,
+        10127504776548108951ull}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto ds = Generate(c.spec);
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    StoreDigests got = DigestStore(*ds->store);
+    EXPECT_EQ(got.dictionary, c.want.dictionary);
+    EXPECT_EQ(got.spo, c.want.spo);
+    EXPECT_EQ(got.pos, c.want.pos);
+    EXPECT_EQ(got.osp, c.want.osp);
+    EXPECT_EQ(got.stats, c.want.stats);
+  }
 }
 
 }  // namespace

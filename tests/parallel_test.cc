@@ -153,10 +153,16 @@ TEST(ParallelSynthesisTest, SynthesizeMultiMatchesSerial) {
   EXPECT_EQ(Signature(*expected), Signature(*actual));
 }
 
+// The index build is one serial counting-sort path; what a Freeze() pool
+// still parallelizes is compressing the three permutations into blocks.
+// A pooled compressed Freeze() must serve exactly the serial one's store.
 TEST(ParallelFreezeTest, ParallelFreezeProducesIdenticalStore) {
   auto build = [](util::ThreadPool* pool) {
-    auto ds = qb::Generate(qb::EurostatSpec(2000), pool);
+    auto ds = qb::Generate(qb::EurostatSpec(2000));
     EXPECT_TRUE(ds.ok());
+    ds->store->set_index_format(rdf::IndexFormat::kCompressed);
+    ds->store->Freeze(pool);
+    EXPECT_TRUE(ds->store->compressed_index());
     return std::move(ds->store);
   };
   util::ThreadPool pool(4);
@@ -165,11 +171,15 @@ TEST(ParallelFreezeTest, ParallelFreezeProducesIdenticalStore) {
 
   ASSERT_EQ(serial->size(), parallel->size());
   // Full scans through each permutation must agree bit for bit.
-  auto all_serial = serial->Match({});
-  auto all_parallel = parallel->Match({});
-  ASSERT_EQ(all_serial.size(), all_parallel.size());
-  for (size_t i = 0; i < all_serial.size(); ++i) {
-    EXPECT_TRUE(all_serial[i] == all_parallel[i]) << i;
+  for (rdf::Perm perm : {rdf::Perm::kSpo, rdf::Perm::kPos, rdf::Perm::kOsp}) {
+    std::vector<rdf::EncodedTriple> a, b;
+    for (const rdf::EncodedTriple& t : serial->PermutationRange(perm)) {
+      a.push_back(t);
+    }
+    for (const rdf::EncodedTriple& t : parallel->PermutationRange(perm)) {
+      b.push_back(t);
+    }
+    EXPECT_TRUE(a == b) << "perm " << static_cast<int>(perm);
   }
   for (rdf::TermId p : serial->AllPredicates()) {
     rdf::PredicateStats a = serial->predicate_stats(p);
@@ -177,11 +187,6 @@ TEST(ParallelFreezeTest, ParallelFreezeProducesIdenticalStore) {
     EXPECT_EQ(a.triple_count, b.triple_count);
     EXPECT_EQ(a.distinct_subjects, b.distinct_subjects);
     EXPECT_EQ(a.distinct_objects, b.distinct_objects);
-    // POS / OSP permutations answer predicate- and object-bound patterns.
-    EXPECT_EQ(serial->CountMatches({rdf::kInvalidTermId, p,
-                                    rdf::kInvalidTermId}),
-              parallel->CountMatches({rdf::kInvalidTermId, p,
-                                      rdf::kInvalidTermId}));
   }
 }
 

@@ -1,5 +1,10 @@
 #include <algorithm>
+#include <map>
+#include <random>
+#include <set>
 #include <sstream>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -164,6 +169,148 @@ TEST_F(TripleStoreTest, RefreezeAfterAdd) {
 TEST_F(TripleStoreTest, MemoryUsagePositive) {
   EXPECT_GT(store.MemoryUsage(), 0u);
 }
+
+// --- Freeze vs a comparison-sort oracle ----------------------------------------
+
+enum class FreezeShape {
+  kRandomWithDuplicates,
+  kEmpty,
+  kSingleTriple,
+  kSharedPredicate,
+  kSharedObject,
+  kMaxIds,
+};
+
+// Triples over ids 1..terms (all interned). Small id pools force duplicate
+// triples and long ties in every column.
+std::vector<EncodedTriple> ShapeTriples(FreezeShape shape, TermId terms,
+                                        std::mt19937* rng) {
+  auto id = [&](TermId pool) {
+    return static_cast<TermId>(1 + (*rng)() % pool);
+  };
+  std::vector<EncodedTriple> out;
+  switch (shape) {
+    case FreezeShape::kEmpty:
+      break;
+    case FreezeShape::kSingleTriple:
+      out.push_back({id(terms), id(terms), id(terms)});
+      break;
+    case FreezeShape::kRandomWithDuplicates:
+      for (int i = 0; i < 2000; ++i) out.push_back({id(30), id(6), id(20)});
+      break;
+    case FreezeShape::kSharedPredicate:
+      for (int i = 0; i < 1500; ++i) out.push_back({id(terms), 5, id(40)});
+      break;
+    case FreezeShape::kSharedObject:
+      for (int i = 0; i < 1500; ++i) out.push_back({id(40), id(8), 7});
+      break;
+    case FreezeShape::kMaxIds:
+      for (int i = 0; i < 1000; ++i) {
+        out.push_back({id(terms), id(terms), id(terms)});
+      }
+      out.push_back({terms, terms, terms});
+      out.push_back({terms, 1, terms});
+      out.push_back({1, terms, 1});
+      break;
+  }
+  return out;
+}
+
+template <typename Key>
+std::vector<EncodedTriple> OracleSorted(std::vector<EncodedTriple> v, Key key) {
+  std::sort(v.begin(), v.end(), [&](const EncodedTriple& a,
+                                    const EncodedTriple& b) {
+    return key(a) < key(b);
+  });
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+  return v;
+}
+
+std::vector<EncodedTriple> Drain(const IndexRange& range) {
+  std::vector<EncodedTriple> out;
+  for (const EncodedTriple& t : range) out.push_back(t);
+  return out;
+}
+
+std::map<TermId, PredicateStats> BruteForceStats(
+    const std::vector<EncodedTriple>& distinct) {
+  std::map<TermId, std::set<TermId>> subjects, objects;
+  std::map<TermId, PredicateStats> out;
+  for (const EncodedTriple& t : distinct) {
+    ++out[t.p].triple_count;
+    subjects[t.p].insert(t.s);
+    objects[t.p].insert(t.o);
+  }
+  for (auto& [p, st] : out) {
+    st.distinct_subjects = subjects[p].size();
+    st.distinct_objects = objects[p].size();
+  }
+  return out;
+}
+
+void ExpectStatsEqual(const std::unordered_map<TermId, PredicateStats>& got,
+                      const std::map<TermId, PredicateStats>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [p, w] : want) {
+    auto it = got.find(p);
+    ASSERT_NE(it, got.end()) << "predicate " << p;
+    EXPECT_EQ(it->second.triple_count, w.triple_count) << "predicate " << p;
+    EXPECT_EQ(it->second.distinct_subjects, w.distinct_subjects)
+        << "predicate " << p;
+    EXPECT_EQ(it->second.distinct_objects, w.distinct_objects)
+        << "predicate " << p;
+  }
+}
+
+class FreezeOracleTest : public ::testing::TestWithParam<IndexFormat> {};
+
+// The counting-sort index build must produce exactly what sorting each
+// permutation with std::sort and dropping duplicates produces, and the
+// sort-free stats must match brute-force counts, for every id shape.
+TEST_P(FreezeOracleTest, MatchesSortUniqueOracle) {
+  constexpr TermId kTerms = 60;
+  std::mt19937 rng(20230328);
+  for (FreezeShape shape :
+       {FreezeShape::kRandomWithDuplicates, FreezeShape::kEmpty,
+        FreezeShape::kSingleTriple, FreezeShape::kSharedPredicate,
+        FreezeShape::kSharedObject, FreezeShape::kMaxIds}) {
+    SCOPED_TRACE(static_cast<int>(shape));
+    TripleStore store;
+    store.set_index_format(GetParam());
+    for (TermId i = 1; i <= kTerms; ++i) {
+      store.Intern(Term::Iri("t" + std::to_string(i)));
+    }
+    ASSERT_EQ(store.dictionary().size(), kTerms);
+    std::vector<EncodedTriple> raw = ShapeTriples(shape, kTerms, &rng);
+    for (const EncodedTriple& t : raw) store.AddEncoded(t);
+    store.Freeze();
+
+    auto spo = OracleSorted(raw, [](const EncodedTriple& t) {
+      return std::tie(t.s, t.p, t.o);
+    });
+    auto pos = OracleSorted(raw, [](const EncodedTriple& t) {
+      return std::tie(t.p, t.o, t.s);
+    });
+    auto osp = OracleSorted(raw, [](const EncodedTriple& t) {
+      return std::tie(t.o, t.s, t.p);
+    });
+    EXPECT_EQ(store.size(), spo.size());
+    EXPECT_EQ(Drain(store.PermutationRange(Perm::kSpo)), spo);
+    EXPECT_EQ(Drain(store.PermutationRange(Perm::kPos)), pos);
+    EXPECT_EQ(Drain(store.PermutationRange(Perm::kOsp)), osp);
+
+    const std::map<TermId, PredicateStats> want = BruteForceStats(spo);
+    ExpectStatsEqual(ComputePredicateStats(spo, pos), want);
+    ExpectStatsEqual(store.all_predicate_stats(), want);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Formats, FreezeOracleTest,
+    ::testing::Values(IndexFormat::kRaw, IndexFormat::kCompressed),
+    [](const ::testing::TestParamInfo<IndexFormat>& info) {
+      return info.param == IndexFormat::kRaw ? "Raw" : "Compressed";
+    });
 
 // --- TextIndex ------------------------------------------------------------------------
 
