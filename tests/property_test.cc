@@ -227,6 +227,15 @@ struct ReolapCase {
   const char* v1;  // nullptr = size-1 input
 };
 
+// Prints the case by value. Without it gtest dumps the struct's raw bytes,
+// pointers included, so the test names ctest discovers change with every
+// build's address layout.
+void PrintTo(const ReolapCase& c, std::ostream* os) {
+  *os << "seed=" << c.seed << " <" << c.v0;
+  if (c.v1) *os << ", " << c.v1;
+  *os << ">";
+}
+
 class ReolapPropertyTest : public ::testing::TestWithParam<ReolapCase> {};
 
 TEST_P(ReolapPropertyTest, SynthesisGuarantees) {
