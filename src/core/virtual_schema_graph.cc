@@ -4,6 +4,8 @@
 #include <cctype>
 #include <map>
 #include <set>
+#include <span>
+#include <utility>
 
 #include "obs/trace.h"
 #include "util/timer.h"
@@ -62,6 +64,7 @@ util::Result<VirtualSchemaGraph> VirtualSchemaGraph::Build(
     return util::Status::InvalidArgument(
         "TripleStore must be frozen before building the virtual graph");
   }
+  rdf::TripleStore::ReadPin pin(store);
   rdf::TermId obs_class = store.Lookup(rdf::Term::Iri(observation_class_iri));
   rdf::TermId type_pred = store.Lookup(rdf::Term::Iri(kRdfTypeIri));
   if (obs_class == rdf::kInvalidTermId || type_pred == rdf::kInvalidTermId) {
@@ -71,9 +74,8 @@ util::Result<VirtualSchemaGraph> VirtualSchemaGraph::Build(
   }
 
   VirtualSchemaGraph vsg;
-  auto bump_scans = [&]() {
-    if (stats) ++stats->store_scans;
-  };
+  VsgBuildStats unused_stats;
+  VsgBuildStats& st = stats != nullptr ? *stats : unused_stats;
 
   // Root node (the observation level v_o).
   VsgNode root;
@@ -82,23 +84,9 @@ util::Result<VirtualSchemaGraph> VirtualSchemaGraph::Build(
   root.name = "Observation";
   vsg.nodes_.push_back(std::move(root));
 
-  // --- pass 1: classify observation predicates ------------------------------
-  // dimension predicate -> base-level member set
-  std::map<rdf::TermId, std::set<rdf::TermId>> dim_members;
-  std::set<rdf::TermId> measure_set;
-  std::set<rdf::TermId> attr_set;
-
-  bump_scans();
-  rdf::IndexRange obs_triples =
-      store.Match(rdf::TriplePattern{rdf::kInvalidTermId, type_pred,
-                                     obs_class});
-  if (obs_triples.empty()) {
-    return util::Status::NotFound("no observations of class <" +
-                                  observation_class_iri + ">");
-  }
   uint64_t guard_polls = 0;
-  // Poll interval for the crawl loops: one per-member scan is cheap, so a
-  // clock read every iteration would dominate on wide cubes.
+  // Poll interval for the crawl loops: one step (a triple swept, a member
+  // visited) is cheap, so a clock read every iteration would dominate.
   constexpr uint64_t kGuardPollInterval = 256;
   auto poll_guard = [&]() -> util::Status {
     if (options.guard == nullptr) return util::Status::OK();
@@ -106,29 +94,56 @@ util::Result<VirtualSchemaGraph> VirtualSchemaGraph::Build(
     return options.guard->Check();
   };
 
+  // --- pass 1: classify observation predicates ------------------------------
+  // The (rdf:type, class) POS run lists the observations by ascending id;
+  // they are marked in a dense bitmap. Then each other predicate's POS run
+  // is swept once: its (o, s) order groups the triples by object, so each
+  // distinct object reached from an observation is classified once, and
+  // IRI/blank objects arrive ascending — the base-level members, already
+  // sorted and distinct.
+  ++st.store_scans;
+  rdf::IndexRange obs_triples =
+      store.Match(rdf::TriplePattern{rdf::kInvalidTermId, type_pred,
+                                     obs_class});
+  if (obs_triples.empty()) {
+    return util::Status::NotFound("no observations of class <" +
+                                  observation_class_iri + ">");
+  }
+  const rdf::TermId max_obs = obs_triples.back().s;
+  std::vector<bool> is_obs(static_cast<size_t>(max_obs) + 1, false);
   for (const rdf::EncodedTriple& typing : obs_triples) {
-    rdf::TermId obs = typing.s;
-    if (stats) ++stats->members_visited;
+    ++st.members_visited;
     RE2X_RETURN_IF_ERROR(poll_guard());
-    bump_scans();
-    for (const rdf::EncodedTriple& t : store.Match(
-             rdf::TriplePattern{obs, rdf::kInvalidTermId,
-                                rdf::kInvalidTermId})) {
-      if (t.p == type_pred) continue;
+    is_obs[typing.s] = true;
+  }
+
+  // Dimension predicates (ascending) with their base-level members.
+  std::vector<std::pair<rdf::TermId, std::vector<rdf::TermId>>> dim_members;
+  for (rdf::TermId pred : store.AllPredicates()) {
+    if (pred == type_pred) continue;
+    ++st.store_scans;
+    bool measure = false;
+    bool attribute = false;
+    std::vector<rdf::TermId> members;
+    rdf::TermId last = rdf::kInvalidTermId;
+    for (const rdf::EncodedTriple& t : store.Match(rdf::TriplePattern{
+             rdf::kInvalidTermId, pred, rdf::kInvalidTermId})) {
+      RE2X_RETURN_IF_ERROR(poll_guard());
+      if (t.o == last || t.s > max_obs || !is_obs[t.s]) continue;
+      last = t.o;
       const rdf::Term& o = store.term(t.o);
-      if (o.is_literal()) {
-        if (o.is_numeric_literal()) {
-          measure_set.insert(t.p);
-        } else {
-          attr_set.insert(t.p);
-        }
+      if (!o.is_literal()) {
+        members.push_back(t.o);
+      } else if (o.is_numeric_literal()) {
+        measure = true;
       } else {
-        dim_members[t.p].insert(t.o);
+        attribute = true;
       }
     }
+    if (measure) vsg.measures_.push_back(pred);
+    if (attribute) vsg.observation_attrs_.push_back(pred);
+    if (!members.empty()) dim_members.emplace_back(pred, std::move(members));
   }
-  vsg.measures_.assign(measure_set.begin(), measure_set.end());
-  vsg.observation_attrs_.assign(attr_set.begin(), attr_set.end());
 
   // --- pass 2: base levels + recursive hierarchy expansion ------------------
   // Node identity by member-set hash, to merge diamonds and cut cycles.
@@ -153,6 +168,7 @@ util::Result<VirtualSchemaGraph> VirtualSchemaGraph::Build(
     node.id = static_cast<int>(vsg.nodes_.size());
     node.name = name;
     node.members = std::move(members);
+    node.members.shrink_to_fit();
     nodes_by_sig[sig].push_back(node.id);
     vsg.nodes_.push_back(std::move(node));
     expanded.push_back(false);
@@ -164,16 +180,23 @@ util::Result<VirtualSchemaGraph> VirtualSchemaGraph::Build(
   // Iterative worklist of (node id, depth).
   std::vector<std::pair<int, size_t>> worklist;
 
-  for (const auto& [pred, members] : dim_members) {
-    std::vector<rdf::TermId> sorted(members.begin(), members.end());
+  for (auto& [pred, members] : dim_members) {
     bool created = false;
     int nid = find_or_create_node(
-        std::move(sorted), PrettifyIriLocalName(store.term(pred).value),
+        std::move(members), PrettifyIriLocalName(store.term(pred).value),
         &created);
     vsg.edges_.push_back(VsgEdge{0, nid, pred});
     if (created) worklist.emplace_back(nid, 1);
   }
 
+  // A level's members are sorted, so their SPO runs appear in member order:
+  // one forward gallop over the whole permutation finds each run, starting
+  // from the end of the previous one.
+  const rdf::IndexRange spo = store.PermutationRange(rdf::Perm::kSpo);
+  rdf::IndexBlockScratch scratch;
+  // (p, o) steps packed as p << 32 | o, so one integer sort orders them.
+  std::vector<uint64_t> steps;
+  std::vector<rdf::TermId> level_attrs;
   while (!worklist.empty()) {
     auto [nid, depth] = worklist.back();
     worklist.pop_back();
@@ -184,31 +207,49 @@ util::Result<VirtualSchemaGraph> VirtualSchemaGraph::Build(
         vsg.nodes_[nid].members.size() > options.max_members_per_level) {
       continue;
     }
-    std::map<rdf::TermId, std::set<rdf::TermId>> targets;
-    std::set<rdf::TermId> level_attrs;
+    steps.clear();
+    level_attrs.clear();
+    uint64_t pos = 0;
     for (rdf::TermId m : vsg.nodes_[nid].members) {
-      if (stats) ++stats->members_visited;
+      ++st.members_visited;
+      ++st.store_scans;
       RE2X_RETURN_IF_ERROR(poll_guard());
-      bump_scans();
-      for (const rdf::EncodedTriple& t : store.Match(
-               rdf::TriplePattern{m, rdf::kInvalidTermId,
-                                  rdf::kInvalidTermId})) {
-        if (t.p == type_pred) continue;
-        const rdf::Term& o = store.term(t.o);
-        if (o.is_literal()) {
-          level_attrs.insert(t.p);
-        } else {
-          targets[t.p].insert(t.o);
+      pos = spo.GallopLowerBound(
+          pos, rdf::EncodedTriple{m, rdf::kInvalidTermId, rdf::kInvalidTermId},
+          &scratch);
+      const uint64_t end = spo.GallopUpperBound(
+          pos, rdf::EncodedTriple{m, rdf::kMaxTermId, rdf::kMaxTermId},
+          &scratch);
+      while (pos < end) {
+        std::span<const rdf::EncodedTriple> chunk =
+            spo.Fetch(pos, end - pos, &scratch);
+        for (const rdf::EncodedTriple& t : chunk) {
+          if (t.p == type_pred) continue;
+          if (!store.term(t.o).is_literal()) {
+            steps.push_back(uint64_t{t.p} << 32 | t.o);
+          } else if (level_attrs.empty() || level_attrs.back() != t.p) {
+            level_attrs.push_back(t.p);
+          }
         }
+        pos += chunk.size();
       }
     }
+    std::sort(level_attrs.begin(), level_attrs.end());
+    level_attrs.erase(std::unique(level_attrs.begin(), level_attrs.end()),
+                      level_attrs.end());
     vsg.nodes_[nid].attribute_predicates.assign(level_attrs.begin(),
                                                 level_attrs.end());
-    for (const auto& [pred, members] : targets) {
-      std::vector<rdf::TermId> sorted(members.begin(), members.end());
+    std::sort(steps.begin(), steps.end());
+    steps.erase(std::unique(steps.begin(), steps.end()), steps.end());
+    for (size_t i = 0; i < steps.size();) {
+      const auto pred = static_cast<rdf::TermId>(steps[i] >> 32);
+      std::vector<rdf::TermId> members;
+      for (; i < steps.size() && steps[i] >> 32 == pred; ++i) {
+        members.push_back(static_cast<rdf::TermId>(steps[i]));
+      }
       bool created = false;
       int target = find_or_create_node(
-          std::move(sorted), PrettifyIriLocalName(store.term(pred).value),
+          std::move(members), PrettifyIriLocalName(store.term(pred).value),
           &created);
       // Avoid duplicate parallel edges (possible when two merged levels
       // share predicates).
@@ -231,7 +272,7 @@ util::Result<VirtualSchemaGraph> VirtualSchemaGraph::Build(
   }
   vsg.IndexMembers();
   vsg.ComputePaths();
-  if (stats) stats->build_millis = timer.ElapsedMillis();
+  st.build_millis = timer.ElapsedMillis();
   return vsg;
 }
 
@@ -282,6 +323,7 @@ util::Status VirtualSchemaGraph::Update(
     return util::Status::InvalidArgument(
         "TripleStore must be frozen before updating the virtual graph");
   }
+  rdf::TripleStore::ReadPin pin(store);
   rdf::TermId obs_class = store.Lookup(rdf::Term::Iri(observation_class_iri));
   rdf::TermId type_pred = store.Lookup(rdf::Term::Iri(kRdfTypeIri));
   if (obs_class == rdf::kInvalidTermId || type_pred == rdf::kInvalidTermId) {

@@ -62,6 +62,13 @@ struct VsgOptions {
 };
 
 /// Statistics of a bootstrap run (reported in Figure 6c benches).
+/// Build() issues one scan for the observation class's rdf:type run, one
+/// sequential sweep per other predicate's POS run, and one SPO run per
+/// level member it expands, so `store_scans` = 1 + predicates swept +
+/// level members visited: it follows the schema, not the observation
+/// count. `members_visited` counts observations classified plus level
+/// members expanded. Update() counts one scan per observation and per new
+/// member it reads.
 struct VsgBuildStats {
   uint64_t store_scans = 0;      // index range scans issued
   uint64_t members_visited = 0;  // member nodes touched during the crawl
@@ -75,7 +82,8 @@ struct VsgBuildStats {
 /// enumerate dimensions, levels, and BGP paths without touching the store.
 class VirtualSchemaGraph {
  public:
-  /// Crawls `store` starting from instances of `observation_class_iri`:
+  /// Crawls `store` starting from instances of `observation_class_iri`
+  /// (all reads under one ReadPin, so a live store is read at one epoch):
   ///  - predicates from observations to IRIs become dimension predicates,
   ///    their objects the base-level members;
   ///  - predicates from observations to numeric literals become measures;

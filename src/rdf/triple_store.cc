@@ -184,20 +184,28 @@ void CountingSortBy(std::span<const EncodedTriple> in,
 }  // namespace
 
 void TripleStore::BuildIndexes() {
-  // Term ids are dense in [1, dictionary().size()], so every column sorts
-  // by counting. SPO is a least-significant-column-first radix sort
-  // (o, then p, then s) followed by the dedup; OSP and POS each take one
-  // more stable pass over an already sorted permutation, whose order
-  // breaks their ties: OSP sorts SPO by o, keeping (s,p) order within an
-  // object, and POS sorts OSP by p, keeping (o,s) order within a
-  // predicate. Peak memory is the raw list plus one scratch buffer.
+  // Term ids are dense in [1, dictionary().size()], so columns sort by
+  // counting. SPO is one stable counting pass by s followed by a
+  // comparison sort of each subject's run by (p, o), then the dedup:
+  // O(n + |dict| + sum of k log k) over subject runs of length k, which
+  // degrades to O(n log n) only when most triples share one subject. OSP
+  // and POS each take one more stable pass over an already sorted
+  // permutation, whose order breaks their ties: OSP sorts SPO by o,
+  // keeping (s,p) order within an object, and POS sorts OSP by p, keeping
+  // (o,s) order within a predicate. Peak memory is the raw list plus one
+  // scratch buffer.
   const size_t key_bound = dict_.size() + 1;
   {
     std::vector<EncodedTriple> scratch;
-    CountingSortBy(spo_, &EncodedTriple::o, key_bound, &scratch);
-    CountingSortBy(scratch, &EncodedTriple::p, key_bound, &spo_);
     CountingSortBy(spo_, &EncodedTriple::s, key_bound, &scratch);
     spo_.swap(scratch);
+  }
+  for (auto run = spo_.begin(); run != spo_.end();) {
+    auto run_end = std::find_if(run, spo_.end(), [&](const EncodedTriple& t) {
+      return t.s != run->s;
+    });
+    std::sort(run, run_end, SpoLess());
+    run = run_end;
   }
   spo_.erase(std::unique(spo_.begin(), spo_.end()), spo_.end());
   spo_.shrink_to_fit();

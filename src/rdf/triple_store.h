@@ -111,11 +111,14 @@ class TripleStore {
   /// Sorts and deduplicates the three index permutations and computes
   /// predicate statistics; when index_format() is kCompressed the sorted
   /// permutations are then compressed and the raw arrays released. Must be
-  /// called after loading, before querying. The permutations come from
-  /// stable counting sorts over the dense term ids, so the build is linear
-  /// in triples plus dictionary size. When `pool` is non-null the three
-  /// permutations are compressed as concurrent tasks; the resulting store
-  /// is bit-identical to a serial Freeze().
+  /// called after loading, before querying. SPO comes from one stable
+  /// counting sort by subject plus a sort of each subject's run by (p, o);
+  /// OSP and POS from one counting sort each over the dense term ids. The
+  /// build is O(n + |dictionary| + sum of k log k) over subject runs of
+  /// length k — near linear when subjects carry few triples each, O(n log
+  /// n) in the worst case of one shared subject. When `pool` is non-null
+  /// the three permutations are compressed as concurrent tasks; the
+  /// resulting store is bit-identical to a serial Freeze().
   void Freeze(util::ThreadPool* pool = nullptr);
 
   bool frozen() const { return frozen_; }

@@ -179,6 +179,8 @@ enum class FreezeShape {
   kSharedPredicate,
   kSharedObject,
   kMaxIds,
+  kSharedSubject,
+  kDescendingRuns,
 };
 
 // Triples over ids 1..terms (all interned). Small id pools force duplicate
@@ -211,6 +213,23 @@ std::vector<EncodedTriple> ShapeTriples(FreezeShape shape, TermId terms,
       out.push_back({terms, terms, terms});
       out.push_back({terms, 1, terms});
       out.push_back({1, terms, 1});
+      break;
+    case FreezeShape::kSharedSubject:
+      // One subject run holding every triple: the per-subject sort sees
+      // the whole input.
+      for (int i = 0; i < 4000; ++i) out.push_back({9, id(terms), id(terms)});
+      break;
+    case FreezeShape::kDescendingRuns:
+      // Subjects interleaved, each subject's (p,o) pairs arriving in
+      // descending order, so every run must be fully reordered.
+      for (int p = static_cast<int>(terms); p >= 1; p -= 3) {
+        for (int o = static_cast<int>(terms); o >= 1; o -= 7) {
+          for (int s = 1; s <= static_cast<int>(terms); s += 5) {
+            out.push_back({static_cast<TermId>(s), static_cast<TermId>(p),
+                           static_cast<TermId>(o)});
+          }
+        }
+      }
       break;
   }
   return out;
@@ -264,16 +283,18 @@ void ExpectStatsEqual(const std::unordered_map<TermId, PredicateStats>& got,
 
 class FreezeOracleTest : public ::testing::TestWithParam<IndexFormat> {};
 
-// The counting-sort index build must produce exactly what sorting each
-// permutation with std::sort and dropping duplicates produces, and the
-// sort-free stats must match brute-force counts, for every id shape.
+// The index build (counting sorts plus per-subject run sorts) must produce
+// exactly what sorting each permutation with std::sort and dropping
+// duplicates produces, and the sort-free stats must match brute-force
+// counts, for every id shape.
 TEST_P(FreezeOracleTest, MatchesSortUniqueOracle) {
   constexpr TermId kTerms = 60;
   std::mt19937 rng(20230328);
   for (FreezeShape shape :
        {FreezeShape::kRandomWithDuplicates, FreezeShape::kEmpty,
         FreezeShape::kSingleTriple, FreezeShape::kSharedPredicate,
-        FreezeShape::kSharedObject, FreezeShape::kMaxIds}) {
+        FreezeShape::kSharedObject, FreezeShape::kMaxIds,
+        FreezeShape::kSharedSubject, FreezeShape::kDescendingRuns}) {
     SCOPED_TRACE(static_cast<int>(shape));
     TripleStore store;
     store.set_index_format(GetParam());
