@@ -7,7 +7,6 @@
 #include <deque>
 #include <shared_mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "rdf/term.h"
@@ -23,20 +22,24 @@ inline constexpr TermId kInvalidTermId = 0;
 /// Bidirectional Term <-> TermId mapping. Interning terms once lets the
 /// triple store and all query processing work on fixed-width integers.
 ///
-/// Each term is stored exactly once, in `terms_`: the reverse index is an
-/// unordered_set of TermIds whose transparent hash/equality functors look
-/// the term text up through `terms_`, so interning N terms costs N Term
-/// objects plus N 4-byte ids — not 2N Terms as a Term-keyed map would.
+/// Each term is stored exactly once, in `terms_`. The reverse index is a
+/// flat open-addressing table of 8-byte slots, each `(32-bit hash tag <<
+/// 32) | TermId` with 0 meaning empty: power-of-two capacity, linear
+/// probing, load at most 0.7. A probe compares tags before it touches
+/// `terms_`, and growth re-slots entries by their stored tag without
+/// re-hashing any term. Interning N terms costs N Term objects plus
+/// about 8/0.7 bytes per term of slots — not 2N Terms as a Term-keyed map
+/// would.
 ///
 /// Concurrent-read contract: once loading finishes (in practice: once the
 /// owning TripleStore is Freeze()-d), Lookup()/term()/IsValid()/ForEach()
-/// are safe from any number of threads — they are const hash/vector reads
-/// with no lazy caches. Intern() mutates and must never overlap a read;
-/// query paths must use Lookup() only. The TripleStore wrapper asserts
-/// this in debug builds.
+/// are safe from any number of threads — they are const table/vector
+/// reads with no lazy caches. Intern() mutates and must never overlap a
+/// read; query paths must use Lookup() only. The TripleStore wrapper
+/// asserts this in debug builds.
 ///
 /// Live mode (EnterLive, driven by TripleStore::EnterLive): the base
-/// mapping built so far becomes immutable — its vector and hash index are
+/// mapping built so far becomes immutable — its vector and slot table are
 /// never touched again, so base reads stay lock-free — and new terms land
 /// in an extension area (stable-address deque + Term-keyed map) guarded by
 /// a shared_mutex. InternLive() is the only mutator afterwards; it may run
@@ -44,11 +47,7 @@ inline constexpr TermId kInvalidTermId = 0;
 /// externally serialized (store::Ingestor's batch mutex does this).
 class Dictionary {
  public:
-  Dictionary()
-      : index_(/*bucket_count=*/16, IdHash{&terms_}, IdEq{&terms_}) {
-    // Slot 0 is the invalid id.
-    terms_.emplace_back();
-  }
+  Dictionary();
 
   Dictionary(const Dictionary&) = delete;
   Dictionary& operator=(const Dictionary&) = delete;
@@ -100,8 +99,9 @@ class Dictionary {
     return n;
   }
 
-  /// Pre-sizes the term vector and hash index for `n` terms (snapshot
-  /// restore knows the exact count up front).
+  /// Pre-sizes the term vector and slot table for `n` terms (snapshot
+  /// restore knows the exact count up front), so interning them never
+  /// grows the table.
   void Reserve(size_t n);
 
   /// Iterates every interned (id, term) pair in id order. Fn is called as
@@ -118,39 +118,34 @@ class Dictionary {
   }
 
   /// Approximate heap footprint in bytes (for Table 3-style reporting).
+  /// The base slot table is counted exactly.
   size_t MemoryUsage() const;
 
+  /// The 32-bit hash tag the base table stores beside each id. Public so
+  /// tests can check that they exercise equal tags of distinct terms.
+  static uint32_t Tag(const Term& term) {
+    const uint64_t h = TermHash()(term);
+    return static_cast<uint32_t>(h ^ (h >> 32));
+  }
+
  private:
-  /// Transparent hash/equality pair for the id index: an id hashes/compares
-  /// as the Term it denotes, so lookups by `const Term&` need no Term copy.
-  /// The functors hold a pointer to the vector object (not its data), so
-  /// term-vector reallocation is harmless; Dictionary is neither copyable
-  /// nor movable, so the pointer never dangles.
-  struct IdHash {
-    using is_transparent = void;
-    const std::vector<Term>* terms;
-    size_t operator()(TermId id) const { return TermHash()((*terms)[id]); }
-    size_t operator()(const Term& t) const { return TermHash()(t); }
-  };
-  struct IdEq {
-    using is_transparent = void;
-    const std::vector<Term>* terms;
-    // Id-id equality goes through the terms (not id identity) so the
-    // move-Intern's insert-first path can detect that a freshly pushed
-    // term equals an already-indexed one. Stored ids always denote
-    // distinct terms, so behavior for existing elements is unchanged.
-    bool operator()(TermId a, TermId b) const {
-      return a == b || (*terms)[a] == (*terms)[b];
-    }
-    bool operator()(TermId a, const Term& b) const { return (*terms)[a] == b; }
-    bool operator()(const Term& a, TermId b) const { return (*terms)[b] == a; }
-  };
+  /// Index into `slots_` of the slot holding `term`, or of the empty slot
+  /// that ends its probe sequence when it is absent.
+  size_t FindSlot(const Term& term, uint32_t tag) const;
+  /// The first empty slot of `tag`'s probe sequence.
+  size_t EmptySlot(uint32_t tag) const;
+  /// Re-slots every entry into a table of `capacity` (a power of two)
+  /// slots, placing each by its stored tag.
+  void Rehash(size_t capacity);
+  /// Stores `term` under a fresh id in empty slot `slot` (found by
+  /// FindSlot), growing the table first when the load would exceed 0.7.
+  TermId Insert(Term&& term, uint32_t tag, size_t slot);
 
   /// Extension-area slot for `id` (id >= terms_.size(); live mode only).
   const Term& ExtTerm(TermId id) const;
 
   std::vector<Term> terms_;
-  std::unordered_set<TermId, IdHash, IdEq> index_;
+  std::vector<uint64_t> slots_;  // (tag << 32) | id; 0 = empty
   // Live-mode extension area: terms interned after EnterLive(). The deque
   // gives stable element addresses, so term() can hand out references
   // that outlive the shared lock.

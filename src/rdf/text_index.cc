@@ -6,15 +6,46 @@
 
 namespace re2xolap::rdf {
 
+namespace {
+bool IsIndexed(const Term& t) {
+  return t.is_literal() && t.literal_type == LiteralType::kString;
+}
+}  // namespace
+
 TextIndex::TextIndex(const TripleStore& store) {
-  store.dictionary().ForEach([&](TermId id, const Term& t) {
-    if (!t.is_literal() || t.literal_type != LiteralType::kString) return;
+  const Dictionary& dict = store.dictionary();
+  size_t literals = 0;
+  dict.ForEach([&](TermId, const Term& t) {
+    if (IsIndexed(t)) ++literals;
+  });
+  // At most one exact key per literal; the distinct-token count is not
+  // known up front, and the literal count stands in for it.
+  exact_.reserve(literals);
+  postings_.reserve(literals);
+  // One lowercase buffer, token views into it and one lookup key, all
+  // reused across literals: once they have grown, a literal allocates
+  // only for a new key or a growing posting list.
+  std::string lower;
+  std::string key;
+  std::vector<std::string_view> tokens;
+  dict.ForEach([&](TermId id, const Term& t) {
+    if (!IsIndexed(t)) return;
     ++indexed_literals_;
-    exact_[util::ToLower(t.value)].push_back(id);
-    std::vector<std::string> tokens = util::TokenizeWords(t.value);
+    lower.assign(t.value);
+    util::ToLowerInPlace(&lower);
+    exact_[lower].push_back(id);
+    tokens.clear();
+    size_t pos = 0;
+    for (std::string_view w = util::NextWord(lower, &pos); !w.empty();
+         w = util::NextWord(lower, &pos)) {
+      tokens.push_back(w);
+    }
     std::sort(tokens.begin(), tokens.end());
     tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
-    for (std::string& tok : tokens) postings_[std::move(tok)].push_back(id);
+    for (std::string_view tok : tokens) {
+      key.assign(tok);
+      postings_[key].push_back(id);
+    }
   });
   // ForEach visits ids in increasing order, so posting lists are sorted.
 }

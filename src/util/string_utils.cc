@@ -9,15 +9,22 @@ namespace re2xolap::util {
 namespace {
 bool IsSpace(char c) { return std::isspace(static_cast<unsigned char>(c)); }
 char LowerChar(char c) {
-  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c + ('a' - 'A')) : c;
 }
-bool IsAlnum(char c) { return std::isalnum(static_cast<unsigned char>(c)); }
+bool IsAlnum(char c) {
+  const char lower = static_cast<char>(c | 0x20);
+  return (c >= '0' && c <= '9') || (lower >= 'a' && lower <= 'z');
+}
 }  // namespace
 
 std::string ToLower(std::string_view s) {
   std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), LowerChar);
+  ToLowerInPlace(&out);
   return out;
+}
+
+void ToLowerInPlace(std::string* s) {
+  std::transform(s->begin(), s->end(), s->begin(), LowerChar);
 }
 
 std::string_view Trim(std::string_view s) {
@@ -72,18 +79,23 @@ bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle) {
   return false;
 }
 
+std::string_view NextWord(std::string_view s, size_t* pos) {
+  size_t b = *pos;
+  while (b < s.size() && !IsAlnum(s[b])) ++b;
+  size_t e = b;
+  while (e < s.size() && IsAlnum(s[e])) ++e;
+  *pos = e;
+  return s.substr(b, e - b);
+}
+
 std::vector<std::string> TokenizeWords(std::string_view s) {
+  const std::string lower = ToLower(s);
   std::vector<std::string> tokens;
-  std::string current;
-  for (char c : s) {
-    if (IsAlnum(c)) {
-      current += LowerChar(c);
-    } else if (!current.empty()) {
-      tokens.push_back(std::move(current));
-      current.clear();
-    }
+  size_t pos = 0;
+  for (std::string_view w = NextWord(lower, &pos); !w.empty();
+       w = NextWord(lower, &pos)) {
+    tokens.emplace_back(w);
   }
-  if (!current.empty()) tokens.push_back(std::move(current));
   return tokens;
 }
 

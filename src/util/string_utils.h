@@ -9,6 +9,7 @@ namespace re2xolap::util {
 
 /// ASCII lower-casing; non-ASCII bytes pass through unchanged.
 std::string ToLower(std::string_view s);
+void ToLowerInPlace(std::string* s);
 
 /// Removes leading/trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);
@@ -24,6 +25,11 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// True if `haystack` contains `needle` ignoring ASCII case.
 bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle);
+
+/// The next word token of `s` at or after `*pos`: a maximal run of ASCII
+/// alphanumerics, returned as a view into `s` with `*pos` advanced past
+/// it; empty once no token is left. The one definition of a word token.
+std::string_view NextWord(std::string_view s, size_t* pos);
 
 /// Splits into lowercase alphanumeric word tokens ("Oct. 2014" ->
 /// {"oct", "2014"}). Used by the full-text index and keyword matching.

@@ -4,15 +4,20 @@
 #include <set>
 #include <sstream>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "qb/datasets.h"
+#include "qb/generator.h"
 #include "rdf/dictionary.h"
 #include "rdf/ntriples.h"
 #include "rdf/term.h"
 #include "rdf/text_index.h"
 #include "rdf/triple_store.h"
+#include "util/hash.h"
+#include "util/string_utils.h"
 
 namespace re2xolap::rdf {
 namespace {
@@ -390,6 +395,117 @@ TEST_F(TextIndexTest, EmptyQueryMatchesNothing) {
   EXPECT_TRUE(index->KeywordMatch("...").empty());
 }
 
+using TextMap = std::map<std::string, std::vector<TermId>>;
+
+TextMap Sorted(const std::unordered_map<std::string, std::vector<TermId>>& m) {
+  return TextMap(m.begin(), m.end());
+}
+
+// A random literal built from pieces that stress the tokenizer: mixed
+// case, punctuation, digits, bytes >= 0x80, runs of one repeated token,
+// and empty or whitespace-only values.
+std::string RandomLiteralText(std::mt19937* rng) {
+  static const char* const kPieces[] = {
+      "Germany", "GERMANY", "germany", "Oct.",  "2014",   "x86-64",
+      "(BA)",    "a",       "A",       "\xC3\xA9t\xC3\xA9", "caf\xC3\xA9",
+      "\xFF",    "\x80z",   "  ",      "\t",    "\n",     ",;:!",
+      "N0rth",   "_id_",    "0",       "",      "e\xE2\x80\x94m"};
+  constexpr size_t kCount = sizeof(kPieces) / sizeof(kPieces[0]);
+  switch ((*rng)() % 8) {
+    case 0:
+      return "";
+    case 1:
+      return std::string(1 + (*rng)() % 4, " \t\n"[(*rng)() % 3]);
+    case 2: {  // one token repeated
+      std::string tok = kPieces[(*rng)() % kCount];
+      std::string out;
+      for (size_t n = 1 + (*rng)() % 4; n > 0; --n) out += tok + " ";
+      return out;
+    }
+    default: {
+      std::string out;
+      for (size_t n = (*rng)() % 7; n > 0; --n) {
+        out += kPieces[(*rng)() % kCount];
+        if ((*rng)() % 2 == 0) out += " ";
+      }
+      return out;
+    }
+  }
+}
+
+TEST_F(TextIndexTest, BuildMatchesReferenceTokenizer) {
+  for (uint32_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    std::mt19937 rng(seed);
+    TripleStore store;
+    const Term label = Term::Iri("label");
+    for (int i = 0; i < 3000; ++i) {
+      const Term subj = Term::Iri("s/" + std::to_string(i));
+      const std::string text = RandomLiteralText(&rng);
+      // Non-string literals and IRIs carry words too but must be skipped.
+      switch (rng() % 6) {
+        case 0:
+          store.Add(subj, label, Term(TermKind::kLiteral, text,
+                                      LiteralType::kOther));
+          break;
+        case 1:
+          store.Add(subj, label, Term::DateLiteral(text));
+          break;
+        case 2:
+          store.Add(subj, label, Term::Iri("iri " + text));
+          break;
+        default:
+          store.Add(subj, label, Term::StringLiteral(text));
+      }
+    }
+    store.Add(Term::Iri("n"), label, Term::IntegerLiteral(2014));
+    store.Freeze();
+
+    TextMap postings;
+    TextMap exact;
+    size_t literals = 0;
+    store.dictionary().ForEach([&](TermId id, const Term& t) {
+      if (!t.is_literal() || t.literal_type != LiteralType::kString) return;
+      ++literals;
+      exact[util::ToLower(t.value)].push_back(id);
+      std::vector<std::string> tokens = util::TokenizeWords(t.value);
+      std::sort(tokens.begin(), tokens.end());
+      tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
+      for (const std::string& tok : tokens) postings[tok].push_back(id);
+    });
+    ASSERT_GT(literals, 500u);
+
+    TextIndex index(store);
+    EXPECT_EQ(index.indexed_literal_count(), literals);
+    EXPECT_EQ(Sorted(index.exact_map()), exact);
+    EXPECT_EQ(Sorted(index.postings_map()), postings);
+  }
+}
+
+// The sorted text maps of a generated DBpedia store, pinned to the digest
+// of the index that per-literal token vectors built.
+TEST_F(TextIndexTest, GeneratedDbpediaMatchesRecordedDigest) {
+  auto ds = qb::Generate(qb::DbpediaSpec(1000));
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  TextIndex index(*ds->store);
+  std::string bytes;
+  auto add = [&bytes](uint64_t v) {
+    for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<char>(v >> (8 * i)));
+  };
+  add(index.indexed_literal_count());
+  for (const auto* map : {&index.exact_map(), &index.postings_map()}) {
+    const TextMap sorted = Sorted(*map);
+    add(sorted.size());
+    for (const auto& [key, ids] : sorted) {
+      add(key.size());
+      bytes += key;
+      add(ids.size());
+      for (TermId id : ids) add(id);
+    }
+  }
+  EXPECT_EQ(util::Xxh64(bytes.data(), bytes.size()), 13399243192803250235ull);
+}
+
 // --- N-Triples I/O -----------------------------------------------------------------------
 
 TEST(NTriplesTest, RoundTrip) {
@@ -485,10 +601,10 @@ TEST(NTriplesTest, ParserDecodesEscapes) {
 }
 
 TEST(DictionaryTest, TermsStoredOnceNotTwice) {
-  // The reverse index keys by TermId (4 bytes) through a transparent
-  // hash, so big term texts are resident exactly once. With 100 terms of
-  // ~4 KB each (~400 KB of text), a Term-keyed index would hold ~800 KB;
-  // assert the accounting stays well under that.
+  // The reverse index is a flat table of (hash tag, TermId) slots, so big
+  // term texts are resident exactly once. With 100 terms of ~4 KB each
+  // (~400 KB of text), a Term-keyed index would hold ~800 KB; assert the
+  // accounting stays well under that.
   Dictionary d;
   constexpr size_t kTerms = 100;
   constexpr size_t kValueBytes = 4096;
@@ -500,11 +616,125 @@ TEST(DictionaryTest, TermsStoredOnceNotTwice) {
   EXPECT_EQ(d.size(), kTerms);
   const size_t text_bytes = kTerms * kValueBytes;
   EXPECT_LT(d.MemoryUsage(), text_bytes + text_bytes / 2);
-  // Lookup still works through the transparent path.
+  // Lookup still works through the tag-then-term probe.
   std::string probe(kValueBytes, 'a');
   probe += "0";
   EXPECT_NE(d.Lookup(Term::Iri(probe)), kInvalidTermId);
   EXPECT_EQ(d.Lookup(Term::Iri("absent")), kInvalidTermId);
+}
+
+// Differential test against a std::map oracle. 300k+ distinct terms make
+// equal 32-bit tags of distinct terms occur naturally (the birthday bound
+// predicts about 10), so the probe's tag-then-term comparison is exercised.
+TEST(DictionaryTest, MatchesMapOracle) {
+  std::mt19937_64 rng(15);
+  Dictionary d;
+  d.Reserve(1000);
+  std::map<Term, TermId> oracle;
+  std::vector<Term> by_id(1);  // id -> term; slot 0 unused
+  // One lexical form in four kinds: IRI, string, integer, blank node.
+  auto make = [](int kind, std::string value) {
+    switch (kind) {
+      case 0:
+        return Term::Iri(std::move(value));
+      case 1:
+        return Term::StringLiteral(std::move(value));
+      case 2:
+        return Term(TermKind::kLiteral, std::move(value),
+                    LiteralType::kInteger);
+      default:
+        return Term::Blank(std::move(value));
+    }
+  };
+  auto random_value = [&rng]() -> std::string {
+    const uint64_t r = rng() % 1000;
+    if (r == 0) return "";
+    if (r == 1) return std::string(4096, static_cast<char>('a' + rng() % 3));
+    if (r == 2) {
+      std::string big(4096, 'q');
+      big += std::to_string(rng() % 400);
+      return big;
+    }
+    return "v" + std::to_string(rng() % 200000);
+  };
+
+  constexpr size_t kOps = 520000;
+  for (size_t op = 0; op < kOps; ++op) {
+    if (op == kOps / 3) {
+      d.Reserve(by_id.size() + 200000);  // mid-stream growth
+      d.Reserve(10);                      // smaller than current: no-op
+    }
+    if (op % 5 == 0 && by_id.size() > 1) {
+      // A duplicate through either overload leaves the size unchanged.
+      const TermId want = static_cast<TermId>(1 + rng() % (by_id.size() - 1));
+      const size_t before = d.size();
+      Term copy = by_id[want];
+      const TermId got =
+          op % 2 == 0 ? d.Intern(by_id[want]) : d.Intern(std::move(copy));
+      ASSERT_EQ(got, want);
+      ASSERT_EQ(d.size(), before);
+      continue;
+    }
+    Term t = make(static_cast<int>(rng() % 4), random_value());
+    auto it = oracle.find(t);
+    const TermId want = it == oracle.end() ? static_cast<TermId>(by_id.size())
+                                           : it->second;
+    const TermId got = op % 2 == 0 ? d.Intern(t) : d.Intern(Term(t));
+    ASSERT_EQ(got, want) << t.ToString();
+    if (it == oracle.end()) {
+      oracle.emplace(t, got);
+      by_id.push_back(std::move(t));
+    }
+    ASSERT_EQ(d.size(), by_id.size() - 1);
+  }
+  ASSERT_GE(oracle.size(), 300000u);
+
+  // Equal tags of distinct terms do occur among them.
+  std::vector<uint32_t> tags;
+  tags.reserve(oracle.size());
+  for (const auto& [t, id] : oracle) tags.push_back(Dictionary::Tag(t));
+  std::sort(tags.begin(), tags.end());
+  EXPECT_NE(std::adjacent_find(tags.begin(), tags.end()), tags.end());
+
+  for (const auto& [t, id] : oracle) {
+    ASSERT_EQ(d.Lookup(t), id) << t.ToString();
+    ASSERT_EQ(d.term(id), t);
+  }
+  TermId next = 1;
+  d.ForEach([&](TermId id, const Term& t) {
+    ASSERT_EQ(id, next++);
+    ASSERT_EQ(t, by_id[id]);
+  });
+  auto absent = [&](size_t i) {
+    return make(static_cast<int>(i % 4), "absent" + std::to_string(i));
+  };
+  for (size_t i = 0; i < 2000; ++i) {
+    ASSERT_EQ(d.Lookup(absent(i)), kInvalidTermId);
+  }
+
+  // Live mode: base ids stay put, new terms extend the id range.
+  const TermId base_end = static_cast<TermId>(by_id.size());
+  d.EnterLive();
+  for (TermId id = 1; id < base_end; id += 97) {
+    ASSERT_EQ(d.InternLive(by_id[id]), id);
+  }
+  for (size_t i = 0; i < 1000; ++i) {
+    const TermId id = d.InternLive(absent(i));
+    ASSERT_EQ(id, base_end + i);
+    ASSERT_EQ(d.InternLive(absent(i)), id);
+  }
+  EXPECT_EQ(d.size(), by_id.size() - 1 + 1000);
+  for (size_t i = 0; i < 2000; ++i) {
+    const TermId want = i < 1000 ? static_cast<TermId>(base_end + i)
+                                 : kInvalidTermId;
+    ASSERT_EQ(d.Lookup(absent(i)), want);
+    if (want != kInvalidTermId) {
+      ASSERT_TRUE(d.IsValid(want));
+      ASSERT_EQ(d.term(want), absent(i));
+    }
+  }
+  for (const auto& [t, id] : oracle) ASSERT_EQ(d.Lookup(t), id);
+  EXPECT_FALSE(d.IsValid(static_cast<TermId>(base_end + 1000)));
 }
 
 TEST(DictionaryTest, ReserveKeepsIdsAndLookupsStable) {

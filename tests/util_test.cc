@@ -170,6 +170,22 @@ TEST(StringUtilsTest, TokenizeWords) {
   EXPECT_EQ(TokenizeWords("Bosnia-Herzegovina (BA)"),
             (std::vector<std::string>{"bosnia", "herzegovina", "ba"}));
   EXPECT_TRUE(TokenizeWords("  .,;  ").empty());
+  // Bytes >= 0x80 separate words and are never lowercased into them.
+  EXPECT_EQ(TokenizeWords("Caf\xC3\xA9 M\xC3\x9CNCHEN"),
+            (std::vector<std::string>{"caf", "m", "nchen"}));
+}
+
+TEST(StringUtilsTest, NextWordCutsViewsOfItsInput) {
+  const std::string s = "..Oct. 2014";
+  size_t pos = 0;
+  std::string_view w = NextWord(s, &pos);
+  EXPECT_EQ(w, "Oct");
+  EXPECT_EQ(w.data(), s.data() + 2);
+  EXPECT_EQ(NextWord(s, &pos), "2014");
+  EXPECT_EQ(pos, s.size());
+  EXPECT_TRUE(NextWord(s, &pos).empty());
+  pos = 0;
+  EXPECT_TRUE(NextWord("", &pos).empty());
 }
 
 TEST(StringUtilsTest, FormatDouble) {
