@@ -27,9 +27,9 @@ import json, sys
 
 log_path, trace_path = sys.argv[1], sys.argv[2]
 required = {
-    "id", "op", "fingerprint", "epoch", "executor", "cache", "status",
-    "degraded", "retries", "rows", "scanned", "bindings", "plan_ms",
-    "exec_ms", "total_ms", "start_us",
+    "id", "op", "fingerprint", "epoch", "cache", "status", "degraded",
+    "retries", "rows", "scanned", "bindings", "plan_ms", "exec_ms",
+    "total_ms", "start_us",
 }
 
 n = 0

@@ -121,9 +121,9 @@ python3 - "$WORK/query_log.jsonl" <<'EOF'
 import json, sys
 
 required = {
-    "id", "op", "fingerprint", "epoch", "executor", "cache", "status",
-    "degraded", "retries", "rows", "scanned", "bindings", "plan_ms",
-    "exec_ms", "total_ms", "start_us",
+    "id", "op", "fingerprint", "epoch", "cache", "status", "degraded",
+    "retries", "rows", "scanned", "bindings", "plan_ms", "exec_ms",
+    "total_ms", "start_us",
 }
 n = 0
 with open(sys.argv[1]) as f:

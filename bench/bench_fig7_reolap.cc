@@ -222,10 +222,10 @@ int main() {
           .Int("plan_cache_hits", static_cast<long long>(cache.plan_hits));
     }
 
-    // --- Executor-mode delta: run every synthesized candidate, uncached -
-    // The "execute what ReOLAP synthesized" workload through each join
-    // core (raw Execute, no engine cache): the pure executor cost of
-    // materializing candidate answers.
+    // --- Uncached execution: run every synthesized candidate ----------
+    // The "execute what ReOLAP synthesized" workload through raw Execute
+    // (no engine cache): the pure executor cost of materializing
+    // candidate answers.
     core::Reolap plain(env.dataset.store.get(), env.vsg.get(),
                        env.text.get());
     std::vector<sparql::SelectQuery> candidates;
@@ -234,27 +234,20 @@ int main() {
       if (!queries.ok()) continue;
       for (const auto& c : *queries) candidates.push_back(c.query);
     }
-    for (sparql::ExecutorKind kind :
-         {sparql::ExecutorKind::kVolcano, sparql::ExecutorKind::kVectorized}) {
-      sparql::ExecOptions exec;
-      exec.timeout_millis = 60000;
-      exec.executor = kind;
-      size_t rows = 0;
-      util::WallTimer timer;
-      for (const auto& q : candidates) {
-        auto table = sparql::Execute(env.store(), q, exec);
-        if (table.ok()) rows += table->row_count();
-      }
-      log.AddRecord()
-          .Str("dataset", name)
-          .Str("mode", "executor_delta_uncached")
-          .Str("executor",
-               kind == sparql::ExecutorKind::kVolcano ? "volcano"
-                                                      : "vectorized")
-          .Int("candidates", static_cast<long long>(candidates.size()))
-          .Num("eval_ms", timer.ElapsedMillis())
-          .Int("result_rows", static_cast<long long>(rows));
+    sparql::ExecOptions exec;
+    exec.timeout_millis = 60000;
+    size_t rows = 0;
+    util::WallTimer timer;
+    for (const auto& q : candidates) {
+      auto table = sparql::Execute(env.store(), q, exec);
+      if (table.ok()) rows += table->row_count();
     }
+    log.AddRecord()
+        .Str("dataset", name)
+        .Str("mode", "execute_uncached")
+        .Int("candidates", static_cast<long long>(candidates.size()))
+        .Num("eval_ms", timer.ElapsedMillis())
+        .Int("result_rows", static_cast<long long>(rows));
   }
   ablation.Print(std::cout);
   std::cout << "\nExpectation: with the engine cache on, pass 2 validation "

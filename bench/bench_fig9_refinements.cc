@@ -135,17 +135,22 @@ int main() {
     }
     if (states.empty()) continue;
 
+    // Caches off: every evaluation below re-executes its query, so the
+    // sweep and the "off" arm of the cache ablation measure execution.
+    engine::QueryEngine uncached(
+        env.store(), engine::EngineConfig{.plan_cache_capacity = 0,
+                                          .result_cache_bytes = 0});
     double serial_ms = 0;
     size_t serial_rows = 0;
     for (size_t threads : kThreadCounts) {
       util::ThreadPool pool(threads);
       util::WallTimer timer;
-      auto tables = core::EvaluateStates(env.store(), states, exec,
+      auto tables = core::EvaluateStates(uncached, states, exec,
                                          threads > 1 ? &pool : nullptr);
       double ms = timer.ElapsedMillis();
       size_t rows = 0;
       for (const auto& t : tables) {
-        if (t.ok()) rows += t->row_count();
+        if (t.ok()) rows += (*t)->row_count();
       }
       if (threads == 1) {
         serial_ms = ms;
@@ -165,25 +170,20 @@ int main() {
           .Bool("identical_to_serial", rows == serial_rows);
     }
 
-    // --- Executor-mode delta: the same frontier, uncached, per core -----
-    // Raw per-query execution of the Disaggregate frontier under each
-    // join core; no engine cache involved, so this is the pure executor
-    // cost of the preview workload.
-    for (sparql::ExecutorKind kind :
-         {sparql::ExecutorKind::kVolcano, sparql::ExecutorKind::kVectorized}) {
-      sparql::ExecOptions mode_exec = exec;
-      mode_exec.executor = kind;
+    // --- Uncached execution: the same frontier, one query at a time ----
+    // Raw per-query execution of the Disaggregate frontier; no engine
+    // cache involved, so this is the pure executor cost of the preview
+    // workload.
+    {
       size_t rows = 0;
       util::WallTimer timer;
       for (const auto& state : states) {
-        auto table = sparql::Execute(env.store(), state.query, mode_exec);
+        auto table = sparql::Execute(env.store(), state.query, exec);
         if (table.ok()) rows += table->row_count();
       }
       log.AddRecord()
           .Str("dataset", name)
-          .Str("mode", "executor_delta_uncached")
-          .Str("executor",
-               kind == sparql::ExecutorKind::kVolcano ? "volcano" : "vectorized")
+          .Str("mode", "execute_uncached")
           .Int("refinements", static_cast<long long>(states.size()))
           .Num("eval_ms", timer.ElapsedMillis())
           .Int("result_rows", static_cast<long long>(rows));
@@ -199,7 +199,7 @@ int main() {
     double pass_ms_on[2] = {0, 0};
     for (int pass = 0; pass < 2; ++pass) {
       util::WallTimer t;
-      auto tables = core::EvaluateStates(env.store(), states, exec);
+      auto tables = core::EvaluateStates(uncached, states, exec);
       pass_ms_off[pass] = t.ElapsedMillis();
     }
     // Frontier previews materialize large tables (every refinement over
@@ -210,14 +210,14 @@ int main() {
     engine::QueryEngine engine(env.store(), engine_config);
     size_t rows_on = 0, rows_off = 0;
     {
-      auto tables = core::EvaluateStates(env.store(), states, exec);
+      auto tables = core::EvaluateStates(uncached, states, exec);
       for (const auto& t : tables) {
-        if (t.ok()) rows_off += t->row_count();
+        if (t.ok()) rows_off += (*t)->row_count();
       }
     }
     for (int pass = 0; pass < 2; ++pass) {
       util::WallTimer t;
-      auto tables = core::EvaluateStatesCached(engine, states, exec);
+      auto tables = core::EvaluateStates(engine, states, exec);
       pass_ms_on[pass] = t.ElapsedMillis();
       if (pass == 1) {
         rows_on = 0;

@@ -27,7 +27,6 @@ namespace {
 
 using re2xolap::sparql::ExecOptions;
 using re2xolap::sparql::ExecStats;
-using re2xolap::sparql::ExecutorKind;
 
 /// Rebuilds `src` under `format` with identical term ids (interned in id
 /// order), so both clones answer queries bit-identically.
@@ -57,7 +56,6 @@ void RunOnce(const re2xolap::rdf::TripleStore& store,
              const re2xolap::sparql::SelectQuery& query, Timed* out) {
   ExecOptions options;
   options.timeout_millis = 60000;
-  options.executor = ExecutorKind::kVectorized;
   ExecStats stats;
   re2xolap::util::WallTimer timer;
   auto r = re2xolap::sparql::Execute(store, query, options, &stats);

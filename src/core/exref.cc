@@ -180,44 +180,7 @@ void ReportSkipped(const std::vector<uint8_t>& skipped, size_t n_states,
 
 }  // namespace
 
-std::vector<util::Result<sparql::ResultTable>> EvaluateStates(
-    const rdf::TripleStore& store, const std::vector<ExploreState>& states,
-    const sparql::ExecOptions& exec, util::ThreadPool* pool,
-    std::vector<sparql::ExecStats>* stats, const util::ExecGuard* guard,
-    util::Degradation* degradation) {
-  obs::Span span("exref.evaluate_states");
-  span.SetAttr("states", static_cast<uint64_t>(states.size()));
-  std::vector<util::Result<sparql::ResultTable>> out;
-  out.reserve(states.size());
-  for (size_t i = 0; i < states.size(); ++i) {
-    out.emplace_back(util::Status::Internal("not evaluated"));
-  }
-  if (stats != nullptr) stats->assign(states.size(), sparql::ExecStats{});
-  std::vector<uint8_t> skipped(states.size(), 0);
-  auto eval_one = [&](size_t i) {
-    // Min-progress: state 0 always runs, so even an expired deadline
-    // yields one real preview; later states degrade to skipped slots.
-    if (guard != nullptr && i > 0) {
-      util::Status g = guard->Check();
-      if (!g.ok()) {
-        skipped[i] = 1;
-        out[i] = std::move(g);
-        return;
-      }
-    }
-    out[i] = sparql::Execute(store, states[i].query, exec,
-                             stats != nullptr ? &(*stats)[i] : nullptr);
-  };
-  if (pool != nullptr && states.size() > 1) {
-    pool->ParallelFor(states.size(), eval_one);
-  } else {
-    for (size_t i = 0; i < states.size(); ++i) eval_one(i);
-  }
-  ReportSkipped(skipped, states.size(), degradation);
-  return out;
-}
-
-std::vector<util::Result<engine::TableHandle>> EvaluateStatesCached(
+std::vector<util::Result<engine::TableHandle>> EvaluateStates(
     engine::QueryEngine& engine, const std::vector<ExploreState>& states,
     const sparql::ExecOptions& exec, util::ThreadPool* pool,
     std::vector<sparql::ExecStats>* stats, const util::ExecGuard* guard,
@@ -232,6 +195,8 @@ std::vector<util::Result<engine::TableHandle>> EvaluateStatesCached(
   if (stats != nullptr) stats->assign(states.size(), sparql::ExecStats{});
   std::vector<uint8_t> skipped(states.size(), 0);
   auto eval_one = [&](size_t i) {
+    // Min-progress: state 0 always runs, so even an expired deadline
+    // yields one real preview; later states degrade to skipped slots.
     if (guard != nullptr && i > 0) {
       util::Status g = guard->Check();
       if (!g.ok()) {

@@ -61,13 +61,18 @@ std::vector<ExploreState> Disaggregate(const VirtualSchemaGraph& vsg,
                                        const ExploreState& state,
                                        util::ThreadPool* pool = nullptr);
 
-/// Executes every state's query against the frozen store, fanning the
-/// evaluations across `pool` (serial when null). Result i corresponds to
-/// states[i]; per-query ExecStats land in `stats` (resized to match) when
-/// non-null, so the aggregation is race-free by construction. This is the
-/// ExRef counterpart of ReOLAP's parallel validation: after a refinement
-/// step produces N candidate queries, their (read-only) evaluations are
-/// independent probes against the store.
+/// Executes every state's query through `engine`, fanning the evaluations
+/// across `pool` (serial when null). Result i corresponds to states[i];
+/// per-query ExecStats land in `stats` (resized to match) when non-null,
+/// so the aggregation is race-free by construction. This is the ExRef
+/// counterpart of ReOLAP's parallel validation: after a refinement step
+/// produces N candidate queries, their (read-only) evaluations are
+/// independent probes against the store. Repeated evaluations of the same
+/// refinement (across rounds, or shared prefixes re-offered after Back())
+/// are served from the engine's result cache, and planning is amortized
+/// across threads; an engine built with both caches disabled evaluates
+/// every state afresh. Results are handles into the cache — copy-free,
+/// shared, immutable.
 ///
 /// Graceful degradation: when `guard` is supplied, states beyond the
 /// first are skipped once the guard trips — their slots hold the guard's
@@ -76,20 +81,7 @@ std::vector<ExploreState> Disaggregate(const VirtualSchemaGraph& vsg,
 /// still produces at least one real result. `degradation` (when non-null)
 /// reports whether and why slots were skipped; it is written only after
 /// the fan-out completes, race-free.
-std::vector<util::Result<sparql::ResultTable>> EvaluateStates(
-    const rdf::TripleStore& store, const std::vector<ExploreState>& states,
-    const sparql::ExecOptions& exec = {}, util::ThreadPool* pool = nullptr,
-    std::vector<sparql::ExecStats>* stats = nullptr,
-    const util::ExecGuard* guard = nullptr,
-    util::Degradation* degradation = nullptr);
-
-/// Engine-routed variant of EvaluateStates: every state executes through
-/// `engine`, so repeated evaluations of the same refinement (across
-/// rounds, or shared prefixes re-offered after Back()) are served from
-/// the engine's result cache and planning is amortized across threads.
-/// Results are handles into the cache — copy-free, shared, immutable.
-/// `guard` / `degradation` behave exactly as in EvaluateStates.
-std::vector<util::Result<engine::TableHandle>> EvaluateStatesCached(
+std::vector<util::Result<engine::TableHandle>> EvaluateStates(
     engine::QueryEngine& engine, const std::vector<ExploreState>& states,
     const sparql::ExecOptions& exec = {}, util::ThreadPool* pool = nullptr,
     std::vector<sparql::ExecStats>* stats = nullptr,

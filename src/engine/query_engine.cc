@@ -268,8 +268,6 @@ util::Result<TableHandle> QueryEngine::Execute(
   const std::string key = CacheKey(normalized, options, epoch);
   if (record.active()) {
     record.rec().freeze_epoch = epoch;
-    record.rec().executor =
-        static_cast<uint8_t>(sparql::ResolveExecutor(options.executor));
     // Fingerprinting waits until the cache outcome is known: hits reuse
     // the fingerprint stored with the cached entry.
   }

@@ -95,20 +95,6 @@ const char* RecordStatusName(uint8_t code) {
   return code < kCount ? kNames[code] : "Unknown";
 }
 
-const char* RecordExecutorName(uint8_t executor) {
-  // Mirrors sparql::ExecutorKind (kDefault never reaches a record — call
-  // sites store the resolved kind).
-  switch (executor) {
-    case 0:
-      return "none";
-    case 1:
-      return "volcano";
-    case 2:
-      return "vectorized";
-  }
-  return "?";
-}
-
 uint64_t FingerprintQuery(std::string_view normalized_text) {
   // FNV-1a 64, folded over native-endian 8-byte words with a byte-wise
   // tail. The word folding cuts the serial multiply chain 8× versus
@@ -299,9 +285,7 @@ std::string QueryLog::ToJsonLine(const QueryRecord& rec) {
   line += "\", \"fingerprint\": \"";
   line += fp;
   line += "\", \"epoch\": " + std::to_string(rec.freeze_epoch);
-  line += ", \"executor\": \"";
-  line += RecordExecutorName(rec.executor);
-  line += "\", \"cache\": \"";
+  line += ", \"cache\": \"";
   line += CacheOutcomeName(rec.cache);
   line += "\", \"status\": \"";
   line += RecordStatusName(rec.status);

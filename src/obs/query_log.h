@@ -28,9 +28,8 @@
 // or the record qualifies for slow capture.
 //
 // Layering: obs sits below util in the link graph, so this header keeps
-// its own tiny mirrors of util::StatusCode / sparql::ExecutorKind names
-// (RecordStatusName / RecordExecutorName); query_log_test pins them to
-// the canonical enums.
+// its own tiny mirror of util::StatusCode names (RecordStatusName);
+// query_log_test pins it to the canonical enum.
 
 #include <array>
 #include <atomic>
@@ -71,9 +70,6 @@ const char* CacheOutcomeName(CacheOutcome outcome);
 /// records (see the layering note above).
 const char* RecordStatusName(uint8_t code);
 
-/// Mirror of sparql::ExecutorKind: 0 = n/a, 1 = volcano, 2 = vectorized.
-const char* RecordExecutorName(uint8_t executor);
-
 /// 64-bit FNV-1a of a normalized query text — the query's identity in
 /// records (two textually identical queries collide on purpose).
 uint64_t FingerprintQuery(std::string_view normalized_text);
@@ -85,7 +81,6 @@ struct QueryRecord {
   uint64_t fingerprint = 0;  // FingerprintQuery of the query text; 0 = n/a
   uint64_t freeze_epoch = 0;
   QueryOp op = QueryOp::kEngineExecute;
-  uint8_t executor = 0;      // RecordExecutorName index
   CacheOutcome cache = CacheOutcome::kNone;
   uint8_t status = 0;        // util::StatusCode value; 0 = OK
   bool degraded = false;     // partial answer (graceful degradation)

@@ -13,16 +13,16 @@ namespace re2xolap::sparql {
 /// column of TermId per binding slot, stored contiguously column-major so
 /// per-slot operations (broadcast-copy of a parent row, bind-column
 /// writes, filter compaction) run as tight loops over adjacent memory.
-/// Unbound slots hold rdf::kInvalidTermId, mirroring the volcano runner's
-/// bindings vector. Rows are identified by index; deletion happens only
-/// through Compact(), which keeps the surviving rows in order (the
-/// vectorized pipeline preserves the volcano emission order exactly).
+/// Unbound slots hold rdf::kInvalidTermId. Rows are identified by index;
+/// deletion happens only through Compact(), which keeps the surviving
+/// rows in order, so the pipeline's emission order is deterministic.
 class BindingBlock {
  public:
   /// Default row capacity of pipeline blocks. 4096 rows × one uint32
   /// column per slot keeps a typical 4–8 slot query's working set inside
   /// L2 while amortizing per-batch overhead; measurably better than 1024
-  /// on scan-heavy shapes (bench_ablation_executor).
+  /// on scan-heavy shapes. Row-capped runs use capacity 1 instead (see
+  /// VectorizedRunner::Run).
   static constexpr size_t kDefaultCapacity = 4096;
 
   BindingBlock() = default;

@@ -1,14 +1,11 @@
 // Orchestration of the parse→plan→execute pipeline for one query. The
 // heavy lifting lives in dedicated translation units: filter evaluation
-// in ebv.cc, the index nested-loop join in join_runner.cc, aggregation
+// in ebv.cc, the join in vectorized_runner.cc, aggregation
 // and the post-join operator pipeline in post_ops.cc. This file only
 // sequences them and assembles the profile tree.
 #include "sparql/executor.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,7 +14,6 @@
 #include "obs/query_log.h"
 #include "obs/trace.h"
 #include "sparql/explain.h"
-#include "sparql/join_runner.h"
 #include "sparql/parser.h"
 #include "sparql/post_ops.h"
 #include "sparql/vectorized_runner.h"
@@ -25,28 +21,7 @@
 
 namespace re2xolap::sparql {
 
-ExecutorKind DefaultExecutorKind() {
-  static const ExecutorKind kind = [] {
-    const char* env = std::getenv("RE2XOLAP_EXECUTOR");
-    if (env != nullptr && std::strcmp(env, "volcano") == 0) {
-      return ExecutorKind::kVolcano;
-    }
-    return ExecutorKind::kVectorized;
-  }();
-  return kind;
-}
-
 namespace {
-
-std::unique_ptr<JoinExecutor> MakeJoinExecutor(const rdf::TripleStore& store,
-                                               const Plan& plan,
-                                               const ExecOptions& options,
-                                               ExecStats* stats) {
-  if (ResolveExecutor(options.executor) == ExecutorKind::kVolcano) {
-    return std::make_unique<JoinRunner>(store, plan, options, stats);
-  }
-  return std::make_unique<VectorizedRunner>(store, plan, options, stats);
-}
 
 /// ASK: rewrite into an early-exiting LIMIT-1 existence probe and wrap
 /// the answer as a one-cell boolean table (column "ask", 1 or 0).
@@ -164,9 +139,9 @@ util::Status DeriveItems(const SelectQuery& query, const Plan& plan,
 /// Assembles the per-operator profile tree for one run. The join renders
 /// as a chain: each mandatory step nests under the previous one, then the
 /// OPTIONAL blocks, innermost last — mirroring the pipeline order at
-/// execution time (identical for both join cores).
+/// execution time.
 void BuildProfileTree(const rdf::TripleStore& store, const SelectQuery& query,
-                      const Plan& plan, const JoinExecutor& runner,
+                      const Plan& plan, const VectorizedRunner& runner,
                       bool aggregating, double join_ms, double agg_ms,
                       size_t group_count,
                       const std::vector<PostOpProf>& post_ops,
@@ -188,7 +163,7 @@ void BuildProfileTree(const rdf::TripleStore& store, const SelectQuery& query,
     pn.timed = true;
   }
 
-  obs::ProfileNode join(runner.join_label());
+  obs::ProfileNode join("join (vectorized)");
   join.rows_out = runner.emitted();
   join.millis = join_ms;
   join.timed = true;
@@ -316,9 +291,7 @@ util::Result<ResultTable> ExecutePlanImpl(const rdf::TripleStore& store,
     }
   }
 
-  std::unique_ptr<JoinExecutor> runner_ptr =
-      MakeJoinExecutor(store, plan, options, stats);
-  JoinExecutor& runner = *runner_ptr;
+  VectorizedRunner runner(store, plan, options, stats);
 
   // Coarse per-operator observations for the profile tree: two clock
   // reads per operator per query, collected whenever a stats sink is
@@ -416,12 +389,11 @@ util::Result<ResultTable> ExecutePlanImpl(const rdf::TripleStore& store,
 /// call (no-op for nested scopes: the ASK rewrite's inner probe, or an
 /// execution already recorded by QueryEngine::Execute).
 void BeginQueryRecord(obs::QueryRecordScope& scope,
-                      const rdf::TripleStore& store, const SelectQuery& query,
-                      const ExecOptions& options) {
+                      const rdf::TripleStore& store,
+                      const SelectQuery& query) {
   if (!scope.active()) return;
   obs::QueryRecord& rec = scope.rec();
   rec.freeze_epoch = store.freeze_epoch();
-  rec.executor = static_cast<uint8_t>(ResolveExecutor(options.executor));
   scope.SetQueryText(ToSparql(query));
 }
 
@@ -458,7 +430,7 @@ util::Result<ResultTable> Execute(const rdf::TripleStore& store,
   obs::QueryRecordScope record(obs::QueryOp::kSparqlExecute);
   ExecStats local_stats;
   if (record.active()) {
-    BeginQueryRecord(record, store, query, options);
+    BeginQueryRecord(record, store, query);
     // A stats sink guarantees slow captures carry an operator tree.
     if (stats == nullptr) stats = &local_stats;
   }
@@ -473,7 +445,7 @@ util::Result<ResultTable> Execute(const rdf::TripleStore& store,
   obs::QueryRecordScope record(obs::QueryOp::kSparqlExecute);
   ExecStats local_stats;
   if (record.active()) {
-    BeginQueryRecord(record, store, query, options);
+    BeginQueryRecord(record, store, query);
     if (stats == nullptr) stats = &local_stats;
   }
   return FinishQueryRecord(record, stats,

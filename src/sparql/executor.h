@@ -14,25 +14,6 @@
 
 namespace re2xolap::sparql {
 
-/// Which join core executes the planned BGP. Both consume the same Plan
-/// (so cached plans serve either) and produce identical result tables.
-///   - kVolcano: row-at-a-time recursive index nested-loop join — the
-///     original executor, kept as the differential-testing oracle.
-///   - kVectorized: batch-at-a-time over columnar BindingBlocks with
-///     merge joins on sorted index ranges (see vectorized_runner.h).
-/// kDefault resolves through the RE2XOLAP_EXECUTOR environment variable
-/// ("volcano" | "vectorized"), falling back to vectorized.
-enum class ExecutorKind : uint8_t { kDefault = 0, kVolcano, kVectorized };
-
-/// The process-wide default executor: RE2XOLAP_EXECUTOR if set (read
-/// once), else kVectorized.
-ExecutorKind DefaultExecutorKind();
-
-/// Resolves kDefault to the process-wide default.
-inline ExecutorKind ResolveExecutor(ExecutorKind kind) {
-  return kind == ExecutorKind::kDefault ? DefaultExecutorKind() : kind;
-}
-
 /// Execution knobs.
 struct ExecOptions {
   /// 0 = no timeout. The paper's experiments run the endpoint with a
@@ -49,11 +30,6 @@ struct ExecOptions {
   /// counters and the operator tree are collected whenever a stats sink
   /// is present, independent of this flag.
   bool profile = false;
-  /// Which join core runs the BGP. kDefault resolves through
-  /// RE2XOLAP_EXECUTOR (see DefaultExecutorKind); both kinds accept the
-  /// same plans and produce identical tables, so this is safe to flip
-  /// per query even against a shared plan cache.
-  ExecutorKind executor = ExecutorKind::kDefault;
   PlanOptions plan;
 };
 

@@ -11,8 +11,9 @@ namespace re2xolap::sparql {
 
 namespace {
 
-// Same amortization interval as the volcano runner, counted in scanned
-// index entries, so both executors poll deadlines at the same granularity.
+// Scanned index entries between full guard polls (clock read, cancellation
+// and deadline): amortizes the poll over enough work that it stays off the
+// profile, while bounding how long an expired deadline goes unnoticed.
 constexpr uint64_t kGuardCheckInterval = 8192;
 
 using rdf::kMaxTermId;
@@ -78,6 +79,29 @@ class TimeGuard {
 
 }  // namespace
 
+std::string TermShortName(const rdf::TripleStore& store, rdf::TermId id) {
+  const rdf::Term& t = store.term(id);
+  if (t.is_iri()) {
+    size_t cut = t.value.find_last_of("/#");
+    return cut == std::string::npos ? t.value : t.value.substr(cut + 1);
+  }
+  return "\"" + t.value + "\"";
+}
+
+std::string PatternLabel(const rdf::TripleStore& store,
+                         const std::vector<std::string>& slot_names,
+                         const PhysicalPattern& pp, const char* prefix) {
+  auto pos = [&](rdf::TermId id, int slot) -> std::string {
+    if (id != rdf::kInvalidTermId) return TermShortName(store, id);
+    if (slot >= 0 && static_cast<size_t>(slot) < slot_names.size()) {
+      return "?" + slot_names[slot];
+    }
+    return "?_";
+  };
+  return std::string(prefix) + " (" + pos(pp.s_id, pp.s_slot) + " " +
+         pos(pp.p_id, pp.p_slot) + " " + pos(pp.o_id, pp.o_slot) + ")";
+}
+
 VectorizedRunner::VectorizedRunner(const rdf::TripleStore& store,
                                    const Plan& plan,
                                    const ExecOptions& options,
@@ -108,8 +132,8 @@ void VectorizedRunner::CompileSteps() {
     }
     // Index selection mirrors TripleStore::Match exactly: every known
     // position forms a prefix of the chosen permutation's key order, so
-    // the matching triples are one contiguous sorted range — and the
-    // per-step scanned counts equal the volcano runner's.
+    // the matching triples are one contiguous sorted range, and a step's
+    // scanned count is exactly the size of the ranges it probes.
     const bool bs = known[0], bp = known[1], bo = known[2];
     int key_pos[3];
     size_t nkey = 0;
@@ -196,9 +220,11 @@ util::Status VectorizedRunner::Run(RowSink on_row, uint64_t row_cap) {
   }
   timer_.Restart();
   CompileSteps();
-  // Row-capped runs (LIMIT probes, ASK) degrade to single-row blocks so
-  // the early exit stops scanning exactly where the volcano runner would —
-  // batching there would overproduce intermediate bindings past the cap.
+  // Row-capped runs (LIMIT probes, ASK) degrade to single-row blocks: a
+  // full block per stage would produce, scan and charge up to
+  // kDefaultCapacity bindings per step past the row that meets the cap.
+  // With capacity 1 every row reaches the emit path as soon as it exists,
+  // so the early exit stops the scans right behind the last needed row.
   const size_t cap = row_cap != 0 ? 1 : BindingBlock::kDefaultCapacity;
   blocks_.resize(plan_.steps.size());
   for (BindingBlock& b : blocks_) b.Reset(plan_.slot_count, cap);
@@ -403,8 +429,7 @@ util::Status VectorizedRunner::RunStage(size_t stage,
       // Scanned entries are counted and charged as they are consumed, in
       // chunks bounded by the block capacity: guard polling granularity
       // stays within kGuardCheckInterval even for one huge equal range,
-      // and a row-capped early exit stops the count mid-range, like the
-      // volcano path.
+      // and a row-capped early exit stops the count mid-range.
       if (profiling_) step_prof_[stage].scanned += chunk;
       RE2X_RETURN_IF_ERROR(BumpOps(chunk));
       size_t appended;
@@ -508,8 +533,8 @@ util::Status VectorizedRunner::RunOptionalStage(size_t block,
       if (profiling_) ++opt_prof_[block].rows_out;
       out.AppendRow(scratch);
       // Flush as soon as the block fills (not lazily before the next
-      // append): a row-capped run must stop scanning exactly where the
-      // volcano runner's eager emission would.
+      // append): under a row cap the block holds one row, and flushing it
+      // at once lets the cap stop this scan before it overproduces.
       if (out.full()) {
         RE2X_RETURN_IF_ERROR(RunOptionalStage(block + 1, out));
         out.Clear();
@@ -546,8 +571,8 @@ util::Status VectorizedRunner::OptionalPattern(size_t block, size_t idx,
     if (stopped_) return util::Status::OK();
     out->AppendRow(scratch);
     // Flush as soon as the block fills (not lazily before the next
-    // append): a row-capped run must stop scanning exactly where the
-    // volcano runner's eager emission would.
+    // append): under a row cap the block holds one row, and flushing it
+    // at once lets the cap stop this scan before it overproduces.
     if (out->full()) {
       RE2X_RETURN_IF_ERROR(RunOptionalStage(block + 1, *out));
       out->Clear();

@@ -3,24 +3,69 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "rdf/index_cursor.h"
 #include "rdf/triple_store.h"
 #include "sparql/binding_block.h"
 #include "sparql/executor.h"
-#include "sparql/join_runner.h"
 #include "sparql/plan.h"
 #include "util/status.h"
 #include "util/timer.h"
 
 namespace re2xolap::sparql {
 
-/// Batch-at-a-time join core over columnar BindingBlocks. Consumes the
-/// same Plan as the volcano JoinRunner (so cached plans serve both) and
-/// produces rows in the *identical order* with identical StepProf /
-/// ExecStats counters: blocks flow depth-first through the step pipeline,
-/// rows stay in input order, and extensions are appended in index order.
+/// Per-operator observation slots for one join run. For mandatory steps
+/// `rows_out` counts successful (consistent + filter-passing) extensions;
+/// for OPTIONAL blocks `rows_out` counts rows passed downstream (matched
+/// extensions plus left-join fall-throughs) and `matched` only the
+/// extensions that bound new variables.
+struct StepProf {
+  uint64_t rows_in = 0;
+  uint64_t rows_out = 0;
+  uint64_t matched = 0;
+  uint64_t scanned = 0;
+  double micros = 0;  // inclusive wall time, timing mode only
+};
+
+/// Non-owning, non-allocating reference to a complete-binding callback
+/// (`const std::vector<rdf::TermId>& -> void`). The referenced callable
+/// must outlive the VectorizedRunner::Run call it is passed to.
+class RowSink {
+ public:
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::decay_t<F>, RowSink>>>
+  RowSink(const F& f)  // NOLINT(runtime/explicit)
+      : obj_(&f), fn_([](const void* obj,
+                         const std::vector<rdf::TermId>& bindings) {
+          (*static_cast<const F*>(obj))(bindings);
+        }) {}
+
+  void operator()(const std::vector<rdf::TermId>& bindings) const {
+    fn_(obj_, bindings);
+  }
+
+ private:
+  const void* obj_;
+  void (*fn_)(const void*, const std::vector<rdf::TermId>&);
+};
+
+/// Short display form of a term for operator labels: IRIs by local name,
+/// literals quoted.
+std::string TermShortName(const rdf::TripleStore& store, rdf::TermId id);
+
+/// Operator label of one physical pattern, e.g. "scan (?s type Obs)".
+std::string PatternLabel(const rdf::TripleStore& store,
+                         const std::vector<std::string>& slot_names,
+                         const PhysicalPattern& pp, const char* prefix);
+
+/// The join core: runs a planned BGP batch-at-a-time over columnar
+/// BindingBlocks. Blocks flow depth-first through the step pipeline, rows
+/// stay in input order, and extensions are appended in index order, so a
+/// run is deterministic for a given plan and store.
 ///
 /// Each mandatory step is compiled once per run into a CompiledStep: the
 /// index permutation and exact key prefix it probes (mirroring
@@ -34,30 +79,32 @@ namespace re2xolap::sparql {
 /// Matched extensions are appended column-wise (broadcast of the parent
 /// row + bind-column writes from the sorted run).
 ///
-/// Guard semantics match the volcano runner at batch granularity: the
-/// deadline/cancellation poll is amortized behind the same
-/// kGuardCheckInterval worth of scanned entries, every produced binding
-/// is charged against the row budget with a budget-only recheck at the
-/// charge site, and the emit path re-checks budgets per row. OPTIONAL
-/// blocks extend parent rows left-join style, each parent row either
-/// appending its matched extensions or falling through unchanged; the
-/// per-pattern matching walks rows of the parent block (variables bound
-/// by earlier OPTIONAL blocks are only known per row, so their probes
-/// cannot be compiled statically).
-class VectorizedRunner : public JoinExecutor {
+/// Guards: the deadline/cancellation poll is amortized behind
+/// kGuardCheckInterval scanned entries (a clock read per entry would
+/// dominate cheap scans); every produced binding is charged against the
+/// row budget with a budget-only recheck at the charge site, and the emit
+/// path re-checks budgets per row. OPTIONAL blocks extend parent rows
+/// left-join style, each parent row either appending its matched
+/// extensions or falling through unchanged; the per-pattern matching
+/// walks rows of the parent block (variables bound by earlier OPTIONAL
+/// blocks are only known per row, so their probes cannot be compiled
+/// statically).
+class VectorizedRunner {
  public:
   VectorizedRunner(const rdf::TripleStore& store, const Plan& plan,
                    const ExecOptions& options, ExecStats* stats);
 
-  util::Status Run(RowSink on_row, uint64_t row_cap = 0) override;
+  /// Runs the join; calls `on_row(bindings)` for every complete binding.
+  /// When `row_cap` is non-zero the join stops early after producing that
+  /// many rows (safe only when no later operator reorders/merges rows).
+  /// Returns non-OK on timeout / guard violation. The per-step counters
+  /// are flushed into the ExecStats sink on both success and error paths.
+  util::Status Run(RowSink on_row, uint64_t row_cap = 0);
 
-  const std::vector<StepProf>& step_prof() const override {
-    return step_prof_;
-  }
-  const std::vector<StepProf>& opt_prof() const override { return opt_prof_; }
-  uint64_t emitted() const override { return emitted_; }
-  bool timing() const override { return timing_; }
-  const char* join_label() const override { return "join (vectorized)"; }
+  const std::vector<StepProf>& step_prof() const { return step_prof_; }
+  const std::vector<StepProf>& opt_prof() const { return opt_prof_; }
+  uint64_t emitted() const { return emitted_; }
+  bool timing() const { return timing_; }
 
  private:
   /// One component of a step's probe key, in the permutation's key order:

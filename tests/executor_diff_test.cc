@@ -1,9 +1,10 @@
-// Differential tests between the two join cores: every query runs under
-// both ExecutorKind::kVolcano and ExecutorKind::kVectorized and must
-// produce the identical result table (same rows, same order), identical
-// ExecStats invariants (triples_scanned, intermediate_bindings), and
-// identical error codes under ExecGuard violations. The volcano runner is
-// the oracle; any divergence is a vectorized-runner bug.
+// Differential tests of the query engine against the reference evaluator
+// (tests/reference_eval.h): every query runs through sparql::Execute and
+// through the naive AST-walking oracle, and the answers must agree (same
+// row multiset; ORDER BY key sequences; LIMIT/OFFSET windows drawn from
+// the full answer). The same corpus runs on a compressed-index clone,
+// which must match the raw store row for row and counter for counter.
+// Guard violations must surface as their typed status codes.
 #include <chrono>
 #include <random>
 #include <string>
@@ -16,12 +17,14 @@
 #include "rdf/compressed_index.h"
 #include "qb/generator.h"
 #include "sparql/executor.h"
+#include "tests/reference_eval.h"
 #include "tests/test_data.h"
 #include "util/exec_guard.h"
 
 namespace re2xolap::sparql {
 namespace {
 
+using re2xolap::testing::AgreesWithReference;
 using re2xolap::testing::BuildFigure1Store;
 
 /// Stringified rows, in emission order.
@@ -37,40 +40,6 @@ std::vector<std::string> TableRows(const ResultTable& t) {
     rows.push_back(std::move(row));
   }
   return rows;
-}
-
-/// Runs `query` under both executors and asserts identical outcomes.
-void ExpectSameResults(const rdf::TripleStore& store,
-                       const std::string& query) {
-  ExecOptions volcano_opts;
-  volcano_opts.executor = ExecutorKind::kVolcano;
-  ExecOptions vectorized_opts;
-  vectorized_opts.executor = ExecutorKind::kVectorized;
-  ExecStats volcano_stats, vectorized_stats;
-  auto volcano = ExecuteText(store, query, volcano_opts, &volcano_stats);
-  auto vectorized =
-      ExecuteText(store, query, vectorized_opts, &vectorized_stats);
-  ASSERT_EQ(volcano.ok(), vectorized.ok())
-      << "volcano: " << volcano.status().ToString()
-      << "\nvectorized: " << vectorized.status().ToString() << "\nquery: "
-      << query;
-  if (!volcano.ok()) {
-    EXPECT_EQ(volcano.status().code(), vectorized.status().code())
-        << "query: " << query;
-    return;
-  }
-  EXPECT_EQ(volcano->columns(), vectorized->columns()) << "query: " << query;
-  // The vectorized pipeline preserves the volcano emission order exactly
-  // (blocks flow depth-first, rows in order, extensions in index order),
-  // so this is an ordered comparison — strictly stronger than the
-  // multiset equality the differential contract requires.
-  EXPECT_EQ(TableRows(*volcano), TableRows(*vectorized))
-      << "query: " << query;
-  EXPECT_EQ(volcano_stats.triples_scanned, vectorized_stats.triples_scanned)
-      << "query: " << query;
-  EXPECT_EQ(volcano_stats.intermediate_bindings,
-            vectorized_stats.intermediate_bindings)
-      << "query: " << query;
 }
 
 class ExecutorDiffTest : public ::testing::Test {
@@ -141,6 +110,18 @@ const char* const kCorpus[] = {
     "SELECT DISTINCT ?origin WHERE { ?o <http://test/countryOrigin> ?origin }",
     R"(SELECT ?obs ?v WHERE { ?obs <http://test/numApplicants> ?v }
        ORDER BY ASC(?v) LIMIT 2)",
+    // ORDER BY with tied keys under LIMIT: any tie order is admissible,
+    // the key sequence is not.
+    R"(SELECT ?obs ?dest WHERE { ?obs <http://test/countryDestination> ?dest }
+       ORDER BY ?dest LIMIT 3)",
+    R"(SELECT DISTINCT ?dest WHERE { ?o <http://test/countryDestination> ?dest }
+       LIMIT 1)",
+    R"(SELECT ?dest (COUNT(DISTINCT ?origin) AS ?n) WHERE {
+      ?o <http://test/countryDestination> ?dest .
+      ?o <http://test/countryOrigin> ?origin .
+    } GROUP BY ?dest ORDER BY DESC(?n) ?dest)",
+    R"(SELECT ?origin WHERE { ?o <http://test/countryOrigin> ?origin }
+       GROUP BY ?origin)",
     // LIMIT without ORDER BY takes the early-exit row-cap path.
     "SELECT ?obs WHERE { ?obs <http://test/numApplicants> ?v } LIMIT 2",
     "SELECT ?obs WHERE { ?obs <http://test/numApplicants> ?v } LIMIT 2 "
@@ -200,8 +181,7 @@ const char* const kCorpus[] = {
 
 TEST_F(ExecutorDiffTest, CorpusProducesIdenticalResults) {
   for (const char* query : kCorpus) {
-    SCOPED_TRACE(query);
-    ExpectSameResults(*store, query);
+    EXPECT_TRUE(AgreesWithReference(*store, query)) << "query: " << query;
   }
 }
 
@@ -252,8 +232,7 @@ TEST(ExecutorDiffPropertyTest, RandomBgpsProduceIdenticalResults) {
       body += ". ";
     }
     const std::string query = "SELECT * WHERE { " + body + "}";
-    SCOPED_TRACE(query);
-    ExpectSameResults(store, query);
+    EXPECT_TRUE(AgreesWithReference(store, query)) << "query: " << query;
   }
 }
 
@@ -271,98 +250,80 @@ TEST(ExecutorDiffScaleTest, MultiOptionalAcrossBlockBoundaryMatches) {
                             spec.dimensions[0].predicate +
                             "> ?d . OPTIONAL { ?obs ?p ?v . } OPTIONAL { ?d "
                             "?q ?w . } }";
-  ExpectSameResults(*ds->store, query);
+  EXPECT_TRUE(AgreesWithReference(*ds->store, query));
 }
 
-// --- guard / error-path parity ----------------------------------------------
+// --- guard / error paths ----------------------------------------------------
 
 TEST_F(ExecutorDiffTest, RowBudgetTripsIdentically) {
   util::ExecGuard::Limits limits;
   limits.max_rows = 2;  // the pattern matches 5 observations
-  for (ExecutorKind kind :
-       {ExecutorKind::kVolcano, ExecutorKind::kVectorized}) {
-    util::ExecGuard guard(limits);
-    ExecOptions opts;
-    opts.executor = kind;
-    opts.guard = &guard;
-    auto r = ExecuteText(
-        *store,
-        "SELECT ?obs ?v WHERE { ?obs <http://test/numApplicants> ?v }", opts);
-    ASSERT_FALSE(r.ok());
-    EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
-  }
+  util::ExecGuard guard(limits);
+  ExecOptions opts;
+  opts.guard = &guard;
+  auto r = ExecuteText(
+      *store, "SELECT ?obs ?v WHERE { ?obs <http://test/numApplicants> ?v }",
+      opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
 }
 
 TEST_F(ExecutorDiffTest, RowBudgetTripsWhenNoRowIsEverEmitted) {
   // The first pattern produces (and charges) five intermediate bindings,
   // but the second matches nothing, so the query's result is empty and
   // the emit-path budget recheck never runs. The charge-site recheck must
-  // surface the overrun anyway, in both executors — the store is far
-  // smaller than the periodic full-check interval.
+  // surface the overrun anyway — the store is far smaller than the
+  // periodic full-check interval.
   util::ExecGuard::Limits limits;
   limits.max_rows = 1;
-  for (ExecutorKind kind :
-       {ExecutorKind::kVolcano, ExecutorKind::kVectorized}) {
-    util::ExecGuard guard(limits);
-    ExecOptions opts;
-    opts.executor = kind;
-    opts.guard = &guard;
-    auto r = ExecuteText(*store, R"(
-      SELECT ?obs WHERE {
-        ?obs <http://test/numApplicants> ?v .
-        ?v <http://test/inContinent> ?x .
-      })",
-                         opts);
-    ASSERT_FALSE(r.ok());
-    EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
-    EXPECT_GT(guard.charged_rows(), limits.max_rows);
-  }
+  util::ExecGuard guard(limits);
+  ExecOptions opts;
+  opts.guard = &guard;
+  auto r = ExecuteText(*store, R"(
+    SELECT ?obs WHERE {
+      ?obs <http://test/numApplicants> ?v .
+      ?v <http://test/inContinent> ?x .
+    })",
+                       opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
+  EXPECT_GT(guard.charged_rows(), limits.max_rows);
 }
 
 TEST_F(ExecutorDiffTest, ByteBudgetTripsIdentically) {
   util::ExecGuard::Limits limits;
   limits.max_bytes = 32;
-  for (ExecutorKind kind :
-       {ExecutorKind::kVolcano, ExecutorKind::kVectorized}) {
-    util::ExecGuard guard(limits);
-    ExecOptions opts;
-    opts.executor = kind;
-    opts.guard = &guard;
-    auto r = ExecuteText(
-        *store,
-        "SELECT ?obs ?v WHERE { ?obs <http://test/numApplicants> ?v }", opts);
-    ASSERT_FALSE(r.ok());
-    EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
-  }
+  util::ExecGuard guard(limits);
+  ExecOptions opts;
+  opts.guard = &guard;
+  auto r = ExecuteText(
+      *store, "SELECT ?obs ?v WHERE { ?obs <http://test/numApplicants> ?v }",
+      opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
 }
 
 TEST(ExecutorDiffScaleTest, CancellationAndDeadlineTripIdenticallyInJoin) {
   // A full scan over a generated cube crosses the join's periodic
-  // full-check interval, so both runners must observe an already-tripped
-  // guard *inside the join loop* and surface the same codes.
+  // full-check interval, so the runner must observe an already-tripped
+  // guard *inside the join loop* and surface its code.
   auto ds = qb::Generate(qb::EurostatSpec(4000));
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
   const std::string query = "SELECT ?s ?p ?o WHERE { ?s ?p ?o }";
-
-  for (ExecutorKind kind :
-       {ExecutorKind::kVolcano, ExecutorKind::kVectorized}) {
+  {
     util::CancellationToken token;
     token.Cancel();
     util::ExecGuard guard({}, &token);
     ExecOptions opts;
-    opts.executor = kind;
     opts.guard = &guard;
     auto r = ExecuteText(*ds->store, query, opts);
     ASSERT_FALSE(r.ok());
     EXPECT_TRUE(r.status().IsCancelled()) << r.status().ToString();
   }
-
-  for (ExecutorKind kind :
-       {ExecutorKind::kVolcano, ExecutorKind::kVectorized}) {
+  {
     util::ExecGuard guard = util::ExecGuard::WithDeadline(1);
     std::this_thread::sleep_for(std::chrono::milliseconds(3));
     ExecOptions opts;
-    opts.executor = kind;
     opts.guard = &guard;
     auto r = ExecuteText(*ds->store, query, opts);
     ASSERT_FALSE(r.ok());
@@ -370,7 +331,7 @@ TEST(ExecutorDiffScaleTest, CancellationAndDeadlineTripIdenticallyInJoin) {
   }
 }
 
-// --- index-format x executor matrix ------------------------------------------
+// --- index formats -----------------------------------------------------------
 
 /// Rebuilds `src` under `format`. Terms are re-interned in id order so the
 /// clone assigns identical term ids, which makes rows, ExecStats, and error
@@ -389,76 +350,66 @@ std::unique_ptr<rdf::TripleStore> CloneWithFormat(const rdf::TripleStore& src,
   return out;
 }
 
-/// Runs `query` under both executors on both stores and asserts all four
-/// (executor x store) outcomes are identical: rows, columns, scan/binding
-/// stats, and error codes. `a` is the raw oracle, `b` the compressed clone.
+/// Runs `query` on both stores and asserts identical outcomes: rows in
+/// emission order, columns, scan/binding stats, and error codes. `a` is
+/// the raw store, `b` the compressed clone.
 void ExpectSameAcrossStores(const rdf::TripleStore& a,
                             const rdf::TripleStore& b,
                             const std::string& query) {
-  for (ExecutorKind kind :
-       {ExecutorKind::kVolcano, ExecutorKind::kVectorized}) {
-    ExecOptions opts;
-    opts.executor = kind;
-    ExecStats stats_a, stats_b;
-    auto ra = ExecuteText(a, query, opts, &stats_a);
-    auto rb = ExecuteText(b, query, opts, &stats_b);
-    ASSERT_EQ(ra.ok(), rb.ok())
-        << "raw: " << ra.status().ToString()
-        << "\ncompressed: " << rb.status().ToString() << "\nquery: " << query;
-    if (!ra.ok()) {
-      EXPECT_EQ(ra.status().code(), rb.status().code()) << "query: " << query;
-      continue;
-    }
-    EXPECT_EQ(ra->columns(), rb->columns()) << "query: " << query;
-    EXPECT_EQ(TableRows(*ra), TableRows(*rb)) << "query: " << query;
-    // Index ranges are position-identical across formats, so the scan and
-    // binding counters must match exactly — only chunking differs.
-    EXPECT_EQ(stats_a.triples_scanned, stats_b.triples_scanned)
-        << "query: " << query;
-    EXPECT_EQ(stats_a.intermediate_bindings, stats_b.intermediate_bindings)
-        << "query: " << query;
+  ExecStats stats_a, stats_b;
+  auto ra = ExecuteText(a, query, {}, &stats_a);
+  auto rb = ExecuteText(b, query, {}, &stats_b);
+  ASSERT_EQ(ra.ok(), rb.ok())
+      << "raw: " << ra.status().ToString()
+      << "\ncompressed: " << rb.status().ToString() << "\nquery: " << query;
+  if (!ra.ok()) {
+    EXPECT_EQ(ra.status().code(), rb.status().code()) << "query: " << query;
+    return;
   }
+  EXPECT_EQ(ra->columns(), rb->columns()) << "query: " << query;
+  EXPECT_EQ(TableRows(*ra), TableRows(*rb)) << "query: " << query;
+  // Index ranges are position-identical across formats, so the scan and
+  // binding counters must match exactly — only chunking differs.
+  EXPECT_EQ(stats_a.triples_scanned, stats_b.triples_scanned)
+      << "query: " << query;
+  EXPECT_EQ(stats_a.intermediate_bindings, stats_b.intermediate_bindings)
+      << "query: " << query;
 }
 
-// The full corpus under the 4-way matrix {volcano, vectorized} x
-// {raw, compressed}: the compressed store must agree executor-to-executor
-// AND store-to-store with the raw oracle on every query shape.
+// The full corpus on a compressed clone: it must agree with the reference
+// evaluator AND with the raw store, row for row and counter for counter.
 TEST_F(ExecutorDiffTest, CorpusIdenticalAcrossIndexFormats) {
   auto compressed = CloneWithFormat(*store, rdf::IndexFormat::kCompressed);
   ASSERT_TRUE(compressed->compressed_index());
   ASSERT_EQ(store->size(), compressed->size());
   for (const char* query : kCorpus) {
     SCOPED_TRACE(query);
-    ExpectSameResults(*compressed, query);
+    EXPECT_TRUE(AgreesWithReference(*compressed, query));
     ExpectSameAcrossStores(*store, *compressed, query);
   }
 }
 
-// Guard trips must be format-independent too: same typed error, same
-// charged rows, under all four executor x format combinations.
+// Guard trips must be format-independent too: the same typed error on
+// both stores.
 TEST_F(ExecutorDiffTest, RowBudgetTripsIdenticallyUnderCompressed) {
   auto compressed = CloneWithFormat(*store, rdf::IndexFormat::kCompressed);
   util::ExecGuard::Limits limits;
   limits.max_rows = 2;  // the pattern matches 5 observations
   for (const rdf::TripleStore* s : {store.get(), compressed.get()}) {
-    for (ExecutorKind kind :
-         {ExecutorKind::kVolcano, ExecutorKind::kVectorized}) {
-      util::ExecGuard guard(limits);
-      ExecOptions opts;
-      opts.executor = kind;
-      opts.guard = &guard;
-      auto r = ExecuteText(
-          *s, "SELECT ?obs ?v WHERE { ?obs <http://test/numApplicants> ?v }",
-          opts);
-      ASSERT_FALSE(r.ok());
-      EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
-    }
+    util::ExecGuard guard(limits);
+    ExecOptions opts;
+    opts.guard = &guard;
+    auto r = ExecuteText(
+        *s, "SELECT ?obs ?v WHERE { ?obs <http://test/numApplicants> ?v }",
+        opts);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
   }
 }
 
 // Multi-block scale: the generated cube spans several 1024-triple blocks,
 // so merge-join gallops cross block seams and OPTIONAL scans decode many
-// blocks. Everything must still match the raw oracle exactly.
+// blocks. Everything must still match the reference and the raw store.
 TEST(ExecutorDiffScaleTest, MultiBlockCompressedStoreMatchesRawOracle) {
   auto ds = qb::Generate(qb::EurostatSpec(1500));
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
@@ -478,21 +429,9 @@ TEST(ExecutorDiffScaleTest, MultiBlockCompressedStoreMatchesRawOracle) {
   };
   for (const std::string& query : queries) {
     SCOPED_TRACE(query);
-    ExpectSameResults(*compressed, query);
+    EXPECT_TRUE(AgreesWithReference(*compressed, query));
     ExpectSameAcrossStores(*ds->store, *compressed, query);
   }
-}
-
-TEST_F(ExecutorDiffTest, EnvDefaultSelectsExecutor) {
-  // kDefault resolves through RE2XOLAP_EXECUTOR (read once per process);
-  // whatever it resolves to must execute queries correctly.
-  ExecutorKind def = ResolveExecutor(ExecutorKind::kDefault);
-  EXPECT_TRUE(def == ExecutorKind::kVolcano ||
-              def == ExecutorKind::kVectorized);
-  auto r = ExecuteText(
-      *store, "SELECT ?obs WHERE { ?obs <http://test/numApplicants> ?v }");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->row_count(), 5u);
 }
 
 }  // namespace

@@ -370,6 +370,10 @@ TEST_F(RollUpSliceTest, SessionRollUpAndSlice) {
 
 // --- graceful degradation under deadlines -----------------------------------
 
+// Both caches off: every state is executed, none served from memory.
+const engine::EngineConfig kUncached{.plan_cache_capacity = 0,
+                                     .result_cache_bytes = 0};
+
 TEST_F(ExrefTest, ExpiredGuardEvaluatesFirstStateAndSkipsTheRest) {
   ExploreState st = StateFor({"Germany", "2014"});
   std::vector<ExploreState> states = Disaggregate(*vsg, *store, st);
@@ -377,15 +381,16 @@ TEST_F(ExrefTest, ExpiredGuardEvaluatesFirstStateAndSkipsTheRest) {
 
   util::ExecGuard guard = util::ExecGuard::WithDeadline(1);
   std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  engine::QueryEngine engine(*store, kUncached);
   util::Degradation degradation;
   auto tables =
-      EvaluateStates(*store, states, {}, nullptr, nullptr, &guard,
+      EvaluateStates(engine, states, {}, nullptr, nullptr, &guard,
                      &degradation);
   ASSERT_EQ(tables.size(), states.size());
   // Min-progress: the first preview always runs even under an expired
   // deadline; every later one is skipped with the guard's status.
   ASSERT_TRUE(tables[0].ok()) << tables[0].status().ToString();
-  EXPECT_GT(tables[0]->row_count(), 0u);
+  EXPECT_GT((*tables[0])->row_count(), 0u);
   for (size_t i = 1; i < tables.size(); ++i) {
     ASSERT_FALSE(tables[i].ok()) << "state " << i;
     EXPECT_TRUE(tables[i].status().IsTimeout())
@@ -401,9 +406,10 @@ TEST_F(ExrefTest, HealthyGuardEvaluatesAllStates) {
   ExploreState st = StateFor({"Germany", "2014"});
   std::vector<ExploreState> states = Disaggregate(*vsg, *store, st);
   util::ExecGuard guard = util::ExecGuard::WithDeadline(60 * 1000);
+  engine::QueryEngine engine(*store, kUncached);
   util::Degradation degradation;
   auto tables =
-      EvaluateStates(*store, states, {}, nullptr, nullptr, &guard,
+      EvaluateStates(engine, states, {}, nullptr, nullptr, &guard,
                      &degradation);
   ASSERT_EQ(tables.size(), states.size());
   for (size_t i = 0; i < tables.size(); ++i) {

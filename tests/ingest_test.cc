@@ -28,6 +28,7 @@
 #include "sparql/executor.h"
 #include "storage/snapshot.h"
 #include "store/ingestor.h"
+#include "tests/reference_eval.h"
 #include "tests/test_data.h"
 #include "util/failpoint.h"
 #include "util/thread_pool.h"
@@ -228,7 +229,11 @@ TEST(IngestTest, ReadPinGivesEpochConsistentSnapshot) {
 // ---------------------------------------------------------------------------
 
 TEST(IngestTest, MergedViewMatchesRefrozenOracle) {
-  LiveFixture fx;
+  // No auto-compaction: a background fold scheduled at the depth
+  // threshold would race the chain-depth check below.
+  store::IngestorConfig config;
+  config.auto_compact = false;
+  LiveFixture fx(config);
   std::mt19937 rng(20260809);
   std::uniform_int_distribution<int> id(0, 11);
 
@@ -334,23 +339,21 @@ TEST(IngestTest, MergedViewMatchesRefrozenOracle) {
     }
   }
 
-  // Both executors produce the oracle's answers over the live store.
+  // The executor answers over the live chain agree with the reference
+  // evaluator on the same chain and with the executor on the oracle.
   const char* kQueries[] = {
       "SELECT ?s ?o WHERE { ?s <http://t/p1> ?o }",
       "SELECT ?s WHERE { ?s <http://t/p1> ?x . ?x <http://t/p2> ?y }",
       "SELECT ?obs WHERE { ?obs a <http://test/Observation> }",
   };
   for (const char* query : kQueries) {
-    for (sparql::ExecutorKind kind :
-         {sparql::ExecutorKind::kVolcano, sparql::ExecutorKind::kVectorized}) {
-      sparql::ExecOptions opts;
-      opts.executor = kind;
-      auto live = sparql::ExecuteText(*fx.store, query, opts);
-      auto expect = sparql::ExecuteText(*oracle, query, opts);
-      ASSERT_TRUE(live.ok()) << live.status() << "\nquery: " << query;
-      ASSERT_TRUE(expect.ok()) << expect.status();
-      EXPECT_EQ(SortedRows(*live), SortedRows(*expect)) << "query: " << query;
-    }
+    EXPECT_TRUE(testing::AgreesWithReference(*fx.store, query))
+        << "query: " << query;
+    auto live = sparql::ExecuteText(*fx.store, query);
+    auto expect = sparql::ExecuteText(*oracle, query);
+    ASSERT_TRUE(live.ok()) << live.status() << "\nquery: " << query;
+    ASSERT_TRUE(expect.ok()) << expect.status();
+    EXPECT_EQ(SortedRows(*live), SortedRows(*expect)) << "query: " << query;
   }
 }
 
@@ -504,9 +507,14 @@ TEST(SnapshotV3Test, LiveRoundTripIsBitIdentical) {
       storage::SaveSnapshot(path2, *loaded->store, nullptr, nullptr).ok());
   EXPECT_EQ(ReadAll(path1), ReadAll(path2));
 
-  // The reloaded store keeps serving and keeps ingesting.
+  // The reloaded store keeps serving and keeps ingesting. This ingest
+  // takes the chain to the auto-compaction depth; with auto-compaction on,
+  // a pool worker could fold the chain and bump the epoch again before
+  // the check below.
   util::ThreadPool pool(2);
-  Ingestor ingestor(loaded->store.get(), &pool);
+  store::IngestorConfig config;
+  config.auto_compact = false;
+  Ingestor ingestor(loaded->store.get(), &pool, config);
   auto r = ingestor.IngestText(Line(7, 7, 7), IngestOp::kInsert, nullptr);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(loaded->store->freeze_epoch(), epoch + 1);
@@ -777,10 +785,8 @@ TEST(IngestStressTest, ConcurrentReadIngestCompact) {
         if (count % kPerBatch != 0 || count < last) ++violations;
         last = count;
         // Exercise the full executor path under the same pin.
-        sparql::ExecOptions opts;
-        opts.executor = sparql::ExecutorKind::kVectorized;
         auto r = sparql::ExecuteText(
-            *fx.store, "SELECT ?s WHERE { ?s <http://t/p99> ?o }", opts);
+            *fx.store, "SELECT ?s WHERE { ?s <http://t/p99> ?o }");
         if (!r.ok() || (*r).row_count() % kPerBatch != 0) ++violations;
       }
     });

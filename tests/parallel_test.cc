@@ -209,18 +209,25 @@ TEST(ParallelExrefTest, DisaggregateAndEvaluateMatchSerial) {
     EXPECT_EQ(serial_states[i].description, parallel_states[i].description);
   }
 
+  // Caches off, so the parallel pass executes rather than replaying the
+  // serial pass's results.
+  engine::QueryEngine engine(
+      *env.store, engine::EngineConfig{.plan_cache_capacity = 0,
+                                       .result_cache_bytes = 0});
   std::vector<sparql::ExecStats> serial_stats, parallel_stats;
-  auto serial_tables = EvaluateStates(*env.store, serial_states, {}, nullptr,
-                                      &serial_stats);
-  auto parallel_tables = EvaluateStates(*env.store, parallel_states, {},
-                                        &pool, &parallel_stats);
+  auto serial_tables =
+      EvaluateStates(engine, serial_states, {}, nullptr, &serial_stats);
+  auto parallel_tables =
+      EvaluateStates(engine, parallel_states, {}, &pool, &parallel_stats);
   ASSERT_EQ(serial_tables.size(), parallel_tables.size());
   ASSERT_EQ(parallel_stats.size(), parallel_tables.size());
   for (size_t i = 0; i < serial_tables.size(); ++i) {
     ASSERT_TRUE(serial_tables[i].ok());
     ASSERT_TRUE(parallel_tables[i].ok());
-    EXPECT_EQ(serial_tables[i]->row_count(), parallel_tables[i]->row_count());
-    EXPECT_EQ(serial_tables[i]->columns(), parallel_tables[i]->columns());
+    EXPECT_EQ((*serial_tables[i])->row_count(),
+              (*parallel_tables[i])->row_count());
+    EXPECT_EQ((*serial_tables[i])->columns(),
+              (*parallel_tables[i])->columns());
     EXPECT_EQ(serial_stats[i].intermediate_bindings,
               parallel_stats[i].intermediate_bindings);
   }

@@ -99,16 +99,6 @@ TEST_F(QueryLogTest, StatusNamesMatchUtilStatusCodes) {
   EXPECT_STREQ(RecordStatusName(200), "Unknown");
 }
 
-TEST_F(QueryLogTest, ExecutorNamesMatchExecutorKinds) {
-  EXPECT_STREQ(
-      RecordExecutorName(static_cast<uint8_t>(sparql::ExecutorKind::kVolcano)),
-      "volcano");
-  EXPECT_STREQ(RecordExecutorName(
-                   static_cast<uint8_t>(sparql::ExecutorKind::kVectorized)),
-               "vectorized");
-  EXPECT_STREQ(RecordExecutorName(0), "none");
-}
-
 TEST_F(QueryLogTest, FingerprintIsStableFnv1a) {
   EXPECT_EQ(FingerprintQuery(""), 14695981039346656037ull);  // offset basis
   EXPECT_EQ(FingerprintQuery("a"),
@@ -140,9 +130,6 @@ TEST_F(QueryLogTest, EngineMissThenHitRecordExactlyOnce) {
   EXPECT_EQ(recs[0].freeze_epoch, store->freeze_epoch());
   EXPECT_EQ(recs[0].fingerprint,
             FingerprintQuery(sparql::ToSparql(*sparql::ParseQuery(kObsQuery))));
-  const uint8_t resolved = static_cast<uint8_t>(
-      sparql::ResolveExecutor(sparql::ExecutorKind::kDefault));
-  EXPECT_EQ(recs[0].executor, resolved);
 
   ASSERT_TRUE(engine.ExecuteText(kObsQuery).ok());
   recs = Since(mark);
@@ -495,7 +482,6 @@ TEST_F(QueryLogTest, ToJsonLineIsValidAndCarriesTheSchema) {
   rec.op = QueryOp::kEngineExecute;
   rec.fingerprint = 0xdeadbeefcafef00dull;
   rec.freeze_epoch = 3;
-  rec.executor = 2;
   rec.cache = CacheOutcome::kMiss;
   rec.status = static_cast<uint8_t>(util::StatusCode::kTimeout);
   rec.degraded = true;
@@ -508,9 +494,9 @@ TEST_F(QueryLogTest, ToJsonLineIsValidAndCarriesTheSchema) {
   for (const char* key :
        {"\"id\": 7", "\"op\": \"engine.execute\"",
         "\"fingerprint\": \"deadbeefcafef00d\"", "\"epoch\": 3",
-        "\"executor\": \"vectorized\"", "\"cache\": \"miss\"",
-        "\"status\": \"Timeout\"", "\"degraded\": true", "\"retries\": 1",
-        "\"rows\": 42", "\"total_ms\": 1.500"}) {
+        "\"cache\": \"miss\"", "\"status\": \"Timeout\"",
+        "\"degraded\": true", "\"retries\": 1", "\"rows\": 42",
+        "\"total_ms\": 1.500"}) {
     EXPECT_NE(line.find(key), std::string::npos) << key << "\n" << line;
   }
 }

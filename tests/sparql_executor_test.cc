@@ -494,19 +494,15 @@ TEST_F(ExecutorTest, AmortizedGuardStillSurfacesRowBudgetOnTinyScans) {
   // per-emitted-row rechecks — which must still surface the violation.
   util::ExecGuard::Limits limits;
   limits.max_rows = 1;  // trips on the second produced binding
-  for (ExecutorKind kind :
-       {ExecutorKind::kVolcano, ExecutorKind::kVectorized}) {
-    util::ExecGuard guard(limits);
-    ExecOptions opts;
-    opts.executor = kind;
-    opts.guard = &guard;
-    auto r = ExecuteText(
-        *store,
-        "SELECT ?obs ?v WHERE { ?obs <http://test/numApplicants> ?v }", opts);
-    ASSERT_FALSE(r.ok());
-    EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
-    EXPECT_GT(guard.charged_rows(), limits.max_rows);
-  }
+  util::ExecGuard guard(limits);
+  ExecOptions opts;
+  opts.guard = &guard;
+  auto r = ExecuteText(
+      *store, "SELECT ?obs ?v WHERE { ?obs <http://test/numApplicants> ?v }",
+      opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
+  EXPECT_GT(guard.charged_rows(), limits.max_rows);
 }
 
 TEST_F(ExecutorTest, AmortizedGuardSkipsBudgetPollsWithinInterval) {
