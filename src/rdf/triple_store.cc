@@ -336,8 +336,7 @@ thread_local std::vector<PinFrame> t_pin_stack;
 
 TripleStore::ReadPin::ReadPin(const TripleStore& store) {
   if (!store.live()) return;
-  t_pin_stack.push_back(
-      {&store, store.chain_.load(std::memory_order_acquire)});
+  t_pin_stack.push_back({&store, store.CurrentChain()});
   store_ = &store;
 }
 
@@ -352,7 +351,18 @@ std::shared_ptr<const EpochChain> TripleStore::PinnedChain() const {
   for (auto it = t_pin_stack.rbegin(); it != t_pin_stack.rend(); ++it) {
     if (it->store == this) return it->chain;
   }
-  return chain_.load(std::memory_order_acquire);
+  return CurrentChain();
+}
+
+std::shared_ptr<const EpochChain> TripleStore::CurrentChain() const {
+  std::lock_guard<std::mutex> lk(chain_mu_);
+  return chain_;
+}
+
+void TripleStore::SetChain(std::shared_ptr<const EpochChain> chain) {
+  std::lock_guard<std::mutex> lk(chain_mu_);
+  chain_.swap(chain);
+  // The previous chain (now in `chain`) is released after the unlock.
 }
 
 std::shared_ptr<const EpochChain> TripleStore::live_chain() const {
@@ -376,8 +386,7 @@ void TripleStore::EnterLive() {
   chain->visible_triples = ClassicSize();
   chain->stats = stats_;
   UpdateChainGauges(*chain);
-  chain_.store(std::shared_ptr<const EpochChain>(std::move(chain)),
-               std::memory_order_release);
+  SetChain(std::move(chain));
   live_.store(true, std::memory_order_release);
 }
 
@@ -385,7 +394,7 @@ void TripleStore::PublishChain(std::shared_ptr<const EpochChain> chain) {
   assert(live() && "PublishChain() requires EnterLive()");
   assert(chain != nullptr);
   UpdateChainGauges(*chain);
-  chain_.store(std::move(chain), std::memory_order_release);
+  SetChain(std::move(chain));
 }
 
 void TripleStore::RestoreChain(

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -148,11 +149,11 @@ class TripleStore {
   bool live() const { return live_.load(std::memory_order_acquire); }
 
   /// The chain the calling thread should read: the innermost ReadPin's
-  /// chain when one is active on this thread, else a fresh atomic load of
-  /// the latest published chain. Null on non-live stores.
+  /// chain when one is active on this thread, else the latest published
+  /// chain. Null on non-live stores.
   std::shared_ptr<const EpochChain> live_chain() const;
 
-  /// Atomically replaces the current chain (ingest batch publication,
+  /// Replaces the current chain under a mutex (ingest batch publication,
   /// compaction). In-flight readers keep serving their pinned chain; new
   /// ReadPins see `chain`. Refreshes the store.delta.* gauges.
   void PublishChain(std::shared_ptr<const EpochChain> chain);
@@ -406,6 +407,10 @@ class TripleStore {
   IndexRange LivePermutationRange(Perm perm) const;
   /// The chain reads on this thread should use (see live_chain()).
   std::shared_ptr<const EpochChain> PinnedChain() const;
+  /// The latest published chain.
+  std::shared_ptr<const EpochChain> CurrentChain() const;
+  /// Swaps in `chain` as the latest published chain.
+  void SetChain(std::shared_ptr<const EpochChain> chain);
   /// size() of the store's own frozen arrays (the chain-base size).
   uint64_t ClassicSize() const;
   /// Refreshes store.epoch / store.delta.* / store.triples after a chain
@@ -436,10 +441,13 @@ class TripleStore {
   IndexFormat format_ = IndexFormat::kRaw;
   bool frozen_ = false;
   uint64_t freeze_epoch_ = 0;
-  // Live-mode state (EnterLive): the current epoch chain, replaced
-  // atomically by every publication. live_ flips true exactly once.
+  // Live-mode state (EnterLive): the current epoch chain, swapped under
+  // chain_mu_ by every publication (readers copy the pointer under the
+  // same lock and read the chain without it). live_ flips true exactly
+  // once.
   std::atomic<bool> live_{false};
-  std::atomic<std::shared_ptr<const EpochChain>> chain_;
+  mutable std::mutex chain_mu_;
+  std::shared_ptr<const EpochChain> chain_;
   mutable std::atomic<int> active_readers_{0};
 };
 

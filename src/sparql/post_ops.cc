@@ -1,6 +1,7 @@
 #include "sparql/post_ops.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <utility>
 
@@ -35,6 +36,23 @@ void PollGuardOrThrow(const util::ExecGuard* guard, uint64_t* counter) {
   if (!st.ok()) throw GuardInterrupted{std::move(st)};
 }
 
+/// Finalizer of SplitMix64: spreads every input bit over the low bits the
+/// tables mask with.
+uint64_t Mix(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xBF58476D1CE4E5B9ULL;
+  x ^= x >> 27;
+  x *= 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+/// Hash of a `width`-id group key: a multiplicative fold, mixed once.
+uint64_t HashKey(const rdf::TermId* key, size_t width) {
+  uint64_t h = width;
+  for (size_t i = 0; i < width; ++i) h = (h ^ key[i]) * 0x9E3779B97F4A7C15ULL;
+  return Mix(h);
+}
+
 }  // namespace
 
 void AggState::Update(double v) {
@@ -60,6 +78,30 @@ double AggState::Finish(AggFunc f) const {
   return 0.0;
 }
 
+bool GroupTermSet::Insert(uint32_t group, rdf::TermId term) {
+  const uint64_t word = static_cast<uint64_t>(group) << 32 | term;
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = Mix(word) & mask;; i = (i + 1) & mask) {
+    if (slots_[i] == word) return false;
+    if (slots_[i] != 0) continue;
+    slots_[i] = word;
+    if (++size_ * 2 > slots_.size()) Rehash(slots_.size() * 2);
+    return true;
+  }
+}
+
+void GroupTermSet::Rehash(size_t capacity) {
+  std::vector<uint64_t> old(capacity, 0);
+  old.swap(slots_);
+  const size_t mask = capacity - 1;
+  for (uint64_t word : old) {
+    if (word == 0) continue;
+    size_t i = Mix(word) & mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = word;
+  }
+}
+
 GroupAggregator::GroupAggregator(const rdf::TripleStore& store,
                                  const std::vector<SelectItem>& items,
                                  const std::vector<int>& item_slots,
@@ -67,50 +109,79 @@ GroupAggregator::GroupAggregator(const rdf::TripleStore& store,
                                  const util::ExecGuard* guard)
     : store_(store),
       items_(items),
-      item_slots_(item_slots),
       group_slots_(std::move(group_slots)),
-      guard_(guard) {
-  for (const SelectItem& it : items_) n_aggs_ += it.is_aggregate ? 1 : 0;
+      guard_(guard),
+      width_(group_slots_.size()),
+      key_(group_slots_.size()) {
+  for (size_t i = 0; i < items_.size(); ++i) {
+    const SelectItem& it = items_[i];
+    if (!it.is_aggregate) continue;
+    if (it.count_star) {
+      aggs_.push_back({AggOp::kCountStar, -1, 0});
+    } else if (it.distinct_agg) {
+      aggs_.push_back({AggOp::kDistinct, item_slots[i], distinct_.size()});
+      distinct_.emplace_back();
+    } else {
+      aggs_.push_back({AggOp::kValue, item_slots[i], 0});
+    }
+  }
+}
+
+uint32_t GroupAggregator::FindOrInsert(const rdf::TermId* key) {
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = HashKey(key, width_) & mask;; i = (i + 1) & mask) {
+    const uint32_t slot = slots_[i];
+    if (slot != 0) {
+      if (std::equal(key, key + width_, KeyOf(slot - 1))) return slot - 1;
+      continue;
+    }
+    const uint32_t group = n_groups_++;
+    slots_[i] = n_groups_;
+    keys_.insert(keys_.end(), key, key + width_);
+    states_.resize(states_.size() + aggs_.size());
+    if (static_cast<size_t>(n_groups_) * 2 > slots_.size()) {
+      Rehash(slots_.size() * 2);
+    }
+    if (guard_ != nullptr) {
+      // The violation (if any) surfaces at the join loop's next budget
+      // poll — Accumulate itself cannot fail.
+      guard_->ChargeBytes(bytes_per_group());
+    }
+    return group;
+  }
+}
+
+void GroupAggregator::Rehash(size_t capacity) {
+  slots_.assign(capacity, 0);
+  const size_t mask = capacity - 1;
+  for (uint32_t g = 0; g < n_groups_; ++g) {
+    size_t i = HashKey(KeyOf(g), width_) & mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = g + 1;
+  }
 }
 
 void GroupAggregator::Accumulate(const std::vector<rdf::TermId>& bindings) {
-  std::vector<rdf::TermId> key(group_slots_.size());
-  for (size_t i = 0; i < group_slots_.size(); ++i) {
-    key[i] = group_slots_[i] >= 0 ? bindings[group_slots_[i]]
-                                  : rdf::kInvalidTermId;
+  for (size_t i = 0; i < width_; ++i) {
+    key_[i] = group_slots_[i] >= 0 ? bindings[group_slots_[i]]
+                                   : rdf::kInvalidTermId;
   }
   // A pure GROUP BY without aggregates still registers the group here.
-  Group& g = groups_[key];
-  if (g.aggs.empty()) {
-    g.aggs.resize(n_aggs_);
-    if (guard_ != nullptr) {
-      // New group: charge key + aggregate state. The violation (if any)
-      // surfaces at the join loop's next budget poll — Accumulate itself
-      // cannot fail.
-      guard_->ChargeBytes(key.size() * sizeof(rdf::TermId) +
-                          n_aggs_ * sizeof(AggState) + sizeof(Group));
+  const uint32_t group = FindOrInsert(key_.data());
+  AggState* states = states_.data() + static_cast<size_t>(group) * aggs_.size();
+  for (size_t a = 0; a < aggs_.size(); ++a) {
+    const AggOp& op = aggs_[a];
+    if (op.kind == AggOp::kCountStar) {
+      ++states[a].count;  // COUNT(*) reads nothing but the count
+      continue;
     }
-  }
-  size_t agg_idx = 0;
-  for (size_t i = 0; i < items_.size(); ++i) {
-    if (!items_[i].is_aggregate) continue;
-    AggState& state = g.aggs[agg_idx++];
-    if (items_[i].count_star) {
-      state.Update(0.0);  // COUNT(*): value irrelevant
-    } else {
-      int slot = item_slots_[i];
-      if (slot >= 0 && bindings[slot] != rdf::kInvalidTermId) {
-        if (items_[i].distinct_agg) {
-          if (guard_ != nullptr &&
-              state.distinct_terms.find(bindings[slot]) ==
-                  state.distinct_terms.end()) {
-            guard_->ChargeBytes(sizeof(rdf::TermId) * 4);  // ~set node
-          }
-          state.UpdateDistinct(bindings[slot]);
-        } else {
-          state.Update(store_.term(bindings[slot]).AsDouble());
-        }
-      }
+    if (op.slot < 0 || bindings[op.slot] == rdf::kInvalidTermId) continue;
+    const rdf::TermId term = bindings[op.slot];
+    if (op.kind == AggOp::kValue) {
+      states[a].Update(store_.term(term).AsDouble());
+    } else if (distinct_[op.distinct].Insert(group, term)) {
+      ++states[a].count;
+      if (guard_ != nullptr) guard_->ChargeBytes(2 * sizeof(uint64_t));
     }
   }
 }
@@ -118,38 +189,47 @@ void GroupAggregator::Accumulate(const std::vector<rdf::TermId>& bindings) {
 util::Result<size_t> GroupAggregator::Emit(
     const std::vector<Variable>& group_by, ResultTable* table) {
   if (guard_ != nullptr) RE2X_RETURN_IF_ERROR(guard_->Check());
-  uint64_t polls = 0;
-  for (const auto& [key, group] : groups_) {
-    if (guard_ != nullptr && ++polls % kGuardPollInterval == 0) {
+  // Each plain column's position in the group key, resolved once.
+  std::vector<size_t> key_pos(items_.size(), 0);
+  for (size_t i = 0; i < items_.size(); ++i) {
+    if (items_[i].is_aggregate) continue;
+    for (size_t gi = 0; gi < group_by.size(); ++gi) {
+      if (group_by[gi].name == items_[i].var.name) {
+        key_pos[i] = gi;
+        break;
+      }
+    }
+  }
+  // Reserve the capacity push_back growth would reach anyway (the next
+  // power of two; none for no groups), without its intermediate arrays:
+  // the result cache charges a table by its row capacity
+  // (engine::EstimateTableCost), so an exact reserve would change which
+  // results it admits.
+  std::vector<Row>& rows = table->mutable_rows();
+  if (n_groups_ > 0) rows.reserve(std::bit_ceil(rows.size() + n_groups_));
+  for (uint32_t g = 0; g < n_groups_; ++g) {
+    if (guard_ != nullptr && (g + 1) % kGuardPollInterval == 0) {
       RE2X_RETURN_IF_ERROR(guard_->Check());
     }
+    const rdf::TermId* key = KeyOf(g);
+    const AggState* states =
+        states_.data() + static_cast<size_t>(g) * aggs_.size();
     Row row(items_.size());
-    size_t agg_idx = 0;
-    size_t key_pos;
+    size_t a = 0;
     for (size_t i = 0; i < items_.size(); ++i) {
       if (items_[i].is_aggregate) {
-        const AggState& state = group.aggs[agg_idx];
-        row[i] = Cell::OfNumber(
-            items_[i].distinct_agg
-                ? static_cast<double>(state.distinct_terms.size())
-                : state.Finish(items_[i].func));
-        ++agg_idx;
+        const AggState& state = states[a++];
+        row[i] = Cell::OfNumber(items_[i].distinct_agg
+                                    ? static_cast<double>(state.count)
+                                    : state.Finish(items_[i].func));
         continue;
       }
-      // Find this variable's position in the group key.
-      key_pos = 0;
-      for (size_t gi = 0; gi < group_by.size(); ++gi) {
-        if (group_by[gi].name == items_[i].var.name) {
-          key_pos = gi;
-          break;
-        }
-      }
-      row[i] = key[key_pos] != rdf::kInvalidTermId ? Cell::OfTerm(key[key_pos])
-                                                   : Cell::Null();
+      const rdf::TermId id = key[key_pos[i]];
+      row[i] = id != rdf::kInvalidTermId ? Cell::OfTerm(id) : Cell::Null();
     }
-    table->AddRow(std::move(row));
+    rows.push_back(std::move(row));
   }
-  return groups_.size();
+  return static_cast<size_t>(n_groups_);
 }
 
 util::Status ApplyHaving(const rdf::TripleStore& store,
@@ -261,8 +341,11 @@ util::Status ApplyLimitOffset(const SelectQuery& query, ResultTable* table,
   if (query.limit.has_value()) {
     end = std::min<size_t>(begin + *query.limit, rows.size());
   }
-  std::vector<Row> sliced(rows.begin() + begin, rows.begin() + end);
-  rows.swap(sliced);
+  // Rows move, never copy; shrinking leaves the window's exact capacity,
+  // as a fresh slice would have.
+  rows.erase(rows.begin() + end, rows.end());
+  rows.erase(rows.begin(), rows.begin() + begin);
+  rows.shrink_to_fit();
   post_ops->push_back(
       {"limit/offset", rows_in, rows.size(), op_timer.ElapsedMillis()});
   return util::Status::OK();

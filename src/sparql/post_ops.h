@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "rdf/triple_store.h"
@@ -33,41 +31,53 @@ struct PostOpProf {
   double millis;
 };
 
-/// Running state of one aggregate.
+/// Running state of one aggregate: 32 bytes. A COUNT(DISTINCT ?v)
+/// aggregate keeps its distinct-term count in `count`; the terms it has
+/// seen live in a GroupTermSet beside the group table.
 struct AggState {
   double sum = 0;
   double min = std::numeric_limits<double>::infinity();
   double max = -std::numeric_limits<double>::infinity();
   uint64_t count = 0;
-  std::set<rdf::TermId> distinct_terms;  // only used by COUNT(DISTINCT ?v)
 
   void Update(double v);
-  void UpdateDistinct(rdf::TermId id) { distinct_terms.insert(id); }
   double Finish(AggFunc f) const;
 };
+static_assert(sizeof(AggState) == 32);
 
-/// FNV-1a over a group-key vector of term ids.
-struct TermVecHash {
-  size_t operator()(const std::vector<rdf::TermId>& v) const {
-    size_t h = 14695981039346656037ULL;
-    for (rdf::TermId id : v) {
-      h ^= id;
-      h *= 1099511628211ULL;
-    }
-    return h;
-  }
+/// The (group, term) pairs one COUNT(DISTINCT) aggregate has seen: a flat
+/// open-addressing set of `group << 32 | term` words (term ids are never
+/// 0, so 0 marks an empty slot), linear probing, load at most 0.5.
+class GroupTermSet {
+ public:
+  /// Adds the pair; true when it was not present yet.
+  bool Insert(uint32_t group, rdf::TermId term);
+
+ private:
+  void Rehash(size_t capacity);
+
+  std::vector<uint64_t> slots_ = std::vector<uint64_t>(16, 0);
+  size_t size_ = 0;
 };
 
 /// Hash-grouping aggregation: accumulates join bindings into per-group
 /// aggregate states, then emits one output row per group.
+///
+/// Layout: groups are numbered 0, 1, ... in the order their first binding
+/// arrives. Group g's key is `keys_[g*width, (g+1)*width)` and its states
+/// are `states_[g*aggs, (g+1)*aggs)`. An open-addressing table of
+/// `uint32_t` slots (group index + 1, 0 = empty; linear probing, load at
+/// most 0.5) finds a key's group; growth re-slots groups by re-hashing
+/// their stored keys. A group costs 4*width + 32*aggs + 8 bytes. The
+/// COUNT(DISTINCT) sets exist only for queries that use one.
 class GroupAggregator {
  public:
   /// `items` / `item_slots` are the projected columns and their binding
   /// slots (-1 for COUNT(*)); `group_slots` the GROUP BY slots in declared
-  /// order. All referenced vectors must outlive the aggregator. When a
-  /// `guard` is supplied, each newly created group (and each distinct term
-  /// retained for COUNT(DISTINCT)) is charged against its byte budget;
-  /// the violation surfaces at the join loop's next budget poll.
+  /// order. `items` must outlive the aggregator. When a `guard` is
+  /// supplied, each newly created group (and each distinct term retained
+  /// for COUNT(DISTINCT)) is charged against its byte budget; the
+  /// violation surfaces at the join loop's next budget poll.
   GroupAggregator(const rdf::TripleStore& store,
                   const std::vector<SelectItem>& items,
                   const std::vector<int>& item_slots,
@@ -77,26 +87,48 @@ class GroupAggregator {
   /// Folds one complete join binding into its group.
   void Accumulate(const std::vector<rdf::TermId>& bindings);
 
-  /// Emits one row per group into `table` (group-by columns resolved via
-  /// `group_by` order). Polls the guard at entry and every few hundred
-  /// groups. Returns the number of groups.
+  /// Emits one row per group into `table`, in first-seen order: groups
+  /// come out in the order the join produced their first binding, which
+  /// is the row order of an aggregate query without ORDER BY. Group-by
+  /// columns are resolved via `group_by` order. Polls the guard at entry
+  /// and every few hundred groups. Returns the number of groups.
   util::Result<size_t> Emit(const std::vector<Variable>& group_by,
                             ResultTable* table);
 
-  size_t group_count() const { return groups_.size(); }
-
  private:
-  struct Group {
-    std::vector<AggState> aggs;
+  /// How one aggregate item folds a binding into its state.
+  struct AggOp {
+    enum Kind : uint8_t { kCountStar, kValue, kDistinct } kind;
+    int slot;         // binding slot of the argument (-1 for COUNT(*))
+    size_t distinct;  // index into distinct_ (kDistinct only)
   };
+
+  /// Bytes one group adds to the aggregator (what the guard is charged):
+  /// its key, its states and two slots at load 0.5.
+  size_t bytes_per_group() const {
+    return width_ * sizeof(rdf::TermId) + aggs_.size() * sizeof(AggState) +
+           2 * sizeof(uint32_t);
+  }
+  /// The group holding `key` (width_ ids), created on a miss.
+  uint32_t FindOrInsert(const rdf::TermId* key);
+  /// Re-slots every group into a table of `capacity` (a power of two).
+  void Rehash(size_t capacity);
+  const rdf::TermId* KeyOf(uint32_t group) const {
+    return keys_.data() + static_cast<size_t>(group) * width_;
+  }
 
   const rdf::TripleStore& store_;
   const std::vector<SelectItem>& items_;
-  const std::vector<int>& item_slots_;
   std::vector<int> group_slots_;
   const util::ExecGuard* guard_;
-  size_t n_aggs_ = 0;
-  std::unordered_map<std::vector<rdf::TermId>, Group, TermVecHash> groups_;
+  size_t width_;
+  std::vector<AggOp> aggs_;
+  std::vector<uint32_t> slots_ = std::vector<uint32_t>(16, 0);
+  std::vector<rdf::TermId> keys_;
+  std::vector<AggState> states_;
+  std::vector<GroupTermSet> distinct_;  // one per COUNT(DISTINCT) item
+  std::vector<rdf::TermId> key_;        // Accumulate's scratch key
+  uint32_t n_groups_ = 0;
 };
 
 /// HAVING: keeps rows whose post-aggregation filters all evaluate to true
@@ -118,7 +150,8 @@ util::Status ApplyOrderBy(const rdf::TripleStore& store,
                           std::vector<PostOpProf>* post_ops,
                           const util::ExecGuard* guard = nullptr);
 
-/// OFFSET / LIMIT: slices the row window.
+/// OFFSET / LIMIT: slices the row window in place (erases the tail, then
+/// the head), so a large result is never held twice.
 util::Status ApplyLimitOffset(const SelectQuery& query, ResultTable* table,
                               std::vector<PostOpProf>* post_ops,
                               const util::ExecGuard* guard = nullptr);

@@ -163,19 +163,27 @@ Result<IngestReceipt> Ingestor::IngestText(std::string_view text, IngestOp op,
   return receipt;
 }
 
-void Ingestor::MaybeScheduleCompaction(const EpochChain& chain) {
-  if (!config_.auto_compact || pool_ == nullptr) return;
+bool Ingestor::CompactionDue(const EpochChain& chain) const {
   const bool depth_due = config_.compact_threshold_layers != 0 &&
                          chain.depth() >= config_.compact_threshold_layers;
   const bool size_due =
       config_.compact_threshold_triples != 0 &&
       chain.delta_adds + chain.delta_dels >= config_.compact_threshold_triples;
-  if (!depth_due && !size_due) return;
+  return depth_due || size_due;
+}
+
+void Ingestor::MaybeScheduleCompaction(const EpochChain& chain) {
+  if (!config_.auto_compact || pool_ == nullptr) return;
+  if (!CompactionDue(chain)) return;
   {
     std::lock_guard<std::mutex> lk(compact_mu_);
     if (compact_inflight_) return;
     compact_inflight_ = true;
   }
+  SubmitCompaction();
+}
+
+void Ingestor::SubmitCompaction() {
   // A workerless pool runs the task inline on this thread; CompactNow
   // takes ingest_mu_, which is why this is never called while holding it.
   pool_->Submit([this] {
@@ -185,9 +193,20 @@ void Ingestor::MaybeScheduleCompaction(const EpochChain& chain) {
           .GetCounter("store.delta.compact_failures")
           .Inc();
     }
-    std::lock_guard<std::mutex> lk(compact_mu_);
-    compact_inflight_ = false;
-    compact_cv_.notify_all();
+    // Batches published while the fold ran found the flag set and
+    // scheduled nothing: re-check the chain they left. The flag stays set
+    // across the resubmission, so the destructor keeps waiting. A failed
+    // fold is not retried here (the next ingest batch re-checks).
+    bool again = false;
+    {
+      std::lock_guard<std::mutex> lk(compact_mu_);
+      again = st.ok() && CompactionDue(*store_->live_chain());
+      if (!again) {
+        compact_inflight_ = false;
+        compact_cv_.notify_all();
+      }
+    }
+    if (again) SubmitCompaction();
   });
 }
 

@@ -113,6 +113,12 @@ class Ingestor {
   /// and none is running. Must NOT be called with ingest_mu_ held (a
   /// workerless pool runs the task inline, and CompactNow relocks).
   void MaybeScheduleCompaction(const rdf::EpochChain& chain);
+  /// Submits one background compaction; the caller has set
+  /// compact_inflight_. When the fold finishes it resubmits itself while
+  /// the published chain is still over a threshold, else clears the flag.
+  void SubmitCompaction();
+  /// True when `chain` crosses a compaction threshold.
+  bool CompactionDue(const rdf::EpochChain& chain) const;
 
   rdf::TripleStore* store_;
   util::ThreadPool* pool_;
