@@ -1,7 +1,6 @@
 #include "sparql/post_ops.h"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 #include <utility>
 
@@ -36,21 +35,21 @@ void PollGuardOrThrow(const util::ExecGuard* guard, uint64_t* counter) {
   if (!st.ok()) throw GuardInterrupted{std::move(st)};
 }
 
-/// Finalizer of SplitMix64: spreads every input bit over the low bits the
-/// tables mask with.
-uint64_t Mix(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
+/// Bytes the guard is charged per (group, term) pair a COUNT(DISTINCT)
+/// set retains: the node's value and next pointer, and a bucket pointer.
+constexpr size_t kDistinctPairBytes = sizeof(uint64_t) + 2 * sizeof(void*);
 
-/// Hash of a `width`-id group key: a multiplicative fold, mixed once.
+/// Hash of a `width`-id group key: a multiplicative fold, then the
+/// SplitMix64 finalizer, which spreads every input bit over the low bits
+/// the slot table masks with.
 uint64_t HashKey(const rdf::TermId* key, size_t width) {
   uint64_t h = width;
   for (size_t i = 0; i < width; ++i) h = (h ^ key[i]) * 0x9E3779B97F4A7C15ULL;
-  return Mix(h);
+  h ^= h >> 30;
+  h *= 0xBF58476D1CE4E5B9ULL;
+  h ^= h >> 27;
+  h *= 0x94D049BB133111EBULL;
+  return h ^ (h >> 31);
 }
 
 }  // namespace
@@ -76,30 +75,6 @@ double AggState::Finish(AggFunc f) const {
       return static_cast<double>(count);
   }
   return 0.0;
-}
-
-bool GroupTermSet::Insert(uint32_t group, rdf::TermId term) {
-  const uint64_t word = static_cast<uint64_t>(group) << 32 | term;
-  const size_t mask = slots_.size() - 1;
-  for (size_t i = Mix(word) & mask;; i = (i + 1) & mask) {
-    if (slots_[i] == word) return false;
-    if (slots_[i] != 0) continue;
-    slots_[i] = word;
-    if (++size_ * 2 > slots_.size()) Rehash(slots_.size() * 2);
-    return true;
-  }
-}
-
-void GroupTermSet::Rehash(size_t capacity) {
-  std::vector<uint64_t> old(capacity, 0);
-  old.swap(slots_);
-  const size_t mask = capacity - 1;
-  for (uint64_t word : old) {
-    if (word == 0) continue;
-    size_t i = Mix(word) & mask;
-    while (slots_[i] != 0) i = (i + 1) & mask;
-    slots_[i] = word;
-  }
 }
 
 GroupAggregator::GroupAggregator(const rdf::TripleStore& store,
@@ -179,9 +154,11 @@ void GroupAggregator::Accumulate(const std::vector<rdf::TermId>& bindings) {
     const rdf::TermId term = bindings[op.slot];
     if (op.kind == AggOp::kValue) {
       states[a].Update(store_.term(term).AsDouble());
-    } else if (distinct_[op.distinct].Insert(group, term)) {
+    } else if (distinct_[op.distinct]
+                   .insert(static_cast<uint64_t>(group) << 32 | term)
+                   .second) {
       ++states[a].count;
-      if (guard_ != nullptr) guard_->ChargeBytes(2 * sizeof(uint64_t));
+      if (guard_ != nullptr) guard_->ChargeBytes(kDistinctPairBytes);
     }
   }
 }
@@ -200,13 +177,7 @@ util::Result<size_t> GroupAggregator::Emit(
       }
     }
   }
-  // Reserve the capacity push_back growth would reach anyway (the next
-  // power of two; none for no groups), without its intermediate arrays:
-  // the result cache charges a table by its row capacity
-  // (engine::EstimateTableCost), so an exact reserve would change which
-  // results it admits.
   std::vector<Row>& rows = table->mutable_rows();
-  if (n_groups_ > 0) rows.reserve(std::bit_ceil(rows.size() + n_groups_));
   for (uint32_t g = 0; g < n_groups_; ++g) {
     if (guard_ != nullptr && (g + 1) % kGuardPollInterval == 0) {
       RE2X_RETURN_IF_ERROR(guard_->Check());

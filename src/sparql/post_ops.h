@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <unordered_set>
 #include <vector>
 
 #include "rdf/triple_store.h"
@@ -33,7 +34,7 @@ struct PostOpProf {
 
 /// Running state of one aggregate: 32 bytes. A COUNT(DISTINCT ?v)
 /// aggregate keeps its distinct-term count in `count`; the terms it has
-/// seen live in a GroupTermSet beside the group table.
+/// seen live in a set beside the group table.
 struct AggState {
   double sum = 0;
   double min = std::numeric_limits<double>::infinity();
@@ -45,21 +46,6 @@ struct AggState {
 };
 static_assert(sizeof(AggState) == 32);
 
-/// The (group, term) pairs one COUNT(DISTINCT) aggregate has seen: a flat
-/// open-addressing set of `group << 32 | term` words (term ids are never
-/// 0, so 0 marks an empty slot), linear probing, load at most 0.5.
-class GroupTermSet {
- public:
-  /// Adds the pair; true when it was not present yet.
-  bool Insert(uint32_t group, rdf::TermId term);
-
- private:
-  void Rehash(size_t capacity);
-
-  std::vector<uint64_t> slots_ = std::vector<uint64_t>(16, 0);
-  size_t size_ = 0;
-};
-
 /// Hash-grouping aggregation: accumulates join bindings into per-group
 /// aggregate states, then emits one output row per group.
 ///
@@ -68,16 +54,18 @@ class GroupTermSet {
 /// are `states_[g*aggs, (g+1)*aggs)`. An open-addressing table of
 /// `uint32_t` slots (group index + 1, 0 = empty; linear probing, load at
 /// most 0.5) finds a key's group; growth re-slots groups by re-hashing
-/// their stored keys. A group costs 4*width + 32*aggs + 8 bytes. The
-/// COUNT(DISTINCT) sets exist only for queries that use one.
+/// their stored keys. A group costs at least 4*width + 32*aggs + 8 bytes,
+/// and up to about twice that right after the arrays or the table grow.
+/// The COUNT(DISTINCT) sets exist only for queries that use one.
 class GroupAggregator {
  public:
   /// `items` / `item_slots` are the projected columns and their binding
   /// slots (-1 for COUNT(*)); `group_slots` the GROUP BY slots in declared
   /// order. `items` must outlive the aggregator. When a `guard` is
-  /// supplied, each newly created group (and each distinct term retained
-  /// for COUNT(DISTINCT)) is charged against its byte budget; the
-  /// violation surfaces at the join loop's next budget poll.
+  /// supplied, each newly created group is charged its steady-state bytes
+  /// (bytes_per_group()) and each (group, term) pair retained for
+  /// COUNT(DISTINCT) a set node and its bucket; the violation surfaces at
+  /// the join loop's next budget poll.
   GroupAggregator(const rdf::TripleStore& store,
                   const std::vector<SelectItem>& items,
                   const std::vector<int>& item_slots,
@@ -103,8 +91,8 @@ class GroupAggregator {
     size_t distinct;  // index into distinct_ (kDistinct only)
   };
 
-  /// Bytes one group adds to the aggregator (what the guard is charged):
-  /// its key, its states and two slots at load 0.5.
+  /// Bytes one group adds to the aggregator at steady state (what the
+  /// guard is charged): its key, its states and two slots at load 0.5.
   size_t bytes_per_group() const {
     return width_ * sizeof(rdf::TermId) + aggs_.size() * sizeof(AggState) +
            2 * sizeof(uint32_t);
@@ -126,8 +114,9 @@ class GroupAggregator {
   std::vector<uint32_t> slots_ = std::vector<uint32_t>(16, 0);
   std::vector<rdf::TermId> keys_;
   std::vector<AggState> states_;
-  std::vector<GroupTermSet> distinct_;  // one per COUNT(DISTINCT) item
-  std::vector<rdf::TermId> key_;        // Accumulate's scratch key
+  // One set of `group << 32 | term` words per COUNT(DISTINCT) item.
+  std::vector<std::unordered_set<uint64_t>> distinct_;
+  std::vector<rdf::TermId> key_;  // Accumulate's scratch key
   uint32_t n_groups_ = 0;
 };
 

@@ -229,8 +229,8 @@ TEST_F(AggregationTest, TinyByteBudgetTripsOnGroupBy) {
   }
 }
 
-// The guard is charged exactly the table's bytes per group: 4 per key
-// column, 32 per aggregate state and 8 of slot table.
+// The guard is charged the table's steady-state bytes per group: 4 per
+// key column, 32 per aggregate state and 8 of slot table.
 TEST_F(AggregationTest, GuardIsChargedPerGroupBytes) {
   const std::string query =
       std::string("SELECT ?a ?b (SUM(?v) AS ?s) (COUNT(*) AS ?n) WHERE { ") +
