@@ -6,7 +6,10 @@
 # (version-1 image) and once with the compressed block format (version-2
 # image with per-block checksums) — and cross-checks that both images
 # export the identical triple set. Run under each sanitizer job so the
-# loader's corruption paths stay ASan/TSan-clean.
+# loader's corruption paths stay ASan/TSan-clean. The fixture's labels
+# include a multi-word one and a case-only duplicate, and the text_index
+# section must hash the same in both images (it depends only on the
+# dictionary, not on the index format).
 set -euo pipefail
 
 BUILD_DIR="${1:?usage: snapshot_roundtrip.sh <build-dir>}"
@@ -23,6 +26,8 @@ cat > "$WORK/data.nt" <<'EOF'
 <http://e/obs2> <http://e/count> "7"^^xsd:integer .
 <http://e/de> <http://e/label> "Germany" .
 <http://e/fr> <http://e/label> "France" .
+<http://e/de> <http://e/altLabel> "GERMANY" .
+<http://e/fr> <http://e/altLabel> "French Republic of 2014" .
 EOF
 
 sort "$WORK/data.nt" > "$WORK/expected"
@@ -31,8 +36,14 @@ round_trip() {
   local format="$1"
   local snap="$WORK/data-$format.snap"
   "$CLI" build "--format=$format" "$WORK/data.nt" "$snap" http://e/Obs
-  "$CLI" inspect "$snap"
+  "$CLI" inspect "$snap" | tee "$WORK/inspect-$format"
   "$CLI" verify "$snap"
+  awk '/text_index/{for (i = 1; i <= NF; i++) if ($i ~ /^xxh64=/) print $i}' \
+    "$WORK/inspect-$format" > "$WORK/text-$format"
+  if [ ! -s "$WORK/text-$format" ]; then
+    echo "ERROR: inspect printed no text_index checksum for $format" >&2
+    exit 1
+  fi
 
   "$CLI" export "$snap" "$WORK/export-$format.nt"
   sort "$WORK/export-$format.nt" > "$WORK/got-$format"
@@ -60,6 +71,8 @@ PYEOF
 round_trip raw
 round_trip compressed
 
-# The two formats must export the identical triple set.
+# The two formats must export the identical triple set and carry the
+# identical text index section.
 diff "$WORK/got-raw" "$WORK/got-compressed"
+diff "$WORK/text-raw" "$WORK/text-compressed"
 echo "snapshot round-trip OK (raw + compressed)"

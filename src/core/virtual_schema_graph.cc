@@ -270,7 +270,7 @@ util::Result<VirtualSchemaGraph> VirtualSchemaGraph::Build(
   for (size_t i = 0; i < vsg.edges_.size(); ++i) {
     vsg.out_edges_[vsg.edges_[i].from].push_back(static_cast<int>(i));
   }
-  vsg.IndexMembers();
+  vsg.CountMembers();
   vsg.ComputePaths();
   st.build_millis = timer.ElapsedMillis();
   return vsg;
@@ -310,7 +310,7 @@ util::Result<VirtualSchemaGraph> VirtualSchemaGraph::FromParts(
   for (size_t i = 0; i < vsg.edges_.size(); ++i) {
     vsg.out_edges_[vsg.edges_[i].from].push_back(static_cast<int>(i));
   }
-  vsg.IndexMembers();
+  vsg.CountMembers();
   vsg.ComputePaths();
   return vsg;
 }
@@ -399,8 +399,8 @@ util::Status VirtualSchemaGraph::Update(
     std::vector<rdf::TermId>& ms = nodes_[node].members;
     auto pos = std::lower_bound(ms.begin(), ms.end(), member);
     if (pos != ms.end() && *pos == member) continue;
+    if (NodesOfMember(member).empty()) ++total_members_;
     ms.insert(pos, member);
-    member_nodes_[member].push_back(node);
     if (stats) {
       ++stats->members_visited;
       ++stats->store_scans;
@@ -429,12 +429,14 @@ util::Status VirtualSchemaGraph::Update(
   return util::Status::OK();
 }
 
-void VirtualSchemaGraph::IndexMembers() {
-  member_nodes_.clear();
+void VirtualSchemaGraph::CountMembers() {
+  std::vector<rdf::TermId> all;
   for (const VsgNode& n : nodes_) {
-    if (n.is_root) continue;
-    for (rdf::TermId m : n.members) member_nodes_[m].push_back(n.id);
+    if (!n.is_root) all.insert(all.end(), n.members.begin(), n.members.end());
   }
+  std::sort(all.begin(), all.end());
+  total_members_ = static_cast<size_t>(
+      std::unique(all.begin(), all.end()) - all.begin());
 }
 
 void VirtualSchemaGraph::ComputePaths() {
@@ -488,8 +490,13 @@ std::vector<const LevelPath*> VirtualSchemaGraph::PathsTo(int node) const {
 }
 
 std::vector<int> VirtualSchemaGraph::NodesOfMember(rdf::TermId member) const {
-  auto it = member_nodes_.find(member);
-  return it == member_nodes_.end() ? std::vector<int>{} : it->second;
+  // A graph has a few dozen levels, so one binary search per level's
+  // sorted members beats keeping a member -> levels map.
+  std::vector<int> out;
+  for (const VsgNode& n : nodes_) {
+    if (!n.is_root && IsMemberOf(member, n.id)) out.push_back(n.id);
+  }
+  return out;
 }
 
 bool VirtualSchemaGraph::IsMemberOf(rdf::TermId member, int node) const {
@@ -513,10 +520,6 @@ size_t VirtualSchemaGraph::hierarchy_count() const {
   return n;
 }
 
-size_t VirtualSchemaGraph::total_members() const {
-  return member_nodes_.size();
-}
-
 size_t VirtualSchemaGraph::MemoryUsage() const {
   size_t bytes = 0;
   for (const VsgNode& n : nodes_) {
@@ -528,9 +531,6 @@ size_t VirtualSchemaGraph::MemoryUsage() const {
   for (const LevelPath& p : level_paths_) {
     bytes += sizeof(LevelPath) + p.predicates.capacity() * sizeof(rdf::TermId);
   }
-  bytes += member_nodes_.size() *
-           (sizeof(rdf::TermId) + sizeof(std::vector<int>) + 2 * sizeof(int) +
-            2 * sizeof(void*));
   return bytes;
 }
 

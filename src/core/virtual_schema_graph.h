@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "rdf/triple_store.h"
@@ -13,8 +12,9 @@
 namespace re2xolap::core {
 
 /// A node of the virtual schema graph: one hierarchy level (or the
-/// observation root). Holds the level's member ids so that ReOLAP can map
-/// matched entities back to levels without querying the store.
+/// observation root). Holds the level's sorted member ids, which
+/// NodesOfMember() binary-searches so that ReOLAP can map matched entities
+/// back to levels without querying the store.
 struct VsgNode {
   int id = -1;
   bool is_root = false;
@@ -153,7 +153,8 @@ class VirtualSchemaGraph {
   /// Paths whose target node is `node`.
   std::vector<const LevelPath*> PathsTo(int node) const;
 
-  /// Nodes (levels) a member id belongs to; empty for non-members.
+  /// Nodes (levels) a member id belongs to, ascending; empty for
+  /// non-members. Binary-searches each level's sorted `members`.
   std::vector<int> NodesOfMember(rdf::TermId member) const;
 
   /// True when `member` belongs to level `node`.
@@ -168,8 +169,9 @@ class VirtualSchemaGraph {
   size_t hierarchy_count() const;
   /// Number of levels = nodes excluding the root.
   size_t level_count() const { return nodes_.size() - 1; }
-  /// Total dimension members across levels (paper's |N_D|).
-  size_t total_members() const;
+  /// Total dimension members across levels (paper's |N_D|): distinct ids,
+  /// counted once by Build/FromParts and kept current by Update.
+  size_t total_members() const { return total_members_; }
   size_t measure_count() const { return measures_.size(); }
 
   /// Approximate heap footprint in bytes (Table 3's "VGraph" column).
@@ -177,7 +179,7 @@ class VirtualSchemaGraph {
 
  private:
   VirtualSchemaGraph() = default;
-  void IndexMembers();
+  void CountMembers();
   void ComputePaths();
 
   std::vector<VsgNode> nodes_;
@@ -186,7 +188,7 @@ class VirtualSchemaGraph {
   std::vector<rdf::TermId> measures_;
   std::vector<rdf::TermId> observation_attrs_;
   std::vector<LevelPath> level_paths_;
-  std::unordered_map<rdf::TermId, std::vector<int>> member_nodes_;
+  size_t total_members_ = 0;
 };
 
 /// "countryOrigin" / "country_origin" / IRI -> "Country Origin".

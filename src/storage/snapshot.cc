@@ -137,31 +137,23 @@ util::Status EncodeStats(
   return util::Status::OK();
 }
 
-void EncodePostingsMap(
-    const std::unordered_map<std::string, std::vector<TermId>>& map,
-    ByteWriter* w) {
-  // Deterministic images: emit entries in key order.
-  std::vector<const std::pair<const std::string, std::vector<TermId>>*> order;
-  order.reserve(map.size());
-  for (const auto& entry : map) order.push_back(&entry);
-  std::sort(order.begin(), order.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  w->U64(order.size());
-  for (const auto* entry : order) {
-    w->Str(entry->first);
-    w->U64(entry->second.size());
-    for (TermId id : entry->second) w->U32(id);
-  }
-}
-
 util::Status EncodeTextIndex(const rdf::TextIndex& text,
                              const util::ExecGuard* guard, std::string* out) {
   RE2X_RETURN_IF_ERROR(GuardCheck(guard));
   ByteWriter w;
+  // Each table: u64 key count, then per key in ascending key order the
+  // u32-length-prefixed key, the u64 list length and the u32 ids.
+  auto put = [&w](std::string_view key, std::span<const TermId> ids) {
+    w.Str(key);
+    w.U64(ids.size());
+    w.Bytes(ids.data(), ids.size_bytes());
+  };
   w.U64(text.indexed_literal_count());
-  EncodePostingsMap(text.exact_map(), &w);
+  w.U64(text.exact_key_count());
+  text.ForEachExact(put);
   RE2X_RETURN_IF_ERROR(GuardCheck(guard));
-  EncodePostingsMap(text.postings_map(), &w);
+  w.U64(text.distinct_token_count());
+  text.ForEachPosting(put);
   *out = w.Take();
   return util::Status::OK();
 }
@@ -224,33 +216,43 @@ util::Status CheckTermId(uint32_t id, uint64_t term_count, const char* what) {
   return util::Status::OK();
 }
 
-/// Reads a u64-counted list of term ids, bounds-checking the count against
-/// the remaining payload before reserving and every id against the
-/// dictionary size.
-util::Status ReadIdList(ByteReader* r, uint64_t term_count, const char* what,
-                        std::vector<TermId>* out) {
+/// Appends a u64-counted list of term ids to `out`, bounds-checking the
+/// count against the remaining payload before growing and every id
+/// against the dictionary size.
+util::Status AppendIdList(ByteReader* r, uint64_t term_count, const char* what,
+                          std::vector<TermId>* out) {
   uint64_t n = 0;
   RE2X_RETURN_IF_ERROR(r->U64(&n));
-  if (n * sizeof(TermId) > r->remaining()) {
+  // Divide rather than multiply: a crafted count must not wrap.
+  if (n > r->remaining() / sizeof(TermId)) {
     return util::Status::ParseError(
         std::string("snapshot ") + what + " id list overruns payload");
   }
   // Bulk-copy the array (bounds were checked above), then range-check with
   // plain compares; a Status is only built on the failure path. Id lists
   // appear once per posting / member list, so this loop is hot.
-  out->resize(n);
+  const size_t base = out->size();
+  out->resize(base + n);
   if (n > 0) {
-    std::memcpy(out->data(), r->cursor(), n * sizeof(TermId));
+    std::memcpy(out->data() + base, r->cursor(), n * sizeof(TermId));
     RE2X_RETURN_IF_ERROR(r->Skip(n * sizeof(TermId)));
   }
   const uint32_t max_id =
       static_cast<uint32_t>(std::min<uint64_t>(term_count, UINT32_MAX));
-  for (uint32_t id : *out) {
+  for (size_t i = base; i < out->size(); ++i) {
+    const uint32_t id = (*out)[i];
     if (id - 1 >= max_id) [[unlikely]] {
       return CheckTermId(id, term_count, what);
     }
   }
   return util::Status::OK();
+}
+
+/// Reads a u64-counted list of term ids into `out` (replacing it).
+util::Status ReadIdList(ByteReader* r, uint64_t term_count, const char* what,
+                        std::vector<TermId>* out) {
+  out->clear();
+  return AppendIdList(r, term_count, what, out);
 }
 
 util::Status DecodeDictionary(const std::byte* data, size_t bytes,
@@ -332,38 +334,62 @@ util::Status DecodeStats(const std::byte* data, size_t bytes,
   return util::Status::OK();
 }
 
-util::Status DecodePostingsMap(
-    ByteReader* r, uint64_t term_count, const char* what,
-    const util::ExecGuard* guard,
-    std::unordered_map<std::string, std::vector<TermId>>* out) {
+/// Decodes one key table straight into its flat form. Keys must be
+/// strictly ascending (which also rules out repeats) and each id list
+/// strictly ascending, so the decoded table is exactly what the encoder
+/// visited.
+util::Status DecodeKeyTable(ByteReader* r, uint64_t term_count,
+                            const char* what, const util::ExecGuard* guard,
+                            rdf::TextIndex::KeyTable* out) {
   uint64_t entries = 0;
   RE2X_RETURN_IF_ERROR(r->U64(&entries));
   // Each entry needs at least 12 bytes (key length + list length).
-  if (entries * 12 > r->remaining()) {
+  if (entries > r->remaining() / 12) {
     return util::Status::ParseError(std::string("snapshot ") + what +
                                     " overruns payload");
   }
-  out->clear();
-  out->reserve(entries);
-  std::string key;
+  out->key_offsets.reserve(entries + 1);
+  out->list_offsets.reserve(entries + 1);
+  // The previous key, as a view into the payload.
+  std::string_view prev;
   for (uint64_t i = 0; i < entries; ++i) {
     if ((i + 1) % kGuardStride == 0) RE2X_RETURN_IF_ERROR(GuardCheck(guard));
-    RE2X_RETURN_IF_ERROR(r->Str(&key));
-    std::vector<TermId> ids;
-    RE2X_RETURN_IF_ERROR(ReadIdList(r, term_count, what, &ids));
+    uint32_t len = 0;
+    RE2X_RETURN_IF_ERROR(r->U32(&len));
+    if (len > r->remaining()) {
+      return util::Status::ParseError(std::string("snapshot ") + what +
+                                      " key overruns payload");
+    }
+    const std::string_view key(reinterpret_cast<const char*>(r->cursor()),
+                               len);
+    RE2X_RETURN_IF_ERROR(r->Skip(len));
+    if (i > 0 && key <= prev) {
+      return util::Status::ParseError(std::string("snapshot ") + what +
+                                      " keys are not sorted/unique at \"" +
+                                      std::string(key) + "\"");
+    }
+    prev = key;
+    const size_t base = out->ids.size();
+    RE2X_RETURN_IF_ERROR(AppendIdList(r, term_count, what, &out->ids));
     // Posting lists must be strictly increasing: KeywordMatch intersects
     // them with std::set_intersection, which requires sorted input.
-    for (size_t j = 1; j < ids.size(); ++j) {
-      if (ids[j] <= ids[j - 1]) [[unlikely]] {
+    for (size_t j = base + 1; j < out->ids.size(); ++j) {
+      if (out->ids[j] <= out->ids[j - 1]) [[unlikely]] {
         return util::Status::ParseError(std::string("snapshot ") + what +
-                                        " posting list for \"" + key +
+                                        " posting list for \"" +
+                                        std::string(key) +
                                         "\" is not sorted/unique");
       }
     }
-    if (!out->emplace(std::move(key), std::move(ids)).second) {
+    // The payload is bounded by the file, which may exceed what 32-bit
+    // offsets address.
+    if (out->keys.size() + len > UINT32_MAX || out->ids.size() > UINT32_MAX) {
       return util::Status::ParseError(std::string("snapshot ") + what +
-                                      " repeats a key");
+                                      " exceeds 32-bit offsets");
     }
+    out->keys.append(key);
+    out->key_offsets.push_back(static_cast<uint32_t>(out->keys.size()));
+    out->list_offsets.push_back(static_cast<uint32_t>(out->ids.size()));
   }
   return util::Status::OK();
 }
@@ -375,15 +401,15 @@ util::Status DecodeTextIndex(const std::byte* data, size_t bytes,
   ByteReader r(data, bytes);
   uint64_t indexed = 0;
   RE2X_RETURN_IF_ERROR(r.U64(&indexed));
-  std::unordered_map<std::string, std::vector<TermId>> exact, postings;
+  rdf::TextIndex::KeyTable exact, postings;
   RE2X_RETURN_IF_ERROR(
-      DecodePostingsMap(&r, term_count, "text exact index", guard, &exact));
+      DecodeKeyTable(&r, term_count, "text exact index", guard, &exact));
   RE2X_RETURN_IF_ERROR(
-      DecodePostingsMap(&r, term_count, "text postings", guard, &postings));
+      DecodeKeyTable(&r, term_count, "text postings", guard, &postings));
   if (r.remaining() != 0) {
     return util::Status::ParseError("snapshot text index has trailing garbage");
   }
-  *out = rdf::TextIndex::FromParts(std::move(postings), std::move(exact),
+  *out = rdf::TextIndex::FromParts(std::move(exact), std::move(postings),
                                    static_cast<size_t>(indexed));
   return util::Status::OK();
 }

@@ -2,6 +2,7 @@
 #include <map>
 #include <random>
 #include <set>
+#include <span>
 #include <sstream>
 #include <tuple>
 #include <unordered_map>
@@ -16,6 +17,7 @@
 #include "rdf/term.h"
 #include "rdf/text_index.h"
 #include "rdf/triple_store.h"
+#include "util/exec_guard.h"
 #include "util/hash.h"
 #include "util/string_utils.h"
 
@@ -397,8 +399,32 @@ TEST_F(TextIndexTest, EmptyQueryMatchesNothing) {
 
 using TextMap = std::map<std::string, std::vector<TermId>>;
 
-TextMap Sorted(const std::unordered_map<std::string, std::vector<TermId>>& m) {
-  return TextMap(m.begin(), m.end());
+// The index's tables through its ordered visitors, checking on the way
+// that keys arrive strictly ascending.
+TextMap Visited(const TextIndex& index, bool exact) {
+  TextMap out;
+  auto visit = [&out](std::string_view key, std::span<const TermId> ids) {
+    EXPECT_TRUE(out.empty() || out.rbegin()->first < key) << key;
+    out.emplace(std::string(key), std::vector<TermId>(ids.begin(), ids.end()));
+  };
+  if (exact) {
+    index.ForEachExact(visit);
+  } else {
+    index.ForEachPosting(visit);
+  }
+  return out;
+}
+
+std::vector<TermId> Prefix(std::vector<TermId> ids, size_t limit) {
+  if (limit > 0 && ids.size() > limit) ids.resize(limit);
+  return ids;
+}
+
+std::string AsciiUpper(std::string s) {
+  for (char& c : s) {
+    if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
+  }
+  return s;
 }
 
 // A random literal built from pieces that stress the tokenizer: mixed
@@ -458,6 +484,10 @@ TEST_F(TextIndexTest, BuildMatchesReferenceTokenizer) {
           store.Add(subj, label, Term::StringLiteral(text));
       }
     }
+    // Case-only duplicates: three literals, one exact key.
+    for (const char* text : {"Paris", "paris", "PARIS"}) {
+      store.Add(Term::Iri("city"), label, Term::StringLiteral(text));
+    }
     store.Add(Term::Iri("n"), label, Term::IntegerLiteral(2014));
     store.Freeze();
 
@@ -474,11 +504,107 @@ TEST_F(TextIndexTest, BuildMatchesReferenceTokenizer) {
       for (const std::string& tok : tokens) postings[tok].push_back(id);
     });
     ASSERT_GT(literals, 500u);
+    ASSERT_EQ(exact["paris"].size(), 3u);
 
     TextIndex index(store);
     EXPECT_EQ(index.indexed_literal_count(), literals);
-    EXPECT_EQ(Sorted(index.exact_map()), exact);
-    EXPECT_EQ(Sorted(index.postings_map()), postings);
+    EXPECT_EQ(index.exact_key_count(), exact.size());
+    EXPECT_EQ(index.distinct_token_count(), postings.size());
+    EXPECT_EQ(Visited(index, /*exact=*/true), exact);
+    EXPECT_EQ(Visited(index, /*exact=*/false), postings);
+
+    // The reference answer of Match(): exact key first, else keywords.
+    auto keyword_ref = [&](const std::string& query) {
+      std::vector<std::string> tokens = util::TokenizeWords(query);
+      if (tokens.empty()) return std::vector<TermId>{};
+      std::vector<TermId> out;
+      for (size_t i = 0; i < tokens.size(); ++i) {
+        auto it = postings.find(tokens[i]);
+        if (it == postings.end()) return std::vector<TermId>{};
+        if (i == 0) {
+          out = it->second;
+          continue;
+        }
+        std::vector<TermId> next;
+        std::set_intersection(out.begin(), out.end(), it->second.begin(),
+                              it->second.end(), std::back_inserter(next));
+        out.swap(next);
+      }
+      return out;
+    };
+    auto match_ref = [&](const std::string& query) {
+      auto it = exact.find(util::ToLower(query));
+      return it != exact.end() ? it->second : keyword_ref(query);
+    };
+
+    // Every key, in any ASCII case and under a random limit.
+    for (const auto& [key, ids] : exact) {
+      SCOPED_TRACE(key);
+      const size_t limit = rng() % 4;
+      EXPECT_EQ(index.ExactMatch(key), ids);
+      EXPECT_EQ(index.ExactMatch(AsciiUpper(key)), ids);
+      EXPECT_EQ(index.Match(key, limit), Prefix(ids, limit));
+    }
+    EXPECT_EQ(index.ExactMatch("pArIs"), exact["paris"]);
+    EXPECT_EQ(index.Match("Paris", 2), Prefix(exact["paris"], 2));
+    for (const auto& [tok, ids] : postings) {
+      SCOPED_TRACE(tok);
+      const size_t limit = rng() % 4;
+      EXPECT_EQ(index.KeywordMatch(tok), ids);
+      EXPECT_EQ(index.KeywordMatch(AsciiUpper(tok), limit),
+                Prefix(ids, limit));
+      EXPECT_EQ(index.Match(tok, limit), Prefix(match_ref(tok), limit));
+    }
+
+    // Random multi-token queries, some with a token no literal has.
+    std::vector<std::string> tokens;
+    for (const auto& entry : postings) tokens.push_back(entry.first);
+    util::CancellationToken cancelled;
+    cancelled.Cancel();
+    const util::ExecGuard expired(util::ExecGuard::Limits{}, &cancelled);
+    for (int q = 0; q < 400; ++q) {
+      std::vector<std::string> picked;
+      for (size_t n = 1 + rng() % 3; n > 0; --n) {
+        picked.push_back(rng() % 8 == 0 ? "zzmissing"
+                                        : tokens[rng() % tokens.size()]);
+      }
+      std::string query;
+      for (const std::string& tok : picked) {
+        query += (rng() % 2 == 0 ? tok : AsciiUpper(tok));
+        query += " ,;"[rng() % 3];
+      }
+      SCOPED_TRACE(query);
+      const size_t limit = rng() % 4;
+      const std::vector<TermId> want = keyword_ref(query);
+      EXPECT_EQ(index.KeywordMatch(query), want);
+      EXPECT_EQ(index.KeywordMatch(query, limit), Prefix(want, limit));
+      EXPECT_EQ(index.Match(query, limit), Prefix(match_ref(query), limit));
+
+      // An expired guard stops before the first intersection: the answer
+      // is a shortest posting list, a superset of the full answer.
+      const std::vector<TermId> degraded =
+          index.KeywordMatch(query, 0, &expired);
+      const bool missing =
+          std::find(picked.begin(), picked.end(), "zzmissing") != picked.end();
+      if (missing) {
+        EXPECT_TRUE(degraded.empty());
+        continue;
+      }
+      size_t shortest = SIZE_MAX;
+      bool is_a_list = false;
+      for (const std::string& tok : picked) {
+        shortest = std::min(shortest, postings[tok].size());
+      }
+      for (const std::string& tok : picked) {
+        is_a_list |= postings[tok] == degraded;
+      }
+      EXPECT_EQ(degraded.size(), shortest);
+      EXPECT_TRUE(is_a_list);
+      EXPECT_TRUE(std::includes(degraded.begin(), degraded.end(),
+                                want.begin(), want.end()));
+      EXPECT_EQ(index.KeywordMatch(query, limit, &expired),
+                Prefix(degraded, limit));
+    }
   }
 }
 
@@ -493,8 +619,8 @@ TEST_F(TextIndexTest, GeneratedDbpediaMatchesRecordedDigest) {
     for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<char>(v >> (8 * i)));
   };
   add(index.indexed_literal_count());
-  for (const auto* map : {&index.exact_map(), &index.postings_map()}) {
-    const TextMap sorted = Sorted(*map);
+  for (bool exact : {true, false}) {
+    const TextMap sorted = Visited(index, exact);
     add(sorted.size());
     for (const auto& [key, ids] : sorted) {
       add(key.size());

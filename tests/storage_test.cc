@@ -3,7 +3,9 @@
 // magic, version skew, single-bit flips — all of which must surface as
 // typed Status errors, never UB (the suite runs under ASan/TSan in CI).
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -13,6 +15,8 @@
 #include "core/session.h"
 #include "core/virtual_schema_graph.h"
 #include "engine/query_engine.h"
+#include "qb/datasets.h"
+#include "qb/generator.h"
 #include "rdf/text_index.h"
 #include "rdf/triple_store.h"
 #include "storage/snapshot.h"
@@ -20,6 +24,9 @@
 #include "tests/test_data.h"
 #include "util/exec_guard.h"
 #include "util/failpoint.h"
+#include "util/hash.h"
+#include "util/rng.h"
+#include "util/string_utils.h"
 #include "util/thread_pool.h"
 
 namespace re2xolap {
@@ -443,6 +450,248 @@ TEST(SnapshotTest, SessionOpenRejectsStoreOnlyImages) {
   // But the engine-level and storage-level entry points accept it.
   EXPECT_TRUE(engine::QueryEngine::OpenSnapshot(path).ok());
   std::remove(path.c_str());
+}
+
+// --- text index section ------------------------------------------------------
+
+/// A DBpedia(1000) image carrying the text index, with its text_index
+/// section located in the header's section table.
+class TextSectionTest : public ::testing::Test {
+ protected:
+  // Header layout: a 56-byte fixed prefix, then 32-byte section entries
+  // (id u32, pad u32, offset u64, bytes u64, checksum u64), then the u64
+  // header checksum over everything before it.
+  static constexpr size_t kFixedHeaderBytes = 56;
+  static constexpr size_t kEntryBytes = 32;
+
+  void SetUp() override {
+    path_ = TempPath(std::string(::testing::UnitTest::GetInstance()
+                                     ->current_test_info()
+                                     ->name()) +
+                     "_text.snap");
+    auto ds = qb::Generate(qb::DbpediaSpec(1000));
+    ASSERT_TRUE(ds.ok()) << ds.status();
+    store_ = std::move(ds->store);
+    text_ = std::make_unique<rdf::TextIndex>(*store_);
+    util::Status st =
+        storage::SaveSnapshot(path_, *store_, text_.get(), nullptr);
+    ASSERT_TRUE(st.ok()) << st;
+    image_ = ReadAll(path_);
+    auto info = storage::InspectSnapshot(path_);
+    ASSERT_TRUE(info.ok()) << info.status();
+    section_count_ = info->sections.size();
+    for (size_t i = 0; i < section_count_; ++i) {
+      if (info->sections[i].id == storage::SectionId::kTextIndex) {
+        entry_ = i;
+        section_ = info->sections[i];
+      }
+    }
+    ASSERT_LT(entry_, section_count_);
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  std::string Payload() const {
+    return std::string(image_.data() + section_.offset, section_.bytes);
+  }
+
+  /// Writes the image with the text section's payload replaced by
+  /// `payload` (no longer than the original) and both its checksum and
+  /// the header checksum recomputed, so the section decoder — not a
+  /// checksum — has to judge the bytes.
+  void WriteWithTextSection(const std::string& payload) {
+    ASSERT_LE(payload.size(), section_.bytes);
+    std::vector<char> image = image_;
+    std::memcpy(image.data() + section_.offset, payload.data(),
+                payload.size());
+    auto put = [&image](size_t at, uint64_t v) {
+      std::memcpy(image.data() + at, &v, sizeof(v));
+    };
+    const size_t entry = kFixedHeaderBytes + entry_ * kEntryBytes;
+    put(entry + 16, payload.size());
+    put(entry + 24, util::Xxh64(payload.data(), payload.size()));
+    const size_t header = kFixedHeaderBytes + section_count_ * kEntryBytes;
+    put(header, util::Xxh64(image.data(), header));
+    WriteAll(path_, image);
+  }
+
+  /// Loads the rewritten image in both modes and requires the same typed
+  /// ParseError naming `hint`.
+  void ExpectTextSectionRejected(const std::string& payload,
+                                 const std::string& hint) {
+    WriteWithTextSection(payload);
+    for (bool mmap : {false, true}) {
+      SnapshotLoadOptions options;
+      options.use_mmap = mmap;
+      auto loaded = storage::LoadSnapshot(path_, options);
+      ASSERT_FALSE(loaded.ok()) << "mmap=" << mmap << " hint=" << hint;
+      EXPECT_TRUE(loaded.status().IsParseError()) << loaded.status();
+      EXPECT_NE(loaded.status().message().find(hint), std::string::npos)
+          << loaded.status();
+    }
+  }
+
+  std::string path_;
+  std::unique_ptr<rdf::TripleStore> store_;
+  std::unique_ptr<rdf::TextIndex> text_;
+  std::vector<char> image_;
+  size_t section_count_ = 0;
+  size_t entry_ = SIZE_MAX;
+  storage::SectionInfo section_;
+};
+
+// The text section of a generated DBpedia store is pinned to the XXH64 the
+// map-based index wrote, and a loaded index re-encodes to the same bytes.
+TEST_F(TextSectionTest, SectionBytesMatchRecordedDigest) {
+  EXPECT_EQ(section_.checksum, 12582234043719399162ull);
+  const std::string payload = Payload();
+  EXPECT_EQ(util::Xxh64(payload.data(), payload.size()), section_.checksum);
+
+  auto loaded = storage::LoadSnapshot(path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_NE(loaded->text, nullptr);
+  const std::string again = path_ + ".again";
+  util::Status st = storage::SaveSnapshot(again, *loaded->store,
+                                          loaded->text.get(), nullptr);
+  ASSERT_TRUE(st.ok()) << st;
+  auto info = storage::InspectSnapshot(again);
+  std::remove(again.c_str());
+  ASSERT_TRUE(info.ok()) << info.status();
+  bool found = false;
+  for (const storage::SectionInfo& s : info->sections) {
+    if (s.id != storage::SectionId::kTextIndex) continue;
+    found = true;
+    EXPECT_EQ(s.bytes, section_.bytes);
+    EXPECT_EQ(s.checksum, section_.checksum);
+  }
+  EXPECT_TRUE(found);
+}
+
+// Crafted sections: every structural defect is a typed ParseError.
+TEST_F(TextSectionTest, MalformedSectionsYieldTypedStatus) {
+  using Entries = std::vector<std::pair<std::string, std::vector<rdf::TermId>>>;
+  auto table = [](storage::ByteWriter* w, const Entries& entries) {
+    w->U64(entries.size());
+    for (const auto& [key, ids] : entries) {
+      w->Str(key);
+      w->U64(ids.size());
+      for (rdf::TermId id : ids) w->U32(id);
+    }
+  };
+  auto section = [&](const Entries& exact, const Entries& postings) {
+    storage::ByteWriter w;
+    w.U64(2);
+    table(&w, exact);
+    table(&w, postings);
+    return w.Take();
+  };
+  const Entries good = {{"east germany", {1, 2}}, {"germany", {3}}};
+  const auto past_end =
+      static_cast<rdf::TermId>(store_->dictionary().size() + 1);
+
+  // The well-formed baseline loads and answers from its own tables.
+  WriteWithTextSection(section(good, {{"germany", {1, 3}}}));
+  {
+    auto loaded = storage::LoadSnapshot(path_);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_EQ(loaded->text->ExactMatch("Germany"),
+              std::vector<rdf::TermId>{3});
+    EXPECT_EQ(loaded->text->KeywordMatch("GERMANY"),
+              (std::vector<rdf::TermId>{1, 3}));
+    EXPECT_TRUE(loaded->text->KeywordMatch("east").empty());
+  }
+
+  ExpectTextSectionRejected(section({{"a", {1}}, {"a", {2}}}, good),
+                            "not sorted/unique");
+  ExpectTextSectionRejected(section(good, {{"b", {1}}, {"a", {2}}}),
+                            "not sorted/unique");
+  ExpectTextSectionRejected(section(good, {{"a", {3, 2}}}),
+                            "posting list for \"a\"");
+  ExpectTextSectionRejected(section({{"a", {2, 2}}}, good),
+                            "posting list for \"a\"");
+  ExpectTextSectionRejected(section({{"a", {past_end}}}, good),
+                            "outside the dictionary");
+  ExpectTextSectionRejected(section(good, {{"a", {0}}}),
+                            "outside the dictionary");
+  ExpectTextSectionRejected(section(good, good) + "x", "trailing garbage");
+
+  storage::ByteWriter key_overrun;
+  key_overrun.U64(2);
+  key_overrun.U64(1);
+  key_overrun.U32(1000);
+  key_overrun.Bytes("ab", 2);
+  ExpectTextSectionRejected(key_overrun.Take(), "overruns payload");
+
+  // List and entry counts that would wrap a byte-size multiplication.
+  for (uint64_t n : {uint64_t{1000}, uint64_t{1} << 62, ~uint64_t{0}}) {
+    SCOPED_TRACE(n);
+    storage::ByteWriter list_overrun;
+    list_overrun.U64(2);
+    list_overrun.U64(1);
+    list_overrun.Str("a");
+    list_overrun.U64(n);
+    list_overrun.U32(1);
+    ExpectTextSectionRejected(list_overrun.Take(), "overruns payload");
+    storage::ByteWriter entries_overrun;
+    entries_overrun.U64(2);
+    entries_overrun.U64(n / 4 + 1);
+    entries_overrun.U64(0);
+    ExpectTextSectionRejected(entries_overrun.Take(), "overruns payload");
+  }
+
+  // Cut short inside the exact table, and with no postings table at all.
+  const std::string full = section(good, good);
+  ExpectTextSectionRejected(full.substr(0, 20), "");
+  storage::ByteWriter no_postings;
+  no_postings.U64(2);
+  table(&no_postings, good);
+  ExpectTextSectionRejected(no_postings.Take(), "");
+}
+
+// Seeded bit flips and truncations of the real section: each load either
+// succeeds with a usable index or fails with a typed ParseError.
+TEST_F(TextSectionTest, SeededMutationsYieldTypedStatus) {
+  const std::string original = Payload();
+  util::Rng rng(18);
+  size_t rejected = 0;
+  constexpr int kRounds = 60;
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE(round);
+    std::string payload = original;
+    const uint64_t kind = rng.Uniform(3);
+    if (kind != 1) {
+      for (uint64_t flips = 1 + rng.Uniform(4); flips > 0; --flips) {
+        payload[rng.Uniform(payload.size())] ^=
+            static_cast<char>(1u << rng.Uniform(8));
+      }
+    }
+    if (kind != 0) payload.resize(rng.Uniform(payload.size()));
+    WriteWithTextSection(payload);
+    SnapshotLoadOptions options;
+    options.use_mmap = round % 2 == 1;
+    auto loaded = storage::LoadSnapshot(path_, options);
+    if (!loaded.ok()) {
+      EXPECT_TRUE(loaded.status().IsParseError()) << loaded.status();
+      ++rejected;
+      continue;
+    }
+    // A surviving mutation still yields a well-formed index to query
+    // (sampled: every 16th key of each table).
+    ASSERT_NE(loaded->text, nullptr);
+    const rdf::TextIndex& text = *loaded->text;
+    size_t visited = 0;
+    text.ForEachExact([&](std::string_view key, auto ids) {
+      if (visited++ % 16 == 0 && util::ToLower(key) == key) {
+        EXPECT_EQ(text.ExactMatch(key).size(), ids.size()) << key;
+      }
+    });
+    text.ForEachPosting([&](std::string_view key, auto) {
+      if (visited++ % 16 != 0) return;
+      const std::vector<rdf::TermId> got = text.Match(key);
+      EXPECT_TRUE(std::is_sorted(got.begin(), got.end())) << key;
+    });
+  }
+  // Truncations alone guarantee a good share of rejections.
+  EXPECT_GT(rejected, static_cast<size_t>(kRounds / 3));
 }
 
 }  // namespace
