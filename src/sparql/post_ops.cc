@@ -87,18 +87,29 @@ GroupAggregator::GroupAggregator(const rdf::TripleStore& store,
       group_slots_(std::move(group_slots)),
       guard_(guard),
       width_(group_slots_.size()),
+      item_fold_(items.size(), 0),
       key_(group_slots_.size()) {
   for (size_t i = 0; i < items_.size(); ++i) {
     const SelectItem& it = items_[i];
     if (!it.is_aggregate) continue;
-    if (it.count_star) {
-      aggs_.push_back({AggOp::kCountStar, -1, 0});
-    } else if (it.distinct_agg) {
-      aggs_.push_back({AggOp::kDistinct, item_slots[i], distinct_.size()});
-      distinct_.emplace_back();
-    } else {
-      aggs_.push_back({AggOp::kValue, item_slots[i], 0});
+    const Fold fold =
+        it.count_star     ? Fold{Fold::kCountStar, -1, 0}
+        : it.distinct_agg ? Fold{Fold::kDistinct, item_slots[i], 0}
+                          : Fold{Fold::kValue, item_slots[i], 0};
+    const size_t f =
+        std::find_if(folds_.begin(), folds_.end(),
+                     [&](const Fold& g) {
+                       return g.kind == fold.kind && g.slot == fold.slot;
+                     }) -
+        folds_.begin();
+    if (f == folds_.size()) {
+      folds_.push_back(fold);
+      if (fold.kind == Fold::kDistinct) {
+        folds_.back().distinct = distinct_.size();
+        distinct_.emplace_back();
+      }
     }
+    item_fold_[i] = f;
   }
 }
 
@@ -112,8 +123,14 @@ uint32_t GroupAggregator::FindOrInsert(const rdf::TermId* key) {
     }
     const uint32_t group = n_groups_++;
     slots_[i] = n_groups_;
-    keys_.insert(keys_.end(), key, key + width_);
-    states_.resize(states_.size() + aggs_.size());
+    if (group % kBlockGroups == 0) {
+      Block& block = blocks_.emplace_back();
+      block.keys.reserve(size_t{kBlockGroups} * width_);
+      block.states.reserve(size_t{kBlockGroups} * folds_.size());
+    }
+    Block& block = blocks_.back();
+    block.keys.insert(block.keys.end(), key, key + width_);
+    block.states.resize(block.states.size() + folds_.size());
     if (static_cast<size_t>(n_groups_) * 2 > slots_.size()) {
       Rehash(slots_.size() * 2);
     }
@@ -143,21 +160,22 @@ void GroupAggregator::Accumulate(const std::vector<rdf::TermId>& bindings) {
   }
   // A pure GROUP BY without aggregates still registers the group here.
   const uint32_t group = FindOrInsert(key_.data());
-  AggState* states = states_.data() + static_cast<size_t>(group) * aggs_.size();
-  for (size_t a = 0; a < aggs_.size(); ++a) {
-    const AggOp& op = aggs_[a];
-    if (op.kind == AggOp::kCountStar) {
-      ++states[a].count;  // COUNT(*) reads nothing but the count
+  AggState* states = blocks_[group / kBlockGroups].states.data() +
+                     static_cast<size_t>(group % kBlockGroups) * folds_.size();
+  for (size_t f = 0; f < folds_.size(); ++f) {
+    const Fold& fold = folds_[f];
+    if (fold.kind == Fold::kCountStar) {
+      ++states[f].count;  // COUNT(*) reads nothing but the count
       continue;
     }
-    if (op.slot < 0 || bindings[op.slot] == rdf::kInvalidTermId) continue;
-    const rdf::TermId term = bindings[op.slot];
-    if (op.kind == AggOp::kValue) {
-      states[a].Update(store_.term(term).AsDouble());
-    } else if (distinct_[op.distinct]
+    if (fold.slot < 0 || bindings[fold.slot] == rdf::kInvalidTermId) continue;
+    const rdf::TermId term = bindings[fold.slot];
+    if (fold.kind == Fold::kValue) {
+      states[f].Update(store_.term(term).AsDouble());
+    } else if (distinct_[fold.distinct]
                    .insert(static_cast<uint64_t>(group) << 32 | term)
                    .second) {
-      ++states[a].count;
+      ++states[f].count;
       if (guard_ != nullptr) guard_->ChargeBytes(kDistinctPairBytes);
     }
   }
@@ -166,6 +184,9 @@ void GroupAggregator::Accumulate(const std::vector<rdf::TermId>& bindings) {
 util::Result<size_t> GroupAggregator::Emit(
     const std::vector<Variable>& group_by, ResultTable* table) {
   if (guard_ != nullptr) RE2X_RETURN_IF_ERROR(guard_->Check());
+  // Accumulation is over: only the blocks are read from here on.
+  std::vector<uint32_t>().swap(slots_);
+  std::vector<std::unordered_set<uint64_t>>().swap(distinct_);
   // Each plain column's position in the group key, resolved once.
   std::vector<size_t> key_pos(items_.size(), 0);
   for (size_t i = 0; i < items_.size(); ++i) {
@@ -178,27 +199,30 @@ util::Result<size_t> GroupAggregator::Emit(
     }
   }
   std::vector<Row>& rows = table->mutable_rows();
-  for (uint32_t g = 0; g < n_groups_; ++g) {
-    if (guard_ != nullptr && (g + 1) % kGuardPollInterval == 0) {
-      RE2X_RETURN_IF_ERROR(guard_->Check());
-    }
-    const rdf::TermId* key = KeyOf(g);
-    const AggState* states =
-        states_.data() + static_cast<size_t>(g) * aggs_.size();
-    Row row(items_.size());
-    size_t a = 0;
-    for (size_t i = 0; i < items_.size(); ++i) {
-      if (items_[i].is_aggregate) {
-        const AggState& state = states[a++];
-        row[i] = Cell::OfNumber(items_[i].distinct_agg
-                                    ? static_cast<double>(state.count)
-                                    : state.Finish(items_[i].func));
-        continue;
+  for (size_t b = 0; b < blocks_.size(); ++b) {
+    Block& block = blocks_[b];
+    const size_t first = b * kBlockGroups;
+    const size_t count = std::min<size_t>(kBlockGroups, n_groups_ - first);
+    for (size_t at = 0; at < count; ++at) {
+      if (guard_ != nullptr && (first + at + 1) % kGuardPollInterval == 0) {
+        RE2X_RETURN_IF_ERROR(guard_->Check());
       }
-      const rdf::TermId id = key[key_pos[i]];
-      row[i] = id != rdf::kInvalidTermId ? Cell::OfTerm(id) : Cell::Null();
+      Row row(items_.size());
+      for (size_t i = 0; i < items_.size(); ++i) {
+        if (items_[i].is_aggregate) {
+          const AggState& state =
+              block.states[at * folds_.size() + item_fold_[i]];
+          row[i] = Cell::OfNumber(items_[i].distinct_agg
+                                      ? static_cast<double>(state.count)
+                                      : state.Finish(items_[i].func));
+          continue;
+        }
+        const rdf::TermId id = block.keys[at * width_ + key_pos[i]];
+        row[i] = id != rdf::kInvalidTermId ? Cell::OfTerm(id) : Cell::Null();
+      }
+      rows.push_back(std::move(row));
     }
-    rows.push_back(std::move(row));
+    block = Block{};  // its rows are written: release its storage
   }
   return static_cast<size_t>(n_groups_);
 }

@@ -32,9 +32,9 @@ struct PostOpProf {
   double millis;
 };
 
-/// Running state of one aggregate: 32 bytes. A COUNT(DISTINCT ?v)
-/// aggregate keeps its distinct-term count in `count`; the terms it has
-/// seen live in a set beside the group table.
+/// Running state of one fold (see GroupAggregator): 32 bytes. A
+/// COUNT(DISTINCT ?v) fold keeps its distinct-term count in `count`; the
+/// terms it has seen live in a set beside the group table.
 struct AggState {
   double sum = 0;
   double min = std::numeric_limits<double>::infinity();
@@ -49,14 +49,25 @@ static_assert(sizeof(AggState) == 32);
 /// Hash-grouping aggregation: accumulates join bindings into per-group
 /// aggregate states, then emits one output row per group.
 ///
+/// Folds: aggregate items that read the same argument the same way share
+/// one state per group. SUM, MIN, MAX, AVG and COUNT of `?v` share a fold;
+/// all COUNT(*) items share one; COUNT(DISTINCT ?x) items share one fold
+/// and one distinct set per variable. Every item of a fold sees the same
+/// Update sequence, so each finishes from the shared state exactly as it
+/// would from its own.
+///
 /// Layout: groups are numbered 0, 1, ... in the order their first binding
-/// arrives. Group g's key is `keys_[g*width, (g+1)*width)` and its states
-/// are `states_[g*aggs, (g+1)*aggs)`. An open-addressing table of
-/// `uint32_t` slots (group index + 1, 0 = empty; linear probing, load at
-/// most 0.5) finds a key's group; growth re-slots groups by re-hashing
-/// their stored keys. A group costs at least 4*width + 32*aggs + 8 bytes,
-/// and up to about twice that right after the arrays or the table grow.
-/// The COUNT(DISTINCT) sets exist only for queries that use one.
+/// arrives and stored kBlockGroups to a block; group g lives in block
+/// g / kBlockGroups, which holds its key (width ids) and its states (one
+/// per fold). An open-addressing table of `uint32_t` slots (group index +
+/// 1, 0 = empty; linear probing, load at most 0.5) finds a key's group;
+/// growth re-slots groups by re-hashing their stored keys. A group costs
+/// 4*width + 32*folds + 8 bytes at steady state; the slot table can
+/// briefly double right after it grows, and the last block may be
+/// partly used. Emit drops the slot table and frees each block as soon as
+/// its rows are written, so the aggregator's state and the full output
+/// table are never held together. The COUNT(DISTINCT) sets exist only for
+/// queries that use one.
 class GroupAggregator {
  public:
   /// `items` / `item_slots` are the projected columns and their binding
@@ -79,22 +90,35 @@ class GroupAggregator {
   /// come out in the order the join produced their first binding, which
   /// is the row order of an aggregate query without ORDER BY. Group-by
   /// columns are resolved via `group_by` order. Polls the guard at entry
-  /// and every few hundred groups. Returns the number of groups.
+  /// and every kGuardPollInterval (1,024) groups. Ends accumulation: the
+  /// aggregator releases its groups as it writes them, so call it once.
+  /// Returns the number of groups.
   util::Result<size_t> Emit(const std::vector<Variable>& group_by,
                             ResultTable* table);
 
  private:
-  /// How one aggregate item folds a binding into its state.
-  struct AggOp {
+  /// Groups per storage block.
+  static constexpr uint32_t kBlockGroups = 1024;
+
+  /// The aggregate items that read one argument one way, sharing one
+  /// state per group: how that state folds a binding in.
+  struct Fold {
     enum Kind : uint8_t { kCountStar, kValue, kDistinct } kind;
     int slot;         // binding slot of the argument (-1 for COUNT(*))
     size_t distinct;  // index into distinct_ (kDistinct only)
   };
 
+  /// Keys and states of kBlockGroups consecutive groups. Both vectors
+  /// reserve the whole block up front and only grow within it.
+  struct Block {
+    std::vector<rdf::TermId> keys;  // width_ ids per group
+    std::vector<AggState> states;   // folds_.size() states per group
+  };
+
   /// Bytes one group adds to the aggregator at steady state (what the
   /// guard is charged): its key, its states and two slots at load 0.5.
   size_t bytes_per_group() const {
-    return width_ * sizeof(rdf::TermId) + aggs_.size() * sizeof(AggState) +
+    return width_ * sizeof(rdf::TermId) + folds_.size() * sizeof(AggState) +
            2 * sizeof(uint32_t);
   }
   /// The group holding `key` (width_ ids), created on a miss.
@@ -102,7 +126,8 @@ class GroupAggregator {
   /// Re-slots every group into a table of `capacity` (a power of two).
   void Rehash(size_t capacity);
   const rdf::TermId* KeyOf(uint32_t group) const {
-    return keys_.data() + static_cast<size_t>(group) * width_;
+    return blocks_[group / kBlockGroups].keys.data() +
+           static_cast<size_t>(group % kBlockGroups) * width_;
   }
 
   const rdf::TripleStore& store_;
@@ -110,11 +135,12 @@ class GroupAggregator {
   std::vector<int> group_slots_;
   const util::ExecGuard* guard_;
   size_t width_;
-  std::vector<AggOp> aggs_;
+  std::vector<Fold> folds_;
+  std::vector<size_t> item_fold_;  // per item: its fold (aggregates only)
   std::vector<uint32_t> slots_ = std::vector<uint32_t>(16, 0);
-  std::vector<rdf::TermId> keys_;
-  std::vector<AggState> states_;
-  // One set of `group << 32 | term` words per COUNT(DISTINCT) item.
+  std::vector<Block> blocks_;
+  // One set of `group << 32 | term` words per COUNT(DISTINCT) fold, in
+  // fold order.
   std::vector<std::unordered_set<uint64_t>> distinct_;
   std::vector<rdf::TermId> key_;  // Accumulate's scratch key
   uint32_t n_groups_ = 0;

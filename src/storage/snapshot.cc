@@ -419,7 +419,9 @@ util::Status DecodeVsg(const std::byte* data, size_t bytes,
   ByteReader r(data, bytes);
   uint64_t node_count = 0;
   RE2X_RETURN_IF_ERROR(r.U64(&node_count));
-  if (node_count * 22 > r.remaining()) {
+  // A node takes at least 22 bytes and an edge 12; dividing keeps a
+  // crafted count from wrapping the bound.
+  if (node_count > r.remaining() / 22) {
     return util::Status::ParseError("snapshot graph nodes overrun payload");
   }
   out->nodes.clear();
@@ -439,7 +441,7 @@ util::Status DecodeVsg(const std::byte* data, size_t bytes,
   }
   uint64_t edge_count = 0;
   RE2X_RETURN_IF_ERROR(r.U64(&edge_count));
-  if (edge_count * 12 > r.remaining()) {
+  if (edge_count > r.remaining() / 12) {
     return util::Status::ParseError("snapshot graph edges overrun payload");
   }
   out->edges.clear();

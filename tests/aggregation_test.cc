@@ -230,19 +230,32 @@ TEST_F(AggregationTest, TinyByteBudgetTripsOnGroupBy) {
 }
 
 // The guard is charged the table's steady-state bytes per group: 4 per
-// key column, 32 per aggregate state and 8 of slot table.
+// key column, 32 per fold (aggregates of one argument share a state) and 8
+// of slot table.
 TEST_F(AggregationTest, GuardIsChargedPerGroupBytes) {
-  const std::string query =
-      std::string("SELECT ?a ?b (SUM(?v) AS ?s) (COUNT(*) AS ?n) WHERE { ") +
-      kPatterns + "} GROUP BY ?a ?b";
-  util::ExecGuard::Limits limits;
-  limits.max_bytes = uint64_t{1} << 40;
-  util::ExecGuard guard(limits);
-  ExecOptions opts;
-  opts.guard = &guard;
-  auto r = ExecuteText(*raw_, query, opts);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(guard.charged_bytes(), r->row_count() * (2 * 4 + 2 * 32 + 8));
+  const struct {
+    std::string aggregates;
+    size_t folds;
+  } cases[] = {
+      {"(SUM(?v) AS ?s) (COUNT(*) AS ?n)", 2},
+      {"(SUM(?v) AS ?s) (MIN(?v) AS ?lo) (MAX(?v) AS ?hi) (AVG(?v) AS ?m) "
+       "(COUNT(?v) AS ?n)",
+       1},
+  };
+  for (const auto& c : cases) {
+    const std::string query = "SELECT ?a ?b " + c.aggregates + " WHERE { " +
+                              kPatterns + "} GROUP BY ?a ?b";
+    util::ExecGuard::Limits limits;
+    limits.max_bytes = uint64_t{1} << 40;
+    util::ExecGuard guard(limits);
+    ExecOptions opts;
+    opts.guard = &guard;
+    auto r = ExecuteText(*raw_, query, opts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(guard.charged_bytes(),
+              r->row_count() * (2 * 4 + c.folds * 32 + 8))
+        << "query: " << query;
+  }
 }
 
 }  // namespace

@@ -454,8 +454,8 @@ TEST(SnapshotTest, SessionOpenRejectsStoreOnlyImages) {
 
 // --- text index section ------------------------------------------------------
 
-/// A DBpedia(1000) image carrying the text index, with its text_index
-/// section located in the header's section table.
+/// A DBpedia(1000) image carrying the text index and the schema graph,
+/// with its sections located in the header's section table.
 class TextSectionTest : public ::testing::Test {
  protected:
   // Header layout: a 56-byte fixed prefix, then 32-byte section entries
@@ -473,52 +473,64 @@ class TextSectionTest : public ::testing::Test {
     ASSERT_TRUE(ds.ok()) << ds.status();
     store_ = std::move(ds->store);
     text_ = std::make_unique<rdf::TextIndex>(*store_);
-    util::Status st =
-        storage::SaveSnapshot(path_, *store_, text_.get(), nullptr);
+    auto graph = core::VirtualSchemaGraph::Build(*store_,
+                                                 ds->spec.observation_class);
+    ASSERT_TRUE(graph.ok()) << graph.status();
+    const storage::VsgImage vsg = storage::MakeVsgImage(*graph);
+    util::Status st = storage::SaveSnapshot(path_, *store_, text_.get(), &vsg);
     ASSERT_TRUE(st.ok()) << st;
     image_ = ReadAll(path_);
     auto info = storage::InspectSnapshot(path_);
     ASSERT_TRUE(info.ok()) << info.status();
-    section_count_ = info->sections.size();
-    for (size_t i = 0; i < section_count_; ++i) {
-      if (info->sections[i].id == storage::SectionId::kTextIndex) {
-        entry_ = i;
-        section_ = info->sections[i];
-      }
-    }
-    ASSERT_LT(entry_, section_count_);
+    sections_ = info->sections;
+    const size_t text = Entry(storage::SectionId::kTextIndex);
+    ASSERT_LT(text, sections_.size());
+    section_ = sections_[text];
   }
   void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Position of section `id` in the section table (SIZE_MAX if absent).
+  size_t Entry(storage::SectionId id) const {
+    for (size_t i = 0; i < sections_.size(); ++i) {
+      if (sections_[i].id == id) return i;
+    }
+    return SIZE_MAX;
+  }
 
   std::string Payload() const {
     return std::string(image_.data() + section_.offset, section_.bytes);
   }
 
-  /// Writes the image with the text section's payload replaced by
-  /// `payload` (no longer than the original) and both its checksum and
-  /// the header checksum recomputed, so the section decoder — not a
-  /// checksum — has to judge the bytes.
-  void WriteWithTextSection(const std::string& payload) {
-    ASSERT_LE(payload.size(), section_.bytes);
+  /// Writes the image with section `id`'s payload replaced by `payload`
+  /// (no longer than the original) and both its checksum and the header
+  /// checksum recomputed, so the section decoder — not a checksum — has
+  /// to judge the bytes.
+  void WriteWithSection(storage::SectionId id, const std::string& payload) {
+    const size_t at = Entry(id);
+    ASSERT_LT(at, sections_.size());
+    ASSERT_LE(payload.size(), sections_[at].bytes);
     std::vector<char> image = image_;
-    std::memcpy(image.data() + section_.offset, payload.data(),
+    std::memcpy(image.data() + sections_[at].offset, payload.data(),
                 payload.size());
-    auto put = [&image](size_t at, uint64_t v) {
-      std::memcpy(image.data() + at, &v, sizeof(v));
+    auto put = [&image](size_t offset, uint64_t v) {
+      std::memcpy(image.data() + offset, &v, sizeof(v));
     };
-    const size_t entry = kFixedHeaderBytes + entry_ * kEntryBytes;
+    const size_t entry = kFixedHeaderBytes + at * kEntryBytes;
     put(entry + 16, payload.size());
     put(entry + 24, util::Xxh64(payload.data(), payload.size()));
-    const size_t header = kFixedHeaderBytes + section_count_ * kEntryBytes;
+    const size_t header = kFixedHeaderBytes + sections_.size() * kEntryBytes;
     put(header, util::Xxh64(image.data(), header));
     WriteAll(path_, image);
+  }
+  void WriteWithTextSection(const std::string& payload) {
+    WriteWithSection(storage::SectionId::kTextIndex, payload);
   }
 
   /// Loads the rewritten image in both modes and requires the same typed
   /// ParseError naming `hint`.
-  void ExpectTextSectionRejected(const std::string& payload,
-                                 const std::string& hint) {
-    WriteWithTextSection(payload);
+  void ExpectSectionRejected(storage::SectionId id, const std::string& payload,
+                             const std::string& hint) {
+    WriteWithSection(id, payload);
     for (bool mmap : {false, true}) {
       SnapshotLoadOptions options;
       options.use_mmap = mmap;
@@ -529,15 +541,21 @@ class TextSectionTest : public ::testing::Test {
           << loaded.status();
     }
   }
+  void ExpectTextSectionRejected(const std::string& payload,
+                                 const std::string& hint) {
+    ExpectSectionRejected(storage::SectionId::kTextIndex, payload, hint);
+  }
 
   std::string path_;
   std::unique_ptr<rdf::TripleStore> store_;
   std::unique_ptr<rdf::TextIndex> text_;
   std::vector<char> image_;
-  size_t section_count_ = 0;
-  size_t entry_ = SIZE_MAX;
-  storage::SectionInfo section_;
+  std::vector<storage::SectionInfo> sections_;
+  storage::SectionInfo section_;  // the text section
 };
+
+/// The same image, for tests of its schema-graph section.
+class GraphSectionTest : public TextSectionTest {};
 
 // The text section of a generated DBpedia store is pinned to the XXH64 the
 // map-based index wrote, and a loaded index re-encodes to the same bytes.
@@ -645,6 +663,34 @@ TEST_F(TextSectionTest, MalformedSectionsYieldTypedStatus) {
   no_postings.U64(2);
   table(&no_postings, good);
   ExpectTextSectionRejected(no_postings.Take(), "");
+}
+
+// Crafted node and edge counts in the graph section are a typed
+// ParseError, also where the count times the bytes of one entry wraps 64
+// bits (2^63 nodes of 22 bytes, 2^62 edges of 12).
+TEST_F(GraphSectionTest, CraftedCountsYieldTypedStatus) {
+  auto words = [](std::initializer_list<uint64_t> values) {
+    storage::ByteWriter w;
+    for (uint64_t v : values) w.U64(v);
+    return w.Take();
+  };
+  // Node, edge, measure and attribute counts all 0: an empty graph loads.
+  WriteWithSection(storage::SectionId::kVsg, words({0, 0, 0, 0}));
+  {
+    auto loaded = storage::LoadSnapshot(path_);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    ASSERT_TRUE(loaded->vsg.has_value());
+    EXPECT_TRUE(loaded->vsg->nodes.empty());
+    EXPECT_TRUE(loaded->vsg->edges.empty());
+  }
+  for (uint64_t n : {uint64_t{1000}, uint64_t{1} << 62, uint64_t{1} << 63,
+                     ~uint64_t{0}}) {
+    SCOPED_TRACE(n);
+    ExpectSectionRejected(storage::SectionId::kVsg, words({n, 0, 0, 0}),
+                          "graph nodes overrun payload");
+    ExpectSectionRejected(storage::SectionId::kVsg, words({0, n, 0, 0}),
+                          "graph edges overrun payload");
+  }
 }
 
 // Seeded bit flips and truncations of the real section: each load either
