@@ -2,7 +2,8 @@
 # End-to-end exercise of the query telemetry layer against a real build:
 # run the quickstart with the JSONL query-log sink and the Chrome-trace
 # sink enabled, then require every emitted JSONL line to be a valid JSON
-# object carrying the full record schema, and the trace to be valid JSON.
+# object carrying the full record schema and a known op, and the trace to
+# be valid JSON.
 # Outputs stay under <build-dir>/query_log_smoke so CI can upload them as
 # an artifact when validation fails.
 set -euo pipefail
@@ -31,6 +32,13 @@ required = {
     "retries", "rows", "scanned", "bindings", "plan_ms", "exec_ms",
     "total_ms", "start_us",
 }
+# QueryOpName's values (src/obs/query_log.cc). QueryEngine is the one
+# execution entry point, so a record under any other op name means a
+# second record path has crept back in.
+ops = {
+    "engine.execute", "session.synthesize", "session.refine",
+    "session.exclude", "session.slice", "snapshot.save", "snapshot.load",
+}
 
 n = 0
 last_id = 0
@@ -45,6 +53,8 @@ with open(log_path) as f:
         missing = required - rec.keys()
         if missing:
             sys.exit(f"line {lineno}: missing keys {sorted(missing)}")
+        if rec["op"] not in ops:
+            sys.exit(f"line {lineno}: unknown op {rec['op']!r}")
         if rec["id"] <= last_id:
             sys.exit(f"line {lineno}: ids not strictly increasing")
         last_id = rec["id"]

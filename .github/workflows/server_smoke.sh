@@ -125,6 +125,13 @@ required = {
     "retries", "rows", "scanned", "bindings", "plan_ms", "exec_ms",
     "total_ms", "start_us",
 }
+# QueryOpName's values (src/obs/query_log.cc). QueryEngine is the one
+# execution entry point, so a record under any other op name means a
+# second record path has crept back in.
+ops = {
+    "engine.execute", "session.synthesize", "session.refine",
+    "session.exclude", "session.slice", "snapshot.save", "snapshot.load",
+}
 n = 0
 with open(sys.argv[1]) as f:
     for lineno, line in enumerate(f, 1):
@@ -135,6 +142,8 @@ with open(sys.argv[1]) as f:
         missing = required - rec.keys()
         if missing:
             sys.exit(f"line {lineno}: missing keys {sorted(missing)}")
+        if rec["op"] not in ops:
+            sys.exit(f"line {lineno}: unknown op {rec['op']!r}")
         n += 1
 print(f"server_smoke: query log OK ({n} records)")
 EOF

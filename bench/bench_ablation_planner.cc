@@ -4,9 +4,9 @@
 // We execute the synthesized + disaggregated queries with and without
 // join-order optimization.
 //
-// Deliberately uses raw sparql::Execute, NOT engine::QueryEngine: this
-// ablation measures plan-and-run cost per option, and any plan/result
-// caching between the timed runs would poison that measurement.
+// Runs through an engine with both caches off: this ablation measures
+// plan-and-run cost per option, and any plan/result caching between the
+// timed runs would poison that measurement.
 
 #include <iostream>
 
@@ -24,8 +24,8 @@ int main() {
 
   for (const std::string& name : AllDatasets()) {
     BenchEnv env = MakeEnv(name, DefaultObservations(name) / 2);
-    core::Reolap reolap(env.dataset.store.get(), env.vsg.get(),
-                        env.text.get());
+    engine::QueryEngine uncached(env.store(), kUncached);
+    core::Reolap reolap(env.vsg.get(), env.text.get(), uncached);
     util::Rng rng(17);
 
     for (int i = 0; i < 3; ++i) {
@@ -60,14 +60,14 @@ int main() {
           });
 
       util::WallTimer timer;
-      auto a = sparql::Execute(env.store(), adversarial, planned);
+      auto a = uncached.Execute(adversarial, planned);
       double planned_ms = timer.ElapsedMillis();
       timer.Restart();
-      auto b = sparql::Execute(env.store(), adversarial, parse_order);
+      auto b = uncached.Execute(adversarial, parse_order);
       double parse_ms = timer.ElapsedMillis();
 
-      std::string rows = a.ok() ? std::to_string(a->row_count()) : "timeout";
-      if (b.ok() && a.ok() && a->row_count() != b->row_count()) {
+      std::string rows = a.ok() ? std::to_string((*a)->row_count()) : "timeout";
+      if (b.ok() && a.ok() && (*a)->row_count() != (*b)->row_count()) {
         rows += " (MISMATCH!)";
       }
       char speedup[32];

@@ -28,8 +28,8 @@ int main() {
     }
 
     // With the bootstrap-time virtual graph.
-    core::Reolap reolap(env.dataset.store.get(), env.vsg.get(),
-                        env.text.get());
+    engine::QueryEngine uncached(env.store(), kUncached);
+    core::Reolap reolap(env.vsg.get(), env.text.get(), uncached);
     util::WallTimer timer;
     for (const auto& tuple : tuples) reolap.Synthesize(tuple).ok();
     double with_vgraph = timer.ElapsedMillis() / tuples.size();
@@ -40,7 +40,7 @@ int main() {
       auto vsg = core::VirtualSchemaGraph::Build(
           env.store(), env.dataset.spec.observation_class);
       if (!vsg.ok()) continue;
-      core::Reolap naive(env.dataset.store.get(), &*vsg, env.text.get());
+      core::Reolap naive(&*vsg, env.text.get(), uncached);
       naive.Synthesize(tuple).ok();
     }
     double without = timer.ElapsedMillis() / tuples.size();

@@ -25,6 +25,7 @@
 #include "core/reolap.h"
 #include "core/session.h"
 #include "core/virtual_schema_graph.h"
+#include "engine/query_engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "qb/datasets.h"
@@ -48,6 +49,11 @@ struct BenchEnv {
 
   const rdf::TripleStore& store() const { return *dataset.store; }
 };
+
+/// Engine settings with both caches off: every Execute plans and runs
+/// afresh, so a timed run never measures a cache hit.
+inline constexpr engine::EngineConfig kUncached{.plan_cache_capacity = 0,
+                                                .result_cache_bytes = 0};
 
 inline uint64_t DefaultObservations(const std::string& dataset_name) {
   if (const char* env = std::getenv("RE2X_BENCH_OBS")) {

@@ -57,8 +57,8 @@ int main() {
 
   for (const std::string& name : AllDatasets()) {
     BenchEnv env = MakeEnv(name, DefaultObservations(name));
-    core::Reolap reolap(env.dataset.store.get(), env.vsg.get(),
-                        env.text.get());
+    engine::QueryEngine uncached(env.store(), kUncached);
+    core::Reolap reolap(env.vsg.get(), env.text.get(), uncached);
     util::Rng rng(1234);
     for (size_t size = 1; size <= kMaxSize; ++size) {
       double total_ms = 0, min_ms = 1e18, max_ms = 0;
@@ -114,8 +114,8 @@ int main() {
 
   for (const std::string& name : AllDatasets()) {
     BenchEnv env = MakeEnv(name, DefaultObservations(name));
-    core::Reolap reolap(env.dataset.store.get(), env.vsg.get(),
-                        env.text.get());
+    engine::QueryEngine uncached(env.store(), kUncached);
+    core::Reolap reolap(env.vsg.get(), env.text.get(), uncached);
     // Fixed inputs shared by every thread count.
     util::Rng rng(99);
     std::vector<std::vector<std::string>> tuples;
@@ -173,8 +173,8 @@ int main() {
   // --- Cache ablation: repeated-probe validation through the engine -------
   // Re-synthesizing the same example tuples (a user retrying an input, or
   // overlapping combinations across tuples) re-issues identical LIMIT-1
-  // probes. With validation routed through a QueryEngine those repeats are
-  // result-cache hits; without one every probe touches the store again.
+  // probes. With the engine's caches on those repeats are result-cache
+  // hits; with both caches off every probe touches the store again.
   constexpr int kAblInputs = 6;
   constexpr size_t kAblSize = 3;
   std::cout << "\n=== Validation cache ablation (same inputs synthesized "
@@ -194,9 +194,9 @@ int main() {
 
     double off_pass2 = 0;
     for (bool cached : {false, true}) {
-      engine::QueryEngine engine(env.store());
-      core::Reolap reolap(env.dataset.store.get(), env.vsg.get(),
-                          env.text.get(), cached ? &engine : nullptr);
+      engine::QueryEngine engine(env.store(),
+                                 cached ? engine::EngineConfig{} : kUncached);
+      core::Reolap reolap(env.vsg.get(), env.text.get(), engine);
       double pass_ms[2] = {0, 0};
       for (int pass = 0; pass < 2; ++pass) {
         for (const auto& tuple : tuples) {
@@ -223,11 +223,11 @@ int main() {
     }
 
     // --- Uncached execution: run every synthesized candidate ----------
-    // The "execute what ReOLAP synthesized" workload through raw Execute
-    // (no engine cache): the pure executor cost of materializing
+    // The "execute what ReOLAP synthesized" workload through an engine
+    // with both caches off: the pure executor cost of materializing
     // candidate answers.
-    core::Reolap plain(env.dataset.store.get(), env.vsg.get(),
-                       env.text.get());
+    engine::QueryEngine uncached(env.store(), kUncached);
+    core::Reolap plain(env.vsg.get(), env.text.get(), uncached);
     std::vector<sparql::SelectQuery> candidates;
     for (const auto& tuple : tuples) {
       auto queries = plain.Synthesize(tuple);
@@ -239,8 +239,8 @@ int main() {
     size_t rows = 0;
     util::WallTimer timer;
     for (const auto& q : candidates) {
-      auto table = sparql::Execute(env.store(), q, exec);
-      if (table.ok()) rows += table->row_count();
+      auto table = uncached.Execute(q, exec);
+      if (table.ok()) rows += (*table)->row_count();
     }
     log.AddRecord()
         .Str("dataset", name)

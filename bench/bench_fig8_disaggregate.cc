@@ -33,8 +33,7 @@ int main() {
   for (const std::string& name : AllDatasets()) {
     BenchEnv env = MakeEnv(name, DefaultObservations(name));
     engine::QueryEngine engine(env.store());
-    core::Reolap reolap(env.dataset.store.get(), env.vsg.get(),
-                        env.text.get(), &engine);
+    core::Reolap reolap(env.vsg.get(), env.text.get(), engine);
     util::Rng rng(99);
     sparql::ExecOptions exec;
     exec.timeout_millis = kTimeoutMs;

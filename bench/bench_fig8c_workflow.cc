@@ -17,8 +17,9 @@ int main() {
   using namespace re2xolap::bench;
 
   BenchEnv env = MakeEnv("Eurostat", DefaultObservations("Eurostat"));
+  engine::QueryEngine engine(env.store());
   core::Session session(env.dataset.store.get(), env.vsg.get(),
-                        env.text.get());
+                        env.text.get(), &engine);
 
   std::cout << "=== Figure 8c: exploration workflow on Eurostat ===\n"
                "Workflow: ReOLAP(\"Germany\") -> Disaggregate -> "

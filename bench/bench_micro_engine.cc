@@ -63,9 +63,10 @@ void BM_ExecuteGroupBySum(benchmark::State& state) {
       ?obs <http://example.org/eurostat/countryDestination> ?dest .
       ?obs <http://example.org/eurostat/numApplicants> ?v .
     } GROUP BY ?dest)";
+  engine::QueryEngine engine(Env().store(), kUncached);
   for (auto _ : state) {
-    auto r = sparql::ExecuteText(Env().store(), query);
-    benchmark::DoNotOptimize(r.ok() ? r->row_count() : 0);
+    auto r = engine.ExecuteText(query);
+    benchmark::DoNotOptimize(r.ok() ? (*r)->row_count() : 0);
   }
 }
 BENCHMARK(BM_ExecuteGroupBySum);
@@ -77,9 +78,10 @@ void BM_ExecuteHierarchyJoin(benchmark::State& state) {
       ?c <http://example.org/eurostat/inContinent> ?cont .
       ?obs <http://example.org/eurostat/numApplicants> ?v .
     } GROUP BY ?cont)";
+  engine::QueryEngine engine(Env().store(), kUncached);
   for (auto _ : state) {
-    auto r = sparql::ExecuteText(Env().store(), query);
-    benchmark::DoNotOptimize(r.ok() ? r->row_count() : 0);
+    auto r = engine.ExecuteText(query);
+    benchmark::DoNotOptimize(r.ok() ? (*r)->row_count() : 0);
   }
 }
 BENCHMARK(BM_ExecuteHierarchyJoin);
@@ -97,9 +99,10 @@ void BM_ExecuteDisaggregation(benchmark::State& state) {
       ?obs <http://example.org/eurostat/numApplicants> ?v .
     } GROUP BY ?origin ?month ?dest)";
   size_t groups = 0;
+  engine::QueryEngine engine(Env().store(), kUncached);
   for (auto _ : state) {
-    auto r = sparql::ExecuteText(Env().store(), query);
-    groups = r.ok() ? r->row_count() : 0;
+    auto r = engine.ExecuteText(query);
+    groups = r.ok() ? (*r)->row_count() : 0;
     benchmark::DoNotOptimize(groups);
   }
   if (groups < 20000) state.SkipWithError("fewer than 20k groups");
@@ -158,8 +161,8 @@ void BM_EngineCachedHierarchyJoin(benchmark::State& state) {
 BENCHMARK(BM_EngineCachedHierarchyJoin);
 
 void BM_ReolapSynthesizeSize1(benchmark::State& state) {
-  core::Reolap reolap(Env().dataset.store.get(), Env().vsg.get(),
-                      Env().text.get());
+  engine::QueryEngine engine(Env().store(), kUncached);
+  core::Reolap reolap(Env().vsg.get(), Env().text.get(), engine);
   for (auto _ : state) {
     auto r = reolap.Synthesize({"Germany"});
     benchmark::DoNotOptimize(r.ok() ? r->size() : 0);
@@ -168,8 +171,8 @@ void BM_ReolapSynthesizeSize1(benchmark::State& state) {
 BENCHMARK(BM_ReolapSynthesizeSize1);
 
 void BM_ReolapSynthesizeSize2(benchmark::State& state) {
-  core::Reolap reolap(Env().dataset.store.get(), Env().vsg.get(),
-                      Env().text.get());
+  engine::QueryEngine engine(Env().store(), kUncached);
+  core::Reolap reolap(Env().vsg.get(), Env().text.get(), engine);
   for (auto _ : state) {
     auto r = reolap.Synthesize({"Germany", "2014"});
     benchmark::DoNotOptimize(r.ok() ? r->size() : 0);

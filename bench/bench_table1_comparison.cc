@@ -32,7 +32,8 @@ int main() {
     return 1;
   }
   rdf::TextIndex text(*ds->store);
-  core::Reolap reolap(ds->store.get(), &*vsg, &text);
+  engine::QueryEngine engine(*ds->store);
+  core::Reolap reolap(&*vsg, &text, engine);
   core::SparqlByEBaseline baseline(ds->store.get(), &text);
 
   // RE2xOLAP capabilities, exercised.

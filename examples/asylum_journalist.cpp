@@ -45,7 +45,8 @@ int main(int argc, char** argv) {
   std::cout << "  bootstrap (virtual graph + text index): "
             << timer.ElapsedMillis() << " ms\n\n";
 
-  core::Session session(ds->store.get(), &*vsg, &text);
+  engine::QueryEngine engine(*ds->store);
+  core::Session session(ds->store.get(), &*vsg, &text, &engine);
 
   // --- Interaction 1: example -> candidate queries -------------------------
   std::cout << "=== Alex searches for \"Germany\" ===\n";

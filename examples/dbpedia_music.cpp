@@ -39,7 +39,8 @@ int main(int argc, char** argv) {
             << vsg->dimension_count() << " dimensions, " << vsg->level_count()
             << " levels, " << vsg->total_members() << " members\n\n";
 
-  core::Session session(ds->store.get(), &*vsg, &text);
+  engine::QueryEngine engine(*ds->store);
+  core::Session session(ds->store.get(), &*vsg, &text, &engine);
 
   // "Jazz" is deliberately ambiguous: it labels a work genre, an artist
   // genre, and a label genre.

@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
             << vsg->dimension_count() << " dimensions, "
             << vsg->total_members() << " members\n\n";
 
-  core::Session session(ds->store.get(), &*vsg, &text);
+  engine::QueryEngine engine(*ds->store);
+  core::Session session(ds->store.get(), &*vsg, &text, &engine);
 
   // The analyst starts from two entities: a country and an industry. On a
   // sparse (scaled-down) dataset no observation may jointly carry both —

@@ -26,8 +26,8 @@
 
 #include "core/profile.h"
 #include "core/session.h"
+#include "engine/explain.h"
 #include "sparql/csv.h"
-#include "sparql/explain.h"
 #include "qb/datasets.h"
 #include "qb/generator.h"
 #include "rdf/text_index.h"
@@ -76,7 +76,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   rdf::TextIndex text(*ds->store);
-  core::Session session(ds->store.get(), &*vsg, &text);
+  engine::QueryEngine engine(*ds->store);
+  core::Session session(ds->store.get(), &*vsg, &text, &engine);
   std::cout << "Ready: " << ds->store->size() << " triples, "
             << vsg->dimension_count() << " dimensions, "
             << vsg->total_members() << " members. Type 'help'.\n";
@@ -98,7 +99,7 @@ int main(int argc, char** argv) {
       continue;
     }
     if (cmd == "profile") {
-      auto profile = core::ProfileDataset(*ds->store, *vsg);
+      auto profile = core::ProfileDataset(*ds->store, *vsg, engine);
       if (!profile.ok()) {
         std::cout << "error: " << profile.status() << "\n";
       } else {
@@ -167,7 +168,7 @@ int main(int argc, char** argv) {
         std::cout << "no current query\n";
         continue;
       }
-      auto r = sparql::ExplainAnalyze(*ds->store, session.current().query);
+      auto r = engine::ExplainAnalyze(engine, session.current().query);
       if (!r.ok()) {
         std::cout << "error: " << r.status() << "\n";
         continue;

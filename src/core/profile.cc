@@ -1,10 +1,9 @@
 #include "core/profile.h"
 
+#include <cassert>
 #include <map>
-#include <memory>
 
 #include "engine/query_engine.h"
-#include "sparql/executor.h"
 #include "util/string_utils.h"
 
 namespace re2xolap::core {
@@ -25,10 +24,12 @@ std::string MemberLabel(const rdf::TripleStore& store, rdf::TermId member,
   return PrettifyIriLocalName(store.term(member).value);
 }
 
-/// Shared implementation; a null engine keeps the direct executor path.
-util::Result<DatasetProfile> ProfileDatasetImpl(
-    const rdf::TripleStore& store, const VirtualSchemaGraph& vsg,
-    engine::QueryEngine* engine) {
+}  // namespace
+
+util::Result<DatasetProfile> ProfileDataset(const rdf::TripleStore& store,
+                                            const VirtualSchemaGraph& vsg,
+                                            engine::QueryEngine& engine) {
+  assert(&engine.store() == &store);
   DatasetProfile profile;
   profile.triple_count = store.size();
   profile.total_members = vsg.total_members();
@@ -69,14 +70,7 @@ util::Result<DatasetProfile> ProfileDatasetImpl(
         "SELECT (COUNT(?v) AS ?n) (MIN(?v) AS ?lo) (MAX(?v) AS ?hi) "
         "(AVG(?v) AS ?mean) (SUM(?v) AS ?total) WHERE { ?obs <" +
         mp.predicate_iri + "> ?v }";
-    engine::TableHandle handle;
-    if (engine != nullptr) {
-      RE2X_ASSIGN_OR_RETURN(handle, engine->ExecuteText(q));
-    } else {
-      RE2X_ASSIGN_OR_RETURN(sparql::ResultTable t,
-                            sparql::ExecuteText(store, q));
-      handle = std::make_shared<const sparql::ResultTable>(std::move(t));
-    }
+    RE2X_ASSIGN_OR_RETURN(engine::TableHandle handle, engine.ExecuteText(q));
     const sparql::ResultTable& table = *handle;
     if (table.row_count() == 1) {
       mp.count = static_cast<uint64_t>(
@@ -96,19 +90,6 @@ util::Result<DatasetProfile> ProfileDatasetImpl(
         PrettifyIriLocalName(store.term(attr).value));
   }
   return profile;
-}
-
-}  // namespace
-
-util::Result<DatasetProfile> ProfileDataset(const rdf::TripleStore& store,
-                                            const VirtualSchemaGraph& vsg) {
-  return ProfileDatasetImpl(store, vsg, nullptr);
-}
-
-util::Result<DatasetProfile> ProfileDataset(const rdf::TripleStore& store,
-                                            const VirtualSchemaGraph& vsg,
-                                            engine::QueryEngine& engine) {
-  return ProfileDatasetImpl(store, vsg, &engine);
 }
 
 void DatasetProfile::Print(std::ostream& os) const {

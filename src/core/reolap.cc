@@ -10,7 +10,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sparql/executor.h"
 #include "util/failpoint.h"
 #include "util/string_utils.h"
 #include "util/timer.h"
@@ -57,6 +56,8 @@ std::string GroupVarName(const rdf::TripleStore& store, const LevelPath& path,
 
 }  // namespace
 
+const rdf::TripleStore& Reolap::store() const { return engine_->store(); }
+
 std::vector<Interpretation> Reolap::MatchValue(
     const std::string& value, const ReolapOptions& options) const {
   std::vector<Interpretation> out;
@@ -71,7 +72,7 @@ std::vector<Interpretation> Reolap::MatchValue(
     iri = value;
   }
   if (!iri.empty()) {
-    rdf::TermId member = store_->Lookup(rdf::Term::Iri(iri));
+    rdf::TermId member = store().Lookup(rdf::Term::Iri(iri));
     if (member != rdf::kInvalidTermId) {
       for (int node : vsg_->NodesOfMember(member)) {
         for (const LevelPath* path : vsg_->PathsTo(node)) {
@@ -88,7 +89,7 @@ std::vector<Interpretation> Reolap::MatchValue(
       text_->Match(value, options.max_matches_per_value, options.guard);
   for (rdf::TermId lit : literals) {
     // Subjects holding this literal value are candidate dimension members.
-    for (const rdf::EncodedTriple& t : store_->Match(
+    for (const rdf::EncodedTriple& t : store().Match(
              rdf::TriplePattern{rdf::kInvalidTermId, rdf::kInvalidTermId,
                                 lit})) {
       for (int node : vsg_->NodesOfMember(t.s)) {
@@ -125,7 +126,7 @@ CandidateQuery Reolap::BuildQuery(const std::vector<Interpretation>& combo,
   int fresh = 0;
   for (size_t i = 0; i < combo.size(); ++i) {
     const LevelPath& path = *combo[i].path;
-    std::string group_var = GroupVarName(*store_, path, i);
+    std::string group_var = GroupVarName(store(), path, i);
     sparql::TermOrVar current = obs;
     for (size_t s = 0; s < path.predicates.size(); ++s) {
       sparql::TermOrVar next =
@@ -134,7 +135,7 @@ CandidateQuery Reolap::BuildQuery(const std::vector<Interpretation>& combo,
               : sparql::TermOrVar(
                     Variable{"h" + std::to_string(fresh++)});
       q.patterns.push_back(TriplePatternAst{
-          current, store_->term(path.predicates[s]), next});
+          current, store().term(path.predicates[s]), next});
       current = next;
     }
     q.group_by.push_back(Variable{group_var});
@@ -149,7 +150,7 @@ CandidateQuery Reolap::BuildQuery(const std::vector<Interpretation>& combo,
   for (size_t m = 0; m < measures.size(); ++m) {
     std::string mvar = "m" + std::to_string(m);
     q.patterns.push_back(TriplePatternAst{
-        obs, store_->term(measures[m]), Variable{mvar}});
+        obs, store().term(measures[m]), Variable{mvar}});
     std::vector<sparql::AggFunc> funcs;
     if (options.all_aggregates) {
       funcs = {sparql::AggFunc::kSum, sparql::AggFunc::kMin,
@@ -164,7 +165,7 @@ CandidateQuery Reolap::BuildQuery(const std::vector<Interpretation>& combo,
       item.var = Variable{mvar};
       std::string fname = sparql::AggFuncName(f);
       for (char& c : fname) c = static_cast<char>(std::tolower(c));
-      item.alias = fname + "_" + IriLocalName(store_->term(measures[m]).value);
+      item.alias = fname + "_" + IriLocalName(store().term(measures[m]).value);
       cq.measure_columns.push_back(item.alias);
       q.items.push_back(std::move(item));
     }
@@ -176,12 +177,12 @@ CandidateQuery Reolap::BuildQuery(const std::vector<Interpretation>& combo,
   std::string desc = "Return ";
   for (size_t m = 0; m < measures.size(); ++m) {
     if (m > 0) desc += ", ";
-    desc += "SUM(" + DisplayName(*store_, measures[m]) + ")";
+    desc += "SUM(" + DisplayName(store(), measures[m]) + ")";
   }
   desc += " grouped by ";
   for (size_t i = 0; i < combo.size(); ++i) {
     if (i > 0) desc += " and ";
-    desc += "\"" + DescribePath(*store_, *combo[i].path) + "\"";
+    desc += "\"" + DescribePath(store(), *combo[i].path) + "\"";
   }
   cq.description = std::move(desc);
   return cq;
@@ -212,21 +213,17 @@ bool Reolap::ValidateCombo(const std::vector<Interpretation>& combo,
     for (size_t s = 0; s < path.predicates.size(); ++s) {
       sparql::TermOrVar next =
           (s + 1 == path.predicates.size())
-              ? sparql::TermOrVar(store_->term(in.member))
+              ? sparql::TermOrVar(store().term(in.member))
               : sparql::TermOrVar(Variable{"v" + std::to_string(fresh++)});
       probe.patterns.push_back(TriplePatternAst{
-          current, store_->term(path.predicates[s]), next});
+          current, store().term(path.predicates[s]), next});
       current = next;
     }
   }
   sparql::ExecOptions opts;
   opts.timeout_millis = timeout_millis;
-  if (engine_ != nullptr) {
-    auto result = engine_->Execute(probe, opts);
-    return result.ok() && (*result)->row_count() > 0;
-  }
-  auto result = sparql::Execute(*store_, probe, opts);
-  return result.ok() && result->row_count() > 0;
+  auto result = engine_->Execute(probe, opts);
+  return result.ok() && (*result)->row_count() > 0;
 }
 
 util::Result<std::vector<CandidateQuery>> Reolap::Synthesize(

@@ -112,15 +112,14 @@ struct ReolapStats {
 /// graph and text index; the store is only touched for validation probes.
 class Reolap {
  public:
-  /// When `engine` is non-null, validation probes execute through it and
-  /// share its plan/result caches with the rest of the session — repeated
-  /// validation of an identical combination (e.g. across refinement
-  /// rounds) becomes a cache hit instead of a store probe. A null engine
-  /// keeps the direct sparql::Execute path (used by engine-free tests).
-  Reolap(const rdf::TripleStore* store, const VirtualSchemaGraph* vsg,
-         const rdf::TextIndex* text_index,
-         engine::QueryEngine* engine = nullptr)
-      : store_(store), vsg_(vsg), text_(text_index), engine_(engine) {}
+  /// Validation probes execute through `engine` and share its plan/result
+  /// caches with the rest of the session, so re-validating an identical
+  /// combination (e.g. across refinement rounds) is a cache hit instead
+  /// of a store probe. The store is `engine.store()`; `vsg` and
+  /// `text_index` must be built over it. All three must outlive this.
+  Reolap(const VirtualSchemaGraph* vsg, const rdf::TextIndex* text_index,
+         engine::QueryEngine& engine)
+      : vsg_(vsg), text_(text_index), engine_(&engine) {}
 
   /// MATCHES(a_i) of Algorithm 1: all interpretations of one value.
   /// Supports mixed inputs (paper Section 5 footnote): a value of the
@@ -156,11 +155,9 @@ class Reolap {
                      uint64_t timeout_millis) const;
 
   const VirtualSchemaGraph& vsg() const { return *vsg_; }
-  const rdf::TripleStore& store() const { return *store_; }
+  const rdf::TripleStore& store() const;
 
  private:
-
-  const rdf::TripleStore* store_;
   const VirtualSchemaGraph* vsg_;
   const rdf::TextIndex* text_;
   engine::QueryEngine* engine_;

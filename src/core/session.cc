@@ -318,9 +318,11 @@ util::Result<SnapshotSession> Session::OpenSnapshot(
                                     std::move(out.data.vsg->observation_attrs)));
   out.vsg = std::make_unique<VirtualSchemaGraph>(std::move(graph));
   out.data.vsg.reset();  // parts were consumed by FromParts
+  out.engine =
+      std::make_unique<engine::QueryEngine>(*out.data.store, engine_config);
   out.session = std::make_unique<Session>(out.data.store.get(), out.vsg.get(),
-                                          out.data.text.get(), exec_options,
-                                          engine_config);
+                                          out.data.text.get(), out.engine.get(),
+                                          exec_options);
   return out;
 }
 

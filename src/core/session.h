@@ -1,6 +1,7 @@
 #ifndef RE2XOLAP_CORE_SESSION_H_
 #define RE2XOLAP_CORE_SESSION_H_
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -19,12 +20,14 @@ class Session;
 
 /// A full exploration environment reconstructed from a snapshot image by
 /// Session::OpenSnapshot: the dataset (`data`), the rebuilt schema graph,
-/// and a Session wired to them. `session` holds pointers into `data` and
-/// `vsg`; moving the struct is fine (the unique_ptr targets are stable),
-/// but the parts must stay together for the session's lifetime.
+/// the engine over the store, and a Session wired to them. `session`
+/// holds pointers into `data`, `vsg` and `engine`; moving the struct is
+/// fine (the unique_ptr targets are stable), but the parts must stay
+/// together for the session's lifetime.
 struct SnapshotSession {
   storage::LoadedSnapshot data;
   std::unique_ptr<VirtualSchemaGraph> vsg;
+  std::unique_ptr<engine::QueryEngine> engine;
   std::unique_ptr<Session> session;
 
   SnapshotSession();
@@ -60,8 +63,8 @@ struct ExplorationStats {
   size_t cumulative_tuples = 0;
   /// Current frontier: product of the branching factors so far.
   size_t frontier = 1;
-  /// Wall time spent inside sparql::Execute for this session's queries
-  /// (cache hits cost nothing and add nothing).
+  /// Execution wall time (ExecStats::exec_millis) of this session's
+  /// queries; cache hits cost nothing and add nothing.
   double cumulative_exec_millis = 0;
   /// Index entries inspected by this session's queries, accumulated.
   uint64_t cumulative_triples_scanned = 0;
@@ -75,7 +78,8 @@ struct ExplorationStats {
 
 /// An interactive Re2xOLAP exploration session (paper Algorithm 2):
 ///
-///   Session s(store, vsg, text);
+///   engine::QueryEngine engine(*store);
+///   Session s(store, vsg, text, &engine);
 ///   auto candidates = s.Start({"Germany", "2014"});   // ReOLAP
 ///   s.PickCandidate(0);
 ///   auto* table = s.Execute();                        // Q(G)
@@ -89,34 +93,23 @@ struct ExplorationStats {
 /// different exploration path").
 class Session {
  public:
-  Session(const rdf::TripleStore* store, const VirtualSchemaGraph* vsg,
-          const rdf::TextIndex* text, sparql::ExecOptions exec_options = {},
-          engine::EngineConfig engine_config = {})
-      : store_(store),
-        vsg_(vsg),
-        text_(text),
-        owned_engine_(
-            std::make_unique<engine::QueryEngine>(*store, engine_config)),
-        engine_(owned_engine_.get()),
-        reolap_(store, vsg, text, engine_),
-        exec_options_(exec_options) {}
-
-  /// Variant sharing an externally owned engine: every session query
-  /// (including ReOLAP validation probes) executes through
-  /// `shared_engine`, so many concurrent sessions over one frozen store
+  /// Every session query (including ReOLAP validation probes) executes
+  /// through `engine`, so many concurrent sessions over one frozen store
   /// share a single plan/result cache (the server front door's
   /// configuration). The engine must be built over `*store` and outlive
   /// the session; QueryEngine is safe for concurrent use once the store
   /// is frozen.
   Session(const rdf::TripleStore* store, const VirtualSchemaGraph* vsg,
-          const rdf::TextIndex* text, engine::QueryEngine* shared_engine,
+          const rdf::TextIndex* text, engine::QueryEngine* engine,
           sparql::ExecOptions exec_options = {})
       : store_(store),
         vsg_(vsg),
         text_(text),
-        engine_(shared_engine),
-        reolap_(store, vsg, text, engine_),
-        exec_options_(exec_options) {}
+        engine_(engine),
+        reolap_(vsg, text, *engine),
+        exec_options_(exec_options) {
+    assert(&engine->store() == store);
+  }
 
   /// Query synthesis phase: runs ReOLAP on the example tuple and stores
   /// the candidates.
@@ -207,9 +200,6 @@ class Session {
   const rdf::TripleStore* store_;
   const VirtualSchemaGraph* vsg_;
   const rdf::TextIndex* text_;
-  // Declared before reolap_ so the engine exists when Reolap captures it.
-  // Null when the session runs on a shared, externally owned engine.
-  std::unique_ptr<engine::QueryEngine> owned_engine_;
   engine::QueryEngine* engine_;
   Reolap reolap_;
   sparql::ExecOptions exec_options_;

@@ -316,19 +316,22 @@ util::Result<TableHandle> QueryEngine::Execute(
   sparql::ExecStats local_stats;
   if (record.active() && stats == nullptr) stats = &local_stats;
 
-  // Resolve the plan once (a cache hit or a single planning pass); ASK
-  // queries are rewritten into existence probes before planning, so a
-  // cached plan can never apply to them.
+  // Resolve the plan once: a cache hit or a single planning pass. ASK
+  // queries are rewritten into existence probes before planning, so the
+  // executor plans them itself and no plan applies here.
   std::shared_ptr<const sparql::Plan> plan;
-  if (config_.plan_cache_capacity > 0 && !query.is_ask) {
-    plan = PlanLookup(key);
+  if (!query.is_ask) {
+    const bool use_plan_cache = config_.plan_cache_capacity > 0;
+    if (use_plan_cache) plan = PlanLookup(key);
     if (plan != nullptr) {
       plan_hits_.fetch_add(1, std::memory_order_relaxed);
       metrics.plan_hits.Inc();
       if (stats != nullptr) stats->plan_millis = 0;
     } else {
-      plan_misses_.fetch_add(1, std::memory_order_relaxed);
-      metrics.plan_misses.Inc();
+      if (use_plan_cache) {
+        plan_misses_.fetch_add(1, std::memory_order_relaxed);
+        metrics.plan_misses.Inc();
+      }
       util::WallTimer plan_timer;
       util::Result<sparql::Plan> planned =
           sparql::PlanQuery(store_, query, options.plan);
@@ -341,7 +344,7 @@ util::Result<TableHandle> QueryEngine::Execute(
       }
       if (stats != nullptr) stats->plan_millis = plan_timer.ElapsedMillis();
       plan = std::make_shared<const sparql::Plan>(std::move(planned).value());
-      PlanInsert(key, plan);
+      if (use_plan_cache) PlanInsert(key, plan);
     }
   }
 
@@ -365,10 +368,8 @@ util::Result<TableHandle> QueryEngine::Execute(
     }
     if (!fp.ok()) {
       executed = fp;
-    } else if (plan != nullptr) {
-      executed = sparql::Execute(store_, query, *plan, options, stats);
     } else {
-      executed = sparql::Execute(store_, query, options, stats);
+      executed = sparql::Execute(store_, query, plan.get(), options, stats);
     }
     if (executed.ok() || !executed.status().IsUnavailable() ||
         attempt >= config_.max_transient_retries) {
@@ -403,8 +404,19 @@ util::Result<TableHandle> QueryEngine::Execute(
 util::Result<TableHandle> QueryEngine::ExecuteText(
     std::string_view text, const sparql::ExecOptions& options,
     sparql::ExecStats* stats) {
-  RE2X_ASSIGN_OR_RETURN(sparql::SelectQuery query, sparql::ParseQuery(text));
-  return Execute(query, options, stats);
+  util::Result<sparql::SelectQuery> query = sparql::ParseQuery(text);
+  if (!query.ok()) {
+    // Unparseable text never reaches Execute, so its record is written
+    // here, fingerprinted on the raw text (there is no normalized form).
+    obs::QueryRecordScope record(obs::QueryOp::kEngineExecute);
+    if (record.active()) {
+      record.SetQueryText(std::string(text));
+      record.rec().freeze_epoch = store_.freeze_epoch();
+      record.rec().status = static_cast<uint8_t>(query.status().code());
+    }
+    return query.status();
+  }
+  return Execute(*query, options, stats);
 }
 
 util::Status QueryEngine::SaveSnapshot(

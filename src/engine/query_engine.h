@@ -35,7 +35,9 @@ struct EngineSnapshot {
 /// handle (enforced by const).
 using TableHandle = std::shared_ptr<const sparql::ResultTable>;
 
-/// Cache sizing knobs. Zero capacity disables the corresponding cache.
+/// Cache sizing knobs. Zero capacity disables the corresponding cache; an
+/// engine with both caches off plans and executes every call afresh, the
+/// uncached run that tests and ablation benches compare against.
 struct EngineConfig {
   /// Max distinct plans kept (LRU beyond that). 0 disables plan caching.
   size_t plan_cache_capacity = 256;
@@ -70,9 +72,9 @@ struct EngineCacheStats {
   size_t result_bytes = 0;  // resident cost estimate across shards
 };
 
-/// The single execution entry point for a frozen store: owns the full
-/// parse→plan→execute pipeline plus two caches keyed on the normalized
-/// query text and the store's freeze epoch.
+/// The only way to execute a query: owns the full parse→plan→execute
+/// pipeline (sparql::Execute is its private executor) plus two caches
+/// keyed on the normalized query text and the store's freeze epoch.
 ///
 /// - Plan cache: LRU map of normalized query → immutable Plan. Plans are
 ///   read-only during execution, so one cached plan serves concurrent
@@ -120,7 +122,9 @@ class QueryEngine {
                                     const sparql::ExecOptions& options = {},
                                     sparql::ExecStats* stats = nullptr);
 
-  /// Convenience: parse + Execute.
+  /// Convenience: parse + Execute. Text that fails to parse still
+  /// appends its one query-log record (status ParseError, fingerprinted
+  /// on the raw text).
   util::Result<TableHandle> ExecuteText(std::string_view text,
                                         const sparql::ExecOptions& options = {},
                                         sparql::ExecStats* stats = nullptr);

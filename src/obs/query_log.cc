@@ -51,8 +51,6 @@ const char* QueryOpName(QueryOp op) {
   switch (op) {
     case QueryOp::kEngineExecute:
       return "engine.execute";
-    case QueryOp::kSparqlExecute:
-      return "sparql.execute";
     case QueryOp::kSessionSynthesize:
       return "session.synthesize";
     case QueryOp::kSessionRefine:

@@ -3,9 +3,9 @@
 
 // The query telemetry layer: an always-on, bounded-overhead flight
 // recorder of every query-shaped operation the system performs. Each
-// execution through engine::QueryEngine::Execute, the engine-free
-// sparql::Execute escape hatch, a core::Session exploration interaction,
-// or a storage snapshot save/load appends exactly one fixed-layout
+// call of engine::QueryEngine::Execute / ExecuteText (the one way to run
+// a query), a core::Session exploration interaction, or a storage
+// snapshot save/load appends exactly one fixed-layout
 // QueryRecord into a lock-sharded ring buffer (modeled on the Tracer
 // shards): identity, cache outcome, guard verdict, degradation flags,
 // and the parse/plan/exec latency breakdown survive the call, so a
@@ -46,8 +46,7 @@ namespace re2xolap::obs {
 
 /// What kind of operation a QueryRecord describes.
 enum class QueryOp : uint8_t {
-  kEngineExecute = 0,   // engine::QueryEngine::Execute
-  kSparqlExecute,       // engine-free sparql::Execute escape hatch
+  kEngineExecute = 0,   // engine::QueryEngine::Execute / ExecuteText
   kSessionSynthesize,   // core::Session::Start (ReOLAP synthesis)
   kSessionRefine,       // core::Session::Refine (disaggregate/subset/...)
   kSessionExclude,      // core::Session::ExcludeNegative
@@ -55,13 +54,14 @@ enum class QueryOp : uint8_t {
   kSnapshotSave,        // storage::SaveSnapshot
   kSnapshotLoad,        // storage::LoadSnapshot
 };
-inline constexpr size_t kQueryOpCount = 8;
+inline constexpr size_t kQueryOpCount = 7;
 
 /// Stable display name ("engine.execute", "session.synthesize", ...).
 const char* QueryOpName(QueryOp op);
 
 /// Result-cache outcome of one execution. kNone: the operation has no
-/// cache (sessions, snapshots, direct sparql::Execute); kBypass: caching
+/// cache (sessions, snapshots) or never reached it (a guard reject, a
+/// parse error); kBypass: caching
 /// was disabled or deliberately skipped (profiled runs).
 enum class CacheOutcome : uint8_t { kNone = 0, kHit, kMiss, kBypass };
 const char* CacheOutcomeName(CacheOutcome outcome);
@@ -233,12 +233,12 @@ class QueryLog {
   std::FILE* sink_file_ = nullptr;
 };
 
-/// RAII collector for one query-shaped call. The outermost scope on a
-/// thread owns the call's record — nested scopes (sparql::Execute under
-/// QueryEngine::Execute, the ASK rewrite's inner probe) are inactive, so
-/// each top-level call appends exactly one record however deep the
-/// execution recurses. The destructor stamps total_millis, appends the
-/// record, and captures it into the slow-query log when it qualifies.
+/// RAII collector for one query-shaped call (QueryEngine::Execute, or
+/// QueryEngine::ExecuteText when the text fails to parse). The outermost
+/// scope on a thread owns the call's record; a scope opened inside it
+/// stays inactive, so one top-level call can never append two records.
+/// The destructor stamps total_millis, appends the record, and captures
+/// it into the slow-query log when it qualifies.
 ///
 /// Session interactions and snapshot operations deliberately do NOT use
 /// this scope (they append directly): an engine execution inside a

@@ -1,4 +1,4 @@
-// Orchestration of the parse→plan→execute pipeline for one query. The
+// Orchestration of the execute step for one planned query. The
 // heavy lifting lives in dedicated translation units: filter evaluation
 // in ebv.cc, the join in vectorized_runner.cc, aggregation
 // and the post-join operator pipeline in post_ops.cc. This file only
@@ -11,10 +11,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/query_log.h"
 #include "obs/trace.h"
-#include "sparql/explain.h"
-#include "sparql/parser.h"
 #include "sparql/post_ops.h"
 #include "sparql/vectorized_runner.h"
 #include "util/timer.h"
@@ -23,19 +20,20 @@ namespace re2xolap::sparql {
 
 namespace {
 
+util::Result<ResultTable> ExecutePlanImpl(const rdf::TripleStore& store,
+                                          const SelectQuery& query,
+                                          const Plan& plan,
+                                          const ExecOptions& options,
+                                          ExecStats* stats);
+
 /// ASK: rewrite into an early-exiting LIMIT-1 existence probe and wrap
-/// the answer as a one-cell boolean table (column "ask", 1 or 0).
+/// the answer as a one-cell boolean table (column "ask", 1 or 0). The
+/// probe is the one execution that counts and traces the ASK.
 util::Result<ResultTable> ExecuteAsk(const rdf::TripleStore& store,
                                      const SelectQuery& query,
                                      const ExecOptions& options,
                                      ExecStats* stats) {
   util::WallTimer total_timer;
-  obs::Span exec_span("sparql.execute");
-  exec_span.SetAttr("patterns", static_cast<uint64_t>(query.patterns.size()));
-  static obs::Counter& queries_total =
-      obs::MetricsRegistry::Global().GetCounter("sparql.queries");
-  queries_total.Inc();
-
   SelectQuery probe = query;
   probe.is_ask = false;
   probe.distinct = false;
@@ -68,7 +66,11 @@ util::Result<ResultTable> ExecuteAsk(const rdf::TripleStore& store,
     probe.items.push_back(std::move(item));
     probe.limit.reset();
   }
-  RE2X_ASSIGN_OR_RETURN(ResultTable sub, Execute(store, probe, options, stats));
+  util::WallTimer plan_timer;
+  RE2X_ASSIGN_OR_RETURN(Plan plan, PlanQuery(store, probe, options.plan));
+  if (stats) stats->plan_millis = plan_timer.ElapsedMillis();
+  RE2X_ASSIGN_OR_RETURN(ResultTable sub,
+                        ExecutePlanImpl(store, probe, plan, options, stats));
   bool answer = false;
   if (!sub.rows().empty()) {
     answer =
@@ -227,28 +229,7 @@ util::Result<ResultTable> ExecutePlanImpl(const rdf::TripleStore& store,
                                           const SelectQuery& query,
                                           const Plan& plan,
                                           const ExecOptions& options,
-                                          ExecStats* stats);
-
-util::Result<ResultTable> ExecuteImpl(const rdf::TripleStore& store,
-                                      const SelectQuery& query,
-                                      const ExecOptions& options,
-                                      ExecStats* stats) {
-  if (query.is_ask) return ExecuteAsk(store, query, options, stats);
-  util::WallTimer plan_timer;
-  RE2X_ASSIGN_OR_RETURN(Plan plan, PlanQuery(store, query, options.plan));
-  if (stats) stats->plan_millis = plan_timer.ElapsedMillis();
-  return ExecutePlanImpl(store, query, plan, options, stats);
-}
-
-util::Result<ResultTable> ExecutePlanImpl(const rdf::TripleStore& store,
-                                          const SelectQuery& query,
-                                          const Plan& plan,
-                                          const ExecOptions& options,
                                           ExecStats* stats) {
-  // A prebuilt plan cannot represent an ASK query (the rewrite precedes
-  // planning) — fall back to the planning path.
-  if (query.is_ask) return ExecuteAsk(store, query, options, stats);
-
   util::WallTimer total_timer;
   obs::Span exec_span("sparql.execute");
   exec_span.SetAttr("patterns", static_cast<uint64_t>(query.patterns.size()));
@@ -385,79 +366,14 @@ util::Result<ResultTable> ExecutePlanImpl(const rdf::TripleStore& store,
   return table;
 }
 
-/// Prefills the flight-recorder record of one top-level sparql::Execute
-/// call (no-op for nested scopes: the ASK rewrite's inner probe, or an
-/// execution already recorded by QueryEngine::Execute).
-void BeginQueryRecord(obs::QueryRecordScope& scope,
-                      const rdf::TripleStore& store,
-                      const SelectQuery& query) {
-  if (!scope.active()) return;
-  obs::QueryRecord& rec = scope.rec();
-  rec.freeze_epoch = store.freeze_epoch();
-  scope.SetQueryText(ToSparql(query));
-}
-
-/// Stamps the call outcome on the record and, when the record qualifies
-/// for slow capture, renders the operator tree before the stats sink (a
-/// caller's or the wrapper's local) goes away.
-util::Result<ResultTable> FinishQueryRecord(obs::QueryRecordScope& scope,
-                                            const ExecStats* stats,
-                                            util::Result<ResultTable> result) {
-  if (!scope.active()) return result;
-  obs::QueryRecord& rec = scope.rec();
-  rec.status = static_cast<uint8_t>(result.ok() ? util::StatusCode::kOk
-                                                : result.status().code());
-  if (result.ok()) rec.rows_out = result.value().rows().size();
-  if (stats != nullptr) {
-    rec.triples_scanned = stats->triples_scanned;
-    rec.intermediate_bindings = stats->intermediate_bindings;
-    rec.plan_millis = stats->plan_millis;
-    rec.exec_millis = stats->exec_millis;
-  }
-  if (stats != nullptr && !stats->profile.label.empty() &&
-      scope.WillCapture()) {
-    scope.SetDetail(RenderProfile(stats->profile, /*include_timing=*/true));
-  }
-  return result;
-}
-
 }  // namespace
 
 util::Result<ResultTable> Execute(const rdf::TripleStore& store,
-                                  const SelectQuery& query,
+                                  const SelectQuery& query, const Plan* plan,
                                   const ExecOptions& options,
                                   ExecStats* stats) {
-  obs::QueryRecordScope record(obs::QueryOp::kSparqlExecute);
-  ExecStats local_stats;
-  if (record.active()) {
-    BeginQueryRecord(record, store, query);
-    // A stats sink guarantees slow captures carry an operator tree.
-    if (stats == nullptr) stats = &local_stats;
-  }
-  return FinishQueryRecord(record, stats,
-                           ExecuteImpl(store, query, options, stats));
-}
-
-util::Result<ResultTable> Execute(const rdf::TripleStore& store,
-                                  const SelectQuery& query, const Plan& plan,
-                                  const ExecOptions& options,
-                                  ExecStats* stats) {
-  obs::QueryRecordScope record(obs::QueryOp::kSparqlExecute);
-  ExecStats local_stats;
-  if (record.active()) {
-    BeginQueryRecord(record, store, query);
-    if (stats == nullptr) stats = &local_stats;
-  }
-  return FinishQueryRecord(record, stats,
-                           ExecutePlanImpl(store, query, plan, options, stats));
-}
-
-util::Result<ResultTable> ExecuteText(const rdf::TripleStore& store,
-                                      std::string_view sparql,
-                                      const ExecOptions& options,
-                                      ExecStats* stats) {
-  RE2X_ASSIGN_OR_RETURN(SelectQuery q, ParseQuery(sparql));
-  return Execute(store, q, options, stats);
+  if (query.is_ask) return ExecuteAsk(store, query, options, stats);
+  return ExecutePlanImpl(store, query, *plan, options, stats);
 }
 
 }  // namespace re2xolap::sparql

@@ -2,7 +2,6 @@
 #define RE2XOLAP_SPARQL_EXECUTOR_H_
 
 #include <cstdint>
-#include <string_view>
 
 #include "obs/query_profile.h"
 #include "rdf/triple_store.h"
@@ -46,30 +45,19 @@ struct ExecStats {
   obs::ProfileNode profile;            // per-operator tree, root = the query
 };
 
-/// Plans and executes `query` against `store`. Returns the materialized
-/// result table, or a Status on invalid queries / timeout.
+/// Executes `query` against `store` with `plan`, the PlanQuery output for
+/// exactly this query/store pair. The only caller is
+/// engine::QueryEngine::Execute, which resolves the plan from its cache
+/// or plans afresh; `options.plan` is already baked into it. ASK queries
+/// are rewritten into existence probes before planning, so no prebuilt
+/// plan applies: pass null, and the executor plans the probe itself
+/// (under `options.plan`, filling `stats->plan_millis`). Returns the
+/// materialized result table, or a Status on invalid queries / guard
+/// violations.
 util::Result<ResultTable> Execute(const rdf::TripleStore& store,
-                                  const SelectQuery& query,
-                                  const ExecOptions& options = {},
-                                  ExecStats* stats = nullptr);
-
-/// Executes `query` using a prebuilt `plan` (as produced by PlanQuery for
-/// exactly this query/store pair), skipping the planning phase — this is
-/// what lets an engine-layer plan cache amortize planning across repeated
-/// queries. ASK queries are rewritten into existence probes *before*
-/// planning, so a prebuilt plan cannot apply; they delegate to the
-/// planning overload. `options.plan` is ignored (already baked into
-/// `plan`) and `stats->plan_millis` is left untouched.
-util::Result<ResultTable> Execute(const rdf::TripleStore& store,
-                                  const SelectQuery& query, const Plan& plan,
-                                  const ExecOptions& options = {},
-                                  ExecStats* stats = nullptr);
-
-/// Convenience: parse + execute SPARQL text.
-util::Result<ResultTable> ExecuteText(const rdf::TripleStore& store,
-                                      std::string_view sparql,
-                                      const ExecOptions& options = {},
-                                      ExecStats* stats = nullptr);
+                                  const SelectQuery& query, const Plan* plan,
+                                  const ExecOptions& options,
+                                  ExecStats* stats);
 
 }  // namespace re2xolap::sparql
 

@@ -4,7 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "sparql/parser.h"
 #include "util/table_printer.h"
 
 namespace re2xolap::sparql {
@@ -36,25 +35,6 @@ std::string RenderProfile(const obs::ProfileNode& root, bool include_timing) {
   std::ostringstream os;
   tp.Print(os);
   return os.str();
-}
-
-util::Result<ExplainResult> ExplainAnalyze(const rdf::TripleStore& store,
-                                           const SelectQuery& query,
-                                           const ExplainOptions& options) {
-  ExecOptions exec = options.exec;
-  exec.profile = true;
-  ExplainResult out;
-  RE2X_ASSIGN_OR_RETURN(out.table,
-                        Execute(store, query, exec, &out.stats));
-  out.report = RenderProfile(out.stats.profile, options.include_timing);
-  return out;
-}
-
-util::Result<ExplainResult> ExplainAnalyzeText(const rdf::TripleStore& store,
-                                               std::string_view sparql,
-                                               const ExplainOptions& options) {
-  RE2X_ASSIGN_OR_RETURN(SelectQuery q, ParseQuery(sparql));
-  return ExplainAnalyze(store, q, options);
 }
 
 }  // namespace re2xolap::sparql

@@ -2,52 +2,18 @@
 #define RE2XOLAP_SPARQL_EXPLAIN_H_
 
 #include <string>
-#include <string_view>
 
 #include "obs/query_profile.h"
-#include "rdf/triple_store.h"
-#include "sparql/ast.h"
-#include "sparql/executor.h"
-#include "sparql/result_table.h"
-#include "util/result.h"
 
 namespace re2xolap::sparql {
 
-/// Knobs for EXPLAIN ANALYZE.
-struct ExplainOptions {
-  /// Execution options for the analyzed run; `exec.profile` is forced on
-  /// so every operator gets wall times.
-  ExecOptions exec;
-  /// When false, the rendered tree replaces every measured time with a
-  /// placeholder, making the output deterministic (used by golden tests).
-  bool include_timing = true;
-};
-
-/// The result of ExplainAnalyze: the executed query's result table plus
-/// the rendered per-operator report and the raw profile/stat numbers.
-struct ExplainResult {
-  ResultTable table;
-  ExecStats stats;
-  std::string report;  // aligned ASCII operator tree
-};
-
 /// Renders `root` as an aligned ASCII table, one row per operator,
 /// children indented two spaces per level. Columns: operator, rows in,
-/// rows out, scanned, millis. With `include_timing == false` the millis
-/// column shows "-" for every node.
+/// rows out, scanned, millis. With `include_timing == false` every
+/// measured time renders as "*", making the output deterministic.
+/// engine::ExplainAnalyze is the EXPLAIN ANALYZE that runs a query and
+/// renders its tree this way.
 std::string RenderProfile(const obs::ProfileNode& root, bool include_timing);
-
-/// Executes `query` with per-operator profiling enabled and returns the
-/// result table together with the rendered operator report — the EXPLAIN
-/// ANALYZE of this engine.
-util::Result<ExplainResult> ExplainAnalyze(const rdf::TripleStore& store,
-                                           const SelectQuery& query,
-                                           const ExplainOptions& options = {});
-
-/// Convenience: parse + ExplainAnalyze SPARQL text.
-util::Result<ExplainResult> ExplainAnalyzeText(
-    const rdf::TripleStore& store, std::string_view sparql,
-    const ExplainOptions& options = {});
 
 }  // namespace re2xolap::sparql
 

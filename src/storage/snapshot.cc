@@ -268,8 +268,9 @@ util::Status DecodeDictionary(const std::byte* data, size_t bytes,
         " terms but the header says " + std::to_string(term_count));
   }
   // Each term occupies at least 6 bytes (kind + type + length), so a
-  // crafted count cannot force an oversized reservation.
-  if (count * 6 > r.remaining()) {
+  // crafted count cannot force an oversized reservation. (Dividing, not
+  // multiplying, keeps a huge count from wrapping past the check.)
+  if (count > r.remaining() / 6) {
     return util::Status::ParseError("snapshot dictionary overruns payload");
   }
   dict->Reserve(count);
@@ -308,7 +309,7 @@ util::Status DecodeStats(const std::byte* data, size_t bytes,
   ByteReader r(data, bytes);
   uint64_t count = 0;
   RE2X_RETURN_IF_ERROR(r.U64(&count));
-  if (count * 28 > r.remaining()) {
+  if (count > r.remaining() / 28) {
     return util::Status::ParseError(
         "snapshot predicate stats overrun payload");
   }
@@ -533,7 +534,7 @@ DecodeDeltaChain(const std::byte* data, size_t bytes, uint64_t term_count,
         "only written for non-empty chains");
   }
   // Each layer occupies at least its 24-byte fixed part.
-  if (layer_count * 24 > r.remaining()) {
+  if (layer_count > r.remaining() / 24) {
     return util::Status::ParseError("snapshot delta_chain overruns payload");
   }
   std::vector<std::shared_ptr<const rdf::DeltaLayer>> layers;
@@ -544,12 +545,14 @@ DecodeDeltaChain(const std::byte* data, size_t bytes, uint64_t term_count,
     RE2X_RETURN_IF_ERROR(r.U64(&layer->batch_id));
     RE2X_RETURN_IF_ERROR(r.U64(&add_count));
     RE2X_RETURN_IF_ERROR(r.U64(&del_count));
-    if (add_count + del_count == 0) {
+    if (add_count == 0 && del_count == 0) {
       return util::Status::ParseError(
           "snapshot delta_chain layer " + std::to_string(i) +
           " is empty; empty batches are never published");
     }
-    if ((add_count + del_count) * 3 * sizeof(EncodedTriple) > r.remaining()) {
+    // Each triple is stored three times (one array per index order).
+    const uint64_t room = r.remaining() / (3 * sizeof(EncodedTriple));
+    if (add_count > room || del_count > room - add_count) {
       return util::Status::ParseError("snapshot delta_chain layer " +
                                       std::to_string(i) +
                                       " overruns payload");

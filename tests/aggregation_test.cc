@@ -14,12 +14,14 @@
 #include "rdf/triple_store.h"
 #include "sparql/executor.h"
 #include "tests/reference_eval.h"
+#include "tests/uncached_engine.h"
 #include "util/exec_guard.h"
 
 namespace re2xolap::sparql {
 namespace {
 
 using re2xolap::testing::AgreesWithReference;
+using re2xolap::testing::RunUncachedText;
 
 constexpr int kObservations = 24000;
 constexpr int kDomainA = 400;
@@ -90,7 +92,7 @@ TEST_F(AggregationTest, TwentyThousandGroupsMatchReference) {
                   "(COUNT(*) AS ?all) (COUNT(DISTINCT ?c) AS ?dc) WHERE { ") +
       kPatterns + "} GROUP BY ?a ?b";
   for (const rdf::TripleStore* store : Stores()) {
-    auto r = ExecuteText(*store, query);
+    auto r = RunUncachedText(*store, query);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_GE(r->row_count(), 20000u);
     EXPECT_TRUE(AgreesWithReference(*store, query));
@@ -149,7 +151,7 @@ TEST_F(AggregationTest, UnboundOptionalKeysGroupTogether) {
       std::string("SELECT ?o ?c (COUNT(*) AS ?n) (SUM(?v) AS ?s) WHERE { ") +
       kPatterns + kOptional + "} GROUP BY ?o ?c";
   for (const rdf::TripleStore* store : Stores()) {
-    auto r = ExecuteText(*store, query);
+    auto r = RunUncachedText(*store, query);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     size_t unbound = 0;
     for (const Row& row : r->rows()) unbound += row[0].is_null() ? 1 : 0;
@@ -177,7 +179,7 @@ TEST_F(AggregationTest, NoGroupByAndZeroBindingsMatchReference) {
     for (const std::string& query : queries) {
       EXPECT_TRUE(AgreesWithReference(*store, query)) << "query: " << query;
     }
-    auto empty = ExecuteText(*store, queries[2]);
+    auto empty = RunUncachedText(*store, queries[2]);
     ASSERT_TRUE(empty.ok()) << empty.status().ToString();
     EXPECT_EQ(empty->row_count(), 0u);
   }
@@ -198,7 +200,7 @@ TEST(AggregationOrderTest, GroupsEmitInFirstSeenOrder) {
   store.Add(s2, p, Iri("o", 3));
   store.Add(s1, p, Iri("o", 4));
   store.Freeze();
-  auto r = ExecuteText(
+  auto r = RunUncachedText(
       store, "SELECT ?s (COUNT(*) AS ?n) WHERE { ?s <http://agg/p/0> ?o } "
              "GROUP BY ?s");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -223,7 +225,7 @@ TEST_F(AggregationTest, TinyByteBudgetTripsOnGroupBy) {
     util::ExecGuard guard(limits);
     ExecOptions opts;
     opts.guard = &guard;
-    auto r = ExecuteText(*store, query, opts);
+    auto r = RunUncachedText(*store, query, opts);
     ASSERT_FALSE(r.ok());
     EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
   }
@@ -250,7 +252,7 @@ TEST_F(AggregationTest, GuardIsChargedPerGroupBytes) {
     util::ExecGuard guard(limits);
     ExecOptions opts;
     opts.guard = &guard;
-    auto r = ExecuteText(*raw_, query, opts);
+    auto r = RunUncachedText(*raw_, query, opts);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(guard.charged_bytes(),
               r->row_count() * (2 * 4 + c.folds * 32 + 8))

@@ -10,9 +10,13 @@
 #include "qb/generator.h"
 #include "sparql/executor.h"
 #include "tests/test_data.h"
+#include "tests/uncached_engine.h"
 
 namespace re2xolap::core {
 namespace {
+
+using re2xolap::testing::RunUncached;
+using re2xolap::testing::kUncached;
 
 TEST(DescribeTest, PrefersRdfsLabelOverLocalName) {
   rdf::TripleStore store;
@@ -49,7 +53,8 @@ TEST(DescribeTest, GeneratedEurostatUsesCuratedPredicateLabels) {
                                        ds->spec.observation_class);
   ASSERT_TRUE(vsg.ok());
   rdf::TextIndex text(*ds->store);
-  Reolap reolap(ds->store.get(), &*vsg, &text);
+  engine::QueryEngine engine(*ds->store, kUncached);
+  Reolap reolap(&*vsg, &text, engine);
   auto queries = reolap.Synthesize({"Germany"});
   ASSERT_TRUE(queries.ok());
   bool labeled_desc = false;
@@ -73,11 +78,13 @@ class SimilarityMeasureTest
     ASSERT_TRUE(r.ok());
     vsg = std::make_unique<VirtualSchemaGraph>(std::move(r).value());
     text = std::make_unique<rdf::TextIndex>(*store);
-    reolap = std::make_unique<Reolap>(store.get(), vsg.get(), text.get());
+    engine = std::make_unique<engine::QueryEngine>(*store, kUncached);
+    reolap = std::make_unique<Reolap>(vsg.get(), text.get(), *engine);
   }
   std::unique_ptr<rdf::TripleStore> store;
   std::unique_ptr<VirtualSchemaGraph> vsg;
   std::unique_ptr<rdf::TextIndex> text;
+  std::unique_ptr<engine::QueryEngine> engine;
   std::unique_ptr<Reolap> reolap;
 };
 
@@ -94,7 +101,7 @@ TEST_P(SimilarityMeasureTest, ProducesAnchoredRefinement) {
     }
   }
   ASSERT_NE(with_dest, nullptr);
-  auto table = sparql::Execute(*store, with_dest->query);
+  auto table = RunUncached(*store, with_dest->query);
   ASSERT_TRUE(table.ok());
   SimilarityOptions opts;
   opts.k = 1;
@@ -103,7 +110,7 @@ TEST_P(SimilarityMeasureTest, ProducesAnchoredRefinement) {
   ASSERT_TRUE(refs.ok());
   ASSERT_FALSE(refs->empty());
   for (const ExploreState& r : *refs) {
-    auto rt = sparql::Execute(*store, r.query);
+    auto rt = RunUncached(*store, r.query);
     ASSERT_TRUE(rt.ok());
     EXPECT_GT(rt->row_count(), 0u);
     EXPECT_FALSE(ExampleRowIndexes(r, *rt).empty());
@@ -124,7 +131,8 @@ TEST(SimilarityMeasureOrderTest, EuclideanPrefersCloserMagnitudes) {
   auto vsg = VirtualSchemaGraph::Build(*store, re2xolap::testing::kObsClass);
   ASSERT_TRUE(vsg.ok());
   rdf::TextIndex text(*store);
-  Reolap reolap(store.get(), &*vsg, &text);
+  engine::QueryEngine engine(*store, kUncached);
+  Reolap reolap(&*vsg, &text, engine);
   auto queries = reolap.Synthesize({"China"});
   ASSERT_TRUE(queries.ok());
   ExploreState st = InitialState((*queries)[0]);
@@ -136,7 +144,7 @@ TEST(SimilarityMeasureOrderTest, EuclideanPrefersCloserMagnitudes) {
     }
   }
   ASSERT_NE(with_dest, nullptr);
-  auto table = sparql::Execute(*store, with_dest->query);
+  auto table = RunUncached(*store, with_dest->query);
   ASSERT_TRUE(table.ok());
   SimilarityOptions opts;
   opts.k = 1;
@@ -146,7 +154,7 @@ TEST(SimilarityMeasureOrderTest, EuclideanPrefersCloserMagnitudes) {
   ASSERT_FALSE(refs->empty());
   // China(DE)=80; Nigeria(DE)=60; Syria(DE)=903,(FR)=120. Euclidean picks
   // Nigeria as China's nearest neighbor.
-  auto rt = sparql::Execute(*store, (*refs)[0].query);
+  auto rt = RunUncached(*store, (*refs)[0].query);
   ASSERT_TRUE(rt.ok());
   bool has_nigeria = false, has_syria = false;
   int col = rt->ColumnIndex((*refs)[0].example_columns[0]);

@@ -17,6 +17,7 @@
 #include "sparql/executor.h"
 #include "sparql/parser.h"
 #include "tests/test_data.h"
+#include "tests/uncached_engine.h"
 #include "util/exec_guard.h"
 #include "util/failpoint.h"
 
@@ -24,7 +25,9 @@ namespace re2xolap::engine {
 namespace {
 
 using re2xolap::testing::BuildFigure1Store;
+using re2xolap::testing::RunUncachedText;
 using re2xolap::testing::kObsClass;
+using re2xolap::testing::kUncached;
 
 constexpr char kObsQuery[] =
     "SELECT ?obs WHERE { ?obs a <http://test/Observation> }";
@@ -105,6 +108,18 @@ TEST_F(EngineTest, ProfiledRunsBypassResultCache) {
   EXPECT_EQ(engine.cache_stats().result_hits, 0u);
 }
 
+TEST_F(EngineTest, AskIsCountedOnce) {
+  QueryEngine engine(*store, kUncached);
+  obs::Counter& queries =
+      obs::MetricsRegistry::Global().GetCounter("sparql.queries");
+  const uint64_t before = queries.value();
+  auto r = engine.ExecuteText("ASK { ?o a <http://test/Observation> }");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ((*r)->NumericValue((*r)->at(0, 0)), 1.0);
+  // The ASK runs as one existence probe: one executed query, not two.
+  EXPECT_EQ(queries.value() - before, 1u);
+}
+
 TEST_F(EngineTest, RefreezeInvalidatesCachesAndServesNewData) {
   QueryEngine engine(*store);
   const uint64_t epoch0 = store->freeze_epoch();
@@ -147,7 +162,7 @@ TEST_F(EngineTest, ExplicitInvalidateDropsEverything) {
 TEST_F(EngineTest, LruEvictsUnderTinyByteBudget) {
   // Size the budget off a real table so the test tracks the cost model:
   // room for about two entries in a single shard.
-  auto probe = sparql::ExecuteText(*store, ThresholdQuery(0));
+  auto probe = RunUncachedText(*store, ThresholdQuery(0));
   ASSERT_TRUE(probe.ok());
   const size_t cost = EstimateTableCost(*probe);
   ASSERT_GT(cost, 0u);
@@ -171,7 +186,7 @@ TEST_F(EngineTest, LruEvictsUnderTinyByteBudget) {
 }
 
 TEST_F(EngineTest, OversizedEntriesAreNotAdmitted) {
-  auto probe = sparql::ExecuteText(*store, kObsQuery);
+  auto probe = RunUncachedText(*store, kObsQuery);
   ASSERT_TRUE(probe.ok());
 
   EngineConfig config;
@@ -223,7 +238,7 @@ class EngineReolapTest : public ::testing::Test {
 
 TEST_F(EngineReolapTest, SecondValidationOfIdenticalComboIsCacheHit) {
   QueryEngine engine(*store);
-  core::Reolap reolap(store.get(), vsg.get(), text.get(), &engine);
+  core::Reolap reolap(vsg.get(), text.get(), engine);
 
   obs::Counter& global_hits =
       obs::MetricsRegistry::Global().GetCounter("engine.result_cache.hits");
@@ -250,9 +265,12 @@ TEST_F(EngineReolapTest, SecondValidationOfIdenticalComboIsCacheHit) {
 }
 
 TEST_F(EngineReolapTest, EngineAndDirectPathsProduceIdenticalCandidates) {
+  // "Direct" validation is an engine with both caches off: every probe
+  // runs against the store.
   QueryEngine engine(*store);
-  core::Reolap cached(store.get(), vsg.get(), text.get(), &engine);
-  core::Reolap direct(store.get(), vsg.get(), text.get());
+  QueryEngine uncached(*store, kUncached);
+  core::Reolap cached(vsg.get(), text.get(), engine);
+  core::Reolap direct(vsg.get(), text.get(), uncached);
 
   auto a = cached.Synthesize({"Germany", "2014"});
   auto b = direct.Synthesize({"Germany", "2014"});
@@ -271,7 +289,7 @@ TEST_F(EngineReolapTest, EngineAndDirectPathsProduceIdenticalCandidates) {
 TEST_F(EngineTest, ConcurrentHitMissEvictStress) {
   // A budget around two entries keeps all three code paths hot: hits,
   // misses, and evictions race across four threads on one shard.
-  auto probe = sparql::ExecuteText(*store, ThresholdQuery(0));
+  auto probe = RunUncachedText(*store, ThresholdQuery(0));
   ASSERT_TRUE(probe.ok());
   EngineConfig config;
   config.result_cache_shards = 1;
@@ -303,7 +321,7 @@ TEST_F(EngineTest, ConcurrentHitMissEvictStress) {
 
 TEST_F(EngineReolapTest, ConcurrentValidationThreadsShareOneEngine) {
   QueryEngine engine(*store);
-  core::Reolap reolap(store.get(), vsg.get(), text.get(), &engine);
+  core::Reolap reolap(vsg.get(), text.get(), engine);
 
   // Warm the cache serially, then fan the identical synthesis out over the
   // parallel validation path (ParallelFor probes) and over plain threads —

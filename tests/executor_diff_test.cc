@@ -1,5 +1,5 @@
 // Differential tests of the query engine against the reference evaluator
-// (tests/reference_eval.h): every query runs through sparql::Execute and
+// (tests/reference_eval.h): every query runs through an uncached engine and
 // through the naive AST-walking oracle, and the answers must agree (same
 // row multiset; ORDER BY key sequences; LIMIT/OFFSET windows drawn from
 // the full answer). The same corpus runs on a compressed-index clone,
@@ -19,6 +19,7 @@
 #include "sparql/executor.h"
 #include "tests/reference_eval.h"
 #include "tests/test_data.h"
+#include "tests/uncached_engine.h"
 #include "util/exec_guard.h"
 
 namespace re2xolap::sparql {
@@ -26,6 +27,8 @@ namespace {
 
 using re2xolap::testing::AgreesWithReference;
 using re2xolap::testing::BuildFigure1Store;
+using re2xolap::testing::RunUncachedText;
+using re2xolap::testing::RunUncachedTextStalled;
 
 /// Stringified rows, in emission order.
 std::vector<std::string> TableRows(const ResultTable& t) {
@@ -261,7 +264,7 @@ TEST_F(ExecutorDiffTest, RowBudgetTripsIdentically) {
   util::ExecGuard guard(limits);
   ExecOptions opts;
   opts.guard = &guard;
-  auto r = ExecuteText(
+  auto r = RunUncachedText(
       *store, "SELECT ?obs ?v WHERE { ?obs <http://test/numApplicants> ?v }",
       opts);
   ASSERT_FALSE(r.ok());
@@ -279,7 +282,7 @@ TEST_F(ExecutorDiffTest, RowBudgetTripsWhenNoRowIsEverEmitted) {
   util::ExecGuard guard(limits);
   ExecOptions opts;
   opts.guard = &guard;
-  auto r = ExecuteText(*store, R"(
+  auto r = RunUncachedText(*store, R"(
     SELECT ?obs WHERE {
       ?obs <http://test/numApplicants> ?v .
       ?v <http://test/inContinent> ?x .
@@ -296,7 +299,7 @@ TEST_F(ExecutorDiffTest, ByteBudgetTripsIdentically) {
   util::ExecGuard guard(limits);
   ExecOptions opts;
   opts.guard = &guard;
-  auto r = ExecuteText(
+  auto r = RunUncachedText(
       *store, "SELECT ?obs ?v WHERE { ?obs <http://test/numApplicants> ?v }",
       opts);
   ASSERT_FALSE(r.ok());
@@ -305,27 +308,34 @@ TEST_F(ExecutorDiffTest, ByteBudgetTripsIdentically) {
 
 TEST(ExecutorDiffScaleTest, CancellationAndDeadlineTripIdenticallyInJoin) {
   // A full scan over a generated cube crosses the join's periodic
-  // full-check interval, so the runner must observe an already-tripped
-  // guard *inside the join loop* and surface its code.
+  // full-check interval, so the runner must observe a guard that tripped
+  // mid-query *inside the join loop* and surface its code. The engine
+  // rejects an already-tripped guard at admission, so each guard trips
+  // while the join's first scan is stalled.
+  static constexpr int kTripMillis = 50;
+  static constexpr int kStallMillis = 150;
   auto ds = qb::Generate(qb::EurostatSpec(4000));
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
   const std::string query = "SELECT ?s ?p ?o WHERE { ?s ?p ?o }";
   {
     util::CancellationToken token;
-    token.Cancel();
     util::ExecGuard guard({}, &token);
     ExecOptions opts;
     opts.guard = &guard;
-    auto r = ExecuteText(*ds->store, query, opts);
+    std::thread canceller([&token] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(kTripMillis));
+      token.Cancel();
+    });
+    auto r = RunUncachedTextStalled(*ds->store, query, opts, kStallMillis);
+    canceller.join();
     ASSERT_FALSE(r.ok());
     EXPECT_TRUE(r.status().IsCancelled()) << r.status().ToString();
   }
   {
-    util::ExecGuard guard = util::ExecGuard::WithDeadline(1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    util::ExecGuard guard = util::ExecGuard::WithDeadline(kTripMillis);
     ExecOptions opts;
     opts.guard = &guard;
-    auto r = ExecuteText(*ds->store, query, opts);
+    auto r = RunUncachedTextStalled(*ds->store, query, opts, kStallMillis);
     ASSERT_FALSE(r.ok());
     EXPECT_TRUE(r.status().IsTimeout()) << r.status().ToString();
   }
@@ -357,8 +367,8 @@ void ExpectSameAcrossStores(const rdf::TripleStore& a,
                             const rdf::TripleStore& b,
                             const std::string& query) {
   ExecStats stats_a, stats_b;
-  auto ra = ExecuteText(a, query, {}, &stats_a);
-  auto rb = ExecuteText(b, query, {}, &stats_b);
+  auto ra = RunUncachedText(a, query, {}, &stats_a);
+  auto rb = RunUncachedText(b, query, {}, &stats_b);
   ASSERT_EQ(ra.ok(), rb.ok())
       << "raw: " << ra.status().ToString()
       << "\ncompressed: " << rb.status().ToString() << "\nquery: " << query;
@@ -399,7 +409,7 @@ TEST_F(ExecutorDiffTest, RowBudgetTripsIdenticallyUnderCompressed) {
     util::ExecGuard guard(limits);
     ExecOptions opts;
     opts.guard = &guard;
-    auto r = ExecuteText(
+    auto r = RunUncachedText(
         *s, "SELECT ?obs ?v WHERE { ?obs <http://test/numApplicants> ?v }",
         opts);
     ASSERT_FALSE(r.ok());

@@ -2,18 +2,22 @@
 
 #include <gtest/gtest.h>
 
-#include "sparql/explain.h"
+#include "engine/explain.h"
 #include "tests/test_data.h"
 
-namespace re2xolap::sparql {
+namespace re2xolap::engine {
 namespace {
 
 using re2xolap::testing::BuildFigure1Store;
 
 class ExplainTest : public ::testing::Test {
  protected:
-  void SetUp() override { store = BuildFigure1Store(); }
+  void SetUp() override {
+    store = BuildFigure1Store();
+    engine = std::make_unique<QueryEngine>(*store);
+  }
   std::unique_ptr<rdf::TripleStore> store;
+  std::unique_ptr<QueryEngine> engine;
 };
 
 // The paper's running example as a GROUP BY candidate query: total
@@ -29,9 +33,9 @@ constexpr char kGroupByQuery[] = R"(
 TEST_F(ExplainTest, GroupByGoldenReport) {
   ExplainOptions options;
   options.include_timing = false;  // deterministic output
-  auto r = ExplainAnalyzeText(*store, kGroupByQuery, options);
+  auto r = ExplainAnalyzeText(*engine, kGroupByQuery, options);
   ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(r->table.row_count(), 3u);  // Syria, China, Nigeria
+  EXPECT_EQ(r->table->row_count(), 3u);  // Syria, China, Nigeria
 
   const std::string expected =
       "+---------------------------------------+---------+----------+---------+--------+\n"
@@ -49,7 +53,7 @@ TEST_F(ExplainTest, GroupByGoldenReport) {
 }
 
 TEST_F(ExplainTest, TimingModeMeasuresEveryOperator) {
-  auto r = ExplainAnalyzeText(*store, kGroupByQuery);
+  auto r = ExplainAnalyzeText(*engine, kGroupByQuery);
   ASSERT_TRUE(r.ok()) << r.status();
   const obs::ProfileNode& root = r->stats.profile;
   EXPECT_EQ(root.label, "select");
@@ -69,7 +73,7 @@ TEST_F(ExplainTest, TimingModeMeasuresEveryOperator) {
 }
 
 TEST_F(ExplainTest, ProfileTreeMatchesExecStats) {
-  auto r = ExplainAnalyzeText(*store, kGroupByQuery);
+  auto r = ExplainAnalyzeText(*engine, kGroupByQuery);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->stats.profile.TotalScanned(), r->stats.triples_scanned);
   EXPECT_GT(r->stats.triples_scanned, 0u);
@@ -77,7 +81,7 @@ TEST_F(ExplainTest, ProfileTreeMatchesExecStats) {
 }
 
 TEST_F(ExplainTest, OptionalBlocksAppearInTheTree) {
-  auto r = ExplainAnalyzeText(*store, R"(
+  auto r = ExplainAnalyzeText(*engine, R"(
     SELECT ?o ?cont WHERE {
       ?o a <http://test/Observation> .
       ?o <http://test/countryDestination> ?c .
@@ -100,7 +104,7 @@ TEST_F(ExplainTest, OptionalBlocksAppearInTheTree) {
 
 TEST_F(ExplainTest, AskQueriesWrapTheProbe) {
   auto r = ExplainAnalyzeText(
-      *store, "ASK { ?s a <http://test/Observation> }");
+      *engine, "ASK { ?s a <http://test/Observation> }");
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->stats.profile.label, "ask");
   ASSERT_EQ(r->stats.profile.children.size(), 1u);
@@ -110,11 +114,11 @@ TEST_F(ExplainTest, AskQueriesWrapTheProbe) {
 
 TEST_F(ExplainTest, ImpossiblePlanStillRendersATree) {
   auto r = ExplainAnalyzeText(
-      *store, "SELECT ?s WHERE { ?s a <http://test/NoSuchClass> }");
+      *engine, "SELECT ?s WHERE { ?s a <http://test/NoSuchClass> }");
   ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(r->table.row_count(), 0u);
+  EXPECT_EQ(r->table->row_count(), 0u);
   EXPECT_NE(r->report.find("impossible"), std::string::npos);
 }
 
 }  // namespace
-}  // namespace re2xolap::sparql
+}  // namespace re2xolap::engine

@@ -7,13 +7,16 @@
 #include "core/session.h"
 #include "sparql/executor.h"
 #include "tests/test_data.h"
+#include "tests/uncached_engine.h"
 #include "util/exec_guard.h"
 
 namespace re2xolap::core {
 namespace {
 
 using re2xolap::testing::BuildFigure1Store;
+using re2xolap::testing::RunUncached;
 using re2xolap::testing::kObsClass;
+using re2xolap::testing::kUncached;
 
 class ExrefTest : public ::testing::Test {
  protected:
@@ -23,7 +26,8 @@ class ExrefTest : public ::testing::Test {
     ASSERT_TRUE(r.ok());
     vsg = std::make_unique<VirtualSchemaGraph>(std::move(r).value());
     text = std::make_unique<rdf::TextIndex>(*store);
-    reolap = std::make_unique<Reolap>(store.get(), vsg.get(), text.get());
+    engine = std::make_unique<engine::QueryEngine>(*store, kUncached);
+    reolap = std::make_unique<Reolap>(vsg.get(), text.get(), *engine);
   }
 
   // Synthesizes for the example and returns the initial exploration state.
@@ -35,7 +39,7 @@ class ExrefTest : public ::testing::Test {
   }
 
   sparql::ResultTable Exec(const ExploreState& st) {
-    auto r = sparql::Execute(*store, st.query);
+    auto r = RunUncached(*store, st.query);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return r.ok() ? std::move(r).value() : sparql::ResultTable();
   }
@@ -43,6 +47,7 @@ class ExrefTest : public ::testing::Test {
   std::unique_ptr<rdf::TripleStore> store;
   std::unique_ptr<VirtualSchemaGraph> vsg;
   std::unique_ptr<rdf::TextIndex> text;
+  std::unique_ptr<engine::QueryEngine> engine;
   std::unique_ptr<Reolap> reolap;
 };
 
@@ -245,7 +250,8 @@ class RollUpSliceTest : public ::testing::Test {
     ASSERT_TRUE(r.ok());
     vsg = std::make_unique<VirtualSchemaGraph>(std::move(r).value());
     text = std::make_unique<rdf::TextIndex>(*store);
-    reolap = std::make_unique<Reolap>(store.get(), vsg.get(), text.get());
+    engine = std::make_unique<engine::QueryEngine>(*store, kUncached);
+    reolap = std::make_unique<Reolap>(vsg.get(), text.get(), *engine);
   }
 
   ExploreState StateFor(std::vector<std::string> values) {
@@ -256,7 +262,7 @@ class RollUpSliceTest : public ::testing::Test {
   }
 
   sparql::ResultTable Exec(const ExploreState& st) {
-    auto r = sparql::Execute(*store, st.query);
+    auto r = RunUncached(*store, st.query);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return r.ok() ? std::move(r).value() : sparql::ResultTable();
   }
@@ -264,6 +270,7 @@ class RollUpSliceTest : public ::testing::Test {
   std::unique_ptr<rdf::TripleStore> store;
   std::unique_ptr<VirtualSchemaGraph> vsg;
   std::unique_ptr<rdf::TextIndex> text;
+  std::unique_ptr<engine::QueryEngine> engine;
   std::unique_ptr<Reolap> reolap;
 };
 
@@ -351,7 +358,8 @@ TEST_F(RollUpSliceTest, SliceGuardsLastExampleColumn) {
 }
 
 TEST_F(RollUpSliceTest, SessionRollUpAndSlice) {
-  Session session(store.get(), vsg.get(), text.get());
+  engine::QueryEngine engine(*store);
+  Session session(store.get(), vsg.get(), text.get(), &engine);
   ASSERT_TRUE(session.Start({"Germany", "2014"}).ok());
   ASSERT_TRUE(session.PickCandidate(0).ok());
   auto dis = session.Refine(RefinementKind::kDisaggregate);
@@ -369,10 +377,6 @@ TEST_F(RollUpSliceTest, SessionRollUpAndSlice) {
 }
 
 // --- graceful degradation under deadlines -----------------------------------
-
-// Both caches off: every state is executed, none served from memory.
-const engine::EngineConfig kUncached{.plan_cache_capacity = 0,
-                                     .result_cache_bytes = 0};
 
 TEST_F(ExrefTest, ExpiredGuardEvaluatesFirstStateAndSkipsTheRest) {
   ExploreState st = StateFor({"Germany", "2014"});

@@ -10,12 +10,15 @@
 #include "core/session.h"
 #include "sparql/executor.h"
 #include "tests/test_data.h"
+#include "tests/uncached_engine.h"
 
 namespace re2xolap::core {
 namespace {
 
 using re2xolap::testing::BuildFigure1Store;
+using re2xolap::testing::RunUncached;
 using re2xolap::testing::kObsClass;
+using re2xolap::testing::kUncached;
 
 class ExtensionsTest : public ::testing::Test {
  protected:
@@ -25,11 +28,13 @@ class ExtensionsTest : public ::testing::Test {
     ASSERT_TRUE(r.ok());
     vsg = std::make_unique<VirtualSchemaGraph>(std::move(r).value());
     text = std::make_unique<rdf::TextIndex>(*store);
-    reolap = std::make_unique<Reolap>(store.get(), vsg.get(), text.get());
+    engine = std::make_unique<engine::QueryEngine>(*store, kUncached);
+    reolap = std::make_unique<Reolap>(vsg.get(), text.get(), *engine);
   }
   std::unique_ptr<rdf::TripleStore> store;
   std::unique_ptr<VirtualSchemaGraph> vsg;
   std::unique_ptr<rdf::TextIndex> text;
+  std::unique_ptr<engine::QueryEngine> engine;
   std::unique_ptr<Reolap> reolap;
 };
 
@@ -51,7 +56,7 @@ TEST_F(ExtensionsTest, IriInputMixesWithLabels) {
       reolap->Synthesize({"<http://test/dest/germany>", "2014"});
   ASSERT_TRUE(queries.ok());
   ASSERT_EQ(queries->size(), 1u);
-  auto table = sparql::Execute(*store, (*queries)[0].query);
+  auto table = RunUncached(*store, (*queries)[0].query);
   ASSERT_TRUE(table.ok());
   EXPECT_GT(table->row_count(), 0u);
 }
@@ -107,7 +112,7 @@ TEST_F(ExtensionsTest, MultiTupleExampleRowsAnchorRefinements) {
   ASSERT_TRUE(queries.ok());
   ASSERT_FALSE(queries->empty());
   ExploreState st = InitialState((*queries)[0]);
-  auto table = sparql::Execute(*store, st.query);
+  auto table = RunUncached(*store, st.query);
   ASSERT_TRUE(table.ok());
   // Both rows (Germany and France) anchor the example set.
   EXPECT_EQ(ExampleRowIndexes(st, *table).size(), 2u);
@@ -147,14 +152,14 @@ TEST_F(ExtensionsTest, NegativeExampleExcludesMember) {
   ASSERT_TRUE(queries.ok());
   ASSERT_FALSE(queries->empty());
   ExploreState st = InitialState((*queries)[0]);
-  auto before = sparql::Execute(*store, st.query);
+  auto before = RunUncached(*store, st.query);
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(before->row_count(), 2u);  // Asia, Africa
 
   auto neg = ExcludeNegativeExamples(*reolap, st, {"Africa"});
   ASSERT_TRUE(neg.ok()) << neg.status().ToString();
   EXPECT_TRUE(neg->unmatched_values.empty());
-  auto after = sparql::Execute(*store, neg->state.query);
+  auto after = RunUncached(*store, neg->state.query);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->row_count(), 1u);
   // The example itself survives.
@@ -176,7 +181,8 @@ TEST_F(ExtensionsTest, NegativeExampleUnmatchedReported) {
 }
 
 TEST_F(ExtensionsTest, NegativeExamplesViaSession) {
-  Session session(store.get(), vsg.get(), text.get());
+  engine::QueryEngine engine(*store);
+  Session session(store.get(), vsg.get(), text.get(), &engine);
   ASSERT_TRUE(session.Start({"Asia"}).ok());
   ASSERT_TRUE(session.PickCandidate(0).ok());
   auto unmatched = session.ExcludeNegative({"Africa"});
@@ -199,7 +205,7 @@ TEST_F(ExtensionsTest, ClusterRefinementKeepsExampleCluster) {
   ASSERT_TRUE(queries.ok());
   ASSERT_FALSE(queries->empty());
   ExploreState st = InitialState((*queries)[0]);
-  auto table = sparql::Execute(*store, st.query);
+  auto table = RunUncached(*store, st.query);
   ASSERT_TRUE(table.ok());
   ASSERT_EQ(table->row_count(), 3u);
 
@@ -209,13 +215,13 @@ TEST_F(ExtensionsTest, ClusterRefinementKeepsExampleCluster) {
   ASSERT_TRUE(refs.ok());
   ASSERT_FALSE(refs->empty());
   for (const ExploreState& r : *refs) {
-    auto rt = sparql::Execute(*store, r.query);
+    auto rt = RunUncached(*store, r.query);
     ASSERT_TRUE(rt.ok());
     EXPECT_LT(rt->row_count(), table->row_count());
     EXPECT_FALSE(ExampleRowIndexes(r, *rt).empty());
   }
   // The sum-measure refinement keeps exactly {China, Nigeria}.
-  auto rt0 = sparql::Execute(*store, (*refs)[0].query);
+  auto rt0 = RunUncached(*store, (*refs)[0].query);
   ASSERT_TRUE(rt0.ok());
   EXPECT_EQ(rt0->row_count(), 2u);
 }
@@ -224,7 +230,7 @@ TEST_F(ExtensionsTest, ClusterRefinementEmptyWhenTooFewRows) {
   auto queries = reolap->Synthesize({"Germany"});
   ASSERT_TRUE(queries.ok());
   ExploreState st = InitialState((*queries)[0]);
-  auto table = sparql::Execute(*store, st.query);  // 2 rows
+  auto table = RunUncached(*store, st.query);  // 2 rows
   ASSERT_TRUE(table.ok());
   ClusterOptions opts;
   opts.k = 3;
@@ -234,7 +240,8 @@ TEST_F(ExtensionsTest, ClusterRefinementEmptyWhenTooFewRows) {
 }
 
 TEST_F(ExtensionsTest, ClusterViaSession) {
-  Session session(store.get(), vsg.get(), text.get());
+  engine::QueryEngine engine(*store);
+  Session session(store.get(), vsg.get(), text.get(), &engine);
   ASSERT_TRUE(session.Start({"China"}).ok());
   ASSERT_TRUE(session.PickCandidate(0).ok());
   ClusterOptions copts;
@@ -248,7 +255,7 @@ TEST_F(ExtensionsTest, ClusterViaSession) {
 // --- Profiler ---------------------------------------------------------------------------
 
 TEST_F(ExtensionsTest, ProfileReportsStructureAndStats) {
-  auto profile = ProfileDataset(*store, *vsg);
+  auto profile = ProfileDataset(*store, *vsg, *engine);
   ASSERT_TRUE(profile.ok()) << profile.status().ToString();
   EXPECT_EQ(profile->observation_count, 5u);
   EXPECT_EQ(profile->triple_count, store->size());
@@ -268,7 +275,7 @@ TEST_F(ExtensionsTest, ProfileReportsStructureAndStats) {
 }
 
 TEST_F(ExtensionsTest, ProfileSamplesMemberLabels) {
-  auto profile = ProfileDataset(*store, *vsg);
+  auto profile = ProfileDataset(*store, *vsg, *engine);
   ASSERT_TRUE(profile.ok());
   bool found_germany = false;
   for (const DimensionProfile& d : profile->dimensions) {
@@ -297,11 +304,13 @@ class ContrastTest : public ::testing::Test {
     ASSERT_TRUE(r.ok());
     vsg = std::make_unique<VirtualSchemaGraph>(std::move(r).value());
     text = std::make_unique<rdf::TextIndex>(*store);
-    reolap = std::make_unique<Reolap>(store.get(), vsg.get(), text.get());
+    engine = std::make_unique<engine::QueryEngine>(*store, kUncached);
+    reolap = std::make_unique<Reolap>(vsg.get(), text.get(), *engine);
   }
   std::unique_ptr<rdf::TripleStore> store;
   std::unique_ptr<VirtualSchemaGraph> vsg;
   std::unique_ptr<rdf::TextIndex> text;
+  std::unique_ptr<engine::QueryEngine> engine;
   std::unique_ptr<Reolap> reolap;
 };
 
@@ -312,7 +321,7 @@ TEST_F(ContrastTest, ComparesTwoExampleSets) {
   ExploreState st = InitialState((*queries)[0]);
   auto contrasted = ContrastWith(*reolap, st, {"China"});
   ASSERT_TRUE(contrasted.ok()) << contrasted.status().ToString();
-  auto table = sparql::Execute(*store, contrasted->query);
+  auto table = RunUncached(*store, contrasted->query);
   ASSERT_TRUE(table.ok());
   // Only the two origin countries remain.
   EXPECT_EQ(table->row_count(), 2u);
@@ -339,7 +348,7 @@ TEST_F(ContrastTest, ContrastSurvivesDisaggregation) {
     }
   }
   ASSERT_NE(by_dest, nullptr);
-  auto table = sparql::Execute(*store, by_dest->query);
+  auto table = RunUncached(*store, by_dest->query);
   ASSERT_TRUE(table.ok());
   ContrastReport report = BuildContrastReport(*by_dest, *table);
   EXPECT_DOUBLE_EQ(report.primary[0], 1023);    // Syria across dests

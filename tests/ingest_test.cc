@@ -30,6 +30,7 @@
 #include "store/ingestor.h"
 #include "tests/reference_eval.h"
 #include "tests/test_data.h"
+#include "tests/uncached_engine.h"
 #include "util/failpoint.h"
 #include "util/thread_pool.h"
 
@@ -37,6 +38,7 @@ namespace re2xolap {
 namespace {
 
 using re2xolap::testing::BuildFigure1Store;
+using re2xolap::testing::RunUncachedText;
 using store::IngestOp;
 using store::IngestReceipt;
 using store::Ingestor;
@@ -349,8 +351,8 @@ TEST(IngestTest, MergedViewMatchesRefrozenOracle) {
   for (const char* query : kQueries) {
     EXPECT_TRUE(testing::AgreesWithReference(*fx.store, query))
         << "query: " << query;
-    auto live = sparql::ExecuteText(*fx.store, query);
-    auto expect = sparql::ExecuteText(*oracle, query);
+    auto live = RunUncachedText(*fx.store, query);
+    auto expect = RunUncachedText(*oracle, query);
     ASSERT_TRUE(live.ok()) << live.status() << "\nquery: " << query;
     ASSERT_TRUE(expect.ok()) << expect.status();
     EXPECT_EQ(SortedRows(*live), SortedRows(*expect)) << "query: " << query;
@@ -785,7 +787,7 @@ TEST(IngestStressTest, ConcurrentReadIngestCompact) {
         if (count % kPerBatch != 0 || count < last) ++violations;
         last = count;
         // Exercise the full executor path under the same pin.
-        auto r = sparql::ExecuteText(
+        auto r = RunUncachedText(
             *fx.store, "SELECT ?s WHERE { ?s <http://t/p99> ?o }");
         if (!r.ok() || (*r).row_count() % kPerBatch != 0) ++violations;
       }

@@ -9,9 +9,14 @@
 #include "qb/datasets.h"
 #include "qb/generator.h"
 #include "sparql/executor.h"
+#include "tests/uncached_engine.h"
 
 namespace re2xolap::core {
 namespace {
+
+using re2xolap::testing::RunUncached;
+using re2xolap::testing::RunUncachedText;
+using re2xolap::testing::kUncached;
 
 /// Shared across the suite: generating + bootstrapping once keeps the
 /// suite fast.
@@ -46,7 +51,8 @@ VirtualSchemaGraph* EurostatIntegration::vsg_ = nullptr;
 rdf::TextIndex* EurostatIntegration::text_ = nullptr;
 
 TEST_F(EurostatIntegration, GermanyHasTwoInterpretations) {
-  Reolap reolap(dataset_->store.get(), vsg_, text_);
+  engine::QueryEngine engine(*dataset_->store, kUncached);
+  Reolap reolap(vsg_, text_, engine);
   // "Germany" labels both an origin-country and a destination-country
   // member: two interpretations, two queries (paper Section 5 example).
   std::vector<Interpretation> interps = reolap.MatchValue("Germany");
@@ -57,13 +63,14 @@ TEST_F(EurostatIntegration, GermanyHasTwoInterpretations) {
 }
 
 TEST_F(EurostatIntegration, Germany2014ProducesTwoValidQueries) {
-  Reolap reolap(dataset_->store.get(), vsg_, text_);
+  engine::QueryEngine engine(*dataset_->store, kUncached);
+  Reolap reolap(vsg_, text_, engine);
   auto queries = reolap.Synthesize({"Germany", "2014"});
   ASSERT_TRUE(queries.ok());
   // Origin x Year and Destination x Year.
   EXPECT_EQ(queries->size(), 2u);
   for (const CandidateQuery& q : *queries) {
-    auto result = sparql::Execute(*dataset_->store, q.query);
+    auto result = RunUncached(*dataset_->store, q.query);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_GT(result->row_count(), 0u);
     // Problem 1 guarantee: the example is subsumed by the result.
@@ -74,7 +81,8 @@ TEST_F(EurostatIntegration, Germany2014ProducesTwoValidQueries) {
 }
 
 TEST_F(EurostatIntegration, HierarchyLevelExample) {
-  Reolap reolap(dataset_->store.get(), vsg_, text_);
+  engine::QueryEngine engine(*dataset_->store, kUncached);
+  Reolap reolap(vsg_, text_, engine);
   // "Asia" is an origin continent: reached via countryOrigin/inContinent.
   auto queries = reolap.Synthesize({"Asia", "2014"});
   ASSERT_TRUE(queries.ok());
@@ -84,7 +92,7 @@ TEST_F(EurostatIntegration, HierarchyLevelExample) {
     if (q.interpretations[0].path->predicates.size() == 2 &&
         q.interpretations[1].path->predicates.size() == 2) {
       found_continent_year = true;
-      auto result = sparql::Execute(*dataset_->store, q.query);
+      auto result = RunUncached(*dataset_->store, q.query);
       ASSERT_TRUE(result.ok());
       // 7 continents x 10 years upper bound.
       EXPECT_LE(result->row_count(), 70u);
@@ -97,7 +105,8 @@ TEST_F(EurostatIntegration, HierarchyLevelExample) {
 TEST_F(EurostatIntegration, RefinementChainPreservesSubsumption) {
   // Problem 2 invariant along a whole chain: example tuples remain
   // subsumed after Disaggregate -> TopK.
-  Session session(dataset_->store.get(), vsg_, text_);
+  engine::QueryEngine engine(*dataset_->store);
+  Session session(dataset_->store.get(), vsg_, text_, &engine);
   ASSERT_TRUE(session.Start({"Germany", "2014"}).ok());
   ASSERT_TRUE(session.PickCandidate(0).ok());
   ASSERT_TRUE(session.Execute().ok());
@@ -121,7 +130,8 @@ TEST_F(EurostatIntegration, RefinementChainPreservesSubsumption) {
 }
 
 TEST_F(EurostatIntegration, DisaggregateMatchesProblem2aCardinality) {
-  Reolap reolap(dataset_->store.get(), vsg_, text_);
+  engine::QueryEngine engine(*dataset_->store, kUncached);
+  Reolap reolap(vsg_, text_, engine);
   auto queries = reolap.Synthesize({"Germany"});
   ASSERT_TRUE(queries.ok());
   ASSERT_FALSE(queries->empty());
@@ -137,19 +147,20 @@ TEST_F(EurostatIntegration, DisaggregateMatchesProblem2aCardinality) {
 }
 
 TEST_F(EurostatIntegration, SubsetRefinementsAreStrictSubsets) {
-  Reolap reolap(dataset_->store.get(), vsg_, text_);
+  engine::QueryEngine engine(*dataset_->store, kUncached);
+  Reolap reolap(vsg_, text_, engine);
   auto queries = reolap.Synthesize({"Syria"});
   ASSERT_TRUE(queries.ok());
   ASSERT_FALSE(queries->empty());
   ExploreState st = InitialState((*queries)[0]);
-  auto table = sparql::Execute(*dataset_->store, st.query);
+  auto table = RunUncached(*dataset_->store, st.query);
   ASSERT_TRUE(table.ok());
   const size_t full = table->row_count();
 
   auto topk = SubsetTopK(*dataset_->store, st, *table);
   ASSERT_TRUE(topk.ok());
   for (const ExploreState& r : *topk) {
-    auto rt = sparql::Execute(*dataset_->store, r.query);
+    auto rt = RunUncached(*dataset_->store, r.query);
     ASSERT_TRUE(rt.ok());
     EXPECT_LT(rt->row_count(), full);               // |T_r| < |T|
     EXPECT_EQ(rt->column_count(), table->column_count());  // D(T_r)=D(T)
@@ -158,7 +169,7 @@ TEST_F(EurostatIntegration, SubsetRefinementsAreStrictSubsets) {
   auto perc = SubsetPercentile(*dataset_->store, st, *table);
   ASSERT_TRUE(perc.ok());
   for (const ExploreState& r : *perc) {
-    auto rt = sparql::Execute(*dataset_->store, r.query);
+    auto rt = RunUncached(*dataset_->store, r.query);
     ASSERT_TRUE(rt.ok());
     EXPECT_LT(rt->row_count(), full);
     EXPECT_FALSE(ExampleRowIndexes(r, *rt).empty());
@@ -166,7 +177,8 @@ TEST_F(EurostatIntegration, SubsetRefinementsAreStrictSubsets) {
 }
 
 TEST_F(EurostatIntegration, SimilarityKeepsKPlusExample) {
-  Session session(dataset_->store.get(), vsg_, text_);
+  engine::QueryEngine engine(*dataset_->store);
+  Session session(dataset_->store.get(), vsg_, text_, &engine);
   ASSERT_TRUE(session.Start({"Germany"}).ok());
   ASSERT_TRUE(session.PickCandidate(0).ok());
   // Disaggregate by year so similarity has a feature dimension.
@@ -206,7 +218,8 @@ TEST_F(EurostatIntegration, BaselineCannotProduceAnalytics) {
 }
 
 TEST_F(EurostatIntegration, SynthesisIsDeterministic) {
-  Reolap reolap(dataset_->store.get(), vsg_, text_);
+  engine::QueryEngine engine(*dataset_->store, kUncached);
+  Reolap reolap(vsg_, text_, engine);
   auto a = reolap.Synthesize({"Germany", "2014"});
   auto b = reolap.Synthesize({"Germany", "2014"});
   ASSERT_TRUE(a.ok());
@@ -221,13 +234,14 @@ TEST_F(EurostatIntegration, SynthesizedSparqlTextRoundTrips) {
   // The emitted SPARQL text must be parseable by our own parser and give
   // identical results — guaranteeing the system works over a standard
   // SPARQL interface (paper: "operates on standard SPARQL interfaces").
-  Reolap reolap(dataset_->store.get(), vsg_, text_);
+  engine::QueryEngine engine(*dataset_->store, kUncached);
+  Reolap reolap(vsg_, text_, engine);
   auto queries = reolap.Synthesize({"Asia", "2014"});
   ASSERT_TRUE(queries.ok());
   for (const CandidateQuery& q : *queries) {
     std::string text_q = sparql::ToSparql(q.query);
-    auto direct = sparql::Execute(*dataset_->store, q.query);
-    auto reparsed = sparql::ExecuteText(*dataset_->store, text_q);
+    auto direct = RunUncached(*dataset_->store, q.query);
+    auto reparsed = RunUncachedText(*dataset_->store, text_q);
     ASSERT_TRUE(direct.ok());
     ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString() << "\n"
                                << text_q;

@@ -16,6 +16,7 @@
 #include "sparql/ast.h"
 #include "sparql/executor.h"
 #include "tests/test_data.h"
+#include "tests/uncached_engine.h"
 #include "util/thread_pool.h"
 
 namespace re2xolap::core {
@@ -23,6 +24,7 @@ namespace {
 
 using re2xolap::testing::BuildFigure1Store;
 using re2xolap::testing::kObsClass;
+using re2xolap::testing::kUncached;
 
 std::string Signature(const std::vector<CandidateQuery>& candidates) {
   std::string sig;
@@ -49,6 +51,7 @@ struct Env {
   std::unique_ptr<rdf::TripleStore> store;
   std::unique_ptr<VirtualSchemaGraph> vsg;
   std::unique_ptr<rdf::TextIndex> text;
+  std::unique_ptr<engine::QueryEngine> engine;
   std::unique_ptr<Reolap> reolap;
 };
 
@@ -60,9 +63,9 @@ Env MakeEnv(std::unique_ptr<rdf::TripleStore> store,
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   env.vsg = std::make_unique<VirtualSchemaGraph>(std::move(r).value());
   env.text = std::make_unique<rdf::TextIndex>(*env.store);
+  env.engine = std::make_unique<engine::QueryEngine>(*env.store, kUncached);
   env.reolap =
-      std::make_unique<Reolap>(env.store.get(), env.vsg.get(),
-                               env.text.get());
+      std::make_unique<Reolap>(env.vsg.get(), env.text.get(), *env.engine);
   return env;
 }
 
@@ -211,9 +214,7 @@ TEST(ParallelExrefTest, DisaggregateAndEvaluateMatchSerial) {
 
   // Caches off, so the parallel pass executes rather than replaying the
   // serial pass's results.
-  engine::QueryEngine engine(
-      *env.store, engine::EngineConfig{.plan_cache_capacity = 0,
-                                       .result_cache_bytes = 0});
+  engine::QueryEngine engine(*env.store, kUncached);
   std::vector<sparql::ExecStats> serial_stats, parallel_stats;
   auto serial_tables =
       EvaluateStates(engine, serial_states, {}, nullptr, &serial_stats);

@@ -14,11 +14,16 @@
 #include "rdf/ntriples.h"
 #include "rdf/text_index.h"
 #include "sparql/executor.h"
+#include "tests/uncached_engine.h"
 #include "util/rng.h"
 #include "util/string_utils.h"
 
 namespace re2xolap {
 namespace {
+
+using re2xolap::testing::RunUncached;
+using re2xolap::testing::RunUncachedText;
+using re2xolap::testing::kUncached;
 
 // --- TripleStore: index consistency across all pattern shapes ------------------
 
@@ -131,8 +136,8 @@ TEST_P(ExecutorPropertyTest, JoinReorderingDoesNotChangeResults) {
   for (const std::string& q : queries) {
     sparql::ExecOptions with, without;
     without.plan.use_join_reordering = false;
-    auto a = sparql::ExecuteText(*dataset_.store, q, with);
-    auto b = sparql::ExecuteText(*dataset_.store, q, without);
+    auto a = RunUncachedText(*dataset_.store, q, with);
+    auto b = RunUncachedText(*dataset_.store, q, without);
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     EXPECT_EQ(a->row_count(), b->row_count()) << q;
@@ -141,11 +146,11 @@ TEST_P(ExecutorPropertyTest, JoinReorderingDoesNotChangeResults) {
 
 TEST_P(ExecutorPropertyTest, SumDecomposesOverGroups) {
   // SUM over all observations equals the sum of per-group SUMs.
-  auto total = sparql::ExecuteText(
+  auto total = RunUncachedText(
       *dataset_.store,
       "SELECT (SUM(?v) AS ?t) WHERE { ?o "
       "<http://example.org/eurostat/numApplicants> ?v }");
-  auto grouped = sparql::ExecuteText(
+  auto grouped = RunUncachedText(
       *dataset_.store,
       "SELECT ?d (SUM(?v) AS ?t) WHERE { ?o "
       "<http://example.org/eurostat/countryDestination> ?d . ?o "
@@ -162,7 +167,7 @@ TEST_P(ExecutorPropertyTest, SumDecomposesOverGroups) {
 }
 
 TEST_P(ExecutorPropertyTest, MinMaxBracketAvg) {
-  auto r = sparql::ExecuteText(
+  auto r = RunUncachedText(
       *dataset_.store,
       "SELECT ?d (MIN(?v) AS ?lo) (AVG(?v) AS ?mid) (MAX(?v) AS ?hi) WHERE "
       "{ ?o <http://example.org/eurostat/age> ?d . ?o "
@@ -181,12 +186,12 @@ TEST_P(ExecutorPropertyTest, LimitOffsetPartitionsResults) {
   const std::string base =
       "SELECT ?o WHERE { ?o a "
       "<http://purl.org/linked-data/cube#Observation> } ";
-  auto all = sparql::ExecuteText(*dataset_.store, base);
+  auto all = RunUncachedText(*dataset_.store, base);
   ASSERT_TRUE(all.ok());
   size_t n = all->row_count();
   size_t covered = 0;
   for (size_t off = 0; off < n; off += 97) {
-    auto page = sparql::ExecuteText(
+    auto page = RunUncachedText(
         *dataset_.store,
         base + "LIMIT 97 OFFSET " + std::to_string(off));
     ASSERT_TRUE(page.ok());
@@ -200,17 +205,17 @@ TEST_P(ExecutorPropertyTest, HavingNeverIncreasesRows) {
       "SELECT ?d (SUM(?v) AS ?t) WHERE { ?o "
       "<http://example.org/eurostat/countryOrigin> ?d . ?o "
       "<http://example.org/eurostat/numApplicants> ?v } GROUP BY ?d";
-  auto full = sparql::ExecuteText(*dataset_.store, q);
+  auto full = RunUncachedText(*dataset_.store, q);
   ASSERT_TRUE(full.ok());
   for (const char* cond : {"HAVING (?t > 1000)", "HAVING (?t <= 1000)"}) {
     auto filtered =
-        sparql::ExecuteText(*dataset_.store, q + " " + cond);
+        RunUncachedText(*dataset_.store, q + " " + cond);
     ASSERT_TRUE(filtered.ok());
     EXPECT_LE(filtered->row_count(), full->row_count());
   }
   // The two complementary HAVINGs partition the groups.
-  auto gt = sparql::ExecuteText(*dataset_.store, q + " HAVING (?t > 1000)");
-  auto le = sparql::ExecuteText(*dataset_.store, q + " HAVING (?t <= 1000)");
+  auto gt = RunUncachedText(*dataset_.store, q + " HAVING (?t > 1000)");
+  auto le = RunUncachedText(*dataset_.store, q + " HAVING (?t <= 1000)");
   ASSERT_TRUE(gt.ok());
   ASSERT_TRUE(le.ok());
   EXPECT_EQ(gt->row_count() + le->row_count(), full->row_count());
@@ -246,7 +251,8 @@ TEST_P(ReolapPropertyTest, SynthesisGuarantees) {
                                              ds->spec.observation_class);
   ASSERT_TRUE(vsg.ok());
   rdf::TextIndex text(*ds->store);
-  core::Reolap reolap(ds->store.get(), &*vsg, &text);
+  engine::QueryEngine engine(*ds->store, kUncached);
+  core::Reolap reolap(&*vsg, &text, engine);
 
   std::vector<std::string> tuple = {c.v0};
   if (c.v1) tuple.push_back(c.v1);
@@ -257,7 +263,7 @@ TEST_P(ReolapPropertyTest, SynthesisGuarantees) {
     // D(Q(G)) = D(T_E)).
     EXPECT_EQ(q.group_columns.size(), tuple.size());
     // Correctness: non-empty result subsuming the example.
-    auto table = sparql::Execute(*ds->store, q.query);
+    auto table = RunUncached(*ds->store, q.query);
     ASSERT_TRUE(table.ok()) << table.status().ToString();
     ASSERT_GT(table->row_count(), 0u) << q.description;
     core::ExploreState st = core::InitialState(q);
@@ -279,7 +285,8 @@ TEST_P(ReolapPropertyTest, RefinementGuarantees) {
                                              ds->spec.observation_class);
   ASSERT_TRUE(vsg.ok());
   rdf::TextIndex text(*ds->store);
-  core::Reolap reolap(ds->store.get(), &*vsg, &text);
+  engine::QueryEngine engine(*ds->store, kUncached);
+  core::Reolap reolap(&*vsg, &text, engine);
 
   std::vector<std::string> tuple = {c.v0};
   if (c.v1) tuple.push_back(c.v1);
@@ -287,14 +294,14 @@ TEST_P(ReolapPropertyTest, RefinementGuarantees) {
   ASSERT_TRUE(queries.ok());
   if (queries->empty()) GTEST_SKIP() << "no candidate for this tuple";
   core::ExploreState st = core::InitialState((*queries)[0]);
-  auto table = sparql::Execute(*ds->store, st.query);
+  auto table = RunUncached(*ds->store, st.query);
   ASSERT_TRUE(table.ok());
 
   // Problem 2a: every disaggregation adds exactly one dimension and keeps
   // the example subsumed.
   for (const core::ExploreState& r :
        core::Disaggregate(*vsg, *ds->store, st)) {
-    auto rt = sparql::Execute(*ds->store, r.query);
+    auto rt = RunUncached(*ds->store, r.query);
     ASSERT_TRUE(rt.ok());
     EXPECT_EQ(rt->column_count(), table->column_count() + 1);
     EXPECT_FALSE(core::ExampleRowIndexes(r, *rt).empty())
@@ -305,7 +312,7 @@ TEST_P(ReolapPropertyTest, RefinementGuarantees) {
   auto topk = core::SubsetTopK(*ds->store, st, *table);
   ASSERT_TRUE(topk.ok());
   for (const core::ExploreState& r : *topk) {
-    auto rt = sparql::Execute(*ds->store, r.query);
+    auto rt = RunUncached(*ds->store, r.query);
     ASSERT_TRUE(rt.ok());
     EXPECT_LT(rt->row_count(), table->row_count()) << r.description;
     EXPECT_EQ(rt->column_count(), table->column_count());
@@ -314,7 +321,7 @@ TEST_P(ReolapPropertyTest, RefinementGuarantees) {
   auto perc = core::SubsetPercentile(*ds->store, st, *table);
   ASSERT_TRUE(perc.ok());
   for (const core::ExploreState& r : *perc) {
-    auto rt = sparql::Execute(*ds->store, r.query);
+    auto rt = RunUncached(*ds->store, r.query);
     ASSERT_TRUE(rt.ok());
     EXPECT_LT(rt->row_count(), table->row_count()) << r.description;
     EXPECT_FALSE(core::ExampleRowIndexes(r, *rt).empty()) << r.description;
@@ -324,7 +331,7 @@ TEST_P(ReolapPropertyTest, RefinementGuarantees) {
   auto sim = core::SimilaritySearch(*ds->store, st, *table);
   ASSERT_TRUE(sim.ok());
   for (const core::ExploreState& r : *sim) {
-    auto rt = sparql::Execute(*ds->store, r.query);
+    auto rt = RunUncached(*ds->store, r.query);
     ASSERT_TRUE(rt.ok());
     EXPECT_EQ(rt->column_count(), table->column_count());
     EXPECT_FALSE(core::ExampleRowIndexes(r, *rt).empty()) << r.description;

@@ -1,6 +1,6 @@
 // The query telemetry layer (obs/query_log.h): exactly one QueryRecord
 // per QueryEngine::Execute path (hit / miss / error / guard violation /
-// retry, incl. failpoint-armed runs), the sparql::Execute escape hatch,
+// retry, incl. failpoint-armed runs) and per unparseable ExecuteText,
 // session interactions, and snapshot save/load; slow-query capture with
 // rendered operator trees; the bounded ring; the JSONL sink; and the
 // introspection report.
@@ -22,7 +22,6 @@
 #include "core/virtual_schema_graph.h"
 #include "engine/query_engine.h"
 #include "rdf/text_index.h"
-#include "sparql/executor.h"
 #include "sparql/parser.h"
 #include "storage/snapshot.h"
 #include "tests/json_validator.h"
@@ -233,33 +232,26 @@ TEST_F(QueryLogTest, AskThroughEngineIsOneRecord) {
   const uint64_t mark = Mark();
   auto r = engine.ExecuteText("ASK { ?obs a <http://test/Observation> }");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  // The ASK rewrite recurses into sparql::Execute; nested scopes must not
-  // double-record.
+  // The ASK rewrite runs an inner probe; it must not record on its own.
   std::vector<QueryRecord> recs = Since(mark);
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].op, QueryOp::kEngineExecute);
 }
 
-// --- the engine-free escape hatch --------------------------------------------
-
-TEST_F(QueryLogTest, DirectSparqlExecuteRecordsOnce) {
+TEST_F(QueryLogTest, ParseFailureRecordsOnce) {
+  engine::QueryEngine engine(*store);
   const uint64_t mark = Mark();
-  auto r = sparql::ExecuteText(*store, kObsQuery);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  auto r = engine.ExecuteText("SELEC");
+  ASSERT_FALSE(r.ok());
+  ASSERT_TRUE(r.status().IsParseError()) << r.status().ToString();
   std::vector<QueryRecord> recs = Since(mark);
-  ASSERT_EQ(recs.size(), 1u);
-  EXPECT_EQ(recs[0].op, QueryOp::kSparqlExecute);
-  EXPECT_EQ(recs[0].cache, CacheOutcome::kNone);  // no cache at this layer
-  EXPECT_EQ(recs[0].rows_out, 5u);
-  EXPECT_GT(recs[0].triples_scanned, 0u);
-
-  // ASK via the escape hatch: the inner probe stays silent.
-  const uint64_t ask_mark = Mark();
-  auto ask = sparql::ExecuteText(*store, "ASK { ?o a <http://test/Observation> }");
-  ASSERT_TRUE(ask.ok());
-  recs = Since(ask_mark);
-  ASSERT_EQ(recs.size(), 1u);
-  EXPECT_EQ(recs[0].op, QueryOp::kSparqlExecute);
+  ASSERT_EQ(recs.size(), 1u) << "a malformed query must still be recorded";
+  EXPECT_EQ(recs[0].op, QueryOp::kEngineExecute);
+  EXPECT_EQ(recs[0].status,
+            static_cast<uint8_t>(util::StatusCode::kParseError));
+  EXPECT_EQ(recs[0].cache, CacheOutcome::kNone);
+  EXPECT_EQ(recs[0].fingerprint, FingerprintQuery("SELEC"));
+  EXPECT_EQ(recs[0].rows_out, 0u);
 }
 
 // --- slow-query capture ------------------------------------------------------
@@ -313,7 +305,8 @@ TEST_F(QueryLogTest, SessionInteractionsRecordTheirOps) {
   ASSERT_TRUE(vsg_result.ok());
   core::VirtualSchemaGraph vsg = std::move(vsg_result).value();
   rdf::TextIndex text(*store);
-  core::Session session(store.get(), &vsg, &text);
+  engine::QueryEngine engine(*store);
+  core::Session session(store.get(), &vsg, &text, &engine);
 
   uint64_t mark = Mark();
   ASSERT_TRUE(session.Start({"Germany", "2014"}).ok());
@@ -347,7 +340,8 @@ TEST_F(QueryLogTest, SessionExcludeNegativeRecords) {
   ASSERT_TRUE(vsg_result.ok());
   core::VirtualSchemaGraph vsg = std::move(vsg_result).value();
   rdf::TextIndex text(*store);
-  core::Session session(store.get(), &vsg, &text);
+  engine::QueryEngine engine(*store);
+  core::Session session(store.get(), &vsg, &text, &engine);
   ASSERT_TRUE(session.Start({"Asia"}).ok());
   ASSERT_TRUE(session.PickCandidate(0).ok());
 
@@ -411,7 +405,7 @@ TEST_F(QueryLogTest, RingIsBoundedWithMonotoneIds) {
   const uint64_t appended_before = QueryLog::Global().total_appended();
   for (int i = 0; i < 500; ++i) {
     QueryRecord rec;
-    rec.op = QueryOp::kSparqlExecute;
+    rec.op = QueryOp::kEngineExecute;
     EXPECT_GT(QueryLog::Global().Append(rec), 0u);
     EXPECT_GT(rec.id, 0u);  // assigned in place
   }
@@ -554,7 +548,7 @@ TEST_F(QueryLogTest, ConcurrentAppendSnapshotAndReport) {
     writers.emplace_back([&] {
       for (int i = 0; i < kPerThread; ++i) {
         QueryRecord rec;
-        rec.op = QueryOp::kSparqlExecute;
+        rec.op = QueryOp::kEngineExecute;
         rec.total_millis = 0.1;
         QueryLog::Global().Append(rec);
       }

@@ -12,8 +12,8 @@
 
 #include "rdf/ntriples.h"
 #include "sparql/ebv.h"
-#include "sparql/executor.h"
 #include "sparql/parser.h"
+#include "tests/uncached_engine.h"
 
 namespace re2xolap::testing {
 namespace {
@@ -390,7 +390,7 @@ util::Result<sparql::ResultTable> ReferenceEvaluate(
            << "parse: " << parsed.status().ToString();
   }
   const SelectQuery& query = *parsed;
-  auto actual = sparql::Execute(store, query);
+  auto actual = RunUncached(store, query);
   auto expected = ReferenceEvaluate(store, query);
   if (!actual.ok() || !expected.ok()) {
     if (!actual.ok() && !expected.ok() &&

@@ -34,8 +34,8 @@ namespace re2xolap::testing {
 util::Result<sparql::ResultTable> ReferenceEvaluate(
     const rdf::TripleStore& store, const sparql::SelectQuery& query);
 
-/// Runs `sparql` through sparql::Execute and through ReferenceEvaluate,
-/// and succeeds when the answers agree:
+/// Runs `sparql` through an uncached engine::QueryEngine and through
+/// ReferenceEvaluate, and succeeds when the answers agree:
 ///   - both fail with the same status code, or both succeed with the same
 ///     columns (as a set for SELECT *) and
 ///   - the same rows as a multiset; under LIMIT/OFFSET the engine may

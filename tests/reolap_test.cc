@@ -7,13 +7,16 @@
 #include "obs/metrics.h"
 #include "sparql/executor.h"
 #include "tests/test_data.h"
+#include "tests/uncached_engine.h"
 #include "util/exec_guard.h"
 
 namespace re2xolap::core {
 namespace {
 
 using re2xolap::testing::BuildFigure1Store;
+using re2xolap::testing::RunUncached;
 using re2xolap::testing::kObsClass;
+using re2xolap::testing::kUncached;
 
 class ReolapTest : public ::testing::Test {
  protected:
@@ -23,7 +26,8 @@ class ReolapTest : public ::testing::Test {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     vsg = std::make_unique<VirtualSchemaGraph>(std::move(r).value());
     text = std::make_unique<rdf::TextIndex>(*store);
-    reolap = std::make_unique<Reolap>(store.get(), vsg.get(), text.get());
+    engine = std::make_unique<engine::QueryEngine>(*store, kUncached);
+    reolap = std::make_unique<Reolap>(vsg.get(), text.get(), *engine);
   }
 
   std::vector<CandidateQuery> Synthesize(std::vector<std::string> values) {
@@ -35,6 +39,7 @@ class ReolapTest : public ::testing::Test {
   std::unique_ptr<rdf::TripleStore> store;
   std::unique_ptr<VirtualSchemaGraph> vsg;
   std::unique_ptr<rdf::TextIndex> text;
+  std::unique_ptr<engine::QueryEngine> engine;
   std::unique_ptr<Reolap> reolap;
 };
 
@@ -71,7 +76,7 @@ TEST_F(ReolapTest, PaperExampleGermanny2014) {
 TEST_F(ReolapTest, SynthesizedQueryExecutesAndSubsumesExample) {
   std::vector<CandidateQuery> queries = Synthesize({"Germany", "2014"});
   ASSERT_EQ(queries.size(), 1u);
-  auto result = sparql::Execute(*store, queries[0].query);
+  auto result = RunUncached(*store, queries[0].query);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Groups: (DE,2014) (FR,2014) (DE,2015) = 3.
   EXPECT_EQ(result->row_count(), 3u);
@@ -102,7 +107,7 @@ TEST_F(ReolapTest, AmbiguousValueYieldsMultipleQueries) {
   std::vector<CandidateQuery> queries = Synthesize({"Asia", "Germany"});
   ASSERT_EQ(queries.size(), 1u);
   EXPECT_EQ(queries[0].query.group_by.size(), 2u);
-  auto result = sparql::Execute(*store, queries[0].query);
+  auto result = RunUncached(*store, queries[0].query);
   ASSERT_TRUE(result.ok());
   // Groups: (Asia,DE) (Asia,FR) (Africa,DE).
   EXPECT_EQ(result->row_count(), 3u);
@@ -139,7 +144,7 @@ TEST_F(ReolapTest, EmptyTupleIsError) {
 TEST_F(ReolapTest, SingleValueQuery) {
   std::vector<CandidateQuery> queries = Synthesize({"18-34"});
   ASSERT_EQ(queries.size(), 1u);
-  auto result = sparql::Execute(*store, queries[0].query);
+  auto result = RunUncached(*store, queries[0].query);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->row_count(), 2u);  // two age groups
 }
@@ -220,7 +225,7 @@ TEST_F(ReolapTest, ExpiredGuardTruncatesCombinationEnumeration) {
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
   vsg = std::make_unique<VirtualSchemaGraph>(std::move(rebuilt).value());
   text = std::make_unique<rdf::TextIndex>(*store);
-  reolap = std::make_unique<Reolap>(store.get(), vsg.get(), text.get());
+  reolap = std::make_unique<Reolap>(vsg.get(), text.get(), *engine);
   ASSERT_EQ(reolap->MatchValue("Germany").size(), 2u);
 
   obs::Counter& timeouts =

@@ -11,12 +11,15 @@
 #include "qb/generator.h"
 #include "sparql/executor.h"
 #include "tests/test_data.h"
+#include "tests/uncached_engine.h"
 
 namespace re2xolap::core {
 namespace {
 
 using re2xolap::testing::BuildFigure1Store;
+using re2xolap::testing::RunUncached;
 using re2xolap::testing::kObsClass;
+using re2xolap::testing::kUncached;
 
 // --- Incremental VSG update ------------------------------------------------------
 
@@ -81,11 +84,12 @@ TEST_F(VsgUpdateTest, UpdatedGraphServesSynthesis) {
   AppendMaliObservation();
   ASSERT_TRUE(vsg->Update(*store, kObsClass).ok());
   rdf::TextIndex text(*store);
-  Reolap reolap(store.get(), vsg.get(), &text);
+  engine::QueryEngine engine(*store, kUncached);
+  Reolap reolap(vsg.get(), &text, engine);
   auto queries = reolap.Synthesize({"Mali"});
   ASSERT_TRUE(queries.ok());
   ASSERT_EQ(queries->size(), 1u);
-  auto table = sparql::Execute(*store, (*queries)[0].query);
+  auto table = RunUncached(*store, (*queries)[0].query);
   ASSERT_TRUE(table.ok());
   EXPECT_GT(table->row_count(), 0u);
 }
@@ -173,11 +177,12 @@ TEST_F(Qb4olapTest, ImportedGraphServesSynthesis) {
   auto imported = BuildFromQb4Olap(*store, ds_iri);
   ASSERT_TRUE(imported.ok());
   rdf::TextIndex text(*store);
-  Reolap reolap(store.get(), &*imported, &text);
+  engine::QueryEngine engine(*store, kUncached);
+  Reolap reolap(&*imported, &text, engine);
   auto queries = reolap.Synthesize({"Germany", "2014"});
   ASSERT_TRUE(queries.ok());
   ASSERT_EQ(queries->size(), 1u);
-  auto table = sparql::Execute(*store, (*queries)[0].query);
+  auto table = RunUncached(*store, (*queries)[0].query);
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->row_count(), 3u);
 }
@@ -304,11 +309,12 @@ TEST_F(ViewTest, ViewBootstrapsAndSynthesizes) {
   EXPECT_EQ(vsg->dimension_count(), 2u);
   EXPECT_EQ(vsg->measure_count(), 1u);
   rdf::TextIndex text(**view);
-  Reolap reolap(view->get(), &*vsg, &text);
+  engine::QueryEngine engine(**view, kUncached);
+  Reolap reolap(&*vsg, &text, engine);
   auto queries = reolap.Synthesize({"France", "Drama"});
   ASSERT_TRUE(queries.ok());
   ASSERT_EQ(queries->size(), 1u);
-  auto table = sparql::Execute(**view, (*queries)[0].query);
+  auto table = RunUncached(**view, (*queries)[0].query);
   ASSERT_TRUE(table.ok());
   // (France, Drama), (France, Comedy), (Japan, Drama), (Japan, Comedy).
   EXPECT_EQ(table->row_count(), 4u);

@@ -5,11 +5,13 @@
 #include "obs/trace.h"
 #include "tests/json_validator.h"
 #include "tests/test_data.h"
+#include "tests/uncached_engine.h"
 
 namespace re2xolap::core {
 namespace {
 
 using re2xolap::testing::BuildFigure1Store;
+using re2xolap::testing::RunUncached;
 using re2xolap::testing::kObsClass;
 
 class SessionTest : public ::testing::Test {
@@ -20,11 +22,14 @@ class SessionTest : public ::testing::Test {
     ASSERT_TRUE(r.ok());
     vsg = std::make_unique<VirtualSchemaGraph>(std::move(r).value());
     text = std::make_unique<rdf::TextIndex>(*store);
-    session = std::make_unique<Session>(store.get(), vsg.get(), text.get());
+    engine = std::make_unique<engine::QueryEngine>(*store);
+    session = std::make_unique<Session>(store.get(), vsg.get(), text.get(),
+                                        engine.get());
   }
   std::unique_ptr<rdf::TripleStore> store;
   std::unique_ptr<VirtualSchemaGraph> vsg;
   std::unique_ptr<rdf::TextIndex> text;
+  std::unique_ptr<engine::QueryEngine> engine;
   std::unique_ptr<Session> session;
 };
 
@@ -168,7 +173,7 @@ TEST_F(BaselineTest, FailsOnUnknownValue) {
 TEST_F(BaselineTest, BaselineQueryExecutes) {
   auto q = baseline->Synthesize({"Syria"});
   ASSERT_TRUE(q.ok());
-  auto r = sparql::Execute(*store, *q);
+  auto r = RunUncached(*store, *q);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GE(r->row_count(), 1u);
 }

@@ -8,17 +8,21 @@
 #include "sparql/executor.h"
 #include "sparql/parser.h"
 #include "tests/test_data.h"
+#include "tests/uncached_engine.h"
 #include "util/exec_guard.h"
 
 namespace re2xolap::sparql {
 namespace {
+
+using re2xolap::testing::RunUncachedText;
+using re2xolap::testing::RunUncachedTextStalled;
 
 class ExecutorTest : public ::testing::Test {
  protected:
   void SetUp() override { store = re2xolap::testing::BuildFigure1Store(); }
 
   ResultTable Run(const std::string& text) {
-    auto r = ExecuteText(*store, text);
+    auto r = RunUncachedText(*store, text);
     EXPECT_TRUE(r.ok()) << r.status().ToString() << "\nquery: " << text;
     return r.ok() ? std::move(r).value() : ResultTable();
   }
@@ -207,23 +211,23 @@ TEST_F(ExecutorTest, EmptyStringEbvIsFalseForVariablesAndConstants) {
   s.Add(blank, p, Term::StringLiteral(""));
   s.Freeze();
 
-  auto via_var = ExecuteText(
+  auto via_var = RunUncachedText(
       s, "SELECT ?s WHERE { ?s <http://test/tag> ?t . FILTER (?t) }");
   ASSERT_TRUE(via_var.ok()) << via_var.status().ToString();
   EXPECT_EQ(via_var->row_count(), 1u);  // only the non-empty tag passes
 
-  auto empty_const = ExecuteText(
+  auto empty_const = RunUncachedText(
       s, "SELECT ?s WHERE { ?s <http://test/tag> ?t . FILTER (\"\") }");
   ASSERT_TRUE(empty_const.ok());
   EXPECT_EQ(empty_const->row_count(), 0u);
 
-  auto nonempty_const = ExecuteText(
+  auto nonempty_const = RunUncachedText(
       s, "SELECT ?s WHERE { ?s <http://test/tag> ?t . FILTER (\"x\") }");
   ASSERT_TRUE(nonempty_const.ok());
   EXPECT_EQ(nonempty_const->row_count(), 2u);
 
   // Negation through a variable agrees with the constant case too.
-  auto negated = ExecuteText(
+  auto negated = RunUncachedText(
       s, "SELECT ?s WHERE { ?s <http://test/tag> ?t . FILTER (!?t) }");
   ASSERT_TRUE(negated.ok());
   EXPECT_EQ(negated->row_count(), 1u);  // only the empty tag
@@ -282,7 +286,7 @@ TEST_F(ExecutorTest, RepeatedVariableInPattern) {
 }
 
 TEST_F(ExecutorTest, ProjectionOutsideGroupByFails) {
-  auto r = ExecuteText(
+  auto r = RunUncachedText(
       *store,
       "SELECT ?dest (SUM(?v) AS ?t) WHERE { ?o "
       "<http://test/countryDestination> ?dest . ?o "
@@ -292,21 +296,21 @@ TEST_F(ExecutorTest, ProjectionOutsideGroupByFails) {
 }
 
 TEST_F(ExecutorTest, SelectStarWithAggregationFails) {
-  auto r = ExecuteText(*store,
+  auto r = RunUncachedText(*store,
                        "SELECT * WHERE { ?o <http://test/numApplicants> ?v } "
                        "GROUP BY ?o");
   EXPECT_FALSE(r.ok());
 }
 
 TEST_F(ExecutorTest, OrderByUnknownColumnFails) {
-  auto r = ExecuteText(
+  auto r = RunUncachedText(
       *store, "SELECT ?s WHERE { ?s ?p ?o } ORDER BY ASC(?nope)");
   EXPECT_FALSE(r.ok());
 }
 
 TEST_F(ExecutorTest, StatsArePopulated) {
   ExecStats stats;
-  auto r = ExecuteText(*store,
+  auto r = RunUncachedText(*store,
                        "SELECT ?s WHERE { ?s a <http://test/Observation> }",
                        {}, &stats);
   ASSERT_TRUE(r.ok());
@@ -319,7 +323,7 @@ TEST_F(ExecutorTest, JoinStatsCountEveryStep) {
   // Two mandatory steps: whichever order the planner picks, each step
   // scans 5 index entries and produces 5 extensions.
   ExecStats stats;
-  auto r = ExecuteText(*store,
+  auto r = RunUncachedText(*store,
                        "SELECT ?s ?c WHERE { ?s a <http://test/Observation> . "
                        "?s <http://test/countryOrigin> ?c }",
                        {}, &stats);
@@ -333,7 +337,7 @@ TEST_F(ExecutorTest, JoinStatsCountEveryStep) {
 
 TEST_F(ExecutorTest, OptionalStepsContributeToStats) {
   ExecStats stats;
-  auto r = ExecuteText(*store,
+  auto r = RunUncachedText(*store,
                        "SELECT ?s ?y WHERE { "
                        "?s <http://test/refPeriod> ?m . "
                        "OPTIONAL { ?m <http://test/inYear> ?y . } }",
@@ -356,8 +360,8 @@ TEST_F(ExecutorTest, PlannerReorderingMatchesUnordered) {
     })";
   ExecOptions with, without;
   without.plan.use_join_reordering = false;
-  auto a = ExecuteText(*store, q, with);
-  auto b = ExecuteText(*store, q, without);
+  auto a = RunUncachedText(*store, q, with);
+  auto b = RunUncachedText(*store, q, without);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->row_count(), b->row_count());
@@ -375,10 +379,18 @@ TEST_F(ExecutorTest, GroupByWithoutAggregates) {
 // --- execution guardrails ----------------------------------------------------------
 
 /// Returns an ExecGuard whose deadline has already passed.
-util::ExecGuard ExpiredGuard() {
-  util::ExecGuard guard = util::ExecGuard::WithDeadline(1);
-  std::this_thread::sleep_for(std::chrono::milliseconds(3));
-  return guard;
+// The engine rejects a guard that has already tripped before executing,
+// so these deadlines are healthy at admission and lapse while the join's
+// first index scan is stalled (RunUncachedTextStalled).
+constexpr int kDeadlineMillis = 50;
+constexpr int kStallMillis = 150;
+
+util::Result<ResultTable> RunPastDeadline(const rdf::TripleStore& store,
+                                          const std::string& text) {
+  util::ExecGuard guard = util::ExecGuard::WithDeadline(kDeadlineMillis);
+  ExecOptions opts;
+  opts.guard = &guard;
+  return RunUncachedTextStalled(store, text, opts, kStallMillis);
 }
 
 TEST_F(ExecutorTest, ExpiredDeadlineTripsSortButNotSmallJoin) {
@@ -386,30 +398,23 @@ TEST_F(ExecutorTest, ExpiredDeadlineTripsSortButNotSmallJoin) {
   // thousand scanned entries, so on a tiny store an expired deadline is
   // never noticed there. The sort must still observe it — previously a
   // long ORDER BY could run unbounded after the join finished in time.
-  util::ExecGuard guard = ExpiredGuard();
-  ExecOptions opts;
-  opts.guard = &guard;
   const std::string base =
       "SELECT ?obs ?v WHERE { ?obs <http://test/numApplicants> ?v }";
-  auto plain = ExecuteText(*store, base, opts);
+  auto plain = RunPastDeadline(*store, base);
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
   EXPECT_EQ(plain->row_count(), 5u);
 
-  auto sorted = ExecuteText(*store, base + " ORDER BY ?v", opts);
+  auto sorted = RunPastDeadline(*store, base + " ORDER BY ?v");
   ASSERT_FALSE(sorted.ok());
   EXPECT_TRUE(sorted.status().IsTimeout()) << sorted.status().ToString();
 }
 
 TEST_F(ExecutorTest, ExpiredDeadlineTripsAggregationEmit) {
-  util::ExecGuard guard = ExpiredGuard();
-  ExecOptions opts;
-  opts.guard = &guard;
-  auto r = ExecuteText(*store, R"(
+  auto r = RunPastDeadline(*store, R"(
     SELECT ?dest (SUM(?v) AS ?total) WHERE {
       ?obs <http://test/countryDestination> ?dest .
       ?obs <http://test/numApplicants> ?v .
-    } GROUP BY ?dest)",
-                       opts);
+    } GROUP BY ?dest)");
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsTimeout()) << r.status().ToString();
 }
@@ -420,7 +425,7 @@ TEST_F(ExecutorTest, RowBudgetViolationSurfacesAsResourceExhausted) {
   util::ExecGuard guard(limits);
   ExecOptions opts;
   opts.guard = &guard;
-  auto r = ExecuteText(
+  auto r = RunUncachedText(
       *store, "SELECT ?obs ?v WHERE { ?obs <http://test/numApplicants> ?v }",
       opts);
   ASSERT_FALSE(r.ok());
@@ -433,7 +438,7 @@ TEST_F(ExecutorTest, ByteBudgetViolationSurfacesAsResourceExhausted) {
   util::ExecGuard guard(limits);
   ExecOptions opts;
   opts.guard = &guard;
-  auto r = ExecuteText(
+  auto r = RunUncachedText(
       *store, "SELECT ?obs ?v WHERE { ?obs <http://test/numApplicants> ?v }",
       opts);
   ASSERT_FALSE(r.ok());
@@ -448,7 +453,7 @@ TEST_F(ExecutorTest, GenerousGuardChargesButDoesNotTrip) {
   util::ExecGuard guard(limits);
   ExecOptions opts;
   opts.guard = &guard;
-  auto r = ExecuteText(
+  auto r = RunUncachedText(
       *store, "SELECT ?obs ?v WHERE { ?obs <http://test/numApplicants> ?v }",
       opts);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -458,8 +463,8 @@ TEST_F(ExecutorTest, GenerousGuardChargesButDoesNotTrip) {
 }
 
 TEST(GuardScaleTest, ShortDeadlineTripsInsideAggregationOnFig7Cube) {
-  // Acceptance shape: a 10 ms deadline against the fig7-style generated
-  // Eurostat cube returns kTimeout from within aggregation/sort. 2000
+  // Acceptance shape: a deadline lapsing mid-query against the fig7-style
+  // generated Eurostat cube returns kTimeout from within aggregation/sort. 2000
   // observations keep the join below its periodic full-check interval,
   // so the trip provably happens at the aggregation boundary, not in the
   // join loop.
@@ -472,16 +477,12 @@ TEST(GuardScaleTest, ShortDeadlineTripsInsideAggregationOnFig7Cube) {
       spec.measure_predicates[0] +
       "> ?v . } GROUP BY ?d ORDER BY ?total";
 
-  util::ExecGuard guard = util::ExecGuard::WithDeadline(10);
-  std::this_thread::sleep_for(std::chrono::milliseconds(15));
-  ExecOptions opts;
-  opts.guard = &guard;
-  auto r = ExecuteText(*ds->store, query, opts);
+  auto r = RunPastDeadline(*ds->store, query);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsTimeout()) << r.status().ToString();
 
   // Sanity: the same query completes without the guard.
-  auto ok = ExecuteText(*ds->store, query);
+  auto ok = RunUncachedText(*ds->store, query);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_GT(ok->row_count(), 0u);
 }
@@ -497,7 +498,7 @@ TEST_F(ExecutorTest, AmortizedGuardStillSurfacesRowBudgetOnTinyScans) {
   util::ExecGuard guard(limits);
   ExecOptions opts;
   opts.guard = &guard;
-  auto r = ExecuteText(
+  auto r = RunUncachedText(
       *store, "SELECT ?obs ?v WHERE { ?obs <http://test/numApplicants> ?v }",
       opts);
   ASSERT_FALSE(r.ok());
@@ -516,7 +517,7 @@ TEST_F(ExecutorTest, AmortizedGuardSkipsBudgetPollsWithinInterval) {
   util::ExecGuard guard(limits);
   ExecOptions opts;
   opts.guard = &guard;
-  auto r = ExecuteText(*store, R"(
+  auto r = RunUncachedText(*store, R"(
     SELECT ?dest (SUM(?v) AS ?total) WHERE {
       ?obs <http://test/countryDestination> ?dest .
       ?obs <http://test/numApplicants> ?v .
@@ -528,16 +529,22 @@ TEST_F(ExecutorTest, AmortizedGuardSkipsBudgetPollsWithinInterval) {
 
 TEST_F(ExecutorTest, CancellationAbortsExecution) {
   util::CancellationToken token;
-  token.Cancel();
   util::ExecGuard guard({}, &token);
   ExecOptions opts;
   opts.guard = &guard;
-  // ORDER BY forces a full guard check at the sort boundary, where the
-  // cancellation is observed even though the tiny join finished first.
-  auto r = ExecuteText(*store,
-                       "SELECT ?obs ?v WHERE "
-                       "{ ?obs <http://test/numApplicants> ?v } ORDER BY ?v",
-                       opts);
+  // Cancelled while the join's first scan is stalled. ORDER BY forces a
+  // full guard check at the sort boundary, where the cancellation is
+  // observed even though the tiny join finished first.
+  std::thread canceller([&token] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(kDeadlineMillis));
+    token.Cancel();
+  });
+  auto r = RunUncachedTextStalled(
+      *store,
+      "SELECT ?obs ?v WHERE { ?obs <http://test/numApplicants> ?v } "
+      "ORDER BY ?v",
+      opts, kStallMillis);
+  canceller.join();
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsCancelled()) << r.status().ToString();
 }
@@ -555,7 +562,7 @@ class ExecutorExtTest : public ::testing::Test {
 };
 
 TEST_F(ExecutorExtTest, AskTrueAndFalse) {
-  auto yes = ExecuteText(
+  auto yes = RunUncachedText(
       *store,
       "ASK WHERE { ?o <http://test/countryDestination> "
       "<http://test/dest/germany> }");
@@ -564,7 +571,7 @@ TEST_F(ExecutorExtTest, AskTrueAndFalse) {
   EXPECT_EQ(yes->columns()[0], "ask");
   EXPECT_DOUBLE_EQ(yes->NumericValue(yes->at(0, 0)), 1.0);
 
-  auto no = ExecuteText(
+  auto no = RunUncachedText(
       *store,
       "ASK WHERE { ?o <http://test/countryDestination> "
       "<http://test/dest/narnia> }");
@@ -573,12 +580,12 @@ TEST_F(ExecutorExtTest, AskTrueAndFalse) {
 }
 
 TEST_F(ExecutorExtTest, AskWithFilter) {
-  auto r = ExecuteText(*store,
+  auto r = RunUncachedText(*store,
                        "ASK WHERE { ?o <http://test/numApplicants> ?v . "
                        "FILTER (?v > 499) }");
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(r->NumericValue(r->at(0, 0)), 1.0);
-  auto r2 = ExecuteText(*store,
+  auto r2 = RunUncachedText(*store,
                         "ASK WHERE { ?o <http://test/numApplicants> ?v . "
                         "FILTER (?v > 500) }");
   ASSERT_TRUE(r2.ok());
@@ -586,7 +593,7 @@ TEST_F(ExecutorExtTest, AskWithFilter) {
 }
 
 TEST_F(ExecutorExtTest, AskAllConstantPattern) {
-  auto r = ExecuteText(
+  auto r = RunUncachedText(
       *store,
       "ASK WHERE { <http://test/origin/syria> <http://test/inContinent> "
       "<http://test/continent/asia> }");
@@ -605,14 +612,14 @@ TEST_F(ExecutorExtTest, AskRoundTripsThroughToSparql) {
 
 TEST_F(ExecutorExtTest, CountDistinct) {
   // 5 observations but only 3 distinct origin countries.
-  auto r = ExecuteText(
+  auto r = RunUncachedText(
       *store,
       "SELECT (COUNT(DISTINCT ?c) AS ?n) WHERE { ?o "
       "<http://test/countryOrigin> ?c }");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_DOUBLE_EQ(r->NumericValue(r->at(0, 0)), 3.0);
   // Plain COUNT for contrast.
-  auto r2 = ExecuteText(*store,
+  auto r2 = RunUncachedText(*store,
                         "SELECT (COUNT(?c) AS ?n) WHERE { ?o "
                         "<http://test/countryOrigin> ?c }");
   ASSERT_TRUE(r2.ok());
@@ -620,7 +627,7 @@ TEST_F(ExecutorExtTest, CountDistinct) {
 }
 
 TEST_F(ExecutorExtTest, CountDistinctPerGroup) {
-  auto r = ExecuteText(
+  auto r = RunUncachedText(
       *store,
       "SELECT ?dest (COUNT(DISTINCT ?c) AS ?n) WHERE { ?o "
       "<http://test/countryDestination> ?dest . ?o "
@@ -646,10 +653,10 @@ TEST_F(ExecutorExtTest, DistinctOnlyForCount) {
 
 TEST_F(ExecutorExtTest, EarlyExitLimitMatchesFullScanPrefixSemantics) {
   ExecStats limited_stats, full_stats;
-  auto limited = ExecuteText(
+  auto limited = RunUncachedText(
       *store, "SELECT ?o WHERE { ?o a <http://test/Observation> } LIMIT 2",
       {}, &limited_stats);
-  auto full = ExecuteText(
+  auto full = RunUncachedText(
       *store, "SELECT ?o WHERE { ?o a <http://test/Observation> }", {},
       &full_stats);
   ASSERT_TRUE(limited.ok());
@@ -663,7 +670,7 @@ TEST_F(ExecutorExtTest, EarlyExitLimitMatchesFullScanPrefixSemantics) {
 
 TEST_F(ExecutorExtTest, LimitWithOrderByStillSeesAllRows) {
   // ORDER BY prevents the early exit: the 2 smallest values must win.
-  auto r = ExecuteText(*store,
+  auto r = RunUncachedText(*store,
                        "SELECT ?o ?v WHERE { ?o <http://test/numApplicants> "
                        "?v } ORDER BY ASC(?v) LIMIT 2");
   ASSERT_TRUE(r.ok());
@@ -687,7 +694,7 @@ class OptionalTest : public ::testing::Test {
 TEST_F(OptionalTest, UnmatchedOptionalLeavesUnbound) {
   // Destination countries have no continent hierarchy: OPTIONAL yields
   // null for them, but rows survive.
-  auto r = ExecuteText(*store, R"(
+  auto r = RunUncachedText(*store, R"(
     SELECT DISTINCT ?c ?cont WHERE {
       ?o <http://test/countryDestination> ?c .
       OPTIONAL { ?c <http://test/inContinent> ?cont . }
@@ -701,7 +708,7 @@ TEST_F(OptionalTest, UnmatchedOptionalLeavesUnbound) {
 }
 
 TEST_F(OptionalTest, MatchedOptionalBindsValues) {
-  auto r = ExecuteText(*store, R"(
+  auto r = RunUncachedText(*store, R"(
     SELECT DISTINCT ?c ?cont WHERE {
       ?o <http://test/countryOrigin> ?c .
       OPTIONAL { ?c <http://test/inContinent> ?cont . }
@@ -715,9 +722,9 @@ TEST_F(OptionalTest, MatchedOptionalBindsValues) {
 }
 
 TEST_F(OptionalTest, OptionalNeverReducesRows) {
-  auto base = ExecuteText(
+  auto base = RunUncachedText(
       *store, "SELECT ?o WHERE { ?o a <http://test/Observation> }");
-  auto with_opt = ExecuteText(*store, R"(
+  auto with_opt = RunUncachedText(*store, R"(
     SELECT ?o WHERE {
       ?o a <http://test/Observation> .
       OPTIONAL { ?o <http://test/noSuchPredicate> ?x . }
@@ -730,7 +737,7 @@ TEST_F(OptionalTest, OptionalNeverReducesRows) {
 TEST_F(OptionalTest, OptionalFanOutMultipliesOnlyMatches) {
   // One origin country with multiple observation links: OPTIONAL over a
   // reverse-ish pattern. Syria appears in 3 observations.
-  auto r = ExecuteText(*store, R"(
+  auto r = RunUncachedText(*store, R"(
     SELECT ?o WHERE {
       ?o <http://test/countryOrigin> <http://test/origin/syria> .
       OPTIONAL { ?o <http://test/refPeriod> ?m . }
@@ -740,7 +747,7 @@ TEST_F(OptionalTest, OptionalFanOutMultipliesOnlyMatches) {
 }
 
 TEST_F(OptionalTest, TwoOptionalBlocksComposeLeftToRight) {
-  auto r = ExecuteText(*store, R"(
+  auto r = RunUncachedText(*store, R"(
     SELECT DISTINCT ?c ?cont ?label WHERE {
       ?o <http://test/countryDestination> ?c .
       OPTIONAL { ?c <http://test/inContinent> ?cont . }
@@ -759,7 +766,7 @@ TEST_F(OptionalTest, TwoOptionalBlocksComposeLeftToRight) {
 TEST_F(OptionalTest, FilterOnOptionalVarDropsUnbound) {
   // BOUND-style semantics: a filter over the optional variable removes
   // rows where it is unbound.
-  auto r = ExecuteText(*store, R"(
+  auto r = RunUncachedText(*store, R"(
     SELECT DISTINCT ?c WHERE {
       ?o <http://test/countryOrigin> ?c .
       OPTIONAL { ?c <http://test/inContinent> ?cont . }
@@ -770,7 +777,7 @@ TEST_F(OptionalTest, FilterOnOptionalVarDropsUnbound) {
 }
 
 TEST_F(OptionalTest, BoundFilterDetectsOptionalMatch) {
-  auto r = ExecuteText(*store, R"(
+  auto r = RunUncachedText(*store, R"(
     SELECT DISTINCT ?c WHERE {
       ?o <http://test/countryDestination> ?c .
       OPTIONAL { ?c <http://test/inContinent> ?cont . }
@@ -781,7 +788,7 @@ TEST_F(OptionalTest, BoundFilterDetectsOptionalMatch) {
 }
 
 TEST_F(OptionalTest, AggregateSkipsUnboundOptional) {
-  auto r = ExecuteText(*store, R"(
+  auto r = RunUncachedText(*store, R"(
     SELECT (COUNT(?cont) AS ?n) (COUNT(*) AS ?all) WHERE {
       ?o <http://test/countryOrigin> ?c .
       OPTIONAL { ?c <http://test/inContinent> ?cont . }
@@ -847,7 +854,7 @@ TEST(CsvTest, EscapesCommasAndQuotes) {
 
 TEST(CsvTest, EndToEndFromQuery) {
   auto store = re2xolap::testing::BuildFigure1Store();
-  auto r = ExecuteText(
+  auto r = RunUncachedText(
       *store,
       "SELECT ?dest (SUM(?v) AS ?total) WHERE { ?o "
       "<http://test/countryDestination> ?dest . ?o "
@@ -866,7 +873,7 @@ namespace {
 
 TEST(ValuesExecTest, RestrictsBindings) {
   auto store = re2xolap::testing::BuildFigure1Store();
-  auto r = ExecuteText(*store, R"(
+  auto r = RunUncachedText(*store, R"(
     SELECT ?obs WHERE {
       ?obs <http://test/countryOrigin> ?c .
       VALUES ?c { <http://test/origin/syria> <http://test/origin/nigeria> }

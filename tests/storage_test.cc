@@ -21,6 +21,7 @@
 #include "rdf/triple_store.h"
 #include "storage/snapshot.h"
 #include "storage/snapshot_io.h"
+#include "store/ingestor.h"
 #include "tests/test_data.h"
 #include "util/exec_guard.h"
 #include "util/failpoint.h"
@@ -411,7 +412,8 @@ TEST(SnapshotTest, EngineOpenSnapshotServesIdenticalQueries) {
 TEST(SnapshotTest, SessionRoundTripExploresIdentically) {
   const std::string path = TempPath("session.snap");
   Fixture fx;
-  core::Session cold(fx.store.get(), fx.vsg.get(), fx.text.get());
+  engine::QueryEngine engine(*fx.store);
+  core::Session cold(fx.store.get(), fx.vsg.get(), fx.text.get(), &engine);
   ASSERT_TRUE(cold.SaveSnapshot(path).ok());
 
   auto warm = core::Session::OpenSnapshot(path);
@@ -665,9 +667,11 @@ TEST_F(TextSectionTest, MalformedSectionsYieldTypedStatus) {
   ExpectTextSectionRejected(no_postings.Take(), "");
 }
 
-// Crafted node and edge counts in the graph section are a typed
-// ParseError, also where the count times the bytes of one entry wraps 64
-// bits (2^63 nodes of 22 bytes, 2^62 edges of 12).
+// Crafted counts are a typed ParseError in both load modes, also where the
+// count times the bytes of one entry wraps 64 bits: graph nodes (22 bytes)
+// and edges (12), predicate stats (28), delta-chain layers (24) and their
+// added and deleted triples (36 each, where add_count + del_count can
+// wrap on its own).
 TEST_F(GraphSectionTest, CraftedCountsYieldTypedStatus) {
   auto words = [](std::initializer_list<uint64_t> values) {
     storage::ByteWriter w;
@@ -683,14 +687,57 @@ TEST_F(GraphSectionTest, CraftedCountsYieldTypedStatus) {
     EXPECT_TRUE(loaded->vsg->nodes.empty());
     EXPECT_TRUE(loaded->vsg->edges.empty());
   }
-  for (uint64_t n : {uint64_t{1000}, uint64_t{1} << 62, uint64_t{1} << 63,
-                     ~uint64_t{0}}) {
+  const uint64_t kMax = ~uint64_t{0};
+  const std::initializer_list<uint64_t> kCounts = {
+      1000, uint64_t{1} << 62, uint64_t{1} << 63, kMax};
+  for (uint64_t n : kCounts) {
     SCOPED_TRACE(n);
     ExpectSectionRejected(storage::SectionId::kVsg, words({n, 0, 0, 0}),
                           "graph nodes overrun payload");
     ExpectSectionRejected(storage::SectionId::kVsg, words({0, n, 0, 0}),
                           "graph edges overrun payload");
+    ExpectSectionRejected(storage::SectionId::kPredicateStats, words({n}),
+                          "predicate stats overrun payload");
   }
+
+  // Re-image as a live store with one sealed delta layer, so the image
+  // carries a delta_chain section.
+  util::FailpointRegistry::Global().DisarmAll();  // store.ingest in chaos CI
+  auto live = re2xolap::testing::BuildFigure1Store();
+  live->EnterLive();
+  {
+    util::ThreadPool pool(1);
+    store::Ingestor ingestor(live.get(), &pool, {});
+    auto receipt = ingestor.IngestText(
+        "<http://test/obs/9> <http://test/numApplicants> \"9\" .",
+        store::IngestOp::kInsert, nullptr);
+    ASSERT_TRUE(receipt.ok()) << receipt.status();
+  }
+  ASSERT_TRUE(storage::SaveSnapshot(path_, *live, nullptr, nullptr).ok());
+  image_ = ReadAll(path_);
+  auto info = storage::InspectSnapshot(path_);
+  ASSERT_TRUE(info.ok()) << info.status();
+  sections_ = info->sections;
+  ASSERT_LT(Entry(storage::SectionId::kDeltaChain), sections_.size());
+
+  for (uint64_t n : kCounts) {
+    SCOPED_TRACE(n);
+    ExpectSectionRejected(storage::SectionId::kDeltaChain, words({n}),
+                          "delta_chain overruns payload");
+    ExpectSectionRejected(storage::SectionId::kDeltaChain,
+                          words({1, 1, n, 0}),
+                          "delta_chain layer 0 overruns payload");
+    ExpectSectionRejected(storage::SectionId::kDeltaChain,
+                          words({1, 1, 0, n}),
+                          "delta_chain layer 0 overruns payload");
+  }
+  // add_count + del_count wraps to 1 and to 0.
+  ExpectSectionRejected(storage::SectionId::kDeltaChain,
+                        words({1, 1, kMax, 2}),
+                        "delta_chain layer 0 overruns payload");
+  ExpectSectionRejected(storage::SectionId::kDeltaChain,
+                        words({1, 1, kMax, 1}),
+                        "delta_chain layer 0 overruns payload");
 }
 
 // Seeded bit flips and truncations of the real section: each load either
