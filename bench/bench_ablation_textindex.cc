@@ -16,7 +16,7 @@ std::vector<re2xolap::rdf::TermId> ScanMatch(
     const re2xolap::rdf::TripleStore& store, const std::string& query) {
   std::vector<re2xolap::rdf::TermId> out;
   store.dictionary().ForEach(
-      [&](re2xolap::rdf::TermId id, const re2xolap::rdf::Term& t) {
+      [&](re2xolap::rdf::TermId id, re2xolap::rdf::TermView t) {
         if (!t.is_literal() ||
             t.literal_type != re2xolap::rdf::LiteralType::kString) {
           return;

@@ -50,7 +50,12 @@ int main() {
         if (!queries.ok() || queries->empty()) continue;
         core::ExploreState state = core::InitialState((*queries)[0]);
 
+        // An input counts only when all three steps ran, so every column
+        // averages over the same inputs.
         bool ok = true;
+        double input_ms[3] = {0, 0, 0};
+        double input_tuples[3] = {0, 0, 0};
+        double input_refine_ms = 0;
         core::ExploreState current = state;
         for (int depth = 0; depth <= 2 && ok; ++depth) {
           util::WallTimer timer;
@@ -59,13 +64,13 @@ int main() {
             ok = false;
             break;
           }
-          ms[depth] += timer.ElapsedMillis();
-          tuples[depth] += static_cast<double>((*table)->row_count());
+          input_ms[depth] = timer.ElapsedMillis();
+          input_tuples[depth] = static_cast<double>((*table)->row_count());
           if (depth < 2) {
             timer.Restart();
             auto refs =
                 core::Disaggregate(*env.vsg, env.store(), current);
-            refine_ms += timer.ElapsedMillis();
+            input_refine_ms += timer.ElapsedMillis();
             if (refs.empty()) {
               ok = false;
               break;
@@ -75,7 +80,13 @@ int main() {
             current = refs[refs.size() / 2];
           }
         }
-        if (ok) ++runs;
+        if (!ok) continue;
+        ++runs;
+        refine_ms += input_refine_ms;
+        for (int depth = 0; depth <= 2; ++depth) {
+          ms[depth] += input_ms[depth];
+          tuples[depth] += input_tuples[depth];
+        }
       }
       if (runs == 0) continue;
       t8a.AddRow({name, std::to_string(size), Ms(ms[0] / runs),

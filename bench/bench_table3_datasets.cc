@@ -22,7 +22,7 @@ int main() {
                "===\n\n";
   util::TablePrinter table(
       {"Dataset", "|D|", "|M|", "|H|", "|L|", "|N_D|", "Store (MB)",
-       "VGraph (MB)"});
+       "Dict (MB)", "VGraph (MB)"});
   util::TablePrinter fig6(
       {"Dataset", "#Observations (Fig 6a)", "#Triples (Fig 6b)",
        "Triples/obs"});
@@ -36,7 +36,9 @@ int main() {
                   std::to_string(vsg.hierarchy_count()),
                   std::to_string(vsg.level_count()),
                   std::to_string(vsg.total_members()),
-                  Mb(env.store().MemoryUsage()), Mb(vsg.MemoryUsage())});
+                  Mb(env.store().MemoryUsage()),
+                  Mb(env.store().dictionary().MemoryUsage()),
+                  Mb(vsg.MemoryUsage())});
     fig6.AddRow({name, std::to_string(obs),
                  std::to_string(env.store().size()),
                  Ms(static_cast<double>(env.store().size()) /

@@ -113,13 +113,13 @@ util::Result<std::unique_ptr<rdf::TripleStore>> MaterializeView(
       ++skipped;
       continue;
     }
-    const rdf::Term obs = source.term(fact);  // keep the fact IRI
+    const rdf::Term obs = source.term(fact).ToTerm();  // keep the fact IRI
     view->Add(obs, view_type, obs_class);
     for (size_t d = 0; d < dim_values.size(); ++d) {
       const rdf::Term pred =
           rdf::Term::Iri(def.view_iri_base + def.dimensions[d].name);
       for (rdf::TermId v : dim_values[d]) {
-        view->Add(obs, pred, source.term(v));
+        view->Add(obs, pred, source.term(v).ToTerm());
         touched_members.insert(v);
       }
     }
@@ -127,7 +127,7 @@ util::Result<std::unique_ptr<rdf::TripleStore>> MaterializeView(
       const rdf::Term pred =
           rdf::Term::Iri(def.view_iri_base + def.measures[m].name);
       for (rdf::TermId v : measure_values[m]) {
-        view->Add(obs, pred, source.term(v));
+        view->Add(obs, pred, source.term(v).ToTerm());
       }
     }
   }
@@ -147,15 +147,18 @@ util::Result<std::unique_ptr<rdf::TripleStore>> MaterializeView(
       for (const rdf::EncodedTriple& t :
            source.Match({member, rdf::kInvalidTermId, rdf::kInvalidTermId})) {
         if (t.p == type) continue;
-        const rdf::Term& o = source.term(t.o);
+        const rdf::TermView o = source.term(t.o);
+        // `view` is another store, so interning there never moves `o`.
+        auto copy = [&] {
+          view->Add(source.term(member).ToTerm(), source.term(t.p).ToTerm(),
+                    o.ToTerm());
+        };
         if (o.is_literal()) {
-          if (def.copy_member_attributes) {
-            view->Add(source.term(member), source.term(t.p), o);
-          }
+          if (def.copy_member_attributes) copy();
           continue;
         }
         if (depth == def.hierarchy_depth) continue;  // don't extend further
-        view->Add(source.term(member), source.term(t.p), o);
+        copy();
         if (visited.insert(t.o).second) next.push_back(t.o);
       }
     }

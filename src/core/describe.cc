@@ -8,13 +8,14 @@ constexpr char kRdfsLabelIri[] =
 }  // namespace
 
 std::string DisplayName(const rdf::TripleStore& store, rdf::TermId term) {
-  const rdf::Term& t = store.term(term);
-  if (t.is_literal()) return t.value;
+  const rdf::TermView t = store.term(term);
+  if (t.is_literal()) return std::string(t.value);
   rdf::TermId label = store.Lookup(rdf::Term::Iri(kRdfsLabelIri));
   if (label != rdf::kInvalidTermId) {
     for (const rdf::EncodedTriple& lt :
          store.Match({term, label, rdf::kInvalidTermId})) {
-      if (store.term(lt.o).is_literal()) return store.term(lt.o).value;
+      const rdf::TermView o = store.term(lt.o);
+      if (o.is_literal()) return std::string(o.value);
     }
   }
   return PrettifyIriLocalName(t.value);

@@ -14,9 +14,9 @@ namespace re2xolap::core {
 
 namespace {
 
-std::string IriLocalName(const std::string& iri) {
+std::string IriLocalName(std::string_view iri) {
   size_t cut = iri.find_last_of("/#");
-  return cut == std::string::npos ? iri : iri.substr(cut + 1);
+  return std::string(cut == std::string::npos ? iri : iri.substr(cut + 1));
 }
 
 std::string PathDescription(const rdf::TripleStore& store,
@@ -105,7 +105,7 @@ ExploreState DisaggregateOne(const rdf::TripleStore& store,
             : sparql::TermOrVar(
                   sparql::Variable{"h" + std::to_string(next.fresh_vars++)});
     next.query.patterns.push_back(sparql::TriplePatternAst{
-        current, store.term(candidate.predicates[s]), nxt});
+        current, store.term(candidate.predicates[s]).ToTerm(), nxt});
     current = nxt;
   }
   next.query.group_by.push_back(sparql::Variable{var});
@@ -503,7 +503,7 @@ util::Result<std::vector<ExploreState>> SimilaritySearch(
         sparql::ExprPtr eq = sparql::Expr::Compare(
             sparql::CompareOp::kEq,
             sparql::Expr::Var(state.example_columns[i]),
-            sparql::Expr::Constant(store.term(key[i])));
+            sparql::Expr::Constant(store.term(key[i]).ToTerm()));
         conj = conj ? sparql::Expr::And(std::move(conj), std::move(eq))
                     : std::move(eq);
       }
@@ -606,7 +606,7 @@ std::vector<ExploreState> RollUp(const VirtualSchemaGraph& vsg,
                 : sparql::TermOrVar(sparql::Variable{
                       "h" + std::to_string(next.fresh_vars++)});
         next.query.patterns.push_back(sparql::TriplePatternAst{
-            current, store.term(coarser.predicates[s]), nxt});
+            current, store.term(coarser.predicates[s]).ToTerm(), nxt});
         current = nxt;
       }
       next.query.group_by.push_back(sparql::Variable{var});
@@ -647,11 +647,11 @@ util::Result<ExploreState> SliceToExample(const rdf::TripleStore& store,
 
   // Pin the variable to the example member(s) — all example rows' values
   // at this column — and drop it from the output.
-  std::vector<rdf::Term> members = {store.term(member)};
+  std::vector<rdf::Term> members = {store.term(member).ToTerm()};
   for (const auto& row : state.extra_examples) {
-    const rdf::Term& t = store.term(row[example_index].member);
+    const rdf::TermView t = store.term(row[example_index].member);
     if (std::find(members.begin(), members.end(), t) == members.end()) {
-      members.push_back(t);
+      members.push_back(t.ToTerm());
     }
   }
   if (members.size() == 1) {
@@ -794,7 +794,7 @@ util::Result<NegativeResult> ExcludeNegativeExamples(
     for (const Interpretation& in : interps) {
       for (size_t i = 0; i < state.paths.size() && i < columns.size(); ++i) {
         if (state.paths[i] == in.path) {
-          exclusions[columns[i]].push_back(store.term(in.member));
+          exclusions[columns[i]].push_back(store.term(in.member).ToTerm());
           matched = true;
         }
       }
@@ -858,7 +858,7 @@ util::Result<ExploreState> ContrastWith(
       sparql::ExprPtr eq = sparql::Expr::Compare(
           sparql::CompareOp::kEq,
           sparql::Expr::Var(state.example_columns[i]),
-          sparql::Expr::Constant(store.term(row[i].member)));
+          sparql::Expr::Constant(store.term(row[i].member).ToTerm()));
       conj = conj ? sparql::Expr::And(std::move(conj), std::move(eq))
                   : std::move(eq);
     }

@@ -18,7 +18,8 @@ std::string MemberLabel(const rdf::TripleStore& store, rdf::TermId member,
   if (label_pred != rdf::kInvalidTermId) {
     for (const rdf::EncodedTriple& t :
          store.Match({member, label_pred, rdf::kInvalidTermId})) {
-      if (store.term(t.o).is_literal()) return store.term(t.o).value;
+      const rdf::TermView o = store.term(t.o);
+      if (o.is_literal()) return std::string(o.value);
     }
   }
   return PrettifyIriLocalName(store.term(member).value);
@@ -41,7 +42,7 @@ util::Result<DatasetProfile> ProfileDataset(const rdf::TripleStore& store,
     rdf::TermId dim_pred = path.dimension_predicate();
     DimensionProfile& dp = dims[dim_pred];
     if (dp.name.empty()) {
-      dp.predicate_iri = store.term(dim_pred).value;
+      dp.predicate_iri = std::string(store.term(dim_pred).value);
       dp.name = PrettifyIriLocalName(dp.predicate_iri);
     }
     const VsgNode& node = vsg.node(path.target_node);
@@ -64,7 +65,7 @@ util::Result<DatasetProfile> ProfileDataset(const rdf::TripleStore& store,
   // well-formed cube; we report the max across measures).
   for (rdf::TermId m : vsg.measure_predicates()) {
     MeasureProfile mp;
-    mp.predicate_iri = store.term(m).value;
+    mp.predicate_iri = std::string(store.term(m).value);
     mp.name = PrettifyIriLocalName(mp.predicate_iri);
     const std::string q =
         "SELECT (COUNT(?v) AS ?n) (MIN(?v) AS ?lo) (MAX(?v) AS ?hi) "

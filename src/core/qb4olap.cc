@@ -38,10 +38,10 @@ util::Status ExportQb4OlapAnnotations(const rdf::TripleStore& data,
   out->Add(ds, Term::Iri(qb4o::kObservationClass),
            Term::Iri(observation_class_iri));
   for (rdf::TermId m : vsg.measure_predicates()) {
-    out->Add(ds, Term::Iri(qb4o::kMeasure), data.term(m));
+    out->Add(ds, Term::Iri(qb4o::kMeasure), data.term(m).ToTerm());
   }
   for (rdf::TermId a : vsg.observation_attributes()) {
-    out->Add(ds, Term::Iri(qb4o::kObservationAttribute), data.term(a));
+    out->Add(ds, Term::Iri(qb4o::kObservationAttribute), data.term(a).ToTerm());
   }
 
   // Levels (including the root, which is marked via kRootLevel).
@@ -53,10 +53,10 @@ util::Status ExportQb4OlapAnnotations(const rdf::TripleStore& data,
       out->Add(ds, Term::Iri(qb4o::kRootLevel), lvl);
     }
     for (rdf::TermId member : node.members) {
-      out->Add(data.term(member), Term::Iri(qb4o::kMemberOf), lvl);
+      out->Add(data.term(member).ToTerm(), Term::Iri(qb4o::kMemberOf), lvl);
     }
     for (rdf::TermId attr : node.attribute_predicates) {
-      out->Add(lvl, Term::Iri(qb4o::kHasAttribute), data.term(attr));
+      out->Add(lvl, Term::Iri(qb4o::kHasAttribute), data.term(attr).ToTerm());
     }
   }
 
@@ -70,7 +70,7 @@ util::Status ExportQb4OlapAnnotations(const rdf::TripleStore& data,
     out->Add(step, Term::Iri(qb4o::kParentLevel),
              Term::Iri(LevelIri(dataset_iri, edges[i].to)));
     out->Add(step, Term::Iri(qb4o::kRollupProperty),
-             data.term(edges[i].predicate));
+             data.term(edges[i].predicate).ToTerm());
   }
   return util::Status::OK();
 }
@@ -88,7 +88,7 @@ util::Result<std::string> AnnotatedObservationClass(
     return util::Status::NotFound("no observation-class annotation for <" +
                                   dataset_iri + ">");
   }
-  return store.term(span.front().o).value;
+  return std::string(store.term(span.front().o).value);
 }
 
 util::Result<VirtualSchemaGraph> BuildFromQb4Olap(
@@ -143,15 +143,15 @@ util::Result<VirtualSchemaGraph> BuildFromQb4Olap(
     for (const rdf::EncodedTriple& t :
          store.Match({rdf::kInvalidTermId, type, level_class})) {
       if (t.s == root_level) continue;
-      const std::string& iri = store.term(t.s).value;
-      if (iri.rfind(level_prefix, 0) != 0) continue;
+      const std::string_view iri = store.term(t.s).value;
+      if (!iri.starts_with(level_prefix)) continue;
       VsgNode node;
       node.id = static_cast<int>(nodes.size());
       level_to_node[t.s] = node.id;
       // Level label.
       for (const rdf::EncodedTriple& lt :
            store.Match({t.s, label, rdf::kInvalidTermId})) {
-        node.name = store.term(lt.o).value;
+        node.name = std::string(store.term(lt.o).value);
         break;
       }
       nodes.push_back(std::move(node));
@@ -181,7 +181,7 @@ util::Result<VirtualSchemaGraph> BuildFromQb4Olap(
     const std::string step_prefix = dataset_iri + "/step/";
     for (const rdf::EncodedTriple& t :
          store.Match({rdf::kInvalidTermId, type, step_class})) {
-      if (store.term(t.s).value.rfind(step_prefix, 0) != 0) continue;
+      if (!store.term(t.s).value.starts_with(step_prefix)) continue;
       VsgEdge edge;
       auto read = [&](rdf::TermId pred, rdf::TermId* out_id) {
         auto span = store.Match({t.s, pred, rdf::kInvalidTermId});
@@ -195,8 +195,8 @@ util::Result<VirtualSchemaGraph> BuildFromQb4Olap(
       auto pit = level_to_node.find(parent);
       if (cit == level_to_node.end() || pit == level_to_node.end() ||
           rollup == rdf::kInvalidTermId) {
-        return util::Status::ParseError("malformed hierarchy step " +
-                                        store.term(t.s).value);
+        return util::Status::ParseError(
+            "malformed hierarchy step " + std::string(store.term(t.s).value));
       }
       edge.from = cit->second;
       edge.to = pit->second;

@@ -18,9 +18,9 @@ namespace re2xolap::core {
 
 namespace {
 
-std::string IriLocalName(const std::string& iri) {
+std::string IriLocalName(std::string_view iri) {
   size_t cut = iri.find_last_of("/#");
-  return cut == std::string::npos ? iri : iri.substr(cut + 1);
+  return std::string(cut == std::string::npos ? iri : iri.substr(cut + 1));
 }
 
 /// Resolves the effective validation parallelism of `options`.
@@ -135,7 +135,7 @@ CandidateQuery Reolap::BuildQuery(const std::vector<Interpretation>& combo,
               : sparql::TermOrVar(
                     Variable{"h" + std::to_string(fresh++)});
       q.patterns.push_back(TriplePatternAst{
-          current, store().term(path.predicates[s]), next});
+          current, store().term(path.predicates[s]).ToTerm(), next});
       current = next;
     }
     q.group_by.push_back(Variable{group_var});
@@ -150,7 +150,7 @@ CandidateQuery Reolap::BuildQuery(const std::vector<Interpretation>& combo,
   for (size_t m = 0; m < measures.size(); ++m) {
     std::string mvar = "m" + std::to_string(m);
     q.patterns.push_back(TriplePatternAst{
-        obs, store().term(measures[m]), Variable{mvar}});
+        obs, store().term(measures[m]).ToTerm(), Variable{mvar}});
     std::vector<sparql::AggFunc> funcs;
     if (options.all_aggregates) {
       funcs = {sparql::AggFunc::kSum, sparql::AggFunc::kMin,
@@ -213,10 +213,10 @@ bool Reolap::ValidateCombo(const std::vector<Interpretation>& combo,
     for (size_t s = 0; s < path.predicates.size(); ++s) {
       sparql::TermOrVar next =
           (s + 1 == path.predicates.size())
-              ? sparql::TermOrVar(store().term(in.member))
+              ? sparql::TermOrVar(store().term(in.member).ToTerm())
               : sparql::TermOrVar(Variable{"v" + std::to_string(fresh++)});
       probe.patterns.push_back(TriplePatternAst{
-          current, store().term(path.predicates[s]), next});
+          current, store().term(path.predicates[s]).ToTerm(), next});
       current = next;
     }
   }

@@ -31,7 +31,8 @@ util::Result<sparql::SelectQuery> SparqlByEBaseline::Synthesize(
 
     // Pattern anchoring the entity to the example value.
     q.patterns.push_back(sparql::TriplePatternAst{
-        sparql::Variable{var}, store_->term(attr.p), store_->term(lit)});
+        sparql::Variable{var}, store_->term(attr.p).ToTerm(),
+        store_->term(lit).ToTerm()});
 
     // Single-hop outgoing IRI patterns of the entity (the "minimal BGP
     // describing the node"), one per distinct predicate, object left free.
@@ -43,7 +44,7 @@ util::Result<sparql::SelectQuery> SparqlByEBaseline::Synthesize(
       if (!store_->term(t.o).is_iri()) continue;
       if (!preds.insert(t.p).second) continue;
       q.patterns.push_back(sparql::TriplePatternAst{
-          sparql::Variable{var}, store_->term(t.p),
+          sparql::Variable{var}, store_->term(t.p).ToTerm(),
           sparql::Variable{var + "_o" + std::to_string(preds.size())}});
     }
   }

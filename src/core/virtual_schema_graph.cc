@@ -28,9 +28,10 @@ uint64_t HashMemberSet(const std::vector<rdf::TermId>& sorted_members) {
 
 }  // namespace
 
-std::string PrettifyIriLocalName(const std::string& iri) {
+std::string PrettifyIriLocalName(std::string_view iri) {
   size_t cut = iri.find_last_of("/#");
-  std::string local = cut == std::string::npos ? iri : iri.substr(cut + 1);
+  std::string_view local =
+      cut == std::string::npos ? iri : iri.substr(cut + 1);
   std::string out;
   bool word_start = true;
   for (size_t i = 0; i < local.size(); ++i) {
@@ -131,7 +132,7 @@ util::Result<VirtualSchemaGraph> VirtualSchemaGraph::Build(
       RE2X_RETURN_IF_ERROR(poll_guard());
       if (t.o == last || t.s > max_obs || !is_obs[t.s]) continue;
       last = t.o;
-      const rdf::Term& o = store.term(t.o);
+      const rdf::TermView o = store.term(t.o);
       if (!o.is_literal()) {
         members.push_back(t.o);
       } else if (o.is_numeric_literal()) {
@@ -360,13 +361,13 @@ util::Status VirtualSchemaGraph::Update(
     for (const rdf::EncodedTriple& t : store.Match(
              {obs, rdf::kInvalidTermId, rdf::kInvalidTermId})) {
       if (t.p == type_pred) continue;
-      const rdf::Term& o = store.term(t.o);
+      const rdf::TermView o = store.term(t.o);
       if (o.is_literal()) {
         if (o.is_numeric_literal()) {
           if (!known_measures.count(t.p)) {
             return util::Status::InvalidArgument(
                 "schema change: new measure predicate " +
-                store.term(t.p).value);
+                std::string(store.term(t.p).value));
           }
         } else if (!known_attrs.count(t.p)) {
           // New literal attributes are harmless; record them.
@@ -379,7 +380,7 @@ util::Status VirtualSchemaGraph::Update(
       if (it == transitions.end()) {
         return util::Status::InvalidArgument(
             "schema change: new dimension predicate " +
-            store.term(t.p).value);
+            std::string(store.term(t.p).value));
       }
       if (!IsMemberOf(t.o, it->second)) {
         new_members[it->second].insert(t.o);
@@ -407,7 +408,7 @@ util::Status VirtualSchemaGraph::Update(
     }
     for (const rdf::EncodedTriple& t :
          store.Match({member, rdf::kInvalidTermId, rdf::kInvalidTermId})) {
-      const rdf::Term& o = store.term(t.o);
+      const rdf::TermView o = store.term(t.o);
       if (o.is_literal()) {
         // New attribute predicates on a level are recorded.
         auto& attrs = nodes_[node].attribute_predicates;
@@ -419,7 +420,8 @@ util::Status VirtualSchemaGraph::Update(
       auto it = transitions.find({node, t.p});
       if (it == transitions.end()) {
         return util::Status::InvalidArgument(
-            "schema change: new hierarchy step " + store.term(t.p).value +
+            "schema change: new hierarchy step " +
+            std::string(store.term(t.p).value) +
             " from level " + nodes_[node].name);
       }
       worklist.emplace_back(it->second, t.o);

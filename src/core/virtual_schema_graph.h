@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "rdf/triple_store.h"
@@ -192,7 +193,7 @@ class VirtualSchemaGraph {
 };
 
 /// "countryOrigin" / "country_origin" / IRI -> "Country Origin".
-std::string PrettifyIriLocalName(const std::string& iri);
+std::string PrettifyIriLocalName(std::string_view iri);
 
 }  // namespace re2xolap::core
 

@@ -1,5 +1,8 @@
 #include "qb/generator.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <set>
 #include <unordered_map>
 
@@ -37,6 +40,84 @@ size_t DatasetSpec::total_members() const {
 
 namespace {
 
+// Measure values are 1 + Skewed(kMeasureRange).
+constexpr uint64_t kMeasureRange = 10000;
+
+// Decimal digits of the largest index below `n` (1 for n <= 10).
+size_t IndexDigits(uint64_t n) {
+  size_t digits = 1;
+  for (uint64_t v = n > 1 ? n - 1 : 0; v >= 10; v /= 10) ++digits;
+  return digits;
+}
+
+// What Generate() will load for `spec`: the exact number of triples it
+// adds, and upper bounds on its distinct terms and their text (shared
+// labels and unused measure values are counted as if distinct), so the
+// store can be sized once instead of regrown while loading.
+struct LoadSize {
+  size_t triples = 0;
+  size_t terms = 0;
+  size_t text_bytes = 0;
+};
+
+LoadSize PlanLoad(const DatasetSpec& spec) {
+  LoadSize load;
+  auto terms = [&load](size_t count, size_t bytes) {
+    load.terms += count;
+    load.text_bytes += bytes;
+  };
+  auto iri = [&](const std::string& local) {
+    terms(1, spec.iri_base.size() + local.size());
+  };
+  terms(3, std::strlen(kHasLabel) + std::strlen(kRdfType) +
+               spec.observation_class.size());
+  load.triples += spec.predicate_labels.size();
+  for (const auto& [local, text] : spec.predicate_labels) {
+    iri(local);
+    terms(1, text.size());
+  }
+  // Levels are emitted once each, whichever dimensions reach them.
+  std::set<const LevelSpec*> levels;
+  for (const DimensionSpec& d : spec.dimensions) {
+    levels.insert(spec.FindLevel(d.base_level));
+    for (const BranchSpec& b : d.branches) {
+      for (const HierarchyStep& step : b.steps) {
+        const LevelSpec* from = spec.FindLevel(step.from_level);
+        const LevelSpec* to = spec.FindLevel(step.to_level);
+        levels.insert(from);
+        levels.insert(to);
+        iri(step.predicate);
+        if (from != nullptr && to != nullptr) {
+          load.triples += from->member_count() *
+                          std::min(step.parents_per_member, to->member_count());
+        }
+      }
+    }
+  }
+  levels.erase(nullptr);
+  for (const LevelSpec* l : levels) {
+    const size_t n = l->member_count();
+    load.triples += n;
+    terms(n, n * (spec.iri_base.size() + l->name.size() + 1 + IndexDigits(n)));
+    for (const std::string& label : l->labels) terms(1, label.size());
+  }
+  const uint64_t obs = spec.observations;
+  load.triples +=
+      obs * (1 + spec.dimensions.size() + spec.measure_predicates.size() +
+             spec.observation_attrs.size());
+  terms(obs, obs * (spec.iri_base.size() + 4 + IndexDigits(obs)));
+  for (const DimensionSpec& d : spec.dimensions) iri(d.predicate);
+  for (const std::string& m : spec.measure_predicates) iri(m);
+  const size_t measure_values = static_cast<size_t>(
+      std::min(kMeasureRange, obs * spec.measure_predicates.size()));
+  terms(measure_values, measure_values * IndexDigits(kMeasureRange + 1));
+  for (const ObservationAttrSpec& a : spec.observation_attrs) {
+    iri(a.predicate);
+    for (const std::string& v : a.values) terms(1, v.size());
+  }
+  return load;
+}
+
 // Deterministic fallback parent mapping: spreads children roughly evenly
 // over parents while avoiding trivial modulo clustering.
 size_t HashedParent(size_t child, size_t parent_count, size_t salt) {
@@ -50,18 +131,34 @@ size_t HashedParent(size_t child, size_t parent_count, size_t salt) {
 util::Result<GeneratedDataset> Generate(DatasetSpec spec,
                                         util::ThreadPool* freeze_pool) {
   auto store = std::make_unique<rdf::TripleStore>();
+  const LoadSize load = PlanLoad(spec);
+  store->Reserve(load.triples);
+  store->dictionary().Reserve(load.terms, load.text_bytes);
   util::Rng rng(spec.seed);
 
   // --- memoized interning ----------------------------------------------------
   // Each distinct term is interned once, the first time a triple needs it.
   // Every triple resolves its terms in s, p, o order, so first interns
   // happen in exactly the order per-triple Add() calls would make them and
-  // the dictionary assigns the same ids. Interning goes through the
-  // copying TripleStore::Intern: the dictionary then keeps an exact-size
-  // copy of each concatenated IRI rather than its growth slack.
+  // the dictionary assigns the same ids. The dictionary copies each
+  // lexical form into its text buffer, sized up front by PlanLoad(), so
+  // the bulk terms go in as views: labels straight from the spec, member
+  // and observation IRIs assembled in one reused buffer.
   auto memo = [&store](rdf::TermId* slot, auto&& make_term) {
     if (*slot == rdf::kInvalidTermId) *slot = store->Intern(make_term());
     return *slot;
+  };
+  std::string iri;
+  // `<iri_base><local>/<index>`, viewed until the next call.
+  auto indexed_iri = [&](std::string_view local, uint64_t index) {
+    char digits[20];
+    const char* end = std::to_chars(digits, digits + sizeof(digits), index).ptr;
+    iri.assign(spec.iri_base).append(local).append(1, '/');
+    iri.append(digits, static_cast<size_t>(end - digits));
+    return rdf::TermView(rdf::TermKind::kIri, iri);
+  };
+  auto string_literal = [](std::string_view text) {
+    return rdf::TermView(rdf::TermKind::kLiteral, text);
   };
   rdf::TermId label_pred = rdf::kInvalidTermId;
   rdf::TermId type_pred = rdf::kInvalidTermId;
@@ -96,10 +193,8 @@ util::Result<GeneratedDataset> Generate(DatasetSpec spec,
     member_ids[l].assign(spec.levels[l].member_count(), rdf::kInvalidTermId);
   }
   auto member_id = [&](const LevelSpec& level, size_t i) {
-    return memo(&member_ids[&level - spec.levels.data()][i], [&] {
-      return rdf::Term::Iri(spec.iri_base + level.name + "/" +
-                            std::to_string(i));
-    });
+    return memo(&member_ids[&level - spec.levels.data()][i],
+                [&] { return indexed_iri(level.name, i); });
   };
 
   // --- emit level members and their labels ---------------------------------
@@ -111,8 +206,7 @@ util::Result<GeneratedDataset> Generate(DatasetSpec spec,
     for (size_t i = 0; i < level.labels.size(); ++i) {
       rdf::TermId s = member_id(level, i);
       rdf::TermId p = label_pred_id();
-      rdf::TermId o =
-          store->Intern(rdf::Term::StringLiteral(level.labels[i]));
+      rdf::TermId o = store->Intern(string_literal(level.labels[i]));
       store->AddEncoded({s, p, o});
     }
   };
@@ -121,7 +215,7 @@ util::Result<GeneratedDataset> Generate(DatasetSpec spec,
   for (const auto& [local, text] : spec.predicate_labels) {
     rdf::TermId s = store->Intern(rdf::Term::Iri(spec.iri_base + local));
     rdf::TermId p = label_pred_id();
-    rdf::TermId o = store->Intern(rdf::Term::StringLiteral(text));
+    rdf::TermId o = store->Intern(string_literal(text));
     store->AddEncoded({s, p, o});
   }
 
@@ -188,12 +282,10 @@ util::Result<GeneratedDataset> Generate(DatasetSpec spec,
     attr_value[a].assign(spec.observation_attrs[a].values.size(),
                          rdf::kInvalidTermId);
   }
-  // Measure literals by value: values are 1 + Skewed(kMeasureRange).
-  constexpr uint64_t kMeasureRange = 10000;
+  // Measure literals by value.
   std::vector<rdf::TermId> measure_literal(kMeasureRange + 1);
   for (uint64_t n = 0; n < spec.observations; ++n) {
-    const rdf::TermId obs = store->Intern(
-        rdf::Term::Iri(spec.iri_base + "obs/" + std::to_string(n)));
+    const rdf::TermId obs = store->Intern(indexed_iri("obs", n));
     rdf::TermId p =
         memo(&type_pred, [] { return rdf::Term::Iri(kRdfType); });
     rdf::TermId o = memo(&obs_class, [&] {
@@ -235,7 +327,7 @@ util::Result<GeneratedDataset> Generate(DatasetSpec spec,
         return rdf::Term::Iri(spec.iri_base + attr.predicate);
       });
       o = memo(&attr_value[a][v],
-               [&] { return rdf::Term::StringLiteral(attr.values[v]); });
+               [&] { return string_literal(attr.values[v]); });
       store->AddEncoded({obs, p, o});
     }
   }

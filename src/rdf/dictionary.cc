@@ -1,5 +1,7 @@
 #include "rdf/dictionary.h"
 
+#include <cstring>
+#include <functional>
 #include <mutex>
 #include <utility>
 
@@ -22,23 +24,35 @@ size_t SlotsFor(size_t n) {
   return slots;
 }
 
-}  // namespace
-
-Dictionary::Dictionary() : slots_(kMinSlots, 0) {
-  // Slot 0 is the invalid id.
-  terms_.emplace_back();
+uint8_t PackTag(TermView term) {
+  return static_cast<uint8_t>(static_cast<uint8_t>(term.kind) << 4 |
+                              static_cast<uint8_t>(term.literal_type));
 }
 
-size_t Dictionary::FindSlot(const Term& term, uint32_t tag) const {
+}  // namespace
+
+Dictionary::Dictionary()
+    : text_(1, '\0'), offsets_{0, 1}, tags_(1, 0), slots_(kMinSlots, 0) {
+  // Id 0 is the invalid id, stored as an empty IRI.
+}
+
+size_t Dictionary::FindSlot(TermView term, uint32_t tag) const {
   const size_t mask = slots_.size() - 1;
+  const uint8_t packed = PackTag(term);
   size_t i = tag & mask;
   for (size_t probes = 0;; ++probes) {
     assert(probes < slots_.size() && "Dictionary slot table has no empty slot");
     const uint64_t slot = slots_[i];
     if (slot == 0) return i;
     if (SlotTag(slot) == tag) {
-      assert(SlotId(slot) != kInvalidTermId && SlotId(slot) < terms_.size());
-      if (terms_[SlotId(slot)] == term) return i;
+      const TermId id = SlotId(slot);
+      assert(id != kInvalidTermId && id < tags_.size());
+      if (tags_[id] == packed &&
+          offsets_[id + 1] - offsets_[id] - 1 == term.value.size() &&
+          std::memcmp(text_.data() + offsets_[id], term.value.data(),
+                      term.value.size()) == 0) {
+        return i;
+      }
     }
     i = (i + 1) & mask;
   }
@@ -52,7 +66,7 @@ size_t Dictionary::EmptySlot(uint32_t tag) const {
 }
 
 void Dictionary::Rehash(size_t capacity) {
-  assert(capacity >= SlotsFor(terms_.size() - 1));
+  assert(capacity >= SlotsFor(tags_.size() - 1));
   assert((capacity & (capacity - 1)) == 0);
   std::vector<uint64_t> old =
       std::exchange(slots_, std::vector<uint64_t>(capacity, 0));
@@ -61,33 +75,35 @@ void Dictionary::Rehash(size_t capacity) {
   }
 }
 
-TermId Dictionary::Insert(Term&& term, uint32_t tag, size_t slot) {
+TermId Dictionary::Insert(TermView term, uint32_t tag, size_t slot) {
   assert(slots_[slot] == 0);
-  const TermId id = static_cast<TermId>(terms_.size());
+  assert(std::less<const char*>()(term.value.data(), text_.data()) ||
+         !std::less<const char*>()(term.value.data(),
+                                   text_.data() + text_.size()));
+  const TermId id = static_cast<TermId>(tags_.size());
   // After this insert the table holds `id` entries; keep the load <= 0.7.
   if (size_t{id} * 10 > slots_.size() * 7) {
     Rehash(slots_.size() * 2);
     slot = EmptySlot(tag);
   }
-  terms_.push_back(std::move(term));
+  // resize() zero-fills, which writes the form's NUL terminator.
+  const size_t begin = text_.size();
+  text_.resize(begin + term.value.size() + 1);
+  if (!term.value.empty()) {
+    std::memcpy(text_.data() + begin, term.value.data(), term.value.size());
+  }
+  offsets_.push_back(text_.size());
+  tags_.push_back(PackTag(term));
   slots_[slot] = MakeSlot(tag, id);
   return id;
 }
 
-TermId Dictionary::Intern(const Term& term) {
+TermId Dictionary::Intern(TermView term) {
   assert(!live() && "Dictionary::Intern() on a live dictionary");
   const uint32_t tag = Tag(term);
   const size_t slot = FindSlot(term, tag);
   if (slots_[slot] != 0) return SlotId(slots_[slot]);
-  return Insert(Term(term), tag, slot);
-}
-
-TermId Dictionary::Intern(Term&& term) {
-  assert(!live() && "Dictionary::Intern() on a live dictionary");
-  const uint32_t tag = Tag(term);
-  const size_t slot = FindSlot(term, tag);
-  if (slots_[slot] != 0) return SlotId(slots_[slot]);
-  return Insert(std::move(term), tag, slot);
+  return Insert(term, tag, slot);
 }
 
 void Dictionary::EnterLive() {
@@ -95,30 +111,31 @@ void Dictionary::EnterLive() {
   live_.store(true, std::memory_order_release);
 }
 
-TermId Dictionary::InternLive(const Term& term) {
+TermId Dictionary::InternLive(TermView term) {
   assert(live() && "Dictionary::InternLive() requires EnterLive()");
   // The base table is immutable in live mode: probe it lock-free first
   // (the common case for terms referenced by deletes and re-inserts).
   const uint64_t slot = slots_[FindSlot(term, Tag(term))];
   if (slot != 0) return SlotId(slot);
   std::unique_lock lk(ext_mu_);
-  auto [eit, inserted] = ext_index_.try_emplace(term, kInvalidTermId);
-  if (!inserted) return eit->second;
-  const TermId id = static_cast<TermId>(terms_.size() + ext_terms_.size());
-  eit->second = id;
-  ext_terms_.push_back(term);
+  if (auto eit = ext_index_.find(term); eit != ext_index_.end()) {
+    return eit->second;
+  }
+  const TermId id = static_cast<TermId>(tags_.size() + ext_terms_.size());
+  ext_terms_.emplace_back(term);
+  ext_index_.emplace(ext_terms_.back(), id);
   return id;
 }
 
-const Term& Dictionary::ExtTerm(TermId id) const {
+TermView Dictionary::ExtTerm(TermId id) const {
   assert(live());
   std::shared_lock lk(ext_mu_);
-  assert(id >= terms_.size() && id < terms_.size() + ext_terms_.size());
-  // Deque elements have stable addresses: the reference outlives the lock.
-  return ext_terms_[id - terms_.size()];
+  assert(id >= tags_.size() && id < tags_.size() + ext_terms_.size());
+  // Deque elements have stable addresses: the view outlives the lock.
+  return ext_terms_[id - tags_.size()];
 }
 
-TermId Dictionary::Lookup(const Term& term) const {
+TermId Dictionary::Lookup(TermView term) const {
   const uint64_t slot = slots_[FindSlot(term, Tag(term))];
   if (slot != 0) return SlotId(slot);
   if (!live()) return kInvalidTermId;
@@ -127,17 +144,19 @@ TermId Dictionary::Lookup(const Term& term) const {
   return eit == ext_index_.end() ? kInvalidTermId : eit->second;
 }
 
-void Dictionary::Reserve(size_t n) {
+void Dictionary::Reserve(size_t n, size_t text_bytes) {
   assert(!live() && "Dictionary::Reserve() on a live dictionary");
-  terms_.reserve(n + 1);
+  // Id 0 and the end sentinel take one more tag and one more offset.
+  tags_.reserve(n + 1);
+  offsets_.reserve(n + 2);
+  text_.reserve(text_bytes + n + 1);
   const size_t slots = SlotsFor(n);
   if (slots > slots_.size()) Rehash(slots);
 }
 
 size_t Dictionary::MemoryUsage() const {
-  size_t bytes = terms_.capacity() * sizeof(Term);
-  for (const Term& t : terms_) bytes += t.value.capacity();
-  bytes += slots_.capacity() * sizeof(uint64_t);
+  size_t bytes = text_.capacity() + offsets_.capacity() * sizeof(uint64_t) +
+                 tags_.capacity() + SlotBytes();
   if (live()) {
     std::shared_lock lk(ext_mu_);
     for (const Term& t : ext_terms_) bytes += sizeof(Term) + t.value.capacity();

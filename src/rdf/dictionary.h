@@ -5,7 +5,9 @@
 #include <cassert>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <shared_mutex>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -22,24 +24,34 @@ inline constexpr TermId kInvalidTermId = 0;
 /// Bidirectional Term <-> TermId mapping. Interning terms once lets the
 /// triple store and all query processing work on fixed-width integers.
 ///
-/// Each term is stored exactly once, in `terms_`. The reverse index is a
+/// Each term is stored exactly once, flat: its lexical form followed by a
+/// NUL in one text buffer (`text_`), the form's start in `offsets_` (one
+/// 8-byte offset per id plus an end sentinel) and `kind << 4 |
+/// literal_type` in `tags_` (one byte per id). A term costs its text, one
+/// NUL and 9 bytes, with no per-term object or allocation. term(id)
+/// assembles a TermView from these three arrays. The reverse index is a
 /// flat open-addressing table of 8-byte slots, each `(32-bit hash tag <<
 /// 32) | TermId` with 0 meaning empty: power-of-two capacity, linear
-/// probing, load at most 0.7. A probe compares tags before it touches
-/// `terms_`, and growth re-slots entries by their stored tag without
-/// re-hashing any term. Interning N terms costs N Term objects plus
-/// about 8/0.7 bytes per term of slots — not 2N Terms as a Term-keyed map
-/// would.
+/// probing, load at most 0.7. A probe compares tags before it touches the
+/// text, and growth re-slots entries by their stored tag without
+/// re-hashing any term.
+///
+/// View lifetime: a view of a base term points into `text_`, which moves
+/// when Intern() grows it. So while loading, a view is valid until the
+/// next Intern(); once loading is done (the owning store is Freeze()-d, or
+/// EnterLive() ran) the base arrays never change and views stay valid for
+/// the dictionary's lifetime. Views of live-mode terms point into a deque
+/// of Terms and never move.
 ///
 /// Concurrent-read contract: once loading finishes (in practice: once the
 /// owning TripleStore is Freeze()-d), Lookup()/term()/IsValid()/ForEach()
-/// are safe from any number of threads — they are const table/vector
-/// reads with no lazy caches. Intern() mutates and must never overlap a
-/// read; query paths must use Lookup() only. The TripleStore wrapper
-/// asserts this in debug builds.
+/// are safe from any number of threads — they are const array reads with
+/// no lazy caches. Intern() mutates and must never overlap a read; query
+/// paths must use Lookup() only. The TripleStore wrapper asserts this in
+/// debug builds.
 ///
 /// Live mode (EnterLive, driven by TripleStore::EnterLive): the base
-/// mapping built so far becomes immutable — its vector and slot table are
+/// mapping built so far becomes immutable — its arrays and slot table are
 /// never touched again, so base reads stay lock-free — and new terms land
 /// in an extension area (stable-address deque + Term-keyed map) guarded by
 /// a shared_mutex. InternLive() is the only mutator afterwards; it may run
@@ -53,11 +65,12 @@ class Dictionary {
   Dictionary& operator=(const Dictionary&) = delete;
 
   /// Interns `term`, returning its id (existing id if already present).
+  /// Copies the lexical form into the text buffer, so a Term, a view of
+  /// one or bytes read straight from a snapshot all intern alike. A view
+  /// of this dictionary's own text must be of an interned term (it is
+  /// found, never appended: appending could move the bytes it views).
   /// Load-time only: rejected after EnterLive().
-  TermId Intern(const Term& term);
-  /// Move-interning overload: bulk loaders (snapshot restore, parsers)
-  /// hand the Term over instead of paying a lexical-form copy per call.
-  TermId Intern(Term&& term);
+  TermId Intern(TermView term);
 
   /// Freezes the current mapping as the immutable base and switches new
   /// interning to the locked extension area. Irreversible.
@@ -68,30 +81,29 @@ class Dictionary {
   /// Interns a term into a live dictionary; safe against concurrent
   /// reads. Concurrent InternLive() calls must be serialized by the
   /// caller (one ingest batch at a time).
-  TermId InternLive(const Term& term);
+  TermId InternLive(TermView term);
 
   /// Looks up an existing term; kInvalidTermId when absent.
-  TermId Lookup(const Term& term) const;
+  TermId Lookup(TermView term) const;
 
-  /// The term for `id`. `id` must be a valid interned id. The reference
-  /// stays valid for the dictionary's lifetime (extension storage is a
-  /// deque: no reallocation).
-  const Term& term(TermId id) const {
-    if (id < terms_.size()) return terms_[id];
+  /// The term for `id`, which must be a valid interned id. See the class
+  /// comment for how long the view stays valid.
+  TermView term(TermId id) const {
+    if (id < tags_.size()) return BaseTerm(id);
     return ExtTerm(id);
   }
 
   bool IsValid(TermId id) const {
     if (id == 0) return false;
-    if (id < terms_.size()) return true;
+    if (id < tags_.size()) return true;
     if (!live()) return false;
     std::shared_lock lk(ext_mu_);
-    return id < terms_.size() + ext_terms_.size();
+    return id < tags_.size() + ext_terms_.size();
   }
 
   /// Number of interned terms (excluding the reserved invalid slot).
   size_t size() const {
-    size_t n = terms_.size() - 1;
+    size_t n = tags_.size() - 1;
     if (live()) {
       std::shared_lock lk(ext_mu_);
       n += ext_terms_.size();
@@ -99,39 +111,53 @@ class Dictionary {
     return n;
   }
 
-  /// Pre-sizes the term vector and slot table for `n` terms (snapshot
-  /// restore knows the exact count up front), so interning them never
-  /// grows the table.
-  void Reserve(size_t n);
+  /// Pre-sizes the arrays and slot table for `n` terms whose lexical forms
+  /// total at most `text_bytes` bytes (snapshot restore knows both up
+  /// front, the generator bounds them from its spec), so interning them
+  /// never grows a buffer. Never shrinks.
+  void Reserve(size_t n, size_t text_bytes = 0);
 
   /// Iterates every interned (id, term) pair in id order. Fn is called as
-  /// fn(TermId, const Term&). On a live dictionary the extension area is
+  /// fn(TermId, TermView). On a live dictionary the extension area is
   /// walked under the shared lock, so the iteration is a consistent
   /// point-in-time enumeration even against a concurrent InternLive().
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (TermId id = 1; id < terms_.size(); ++id) fn(id, terms_[id]);
+    const TermId base_end = static_cast<TermId>(tags_.size());
+    for (TermId id = 1; id < base_end; ++id) fn(id, BaseTerm(id));
     if (!live()) return;
     std::shared_lock lk(ext_mu_);
-    TermId id = static_cast<TermId>(terms_.size());
-    for (const Term& t : ext_terms_) fn(id++, t);
+    TermId id = base_end;
+    for (const Term& t : ext_terms_) fn(id++, TermView(t));
   }
 
-  /// Approximate heap footprint in bytes (for Table 3-style reporting).
-  /// The base slot table is counted exactly.
+  /// Heap footprint in bytes (for Table 3-style reporting): the text
+  /// buffer, offsets, tags and slot table by capacity, plus the live
+  /// extension area.
   size_t MemoryUsage() const;
+
+  /// The reverse index's share of MemoryUsage().
+  size_t SlotBytes() const { return slots_.capacity() * sizeof(uint64_t); }
 
   /// The 32-bit hash tag the base table stores beside each id. Public so
   /// tests can check that they exercise equal tags of distinct terms.
-  static uint32_t Tag(const Term& term) {
+  static uint32_t Tag(TermView term) {
     const uint64_t h = TermHash()(term);
     return static_cast<uint32_t>(h ^ (h >> 32));
   }
 
  private:
+  TermView BaseTerm(TermId id) const {
+    const uint64_t begin = offsets_[id];
+    const uint8_t tag = tags_[id];
+    return TermView(static_cast<TermKind>(tag >> 4),
+                    std::string_view(text_.data() + begin,
+                                     offsets_[id + 1] - begin - 1),
+                    static_cast<LiteralType>(tag & 0xF));
+  }
   /// Index into `slots_` of the slot holding `term`, or of the empty slot
   /// that ends its probe sequence when it is absent.
-  size_t FindSlot(const Term& term, uint32_t tag) const;
+  size_t FindSlot(TermView term, uint32_t tag) const;
   /// The first empty slot of `tag`'s probe sequence.
   size_t EmptySlot(uint32_t tag) const;
   /// Re-slots every entry into a table of `capacity` (a power of two)
@@ -139,20 +165,23 @@ class Dictionary {
   void Rehash(size_t capacity);
   /// Stores `term` under a fresh id in empty slot `slot` (found by
   /// FindSlot), growing the table first when the load would exceed 0.7.
-  TermId Insert(Term&& term, uint32_t tag, size_t slot);
+  TermId Insert(TermView term, uint32_t tag, size_t slot);
 
-  /// Extension-area slot for `id` (id >= terms_.size(); live mode only).
-  const Term& ExtTerm(TermId id) const;
+  /// Extension-area term for `id` (id >= tags_.size(); live mode only).
+  TermView ExtTerm(TermId id) const;
 
-  std::vector<Term> terms_;
-  std::vector<uint64_t> slots_;  // (tag << 32) | id; 0 = empty
+  // Base storage, id-indexed; id 0 is the invalid id's empty form.
+  std::vector<char> text_;         // each lexical form + '\0'
+  std::vector<uint64_t> offsets_;  // start of id's form; back() = end
+  std::vector<uint8_t> tags_;      // kind << 4 | literal_type
+  std::vector<uint64_t> slots_;    // (tag << 32) | id; 0 = empty
   // Live-mode extension area: terms interned after EnterLive(). The deque
-  // gives stable element addresses, so term() can hand out references
-  // that outlive the shared lock.
+  // gives stable element addresses, so term() can hand out views that
+  // outlive the shared lock.
   std::atomic<bool> live_{false};
   mutable std::shared_mutex ext_mu_;
-  std::deque<Term> ext_terms_;  // id = terms_.size() + deque index
-  std::unordered_map<Term, TermId, TermHash> ext_index_;
+  std::deque<Term> ext_terms_;  // id = tags_.size() + deque index
+  std::unordered_map<Term, TermId, TermHash, std::equal_to<>> ext_index_;
 };
 
 }  // namespace re2xolap::rdf

@@ -91,7 +91,7 @@ bool ParseTerm(std::string_view line, size_t* i, Term* out,
 namespace {
 
 // Escapes a literal lexical form for embedding between the writer's quotes.
-std::string EscapeLexical(const std::string& s) {
+std::string EscapeLexical(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
@@ -109,12 +109,12 @@ std::string EscapeLexical(const std::string& s) {
 
 }  // namespace
 
-std::string ToNTriples(const Term& term) {
+std::string ToNTriples(TermView term) {
   switch (term.kind) {
     case TermKind::kIri:
-      return "<" + term.value + ">";
+      return "<" + std::string(term.value) + ">";
     case TermKind::kBlankNode:
-      return "_:" + term.value;
+      return "_:" + std::string(term.value);
     case TermKind::kLiteral: {
       std::string quoted = "\"" + EscapeLexical(term.value) + "\"";
       switch (term.literal_type) {
@@ -128,7 +128,7 @@ std::string ToNTriples(const Term& term) {
       return quoted;
     }
   }
-  return term.value;
+  return std::string(term.value);
 }
 
 void WriteNTriples(const TripleStore& store, std::ostream& os) {

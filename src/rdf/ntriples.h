@@ -17,7 +17,7 @@ namespace re2xolap::rdf {
 /// lexical form, so literals containing quotes or newlines survive a
 /// write → parse round trip (unlike Term::ToString(), which is display-
 /// oriented and escapes nothing).
-std::string ToNTriples(const Term& term);
+std::string ToNTriples(TermView term);
 
 /// Serializes the store's triples (canonical SPO order) in an N-Triples-
 /// like line format:

@@ -13,40 +13,48 @@ Term Term::DoubleLiteral(double v) {
   return Term(TermKind::kLiteral, buf, LiteralType::kDouble);
 }
 
-double Term::AsDouble() const {
+double TermView::AsDouble() const {
   if (!is_literal()) return 0.0;
   switch (literal_type) {
     case LiteralType::kInteger:
     case LiteralType::kDouble:
-      return std::strtod(value.c_str(), nullptr);
+      // The byte after `value` is a NUL, so strtod reads what
+      // Term::AsDouble() reads through c_str().
+      return std::strtod(value.data(), nullptr);
     default:
       return 0.0;
   }
 }
 
-std::string Term::ToString() const {
+std::string TermView::ToString() const {
+  auto wrap = [this](std::string_view open, std::string_view close) {
+    std::string out;
+    out.reserve(open.size() + value.size() + close.size());
+    out.append(open).append(value).append(close);
+    return out;
+  };
   switch (kind) {
     case TermKind::kIri:
-      return "<" + value + ">";
+      return wrap("<", ">");
     case TermKind::kBlankNode:
-      return "_:" + value;
+      return wrap("_:", "");
     case TermKind::kLiteral:
       switch (literal_type) {
         case LiteralType::kString:
-          return "\"" + value + "\"";
+          return wrap("\"", "\"");
         case LiteralType::kInteger:
-          return "\"" + value + "\"^^xsd:integer";
+          return wrap("\"", "\"^^xsd:integer");
         case LiteralType::kDouble:
-          return "\"" + value + "\"^^xsd:double";
+          return wrap("\"", "\"^^xsd:double");
         case LiteralType::kBoolean:
-          return "\"" + value + "\"^^xsd:boolean";
+          return wrap("\"", "\"^^xsd:boolean");
         case LiteralType::kDate:
-          return "\"" + value + "\"^^xsd:date";
+          return wrap("\"", "\"^^xsd:date");
         case LiteralType::kOther:
-          return "\"" + value + "\"^^<unknown>";
+          return wrap("\"", "\"^^<unknown>");
       }
   }
-  return value;
+  return std::string(value);
 }
 
 }  // namespace re2xolap::rdf

@@ -12,7 +12,7 @@ namespace re2xolap::rdf {
 
 namespace {
 
-bool IsIndexed(const Term& t) {
+bool IsIndexed(TermView t) {
   return t.is_literal() && t.literal_type == LiteralType::kString;
 }
 
@@ -98,7 +98,7 @@ TextIndex::TextIndex(const TripleStore& store) {
   const Dictionary& dict = store.dictionary();
   size_t literals = 0;
   size_t text_bytes = 0;
-  dict.ForEach([&](TermId, const Term& t) {
+  dict.ForEach([&](TermId, TermView t) {
     if (!IsIndexed(t)) return;
     ++literals;
     text_bytes += t.value.size();
@@ -123,7 +123,7 @@ TextIndex::TextIndex(const TripleStore& store) {
   // within one literal is posted once.
   std::vector<TermId> last_literal;
   std::string lower;
-  dict.ForEach([&](TermId id, const Term& t) {
+  dict.ForEach([&](TermId id, TermView t) {
     if (!IsIndexed(t)) return;
     lower.assign(t.value);
     util::ToLowerInPlace(&lower);

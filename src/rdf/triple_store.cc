@@ -44,6 +44,12 @@ void TripleStore::AddEncoded(EncodedTriple t) {
   frozen_ = false;
 }
 
+void TripleStore::Reserve(size_t triples) {
+  assert(!live() && "live stores mutate via store::Ingestor, not Add()");
+  Materialize();
+  spo_.reserve(triples);
+}
+
 void TripleStore::Materialize() {
   if (spo_blocks_ != nullptr) {
     // Compressed (owned or borrowed): decode the canonical SPO list; the

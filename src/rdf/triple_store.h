@@ -109,6 +109,10 @@ class TripleStore {
   /// Appends an already-encoded triple; the ids must come from dictionary().
   void AddEncoded(EncodedTriple t);
 
+  /// Pre-sizes the unsorted triple list for `triples` Add()s in total, so
+  /// a loader that knows its count appends without regrowing the list.
+  void Reserve(size_t triples);
+
   /// Sorts and deduplicates the three index permutations and computes
   /// predicate statistics; when index_format() is kCompressed the sorted
   /// permutations are then compressed and the raw arrays released. Must be
@@ -264,7 +268,7 @@ class TripleStore {
   /// Interns (or finds) a term id. Mutates the dictionary: must not be
   /// called while other threads read a frozen store (query paths use the
   /// read-only Lookup() instead).
-  TermId Intern(const Term& t) {
+  TermId Intern(TermView t) {
     assert(active_readers_.load(std::memory_order_relaxed) == 0 &&
            "TripleStore::Intern() during concurrent reads of a frozen store");
     assert(!live() &&
@@ -273,8 +277,11 @@ class TripleStore {
     return dict_.Intern(t);
   }
   /// Finds an existing term id; kInvalidTermId when absent.
-  TermId Lookup(const Term& t) const { return dict_.Lookup(t); }
-  const Term& term(TermId id) const { return dict_.term(id); }
+  TermId Lookup(TermView t) const { return dict_.Lookup(t); }
+  /// The term for a valid id, as a view into the dictionary: valid until
+  /// the next Intern()/Add() while loading, and for the store's lifetime
+  /// once it is frozen (Dictionary's view lifetime rule).
+  TermView term(TermId id) const { return dict_.term(id); }
 
   /// --- Matching (requires frozen()) --------------------------------------
 

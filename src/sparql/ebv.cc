@@ -28,7 +28,7 @@ CellCompare CompareCells(const rdf::TripleStore& store, const Cell& a,
       *v = c.number;
       return true;
     }
-    const rdf::Term& t = store.term(c.term);
+    const rdf::TermView t = store.term(c.term);
     if (t.is_numeric_literal()) {
       *v = t.AsDouble();
       return true;
@@ -42,8 +42,8 @@ CellCompare CompareCells(const rdf::TripleStore& store, const Cell& a,
     return out;
   }
   if (a.is_term() && b.is_term()) {
-    const rdf::Term& ta = store.term(a.term);
-    const rdf::Term& tb = store.term(b.term);
+    const rdf::TermView ta = store.term(a.term);
+    const rdf::TermView tb = store.term(b.term);
     // Different kinds (IRI vs literal) are only ==-comparable.
     out.comparable = true;
     if (ta.kind != tb.kind) {
@@ -80,7 +80,7 @@ namespace {
 /// EBV of a term: boolean literals by value, numeric literals non-zero,
 /// everything else by non-emptiness of the lexical form. Shared by the
 /// constant and bound-variable cases so the two agree on every term.
-Ebv TermEbv(const rdf::Term& t) {
+Ebv TermEbv(rdf::TermView t) {
   if (t.literal_type == rdf::LiteralType::kBoolean) {
     return t.value == "true" ? Ebv::kTrue : Ebv::kFalse;
   }
@@ -138,9 +138,8 @@ Ebv EvalExpr(const rdf::TripleStore& store, const Expr& e,
         // Ordering against a missing term: compare lexically with its
         // string form.
         const Expr& cexpr = lhs_missing ? *e.children[0] : *e.children[1];
-        std::string other_str;
         if (other.is_number()) return Ebv::kError;
-        other_str = store.term(other.term).value;
+        const std::string_view other_str = store.term(other.term).value;
         int c = lhs_missing ? cexpr.constant.value.compare(other_str)
                             : other_str.compare(cexpr.constant.value);
         // c is "lhs vs rhs" ordering.

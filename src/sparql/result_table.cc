@@ -32,19 +32,19 @@ std::string ResultTable::CellToString(const Cell& cell) const {
       return util::FormatDouble(cell.number);
     case Cell::Kind::kTerm: {
       if (!store_) return "#" + std::to_string(cell.term);
-      const rdf::Term& t = store_->term(cell.term);
-      if (t.is_literal()) return t.value;
+      const rdf::TermView t = store_->term(cell.term);
+      if (t.is_literal()) return std::string(t.value);
       // IRIs: prefer the entity's rdfs:label when one exists.
       rdf::TermId label_pred = store_->Lookup(
           rdf::Term::Iri("http://www.w3.org/2000/01/rdf-schema#label"));
       if (label_pred != rdf::kInvalidTermId) {
         for (const rdf::EncodedTriple& lt :
              store_->Match({cell.term, label_pred, rdf::kInvalidTermId})) {
-          const rdf::Term& o = store_->term(lt.o);
-          if (o.is_literal()) return o.value;
+          const rdf::TermView o = store_->term(lt.o);
+          if (o.is_literal()) return std::string(o.value);
         }
       }
-      return t.value;
+      return std::string(t.value);
     }
   }
   return "";

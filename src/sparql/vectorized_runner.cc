@@ -80,12 +80,13 @@ class TimeGuard {
 }  // namespace
 
 std::string TermShortName(const rdf::TripleStore& store, rdf::TermId id) {
-  const rdf::Term& t = store.term(id);
+  const rdf::TermView t = store.term(id);
   if (t.is_iri()) {
     size_t cut = t.value.find_last_of("/#");
-    return cut == std::string::npos ? t.value : t.value.substr(cut + 1);
+    return std::string(cut == std::string::npos ? t.value
+                                                : t.value.substr(cut + 1));
   }
-  return "\"" + t.value + "\"";
+  return "\"" + std::string(t.value) + "\"";
 }
 
 std::string PatternLabel(const rdf::TripleStore& store,

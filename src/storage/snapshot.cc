@@ -103,7 +103,7 @@ util::Status EncodeDictionary(const rdf::Dictionary& dict,
   w.U64(dict.size());
   util::Status st;
   size_t i = 0;
-  dict.ForEach([&](TermId, const rdf::Term& t) {
+  dict.ForEach([&](TermId, rdf::TermView t) {
     if (!st.ok()) return;
     if (++i % kGuardStride == 0) st = GuardCheck(guard);
     w.U8(static_cast<uint8_t>(t.kind));
@@ -269,27 +269,30 @@ util::Status DecodeDictionary(const std::byte* data, size_t bytes,
   }
   // Each term occupies at least 6 bytes (kind + type + length), so a
   // crafted count cannot force an oversized reservation. (Dividing, not
-  // multiplying, keeps a huge count from wrapping past the check.)
+  // multiplying, keeps a huge count from wrapping past the check.) The
+  // lexical forms total what the entries leave after their 6-byte heads,
+  // which sizes the dictionary's text buffer exactly.
   if (count > r.remaining() / 6) {
     return util::Status::ParseError("snapshot dictionary overruns payload");
   }
-  dict->Reserve(count);
-  std::string value;
+  dict->Reserve(count, r.remaining() - count * 6);
   for (uint64_t i = 0; i < count; ++i) {
     if ((i + 1) % kGuardStride == 0) RE2X_RETURN_IF_ERROR(GuardCheck(guard));
     uint8_t kind = 0, lt = 0;
+    std::string_view value;
     RE2X_RETURN_IF_ERROR(r.U8(&kind));
     RE2X_RETURN_IF_ERROR(r.U8(&lt));
-    RE2X_RETURN_IF_ERROR(r.Str(&value));
+    RE2X_RETURN_IF_ERROR(r.StrView(&value));
     if (kind > static_cast<uint8_t>(rdf::TermKind::kBlankNode) ||
         lt > static_cast<uint8_t>(rdf::LiteralType::kOther)) {
       return util::Status::ParseError(
           "snapshot dictionary term " + std::to_string(i + 1) +
           " has invalid kind/type tags");
     }
-    rdf::Term term(static_cast<rdf::TermKind>(kind), std::move(value),
-                   static_cast<rdf::LiteralType>(lt));
-    TermId id = dict->Intern(std::move(term));
+    // The entry's bytes go straight into the dictionary's text buffer.
+    const TermId id = dict->Intern(
+        rdf::TermView(static_cast<rdf::TermKind>(kind), value,
+                      static_cast<rdf::LiteralType>(lt)));
     if (id != static_cast<TermId>(i + 1)) {
       return util::Status::ParseError(
           "snapshot dictionary contains a duplicate term at id " +

@@ -40,6 +40,13 @@ util::Status ByteReader::U64(uint64_t* out) { return Take(out, sizeof(*out)); }
 util::Status ByteReader::I32(int32_t* out) { return Take(out, sizeof(*out)); }
 
 util::Status ByteReader::Str(std::string* out) {
+  std::string_view view;
+  RE2X_RETURN_IF_ERROR(StrView(&view));
+  out->assign(view);
+  return util::Status::OK();
+}
+
+util::Status ByteReader::StrView(std::string_view* out) {
   uint32_t len = 0;
   RE2X_RETURN_IF_ERROR(U32(&len));
   if (len > size_ - pos_) {
@@ -47,7 +54,7 @@ util::Status ByteReader::Str(std::string* out) {
         "snapshot string overruns payload: length " + std::to_string(len) +
         " at offset " + std::to_string(pos_));
   }
-  out->assign(reinterpret_cast<const char*>(data_ + pos_), len);
+  *out = std::string_view(reinterpret_cast<const char*>(data_ + pos_), len);
   pos_ += len;
   return util::Status::OK();
 }

@@ -68,6 +68,8 @@ class ByteReader {
   util::Status I32(int32_t* out);
   /// u32 byte length + raw bytes, as written by ByteWriter::Str.
   util::Status Str(std::string* out);
+  /// Str() without the copy: `out` views the payload's bytes.
+  util::Status StrView(std::string_view* out);
   util::Status Skip(size_t n);
 
   size_t remaining() const { return size_ - pos_; }

@@ -176,7 +176,7 @@ class Fingerprint {
       bytes_.push_back(static_cast<char>(v >> (8 * i)));
     }
   }
-  void Add(const std::string& s) {
+  void Add(std::string_view s) {
     Add(s.size());
     bytes_ += s;
   }
@@ -192,7 +192,7 @@ struct StoreDigests {
 
 StoreDigests DigestStore(const rdf::TripleStore& s) {
   Fingerprint dict;
-  s.dictionary().ForEach([&](rdf::TermId id, const rdf::Term& t) {
+  s.dictionary().ForEach([&](rdf::TermId id, rdf::TermView t) {
     dict.Add(id);
     dict.Add(static_cast<uint64_t>(t.kind));
     dict.Add(static_cast<uint64_t>(t.literal_type));

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <random>
 #include <set>
@@ -55,6 +56,43 @@ TEST(TermTest, ToStringForms) {
   EXPECT_EQ(Term::Blank("b").ToString(), "_:b");
 }
 
+// A view reads the same double as its Term: both hand strtod the bytes up
+// to the first NUL (the dictionary stores each form NUL-terminated), so
+// signs, hex floats, infinities, leading blanks, empty forms and embedded
+// NULs parse identically, to the bit.
+TEST(TermViewTest, AsDoubleMatchesTerm) {
+  const std::string forms[] = {"+5", "-0",  "1e3", "0x1p3", "inf",
+                               " 7", "",    std::string("4\0" "2", 3)};
+  Dictionary d;
+  for (LiteralType type : {LiteralType::kInteger, LiteralType::kDouble}) {
+    for (const std::string& form : forms) {
+      const Term t(TermKind::kLiteral, form, type);
+      const TermId id = d.Intern(t);
+      ASSERT_EQ(d.term(id).value, form);
+      const uint64_t want = std::bit_cast<uint64_t>(t.AsDouble());
+      EXPECT_EQ(std::bit_cast<uint64_t>(d.term(id).AsDouble()), want)
+          << "form '" << form << "'";
+      EXPECT_EQ(std::bit_cast<uint64_t>(TermView(t).AsDouble()), want);
+    }
+  }
+  EXPECT_EQ(std::bit_cast<uint64_t>(
+                d.term(d.Lookup(Term(TermKind::kLiteral, "-0",
+                                     LiteralType::kInteger)))
+                    .AsDouble()),
+            std::bit_cast<uint64_t>(-0.0));
+}
+
+TEST(TermViewTest, MirrorsTermAndCopiesOut) {
+  const Term t = Term::DateLiteral("2014-10-01");
+  const TermView v = t;
+  EXPECT_EQ(v, t);
+  EXPECT_EQ(v.ToString(), t.ToString());
+  EXPECT_EQ(v.ToTerm(), t);
+  EXPECT_TRUE(v.is_literal());
+  EXPECT_FALSE(v.is_numeric_literal());
+  EXPECT_FALSE(TermView(Term::Iri("a")) == TermView(Term::StringLiteral("a")));
+}
+
 // --- Dictionary ------------------------------------------------------------------
 
 TEST(DictionaryTest, InternIsIdempotent) {
@@ -84,7 +122,7 @@ TEST(DictionaryTest, ForEachVisitsAllInIdOrder) {
   d.Intern(Term::Iri("a"));
   d.Intern(Term::Iri("b"));
   std::vector<TermId> ids;
-  d.ForEach([&](TermId id, const Term&) { ids.push_back(id); });
+  d.ForEach([&](TermId id, TermView) { ids.push_back(id); });
   EXPECT_EQ(ids, (std::vector<TermId>{1, 2}));
 }
 
@@ -494,7 +532,7 @@ TEST_F(TextIndexTest, BuildMatchesReferenceTokenizer) {
     TextMap postings;
     TextMap exact;
     size_t literals = 0;
-    store.dictionary().ForEach([&](TermId id, const Term& t) {
+    store.dictionary().ForEach([&](TermId id, TermView t) {
       if (!t.is_literal() || t.literal_type != LiteralType::kString) return;
       ++literals;
       exact[util::ToLower(t.value)].push_back(id);
@@ -784,6 +822,20 @@ TEST(DictionaryTest, MatchesMapOracle) {
     return "v" + std::to_string(rng() % 200000);
   };
 
+  // Every time the text buffer moves (id 1's form changes address), all
+  // views read afresh must still match the oracle.
+  const char* text_at = nullptr;
+  size_t moves = 0;
+  auto check_after_growth = [&] {
+    const char* now = d.term(1).value.data();
+    if (now == text_at) return;
+    text_at = now;
+    ++moves;
+    for (TermId id = 1; id < by_id.size(); ++id) {
+      ASSERT_EQ(d.term(id), by_id[id]) << "after move " << moves;
+    }
+  };
+
   constexpr size_t kOps = 520000;
   for (size_t op = 0; op < kOps; ++op) {
     if (op == kOps / 3) {
@@ -791,12 +843,12 @@ TEST(DictionaryTest, MatchesMapOracle) {
       d.Reserve(10);                      // smaller than current: no-op
     }
     if (op % 5 == 0 && by_id.size() > 1) {
-      // A duplicate through either overload leaves the size unchanged.
+      // A duplicate, from a Term or from a view of the dictionary's own
+      // text, leaves the size unchanged.
       const TermId want = static_cast<TermId>(1 + rng() % (by_id.size() - 1));
       const size_t before = d.size();
-      Term copy = by_id[want];
       const TermId got =
-          op % 2 == 0 ? d.Intern(by_id[want]) : d.Intern(std::move(copy));
+          op % 2 == 0 ? d.Intern(by_id[want]) : d.Intern(d.term(want));
       ASSERT_EQ(got, want);
       ASSERT_EQ(d.size(), before);
       continue;
@@ -805,15 +857,17 @@ TEST(DictionaryTest, MatchesMapOracle) {
     auto it = oracle.find(t);
     const TermId want = it == oracle.end() ? static_cast<TermId>(by_id.size())
                                            : it->second;
-    const TermId got = op % 2 == 0 ? d.Intern(t) : d.Intern(Term(t));
+    const TermId got = d.Intern(t);
     ASSERT_EQ(got, want) << t.ToString();
     if (it == oracle.end()) {
       oracle.emplace(t, got);
       by_id.push_back(std::move(t));
+      check_after_growth();
     }
     ASSERT_EQ(d.size(), by_id.size() - 1);
   }
   ASSERT_GE(oracle.size(), 300000u);
+  EXPECT_GE(moves, 10u);
 
   // Equal tags of distinct terms do occur among them.
   std::vector<uint32_t> tags;
@@ -827,7 +881,7 @@ TEST(DictionaryTest, MatchesMapOracle) {
     ASSERT_EQ(d.term(id), t);
   }
   TermId next = 1;
-  d.ForEach([&](TermId id, const Term& t) {
+  d.ForEach([&](TermId id, TermView t) {
     ASSERT_EQ(id, next++);
     ASSERT_EQ(t, by_id[id]);
   });
@@ -861,6 +915,38 @@ TEST(DictionaryTest, MatchesMapOracle) {
   }
   for (const auto& [t, id] : oracle) ASSERT_EQ(d.Lookup(t), id);
   EXPECT_FALSE(d.IsValid(static_cast<TermId>(base_end + 1000)));
+}
+
+// A view of a base term is taken before EnterLive(); live interning only
+// ever appends to the extension area, so the view keeps reading the same
+// bytes at the same address.
+TEST(DictionaryTest, BaseViewsSurviveLiveInterning) {
+  Dictionary d;
+  const Term germany = Term::StringLiteral("Germany");
+  const TermId id = d.Intern(germany);
+  d.Intern(Term::Iri("http://x/a"));
+  const TermView before = d.term(id);
+  d.EnterLive();
+  for (size_t i = 0; i < 10000; ++i) {
+    d.InternLive(Term::Iri("http://x/live/" + std::to_string(i)));
+  }
+  EXPECT_EQ(before, germany);
+  EXPECT_EQ(before.value.data(), d.term(id).value.data());
+  EXPECT_EQ(d.size(), 10002u);
+}
+
+// The flat layout costs its text, one NUL and 9 bytes per term (offset and
+// tag) plus the slot table: on a generated DBpedia cube, everything but the
+// slots stays within the text plus 16 bytes per term, which a per-term
+// object (48 bytes before any heap string) cannot meet.
+TEST(DictionaryTest, GeneratedCubeBytesPerTerm) {
+  auto ds = qb::Generate(qb::DbpediaSpec(3000));
+  ASSERT_TRUE(ds.ok()) << ds.status();
+  const Dictionary& d = ds->store->dictionary();
+  size_t text_bytes = 0;
+  d.ForEach([&](TermId, TermView t) { text_bytes += t.value.size(); });
+  EXPECT_GT(d.size(), 100000u);
+  EXPECT_LE(d.MemoryUsage(), text_bytes + 16 * d.size() + d.SlotBytes());
 }
 
 TEST(DictionaryTest, ReserveKeepsIdsAndLookupsStable) {

@@ -247,7 +247,7 @@ ReferenceGraph ReferenceCrawl(const rdf::TripleStore& store,
     for (const rdf::EncodedTriple& t :
          store.Match({typing.s, rdf::kInvalidTermId, rdf::kInvalidTermId})) {
       if (t.p == type) continue;
-      const rdf::Term& o = store.term(t.o);
+      const rdf::TermView o = store.term(t.o);
       if (!o.is_literal()) {
         dim_members[t.p].insert(t.o);
       } else if (o.is_numeric_literal()) {
