@@ -4,7 +4,7 @@
 # with real HTTP — health, metrics, a successful query, one
 # guard-cancelled query (504: the arrival-anchored deadline expires
 # inside an injected execution delay), a shed query (503 + Retry-After:
-# capacity 1 + queue 1 and three concurrent requests),
+# capacity 1 + queue 1, both pinned as /metrics shows, then a third),
 # and an ingest round (POST /ingest applies a batch, the very next
 # query sees the new triple, no restart) — then SIGTERM it and require
 # a clean drain: exit code 0 and a schema-valid JSONL query log. Run in
@@ -79,42 +79,53 @@ CODE="$(curl -s --max-time 10 -o "$WORK/timeout.out" -w '%{http_code}' \
 [ "$CODE" = "504" ] || fail "deadline query returned $CODE, want 504"
 
 # Shed: one worker and a one-slot queue hold at most two queries, and the
-# injected delay keeps each in flight for 500ms, so of three queries sent
-# together at least one must be refused with 503 + Retry-After (two when
-# all three reach the queue before the worker takes the first). The probe
-# cannot wait on /metrics for the pinned state: a /metrics request passes
-# the same admission queue, so it would take the slot meant for a pin, or
-# be shed itself once the pins hold the server. Nor can it sleep a fixed
-# time before the third query: on a loaded machine the pins may not have
-# arrived yet, or the first may already be done. So all three go out at
-# once, and a round in which they did not overlap (nothing shed) is
-# repeated with fresh query texts — a repeated text would be answered from
-# the result cache without the delay — for at most 5 s. /metrics must then
-# count the shed request.
-shed_round() {  # $1: round number; leaves the responses in shed_<k>.out
-  local pids=() k
-  for k in 1 2 3; do
-    curl -si --max-time 10 -X POST \
+# injected delay keeps each in flight for 500ms. Two pins go out 100ms
+# apart (sent together, the second finds the first still queued and is
+# shed), then /metrics is polled until the worker holds one
+# (server_inflight 1) and the queue the other (server_queue_depth 1) —
+# a saturated server still answers /metrics, on the acceptor — and only
+# then goes the third query, which must be refused with 503 +
+# Retry-After. The first poll waits 100ms more for the second pin: a poll
+# that reaches the server before it takes the free queue slot itself,
+# and once a worker answers it, it reads itself as the query in flight.
+# So a round succeeds only when the pinned state was seen and the third
+# query was shed; any other round (on a loaded machine the pins may also
+# finish before the third query lands) is repeated with fresh query texts
+# — a repeated text would be answered from the result cache without the
+# delay — for at most 10 s. /metrics must then count the shed request.
+shed_round() {  # $1: round number; succeeds when the third query was shed
+  local pins=() k pinned=""
+  for k in 1 2; do
+    curl -s --max-time 10 -o /dev/null -X POST \
       --data "SELECT ?r${1}_$k WHERE { ?r${1}_$k a <http://e/Obs> }" \
-      "$BASE/query" > "$WORK/shed_$k.out" &
-    pids+=("$!")
+      "$BASE/query" &
+    pins+=("$!")
+    sleep 0.1
   done
-  wait "${pids[@]}"
+  for _ in $(seq 1 50); do
+    curl -sf --max-time 5 "$BASE/metrics" > "$WORK/poll.out" || true
+    if grep -q '^server_inflight 1$' "$WORK/poll.out" &&
+       grep -q '^server_queue_depth 1$' "$WORK/poll.out"; then
+      pinned=1
+      break
+    fi
+    sleep 0.01
+  done
+  if [ -n "$pinned" ]; then
+    curl -si --max-time 10 -X POST \
+      --data "SELECT ?r${1}_3 WHERE { ?r${1}_3 a <http://e/Obs> }" \
+      "$BASE/query" > "$WORK/shed.out"
+  fi
+  wait "${pins[@]}"
+  [ -n "$pinned" ] && head -1 "$WORK/shed.out" | grep -q ' 503'
 }
-SHED=""
 ROUND=0
-DEADLINE=$((SECONDS + 5))
-while [ -z "$SHED" ]; do
+DEADLINE=$((SECONDS + 10))
+until shed_round "$((ROUND += 1))"; do
   [ "$SECONDS" -lt "$DEADLINE" ] \
-    || fail "no query shed in $ROUND rounds of three concurrent queries (5 s)"
-  ROUND=$((ROUND + 1))
-  shed_round "$ROUND"
-  for k in 1 2 3; do
-    head -1 "$WORK/shed_$k.out" | grep -q ' 503' || continue
-    SHED="$WORK/shed_$k.out"
-    grep -qi '^retry-after:' "$SHED" || fail "shed response lacks Retry-After"
-  done
+    || fail "no third query shed on a pinned server in $ROUND rounds (10 s)"
 done
+grep -qi '^retry-after:' "$WORK/shed.out" || fail "shed response lacks Retry-After"
 # (Read into a file first: under pipefail, grep -q closing the pipe early
 # would fail curl with SIGPIPE.)
 curl -sf "$BASE/metrics" > "$WORK/metrics.out" || fail "metrics unreachable"

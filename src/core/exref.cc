@@ -67,7 +67,7 @@ std::vector<size_t> ExampleRowIndexes(const ExploreState& state,
   auto row_matches = [&](size_t r, const std::vector<Interpretation>& row) {
     for (size_t i = 0; i < cols.size(); ++i) {
       if (cols[i] < 0) return false;
-      const sparql::Cell& cell = results.at(r, cols[i]);
+      const sparql::Cell cell = results.at(r, cols[i]);
       if (!cell.is_term() || cell.term != row[i].member) return false;
     }
     return true;
@@ -233,11 +233,11 @@ util::Result<std::vector<ExploreState>> SubsetTopK(
   for (const std::string& mc : state.measure_columns) {
     int col = results.ColumnIndex(mc);
     if (col < 0) continue;
+    const std::vector<double> values = results.NumericColumn(col);
     std::vector<size_t> order(results.row_count());
     for (size_t i = 0; i < order.size(); ++i) order[i] = i;
     std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return results.NumericValue(results.at(a, col)) >
-             results.NumericValue(results.at(b, col));
+      return values[a] > values[b];
     });
 
     for (bool descending : {true, false}) {
@@ -253,14 +253,13 @@ util::Result<std::vector<ExploreState>> SubsetTopK(
       for (size_t i = 0; i + 1 < results.row_count(); ++i) {
         if (example_set.count(row_at(i)) &&
             !example_set.count(row_at(i + 1)) &&
-            results.NumericValue(results.at(row_at(i), col)) !=
-                results.NumericValue(results.at(row_at(i + 1), col))) {
+            values[row_at(i)] != values[row_at(i + 1)]) {
           cut = i + 1;
           break;
         }
       }
       if (cut >= results.row_count()) continue;  // no strict subset
-      double threshold = results.NumericValue(results.at(row_at(cut - 1), col));
+      double threshold = values[row_at(cut - 1)];
       ExploreState next = state;
       sparql::CompareOp op =
           descending ? sparql::CompareOp::kGe : sparql::CompareOp::kLe;
@@ -290,10 +289,7 @@ util::Result<std::vector<ExploreState>> SubsetPercentile(
   for (const std::string& mc : state.measure_columns) {
     int col = results.ColumnIndex(mc);
     if (col < 0) continue;
-    std::vector<double> values(results.row_count());
-    for (size_t i = 0; i < values.size(); ++i) {
-      values[i] = results.NumericValue(results.at(i, col));
-    }
+    std::vector<double> values = results.NumericColumn(col);
     std::vector<double> sorted = values;
     std::sort(sorted.begin(), sorted.end());
     // Band boundaries (fractions -> values).
@@ -395,7 +391,7 @@ util::Result<std::vector<ExploreState>> SimilaritySearch(
       Key item;
       bool ok = true;
       for (int c : item_cols) {
-        const sparql::Cell& cell = results.at(r, c);
+        const sparql::Cell cell = results.at(r, c);
         if (!cell.is_term()) {
           ok = false;
           break;
@@ -405,7 +401,7 @@ util::Result<std::vector<ExploreState>> SimilaritySearch(
       if (!ok) continue;
       Key feat;
       for (int c : feature_cols) {
-        const sparql::Cell& cell = results.at(r, c);
+        const sparql::Cell cell = results.at(r, c);
         feat.push_back(cell.is_term() ? cell.term : rdf::kInvalidTermId);
       }
       vectors[item][feat] += results.NumericValue(results.at(r, mcol));
@@ -691,10 +687,7 @@ util::Result<std::vector<ExploreState>> SubsetCluster(
   for (const std::string& mc : state.measure_columns) {
     int col = results.ColumnIndex(mc);
     if (col < 0) continue;
-    std::vector<double> values(results.row_count());
-    for (size_t i = 0; i < values.size(); ++i) {
-      values[i] = results.NumericValue(results.at(i, col));
-    }
+    std::vector<double> values = results.NumericColumn(col);
     // 1-D k-means seeded by quantiles of the sorted values.
     std::vector<double> sorted = values;
     std::sort(sorted.begin(), sorted.end());
@@ -893,7 +886,7 @@ ContrastReport BuildContrastReport(const ExploreState& state,
   auto row_matches = [&](size_t r, const std::vector<Interpretation>& row) {
     for (size_t i = 0; i < example_cols.size(); ++i) {
       if (example_cols[i] < 0) return false;
-      const sparql::Cell& cell = results.at(r, example_cols[i]);
+      const sparql::Cell cell = results.at(r, example_cols[i]);
       if (!cell.is_term() || cell.term != row[i].member) return false;
     }
     return true;

@@ -89,15 +89,7 @@ void FinishRecord(obs::QueryRecordScope& record,
 }  // namespace
 
 size_t EstimateTableCost(const sparql::ResultTable& table) {
-  size_t cost = sizeof(sparql::ResultTable);
-  for (const std::string& c : table.columns()) {
-    cost += sizeof(std::string) + c.capacity();
-  }
-  cost += table.rows().capacity() * sizeof(sparql::Row);
-  for (const sparql::Row& r : table.rows()) {
-    cost += r.capacity() * sizeof(sparql::Cell);
-  }
-  return cost;
+  return table.AllocatedBytes();
 }
 
 QueryEngine::QueryEngine(const rdf::TripleStore& store, EngineConfig config)
@@ -289,11 +281,11 @@ util::Result<TableHandle> QueryEngine::Execute(
       const double hit_millis = timer.ElapsedMillis();
       metrics.hit_millis.Observe(hit_millis);
       span.SetAttr("cache", "hit");
-      span.SetAttr("rows", static_cast<uint64_t>(hit->rows().size()));
+      span.SetAttr("rows", static_cast<uint64_t>(hit->row_count()));
       span.SetAttr("status", "OK");
       if (record.active()) {
         record.rec().cache = obs::CacheOutcome::kHit;
-        record.rec().rows_out = hit->rows().size();
+        record.rec().rows_out = hit->row_count();
         // Hand the record the latency we just measured, so its scope
         // destructor skips a second clock read.
         record.rec().total_millis = hit_millis;
@@ -394,10 +386,10 @@ util::Result<TableHandle> QueryEngine::Execute(
     ResultInsert(key, handle, record.rec().fingerprint);
   }
   metrics.miss_millis.Observe(timer.ElapsedMillis());
-  span.SetAttr("rows", static_cast<uint64_t>(handle->rows().size()));
+  span.SetAttr("rows", static_cast<uint64_t>(handle->row_count()));
   span.SetAttr("status", "OK");
   FinishRecord(record, stats, util::StatusCode::kOk, attempt,
-               handle->rows().size());
+               handle->row_count());
   return TableHandle(handle);
 }
 

@@ -209,8 +209,9 @@ class QueryEngine {
   std::atomic<uint64_t> retries_{0};
 };
 
-/// Estimated resident bytes of a materialized table (container overheads
-/// included); the unit the result cache charges entries in.
+/// Bytes a materialized table holds (ResultTable::AllocatedBytes: the
+/// object, its column arrays by capacity and its column names); the unit
+/// the result cache charges entries in.
 size_t EstimateTableCost(const sparql::ResultTable& table);
 
 }  // namespace re2xolap::engine

@@ -29,6 +29,12 @@ namespace re2xolap::server {
 
 namespace {
 
+/// Bound on the acceptor's write of a probe answered on the shed path
+/// (Server::AnswerProbe): long enough for a /metrics page on any live
+/// connection, short enough that a client that never reads cannot stall
+/// admission.
+constexpr uint64_t kProbeWriteMillis = 100;
+
 struct ServerMetrics {
   obs::Counter& accepted;
   obs::Counter& requests;
@@ -448,6 +454,11 @@ void Server::EnqueueOrShed(std::unique_ptr<Conn> conn) {
       }
     }
   }
+  // Probes are answered even when the server is saturated, so a full
+  // queue stays observable; a draining server sheds them like the rest.
+  if (!stopping_.load(std::memory_order_acquire) && AnswerProbe(conn.get())) {
+    return;
+  }
   if (over_client_cap) {
     shed_per_client_.fetch_add(1, std::memory_order_relaxed);
     Metrics().shed_per_client.Inc();
@@ -458,6 +469,33 @@ void Server::EnqueueOrShed(std::unique_ptr<Conn> conn) {
            stopping_.load(std::memory_order_acquire)
                ? "server is draining"
                : "admission queue is full");
+}
+
+bool Server::AnswerProbe(Conn* conn) {
+  char buf[4096];
+  while (conn->inbuf.size() <= config_.http.max_head_bytes) {
+    const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), MSG_DONTWAIT);
+    if (n <= 0) break;
+    conn->inbuf.append(buf, static_cast<size_t>(n));
+  }
+  const size_t head_end = conn->inbuf.find("\r\n\r\n");
+  if (head_end == std::string::npos) return false;
+  util::Result<HttpRequest> req = ParseRequestHead(
+      std::string_view(conn->inbuf).substr(0, head_end), config_.http);
+  if (!req.ok() || req->method != "GET" ||
+      (req->path != "/metrics" && req->path != "/healthz")) {
+    return false;
+  }
+  requests_.fetch_add(1, std::memory_order_relaxed);
+  Metrics().requests.Inc();
+  const HttpResponse resp =
+      req->path == "/metrics" ? HandleMetrics() : HandleHealthz();
+  if (WriteAll(conn, SerializeResponse(resp, /*keep_alive=*/false),
+               kProbeWriteMillis)) {
+    responses_ok_.fetch_add(1, std::memory_order_relaxed);
+    Metrics().responses_ok.Inc();
+  }
+  return true;
 }
 
 void Server::ShedConn(std::unique_ptr<Conn> conn, const char* why) {
@@ -559,7 +597,8 @@ std::unique_ptr<Server::Conn> Server::HandleOneRequest(
     }
     responses_error_.fetch_add(1, std::memory_order_relaxed);
     Metrics().responses_error.Inc();
-    WriteAll(conn.get(), SerializeResponse(resp, /*keep_alive=*/false));
+    WriteAll(conn.get(), SerializeResponse(resp, /*keep_alive=*/false),
+             config_.write_timeout_millis);
     return nullptr;  // malformed/slow connections never survive
   }
 
@@ -583,7 +622,7 @@ std::unique_ptr<Server::Conn> Server::HandleOneRequest(
   }
 
   std::string bytes = SerializeResponse(resp, keep_alive);
-  if (!WriteAll(conn.get(), bytes)) {
+  if (!WriteAll(conn.get(), bytes, config_.write_timeout_millis)) {
     client_timeouts_.fetch_add(1, std::memory_order_relaxed);
     Metrics().client_timeouts.Inc();
     return nullptr;
@@ -682,9 +721,10 @@ util::Status Server::ReadRequest(Conn* conn, HttpRequest* req) {
   return util::Status::OK();
 }
 
-bool Server::WriteAll(Conn* conn, std::string_view bytes) {
+bool Server::WriteAll(Conn* conn, std::string_view bytes,
+                      uint64_t timeout_millis) {
   const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(config_.write_timeout_millis);
+                        std::chrono::milliseconds(timeout_millis);
   size_t off = 0;
   while (off < bytes.size()) {
     ssize_t n = ::send(conn->fd, bytes.data() + off, bytes.size() - off,
@@ -762,7 +802,7 @@ HttpResponse TableResponse(const sparql::ResultTable& table, size_t limit,
     body += "[";
     for (size_t c = 0; c < table.columns().size(); ++c) {
       if (c > 0) body += ", ";
-      const sparql::Cell& cell = table.at(r, c);
+      const sparql::Cell cell = table.at(r, c);
       if (cell.is_null()) {
         body += "null";
       } else if (cell.is_number()) {

@@ -220,6 +220,11 @@ class Server {
   void EnqueueOrShed(std::unique_ptr<Conn> conn);
   /// Best-effort nonblocking shed/overload response + close.
   void ShedConn(std::unique_ptr<Conn> conn, const char* why);
+  /// On the shed path: reads what `conn` has buffered without blocking
+  /// and, when that is a complete `GET /metrics` or `GET /healthz`,
+  /// answers it on the acceptor (a write bounded by kProbeWriteMillis).
+  /// Returns false, having answered nothing, for any other request.
+  bool AnswerProbe(Conn* conn);
 
   /// One request on `conn`: read (bounded, slow-client timeout), parse,
   /// dispatch, write. Returns the connection for keep-alive reuse, or
@@ -229,8 +234,9 @@ class Server {
   /// Reads one full request (head + body) into `req`. kTimeout = slow
   /// client; kCancelled = peer closed cleanly between requests.
   util::Status ReadRequest(Conn* conn, HttpRequest* req);
-  /// Writes `bytes` with the slow-client write timeout; false = closed.
-  bool WriteAll(Conn* conn, std::string_view bytes);
+  /// Writes `bytes` within `timeout_millis`; false = timed out or
+  /// closed.
+  bool WriteAll(Conn* conn, std::string_view bytes, uint64_t timeout_millis);
 
   HttpResponse Dispatch(const HttpRequest& req,
                         std::chrono::steady_clock::time_point arrival);

@@ -29,10 +29,10 @@ void WriteCsv(const ResultTable& table, std::ostream& os) {
     WriteCell(cols[c], os);
   }
   os << '\n';
-  for (const Row& row : table.rows()) {
-    for (size_t c = 0; c < row.size(); ++c) {
+  for (size_t r = 0; r < table.row_count(); ++r) {
+    for (size_t c = 0; c < cols.size(); ++c) {
       if (c > 0) os << ',';
-      WriteCell(table.CellToString(row[c]), os);
+      WriteCell(table.CellToString(table.at(r, c)), os);
     }
     os << '\n';
   }

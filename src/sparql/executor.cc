@@ -72,12 +72,12 @@ util::Result<ResultTable> ExecuteAsk(const rdf::TripleStore& store,
   RE2X_ASSIGN_OR_RETURN(ResultTable sub,
                         ExecutePlanImpl(store, probe, plan, options, stats));
   bool answer = false;
-  if (!sub.rows().empty()) {
+  if (sub.row_count() > 0) {
     answer =
         sub.columns()[0] == "n" ? sub.NumericValue(sub.at(0, 0)) > 0 : true;
   }
   ResultTable out(&store, {"ask"});
-  out.AddRow({Cell::OfNumber(answer ? 1.0 : 0.0)});
+  out.AppendRow({Cell::OfNumber(answer ? 1.0 : 0.0)});
   if (stats) {
     // Wrap the probe's operator tree under an "ask" root.
     const double ask_millis = total_timer.ElapsedMillis();
@@ -156,7 +156,7 @@ void BuildProfileTree(const rdf::TripleStore& store, const SelectQuery& query,
   }
 
   obs::ProfileNode root("select");
-  root.rows_out = table.rows().size();
+  root.rows_out = table.row_count();
   root.millis = stats->exec_millis;
   root.timed = true;
   {
@@ -296,20 +296,20 @@ util::Result<ResultTable> ExecutePlanImpl(const rdf::TripleStore& store,
           query.order_by.empty() && query.having.empty()) {
         row_cap = query.offset + *query.limit;
       }
+      // Every projected column is a term column: one id per row, so a
+      // row appends (and is charged) items.size() ids.
+      const uint64_t row_bytes = items.size() * sizeof(rdf::TermId);
       util::WallTimer join_timer;
       util::Status st = runner.Run(
           [&](const std::vector<rdf::TermId>& bindings) {
-            Row row(items.size());
             for (size_t i = 0; i < items.size(); ++i) {
-              int slot = item_slots[i];
-              row[i] = (slot >= 0 && bindings[slot] != rdf::kInvalidTermId)
-                           ? Cell::OfTerm(bindings[slot])
-                           : Cell::Null();
+              const int slot = item_slots[i];
+              table.mutable_column(i).AppendTerm(
+                  slot >= 0 ? bindings[slot] : rdf::kInvalidTermId);
             }
             if (options.guard != nullptr) {
-              options.guard->ChargeBytes(row.size() * sizeof(Cell));
+              options.guard->ChargeBytes(row_bytes);
             }
-            table.AddRow(std::move(row));
           },
           row_cap);
       join_ms = join_timer.ElapsedMillis();
@@ -362,7 +362,7 @@ util::Result<ResultTable> ExecutePlanImpl(const rdf::TripleStore& store,
   }
   exec_hist.Observe(total_timer.ElapsedMillis());
   RE2X_RETURN_IF_ERROR(run_status);
-  exec_span.SetAttr("rows", static_cast<uint64_t>(table.rows().size()));
+  exec_span.SetAttr("rows", static_cast<uint64_t>(table.row_count()));
   return table;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "sparql/ebv.h"
@@ -20,8 +21,7 @@ constexpr uint64_t kGuardPollInterval = 1024;
 /// std::sort comparators cannot return a Status, so a tripped guard is
 /// reported by throwing this (internal to this TU) and converting it back
 /// to a Status at the operator boundary. The sort is abandoned mid-way;
-/// the row vector stays valid (possibly permuted) because comparators
-/// never mutate rows.
+/// only the row-index vector was being sorted, so the table is untouched.
 struct GuardInterrupted {
   util::Status status;
 };
@@ -50,6 +50,13 @@ uint64_t HashKey(const rdf::TermId* key, size_t width) {
   h ^= h >> 27;
   h *= 0x94D049BB133111EBULL;
   return h ^ (h >> 31);
+}
+
+/// Row indexes begin, begin + 1, ..., end - 1.
+std::vector<uint32_t> Iota(size_t begin, size_t end) {
+  std::vector<uint32_t> index(end - begin);
+  std::iota(index.begin(), index.end(), static_cast<uint32_t>(begin));
+  return index;
 }
 
 }  // namespace
@@ -198,7 +205,14 @@ util::Result<size_t> GroupAggregator::Emit(
       }
     }
   }
-  std::vector<Row>& rows = table->mutable_rows();
+  // Every column takes exactly n_groups_ cells: aggregates as numbers,
+  // group keys as term ids.
+  for (size_t i = 0; i < items_.size(); ++i) {
+    Column& column = table->mutable_column(i);
+    column = Column(items_[i].is_aggregate ? Column::Layout::kNumbers
+                                           : Column::Layout::kTerms);
+    column.Reserve(n_groups_);
+  }
   for (size_t b = 0; b < blocks_.size(); ++b) {
     Block& block = blocks_[b];
     const size_t first = b * kBlockGroups;
@@ -207,20 +221,18 @@ util::Result<size_t> GroupAggregator::Emit(
       if (guard_ != nullptr && (first + at + 1) % kGuardPollInterval == 0) {
         RE2X_RETURN_IF_ERROR(guard_->Check());
       }
-      Row row(items_.size());
       for (size_t i = 0; i < items_.size(); ++i) {
+        Column& column = table->mutable_column(i);
         if (items_[i].is_aggregate) {
           const AggState& state =
               block.states[at * folds_.size() + item_fold_[i]];
-          row[i] = Cell::OfNumber(items_[i].distinct_agg
-                                      ? static_cast<double>(state.count)
-                                      : state.Finish(items_[i].func));
+          column.AppendNumber(items_[i].distinct_agg
+                                  ? static_cast<double>(state.count)
+                                  : state.Finish(items_[i].func));
           continue;
         }
-        const rdf::TermId id = block.keys[at * width_ + key_pos[i]];
-        row[i] = id != rdf::kInvalidTermId ? Cell::OfTerm(id) : Cell::Null();
+        column.AppendTerm(block.keys[at * width_ + key_pos[i]]);
       }
-      rows.push_back(std::move(row));
     }
     block = Block{};  // its rows are written: release its storage
   }
@@ -234,18 +246,17 @@ util::Status ApplyHaving(const rdf::TripleStore& store,
   if (query.having.empty()) return util::Status::OK();
   if (guard != nullptr) RE2X_RETURN_IF_ERROR(guard->Check());
   util::WallTimer op_timer;
-  std::vector<Row>& rows = table->mutable_rows();
-  const uint64_t rows_in = rows.size();
-  std::vector<Row> kept;
-  kept.reserve(rows.size());
+  const uint64_t rows_in = table->row_count();
+  std::vector<uint32_t> kept;
+  kept.reserve(rows_in);
   uint64_t polls = 0;
-  for (Row& row : rows) {
+  for (uint32_t row = 0; row < rows_in; ++row) {
     if (guard != nullptr && ++polls % kGuardPollInterval == 0) {
       RE2X_RETURN_IF_ERROR(guard->Check());
     }
     auto lookup = [&](const std::string& name) -> Cell {
       int idx = table->ColumnIndex(name);
-      return idx < 0 ? Cell::Null() : row[idx];
+      return idx < 0 ? Cell::Null() : table->at(row, idx);
     };
     bool pass = true;
     for (const ExprPtr& h : query.having) {
@@ -254,11 +265,11 @@ util::Status ApplyHaving(const rdf::TripleStore& store,
         break;
       }
     }
-    if (pass) kept.push_back(std::move(row));
+    if (pass) kept.push_back(row);
   }
-  rows.swap(kept);
+  table->Gather(kept);
   post_ops->push_back(
-      {"having", rows_in, rows.size(), op_timer.ElapsedMillis()});
+      {"having", rows_in, table->row_count(), op_timer.ElapsedMillis()});
   return util::Status::OK();
 }
 
@@ -267,25 +278,33 @@ util::Status ApplyDistinct(const rdf::TripleStore& store, ResultTable* table,
                            const util::ExecGuard* guard) {
   if (guard != nullptr) RE2X_RETURN_IF_ERROR(guard->Check());
   util::WallTimer op_timer;
-  std::vector<Row>& rows = table->mutable_rows();
-  const uint64_t rows_in = rows.size();
+  const uint64_t rows_in = table->row_count();
+  const size_t width = table->column_count();
+  std::vector<uint32_t> order = Iota(0, rows_in);
   uint64_t polls = 0;
-  auto row_less = [&](const Row& a, const Row& b) {
+  auto row_less = [&](uint32_t a, uint32_t b) {
     PollGuardOrThrow(guard, &polls);
-    for (size_t i = 0; i < a.size(); ++i) {
-      int c = OrderCells(store, a[i], b[i]);
+    for (size_t i = 0; i < width; ++i) {
+      int c = OrderCells(store, table->at(a, i), table->at(b, i));
       if (c != 0) return c < 0;
     }
     return false;
   };
+  auto row_equal = [&](uint32_t a, uint32_t b) {
+    for (size_t i = 0; i < width; ++i) {
+      if (!(table->at(a, i) == table->at(b, i))) return false;
+    }
+    return true;
+  };
   try {
-    std::sort(rows.begin(), rows.end(), row_less);
+    std::sort(order.begin(), order.end(), row_less);
   } catch (const GuardInterrupted& gi) {
     return gi.status;
   }
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  order.erase(std::unique(order.begin(), order.end(), row_equal), order.end());
+  table->Gather(order);
   post_ops->push_back(
-      {"distinct", rows_in, rows.size(), op_timer.ElapsedMillis()});
+      {"distinct", rows_in, table->row_count(), op_timer.ElapsedMillis()});
   return util::Status::OK();
 }
 
@@ -304,23 +323,23 @@ util::Status ApplyOrderBy(const rdf::TripleStore& store,
     }
     keys.emplace_back(idx, k.ascending);
   }
-  std::vector<Row>& rows = table->mutable_rows();
+  const uint64_t rows = table->row_count();
+  std::vector<uint32_t> order = Iota(0, rows);
   uint64_t polls = 0;
   try {
-    std::stable_sort(rows.begin(), rows.end(),
-                     [&](const Row& a, const Row& b) {
-                       PollGuardOrThrow(guard, &polls);
-                       for (auto [idx, asc] : keys) {
-                         int c = OrderCells(store, a[idx], b[idx]);
-                         if (c != 0) return asc ? c < 0 : c > 0;
-                       }
-                       return false;
-                     });
+    std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      PollGuardOrThrow(guard, &polls);
+      for (auto [idx, asc] : keys) {
+        int c = OrderCells(store, table->at(a, idx), table->at(b, idx));
+        if (c != 0) return asc ? c < 0 : c > 0;
+      }
+      return false;
+    });
   } catch (const GuardInterrupted& gi) {
     return gi.status;
   }
-  post_ops->push_back(
-      {"order-by", rows.size(), rows.size(), op_timer.ElapsedMillis()});
+  table->Gather(order);
+  post_ops->push_back({"order-by", rows, rows, op_timer.ElapsedMillis()});
   return util::Status::OK();
 }
 
@@ -329,20 +348,15 @@ util::Status ApplyLimitOffset(const SelectQuery& query, ResultTable* table,
                               const util::ExecGuard* guard) {
   if (guard != nullptr) RE2X_RETURN_IF_ERROR(guard->Check());
   util::WallTimer op_timer;
-  std::vector<Row>& rows = table->mutable_rows();
-  const uint64_t rows_in = rows.size();
-  size_t begin = std::min<size_t>(query.offset, rows.size());
-  size_t end = rows.size();
+  const uint64_t rows_in = table->row_count();
+  size_t begin = std::min<size_t>(query.offset, rows_in);
+  size_t end = rows_in;
   if (query.limit.has_value()) {
-    end = std::min<size_t>(begin + *query.limit, rows.size());
+    end = std::min<size_t>(begin + *query.limit, rows_in);
   }
-  // Rows move, never copy; shrinking leaves the window's exact capacity,
-  // as a fresh slice would have.
-  rows.erase(rows.begin() + end, rows.end());
-  rows.erase(rows.begin(), rows.begin() + begin);
-  rows.shrink_to_fit();
+  table->Gather(Iota(begin, end));
   post_ops->push_back(
-      {"limit/offset", rows_in, rows.size(), op_timer.ElapsedMillis()});
+      {"limit/offset", rows_in, table->row_count(), op_timer.ElapsedMillis()});
   return util::Status::OK();
 }
 

@@ -90,8 +90,10 @@ class GroupAggregator {
   /// come out in the order the join produced their first binding, which
   /// is the row order of an aggregate query without ORDER BY. Group-by
   /// columns are resolved via `group_by` order. Polls the guard at entry
-  /// and every kGuardPollInterval (1,024) groups. Ends accumulation: the
-  /// aggregator releases its groups as it writes them, so call it once.
+  /// and every kGuardPollInterval (1,024) groups. Each aggregate column
+  /// becomes a number column and each key column a term column, reserved
+  /// to exactly the group count. Ends accumulation: the aggregator
+  /// releases its groups as it writes them, so call it once.
   /// Returns the number of groups.
   util::Result<size_t> Emit(const std::vector<Variable>& group_by,
                             ResultTable* table);
@@ -146,6 +148,11 @@ class GroupAggregator {
   uint32_t n_groups_ = 0;
 };
 
+/// The operators below never move cells row by row: each builds one
+/// `uint32_t` row-index vector (filtered, sorted or sliced), then gathers
+/// every column through it once (ResultTable::Gather), leaving arrays of
+/// exactly the surviving row count.
+///
 /// HAVING: keeps rows whose post-aggregation filters all evaluate to true
 /// (lookups by output column name). Appends one profile record.
 util::Status ApplyHaving(const rdf::TripleStore& store,
@@ -153,20 +160,22 @@ util::Status ApplyHaving(const rdf::TripleStore& store,
                          std::vector<PostOpProf>* post_ops,
                          const util::ExecGuard* guard = nullptr);
 
-/// DISTINCT: sorts rows canonically and drops duplicates.
+/// DISTINCT: sorts row indexes canonically and drops duplicate rows.
 util::Status ApplyDistinct(const rdf::TripleStore& store, ResultTable* table,
                            std::vector<PostOpProf>* post_ops,
                            const util::ExecGuard* guard = nullptr);
 
-/// ORDER BY: stable-sorts rows by the query's sort keys. Fails when a key
-/// references an unknown output column.
+/// ORDER BY: stable-sorts row indexes by the query's sort keys, so tied
+/// rows keep their order. Fails when a key references an unknown output
+/// column.
 util::Status ApplyOrderBy(const rdf::TripleStore& store,
                           const SelectQuery& query, ResultTable* table,
                           std::vector<PostOpProf>* post_ops,
                           const util::ExecGuard* guard = nullptr);
 
-/// OFFSET / LIMIT: slices the row window in place (erases the tail, then
-/// the head), so a large result is never held twice.
+/// OFFSET / LIMIT: keeps the row window (an empty one when OFFSET is past
+/// the end). Columns are gathered one at a time, so at most one column is
+/// held twice.
 util::Status ApplyLimitOffset(const SelectQuery& query, ResultTable* table,
                               std::vector<PostOpProf>* post_ops,
                               const util::ExecGuard* guard = nullptr);

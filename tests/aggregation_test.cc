@@ -154,7 +154,9 @@ TEST_F(AggregationTest, UnboundOptionalKeysGroupTogether) {
     auto r = RunUncachedText(*store, query);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     size_t unbound = 0;
-    for (const Row& row : r->rows()) unbound += row[0].is_null() ? 1 : 0;
+    for (size_t row = 0; row < r->row_count(); ++row) {
+      unbound += r->at(row, 0).is_null() ? 1 : 0;
+    }
     EXPECT_EQ(unbound, static_cast<size_t>(kDomainC));
     EXPECT_TRUE(AgreesWithReference(*store, query));
   }

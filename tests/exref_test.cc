@@ -174,7 +174,11 @@ TEST_F(ExrefTest, PercentileEmptyOnTinyResults) {
   ExploreState st = StateFor({"Germany"});
   sparql::ResultTable t = Exec(st);
   sparql::ResultTable tiny(t.store(), t.columns());
-  if (t.row_count() > 0) tiny.AddRow(t.rows()[0]);
+  if (t.row_count() > 0) {
+    std::vector<sparql::Cell> first;
+    for (size_t c = 0; c < t.column_count(); ++c) first.push_back(t.at(0, c));
+    tiny.AppendRow(first);
+  }
   auto refs = SubsetPercentile(*store, st, tiny);
   ASSERT_TRUE(refs.ok());
   EXPECT_TRUE(refs->empty());

@@ -19,7 +19,6 @@ namespace re2xolap::testing {
 namespace {
 
 using sparql::Cell;
-using sparql::Row;
 using sparql::SelectItem;
 using sparql::SelectQuery;
 using sparql::TriplePatternAst;
@@ -184,11 +183,12 @@ std::string CellKey(const rdf::TripleStore& store, const Cell& c) {
   return "UNBOUND";
 }
 
-std::string RowKey(const rdf::TripleStore& store, const Row& row,
+std::string RowKey(const rdf::TripleStore& store,
+                   const sparql::ResultTable& table, size_t row,
                    const std::vector<size_t>& columns) {
   std::string key;
   for (size_t c : columns) {
-    key += CellKey(store, row[c]);
+    key += CellKey(store, table.at(row, c));
     key += " | ";
   }
   return key;
@@ -212,7 +212,9 @@ std::multiset<std::string> RowKeys(const rdf::TripleStore& store,
                                    const sparql::ResultTable& table,
                                    const std::vector<size_t>& order) {
   std::multiset<std::string> keys;
-  for (const Row& row : table.rows()) keys.insert(RowKey(store, row, order));
+  for (size_t r = 0; r < table.row_count(); ++r) {
+    keys.insert(RowKey(store, table, r, order));
+  }
   return keys;
 }
 
@@ -234,7 +236,9 @@ std::vector<std::string> OrderKeys(const rdf::TripleStore& store,
   for (const sparql::OrderKey& k : query.order_by) names.push_back(k.column);
   const std::vector<size_t> cols = ColumnsByName(table, names);
   std::vector<std::string> out;
-  for (const Row& row : table.rows()) out.push_back(RowKey(store, row, cols));
+  for (size_t r = 0; r < table.row_count(); ++r) {
+    out.push_back(RowKey(store, table, r, cols));
+  }
   return out;
 }
 
@@ -260,7 +264,7 @@ util::Result<sparql::ResultTable> ReferenceEvaluate(
 
   if (query.is_ask) {
     sparql::ResultTable out(&store, {"ask"});
-    out.AddRow({Cell::OfNumber(solutions.empty() ? 0.0 : 1.0)});
+    out.AppendRow({Cell::OfNumber(solutions.empty() ? 0.0 : 1.0)});
     return out;
   }
 
@@ -292,15 +296,14 @@ util::Result<sparql::ResultTable> ReferenceEvaluate(
     }
     columns.push_back(it.OutputName());
   }
-  sparql::ResultTable table(&store, columns);
-
+  std::vector<RefRow> rows;
   if (!aggregating) {
     for (const Solution& row : solutions) {
-      Row out;
+      RefRow out;
       for (const SelectItem& it : items) {
         out.push_back(CellOf(vars, row, it.var.name));
       }
-      table.AddRow(std::move(out));
+      rows.push_back(std::move(out));
     }
   } else {
     std::map<std::vector<rdf::TermId>, std::vector<const Solution*>> groups;
@@ -313,22 +316,30 @@ util::Result<sparql::ResultTable> ReferenceEvaluate(
       groups[key].push_back(&row);
     }
     for (const auto& [key, members] : groups) {
-      Row out;
+      RefRow out;
       for (const SelectItem& it : items) {
         out.push_back(it.is_aggregate
                           ? Aggregate(store, vars, it, members)
                           : CellOf(vars, *members.front(), it.var.name));
       }
-      table.AddRow(std::move(out));
+      rows.push_back(std::move(out));
     }
   }
+  return ReferencePostOps(store, query, std::move(columns), std::move(rows));
+}
 
-  std::vector<Row>& rows = table.mutable_rows();
+util::Result<sparql::ResultTable> ReferencePostOps(
+    const rdf::TripleStore& store, const SelectQuery& query,
+    std::vector<std::string> columns, std::vector<RefRow> rows) {
+  auto column_index = [&](const std::string& name) {
+    auto it = std::find(columns.begin(), columns.end(), name);
+    return it == columns.end() ? -1 : static_cast<int>(it - columns.begin());
+  };
   if (!query.having.empty()) {
-    std::vector<Row> kept;
-    for (Row& row : rows) {
+    std::vector<RefRow> kept;
+    for (RefRow& row : rows) {
       auto lookup = [&](const std::string& name) {
-        const int c = table.ColumnIndex(name);
+        const int c = column_index(name);
         return c < 0 ? Cell::Null() : row[c];
       };
       bool pass = true;
@@ -343,13 +354,13 @@ util::Result<sparql::ResultTable> ReferenceEvaluate(
     rows = std::move(kept);
   }
   if (query.distinct) {
-    auto row_less = [](const Row& a, const Row& b) {
+    auto row_less = [](const RefRow& a, const RefRow& b) {
       return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
                                           b.end(), CellLess);
     };
-    std::set<Row, decltype(row_less)> seen(row_less);
-    std::vector<Row> kept;
-    for (Row& row : rows) {
+    std::set<RefRow, decltype(row_less)> seen(row_less);
+    std::vector<RefRow> kept;
+    for (RefRow& row : rows) {
       if (seen.insert(row).second) kept.push_back(std::move(row));
     }
     rows = std::move(kept);
@@ -357,7 +368,7 @@ util::Result<sparql::ResultTable> ReferenceEvaluate(
   if (!query.order_by.empty()) {
     std::vector<std::pair<int, bool>> keys;
     for (const sparql::OrderKey& k : query.order_by) {
-      const int c = table.ColumnIndex(k.column);
+      const int c = column_index(k.column);
       if (c < 0) {
         return util::Status::InvalidArgument(
             "ORDER BY references unknown column ?" + k.column);
@@ -365,7 +376,7 @@ util::Result<sparql::ResultTable> ReferenceEvaluate(
       keys.emplace_back(c, k.ascending);
     }
     std::stable_sort(rows.begin(), rows.end(),
-                     [&](const Row& a, const Row& b) {
+                     [&](const RefRow& a, const RefRow& b) {
                        for (auto [c, asc] : keys) {
                          const int cmp = sparql::OrderCells(store, a[c], b[c]);
                          if (cmp != 0) return asc ? cmp < 0 : cmp > 0;
@@ -378,7 +389,8 @@ util::Result<sparql::ResultTable> ReferenceEvaluate(
   if (query.limit.has_value()) {
     end = std::min<size_t>(begin + *query.limit, rows.size());
   }
-  rows = std::vector<Row>(rows.begin() + begin, rows.begin() + end);
+  sparql::ResultTable table(&store, std::move(columns));
+  for (size_t r = begin; r < end; ++r) table.AppendRow(rows[r]);
   return table;
 }
 

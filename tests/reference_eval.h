@@ -14,7 +14,9 @@
 // Speed is not: every solution is materialized and every pattern is a
 // fresh Match() call. Keep inputs test-sized.
 
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -33,6 +35,18 @@ namespace re2xolap::testing {
 /// like the engine.
 util::Result<sparql::ResultTable> ReferenceEvaluate(
     const rdf::TripleStore& store, const sparql::SelectQuery& query);
+
+/// One result row, held row by row: the layout the reference keeps its
+/// answers in, independent of ResultTable's columns.
+using RefRow = std::vector<sparql::Cell>;
+
+/// The reference's post-aggregation stage: HAVING, DISTINCT (first
+/// occurrence kept, in input order), ORDER BY (stable) and LIMIT/OFFSET
+/// over `rows`, one cell per entry of `columns`, returned as a table.
+/// Fails like the engine when ORDER BY names an unknown column.
+util::Result<sparql::ResultTable> ReferencePostOps(
+    const rdf::TripleStore& store, const sparql::SelectQuery& query,
+    std::vector<std::string> columns, std::vector<RefRow> rows);
 
 /// Runs `sparql` through an uncached engine::QueryEngine and through
 /// ReferenceEvaluate, and succeeds when the answers agree:

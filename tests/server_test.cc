@@ -321,6 +321,59 @@ TEST_F(ServerTest, FullQueueShedsWith503RetryAfter) {
   EXPECT_GE(server_->stats().shed, 1u);
 }
 
+TEST_F(ServerTest, SaturatedServerStillAnswersProbes) {
+  // One worker held in a 400ms execution delay and a one-slot queue
+  // holding the second query: the server is saturated, yet /metrics and
+  // /healthz are answered on the acceptor while a third query is shed.
+  ServerConfig config;
+  config.worker_threads = 1;
+  config.queue_capacity = 1;
+  HttpClient client = StartServer(config);
+  ASSERT_TRUE(util::FailpointRegistry::Global()
+                  .Configure("engine.execute=delay:400")
+                  .ok());
+  // Distinct texts, so neither pin is a result-cache hit.
+  auto pin = [&](const char* var) {
+    HttpClient c("127.0.0.1", server_->port());
+    (void)c.Post("/query", std::string("SELECT ?") + var + " WHERE { ?" +
+                               var + " a <http://test/Observation> }");
+  };
+  std::thread t1(pin, "p1");
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  auto inflight = [&] { return metrics.GetGauge("server.inflight").value(); };
+  auto queued = [&] { return metrics.GetGauge("server.queue_depth").value(); };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (inflight() < 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  std::thread t2(pin, "p2");
+  while (queued() < 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(inflight(), 1);
+  ASSERT_EQ(queued(), 1);
+  auto metrics_resp = client.Get("/metrics");
+  auto health_resp = client.Get("/healthz");
+  auto shed_resp = client.Post("/query", kObsQuery);
+  t1.join();
+  t2.join();
+  util::FailpointRegistry::Global().DisarmAll();
+  ASSERT_TRUE(metrics_resp.ok()) << metrics_resp.status();
+  EXPECT_EQ(metrics_resp->status, 200);
+  EXPECT_NE(metrics_resp->body.find("server_queue_depth 1"), std::string::npos)
+      << metrics_resp->body;
+  ASSERT_TRUE(health_resp.ok()) << health_resp.status();
+  EXPECT_EQ(health_resp->status, 200);
+  EXPECT_NE(health_resp->body.find("\"inflight\": 1"), std::string::npos)
+      << health_resp->body;
+  ASSERT_TRUE(shed_resp.ok()) << shed_resp.status();
+  EXPECT_EQ(shed_resp->status, 503) << shed_resp->body;
+  // At least 1: a shed connection closed before its body arrived may be
+  // reset, and the client retries once on a fresh connection.
+  EXPECT_GE(server_->stats().shed, 1u);
+}
+
 TEST_F(ServerTest, AcceptFailpointDropsConnectionsWithoutCrashing) {
   HttpClient client = StartServer();
   ASSERT_TRUE(util::FailpointRegistry::Global()

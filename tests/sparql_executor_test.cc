@@ -829,10 +829,7 @@ TEST(CsvTest, WritesHeaderAndQuotedCells) {
   rdf::TripleStore store;
   store.Freeze();
   ResultTable t(&store, {"name", "value"});
-  Row r1;
-  r1.push_back(Cell::OfNumber(2.5));
-  r1.push_back(Cell::Null());
-  t.AddRow(r1);
+  t.AppendRow({Cell::OfNumber(2.5), Cell::Null()});
   std::ostringstream os;
   WriteCsv(t, os);
   EXPECT_EQ(os.str(), "name,value\n2.5,\n");
@@ -844,9 +841,7 @@ TEST(CsvTest, EscapesCommasAndQuotes) {
       store.Intern(rdf::Term::StringLiteral("a,\"b\"\nc"));
   store.Freeze();
   ResultTable t(&store, {"x"});
-  Row r;
-  r.push_back(Cell::OfTerm(lit));
-  t.AddRow(r);
+  t.AppendRow({Cell::OfTerm(lit)});
   std::ostringstream os;
   WriteCsv(t, os);
   EXPECT_EQ(os.str(), "x\n\"a,\"\"b\"\"\nc\"\n");

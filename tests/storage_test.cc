@@ -441,7 +441,7 @@ TEST(SnapshotTest, EngineOpenSnapshotServesIdenticalQueries) {
   auto b = opened->engine->ExecuteText(query);
   ASSERT_TRUE(a.ok()) << a.status();
   ASSERT_TRUE(b.ok()) << b.status();
-  EXPECT_EQ((*a)->rows().size(), (*b)->rows().size());
+  EXPECT_EQ((*a)->row_count(), (*b)->row_count());
 
   // Identical epoch -> a second execution is a cache hit on both sides.
   ASSERT_TRUE(opened->engine->ExecuteText(query).ok());
@@ -473,10 +473,13 @@ TEST(SnapshotTest, SessionRoundTripExploresIdentically) {
   auto warm_table = warm->session->Execute();
   ASSERT_TRUE(cold_table.ok()) << cold_table.status();
   ASSERT_TRUE(warm_table.ok()) << warm_table.status();
-  ASSERT_EQ((*cold_table)->rows().size(), (*warm_table)->rows().size());
+  ASSERT_EQ((*cold_table)->row_count(), (*warm_table)->row_count());
+  ASSERT_EQ((*cold_table)->column_count(), (*warm_table)->column_count());
   // Bit-identical result tables.
-  for (size_t r = 0; r < (*cold_table)->rows().size(); ++r) {
-    EXPECT_EQ((*cold_table)->rows()[r], (*warm_table)->rows()[r]);
+  for (size_t r = 0; r < (*cold_table)->row_count(); ++r) {
+    for (size_t c = 0; c < (*cold_table)->column_count(); ++c) {
+      EXPECT_EQ((*cold_table)->at(r, c), (*warm_table)->at(r, c));
+    }
   }
   std::remove(path.c_str());
 }

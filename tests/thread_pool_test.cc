@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -73,11 +74,26 @@ TEST(ThreadPoolTest, ExceptionPropagatesToCaller) {
 TEST(ThreadPoolTest, ExceptionSkipsUnclaimedIterations) {
   ThreadPool pool(2);
   std::atomic<int> executed{0};
+  std::atomic<bool> thrown{false};
   constexpr size_t kN = 100000;
   EXPECT_THROW(pool.ParallelFor(kN,
                                 [&](size_t i) {
                                   ++executed;
-                                  if (i == 0) throw std::runtime_error("x");
+                                  if (i == 0) {
+                                    thrown.store(true);
+                                    throw std::runtime_error("x");
+                                  }
+                                  // No other iteration finishes before
+                                  // index 0 has thrown, and each one after
+                                  // it takes far longer than the thrower
+                                  // needs to record the failure, so the
+                                  // other helper cannot claim the rest of
+                                  // the range first.
+                                  while (!thrown.load()) {
+                                    std::this_thread::yield();
+                                  }
+                                  std::this_thread::sleep_for(
+                                      std::chrono::microseconds(100));
                                 }),
                std::runtime_error);
   // Index 0 is claimed first, so the bulk of the range must be skipped
