@@ -99,7 +99,7 @@ int main() {
       std::cerr << "reparse failed: " << st << "\n";
       return 1;
     }
-    cold_store.Freeze(&pool);
+    cold_store.Freeze();
     rdf::TextIndex cold_text(cold_store);
     auto cold_vsg = core::VirtualSchemaGraph::Build(
         cold_store, env.dataset.spec.observation_class);

@@ -1,12 +1,9 @@
 // re2xolap_snapshot: command-line tool for the snapshot subsystem.
 //
-//   re2xolap_snapshot build [--format=raw|compressed] <input.nt> <out.snap>
-//                           [observation_class_iri]
+//   re2xolap_snapshot build <input.nt> <out.snap> [observation_class_iri]
 //       Parses an N-Triples file, freezes the store, builds the text
 //       index (and, when an observation class IRI is given, the virtual
-//       schema graph) and writes a snapshot image. --format overrides the
-//       RE2XOLAP_INDEX_FORMAT default: raw writes a version-1 image,
-//       compressed a version-2 image with delta/vbyte block indexes.
+//       schema graph) and writes a version-1 snapshot image.
 //
 //   re2xolap_snapshot inspect <file.snap>
 //       Prints the header and section table without touching payloads.
@@ -25,7 +22,6 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "core/session.h"
 #include "core/virtual_schema_graph.h"
@@ -43,8 +39,8 @@ using namespace re2xolap;
 int Usage() {
   std::cerr
       << "usage:\n"
-      << "  re2xolap_snapshot build [--format=raw|compressed] <input.nt> "
-         "<out.snap> [observation_class]\n"
+      << "  re2xolap_snapshot build <input.nt> <out.snap> "
+         "[observation_class]\n"
       << "  re2xolap_snapshot inspect <file.snap>\n"
       << "  re2xolap_snapshot verify <file.snap>\n"
       << "  re2xolap_snapshot export <file.snap> <out.nt>\n";
@@ -56,12 +52,6 @@ int Fail(const util::Status& st) {
   return 1;
 }
 
-bool IsCompressedIndexSection(storage::SectionId id) {
-  return id == storage::SectionId::kSpoBlocks ||
-         id == storage::SectionId::kPosBlocks ||
-         id == storage::SectionId::kOspBlocks;
-}
-
 void PrintInfo(const storage::SnapshotInfo& info) {
   std::cout << "version:      " << info.version << "\n"
             << "file bytes:   " << info.file_bytes << "\n"
@@ -71,38 +61,15 @@ void PrintInfo(const storage::SnapshotInfo& info) {
             << "text index:   " << (info.has_text_index ? "yes" : "no") << "\n"
             << "schema graph: " << (info.has_vsg ? "yes" : "no") << "\n"
             << "sections:\n";
-  // The raw equivalent of each index permutation is a flat EncodedTriple
-  // array: 12 bytes per triple regardless of permutation.
-  const uint64_t raw_index_bytes =
-      info.triple_count * sizeof(rdf::EncodedTriple);
-  uint64_t compressed_total = 0;
-  size_t compressed_sections = 0;
   for (const storage::SectionInfo& s : info.sections) {
     std::cout << "  " << storage::SectionName(s.id) << "  offset=" << s.offset
               << "  bytes=" << s.bytes << "  xxh64=" << std::hex << s.checksum
-              << std::dec;
-    if (IsCompressedIndexSection(s.id) && raw_index_bytes > 0) {
-      std::cout << "  raw=" << raw_index_bytes << "  ratio="
-                << static_cast<double>(s.bytes) /
-                       static_cast<double>(raw_index_bytes);
-      compressed_total += s.bytes;
-      ++compressed_sections;
-    }
-    std::cout << "\n";
-  }
-  if (compressed_sections > 0 && raw_index_bytes > 0) {
-    const uint64_t raw_total = compressed_sections * raw_index_bytes;
-    std::cout << "index bytes:  compressed=" << compressed_total
-              << "  raw equivalent=" << raw_total << "  ratio="
-              << static_cast<double>(compressed_total) /
-                     static_cast<double>(raw_total)
-              << "\n";
+              << std::dec << "\n";
   }
 }
 
 int CmdBuild(const std::string& input, const std::string& output,
-             const std::string& observation_class,
-             const std::string& format) {
+             const std::string& observation_class) {
   std::ifstream in(input);
   if (!in) {
     std::cerr << "error: cannot open " << input << "\n";
@@ -114,18 +81,9 @@ int CmdBuild(const std::string& input, const std::string& output,
   util::ThreadPool pool(util::ThreadPool::DefaultThreads());
   util::WallTimer timer;
   rdf::TripleStore store;
-  if (format == "compressed") {
-    store.set_index_format(rdf::IndexFormat::kCompressed);
-  } else if (format == "raw") {
-    store.set_index_format(rdf::IndexFormat::kRaw);
-  } else if (!format.empty()) {
-    std::cerr << "error: unknown --format=" << format
-              << " (expected raw or compressed)\n";
-    return 1;
-  }
   util::Status st = rdf::ParseNTriples(text_buf.str(), &store);
   if (!st.ok()) return Fail(st);
-  store.Freeze(&pool);
+  store.Freeze();
   std::cout << "parsed+froze " << store.size() << " triples ("
             << store.dictionary().size() << " terms) in "
             << timer.ElapsedMillis() << " ms\n";
@@ -172,16 +130,9 @@ int CmdVerify(const std::string& path) {
   util::WallTimer timer;
   auto info = storage::VerifySnapshot(path, &pool);
   if (!info.ok()) return Fail(info.status());
-  bool compressed = false;
-  for (const storage::SectionInfo& s : info->sections) {
-    if (IsCompressedIndexSection(s.id)) compressed = true;
-  }
   std::cout << "ok: header and all " << info->sections.size()
-            << " section checksums verified";
-  if (compressed) {
-    std::cout << " (incl. per-block checksums and skip-table ordering)";
-  }
-  std::cout << " in " << timer.ElapsedMillis() << " ms\n";
+            << " section checksums verified in " << timer.ElapsedMillis()
+            << " ms\n";
   PrintInfo(*info);
   return 0;
 }
@@ -209,24 +160,8 @@ int CmdExport(const std::string& path, const std::string& output) {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   std::string cmd = argv[1];
-  if (cmd == "build") {
-    // Optional --format=raw|compressed anywhere after the command; the
-    // default follows RE2XOLAP_INDEX_FORMAT like every other entry point.
-    std::string format;
-    std::vector<std::string> args;
-    for (int i = 2; i < argc; ++i) {
-      std::string a = argv[i];
-      if (a.rfind("--format=", 0) == 0) {
-        format = a.substr(9);
-      } else {
-        args.push_back(std::move(a));
-      }
-    }
-    if (args.size() == 2 || args.size() == 3) {
-      return CmdBuild(args[0], args[1], args.size() == 3 ? args[2] : "",
-                      format);
-    }
-    return Usage();
+  if (cmd == "build" && (argc == 4 || argc == 5)) {
+    return CmdBuild(argv[2], argv[3], argc == 5 ? argv[4] : "");
   }
   if (cmd == "inspect" && argc == 3) return CmdInspect(argv[2]);
   if (cmd == "verify" && argc == 3) return CmdVerify(argv[2]);

@@ -216,11 +216,9 @@ util::Result<VirtualSchemaGraph> VirtualSchemaGraph::Build(
       ++st.store_scans;
       RE2X_RETURN_IF_ERROR(poll_guard());
       pos = spo.GallopLowerBound(
-          pos, rdf::EncodedTriple{m, rdf::kInvalidTermId, rdf::kInvalidTermId},
-          &scratch);
+          pos, rdf::EncodedTriple{m, rdf::kInvalidTermId, rdf::kInvalidTermId});
       const uint64_t end = spo.GallopUpperBound(
-          pos, rdf::EncodedTriple{m, rdf::kMaxTermId, rdf::kMaxTermId},
-          &scratch);
+          pos, rdf::EncodedTriple{m, rdf::kMaxTermId, rdf::kMaxTermId});
       while (pos < end) {
         std::span<const rdf::EncodedTriple> chunk =
             spo.Fetch(pos, end - pos, &scratch);

@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace re2xolap::qb {
 
@@ -128,8 +127,7 @@ size_t HashedParent(size_t child, size_t parent_count, size_t salt) {
 
 }  // namespace
 
-util::Result<GeneratedDataset> Generate(DatasetSpec spec,
-                                        util::ThreadPool* freeze_pool) {
+util::Result<GeneratedDataset> Generate(DatasetSpec spec) {
   auto store = std::make_unique<rdf::TripleStore>();
   const LoadSize load = PlanLoad(spec);
   store->Reserve(load.triples);
@@ -332,7 +330,7 @@ util::Result<GeneratedDataset> Generate(DatasetSpec spec,
     }
   }
 
-  store->Freeze(freeze_pool);
+  store->Freeze();
   GeneratedDataset out;
   out.store = std::move(store);
   out.spec = std::move(spec);

@@ -40,11 +40,7 @@ struct GeneratedDataset {
 /// predicate, level member, observation, measure value and attribute
 /// value) in the order per-triple Add() calls would intern it, so term ids
 /// are a pure function of the spec, and triples go in via AddEncoded().
-/// `freeze_pool` is handed to the final TripleStore::Freeze(), which uses
-/// it to compress the permutations when the store's index format is
-/// compressed (same store bits either way).
-util::Result<GeneratedDataset> Generate(
-    DatasetSpec spec, util::ThreadPool* freeze_pool = nullptr);
+util::Result<GeneratedDataset> Generate(DatasetSpec spec);
 
 }  // namespace re2xolap::qb
 

@@ -159,34 +159,24 @@ void MergedRun::Seek(uint64_t pos, MergedCursorState* cur) const {
 uint64_t MergedRun::Advance(MergedCursorState* cur, uint64_t limit,
                             std::vector<EncodedTriple>* out) const {
   if (limit == 0) return 0;
-  // Chunked per-source heads: Fetch hands back spans block-at-a-time, so
-  // the merge loop touches the decode machinery once per block, not once
-  // per triple.
+  // Every source is a raw span (base arrays and layer runs), so a head is
+  // one indexed load.
   struct Src {
-    const IndexRange* r = nullptr;
+    std::span<const EncodedTriple> s;
     uint64_t pos = 0;
-    std::span<const EncodedTriple> chunk;
-    uint64_t chunk_start = 0;
-    IndexBlockScratch scratch;
 
-    bool exhausted() const { return pos >= r->size(); }
-    const EncodedTriple& Head() {
-      if (pos < chunk_start || pos >= chunk_start + chunk.size()) {
-        chunk = r->Fetch(pos, 0, &scratch);
-        chunk_start = pos;
-      }
-      return chunk[pos - chunk_start];
-    }
+    bool exhausted() const { return pos >= s.size(); }
+    const EncodedTriple& Head() const { return s[pos]; }
   };
   const size_t na = adds_.size();
   const size_t nd = dels_.size();
   std::vector<Src> src(na + nd);
   for (size_t i = 0; i < na; ++i) {
-    src[i].r = &adds_[i];
+    src[i].s = adds_[i].raw();
     src[i].pos = cur->src[i];
   }
   for (size_t j = 0; j < nd; ++j) {
-    src[na + j].r = &dels_[j];
+    src[na + j].s = dels_[j].raw();
     src[na + j].pos = cur->src[na + j];
   }
 

@@ -146,8 +146,9 @@ void ApplyLayerToStats(const DeltaLayer& layer,
 /// the chain keepalive, so a range outlives chain publication safely.
 class MergedRun {
  public:
-  /// `adds` must be non-empty; every range must share `perm` and the
-  /// same clip window. `keepalive` pins the chain the sources alias.
+  /// `adds` must be non-empty; every range must be raw (not merged),
+  /// share `perm` and the same clip window. `keepalive` pins the chain
+  /// the sources alias.
   MergedRun(std::vector<IndexRange> adds, std::vector<IndexRange> dels,
             Perm perm, std::shared_ptr<const void> keepalive);
 

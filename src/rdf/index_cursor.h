@@ -5,13 +5,11 @@
 //
 // TripleStore::Match() answers every pattern with an IndexRange: a
 // contiguous, sorted run of triples inside one permutation. The range is
-// backed either by a raw EncodedTriple array (zero-copy spans, the classic
-// representation) or by the compressed block format of
-// rdf/compressed_index.h (fixed-size delta/vbyte blocks plus an in-memory
-// skip table). Consumers that only iterate use the range-for iterator or
-// IndexCursor::NextChunk; the executors additionally seek and gallop via
-// sentinel-triple probes, which on compressed ranges run on the block skip
-// keys first and decode only the blocks that survive the seek.
+// backed either by a sorted EncodedTriple array (a zero-copy span into the
+// store's own vectors or a mapped snapshot image) or, on live stores, by
+// the K-way base-plus-delta MergedRun of rdf/delta_layer.h. Consumers that
+// only iterate use the range-for iterator or IndexCursor::NextChunk; the
+// executors additionally seek and gallop via sentinel-triple probes.
 //
 // Position convention: all positions are relative to the range (0 ..
 // size()). Probes are full sentinel triples compared with the permutation's
@@ -30,18 +28,16 @@
 
 namespace re2xolap::rdf {
 
-class CompressedPermutation;
 class MergedRun;
 
-/// The three index permutations. The numeric values are wire-stable: the
-/// compressed snapshot sections identify their permutation by this value.
+/// The three index permutations.
 enum class Perm : uint8_t { kSpo = 0, kPos = 1, kOsp = 2 };
 
 inline constexpr TermId kMaxTermId = ~static_cast<TermId>(0);
 
 /// Key comparators for the three permutations (total orders over full
-/// triples). Centralized here so the store, the executors, and the
-/// compressed codec agree on one definition.
+/// triples). Centralized here so the store, the executors, the delta
+/// layers and the snapshot validator agree on one definition.
 struct SpoLess {
   bool operator()(const EncodedTriple& a, const EncodedTriple& b) const {
     if (a.s != b.s) return a.s < b.s;
@@ -77,15 +73,6 @@ inline bool PermLess(Perm perm, const EncodedTriple& a,
   }
 }
 
-/// Caller-owned scratch for decoding compressed blocks: pins one decoded
-/// block so repeated accesses into the same block (chunked scans, binary
-/// searches converging on a block) decode it once. Decoded blocks live in
-/// a thread-local block cache (see index_cursor.cc); the scratch holds a
-/// shared_ptr pin, so spans handed out stay valid even if the cache
-/// evicts the block. Reusable across ranges; the (generation, block) key
-/// prevents stale hits when a range from a different permutation — or a
-/// permutation that has since been destroyed and its address reused — is
-/// attached to the same scratch.
 /// Per-source merge positions of a MergedRun reader (adds first, then
 /// tombstone sources), plus the merged position they correspond to.
 /// Lives inside IndexBlockScratch so a cursor's scratch can continue a
@@ -95,17 +82,16 @@ struct MergedCursorState {
   std::vector<uint64_t> src;
 };
 
+/// Caller-owned scratch for reading merged ranges (live stores,
+/// rdf/delta_layer.h): `merged_buf` holds the materialized window starting
+/// at absolute merged position `merged_win_start` of the run identified by
+/// `merged_id`, and `merged_cur` sits at the window's end so sequential
+/// Fetch calls continue the K-way merge without a rank re-seek. The buffer
+/// is owned by the scratch, so handed-out spans stay valid until the
+/// scratch is reused. Reusable across ranges: the run id prevents stale
+/// hits when a range of another run is attached. Raw ranges never touch
+/// it.
 struct IndexBlockScratch {
-  std::shared_ptr<const std::vector<EncodedTriple>> pinned;
-  uint64_t generation = 0;             // CompressedPermutation::generation()
-  uint64_t block = ~static_cast<uint64_t>(0);
-  // Merged-run window (live stores, rdf/delta_layer.h): `merged_buf`
-  // holds the materialized window starting at absolute merged position
-  // `merged_win_start` of the run identified by `merged_id`, and
-  // `merged_cur` sits at the window's end so sequential Fetch calls
-  // continue the K-way merge without a rank re-seek. The buffer is owned
-  // by the scratch, so handed-out spans follow the usual scratch-reuse
-  // lifetime rule.
   uint64_t merged_id = 0;  // MergedRun::id(); 0 = no window
   uint64_t merged_win_start = 0;
   std::vector<EncodedTriple> merged_buf;
@@ -129,17 +115,6 @@ class IndexRange {
     return r;
   }
 
-  /// Compressed backing: positions [begin, end) of `blocks`' permutation.
-  static IndexRange FromBlocks(const CompressedPermutation* blocks,
-                               uint64_t begin, uint64_t end, Perm perm) {
-    IndexRange r;
-    r.blocks_ = blocks;
-    r.begin_ = begin;
-    r.end_ = end;
-    r.perm_ = perm;
-    return r;
-  }
-
   /// Merged backing (live stores): positions [begin, end) of `run`, the
   /// K-way base-plus-delta view of rdf/delta_layer.h. The shared_ptr
   /// keeps the run — and through it the pinned epoch chain — alive for
@@ -157,50 +132,42 @@ class IndexRange {
 
   uint64_t size() const { return end_ - begin_; }
   bool empty() const { return end_ == begin_; }
-  bool compressed() const { return blocks_ != nullptr; }
   bool merged() const { return merged_ != nullptr; }
   Perm perm() const { return perm_; }
 
-  /// Zero-copy access to a raw-backed range. Precondition: !compressed()
-  /// and !merged().
+  /// Zero-copy access to a raw-backed range. Precondition: !merged().
   std::span<const EncodedTriple> raw() const {
-    assert(!compressed() && !merged());
+    assert(!merged());
     return {data_ + begin_, static_cast<size_t>(end_ - begin_)};
   }
 
   /// Returns up to `limit` triples starting at relative position `pos`
   /// (limit 0 = as many as available). Raw ranges return a zero-copy
-  /// subspan covering the whole remainder (capped by limit); compressed
-  /// ranges return a slice of one decoded block, so the chunk additionally
-  /// ends at the next block boundary. The returned span stays valid until
-  /// `scratch` is reused. `scratch` may be null for raw ranges.
+  /// subspan covering the whole remainder (capped by limit); merged ranges
+  /// return a slice of the scratch's materialized window, so the chunk
+  /// additionally ends at the window's end. The returned span stays valid
+  /// until `scratch` is reused. `scratch` may be null (merged ranges then
+  /// use a thread-local scratch).
   std::span<const EncodedTriple> Fetch(uint64_t pos, uint64_t limit,
                                        IndexBlockScratch* scratch) const;
 
-  /// Triple at relative position i. On compressed ranges this decodes via
-  /// a thread-local scratch — fine for cold paths and point lookups, use
+  /// Triple at relative position i. On merged ranges this merges via a
+  /// thread-local scratch — fine for cold paths and point lookups, use
   /// Fetch/iterators for scans.
   EncodedTriple operator[](uint64_t i) const;
   EncodedTriple front() const { return (*this)[0]; }
   EncodedTriple back() const { return (*this)[size() - 1]; }
 
   /// First relative position whose triple is >= probe (LowerBound) or >
-  /// probe (UpperBound) in the permutation's key order. Compressed ranges
-  /// binary-search the block skip keys and decode at most one block.
-  /// `scratch` may be null (falls back to the thread-local scratch).
-  uint64_t LowerBound(const EncodedTriple& probe,
-                      IndexBlockScratch* scratch = nullptr) const;
-  uint64_t UpperBound(const EncodedTriple& probe,
-                      IndexBlockScratch* scratch = nullptr) const;
+  /// probe (UpperBound) in the permutation's key order.
+  uint64_t LowerBound(const EncodedTriple& probe) const;
+  uint64_t UpperBound(const EncodedTriple& probe) const;
 
   /// Galloping variants for merge joins: start at relative position `from`
-  /// and double the step until the probe is bracketed. Compressed ranges
-  /// gallop over the block skip keys first and decode only the one block
-  /// the final binary search lands in.
-  uint64_t GallopLowerBound(uint64_t from, const EncodedTriple& probe,
-                            IndexBlockScratch* scratch = nullptr) const;
-  uint64_t GallopUpperBound(uint64_t from, const EncodedTriple& probe,
-                            IndexBlockScratch* scratch = nullptr) const;
+  /// and double the step until the probe is bracketed. Merged ranges sum
+  /// per-source bounds and use `from` only as a clamp.
+  uint64_t GallopLowerBound(uint64_t from, const EncodedTriple& probe) const;
+  uint64_t GallopUpperBound(uint64_t from, const EncodedTriple& probe) const;
 
   /// Sub-range [lo, hi) in relative positions.
   IndexRange Slice(uint64_t lo, uint64_t hi) const {
@@ -212,9 +179,8 @@ class IndexRange {
   }
 
   /// Input iterator for range-for consumption (profiling scans, exports,
-  /// other cold paths). Each begin() of a compressed range allocates one
-  /// block-sized scratch; the hot executors use Fetch with pooled scratch
-  /// instead.
+  /// other cold paths). Each begin() of a merged range allocates one
+  /// scratch; the hot executors use Fetch with pooled scratch instead.
   class Iterator {
    public:
     using iterator_category = std::input_iterator_tag;
@@ -261,20 +227,19 @@ class IndexRange {
   std::span<const EncodedTriple> FetchMerged(uint64_t pos, uint64_t limit,
                                              IndexBlockScratch* scratch) const;
 
-  const CompressedPermutation* blocks_ = nullptr;  // null => raw backing
-  const EncodedTriple* data_ = nullptr;            // raw backing base
-  // Merged backing (null otherwise): copying a null shared_ptr is free,
-  // so classic raw/compressed ranges pay nothing for this member.
+  const EncodedTriple* data_ = nullptr;  // raw backing base
+  // Merged backing (null => raw): copying a null shared_ptr is free, so
+  // raw ranges pay nothing for this member.
   std::shared_ptr<const MergedRun> merged_;
-  uint64_t begin_ = 0;  // raw: 0; compressed/merged: absolute position
-  uint64_t end_ = 0;    // raw: size; compressed/merged: absolute end
+  uint64_t begin_ = 0;  // absolute start position
+  uint64_t end_ = 0;    // absolute end position
   Perm perm_ = Perm::kSpo;
 };
 
-/// Stateful forward reader over an IndexRange: seek + block-at-a-time
-/// materialization into owned scratch. Executors keep one per plan step /
-/// recursion depth so the scratch block allocates once and is reused for
-/// every binding; Attach() re-targets the cursor without releasing it.
+/// Stateful forward reader over an IndexRange: seek + chunk-at-a-time
+/// reads through owned scratch. Executors keep one per plan step /
+/// recursion depth so the scratch allocates once and is reused for every
+/// binding; Attach() re-targets the cursor without releasing it.
 class IndexCursor {
  public:
   IndexCursor() = default;
@@ -293,10 +258,10 @@ class IndexCursor {
   /// Advances past every triple < probe (>= semantics) or <= probe
   /// (greater semantics), galloping forward from the current position.
   void SeekLowerBound(const EncodedTriple& probe) {
-    pos_ = range_.GallopLowerBound(pos_, probe, &scratch_);
+    pos_ = range_.GallopLowerBound(pos_, probe);
   }
   void SeekUpperBound(const EncodedTriple& probe) {
-    pos_ = range_.GallopUpperBound(pos_, probe, &scratch_);
+    pos_ = range_.GallopUpperBound(pos_, probe);
   }
 
   /// Next chunk of at most `limit` triples (0 = no cap), advancing the

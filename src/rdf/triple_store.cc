@@ -2,31 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
-#include <string_view>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "rdf/compressed_index.h"
 #include "rdf/delta_layer.h"
-#include "util/thread_pool.h"
 
 namespace re2xolap::rdf {
 
-IndexFormat DefaultIndexFormat() {
-  // Read once: flipping the env mid-process must not change behavior of
-  // stores that already froze under the other format.
-  static const IndexFormat format = [] {
-    const char* env = std::getenv("RE2XOLAP_INDEX_FORMAT");
-    if (env != nullptr && std::string_view(env) == "compressed") {
-      return IndexFormat::kCompressed;
-    }
-    return IndexFormat::kRaw;
-  }();
-  return format;
-}
-
-TripleStore::TripleStore() : format_(DefaultIndexFormat()) {}
+TripleStore::TripleStore() = default;
 
 TripleStore::~TripleStore() = default;
 
@@ -51,15 +34,6 @@ void TripleStore::Reserve(size_t triples) {
 }
 
 void TripleStore::Materialize() {
-  if (spo_blocks_ != nullptr) {
-    // Compressed (owned or borrowed): decode the canonical SPO list; the
-    // other permutations are rebuilt by the next Freeze().
-    std::vector<EncodedTriple> spo;
-    spo_blocks_->DecodeAll(&spo);
-    ResetIndexState();
-    spo_ = std::move(spo);
-    return;
-  }
   if (keepalive_ == nullptr) return;
   spo_.assign(spo_view_.begin(), spo_view_.end());
   pos_.assign(pos_view_.begin(), pos_view_.end());
@@ -80,9 +54,6 @@ void TripleStore::ResetIndexState() {
   spo_view_ = {};
   pos_view_ = {};
   osp_view_ = {};
-  spo_blocks_.reset();
-  pos_blocks_.reset();
-  osp_blocks_.reset();
   keepalive_.reset();
 }
 
@@ -124,27 +95,7 @@ void TripleStore::AdoptFrozenView(
   UpdateStoreGauges();
 }
 
-void TripleStore::AdoptFrozenCompressed(
-    CompressedPermutation spo, CompressedPermutation pos,
-    CompressedPermutation osp,
-    std::unordered_map<TermId, PredicateStats> stats, uint64_t epoch,
-    std::shared_ptr<const void> keepalive) {
-  assert(active_readers_.load(std::memory_order_relaxed) == 0 &&
-         "TripleStore::AdoptFrozenCompressed() during concurrent reads");
-  assert(!live() && "TripleStore::AdoptFrozenCompressed() on a live store");
-  assert(spo.size() == pos.size() && pos.size() == osp.size());
-  ResetIndexState();
-  spo_blocks_ = std::make_unique<CompressedPermutation>(std::move(spo));
-  pos_blocks_ = std::make_unique<CompressedPermutation>(std::move(pos));
-  osp_blocks_ = std::make_unique<CompressedPermutation>(std::move(osp));
-  keepalive_ = std::move(keepalive);
-  stats_ = std::move(stats);
-  frozen_ = true;
-  freeze_epoch_ = epoch;
-  UpdateStoreGauges();
-}
-
-void TripleStore::Freeze(util::ThreadPool* pool) {
+void TripleStore::Freeze() {
   assert(active_readers_.load(std::memory_order_relaxed) == 0 &&
          "TripleStore::Freeze() during concurrent reads");
   assert(!live() && "live stores advance epochs via PublishChain()");
@@ -158,10 +109,6 @@ void TripleStore::Freeze(util::ThreadPool* pool) {
   {
     obs::Span child("store.compute_stats");
     ComputeStats();
-  }
-  if (format_ == IndexFormat::kCompressed) {
-    obs::Span child("store.compress_indexes");
-    CompressIndexes(pool);
   }
   frozen_ = true;
   ++freeze_epoch_;
@@ -254,39 +201,6 @@ void TripleStore::ComputeStats() {
   stats_ = ComputePredicateStats(spo_, pos_);
 }
 
-void TripleStore::CompressIndexes(util::ThreadPool* pool) {
-  auto spo_cp = std::make_unique<CompressedPermutation>();
-  auto pos_cp = std::make_unique<CompressedPermutation>();
-  auto osp_cp = std::make_unique<CompressedPermutation>();
-  auto compress_one = [&](size_t task) {
-    switch (task) {
-      case 0:
-        *spo_cp = CompressedPermutation::Build(spo_, Perm::kSpo);
-        break;
-      case 1:
-        *pos_cp = CompressedPermutation::Build(pos_, Perm::kPos);
-        break;
-      default:
-        *osp_cp = CompressedPermutation::Build(osp_, Perm::kOsp);
-        break;
-    }
-  };
-  if (pool != nullptr && pool->size() > 0) {
-    pool->ParallelFor(3, compress_one);
-  } else {
-    for (size_t t = 0; t < 3; ++t) compress_one(t);
-  }
-  spo_blocks_ = std::move(spo_cp);
-  pos_blocks_ = std::move(pos_cp);
-  osp_blocks_ = std::move(osp_cp);
-  spo_.clear();
-  spo_.shrink_to_fit();
-  pos_.clear();
-  pos_.shrink_to_fit();
-  osp_.clear();
-  osp_.shrink_to_fit();
-}
-
 IndexRange TripleStore::PermutationRange(Perm perm) const {
   if (live()) return LivePermutationRange(perm);
   return ClassicPermutationRange(perm);
@@ -295,22 +209,10 @@ IndexRange TripleStore::PermutationRange(Perm perm) const {
 IndexRange TripleStore::ClassicPermutationRange(Perm perm) const {
   switch (perm) {
     case Perm::kSpo:
-      if (spo_blocks_ != nullptr) {
-        return IndexRange::FromBlocks(spo_blocks_.get(), 0,
-                                      spo_blocks_->size(), perm);
-      }
       return IndexRange::FromSpan(SpoView(), perm);
     case Perm::kPos:
-      if (pos_blocks_ != nullptr) {
-        return IndexRange::FromBlocks(pos_blocks_.get(), 0,
-                                      pos_blocks_->size(), perm);
-      }
       return IndexRange::FromSpan(PosView(), perm);
     default:
-      if (osp_blocks_ != nullptr) {
-        return IndexRange::FromBlocks(osp_blocks_.get(), 0,
-                                      osp_blocks_->size(), perm);
-      }
       return IndexRange::FromSpan(OspView(), perm);
   }
 }
@@ -587,10 +489,7 @@ uint64_t TripleStore::size() const {
   return ClassicSize();
 }
 
-uint64_t TripleStore::ClassicSize() const {
-  if (spo_blocks_ != nullptr) return spo_blocks_->size();
-  return SpoView().size();
-}
+uint64_t TripleStore::ClassicSize() const { return SpoView().size(); }
 
 StoreMemory TripleStore::MemoryBreakdown() const {
   StoreMemory m;
@@ -599,14 +498,8 @@ StoreMemory TripleStore::MemoryBreakdown() const {
                      sizeof(EncodedTriple) +
                  stats_.size() * (sizeof(TermId) + sizeof(PredicateStats) +
                                   2 * sizeof(void*));
-  for (const CompressedPermutation* cp :
-       {spo_blocks_.get(), pos_blocks_.get(), osp_blocks_.get()}) {
-    if (cp == nullptr) continue;
-    m.heap_bytes += cp->heap_bytes();
-    if (cp->borrowed()) m.mapped_bytes += cp->byte_size();
-  }
-  if (keepalive_ != nullptr && spo_blocks_ == nullptr) {
-    // Raw borrowed views: the image bytes the three spans alias.
+  if (keepalive_ != nullptr) {
+    // Borrowed views: the image bytes the three spans alias.
     m.mapped_bytes +=
         (spo_view_.size() + pos_view_.size() + osp_view_.size()) *
         sizeof(EncodedTriple);
@@ -628,10 +521,6 @@ void TripleStore::UpdateStoreGauges() const {
   reg.GetGauge("store.bytes.heap").Set(static_cast<double>(m.heap_bytes));
   reg.GetGauge("store.bytes.mapped").Set(static_cast<double>(m.mapped_bytes));
   auto index_bytes = [this](Perm perm) -> double {
-    const CompressedPermutation* cp = perm == Perm::kSpo ? spo_blocks_.get()
-                                     : perm == Perm::kPos ? pos_blocks_.get()
-                                                          : osp_blocks_.get();
-    if (cp != nullptr) return static_cast<double>(cp->byte_size());
     std::span<const EncodedTriple> view = perm == Perm::kSpo   ? SpoView()
                                           : perm == Perm::kPos ? PosView()
                                                                : OspView();

@@ -16,13 +16,8 @@
 #include "util/result.h"
 #include "util/status.h"
 
-namespace re2xolap::util {
-class ThreadPool;
-}
-
 namespace re2xolap::rdf {
 
-class CompressedPermutation;
 struct DeltaLayer;
 struct EpochChain;
 
@@ -33,16 +28,6 @@ struct PredicateStats {
   uint64_t distinct_subjects = 0;
   uint64_t distinct_objects = 0;
 };
-
-/// Physical representation of the three index permutations.
-enum class IndexFormat : uint8_t {
-  kRaw = 0,         // sorted EncodedTriple arrays, zero-copy span access
-  kCompressed = 1,  // delta/vbyte blocks + skip table (rdf/compressed_index.h)
-};
-
-/// Process-wide default, read once from RE2XOLAP_INDEX_FORMAT
-/// ("raw" | "compressed"; anything else falls back to raw).
-IndexFormat DefaultIndexFormat();
 
 /// Per-predicate statistics from the same deduplicated triples sorted
 /// two ways — (s,p,o) and (p,o,s) — the exact computation Freeze() runs
@@ -74,25 +59,22 @@ struct StoreMemory {
 /// This mirrors the paper's setting: the KG is loaded/bootstrapped once and
 /// then queried read-only.
 ///
-/// Each permutation is stored in one of two formats behind the IndexRange
-/// seam (rdf/index_cursor.h): raw sorted EncodedTriple arrays — owned
-/// vectors or spans borrowed from a memory-mapped snapshot image — or the
-/// compressed block format of rdf/compressed_index.h (again owned or
-/// borrowed). Match() always answers with an IndexRange; raw ranges expose
-/// the classic zero-copy spans, compressed ranges decode block-at-a-time
-/// into caller scratch. The first mutation (Add/AddEncoded/Freeze)
-/// transparently materializes owned raw storage, so the mutable API keeps
-/// working after any kind of load.
+/// Each permutation is a sorted EncodedTriple array: an owned vector or a
+/// span borrowed from a loaded snapshot image. Match() answers with an
+/// IndexRange (rdf/index_cursor.h) over it — a zero-copy span, or on a
+/// live store with delta layers a merged view. The first mutation
+/// (Add/AddEncoded/Freeze) transparently materializes owned vectors, so
+/// the mutable API keeps working after a zero-copy load.
 ///
 /// Concurrent-read contract: after Freeze() returns, every const member
 /// (Match, CountMatches, Exists, Lookup, term, predicate_stats, ...) is
 /// safe to call from any number of threads simultaneously — the read paths
 /// are pure binary searches / hash lookups over immutable storage, and
-/// compressed-block decoding goes through thread-local or caller-owned
-/// scratch. The contract is voided by any concurrent mutation: Add(),
-/// AddEncoded(), Intern(), and Freeze() must never overlap a read. Debug
-/// builds enforce this with an active-reader counter asserted inside the
-/// mutators (see ReadGuard below).
+/// merged reads go through thread-local or caller-owned scratch. The
+/// contract is voided by any concurrent mutation: Add(), AddEncoded(),
+/// Intern(), and Freeze() must never overlap a read. Debug builds enforce
+/// this with an active-reader counter asserted inside the mutators (see
+/// ReadGuard below).
 class TripleStore {
  public:
   TripleStore();
@@ -114,17 +96,14 @@ class TripleStore {
   void Reserve(size_t triples);
 
   /// Sorts and deduplicates the three index permutations and computes
-  /// predicate statistics; when index_format() is kCompressed the sorted
-  /// permutations are then compressed and the raw arrays released. Must be
-  /// called after loading, before querying. SPO comes from one stable
-  /// counting sort by subject plus a sort of each subject's run by (p, o);
-  /// OSP and POS from one counting sort each over the dense term ids. The
-  /// build is O(n + |dictionary| + sum of k log k) over subject runs of
-  /// length k — near linear when subjects carry few triples each, O(n log
-  /// n) in the worst case of one shared subject. When `pool` is non-null
-  /// the three permutations are compressed as concurrent tasks; the
-  /// resulting store is bit-identical to a serial Freeze().
-  void Freeze(util::ThreadPool* pool = nullptr);
+  /// predicate statistics. Must be called after loading, before querying.
+  /// SPO comes from one stable counting sort by subject plus a sort of
+  /// each subject's run by (p, o); OSP and POS from one counting sort each
+  /// over the dense term ids. The build is O(n + |dictionary| + sum of k
+  /// log k) over subject runs of length k — near linear when subjects
+  /// carry few triples each, O(n log n) in the worst case of one shared
+  /// subject.
+  void Freeze();
 
   bool frozen() const { return frozen_; }
 
@@ -210,17 +189,6 @@ class TripleStore {
     const TripleStore* store_ = nullptr;  // null => store was not live
   };
 
-  /// --- Index format -------------------------------------------------------
-
-  /// The format the next Freeze() will build. Defaults to
-  /// DefaultIndexFormat(); snapshot adoption serves whatever format the
-  /// image holds regardless of this setting.
-  IndexFormat index_format() const { return format_; }
-  void set_index_format(IndexFormat f) { format_ = f; }
-
-  /// True when the store currently serves compressed block indexes.
-  bool compressed_index() const { return spo_blocks_ != nullptr; }
-
   /// --- Snapshot restore (src/storage/) -----------------------------------
 
   /// Installs a fully built frozen image: the three arrays must already be
@@ -242,18 +210,6 @@ class TripleStore {
                        std::span<const EncodedTriple> osp,
                        std::unordered_map<TermId, PredicateStats> stats,
                        uint64_t epoch, std::shared_ptr<const void> keepalive);
-
-  /// Compressed-format adoption: the three permutations arrive as
-  /// CompressedPermutation objects whose skip/payload storage is either
-  /// owned or borrowed from `keepalive` (which may be null when all three
-  /// own their storage). storage/ validates every block before calling
-  /// this. Same frozen-at-epoch semantics as AdoptFrozen.
-  void AdoptFrozenCompressed(CompressedPermutation spo,
-                             CompressedPermutation pos,
-                             CompressedPermutation osp,
-                             std::unordered_map<TermId, PredicateStats> stats,
-                             uint64_t epoch,
-                             std::shared_ptr<const void> keepalive);
 
   /// True while the indexes borrow a loaded snapshot image — mapped file
   /// or heap buffer (diagnostics; flips to false when a mutation
@@ -292,8 +248,7 @@ class TripleStore {
   IndexRange Match(const TriplePattern& pattern) const;
 
   /// Number of triples matching a pattern. Pure index-range arithmetic:
-  /// compressed stores answer from the skip table plus at most two block
-  /// decodes, raw stores from two binary searches.
+  /// two binary searches.
   uint64_t CountMatches(const TriplePattern& pattern) const;
 
   /// True if at least one triple matches.
@@ -323,28 +278,10 @@ class TripleStore {
   }
 
   /// The three sorted index permutations as contiguous spans (canonical
-  /// triple list = spo_span()). Raw-format stores only — compressed stores
-  /// have no contiguous triple arrays (use PermutationRange / the snapshot
-  /// writer's compressed path); calling these on one is a programming
-  /// error. Require frozen().
-  std::span<const EncodedTriple> spo_span() const {
-    assert(!compressed_index());
-    return SpoView();
-  }
-  std::span<const EncodedTriple> pos_span() const {
-    assert(!compressed_index());
-    return PosView();
-  }
-  std::span<const EncodedTriple> osp_span() const {
-    assert(!compressed_index());
-    return OspView();
-  }
-
-  /// Compressed permutations (null on raw-format stores). Snapshot
-  /// serialization reads the skip/payload parts through these.
-  const CompressedPermutation* spo_blocks() const { return spo_blocks_.get(); }
-  const CompressedPermutation* pos_blocks() const { return pos_blocks_.get(); }
-  const CompressedPermutation* osp_blocks() const { return osp_blocks_.get(); }
+  /// triple list = spo_span()). Require frozen().
+  std::span<const EncodedTriple> spo_span() const { return SpoView(); }
+  std::span<const EncodedTriple> pos_span() const { return PosView(); }
+  std::span<const EncodedTriple> osp_span() const { return OspView(); }
 
   /// --- Size accounting ----------------------------------------------------
 
@@ -382,9 +319,8 @@ class TripleStore {
 #endif
   };
 
-  /// Owned-or-borrowed raw view selection. While keepalive_ is set (and
-  /// the store is raw-format) the spans alias the mapped image; otherwise
-  /// they are the owned vectors.
+  /// Owned-or-borrowed view selection. While keepalive_ is set the spans
+  /// alias the loaded image; otherwise they are the owned vectors.
   std::span<const EncodedTriple> SpoView() const {
     return keepalive_ ? spo_view_ : std::span<const EncodedTriple>(spo_);
   }
@@ -395,17 +331,15 @@ class TripleStore {
     return keepalive_ ? osp_view_ : std::span<const EncodedTriple>(osp_);
   }
 
-  /// Converts any borrowed or compressed representation back into owned
-  /// raw vectors and drops the keepalive, so mutation can proceed on owned
-  /// storage. No-op for owned raw stores.
+  /// Copies borrowed views into owned vectors and drops the keepalive, so
+  /// mutation can proceed on owned storage. No-op for owned stores.
   void Materialize();
 
-  /// Freeze() phases: sort and deduplicate the permutations, compute the
-  /// predicate stats, and (compressed format) encode the blocks.
+  /// Freeze() phases: sort and deduplicate the permutations, then compute
+  /// the predicate stats.
   void BuildIndexes();
   void ComputeStats();
-  void CompressIndexes(util::ThreadPool* pool);
-  /// PermutationRange over the store's own frozen arrays/blocks, ignoring
+  /// PermutationRange over the store's own frozen arrays, ignoring
   /// any epoch chain (the chain's base when EpochChain::base is null).
   IndexRange ClassicPermutationRange(Perm perm) const;
   /// Live read path: the whole permutation as a base-plus-deltas view of
@@ -438,14 +372,8 @@ class TripleStore {
   std::span<const EncodedTriple> spo_view_;
   std::span<const EncodedTriple> pos_view_;
   std::span<const EncodedTriple> osp_view_;
-  // Compressed-format state (Freeze under kCompressed / snapshot
-  // adoption); when set, the raw vectors/views above are empty.
-  std::unique_ptr<CompressedPermutation> spo_blocks_;
-  std::unique_ptr<CompressedPermutation> pos_blocks_;
-  std::unique_ptr<CompressedPermutation> osp_blocks_;
   std::shared_ptr<const void> keepalive_;
   std::unordered_map<TermId, PredicateStats> stats_;
-  IndexFormat format_ = IndexFormat::kRaw;
   bool frozen_ = false;
   uint64_t freeze_epoch_ = 0;
   // Live-mode state (EnterLive): the current epoch chain, swapped under

@@ -39,9 +39,9 @@ inline void SetComp(rdf::EncodedTriple* t, int pos, rdf::TermId v) {
 /// components, so the matching sub-run is a contiguous equal range. The
 /// actual index searches run on full lo/hi sentinel triples (the key
 /// stamped into the step's const-prefix templates) so they compare with
-/// the permutation's total order — which is what lets compressed ranges
-/// seek on whole-triple block skip keys; the ProbeKey itself only drives
-/// the duplicate / merge-order detection between consecutive rows.
+/// the permutation's total order, as every IndexRange bound does; the
+/// ProbeKey itself only drives the duplicate / merge-order detection
+/// between consecutive rows.
 struct ProbeKey {
   size_t n = 0;
   int pos[3] = {0, 0, 0};
@@ -349,9 +349,8 @@ util::Status VectorizedRunner::RunStage(size_t stage,
     if (cs.const_prefix == 0) {
       cs.run = index;
     } else {
-      const uint64_t first = index.LowerBound(cs.lo_base, &cs.search_scratch);
-      uint64_t last =
-          index.GallopUpperBound(first, cs.hi_base, &cs.search_scratch);
+      const uint64_t first = index.LowerBound(cs.lo_base);
+      uint64_t last = index.GallopUpperBound(first, cs.hi_base);
       if (last < first) last = first;
       cs.run = index.Slice(first, last);
     }
@@ -399,13 +398,13 @@ util::Status VectorizedRunner::RunStage(size_t stage,
       if (prev_valid && cmp > 0) {
         // Merge path: the block's probe keys advance in the run's sort
         // order, so the next range starts at or after the previous one.
-        lb = cs.run.GallopLowerBound(prev_ub, lo, &cs.search_scratch);
+        lb = cs.run.GallopLowerBound(prev_ub, lo);
       } else {
         // Out-of-order probe: binary search for the range start, then
         // gallop to its end (ranges are small relative to the run).
-        lb = cs.run.LowerBound(lo, &cs.search_scratch);
+        lb = cs.run.LowerBound(lo);
       }
-      ub = cs.run.GallopUpperBound(lb, hi, &cs.search_scratch);
+      ub = cs.run.GallopUpperBound(lb, hi);
     }
     prev = k;
     prev_valid = true;
@@ -421,9 +420,9 @@ util::Status VectorizedRunner::RunStage(size_t stage,
       }
       const uint64_t want =
           std::min<uint64_t>(ub - cur, out.capacity() - out.size());
-      // Raw runs hand back the whole remaining sub-span at once;
-      // compressed runs stop at the next block boundary, so `chunk` may
-      // fall short of `want` and the loop fetches the next block.
+      // Raw runs hand back the whole remaining sub-span at once; merged
+      // runs stop at the end of their materialized window, so `chunk` may
+      // fall short of `want` and the loop fetches the next window.
       const std::span<const rdf::EncodedTriple> tri =
           cs.run.Fetch(cur, want, &cs.fetch_scratch);
       const size_t chunk = tri.size();

@@ -138,9 +138,9 @@ class VectorizedRunner {
     // optional/emit stages see them as unbound rather than stale data.
     std::vector<int> invalidate_slots;
     // Constant-prefix run, located lazily on first use and cached for the
-    // rest of the run (the prefix never varies). Raw-format stores back it
-    // with a zero-copy span; compressed stores with a block range whose
-    // seeks gallop over the skip keys (rdf/index_cursor.h).
+    // rest of the run (the prefix never varies): a zero-copy span, or a
+    // merged range on a live store whose chain carries layers
+    // (rdf/index_cursor.h).
     bool run_located = false;
     rdf::IndexRange run;
     // Per-row lo/hi sentinel templates: constant prefix baked in,
@@ -148,10 +148,7 @@ class VectorizedRunner {
     // the row's varying key values into both.
     rdf::EncodedTriple lo_base{0, 0, 0};
     rdf::EncodedTriple hi_base{0, 0, 0};
-    // Separate decode scratch for seeks vs chunk fetches so a search that
-    // lands in the next block does not evict the block the fetch loop is
-    // consuming (no-ops on raw-format stores).
-    rdf::IndexBlockScratch search_scratch;
+    // Merged-window scratch for chunk fetches (unused on raw runs).
     rdf::IndexBlockScratch fetch_scratch;
   };
 
@@ -182,7 +179,7 @@ class VectorizedRunner {
   // rows while the suspended caller's row must stay intact.
   std::vector<std::vector<rdf::TermId>> scratch_rows_;
   // OPTIONAL scan cursors, one per (block, step) recursion depth — each
-  // depth is on the stack at most once, and pooling keeps compressed-block
+  // depth is on the stack at most once, and pooling keeps merged-window
   // scratch allocations out of the per-row loop.
   std::vector<std::vector<rdf::IndexCursor>> opt_cursors_;
   std::vector<rdf::TermId> row_buf_;      // emit-path row materialization

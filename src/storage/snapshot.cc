@@ -9,7 +9,6 @@
 #include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "obs/trace.h"
-#include "rdf/compressed_index.h"
 #include "rdf/delta_layer.h"
 #include "storage/snapshot_io.h"
 #include "util/failpoint.h"
@@ -614,167 +613,6 @@ DecodeDeltaChain(const std::byte* data, size_t bytes, uint64_t term_count,
   return layers;
 }
 
-// --- compressed index sections (version >= 2) --------------------------------
-
-static_assert(std::is_trivially_copyable_v<rdf::BlockMeta>,
-              "BlockMeta skip tables are serialized as raw memory");
-
-// Fixed per-section header preceding the skip table:
-// triple_count(8) block_count(8) payload_bytes(8) block_size(4) reserved(4).
-// 32 bytes so the BlockMeta array lands 8-aligned after the 64-aligned
-// section start.
-constexpr uint64_t kCompressedSectionHeaderBytes = 32;
-
-util::Status EncodeCompressedPerm(const rdf::CompressedPermutation& cp,
-                                  std::string* out) {
-  ByteWriter w;
-  w.Reserve(kCompressedSectionHeaderBytes + cp.byte_size());
-  w.U64(cp.size());
-  w.U64(cp.block_count());
-  w.U64(cp.payload().size());
-  w.U32(rdf::kIndexBlockSize);
-  w.U32(0);  // reserved
-  w.Bytes(cp.skip().data(), cp.skip().size() * sizeof(rdf::BlockMeta));
-  w.Bytes(cp.payload().data(), cp.payload().size());
-  *out = w.Take();
-  return util::Status::OK();
-}
-
-/// Skip-table and payload spans of one compressed section, aliasing the
-/// image. Structural bounds only; per-block content is validated by
-/// ValidateCompressedPerm before any adoption.
-struct CompressedSectionView {
-  std::span<const rdf::BlockMeta> skip;
-  std::span<const uint8_t> payload;
-  uint64_t triple_count = 0;
-};
-
-util::Result<CompressedSectionView> CompressedView(const std::byte* base,
-                                                   const SectionInfo& s,
-                                                   uint64_t expect_triples) {
-  auto bad = [&](const std::string& why) {
-    return util::Status::ParseError(std::string("snapshot section ") +
-                                    SectionName(s.id) + " " + why);
-  };
-  if (s.bytes < kCompressedSectionHeaderBytes) {
-    return bad("is smaller than its fixed header");
-  }
-  ByteReader r(base + s.offset, s.bytes);
-  CompressedSectionView v;
-  uint64_t blocks = 0, payload_bytes = 0;
-  uint32_t block_size = 0, reserved = 0;
-  RE2X_RETURN_IF_ERROR(r.U64(&v.triple_count));
-  RE2X_RETURN_IF_ERROR(r.U64(&blocks));
-  RE2X_RETURN_IF_ERROR(r.U64(&payload_bytes));
-  RE2X_RETURN_IF_ERROR(r.U32(&block_size));
-  RE2X_RETURN_IF_ERROR(r.U32(&reserved));
-  (void)reserved;  // ignored for forward compatibility
-  if (v.triple_count != expect_triples) {
-    return bad("holds " + std::to_string(v.triple_count) +
-               " triples, header declares " + std::to_string(expect_triples));
-  }
-  if (block_size != rdf::kIndexBlockSize) {
-    return bad("uses block size " + std::to_string(block_size) +
-               ", this build reads " + std::to_string(rdf::kIndexBlockSize));
-  }
-  if (blocks != rdf::CompressedPermutation::BlockCountFor(v.triple_count)) {
-    return bad("declares " + std::to_string(blocks) + " blocks for " +
-               std::to_string(v.triple_count) + " triples");
-  }
-  // Overflow-safe: bound the count by the bytes actually present before
-  // computing the skip-table size.
-  const uint64_t body = s.bytes - kCompressedSectionHeaderBytes;
-  if (blocks > body / sizeof(rdf::BlockMeta) ||
-      body != blocks * sizeof(rdf::BlockMeta) + payload_bytes) {
-    return bad("skip table / payload sizes disagree with the section size");
-  }
-  const std::byte* skip_base = base + s.offset + kCompressedSectionHeaderBytes;
-  v.skip = std::span<const rdf::BlockMeta>(
-      reinterpret_cast<const rdf::BlockMeta*>(skip_base), blocks);
-  v.payload = std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(skip_base) +
-          blocks * sizeof(rdf::BlockMeta),
-      payload_bytes);
-  return v;
-}
-
-/// Full content validation of one compressed permutation: every block
-/// decodes cleanly (checksum, strict in-block ordering, exact byte
-/// consumption), every term id is within the dictionary, block byte
-/// offsets tile the payload, and block boundaries keep the permutation's
-/// strict global order. On success `*out` borrows the image's spans.
-util::Status ValidateCompressedPerm(const CompressedSectionView& view,
-                                    rdf::Perm perm, uint64_t term_count,
-                                    const char* what, util::ThreadPool* pool,
-                                    const util::ExecGuard* guard,
-                                    rdf::CompressedPermutation* out) {
-  RE2X_RETURN_IF_ERROR(GuardCheck(guard));
-  obs::Span span("snapshot.load.validate");
-  span.SetAttr("index", what);
-  rdf::CompressedPermutation cp = rdf::CompressedPermutation::FromParts(
-      view.skip, view.payload, view.triple_count, perm);
-  const uint64_t blocks = cp.block_count();
-  // Block byte offsets must tile the payload in order; BlockBytes slices
-  // are derived from consecutive offsets, so this also bounds every
-  // decode below to real payload bytes.
-  uint64_t prev_off = 0;
-  for (uint64_t b = 0; b < blocks; ++b) {
-    const uint64_t off = view.skip[b].byte_offset;
-    if ((b == 0 && off != 0) || (b > 0 && off < prev_off) ||
-        off > view.payload.size()) {
-      return util::Status::ParseError(
-          std::string("snapshot ") + what +
-          " skip table has out-of-order byte offsets at block " +
-          std::to_string(b));
-    }
-    prev_off = off;
-  }
-  // Per-block validation fans out in groups; each group decodes its
-  // blocks and records the last triple so a serial pass can check strict
-  // ordering across block seams afterwards.
-  constexpr uint64_t kBlocksPerTask = 256;
-  const uint64_t tasks = (blocks + kBlocksPerTask - 1) / kBlocksPerTask;
-  std::vector<util::Status> statuses(tasks);
-  std::vector<EncodedTriple> last(blocks);
-  const uint32_t max_id =
-      static_cast<uint32_t>(std::min<uint64_t>(term_count, UINT32_MAX));
-  RunParallel(pool, tasks, [&](size_t task) {
-    std::vector<EncodedTriple> buf;
-    const uint64_t begin = task * kBlocksPerTask;
-    const uint64_t end = std::min(blocks, begin + kBlocksPerTask);
-    for (uint64_t b = begin; b < end; ++b) {
-      util::Status st = cp.DecodeBlockChecked(b, &buf);
-      if (!st.ok()) {
-        statuses[task] = util::Status::ParseError(
-            std::string("snapshot ") + what + ": " + st.message());
-        return;
-      }
-      for (const EncodedTriple& t : buf) {
-        if (t.s - 1 >= max_id || t.p - 1 >= max_id || t.o - 1 >= max_id)
-            [[unlikely]] {
-          uint32_t bad =
-              t.s - 1 >= max_id ? t.s : (t.p - 1 >= max_id ? t.p : t.o);
-          statuses[task] = CheckTermId(bad, term_count, what);
-          return;
-        }
-      }
-      last[b] = buf.back();
-    }
-  });
-  for (const util::Status& st : statuses) RE2X_RETURN_IF_ERROR(st);
-  for (uint64_t b = 1; b < blocks; ++b) {
-    if (!rdf::PermLess(perm, last[b - 1], cp.BlockFirstTriple(b)))
-        [[unlikely]] {
-      return util::Status::ParseError(
-          std::string("snapshot ") + what +
-          " index is not strictly sorted across the boundary of block " +
-          std::to_string(b));
-    }
-  }
-  if (out != nullptr) *out = std::move(cp);
-  return util::Status::OK();
-}
-
 // --- header ------------------------------------------------------------------
 
 std::string EncodeHeader(const SnapshotInfo& info) {
@@ -828,11 +666,12 @@ util::Result<SnapshotInfo> ParseHeader(const std::byte* data,
   RE2X_RETURN_IF_ERROR(r.U64(&info.triple_count));
   RE2X_RETURN_IF_ERROR(r.U64(&info.term_count));
   RE2X_RETURN_IF_ERROR(r.U64(&flags));
-  if (info.version < kSnapshotVersion || info.version > kSnapshotVersionLive) {
+  if (info.version != kSnapshotVersion &&
+      info.version != kSnapshotVersionLive) {
     return util::Status::InvalidArgument(
         "unsupported snapshot version " + std::to_string(info.version) +
         " (this build reads versions " + std::to_string(kSnapshotVersion) +
-        "-" + std::to_string(kSnapshotVersionLive) + ")");
+        " and " + std::to_string(kSnapshotVersionLive) + ")");
   }
   if (section_count == 0 || section_count > kMaxSections) {
     return util::Status::ParseError("snapshot section count " +
@@ -873,17 +712,15 @@ util::Result<SnapshotInfo> ParseHeader(const std::byte* data,
     RE2X_RETURN_IF_ERROR(r.U64(&s.offset));
     RE2X_RETURN_IF_ERROR(r.U64(&s.bytes));
     RE2X_RETURN_IF_ERROR(r.U64(&s.checksum));
-    // Each version's valid id range stops at the last section that
-    // version can carry (v1 predates the compressed block sections, v2
-    // the delta chain); an id past the version's range means corruption,
-    // not a feature gap.
-    const uint32_t max_id =
-        info.version >= kSnapshotVersionLive
-            ? static_cast<uint32_t>(SectionId::kDeltaChain)
-        : info.version >= kSnapshotVersionCompressed
-            ? static_cast<uint32_t>(SectionId::kOspBlocks)
-            : static_cast<uint32_t>(SectionId::kVsg);
-    if (id < static_cast<uint32_t>(SectionId::kDictionary) || id > max_id) {
+    // Version 1 carries ids 1-7; version 3 adds the delta chain. Any
+    // other id — the reserved 8-10 included — means corruption, not a
+    // feature gap.
+    const bool known =
+        (id >= static_cast<uint32_t>(SectionId::kDictionary) &&
+         id <= static_cast<uint32_t>(SectionId::kVsg)) ||
+        (info.version == kSnapshotVersionLive &&
+         id == static_cast<uint32_t>(SectionId::kDeltaChain));
+    if (!known) {
       return util::Status::ParseError("snapshot contains unknown section id " +
                                       std::to_string(id));
     }
@@ -945,9 +782,6 @@ const char* SectionName(SectionId id) {
     case SectionId::kPredicateStats: return "predicate_stats";
     case SectionId::kTextIndex: return "text_index";
     case SectionId::kVsg: return "vsg";
-    case SectionId::kSpoBlocks: return "spo_blocks";
-    case SectionId::kPosBlocks: return "pos_blocks";
-    case SectionId::kOspBlocks: return "osp_blocks";
     case SectionId::kDeltaChain: return "delta_chain";
   }
   return "unknown";
@@ -1010,10 +844,9 @@ util::Status SaveSnapshotImpl(const std::string& path,
     p.bytes = bytes;
     sections.push_back(std::move(p));
   };
-  // A compacted chain base lives in the chain's LiveBase vectors (always
-  // raw), not in the store's own arrays — those still hold the stale
-  // pre-ingestion data.
-  const bool compressed = live_base == nullptr && store.compressed_index();
+  // A compacted chain base lives in the chain's LiveBase vectors, not in
+  // the store's own arrays — those still hold the stale pre-ingestion
+  // data.
   add(SectionId::kDictionary);
   if (live_base != nullptr) {
     add(SectionId::kSpo, live_base->spo.data(),
@@ -1022,10 +855,6 @@ util::Status SaveSnapshotImpl(const std::string& path,
         live_base->pos.size() * sizeof(EncodedTriple));
     add(SectionId::kOsp, live_base->osp.data(),
         live_base->osp.size() * sizeof(EncodedTriple));
-  } else if (compressed) {
-    add(SectionId::kSpoBlocks);
-    add(SectionId::kPosBlocks);
-    add(SectionId::kOspBlocks);
   } else {
     add(SectionId::kSpo, store.spo_span().data(),
         store.spo_span().size_bytes());
@@ -1067,15 +896,6 @@ util::Status SaveSnapshotImpl(const std::string& path,
       case SectionId::kVsg:
         s.status = EncodeVsg(*vsg, &s.buf);
         break;
-      case SectionId::kSpoBlocks:
-        s.status = EncodeCompressedPerm(*store.spo_blocks(), &s.buf);
-        break;
-      case SectionId::kPosBlocks:
-        s.status = EncodeCompressedPerm(*store.pos_blocks(), &s.buf);
-        break;
-      case SectionId::kOspBlocks:
-        s.status = EncodeCompressedPerm(*store.osp_blocks(), &s.buf);
-        break;
       case SectionId::kDeltaChain:
         s.status = EncodeDeltaChain(*chain, &s.buf);
         break;
@@ -1094,9 +914,7 @@ util::Status SaveSnapshotImpl(const std::string& path,
   RE2X_RETURN_IF_ERROR(GuardCheck(options.guard));
 
   SnapshotInfo info;
-  info.version = live_layers    ? kSnapshotVersionLive
-                 : compressed   ? kSnapshotVersionCompressed
-                                : kSnapshotVersion;
+  info.version = live_layers ? kSnapshotVersionLive : kSnapshotVersion;
   // Live stores answer freeze_epoch() with the pinned chain's epoch, so a
   // version 3 image restores at exactly the epoch it was saved at.
   info.freeze_epoch = store.freeze_epoch();
@@ -1193,29 +1011,17 @@ util::Result<LoadedSnapshot> LoadSnapshotImpl(
         VerifySectionChecksums(base, info, options.pool, options.guard));
   }
 
-  // Required sections. An image carries exactly one index trio: the raw
-  // arrays (version 1) or the compressed block sections (version >= 2).
+  // Required sections.
   const SectionInfo* dict_sec = FindSection(info, SectionId::kDictionary);
   const SectionInfo* spo_sec = FindSection(info, SectionId::kSpo);
   const SectionInfo* pos_sec = FindSection(info, SectionId::kPos);
   const SectionInfo* osp_sec = FindSection(info, SectionId::kOsp);
-  const SectionInfo* spob_sec = FindSection(info, SectionId::kSpoBlocks);
-  const SectionInfo* posb_sec = FindSection(info, SectionId::kPosBlocks);
-  const SectionInfo* ospb_sec = FindSection(info, SectionId::kOspBlocks);
   const SectionInfo* stats_sec = FindSection(info, SectionId::kPredicateStats);
-  const bool raw_trio =
-      spo_sec != nullptr && pos_sec != nullptr && osp_sec != nullptr;
-  const bool compressed_trio =
-      spob_sec != nullptr && posb_sec != nullptr && ospb_sec != nullptr;
-  if (dict_sec == nullptr || stats_sec == nullptr ||
-      (!raw_trio && !compressed_trio)) {
+  if (dict_sec == nullptr || stats_sec == nullptr || spo_sec == nullptr ||
+      pos_sec == nullptr || osp_sec == nullptr) {
     return util::Status::ParseError(
         "snapshot is missing a required section (dictionary/predicate_stats/"
         "index trio)");
-  }
-  if (raw_trio && compressed_trio) {
-    return util::Status::ParseError(
-        "snapshot carries both raw and compressed index sections");
   }
   // ParseHeader already rejects a kDeltaChain id in pre-v3 images, so only
   // the missing direction can actually fire here.
@@ -1232,57 +1038,34 @@ util::Result<LoadedSnapshot> LoadSnapshotImpl(
   }
 
   // Triple index sections: structural + content validation before any
-  // adoption. Raw-path state and compressed-path state are disjoint.
-  std::span<const EncodedTriple> spo, pos, osp;
-  rdf::CompressedPermutation spo_cp, pos_cp, osp_cp;
-  if (compressed_trio) {
-    struct PermSection {
-      const SectionInfo* sec;
-      rdf::Perm perm;
-      const char* what;
-      rdf::CompressedPermutation* out;
-    };
-    const PermSection perms[3] = {
-        {spob_sec, rdf::Perm::kSpo, "spo_blocks", &spo_cp},
-        {posb_sec, rdf::Perm::kPos, "pos_blocks", &pos_cp},
-        {ospb_sec, rdf::Perm::kOsp, "osp_blocks", &osp_cp},
-    };
-    for (const PermSection& p : perms) {
-      RE2X_ASSIGN_OR_RETURN(CompressedSectionView view,
-                            CompressedView(base, *p.sec, info.triple_count));
-      RE2X_RETURN_IF_ERROR(ValidateCompressedPerm(view, p.perm,
-                                                  info.term_count, p.what,
-                                                  options.pool, options.guard,
-                                                  p.out));
+  // adoption.
+  auto triple_view = [&](const SectionInfo& s)
+      -> util::Result<std::span<const EncodedTriple>> {
+    if (s.bytes % sizeof(EncodedTriple) != 0) {
+      return util::Status::ParseError(
+          std::string("snapshot section ") + SectionName(s.id) +
+          " is not a whole number of triples");
     }
-  } else {
-    auto triple_view = [&](const SectionInfo& s)
-        -> util::Result<std::span<const EncodedTriple>> {
-      if (s.bytes % sizeof(EncodedTriple) != 0) {
-        return util::Status::ParseError(
-            std::string("snapshot section ") + SectionName(s.id) +
-            " is not a whole number of triples");
-      }
-      uint64_t count = s.bytes / sizeof(EncodedTriple);
-      if (count != info.triple_count) {
-        return util::Status::ParseError(
-            std::string("snapshot section ") + SectionName(s.id) + " holds " +
-            std::to_string(count) + " triples, header declares " +
-            std::to_string(info.triple_count));
-      }
-      return std::span<const EncodedTriple>(
-          reinterpret_cast<const EncodedTriple*>(base + s.offset), count);
-    };
-    RE2X_ASSIGN_OR_RETURN(spo, triple_view(*spo_sec));
-    RE2X_ASSIGN_OR_RETURN(pos, triple_view(*pos_sec));
-    RE2X_ASSIGN_OR_RETURN(osp, triple_view(*osp_sec));
-    RE2X_RETURN_IF_ERROR(ValidateTriples(spo, info.term_count, SpoLess, "spo",
-                                         options.pool, options.guard));
-    RE2X_RETURN_IF_ERROR(ValidateTriples(pos, info.term_count, PosLess, "pos",
-                                         options.pool, options.guard));
-    RE2X_RETURN_IF_ERROR(ValidateTriples(osp, info.term_count, OspLess, "osp",
-                                         options.pool, options.guard));
-  }
+    uint64_t count = s.bytes / sizeof(EncodedTriple);
+    if (count != info.triple_count) {
+      return util::Status::ParseError(
+          std::string("snapshot section ") + SectionName(s.id) + " holds " +
+          std::to_string(count) + " triples, header declares " +
+          std::to_string(info.triple_count));
+    }
+    return std::span<const EncodedTriple>(
+        reinterpret_cast<const EncodedTriple*>(base + s.offset), count);
+  };
+  std::span<const EncodedTriple> spo, pos, osp;
+  RE2X_ASSIGN_OR_RETURN(spo, triple_view(*spo_sec));
+  RE2X_ASSIGN_OR_RETURN(pos, triple_view(*pos_sec));
+  RE2X_ASSIGN_OR_RETURN(osp, triple_view(*osp_sec));
+  RE2X_RETURN_IF_ERROR(ValidateTriples(spo, info.term_count, SpoLess, "spo",
+                                       options.pool, options.guard));
+  RE2X_RETURN_IF_ERROR(ValidateTriples(pos, info.term_count, PosLess, "pos",
+                                       options.pool, options.guard));
+  RE2X_RETURN_IF_ERROR(ValidateTriples(osp, info.term_count, OspLess, "osp",
+                                       options.pool, options.guard));
 
   LoadedSnapshot out;
   out.info = info;
@@ -1359,14 +1142,8 @@ util::Result<LoadedSnapshot> LoadSnapshotImpl(
   // so no index bytes are copied. The first mutation materializes owned
   // vectors either way; heap-mode loads are file-independent the moment
   // this returns (the buffer, not the file, backs the views).
-  if (compressed_trio) {
-    out.store->AdoptFrozenCompressed(std::move(spo_cp), std::move(pos_cp),
-                                     std::move(osp_cp), std::move(stats),
-                                     info.freeze_epoch, keepalive);
-  } else {
-    out.store->AdoptFrozenView(spo, pos, osp, std::move(stats),
-                               info.freeze_epoch, keepalive);
-  }
+  out.store->AdoptFrozenView(spo, pos, osp, std::move(stats),
+                             info.freeze_epoch, keepalive);
   // Version 3: the adopted trio is the chain base — resume live mode and
   // republish the saved layers at the saved epoch (RestoreChain recomputes
   // merged stats, visible count and delta totals from the layers).
@@ -1442,28 +1219,6 @@ util::Result<SnapshotInfo> VerifySnapshot(const std::string& path,
                         ParseHeader(buf->data(), buf->size(), buf->size()));
   RE2X_RETURN_IF_ERROR(
       VerifySectionChecksums(buf->data(), info, pool, nullptr));
-  // Compressed images get the full per-block pass on top of the section
-  // checksums: every block's own checksum, strict in-block ordering, exact
-  // byte consumption, and skip-table monotonicity across block seams.
-  struct PermSection {
-    SectionId id;
-    rdf::Perm perm;
-    const char* what;
-  };
-  constexpr PermSection kPerms[3] = {
-      {SectionId::kSpoBlocks, rdf::Perm::kSpo, "spo_blocks"},
-      {SectionId::kPosBlocks, rdf::Perm::kPos, "pos_blocks"},
-      {SectionId::kOspBlocks, rdf::Perm::kOsp, "osp_blocks"},
-  };
-  for (const PermSection& p : kPerms) {
-    const SectionInfo* sec = FindSection(info, p.id);
-    if (sec == nullptr) continue;
-    RE2X_ASSIGN_OR_RETURN(
-        CompressedSectionView view,
-        CompressedView(buf->data(), *sec, info.triple_count));
-    RE2X_RETURN_IF_ERROR(ValidateCompressedPerm(
-        view, p.perm, info.term_count, p.what, pool, nullptr, nullptr));
-  }
   return info;
 }
 

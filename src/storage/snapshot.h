@@ -29,27 +29,19 @@
 // (s,p,o) id triples at 64-byte-aligned offsets, so a loader may point the
 // TripleStore directly into the mapped file (zero copy) instead of copying.
 //
-// Version 2 images replace the three raw index sections with compressed
-// block sections (kSpoBlocks/kPosBlocks/kOspBlocks): a 32-byte section
-// header { triple_count u64 | block_count u64 | payload_bytes u64 |
-// block_size u32 | reserved u32 }, then the BlockMeta skip table (24 bytes
-// per block, 8-aligned because sections start 64-aligned), then the
-// delta/vbyte payload (see rdf/compressed_index.h). The loader validates
-// every block (checksum, strict ordering, term-id ranges, cross-block
-// boundaries) before adopting the skip/payload spans zero-copy via
-// TripleStore::AdoptFrozenCompressed. Raw-format stores keep writing
-// version 1 images byte-identical to pre-v2 builds, and version 1 images
-// load unchanged.
+// Version 2 images (compressed block index sections, ids 8-10) are no
+// longer read: they fail with kInvalidArgument like any other unsupported
+// version.
 //
 // Version 3 images persist a live store (rdf/delta_layer.h) whose epoch
-// chain carries delta layers: the index trio (raw or compressed) holds the
-// chain's base, header triple_count counts that base, freeze_epoch is the
-// chain's epoch, and one kDeltaChain section holds every sealed layer. The
+// chain carries delta layers: the index trio holds the chain's base,
+// header triple_count counts that base, freeze_epoch is the chain's
+// epoch, and one kDeltaChain section holds every sealed layer. The
 // loader adopts the base, re-enters live mode and republishes the layers
 // (TripleStore::RestoreChain), so queries, cache keys and the visible
 // triple set resume exactly where the saved process stopped. A live store
-// with an empty chain writes a plain version 1/2 image (a compacted base
-// is written as the raw trio), losing nothing but the liveness flag.
+// with an empty chain writes a plain version 1 image (a compacted base is
+// written as the raw trio), losing nothing but the liveness flag.
 // Saving a live store requires ingestion to be quiesced — no concurrent
 // IngestText/Compact publication during the save.
 //
@@ -84,13 +76,11 @@ namespace re2xolap::storage {
 inline constexpr char kSnapshotMagic[8] = {'R', '2', 'X', 'S',
                                            'N', 'A', 'P', '\n'};
 inline constexpr uint32_t kSnapshotVersion = 1;
-/// Version written for compressed-index images (raw stores keep writing
-/// version 1 so their images stay byte-identical to older builds).
-inline constexpr uint32_t kSnapshotVersionCompressed = 2;
 /// Version written for live stores whose epoch chain carries delta layers:
 /// the index trio holds the chain's base and a kDeltaChain section holds
 /// the layers, so a loaded image resumes live at the exact saved epoch. A
-/// live store with an empty chain writes a plain version 1/2 image.
+/// live store with an empty chain writes a plain version 1 image. Version
+/// 2 is retired and never read or written.
 inline constexpr uint32_t kSnapshotVersionLive = 3;
 /// Section payloads (and the first payload after the header) start at
 /// multiples of this, so raw triple arrays are safely mmap-addressable.
@@ -106,12 +96,9 @@ enum class SectionId : uint32_t {
   kPredicateStats = 5,  // planner cardinality statistics
   kTextIndex = 6,       // keyword + exact postings (optional)
   kVsg = 7,             // virtual schema graph parts (optional)
-  // Version >= 2 only: compressed block permutations, replacing kSpo/
-  // kPos/kOsp (an image carries exactly one of the two index trios).
-  kSpoBlocks = 8,   // skip table + delta/vbyte payload, (s,p,o) order
-  kPosBlocks = 9,   // skip table + delta/vbyte payload, (p,o,s) order
-  kOspBlocks = 10,  // skip table + delta/vbyte payload, (o,s,p) order
-  // Version >= 3 only: the live store's sealed delta layers (inserts and
+  // Ids 8-10 held the retired version 2's compressed block permutations;
+  // they stay reserved and are never reused.
+  // Version 3 only: the live store's sealed delta layers (inserts and
   // tombstones above the base index trio). Layout: layer_count u64, then
   // per layer { batch_id u64 | add_count u64 | del_count u64 } followed by
   // six raw EncodedTriple arrays (add spo/pos/osp, then del spo/pos/osp).

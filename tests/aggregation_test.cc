@@ -1,8 +1,8 @@
 // Differential tests of GROUP BY aggregation against the reference
-// evaluator (tests/reference_eval.h), in both index formats: seeded random
-// aggregate queries over a generated store with more than 20k groups,
-// every aggregate function, group keys left unbound by OPTIONAL, queries
-// without GROUP BY and queries with no bindings. Plus the first-seen row
+// evaluator (tests/reference_eval.h): seeded random aggregate queries over
+// a generated store with more than 20k groups, every aggregate function,
+// group keys left unbound by OPTIONAL, queries without GROUP BY and
+// queries with no bindings. Plus the first-seen row
 // order contract and the byte budget on a GROUP BY.
 #include <memory>
 #include <random>
@@ -37,9 +37,8 @@ rdf::Term Iri(const std::string& kind, int i) {
 /// <b> (400) and <c> (8), a numeric measure <v>, and, for about 40% of
 /// them, an optional attribute <o> (50 values). Grouping by ?a ?b yields
 /// more than 20k groups.
-std::unique_ptr<rdf::TripleStore> BuildCube(rdf::IndexFormat format) {
+std::unique_ptr<rdf::TripleStore> BuildCube() {
   auto store = std::make_unique<rdf::TripleStore>();
-  store->set_index_format(format);
   std::mt19937 rng(1717);
   const rdf::Term a = Iri("p", 0), b = Iri("p", 1), c = Iri("p", 2),
                   v = Iri("p", 3), o = Iri("p", 4);
@@ -61,24 +60,13 @@ std::unique_ptr<rdf::TripleStore> BuildCube(rdf::IndexFormat format) {
 
 class AggregationTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    raw_ = BuildCube(rdf::IndexFormat::kRaw).release();
-    compressed_ = BuildCube(rdf::IndexFormat::kCompressed).release();
-  }
-  static void TearDownTestSuite() {
-    delete raw_;
-    delete compressed_;
-  }
-  static std::vector<const rdf::TripleStore*> Stores() {
-    return {raw_, compressed_};
-  }
+  static void SetUpTestSuite() { store_ = BuildCube().release(); }
+  static void TearDownTestSuite() { delete store_; }
 
-  static rdf::TripleStore* raw_;
-  static rdf::TripleStore* compressed_;
+  static rdf::TripleStore* store_;
 };
 
-rdf::TripleStore* AggregationTest::raw_ = nullptr;
-rdf::TripleStore* AggregationTest::compressed_ = nullptr;
+rdf::TripleStore* AggregationTest::store_ = nullptr;
 
 const char kPatterns[] =
     "?obs <http://agg/p/0> ?a . ?obs <http://agg/p/1> ?b . "
@@ -91,12 +79,10 @@ TEST_F(AggregationTest, TwentyThousandGroupsMatchReference) {
                   "(MIN(?v) AS ?lo) (MAX(?v) AS ?hi) (COUNT(?v) AS ?n) "
                   "(COUNT(*) AS ?all) (COUNT(DISTINCT ?c) AS ?dc) WHERE { ") +
       kPatterns + "} GROUP BY ?a ?b";
-  for (const rdf::TripleStore* store : Stores()) {
-    auto r = RunUncachedText(*store, query);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_GE(r->row_count(), 20000u);
-    EXPECT_TRUE(AgreesWithReference(*store, query));
-  }
+  auto r = RunUncachedText(*store_, query);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_GE(r->row_count(), 20000u);
+  EXPECT_TRUE(AgreesWithReference(*store_, query));
 }
 
 // Seeded random aggregate queries: a random subset of group keys (possibly
@@ -140,9 +126,7 @@ TEST_F(AggregationTest, RandomGroupByQueriesMatchReference) {
       query += " GROUP BY";
       for (const std::string& g : group) query += " " + g;
     }
-    for (const rdf::TripleStore* store : Stores()) {
-      EXPECT_TRUE(AgreesWithReference(*store, query)) << "query: " << query;
-    }
+    EXPECT_TRUE(AgreesWithReference(*store_, query)) << "query: " << query;
   }
 }
 
@@ -150,16 +134,14 @@ TEST_F(AggregationTest, UnboundOptionalKeysGroupTogether) {
   const std::string query =
       std::string("SELECT ?o ?c (COUNT(*) AS ?n) (SUM(?v) AS ?s) WHERE { ") +
       kPatterns + kOptional + "} GROUP BY ?o ?c";
-  for (const rdf::TripleStore* store : Stores()) {
-    auto r = RunUncachedText(*store, query);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    size_t unbound = 0;
-    for (size_t row = 0; row < r->row_count(); ++row) {
-      unbound += r->at(row, 0).is_null() ? 1 : 0;
-    }
-    EXPECT_EQ(unbound, static_cast<size_t>(kDomainC));
-    EXPECT_TRUE(AgreesWithReference(*store, query));
+  auto r = RunUncachedText(*store_, query);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  size_t unbound = 0;
+  for (size_t row = 0; row < r->row_count(); ++row) {
+    unbound += r->at(row, 0).is_null() ? 1 : 0;
   }
+  EXPECT_EQ(unbound, static_cast<size_t>(kDomainC));
+  EXPECT_TRUE(AgreesWithReference(*store_, query));
 }
 
 TEST_F(AggregationTest, NoGroupByAndZeroBindingsMatchReference) {
@@ -177,14 +159,12 @@ TEST_F(AggregationTest, NoGroupByAndZeroBindingsMatchReference) {
       "SELECT ?a WHERE { " + none + "} GROUP BY ?a",
       "SELECT ?c WHERE { " + std::string(kPatterns) + "} GROUP BY ?c",
   };
-  for (const rdf::TripleStore* store : Stores()) {
-    for (const std::string& query : queries) {
-      EXPECT_TRUE(AgreesWithReference(*store, query)) << "query: " << query;
-    }
-    auto empty = RunUncachedText(*store, queries[2]);
-    ASSERT_TRUE(empty.ok()) << empty.status().ToString();
-    EXPECT_EQ(empty->row_count(), 0u);
+  for (const std::string& query : queries) {
+    EXPECT_TRUE(AgreesWithReference(*store_, query)) << "query: " << query;
   }
+  auto empty = RunUncachedText(*store_, queries[2]);
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_EQ(empty->row_count(), 0u);
 }
 
 // Groups come out in the order the join produced their first binding. The
@@ -221,16 +201,14 @@ TEST_F(AggregationTest, TinyByteBudgetTripsOnGroupBy) {
   const std::string query =
       std::string("SELECT ?a ?b (SUM(?v) AS ?s) WHERE { ") + kPatterns +
       "} GROUP BY ?a ?b";
-  for (const rdf::TripleStore* store : Stores()) {
-    util::ExecGuard::Limits limits;
-    limits.max_bytes = 64;
-    util::ExecGuard guard(limits);
-    ExecOptions opts;
-    opts.guard = &guard;
-    auto r = RunUncachedText(*store, query, opts);
-    ASSERT_FALSE(r.ok());
-    EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
-  }
+  util::ExecGuard::Limits limits;
+  limits.max_bytes = 64;
+  util::ExecGuard guard(limits);
+  ExecOptions opts;
+  opts.guard = &guard;
+  auto r = RunUncachedText(*store_, query, opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
 }
 
 // The guard is charged the table's steady-state bytes per group: 4 per
@@ -254,7 +232,7 @@ TEST_F(AggregationTest, GuardIsChargedPerGroupBytes) {
     util::ExecGuard guard(limits);
     ExecOptions opts;
     opts.guard = &guard;
-    auto r = RunUncachedText(*raw_, query, opts);
+    auto r = RunUncachedText(*store_, query, opts);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(guard.charged_bytes(),
               r->row_count() * (2 * 4 + c.folds * 32 + 8))

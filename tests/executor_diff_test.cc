@@ -2,9 +2,8 @@
 // (tests/reference_eval.h): every query runs through an uncached engine and
 // through the naive AST-walking oracle, and the answers must agree (same
 // row multiset; ORDER BY key sequences; LIMIT/OFFSET windows drawn from
-// the full answer). The same corpus runs on a compressed-index clone,
-// which must match the raw store row for row and counter for counter.
-// Guard violations must surface as their typed status codes.
+// the full answer). Guard violations must surface as their typed status
+// codes.
 #include <chrono>
 #include <random>
 #include <string>
@@ -14,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "qb/datasets.h"
-#include "rdf/compressed_index.h"
 #include "qb/generator.h"
 #include "sparql/executor.h"
 #include "tests/reference_eval.h"
@@ -29,21 +27,6 @@ using re2xolap::testing::AgreesWithReference;
 using re2xolap::testing::BuildFigure1Store;
 using re2xolap::testing::RunUncachedText;
 using re2xolap::testing::RunUncachedTextStalled;
-
-/// Stringified rows, in emission order.
-std::vector<std::string> TableRows(const ResultTable& t) {
-  std::vector<std::string> rows;
-  rows.reserve(t.row_count());
-  for (size_t r = 0; r < t.row_count(); ++r) {
-    std::string row;
-    for (size_t c = 0; c < t.column_count(); ++c) {
-      row += t.CellToString(t.at(r, c));
-      row += '|';
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
 
 class ExecutorDiffTest : public ::testing::Test {
  protected:
@@ -338,109 +321,6 @@ TEST(ExecutorDiffScaleTest, CancellationAndDeadlineTripIdenticallyInJoin) {
     auto r = RunUncachedTextStalled(*ds->store, query, opts, kStallMillis);
     ASSERT_FALSE(r.ok());
     EXPECT_TRUE(r.status().IsTimeout()) << r.status().ToString();
-  }
-}
-
-// --- index formats -----------------------------------------------------------
-
-/// Rebuilds `src` under `format`. Terms are re-interned in id order so the
-/// clone assigns identical term ids, which makes rows, ExecStats, and error
-/// codes comparable bit-for-bit across stores.
-std::unique_ptr<rdf::TripleStore> CloneWithFormat(const rdf::TripleStore& src,
-                                                  rdf::IndexFormat format) {
-  auto out = std::make_unique<rdf::TripleStore>();
-  out->set_index_format(format);
-  for (rdf::TermId id = 1; id <= src.dictionary().size(); ++id) {
-    out->dictionary().Intern(src.term(id));
-  }
-  for (const rdf::EncodedTriple& t : src.Match(rdf::TriplePattern{})) {
-    out->AddEncoded(t);
-  }
-  out->Freeze();
-  return out;
-}
-
-/// Runs `query` on both stores and asserts identical outcomes: rows in
-/// emission order, columns, scan/binding stats, and error codes. `a` is
-/// the raw store, `b` the compressed clone.
-void ExpectSameAcrossStores(const rdf::TripleStore& a,
-                            const rdf::TripleStore& b,
-                            const std::string& query) {
-  ExecStats stats_a, stats_b;
-  auto ra = RunUncachedText(a, query, {}, &stats_a);
-  auto rb = RunUncachedText(b, query, {}, &stats_b);
-  ASSERT_EQ(ra.ok(), rb.ok())
-      << "raw: " << ra.status().ToString()
-      << "\ncompressed: " << rb.status().ToString() << "\nquery: " << query;
-  if (!ra.ok()) {
-    EXPECT_EQ(ra.status().code(), rb.status().code()) << "query: " << query;
-    return;
-  }
-  EXPECT_EQ(ra->columns(), rb->columns()) << "query: " << query;
-  EXPECT_EQ(TableRows(*ra), TableRows(*rb)) << "query: " << query;
-  // Index ranges are position-identical across formats, so the scan and
-  // binding counters must match exactly — only chunking differs.
-  EXPECT_EQ(stats_a.triples_scanned, stats_b.triples_scanned)
-      << "query: " << query;
-  EXPECT_EQ(stats_a.intermediate_bindings, stats_b.intermediate_bindings)
-      << "query: " << query;
-}
-
-// The full corpus on a compressed clone: it must agree with the reference
-// evaluator AND with the raw store, row for row and counter for counter.
-TEST_F(ExecutorDiffTest, CorpusIdenticalAcrossIndexFormats) {
-  auto compressed = CloneWithFormat(*store, rdf::IndexFormat::kCompressed);
-  ASSERT_TRUE(compressed->compressed_index());
-  ASSERT_EQ(store->size(), compressed->size());
-  for (const char* query : kCorpus) {
-    SCOPED_TRACE(query);
-    EXPECT_TRUE(AgreesWithReference(*compressed, query));
-    ExpectSameAcrossStores(*store, *compressed, query);
-  }
-}
-
-// Guard trips must be format-independent too: the same typed error on
-// both stores.
-TEST_F(ExecutorDiffTest, RowBudgetTripsIdenticallyUnderCompressed) {
-  auto compressed = CloneWithFormat(*store, rdf::IndexFormat::kCompressed);
-  util::ExecGuard::Limits limits;
-  limits.max_rows = 2;  // the pattern matches 5 observations
-  for (const rdf::TripleStore* s : {store.get(), compressed.get()}) {
-    util::ExecGuard guard(limits);
-    ExecOptions opts;
-    opts.guard = &guard;
-    auto r = RunUncachedText(
-        *s, "SELECT ?obs ?v WHERE { ?obs <http://test/numApplicants> ?v }",
-        opts);
-    ASSERT_FALSE(r.ok());
-    EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
-  }
-}
-
-// Multi-block scale: the generated cube spans several 1024-triple blocks,
-// so merge-join gallops cross block seams and OPTIONAL scans decode many
-// blocks. Everything must still match the reference and the raw store.
-TEST(ExecutorDiffScaleTest, MultiBlockCompressedStoreMatchesRawOracle) {
-  auto ds = qb::Generate(qb::EurostatSpec(1500));
-  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
-  auto compressed =
-      CloneWithFormat(*ds->store, rdf::IndexFormat::kCompressed);
-  ASSERT_TRUE(compressed->compressed_index());
-  ASSERT_GT(compressed->spo_blocks()->block_count(), 1u)
-      << "scale spec too small to exercise block seams";
-  const qb::DatasetSpec& spec = ds->spec;
-  const std::string queries[] = {
-      "SELECT ?s ?p ?o WHERE { ?s ?p ?o }",
-      "SELECT * WHERE { ?obs <" + spec.iri_base +
-          spec.dimensions[0].predicate +
-          "> ?d . OPTIONAL { ?obs ?p ?v . } OPTIONAL { ?d ?q ?w . } }",
-      "SELECT ?d (COUNT(*) AS ?n) WHERE { ?obs <" + spec.iri_base +
-          spec.dimensions[0].predicate + "> ?d } GROUP BY ?d",
-  };
-  for (const std::string& query : queries) {
-    SCOPED_TRACE(query);
-    EXPECT_TRUE(AgreesWithReference(*compressed, query));
-    ExpectSameAcrossStores(*ds->store, *compressed, query);
   }
 }
 

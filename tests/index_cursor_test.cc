@@ -1,17 +1,17 @@
-// Property tests of the index-cursor abstraction and the compressed block
-// index format: randomized triple sets (duplicate-heavy and
-// single-predicate-skewed shapes) must round-trip through raw and
-// compressed Freeze with bit-identical Match / CountMatches results and
-// identical freeze_epoch; cursor seeks and chunked scans must agree with
-// the plain sorted arrays; corrupted blocks must surface typed Status,
-// never crash.
+// Property tests of the index-cursor abstraction: randomized triple sets
+// (duplicate-heavy and single-predicate-skewed shapes) must freeze into a
+// store whose Match / CountMatches / PredicatesOf* answers equal a
+// sort+unique oracle over the input; IndexRange searches, slices, fetches
+// and the cursor contract must agree with the plain sorted array on both
+// backings — a raw span and a merged run of add and tombstone sources.
 #include <algorithm>
+#include <memory>
 #include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "rdf/compressed_index.h"
+#include "rdf/delta_layer.h"
 #include "rdf/index_cursor.h"
 #include "rdf/triple_store.h"
 
@@ -29,14 +29,16 @@ TermId Rand(std::mt19937& rng, uint32_t n, uint32_t lo = 1) {
 /// Interns `terms` distinct IRIs and returns a store with `triples` added
 /// (not yet frozen). `shape` picks the id distribution:
 ///   duplicate-heavy: tiny id universe, so most triples collide and the
-///     dedup + zero-delta encodings (d0=0, d1=0 runs) dominate;
+///     dedup dominates;
 ///   single-predicate skew: 90% of triples share one predicate, so one
-///     POS run spans many blocks.
+///     POS run spans most of the permutation.
 enum class Shape { kDuplicateHeavy, kSinglePredicateSkew };
 
-void FillStore(TripleStore* store, Shape shape, size_t triples,
-               uint32_t seed) {
+/// Returns the triples added, in insertion order.
+std::vector<EncodedTriple> FillStore(TripleStore* store, Shape shape,
+                                     size_t triples, uint32_t seed) {
   std::mt19937 rng(seed);
+  std::vector<EncodedTriple> added;
   const uint32_t terms = shape == Shape::kDuplicateHeavy ? 24 : 4000;
   for (uint32_t i = 0; i < terms; ++i) {
     store->dictionary().Intern(
@@ -52,7 +54,9 @@ void FillStore(TripleStore* store, Shape shape, size_t triples,
       t.o = Rand(rng, terms);
     }
     store->AddEncoded(t);
+    added.push_back(t);
   }
+  return added;
 }
 
 /// The store's exact encoded triples via Match — materialized so two
@@ -75,85 +79,6 @@ bool SameTriples(const std::vector<EncodedTriple>& a,
   return true;
 }
 
-class IndexFormatPropertyTest : public ::testing::TestWithParam<Shape> {};
-
-// The core round-trip property: for the same input triples, a raw-frozen
-// and a compressed-frozen store answer every pattern shape (all 8 bound
-// combinations) with bit-identical triples in identical order, identical
-// CountMatches, and identical freeze_epoch.
-TEST_P(IndexFormatPropertyTest, RawAndCompressedMatchBitIdentically) {
-  TripleStore raw, compressed;
-  raw.set_index_format(IndexFormat::kRaw);  // env-proof: force both formats
-  compressed.set_index_format(IndexFormat::kCompressed);
-  FillStore(&raw, GetParam(), 6000, 20260809);
-  FillStore(&compressed, GetParam(), 6000, 20260809);
-  raw.Freeze();
-  compressed.Freeze();
-  ASSERT_FALSE(raw.compressed_index());
-  ASSERT_TRUE(compressed.compressed_index());
-  EXPECT_EQ(raw.size(), compressed.size());
-  EXPECT_EQ(raw.freeze_epoch(), compressed.freeze_epoch());
-
-  std::mt19937 rng(7);
-  std::vector<EncodedTriple> all = Materialize(raw.Match(TriplePattern{}));
-  ASSERT_FALSE(all.empty());
-  for (int probe = 0; probe < 200; ++probe) {
-    // Half the probes are triples that exist (so bound components hit),
-    // half arbitrary ids (mostly misses).
-    EncodedTriple base = probe % 2 == 0
-                             ? all[rng() % all.size()]
-                             : EncodedTriple{Rand(rng, 64), Rand(rng, 64),
-                                             Rand(rng, 64)};
-    for (uint32_t mask = 0; mask < 8; ++mask) {
-      TriplePattern q;
-      q.s = (mask & 1) != 0 ? base.s : kUnbound;
-      q.p = (mask & 2) != 0 ? base.p : kUnbound;
-      q.o = (mask & 4) != 0 ? base.o : kUnbound;
-      SCOPED_TRACE("mask=" + std::to_string(mask) +
-                   " s=" + std::to_string(q.s) + " p=" + std::to_string(q.p) +
-                   " o=" + std::to_string(q.o));
-      EXPECT_EQ(raw.CountMatches(q), compressed.CountMatches(q));
-      EXPECT_TRUE(
-          SameTriples(Materialize(raw.Match(q)), Materialize(compressed.Match(q))));
-    }
-    EXPECT_EQ(raw.PredicatesOfSubject(base.s),
-              compressed.PredicatesOfSubject(base.s));
-    EXPECT_EQ(raw.PredicatesOfObject(base.o),
-              compressed.PredicatesOfObject(base.o));
-  }
-}
-
-// Re-freezing after a mutation must advance both stores' epochs in
-// lockstep, and the compressed store must keep answering correctly after
-// the Materialize -> mutate -> re-Freeze cycle.
-TEST_P(IndexFormatPropertyTest, MutationRefreezeKeepsEpochAndResultsAligned) {
-  TripleStore raw, compressed;
-  raw.set_index_format(IndexFormat::kRaw);  // env-proof: force both formats
-  compressed.set_index_format(IndexFormat::kCompressed);
-  FillStore(&raw, GetParam(), 3000, 99);
-  FillStore(&compressed, GetParam(), 3000, 99);
-  raw.Freeze();
-  compressed.Freeze();
-  ASSERT_EQ(raw.freeze_epoch(), 1u);
-  ASSERT_EQ(compressed.freeze_epoch(), 1u);
-
-  raw.AddEncoded({2, 3, 4});
-  compressed.AddEncoded({2, 3, 4});
-  raw.Freeze();
-  compressed.Freeze();
-  EXPECT_EQ(raw.freeze_epoch(), 2u);
-  EXPECT_EQ(compressed.freeze_epoch(), 2u);
-  EXPECT_EQ(raw.size(), compressed.size());
-  EXPECT_TRUE(SameTriples(Materialize(raw.Match(TriplePattern{})),
-                          Materialize(compressed.Match(TriplePattern{}))));
-}
-
-INSTANTIATE_TEST_SUITE_P(Shapes, IndexFormatPropertyTest,
-                         ::testing::Values(Shape::kDuplicateHeavy,
-                                           Shape::kSinglePredicateSkew));
-
-// --- CompressedPermutation codec --------------------------------------------
-
 std::vector<EncodedTriple> SortedUnique(std::vector<EncodedTriple> v,
                                         Perm perm) {
   std::sort(v.begin(), v.end(), [perm](const EncodedTriple& a,
@@ -168,84 +93,150 @@ std::vector<EncodedTriple> SortedUnique(std::vector<EncodedTriple> v,
   return v;
 }
 
-TEST(CompressedPermutationTest, BuildDecodeAllRoundTripsEveryPerm) {
-  std::mt19937 rng(42);
-  std::vector<EncodedTriple> triples;
-  for (int i = 0; i < 5000; ++i) {
-    triples.push_back({Rand(rng, 300), Rand(rng, 8), Rand(rng, 1000)});
-  }
-  for (Perm perm : {Perm::kSpo, Perm::kPos, Perm::kOsp}) {
-    std::vector<EncodedTriple> sorted = SortedUnique(triples, perm);
-    CompressedPermutation cp = CompressedPermutation::Build(sorted, perm);
-    EXPECT_EQ(cp.size(), sorted.size());
-    EXPECT_EQ(cp.block_count(),
-              CompressedPermutation::BlockCountFor(sorted.size()));
-    EXPECT_LT(cp.byte_size(), sorted.size() * sizeof(EncodedTriple))
-        << "compressed form should beat 12 bytes/triple on dense ids";
-    std::vector<EncodedTriple> decoded;
-    cp.DecodeAll(&decoded);
-    EXPECT_TRUE(SameTriples(decoded, sorted));
-    // Checked decode agrees with the trusted decode on clean data.
-    std::vector<EncodedTriple> block;
-    for (uint64_t b = 0; b < cp.block_count(); ++b) {
-      ASSERT_TRUE(cp.DecodeBlockChecked(b, &block).ok());
+/// The oracle's answer to `q`: every triple of `spo_sorted` the pattern
+/// matches, in SPO order.
+std::vector<EncodedTriple> OracleMatch(
+    const std::vector<EncodedTriple>& spo_sorted, const TriplePattern& q) {
+  std::vector<EncodedTriple> out;
+  for (const EncodedTriple& t : spo_sorted) {
+    if ((q.s == kUnbound || t.s == q.s) && (q.p == kUnbound || t.p == q.p) &&
+        (q.o == kUnbound || t.o == q.o)) {
+      out.push_back(t);
     }
+  }
+  return out;
+}
+
+/// Distinct predicates of the oracle triples whose subject (by_subject)
+/// or object equals `id`, ascending.
+std::vector<TermId> OraclePredicates(
+    const std::vector<EncodedTriple>& spo_sorted, TermId id, bool by_subject) {
+  std::vector<TermId> out;
+  for (const EncodedTriple& t : spo_sorted) {
+    if ((by_subject ? t.s : t.o) == id) out.push_back(t.p);
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+class StoreOraclePropertyTest : public ::testing::TestWithParam<Shape> {};
+
+// For every pattern shape (all 8 bound combinations), the frozen store
+// answers with exactly the oracle's triples, in the serving permutation's
+// order, with a matching CountMatches; PredicatesOfSubject/Object agree
+// with the oracle too.
+TEST_P(StoreOraclePropertyTest, MatchesSortUniqueOracle) {
+  TripleStore store;
+  const std::vector<EncodedTriple> spo =
+      SortedUnique(FillStore(&store, GetParam(), 6000, 20260809), Perm::kSpo);
+  store.Freeze();
+  EXPECT_EQ(store.size(), spo.size());
+  EXPECT_EQ(store.freeze_epoch(), 1u);
+
+  std::mt19937 rng(7);
+  for (int probe = 0; probe < 200; ++probe) {
+    // Half the probes are triples that exist (so bound components hit),
+    // half arbitrary ids (mostly misses).
+    EncodedTriple base = probe % 2 == 0
+                             ? spo[rng() % spo.size()]
+                             : EncodedTriple{Rand(rng, 64), Rand(rng, 64),
+                                             Rand(rng, 64)};
+    for (uint32_t mask = 0; mask < 8; ++mask) {
+      TriplePattern q;
+      q.s = (mask & 1) != 0 ? base.s : kUnbound;
+      q.p = (mask & 2) != 0 ? base.p : kUnbound;
+      q.o = (mask & 4) != 0 ? base.o : kUnbound;
+      SCOPED_TRACE("mask=" + std::to_string(mask) +
+                   " s=" + std::to_string(q.s) + " p=" + std::to_string(q.p) +
+                   " o=" + std::to_string(q.o));
+      const IndexRange range = store.Match(q);
+      const std::vector<EncodedTriple> got = Materialize(range);
+      EXPECT_TRUE(std::is_sorted(got.begin(), got.end(),
+                                 [&range](const EncodedTriple& a,
+                                          const EncodedTriple& b) {
+                                   return PermLess(range.perm(), a, b);
+                                 }));
+      const std::vector<EncodedTriple> want = OracleMatch(spo, q);
+      EXPECT_EQ(store.CountMatches(q), want.size());
+      EXPECT_TRUE(SameTriples(SortedUnique(got, Perm::kSpo), want));
+      EXPECT_EQ(got.size(), want.size());
+    }
+    EXPECT_EQ(store.PredicatesOfSubject(base.s),
+              OraclePredicates(spo, base.s, /*by_subject=*/true));
+    EXPECT_EQ(store.PredicatesOfObject(base.o),
+              OraclePredicates(spo, base.o, /*by_subject=*/false));
   }
 }
 
-TEST(CompressedPermutationTest, CorruptedPayloadYieldsTypedStatusNeverUB) {
-  std::vector<EncodedTriple> sorted;
-  for (uint32_t i = 1; i <= 3000; ++i) sorted.push_back({i, 1 + i % 5, i});
-  sorted = SortedUnique(std::move(sorted), Perm::kSpo);
-  CompressedPermutation cp = CompressedPermutation::Build(sorted, Perm::kSpo);
-  ASSERT_GT(cp.block_count(), 1u);
+// Re-freezing after a mutation advances the epoch and answers the new
+// triple set: the Materialize -> mutate -> re-Freeze cycle loses nothing.
+TEST_P(StoreOraclePropertyTest, MutationRefreezeKeepsEpochAndResultsAligned) {
+  TripleStore store;
+  std::vector<EncodedTriple> added = FillStore(&store, GetParam(), 3000, 99);
+  store.Freeze();
+  ASSERT_EQ(store.freeze_epoch(), 1u);
 
-  // Flip one payload byte at a time (sampled) and re-adopt the parts:
-  // every corruption must either decode-check to a ParseError or be
-  // caught by the checksum — and the trusted decoder must stay within
-  // bounds (ASan guards the "never UB" half).
-  std::vector<BlockMeta> skip(cp.skip().begin(), cp.skip().end());
-  std::vector<uint8_t> payload(cp.payload().begin(), cp.payload().end());
-  std::mt19937 rng(5);
-  int detected = 0;
-  for (int trial = 0; trial < 32; ++trial) {
-    std::vector<uint8_t> bad = payload;
-    bad[rng() % bad.size()] ^= 0x5b;
-    CompressedPermutation view = CompressedPermutation::FromParts(
-        skip, bad, sorted.size(), Perm::kSpo);
-    std::vector<EncodedTriple> block;
-    bool ok = true;
-    for (uint64_t b = 0; b < view.block_count() && ok; ++b) {
-      util::Status st = view.DecodeBlockChecked(b, &block);
-      if (!st.ok()) {
-        EXPECT_TRUE(st.IsParseError()) << st.ToString();
-        ok = false;
-      }
-      // Trusted decode on the same corrupt block: wrong triples are
-      // acceptable, out-of-bounds reads are not.
-      view.DecodeBlock(b, &block);
-    }
-    if (!ok) ++detected;
-  }
-  EXPECT_EQ(detected, 32) << "every payload bit flip must fail validation";
-
-  // A skip-table corruption (byte offset) shifts two adjacent block
-  // bodies, so both checksums mismatch with a typed ParseError. (A
-  // corrupted first-triple key is only detectable across blocks; the
-  // snapshot loader's cross-block ordering pass owns that check.)
-  std::vector<BlockMeta> bad_skip = skip;
-  bad_skip[1].byte_offset += 1;
-  CompressedPermutation view = CompressedPermutation::FromParts(
-      bad_skip, payload, sorted.size(), Perm::kSpo);
-  std::vector<EncodedTriple> block;
-  for (uint64_t b : {uint64_t{0}, uint64_t{1}}) {
-    util::Status st = view.DecodeBlockChecked(b, &block);
-    EXPECT_FALSE(st.ok());
-    EXPECT_TRUE(st.IsParseError()) << st.ToString();
-  }
+  store.AddEncoded({2, 3, 4});
+  added.push_back({2, 3, 4});
+  store.Freeze();
+  EXPECT_EQ(store.freeze_epoch(), 2u);
+  const std::vector<EncodedTriple> spo = SortedUnique(added, Perm::kSpo);
+  EXPECT_EQ(store.size(), spo.size());
+  EXPECT_TRUE(SameTriples(Materialize(store.Match(TriplePattern{})), spo));
 }
+
+INSTANTIATE_TEST_SUITE_P(Shapes, StoreOraclePropertyTest,
+                         ::testing::Values(Shape::kDuplicateHeavy,
+                                           Shape::kSinglePredicateSkew));
 
 // --- IndexRange / IndexCursor semantics --------------------------------------
+
+/// Sources of a merged run whose visible triples are exactly `sorted` (SPO
+/// order, unique): two add sources splitting the set at random, a few
+/// visible triples reinserted into both adds with one tombstone between
+/// them, and extra triples added to one add source only to be cancelled by
+/// a tombstone. The vectors back the range's spans, so they must outlive
+/// it.
+struct MergedSources {
+  std::vector<EncodedTriple> adds[2];
+  std::vector<EncodedTriple> dels;
+  IndexRange range;
+};
+
+void BuildMerged(const std::vector<EncodedTriple>& sorted, uint32_t seed,
+                 MergedSources* out) {
+  std::mt19937 rng(seed);
+  for (const EncodedTriple& t : sorted) {
+    const uint32_t roll = rng() % 16;
+    if (roll == 0) {
+      out->adds[0].push_back(t);
+      out->adds[1].push_back(t);
+      out->dels.push_back(t);
+    } else {
+      out->adds[roll % 2].push_back(t);
+    }
+  }
+  // Cancelled extras: objects past every object of `sorted`, so none of
+  // them is visible.
+  TermId max_o = 0;
+  for (const EncodedTriple& t : sorted) max_o = std::max(max_o, t.o);
+  for (TermId i = 1; i <= 64; ++i) {
+    const EncodedTriple t{Rand(rng, 200), Rand(rng, 6), max_o + i};
+    out->adds[i % 2].push_back(t);
+    out->dels.push_back(t);
+  }
+  for (std::vector<EncodedTriple>* v : {&out->adds[0], &out->adds[1], &out->dels}) {
+    std::sort(v->begin(), v->end(), SpoLess());
+  }
+  std::vector<IndexRange> adds = {IndexRange::FromSpan(out->adds[0], Perm::kSpo),
+                                  IndexRange::FromSpan(out->adds[1], Perm::kSpo)};
+  std::vector<IndexRange> dels = {IndexRange::FromSpan(out->dels, Perm::kSpo)};
+  auto run = std::make_shared<const MergedRun>(std::move(adds), std::move(dels),
+                                               Perm::kSpo, nullptr);
+  const uint64_t n = run->size();
+  out->range = IndexRange::FromMerged(std::move(run), 0, n, Perm::kSpo);
+}
 
 class IndexRangeTest : public ::testing::Test {
  protected:
@@ -255,20 +246,21 @@ class IndexRangeTest : public ::testing::Test {
       triples_.push_back({Rand(rng, 200), Rand(rng, 6), Rand(rng, 500)});
     }
     triples_ = SortedUnique(std::move(triples_), Perm::kSpo);
-    cp_ = CompressedPermutation::Build(triples_, Perm::kSpo);
     raw_ = IndexRange::FromSpan(triples_, Perm::kSpo);
-    comp_ = IndexRange::FromBlocks(&cp_, 0, cp_.size(), Perm::kSpo);
+    BuildMerged(triples_, 29, &sources_);
+    merged_ = sources_.range;
+    ASSERT_TRUE(merged_.merged());
+    ASSERT_EQ(merged_.size(), triples_.size());
   }
 
   std::vector<EncodedTriple> triples_;
-  CompressedPermutation cp_;
+  MergedSources sources_;
   IndexRange raw_;
-  IndexRange comp_;
+  IndexRange merged_;
 };
 
 TEST_F(IndexRangeTest, SearchesAgreeWithStdAlgorithmsOnBothBackings) {
   std::mt19937 rng(3);
-  IndexBlockScratch scratch;
   for (int i = 0; i < 400; ++i) {
     EncodedTriple probe{Rand(rng, 220), Rand(rng, 8, 0), Rand(rng, 520, 0)};
     const uint64_t expect_lb =
@@ -279,35 +271,35 @@ TEST_F(IndexRangeTest, SearchesAgreeWithStdAlgorithmsOnBothBackings) {
         std::upper_bound(triples_.begin(), triples_.end(), probe,
                          SpoLess()) -
         triples_.begin();
-    for (const IndexRange* r : {&raw_, &comp_}) {
-      EXPECT_EQ(r->LowerBound(probe, &scratch), expect_lb);
-      EXPECT_EQ(r->UpperBound(probe, &scratch), expect_ub);
+    for (const IndexRange* r : {&raw_, &merged_}) {
+      EXPECT_EQ(r->LowerBound(probe), expect_lb);
+      EXPECT_EQ(r->UpperBound(probe), expect_ub);
       // Gallop from an arbitrary valid start at or before the answer.
       const uint64_t from = expect_lb == 0 ? 0 : rng() % expect_lb;
-      EXPECT_EQ(r->GallopLowerBound(from, probe, &scratch), expect_lb);
-      EXPECT_EQ(r->GallopUpperBound(from, probe, &scratch), expect_ub);
+      EXPECT_EQ(r->GallopLowerBound(from, probe), expect_lb);
+      EXPECT_EQ(r->GallopUpperBound(from, probe), expect_ub);
     }
   }
 }
 
 TEST_F(IndexRangeTest, SlicedRangesKeepRelativePositionSemantics) {
   std::mt19937 rng(17);
-  IndexBlockScratch scratch;
   for (int i = 0; i < 50; ++i) {
     uint64_t lo = rng() % triples_.size();
     uint64_t hi = lo + rng() % (triples_.size() - lo);
     IndexRange raw_slice = raw_.Slice(lo, hi);
-    IndexRange comp_slice = comp_.Slice(lo, hi);
+    IndexRange merged_slice = merged_.Slice(lo, hi);
     ASSERT_EQ(raw_slice.size(), hi - lo);
-    ASSERT_EQ(comp_slice.size(), hi - lo);
+    ASSERT_EQ(merged_slice.size(), hi - lo);
     if (lo < hi) {
       EXPECT_EQ(raw_slice.front().s, triples_[lo].s);
-      EXPECT_EQ(comp_slice.front().s, triples_[lo].s);
-      EXPECT_EQ(comp_slice.back().o, triples_[hi - 1].o);
+      EXPECT_EQ(merged_slice.front().s, triples_[lo].s);
+      EXPECT_EQ(merged_slice.back().o, triples_[hi - 1].o);
       const uint64_t mid = (hi - lo) / 2;
-      EXPECT_EQ(comp_slice[mid].p, triples_[lo + mid].p);
+      EXPECT_EQ(merged_slice[mid].p, triples_[lo + mid].p);
     }
-    EXPECT_TRUE(SameTriples(Materialize(raw_slice), Materialize(comp_slice)));
+    EXPECT_TRUE(
+        SameTriples(Materialize(raw_slice), Materialize(merged_slice)));
   }
 }
 
@@ -323,26 +315,38 @@ TEST_F(IndexRangeTest, RawFetchIsZeroCopyWholeRemainder) {
   EXPECT_EQ(capped.data(), triples_.data() + 5);
 }
 
-TEST_F(IndexRangeTest, CompressedFetchStopsAtBlockBoundaries) {
-  IndexBlockScratch scratch;
-  uint64_t pos = 0;
-  std::vector<EncodedTriple> seen;
-  size_t chunks = 0;
-  while (pos < comp_.size()) {
-    std::span<const EncodedTriple> chunk = comp_.Fetch(pos, 0, &scratch);
-    ASSERT_FALSE(chunk.empty());
-    // A chunk never crosses a block seam.
-    EXPECT_LE(chunk.size(), kIndexBlockSize - pos % kIndexBlockSize);
-    seen.insert(seen.end(), chunk.begin(), chunk.end());
-    pos += chunk.size();
-    ++chunks;
+TEST_F(IndexRangeTest, FetchChunksTileTheRangeOnBothBackings) {
+  std::mt19937 rng(31);
+  for (const IndexRange* r : {&raw_, &merged_}) {
+    IndexBlockScratch scratch;
+    uint64_t pos = 0;
+    std::vector<EncodedTriple> seen;
+    while (pos < r->size()) {
+      // Random caps, including 0 (= no cap), exercise both the
+      // sequential continuation and the capped window.
+      const uint64_t limit = rng() % 4 == 0 ? 0 : 1 + rng() % 700;
+      std::span<const EncodedTriple> chunk = r->Fetch(pos, limit, &scratch);
+      ASSERT_FALSE(chunk.empty());
+      if (limit != 0) {
+        EXPECT_LE(chunk.size(), limit);
+      }
+      seen.insert(seen.end(), chunk.begin(), chunk.end());
+      pos += chunk.size();
+    }
+    EXPECT_TRUE(r->Fetch(pos, 0, &scratch).empty());
+    EXPECT_TRUE(SameTriples(seen, triples_));
+    // Backward and random positions: a cold fetch re-seeks.
+    for (int i = 0; i < 100; ++i) {
+      const uint64_t at = rng() % triples_.size();
+      std::span<const EncodedTriple> one = r->Fetch(at, 1, &scratch);
+      ASSERT_EQ(one.size(), 1u);
+      EXPECT_EQ(one[0], triples_[at]);
+    }
   }
-  EXPECT_GE(chunks, cp_.block_count());
-  EXPECT_TRUE(SameTriples(seen, triples_));
 }
 
 TEST_F(IndexRangeTest, CursorSeekAndChunkContractOnBothBackings) {
-  for (const IndexRange* r : {&raw_, &comp_}) {
+  for (const IndexRange* r : {&raw_, &merged_}) {
     IndexCursor cursor(*r);
     EXPECT_FALSE(cursor.done());
     // Seek to an existing triple: the next chunk must start with it.
@@ -366,24 +370,24 @@ TEST_F(IndexRangeTest, CursorSeekAndChunkContractOnBothBackings) {
 }
 
 TEST_F(IndexRangeTest, SharedScratchSurvivesInterleavedRanges) {
-  // One scratch bounced between two different compressed permutations
-  // must never serve a stale block: generations differ, so every switch
-  // re-decodes.
-  CompressedPermutation other =
-      CompressedPermutation::Build(triples_, Perm::kSpo);
-  ASSERT_NE(other.generation(), cp_.generation());
-  IndexRange other_range = IndexRange::FromBlocks(&other, 0, other.size(),
-                                                  Perm::kSpo);
+  // One scratch bounced between two merged runs must never serve the
+  // other run's window: the second run holds every triple with its
+  // object shifted by one, so a stale hit reads the wrong object.
+  std::vector<EncodedTriple> shifted = triples_;
+  for (EncodedTriple& t : shifted) ++t.o;
+  MergedSources other;
+  BuildMerged(shifted, 37, &other);
+  ASSERT_EQ(other.range.size(), triples_.size());
   IndexBlockScratch scratch;
   std::mt19937 rng(23);
   for (int i = 0; i < 200; ++i) {
     const uint64_t pos = rng() % triples_.size();
-    std::span<const EncodedTriple> a = comp_.Fetch(pos, 1, &scratch);
+    std::span<const EncodedTriple> a = merged_.Fetch(pos, 1, &scratch);
     ASSERT_EQ(a.size(), 1u);
     EXPECT_EQ(a[0].o, triples_[pos].o);
-    std::span<const EncodedTriple> b = other_range.Fetch(pos, 1, &scratch);
+    std::span<const EncodedTriple> b = other.range.Fetch(pos, 1, &scratch);
     ASSERT_EQ(b.size(), 1u);
-    EXPECT_EQ(b[0].o, triples_[pos].o);
+    EXPECT_EQ(b[0].o, triples_[pos].o + 1);
   }
 }
 

@@ -328,7 +328,7 @@ TEST(IngestTest, MergedViewMatchesRefrozenOracle) {
       rdf::EncodedTriple t = range[pos];
       EXPECT_EQ(t, fetched[pos]);
       // LowerBound of an existing element finds its first occurrence.
-      uint64_t lb = range.LowerBound(t, &scratch);
+      uint64_t lb = range.LowerBound(t);
       ASSERT_LT(lb, range.size());
       EXPECT_EQ(range[lb], t);
       // Slicing preserves the merged backing and the elements.

@@ -1,7 +1,7 @@
 // Determinism of the parallel execution subsystem: every thread count must
 // produce byte-identical results to the serial path — candidates (order,
-// descriptions, SPARQL text), ReolapStats counters, frozen-store indexes,
-// and refinement evaluations.
+// descriptions, SPARQL text), ReolapStats counters and refinement
+// evaluations.
 
 #include <gtest/gtest.h>
 
@@ -154,43 +154,6 @@ TEST(ParallelSynthesisTest, SynthesizeMultiMatchesSerial) {
   auto actual = env.reolap->SynthesizeMulti(tuples, parallel);
   ASSERT_TRUE(actual.ok());
   EXPECT_EQ(Signature(*expected), Signature(*actual));
-}
-
-// The index build is one serial counting-sort path; what a Freeze() pool
-// still parallelizes is compressing the three permutations into blocks.
-// A pooled compressed Freeze() must serve exactly the serial one's store.
-TEST(ParallelFreezeTest, ParallelFreezeProducesIdenticalStore) {
-  auto build = [](util::ThreadPool* pool) {
-    auto ds = qb::Generate(qb::EurostatSpec(2000));
-    EXPECT_TRUE(ds.ok());
-    ds->store->set_index_format(rdf::IndexFormat::kCompressed);
-    ds->store->Freeze(pool);
-    EXPECT_TRUE(ds->store->compressed_index());
-    return std::move(ds->store);
-  };
-  util::ThreadPool pool(4);
-  auto serial = build(nullptr);
-  auto parallel = build(&pool);
-
-  ASSERT_EQ(serial->size(), parallel->size());
-  // Full scans through each permutation must agree bit for bit.
-  for (rdf::Perm perm : {rdf::Perm::kSpo, rdf::Perm::kPos, rdf::Perm::kOsp}) {
-    std::vector<rdf::EncodedTriple> a, b;
-    for (const rdf::EncodedTriple& t : serial->PermutationRange(perm)) {
-      a.push_back(t);
-    }
-    for (const rdf::EncodedTriple& t : parallel->PermutationRange(perm)) {
-      b.push_back(t);
-    }
-    EXPECT_TRUE(a == b) << "perm " << static_cast<int>(perm);
-  }
-  for (rdf::TermId p : serial->AllPredicates()) {
-    rdf::PredicateStats a = serial->predicate_stats(p);
-    rdf::PredicateStats b = parallel->predicate_stats(p);
-    EXPECT_EQ(a.triple_count, b.triple_count);
-    EXPECT_EQ(a.distinct_subjects, b.distinct_subjects);
-    EXPECT_EQ(a.distinct_objects, b.distinct_objects);
-  }
 }
 
 TEST(ParallelExrefTest, DisaggregateAndEvaluateMatchSerial) {

@@ -209,11 +209,7 @@ TEST(SnapshotTest, InspectReportsHeaderWithoutLoading) {
   Fixture fx(path);
   auto info = storage::InspectSnapshot(path);
   ASSERT_TRUE(info.ok()) << info.status();
-  // Raw stores write version-1 images; compressed stores version 2. Either
-  // way the section count is 7 (one index trio + dict/stats/text/vsg).
-  EXPECT_EQ(info->version, fx.store->compressed_index()
-                               ? storage::kSnapshotVersionCompressed
-                               : storage::kSnapshotVersion);
+  EXPECT_EQ(info->version, storage::kSnapshotVersion);
   EXPECT_EQ(info->triple_count, fx.store->size());
   EXPECT_EQ(info->term_count, fx.store->dictionary().size());
   EXPECT_TRUE(info->has_text_index);
@@ -330,10 +326,28 @@ TEST_F(SnapshotCorruptionTest, BadMagic) {
 }
 
 TEST_F(SnapshotCorruptionTest, VersionSkewIsInvalidArgument) {
+  const std::vector<char> valid = bytes_;
   // Version field sits right after the 8-byte magic.
   bytes_[8] = 99;
   WriteAll(path_, bytes_);
   ExpectLoadFails(util::StatusCode::kInvalidArgument, "version");
+
+  // A retired version-2 header over a valid version-1 image, with the
+  // header checksum recomputed so only the version can reject it.
+  bytes_ = valid;
+  ASSERT_EQ(bytes_[8], 1);
+  bytes_[8] = 2;
+  uint32_t sections = 0;
+  std::memcpy(&sections, bytes_.data() + 12, sizeof(sections));
+  const size_t checksum_at = 56 + size_t{sections} * 32;
+  ASSERT_LT(checksum_at + 8, bytes_.size());
+  const uint64_t checksum = util::Xxh64(bytes_.data(), checksum_at);
+  std::memcpy(bytes_.data() + checksum_at, &checksum, sizeof(checksum));
+  WriteAll(path_, bytes_);
+  ExpectLoadFails(util::StatusCode::kInvalidArgument, "version 2");
+  auto verified = storage::VerifySnapshot(path_);
+  ASSERT_FALSE(verified.ok());
+  EXPECT_TRUE(verified.status().IsInvalidArgument()) << verified.status();
 }
 
 TEST_F(SnapshotCorruptionTest, TruncatedFile) {

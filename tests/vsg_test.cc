@@ -457,10 +457,8 @@ std::vector<TermTriple> RandomKg(uint32_t seed) {
   return out;
 }
 
-std::unique_ptr<rdf::TripleStore> StoreOf(const std::vector<TermTriple>& kg,
-                                          rdf::IndexFormat format) {
+std::unique_ptr<rdf::TripleStore> StoreOf(const std::vector<TermTriple>& kg) {
   auto store = std::make_unique<rdf::TripleStore>();
-  store->set_index_format(format);
   for (const TermTriple& t : kg) store->Add(t[0], t[1], t[2]);
   store->Freeze();
   return store;
@@ -488,21 +486,22 @@ void ExpectBuildMatchesReference(const rdf::TripleStore& store,
   }
 }
 
-class VsgEquivalenceTest : public ::testing::TestWithParam<rdf::IndexFormat> {
-};
+// The index backing the suite freezes into: raw sorted arrays, the
+// store's one format.
+enum class Backing : uint8_t { kRaw = 0 };
+
+class VsgEquivalenceTest : public ::testing::TestWithParam<Backing> {};
 
 TEST_P(VsgEquivalenceTest, BuildMatchesReferenceCrawlOnRandomGraphs) {
   for (uint32_t seed = 1; seed <= 40; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    auto store = StoreOf(RandomKg(seed), GetParam());
+    auto store = StoreOf(RandomKg(seed));
     ExpectBuildMatchesReference(*store, kRandomObsClass);
   }
 }
 
 TEST_P(VsgEquivalenceTest, BuildMatchesReferenceCrawlOnFigure1) {
   auto store = BuildFigure1Store();
-  store->set_index_format(GetParam());
-  store->Freeze();
   ExpectBuildMatchesReference(*store, kObsClass);
 }
 
@@ -519,7 +518,7 @@ TEST_P(VsgEquivalenceTest, UpdateMatchesRebuildOnRandomGraphs) {
   for (uint32_t seed = 1; seed <= 40; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const std::vector<TermTriple> kg = RandomKg(seed);
-    auto store = StoreOf(kg, GetParam());
+    auto store = StoreOf(kg);
     auto built = VirtualSchemaGraph::Build(*store, kRandomObsClass);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     VirtualSchemaGraph graph = std::move(built).value();
@@ -581,7 +580,7 @@ TEST_P(VsgEquivalenceTest, BuildMatchesReferenceCrawlOnLiveStore) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     std::vector<TermTriple> kg = RandomKg(seed);
     const size_t base_size = kg.size() * 3 / 4;
-    auto store = StoreOf({kg.begin(), kg.begin() + base_size}, GetParam());
+    auto store = StoreOf({kg.begin(), kg.begin() + base_size});
     store->EnterLive();
     util::ThreadPool pool(1);
     store::Ingestor ingestor(store.get(), &pool);
@@ -663,22 +662,17 @@ TEST_P(VsgEquivalenceTest, GeneratedDatasetGraphsMatchRecordedDigests) {
     SCOPED_TRACE(c.name);
     auto ds = qb::Generate(c.spec);
     ASSERT_TRUE(ds.ok()) << ds.status().ToString();
-    if (ds->store->index_format() != GetParam()) {
-      ds->store->set_index_format(GetParam());
-      ds->store->Freeze();
-    }
     auto g = VirtualSchemaGraph::Build(*ds->store, c.spec.observation_class);
     ASSERT_TRUE(g.ok()) << g.status().ToString();
     EXPECT_EQ(GraphDigest(*g), c.want);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Formats, VsgEquivalenceTest,
-    ::testing::Values(rdf::IndexFormat::kRaw, rdf::IndexFormat::kCompressed),
-    [](const ::testing::TestParamInfo<rdf::IndexFormat>& info) {
-      return info.param == rdf::IndexFormat::kRaw ? "Raw" : "Compressed";
-    });
+INSTANTIATE_TEST_SUITE_P(Formats, VsgEquivalenceTest,
+                         ::testing::Values(Backing::kRaw),
+                         [](const ::testing::TestParamInfo<Backing>&) {
+                           return "Raw";
+                         });
 
 // --- guardrails --------------------------------------------------------------
 
