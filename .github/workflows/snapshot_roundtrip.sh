@@ -2,7 +2,8 @@
 # End-to-end exercise of the snapshot subsystem against a real build:
 # build an image from N-Triples, verify it, export it back (must be the
 # same triple set), then flip one bit and require verification to fail.
-# The image must be version 1 and carry a text_index section. Run under
+# The image must be version 1, carry a text_index section and no osp
+# section (the OSP order is a view over POS, never written). Run under
 # each sanitizer job so the loader's corruption paths stay ASan/TSan-clean.
 # The fixture's labels include a multi-word one and a case-only duplicate.
 set -euo pipefail
@@ -36,6 +37,10 @@ if ! grep -qx 'version: *1' "$WORK/inspect"; then
 fi
 if ! grep -q '^  text_index .*xxh64=' "$WORK/inspect"; then
   echo "ERROR: inspect printed no text_index checksum" >&2
+  exit 1
+fi
+if grep -q '^  osp ' "$WORK/inspect"; then
+  echo "ERROR: inspect lists an osp section on a freshly built image" >&2
   exit 1
 fi
 "$CLI" verify "$SNAP"

@@ -380,9 +380,6 @@ void QueryLog::WriteIntrospectionReport(std::ostream& os, size_t top_n) const {
          << " pos="
          << static_cast<uint64_t>(
                 reg.GetGauge("store.index.pos.bytes").value())
-         << " osp="
-         << static_cast<uint64_t>(
-                reg.GetGauge("store.index.osp.bytes").value())
          << "\n";
     }
     // Epoch chain (live stores only: store.epoch is published exclusively

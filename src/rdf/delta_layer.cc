@@ -29,14 +29,14 @@ void DeltaLayer::RebuildPredicateDelta() {
 }
 
 size_t DeltaLayer::MemoryUsage() const {
-  return TripleBytes(add_spo) + TripleBytes(add_pos) + TripleBytes(add_osp) +
-         TripleBytes(del_spo) + TripleBytes(del_pos) + TripleBytes(del_osp) +
+  return TripleBytes(add_spo) + TripleBytes(add_pos) + TripleBytes(del_spo) +
+         TripleBytes(del_pos) +
          predicate_delta.size() * (sizeof(TermId) + sizeof(int64_t) +
                                    2 * sizeof(void*));
 }
 
 size_t LiveBase::MemoryUsage() const {
-  return TripleBytes(spo) + TripleBytes(pos) + TripleBytes(osp) +
+  return TripleBytes(spo) + TripleBytes(pos) +
          stats.size() *
              (sizeof(TermId) + sizeof(PredicateStats) + 2 * sizeof(void*));
 }
@@ -127,30 +127,54 @@ void MergedRun::Seek(uint64_t pos, MergedCursorState* cur) const {
     cur->merged_pos = size_;
     return;
   }
-  // Rank bisection over the largest add source: find the last of its
-  // keys whose merged rank is <= pos, align every source at that key,
-  // then merge forward over the residual gap (bounded by the smaller
-  // sources' density between two driver keys).
-  size_t driver = 0;
-  for (size_t i = 1; i < adds_.size(); ++i) {
-    if (adds_[i].size() > adds_[driver].size()) driver = i;
-  }
+  // Rank bisection over one add source at a time: within the source's
+  // candidate window, find the last key whose merged rank is <= pos and
+  // align every source at it. The source's next key ranks above pos, so
+  // the target sorts before it, which caps every source's window. A base
+  // and its delta layers interleave densely, so one pass over the widest
+  // source usually leaves a short gap; sources over disjoint key ranges
+  // (the predicate runs of the OSP view) take one pass per source the
+  // target could lie in. The residual gap is merged forward.
+  constexpr uint64_t kMergeForwardGap = 256;
+  const size_t na = adds_.size();
+  std::vector<uint64_t> win_lo(na, 0);
+  std::vector<uint64_t> win_hi(na);
+  for (size_t i = 0; i < na; ++i) win_hi[i] = adds_[i].size();
   std::vector<uint64_t> bounds;
-  uint64_t lo = 0;
-  uint64_t hi = adds_[driver].size();
-  while (lo < hi) {
-    const uint64_t mid = lo + (hi - lo) / 2;
-    const EncodedTriple probe = adds_[driver][mid];
-    if (RankLess(probe, &bounds) <= pos) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
+  while (pos - cur->merged_pos > kMergeForwardGap) {
+    size_t d = na;
+    uint64_t widest = 1;
+    for (size_t i = 0; i < na; ++i) {
+      if (win_hi[i] - win_lo[i] > widest) {
+        d = i;
+        widest = win_hi[i] - win_lo[i];
+      }
     }
-  }
-  if (lo > 0) {
-    const EncodedTriple aligned = adds_[driver][lo - 1];
-    cur->merged_pos = RankLess(aligned, &bounds);
-    std::copy(bounds.begin(), bounds.end(), cur->src.begin());
+    if (d == na) break;
+    uint64_t lo = win_lo[d];
+    uint64_t hi = win_hi[d];
+    while (lo < hi) {
+      const uint64_t mid = lo + (hi - lo) / 2;
+      if (RankLess(adds_[d][mid], &bounds) <= pos) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    if (lo > win_lo[d]) {
+      cur->merged_pos = RankLess(adds_[d][lo - 1], &bounds);
+      std::copy(bounds.begin(), bounds.end(), cur->src.begin());
+      for (size_t i = 0; i < na; ++i) {
+        win_lo[i] = std::max(win_lo[i], bounds[i]);
+      }
+    }
+    win_hi[d] = lo;
+    if (lo < adds_[d].size() && pos - cur->merged_pos > kMergeForwardGap) {
+      RankLess(adds_[d][lo], &bounds);
+      for (size_t i = 0; i < na; ++i) {
+        win_hi[i] = std::min(win_hi[i], bounds[i]);
+      }
+    }
   }
   assert(cur->merged_pos <= pos);
   Advance(cur, pos - cur->merged_pos, nullptr);

@@ -6,10 +6,12 @@
 // time behind the IndexRange seam (ROADMAP item 3).
 //
 // A DeltaLayer is one atomically published ingest batch: inserts and
-// tombstoned deletes, each sorted in all three permutation orders, so a
-// layer answers the same clipped-range probes the base indexes do. The
-// layer-build invariants (enforced by store::Ingestor against the chain
-// being replaced) make merged positions exact arithmetic:
+// tombstoned deletes, each sorted in both stored permutation orders (SPO,
+// POS), so a layer answers the same clipped-range probes the base
+// indexes do; the OSP view cuts a layer's POS arrays into predicate runs,
+// as it cuts the base's. The layer-build invariants (enforced by
+// store::Ingestor against the chain being replaced) make merged positions
+// exact arithmetic:
 //
 //   - an insert is never already visible in the chain below, and
 //   - a tombstone kills exactly one triple visible in the chain below,
@@ -26,6 +28,7 @@
 // atomic shared_ptr store in TripleStore.
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -38,43 +41,31 @@
 namespace re2xolap::rdf {
 
 /// One sealed ingest batch: sorted insert and tombstone arrays per
-/// permutation. Immutable once published into an EpochChain.
+/// stored permutation. Immutable once published into an EpochChain.
 struct DeltaLayer {
   /// Inserted triples, each array sorted by its permutation's key order
-  /// and deduplicated. All three hold the same triple set.
+  /// and deduplicated. Both hold the same triple set.
   std::vector<EncodedTriple> add_spo;
   std::vector<EncodedTriple> add_pos;
-  std::vector<EncodedTriple> add_osp;
   /// Tombstones: triples visible in the chain below this layer that this
   /// layer deletes. Same sorting/dedup contract as the inserts.
   std::vector<EncodedTriple> del_spo;
   std::vector<EncodedTriple> del_pos;
-  std::vector<EncodedTriple> del_osp;
   /// Net per-predicate triple-count change (inserts - deletes), applied
   /// to the planner stats when the chain's merged stats are built.
   std::unordered_map<TermId, int64_t> predicate_delta;
   /// Monotone ingest batch number (diagnostics; snapshot round-trips).
   uint64_t batch_id = 0;
 
+  /// The stored arrays of a permutation (kSpo or kPos; the OSP order is
+  /// read from add_pos/del_pos by TripleStore's OSP view).
   const std::vector<EncodedTriple>& adds(Perm perm) const {
-    switch (perm) {
-      case Perm::kSpo:
-        return add_spo;
-      case Perm::kPos:
-        return add_pos;
-      default:
-        return add_osp;
-    }
+    assert(perm != Perm::kOsp && "OSP is a view over add_pos");
+    return perm == Perm::kSpo ? add_spo : add_pos;
   }
   const std::vector<EncodedTriple>& dels(Perm perm) const {
-    switch (perm) {
-      case Perm::kSpo:
-        return del_spo;
-      case Perm::kPos:
-        return del_pos;
-      default:
-        return del_osp;
-    }
+    assert(perm != Perm::kOsp && "OSP is a view over del_pos");
+    return perm == Perm::kSpo ? del_spo : del_pos;
   }
 
   uint64_t add_count() const { return add_spo.size(); }
@@ -94,7 +85,6 @@ struct DeltaLayer {
 struct LiveBase {
   std::vector<EncodedTriple> spo;  // sorted by (s, p, o)
   std::vector<EncodedTriple> pos;  // sorted by (p, o, s)
-  std::vector<EncodedTriple> osp;  // sorted by (o, s, p)
   std::unordered_map<TermId, PredicateStats> stats;
 
   size_t MemoryUsage() const;
@@ -136,19 +126,21 @@ struct EpochChain {
 void ApplyLayerToStats(const DeltaLayer& layer,
                        std::unordered_map<TermId, PredicateStats>* stats);
 
-/// The K-way merged view a merged IndexRange reads through: one clipped
-/// run per source (base and per-layer inserts as adds, per-layer
-/// tombstones as dels), all clipped to the same sentinel window of one
-/// permutation. Positions are exact under the layer-build invariants
-/// (see file header): size() = sum(adds) - sum(dels), and every bound is
-/// the same sum over per-source bounds. Immutable and shared: the
+/// The K-way merged view a merged IndexRange reads through: one sorted
+/// run per source, inserts and base runs as adds, tombstone runs as dels.
+/// Sources are the base and per-layer arrays of one permutation, or —
+/// for the OSP view — the predicate runs of every POS source, each
+/// clipped to the pattern's object; they need not share a clip window,
+/// only be sorted in `perm` order. Positions are exact under the
+/// layer-build invariants (see file header): size() = sum(adds) -
+/// sum(dels), and every bound is the same sum over per-source bounds. Immutable and shared: the
 /// IndexRanges handed to executors hold a shared_ptr to it, and it holds
 /// the chain keepalive, so a range outlives chain publication safely.
 class MergedRun {
  public:
-  /// `adds` must be non-empty; every range must be raw (not merged),
-  /// share `perm` and the same clip window. `keepalive` pins the chain
-  /// the sources alias.
+  /// `adds` must be non-empty; every range must be raw (not merged) and
+  /// sorted in `perm` order. `keepalive` pins the chain the sources alias
+  /// (null when they alias only the store's own arrays).
   MergedRun(std::vector<IndexRange> adds, std::vector<IndexRange> dels,
             Perm perm, std::shared_ptr<const void> keepalive);
 
@@ -163,8 +155,9 @@ class MergedRun {
   uint64_t Bound(const EncodedTriple& probe, bool upper) const;
 
   /// Positions `cur` at merged position `pos`: per-source positions plus
-  /// the merged position itself. Runs a rank bisection over the largest
-  /// add source, then merges forward over the residual gap.
+  /// the merged position itself. Runs rank bisections over the add
+  /// sources, widest candidate window first, until the residual gap is
+  /// short, then merges forward over it.
   void Seek(uint64_t pos, MergedCursorState* cur) const;
 
   /// Advances `cur` by up to `limit` merged triples (annihilating

@@ -1,13 +1,14 @@
 #ifndef RE2XOLAP_RDF_INDEX_CURSOR_H_
 #define RE2XOLAP_RDF_INDEX_CURSOR_H_
 
-// Index-cursor abstraction over the three sorted triple permutations.
+// Index-cursor abstraction over the three triple orders.
 //
 // TripleStore::Match() answers every pattern with an IndexRange: a
-// contiguous, sorted run of triples inside one permutation. The range is
-// backed either by a sorted EncodedTriple array (a zero-copy span into the
-// store's own vectors or a mapped snapshot image) or, on live stores, by
-// the K-way base-plus-delta MergedRun of rdf/delta_layer.h. Consumers that
+// sorted run of triples in one permutation order. The range is backed
+// either by a sorted EncodedTriple array (a zero-copy span into the
+// store's own vectors or a mapped snapshot image) or by the K-way
+// MergedRun of rdf/delta_layer.h: the OSP order merged from POS
+// predicate runs, and on live stores the base-plus-delta view. Consumers that
 // only iterate use the range-for iterator or IndexCursor::NextChunk; the
 // executors additionally seek and gallop via sentinel-triple probes.
 //
@@ -30,7 +31,8 @@ namespace re2xolap::rdf {
 
 class MergedRun;
 
-/// The three index permutations.
+/// The three triple orders. SPO and POS are stored arrays; OSP is read
+/// as a merge of POS predicate runs (TripleStore::Match).
 enum class Perm : uint8_t { kSpo = 0, kPos = 1, kOsp = 2 };
 
 inline constexpr TermId kMaxTermId = ~static_cast<TermId>(0);

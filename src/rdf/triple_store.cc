@@ -1,6 +1,7 @@
 #include "rdf/triple_store.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "obs/metrics.h"
@@ -37,10 +38,8 @@ void TripleStore::Materialize() {
   if (keepalive_ == nullptr) return;
   spo_.assign(spo_view_.begin(), spo_view_.end());
   pos_.assign(pos_view_.begin(), pos_view_.end());
-  osp_.assign(osp_view_.begin(), osp_view_.end());
   spo_view_ = {};
   pos_view_ = {};
-  osp_view_ = {};
   keepalive_.reset();
 }
 
@@ -49,17 +48,13 @@ void TripleStore::ResetIndexState() {
   spo_.shrink_to_fit();
   pos_.clear();
   pos_.shrink_to_fit();
-  osp_.clear();
-  osp_.shrink_to_fit();
   spo_view_ = {};
   pos_view_ = {};
-  osp_view_ = {};
   keepalive_.reset();
 }
 
 void TripleStore::AdoptFrozen(std::vector<EncodedTriple> spo,
                               std::vector<EncodedTriple> pos,
-                              std::vector<EncodedTriple> osp,
                               std::unordered_map<TermId, PredicateStats> stats,
                               uint64_t epoch) {
   assert(active_readers_.load(std::memory_order_relaxed) == 0 &&
@@ -68,7 +63,6 @@ void TripleStore::AdoptFrozen(std::vector<EncodedTriple> spo,
   ResetIndexState();
   spo_ = std::move(spo);
   pos_ = std::move(pos);
-  osp_ = std::move(osp);
   stats_ = std::move(stats);
   frozen_ = true;
   freeze_epoch_ = epoch;
@@ -77,7 +71,6 @@ void TripleStore::AdoptFrozen(std::vector<EncodedTriple> spo,
 
 void TripleStore::AdoptFrozenView(
     std::span<const EncodedTriple> spo, std::span<const EncodedTriple> pos,
-    std::span<const EncodedTriple> osp,
     std::unordered_map<TermId, PredicateStats> stats, uint64_t epoch,
     std::shared_ptr<const void> keepalive) {
   assert(active_readers_.load(std::memory_order_relaxed) == 0 &&
@@ -87,7 +80,6 @@ void TripleStore::AdoptFrozenView(
   ResetIndexState();
   spo_view_ = spo;
   pos_view_ = pos;
-  osp_view_ = osp;
   keepalive_ = std::move(keepalive);
   stats_ = std::move(stats);
   frozen_ = true;
@@ -134,6 +126,45 @@ void CountingSortBy(std::span<const EncodedTriple> in,
   for (const EncodedTriple& t : in) (*out)[offset[t.*key]++] = t;
 }
 
+// Reorders each predicate run of `pos`, which arrives in (p, s, o) order,
+// into (p, o, s) order: a stable sort by o keeps the s order within an
+// object. A run of k triples whose object ids span at most k log2 k
+// values is counting-sorted through `scratch` over the [min o, max o]
+// window of `offset` (sized key_bound + 1, all zero between runs); a run
+// of more widely spread objects is comparison-sorted by (o, s) instead,
+// which gives the same bytes because (o, s) pairs are unique within a
+// run.
+void SortRunsByObject(std::vector<EncodedTriple>* pos, size_t key_bound) {
+  std::vector<size_t> offset(key_bound + 1, 0);
+  std::vector<EncodedTriple> scratch;
+  for (auto run = pos->begin(); run != pos->end();) {
+    const TermId p = run->p;
+    TermId min_o = run->o;
+    TermId max_o = run->o;
+    auto run_end = run;
+    for (; run_end != pos->end() && run_end->p == p; ++run_end) {
+      min_o = std::min(min_o, run_end->o);
+      max_o = std::max(max_o, run_end->o);
+    }
+    const size_t k = static_cast<size_t>(run_end - run);
+    const size_t span = size_t{max_o} - min_o + 1;
+    if (span <= k * std::bit_width(k)) {
+      std::span<size_t> count(offset.data() + min_o, span + 1);
+      for (auto it = run; it != run_end; ++it) ++count[it->o - min_o + 1];
+      for (size_t i = 1; i <= span; ++i) count[i] += count[i - 1];
+      scratch.resize(k);
+      for (auto it = run; it != run_end; ++it) {
+        scratch[count[it->o - min_o]++] = *it;
+      }
+      std::copy(scratch.begin(), scratch.end(), run);
+      std::fill(count.begin(), count.end(), 0);
+    } else {
+      std::sort(run, run_end, PosLess());
+    }
+    run = run_end;
+  }
+}
+
 }  // namespace
 
 void TripleStore::BuildIndexes() {
@@ -141,12 +172,11 @@ void TripleStore::BuildIndexes() {
   // counting. SPO is one stable counting pass by s followed by a
   // comparison sort of each subject's run by (p, o), then the dedup:
   // O(n + |dict| + sum of k log k) over subject runs of length k, which
-  // degrades to O(n log n) only when most triples share one subject. OSP
-  // and POS each take one more stable pass over an already sorted
-  // permutation, whose order breaks their ties: OSP sorts SPO by o,
-  // keeping (s,p) order within an object, and POS sorts OSP by p, keeping
-  // (o,s) order within a predicate. Peak memory is the raw list plus one
-  // scratch buffer.
+  // degrades to O(n log n) only when most triples share one subject. POS
+  // is one stable pass by p over SPO, which leaves each predicate run in
+  // (s, o) order, then a stable sort of each run by o (SortRunsByObject).
+  // OSP is not stored: it is a merged view over the POS runs. Peak memory
+  // is two copies of the triples plus one predicate run of scratch.
   const size_t key_bound = dict_.size() + 1;
   {
     std::vector<EncodedTriple> scratch;
@@ -162,8 +192,8 @@ void TripleStore::BuildIndexes() {
   }
   spo_.erase(std::unique(spo_.begin(), spo_.end()), spo_.end());
   spo_.shrink_to_fit();
-  CountingSortBy(spo_, &EncodedTriple::o, key_bound, &osp_);
-  CountingSortBy(osp_, &EncodedTriple::p, key_bound, &pos_);
+  CountingSortBy(spo_, &EncodedTriple::p, key_bound, &pos_);
+  SortRunsByObject(&pos_, key_bound);
 }
 
 std::unordered_map<TermId, PredicateStats> ComputePredicateStats(
@@ -213,11 +243,67 @@ IndexRange TripleStore::ClassicPermutationRange(Perm perm) const {
     case Perm::kPos:
       return IndexRange::FromSpan(PosView(), perm);
     default:
-      return IndexRange::FromSpan(OspView(), perm);
+      return OspMerge(nullptr, kInvalidTermId, kInvalidTermId);
   }
 }
 
 namespace {
+
+// First position in [first, last) where `before` turns false (`before`
+// must hold on a prefix only), galloping from `first`: O(log d) for a
+// result d positions away.
+template <typename Before>
+const EncodedTriple* GallopPartition(const EncodedTriple* first,
+                                     const EncodedTriple* last,
+                                     Before before) {
+  const size_t n = static_cast<size_t>(last - first);
+  if (n == 0 || !before(*first)) return first;
+  size_t bound = 1;
+  while (bound < n && before(first[bound])) bound <<= 1;
+  return std::partition_point(first + bound / 2, first + std::min(bound, n),
+                              before);
+}
+
+// Appends to `out` the slices of the POS-sorted `pos` that the OSP view
+// reads: one per predicate run, clipped to object `o` and then subject
+// `s` when they are bound, empty slices skipped. Within one predicate POS
+// order is (o, s) order, so every slice is a sorted kOsp range. Runs are
+// found by galloping, so the cost is O(P log n) for P predicates. Returns
+// whether a slice was appended.
+bool AppendOspSlices(std::span<const EncodedTriple> pos, TermId o, TermId s,
+                     std::vector<IndexRange>* out) {
+  const TermId s_hi = s != kInvalidTermId ? s : kMaxTermId;
+  const EncodedTriple* const end = pos.data() + pos.size();
+  bool appended = false;
+  for (const EncodedTriple* run = pos.data(); run != end;) {
+    const TermId p = run->p;
+    const EncodedTriple* run_end = GallopPartition(
+        run, end, [p](const EncodedTriple& t) { return t.p == p; });
+    const EncodedTriple* lo = run;
+    const EncodedTriple* hi = run_end;
+    if (o != kInvalidTermId) {
+      // The run's first and last objects bound it: most runs are skipped
+      // without a search.
+      if (o < run->o || o > run_end[-1].o) {
+        run = run_end;
+        continue;
+      }
+      lo = std::partition_point(run, run_end, [o, s](const EncodedTriple& t) {
+        return t.o < o || (t.o == o && t.s < s);
+      });
+      hi = GallopPartition(lo, run_end, [o, s_hi](const EncodedTriple& t) {
+        return t.o == o && t.s <= s_hi;
+      });
+    }
+    if (lo != hi) {
+      out->push_back(IndexRange::FromSpan(
+          std::span<const EncodedTriple>(lo, hi), Perm::kOsp));
+      appended = true;
+    }
+    run = run_end;
+  }
+  return appended;
+}
 
 // Clips a whole-permutation range down to the triples between the lo/hi
 // sentinels (inclusive prefix semantics, exactly the old EqualRange).
@@ -366,15 +452,16 @@ IndexRange TripleStore::ChainPermutationRange(
     // they are store-owned, so no keepalive is needed.
     return ClassicPermutationRange(perm);
   }
+  if (perm == Perm::kOsp) {
+    return OspMerge(chain, kInvalidTermId, kInvalidTermId);
+  }
   std::vector<IndexRange> adds;
   std::vector<IndexRange> dels;
   adds.reserve(chain->layers.size() + 1);
   IndexRange base_range;
   if (base != nullptr) {
-    const std::vector<EncodedTriple>& v = perm == Perm::kSpo   ? base->spo
-                                          : perm == Perm::kPos ? base->pos
-                                                               : base->osp;
-    base_range = IndexRange::FromSpan(v, perm);
+    base_range = IndexRange::FromSpan(
+        perm == Perm::kSpo ? base->spo : base->pos, perm);
   } else {
     base_range = ClassicPermutationRange(perm);
   }
@@ -397,6 +484,38 @@ IndexRange TripleStore::ChainPermutationRange(
   return IndexRange::FromMerged(std::move(run), 0, n, perm);
 }
 
+IndexRange TripleStore::OspMerge(
+    const std::shared_ptr<const EpochChain>& chain, TermId o,
+    TermId s) const {
+  // Per-thread slice lists, reused: the usual answer is one slice of the
+  // store's own array, returned as a raw range without allocating.
+  thread_local std::vector<IndexRange> adds;
+  thread_local std::vector<IndexRange> dels;
+  adds.clear();
+  dels.clear();
+  // Slices of the store's own POS array live as long as the store; a
+  // slice of a compacted base or a layer needs the chain as keepalive.
+  bool chain_owned = false;
+  const LiveBase* base = chain != nullptr ? chain->base.get() : nullptr;
+  if (base != nullptr) {
+    chain_owned |= AppendOspSlices(base->pos, o, s, &adds);
+  } else {
+    AppendOspSlices(PosView(), o, s, &adds);
+  }
+  if (chain != nullptr) {
+    for (const std::shared_ptr<const DeltaLayer>& layer : chain->layers) {
+      chain_owned |= AppendOspSlices(layer->add_pos, o, s, &adds);
+      chain_owned |= AppendOspSlices(layer->del_pos, o, s, &dels);
+    }
+  }
+  if (adds.empty()) return IndexRange::FromSpan({}, Perm::kOsp);
+  if (adds.size() == 1 && !chain_owned) return adds.front();
+  auto run = std::make_shared<const MergedRun>(
+      adds, dels, Perm::kOsp, chain_owned ? chain : nullptr);
+  const uint64_t n = run->size();
+  return IndexRange::FromMerged(std::move(run), 0, n, Perm::kOsp);
+}
+
 IndexRange TripleStore::Match(const TriplePattern& q) const {
   assert(frozen_ && "TripleStore::Freeze() must be called before Match()");
   ReadGuard guard(this);
@@ -404,13 +523,12 @@ IndexRange TripleStore::Match(const TriplePattern& q) const {
   const bool bp = q.p != kInvalidTermId;
   const bool bo = q.o != kInvalidTermId;
 
+  if (bo && !bp) {
+    // The OSP view serves o / s,o.
+    return OspMerge(live() ? PinnedChain() : nullptr, q.o, q.s);
+  }
   if (bs) {
-    // SPO serves s / s,p / s,p,o; OSP serves s,o.
-    if (!bp && bo) {
-      return ClipRange(PermutationRange(Perm::kOsp),
-                       EncodedTriple{q.s, kInvalidTermId, q.o},
-                       EncodedTriple{q.s, kMaxTermId, q.o});
-    }
+    // SPO serves s / s,p / s,p,o.
     EncodedTriple lo{q.s, bp ? q.p : kInvalidTermId, bo ? q.o : kInvalidTermId};
     EncodedTriple hi{q.s, bp ? q.p : kMaxTermId, bo ? q.o : kMaxTermId};
     return ClipRange(PermutationRange(Perm::kSpo), lo, hi);
@@ -420,12 +538,6 @@ IndexRange TripleStore::Match(const TriplePattern& q) const {
     EncodedTriple lo{kInvalidTermId, q.p, bo ? q.o : kInvalidTermId};
     EncodedTriple hi{kMaxTermId, q.p, bo ? q.o : kMaxTermId};
     return ClipRange(PermutationRange(Perm::kPos), lo, hi);
-  }
-  if (bo) {
-    // OSP serves o.
-    return ClipRange(PermutationRange(Perm::kOsp),
-                     EncodedTriple{kInvalidTermId, kInvalidTermId, q.o},
-                     EncodedTriple{kMaxTermId, kMaxTermId, q.o});
   }
   return PermutationRange(Perm::kSpo);
 }
@@ -494,15 +606,13 @@ uint64_t TripleStore::ClassicSize() const { return SpoView().size(); }
 StoreMemory TripleStore::MemoryBreakdown() const {
   StoreMemory m;
   m.heap_bytes = dict_.MemoryUsage() +
-                 (spo_.capacity() + pos_.capacity() + osp_.capacity()) *
-                     sizeof(EncodedTriple) +
+                 (spo_.capacity() + pos_.capacity()) * sizeof(EncodedTriple) +
                  stats_.size() * (sizeof(TermId) + sizeof(PredicateStats) +
                                   2 * sizeof(void*));
   if (keepalive_ != nullptr) {
-    // Borrowed views: the image bytes the three spans alias.
+    // Borrowed views: the image bytes the two spans alias.
     m.mapped_bytes +=
-        (spo_view_.size() + pos_view_.size() + osp_view_.size()) *
-        sizeof(EncodedTriple);
+        (spo_view_.size() + pos_view_.size()) * sizeof(EncodedTriple);
   }
   if (live()) {
     std::shared_ptr<const EpochChain> chain = PinnedChain();
@@ -520,15 +630,10 @@ void TripleStore::UpdateStoreGauges() const {
   StoreMemory m = MemoryBreakdown();
   reg.GetGauge("store.bytes.heap").Set(static_cast<double>(m.heap_bytes));
   reg.GetGauge("store.bytes.mapped").Set(static_cast<double>(m.mapped_bytes));
-  auto index_bytes = [this](Perm perm) -> double {
-    std::span<const EncodedTriple> view = perm == Perm::kSpo   ? SpoView()
-                                          : perm == Perm::kPos ? PosView()
-                                                               : OspView();
-    return static_cast<double>(view.size() * sizeof(EncodedTriple));
-  };
-  reg.GetGauge("store.index.spo.bytes").Set(index_bytes(Perm::kSpo));
-  reg.GetGauge("store.index.pos.bytes").Set(index_bytes(Perm::kPos));
-  reg.GetGauge("store.index.osp.bytes").Set(index_bytes(Perm::kOsp));
+  reg.GetGauge("store.index.spo.bytes")
+      .Set(static_cast<double>(SpoView().size_bytes()));
+  reg.GetGauge("store.index.pos.bytes")
+      .Set(static_cast<double>(PosView().size_bytes()));
 }
 
 }  // namespace re2xolap::rdf

@@ -50,19 +50,23 @@ struct StoreMemory {
   size_t mapped_bytes = 0;
 };
 
-/// In-memory RDF triple store with dictionary encoding and three sorted
-/// index permutations (SPO, POS, OSP), so that every triple pattern with
-/// bound positions maps to a contiguous binary-searchable range.
+/// In-memory RDF triple store with dictionary encoding and two stored
+/// index permutations (SPO, POS). The third order, OSP, is a view over
+/// POS: for a fixed predicate a POS run is already in (o, s) order, so a
+/// K-way merge of the per-predicate runs (clipped to a bound object) is
+/// exactly the OSP sequence. Every triple pattern therefore maps to one
+/// sorted range: a contiguous slice of SPO or POS, or that merge.
 ///
 /// Usage: Add() triples (cheap append), then Freeze() once before querying.
 /// Further Add() calls invalidate the indexes; Freeze() rebuilds them.
 /// This mirrors the paper's setting: the KG is loaded/bootstrapped once and
 /// then queried read-only.
 ///
-/// Each permutation is a sorted EncodedTriple array: an owned vector or a
-/// span borrowed from a loaded snapshot image. Match() answers with an
-/// IndexRange (rdf/index_cursor.h) over it — a zero-copy span, or on a
-/// live store with delta layers a merged view. The first mutation
+/// Each stored permutation is a sorted EncodedTriple array: an owned
+/// vector or a span borrowed from a loaded snapshot image. Match() answers
+/// with an IndexRange (rdf/index_cursor.h) over it — a zero-copy span, or
+/// a merged view (the OSP order over several predicate runs, or on a live
+/// store the base plus its delta layers). The first mutation
 /// (Add/AddEncoded/Freeze) transparently materializes owned vectors, so
 /// the mutable API keeps working after a zero-copy load.
 ///
@@ -95,14 +99,14 @@ class TripleStore {
   /// a loader that knows its count appends without regrowing the list.
   void Reserve(size_t triples);
 
-  /// Sorts and deduplicates the three index permutations and computes
+  /// Sorts and deduplicates the two stored permutations and computes
   /// predicate statistics. Must be called after loading, before querying.
   /// SPO comes from one stable counting sort by subject plus a sort of
-  /// each subject's run by (p, o); OSP and POS from one counting sort each
-  /// over the dense term ids. The build is O(n + |dictionary| + sum of k
-  /// log k) over subject runs of length k — near linear when subjects
-  /// carry few triples each, O(n log n) in the worst case of one shared
-  /// subject.
+  /// each subject's run by (p, o); POS from one counting sort by predicate
+  /// over SPO plus a stable sort by object inside each predicate run. The
+  /// build is O(n + |dictionary| + sum of k log k) over subject runs of
+  /// length k — near linear when subjects carry few triples each,
+  /// O(n log n) in the worst case of one shared subject.
   void Freeze();
 
   bool frozen() const { return frozen_; }
@@ -191,13 +195,12 @@ class TripleStore {
 
   /// --- Snapshot restore (src/storage/) -----------------------------------
 
-  /// Installs a fully built frozen image: the three arrays must already be
+  /// Installs a fully built frozen image: both arrays must already be
   /// sorted in their permutation orders and deduplicated, `stats` must
   /// match them, and every id must be interned in dictionary(). Marks the
   /// store frozen at `epoch`. Replaces any previous triple data.
   void AdoptFrozen(std::vector<EncodedTriple> spo,
                    std::vector<EncodedTriple> pos,
-                   std::vector<EncodedTriple> osp,
                    std::unordered_map<TermId, PredicateStats> stats,
                    uint64_t epoch);
 
@@ -207,7 +210,6 @@ class TripleStore {
   /// materializes owned copies first). Same preconditions as AdoptFrozen.
   void AdoptFrozenView(std::span<const EncodedTriple> spo,
                        std::span<const EncodedTriple> pos,
-                       std::span<const EncodedTriple> osp,
                        std::unordered_map<TermId, PredicateStats> stats,
                        uint64_t epoch, std::shared_ptr<const void> keepalive);
 
@@ -241,10 +243,13 @@ class TripleStore {
 
   /// --- Matching (requires frozen()) --------------------------------------
 
-  /// All triples matching the pattern, as a contiguous sorted range inside
-  /// one of the index permutations. Triple component order is always s/p/o
-  /// regardless of which permutation serves it. The range is valid until
-  /// the store's next mutation (exactly the old span lifetime rule).
+  /// All triples matching the pattern, as a sorted range in one of the
+  /// permutation orders. Triple component order is always s/p/o
+  /// regardless of which permutation serves it. A bound object with an
+  /// unbound predicate reads the OSP view: the pattern's slice of each
+  /// predicate run, zero-copy when only one slice of the store's own POS
+  /// array is non-empty, else their merge. The range is valid until the
+  /// store's next mutation (exactly the old span lifetime rule).
   IndexRange Match(const TriplePattern& pattern) const;
 
   /// Number of triples matching a pattern. Pure index-range arithmetic:
@@ -257,6 +262,7 @@ class TripleStore {
   }
 
   /// The whole permutation as an IndexRange (merge joins, full scans).
+  /// kOsp is the merge of every predicate run of POS.
   IndexRange PermutationRange(Perm perm) const;
 
   /// Distinct predicate ids appearing on triples with subject `s`.
@@ -277,11 +283,10 @@ class TripleStore {
     return stats_;
   }
 
-  /// The three sorted index permutations as contiguous spans (canonical
+  /// The two stored index permutations as contiguous spans (canonical
   /// triple list = spo_span()). Require frozen().
   std::span<const EncodedTriple> spo_span() const { return SpoView(); }
   std::span<const EncodedTriple> pos_span() const { return PosView(); }
-  std::span<const EncodedTriple> osp_span() const { return OspView(); }
 
   /// --- Size accounting ----------------------------------------------------
 
@@ -327,9 +332,6 @@ class TripleStore {
   std::span<const EncodedTriple> PosView() const {
     return keepalive_ ? pos_view_ : std::span<const EncodedTriple>(pos_);
   }
-  std::span<const EncodedTriple> OspView() const {
-    return keepalive_ ? osp_view_ : std::span<const EncodedTriple>(osp_);
-  }
 
   /// Copies borrowed views into owned vectors and drops the keepalive, so
   /// mutation can proceed on owned storage. No-op for owned stores.
@@ -342,6 +344,12 @@ class TripleStore {
   /// PermutationRange over the store's own frozen arrays, ignoring
   /// any epoch chain (the chain's base when EpochChain::base is null).
   IndexRange ClassicPermutationRange(Perm perm) const;
+  /// The OSP view of `chain` (null: the store's own arrays): every POS
+  /// source — base, layer inserts, layer tombstones — cut into its
+  /// predicate runs, each clipped to object `o` and subject `s`
+  /// (kInvalidTermId: unbound), merged in (o, s, p) order.
+  IndexRange OspMerge(const std::shared_ptr<const EpochChain>& chain,
+                      TermId o, TermId s) const;
   /// Live read path: the whole permutation as a base-plus-deltas view of
   /// the calling thread's pinned chain (single-source fast path when the
   /// chain has no layers and the store's own arrays are the base).
@@ -363,15 +371,13 @@ class TripleStore {
   void ResetIndexState();
 
   Dictionary dict_;
-  // The three permutations each store full (s,p,o) triples sorted by a
-  // different key order. spo_ doubles as the canonical triple list.
+  // The two stored permutations each hold full (s,p,o) triples sorted by
+  // a different key order. spo_ doubles as the canonical triple list.
   std::vector<EncodedTriple> spo_;  // sorted by (s, p, o)
   std::vector<EncodedTriple> pos_;  // sorted by (p, o, s)
-  std::vector<EncodedTriple> osp_;  // sorted by (o, s, p)
   // Borrowed-index state (AdoptFrozenView): spans into `keepalive_`.
   std::span<const EncodedTriple> spo_view_;
   std::span<const EncodedTriple> pos_view_;
-  std::span<const EncodedTriple> osp_view_;
   std::shared_ptr<const void> keepalive_;
   std::unordered_map<TermId, PredicateStats> stats_;
   bool frozen_ = false;

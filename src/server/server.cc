@@ -35,6 +35,11 @@ namespace {
 /// admission.
 constexpr uint64_t kProbeWriteMillis = 100;
 
+/// Bound on the request bytes a shed connection discards before close
+/// (Server::ShedConn): the rest of a typical request body, read from the
+/// socket buffer without waiting.
+constexpr size_t kShedDrainBytes = 64u << 10;
+
 struct ServerMetrics {
   obs::Counter& accepted;
   obs::Counter& requests;
@@ -511,7 +516,18 @@ void Server::ShedConn(std::unique_ptr<Conn> conn, const char* why) {
   // spend bounded-resource time consoling the clients it is shedding.
   [[maybe_unused]] ssize_t n =
       ::send(conn->fd, bytes.data(), bytes.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
-  // conn destructor closes the socket.
+  // Closing with request bytes still unread makes the kernel reset the
+  // connection, and a reset can destroy the 503 before the client reads
+  // it (the client then retries, and one refusal counts twice). So end
+  // our side with a FIN, then discard what has already arrived — up to a
+  // fixed bound and without waiting — before the destructor closes.
+  ::shutdown(conn->fd, SHUT_WR);
+  char sink[4096];
+  for (size_t drained = 0; drained < kShedDrainBytes;) {
+    const ssize_t got = ::recv(conn->fd, sink, sizeof(sink), MSG_DONTWAIT);
+    if (got <= 0) break;
+    drained += static_cast<size_t>(got);
+  }
 }
 
 // ---------------------------------------------------------------------------

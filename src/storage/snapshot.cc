@@ -36,6 +36,9 @@ using rdf::TermId;
 constexpr uint64_t kFixedHeaderBytes = 56;
 constexpr uint64_t kSectionEntryBytes = 32;
 constexpr uint32_t kMaxSections = 64;
+// Section id of the delta chain as older builds wrote it (six arrays per
+// layer, OSP included); see SectionId::kDeltaChain.
+constexpr uint32_t kRetiredDeltaChainId = 11;
 // Poll the ExecGuard every this many loop iterations in term/posting loops.
 constexpr size_t kGuardStride = 1 << 16;
 
@@ -66,16 +69,8 @@ struct PosLessCmp {
     return a.s < b.s;
   }
 };
-struct OspLessCmp {
-  bool operator()(const EncodedTriple& a, const EncodedTriple& b) const {
-    if (a.o != b.o) return a.o < b.o;
-    if (a.s != b.s) return a.s < b.s;
-    return a.p < b.p;
-  }
-};
 inline constexpr SpoLessCmp SpoLess{};
 inline constexpr PosLessCmp PosLess{};
-inline constexpr OspLessCmp OspLess{};
 
 util::Status GuardCheck(const util::ExecGuard* guard) {
   return guard == nullptr ? util::Status::OK() : guard->Check();
@@ -185,16 +180,15 @@ util::Status EncodeVsg(const VsgImage& vsg, std::string* out) {
 
 util::Status EncodeDeltaChain(const rdf::EpochChain& chain, std::string* out) {
   ByteWriter w;
-  w.Reserve(8 + (chain.delta_adds + chain.delta_dels) * 3 *
+  w.Reserve(8 + (chain.delta_adds + chain.delta_dels) * 2 *
                     sizeof(EncodedTriple));
   w.U64(chain.layers.size());
   for (const std::shared_ptr<const rdf::DeltaLayer>& layer : chain.layers) {
     w.U64(layer->batch_id);
     w.U64(layer->add_count());
     w.U64(layer->del_count());
-    const std::vector<EncodedTriple>* arrays[6] = {
-        &layer->add_spo, &layer->add_pos, &layer->add_osp,
-        &layer->del_spo, &layer->del_pos, &layer->del_osp};
+    const std::vector<EncodedTriple>* arrays[4] = {
+        &layer->add_spo, &layer->add_pos, &layer->del_spo, &layer->del_pos};
     for (const std::vector<EncodedTriple>* a : arrays) {
       w.Bytes(a->data(), a->size() * sizeof(EncodedTriple));
     }
@@ -518,12 +512,12 @@ util::Status ValidateTriples(std::span<const EncodedTriple> triples,
 // --- delta chain section (version >= 3) --------------------------------------
 
 /// Decodes and validates the sealed delta layers of a version 3 image.
-/// Structural validation matches the base trio's: every array strictly
+/// Structural validation matches the base pair's: every array strictly
 /// sorted in its permutation order with every id inside the dictionary.
 /// (The set-semantics invariants — adds not yet visible, deletes visible —
 /// relate layers to the base and to each other; they are the writer's
 /// responsibility and are covered by the section checksums, exactly like
-/// the base trio's agreement with the stats section.)
+/// the base pair's agreement with the stats section.)
 util::Result<std::vector<std::shared_ptr<const rdf::DeltaLayer>>>
 DecodeDeltaChain(const std::byte* data, size_t bytes, uint64_t term_count,
                  util::ThreadPool* pool, const util::ExecGuard* guard) {
@@ -552,8 +546,8 @@ DecodeDeltaChain(const std::byte* data, size_t bytes, uint64_t term_count,
           "snapshot delta_chain layer " + std::to_string(i) +
           " is empty; empty batches are never published");
     }
-    // Each triple is stored three times (one array per index order).
-    const uint64_t room = r.remaining() / (3 * sizeof(EncodedTriple));
+    // Each triple is stored twice (one array per stored index order).
+    const uint64_t room = r.remaining() / (2 * sizeof(EncodedTriple));
     if (add_count > room || del_count > room - add_count) {
       return util::Status::ParseError("snapshot delta_chain layer " +
                                       std::to_string(i) +
@@ -564,13 +558,11 @@ DecodeDeltaChain(const std::byte* data, size_t bytes, uint64_t term_count,
       uint64_t count;
       const char* what;
     };
-    const Part parts[6] = {
+    const Part parts[4] = {
         {&layer->add_spo, add_count, "delta add_spo"},
         {&layer->add_pos, add_count, "delta add_pos"},
-        {&layer->add_osp, add_count, "delta add_osp"},
         {&layer->del_spo, del_count, "delta del_spo"},
         {&layer->del_pos, del_count, "delta del_pos"},
-        {&layer->del_osp, del_count, "delta del_osp"},
     };
     for (const Part& p : parts) {
       p.arr->resize(p.count);
@@ -589,20 +581,12 @@ DecodeDeltaChain(const std::byte* data, size_t bytes, uint64_t term_count,
                                          term_count, PosLess, "delta add_pos",
                                          pool, guard));
     RE2X_RETURN_IF_ERROR(ValidateTriples(std::span<const EncodedTriple>(
-                                             layer->add_osp),
-                                         term_count, OspLess, "delta add_osp",
-                                         pool, guard));
-    RE2X_RETURN_IF_ERROR(ValidateTriples(std::span<const EncodedTriple>(
                                              layer->del_spo),
                                          term_count, SpoLess, "delta del_spo",
                                          pool, guard));
     RE2X_RETURN_IF_ERROR(ValidateTriples(std::span<const EncodedTriple>(
                                              layer->del_pos),
                                          term_count, PosLess, "delta del_pos",
-                                         pool, guard));
-    RE2X_RETURN_IF_ERROR(ValidateTriples(std::span<const EncodedTriple>(
-                                             layer->del_osp),
-                                         term_count, OspLess, "delta del_osp",
                                          pool, guard));
     layer->RebuildPredicateDelta();
     layers.push_back(std::move(layer));
@@ -712,9 +696,16 @@ util::Result<SnapshotInfo> ParseHeader(const std::byte* data,
     RE2X_RETURN_IF_ERROR(r.U64(&s.offset));
     RE2X_RETURN_IF_ERROR(r.U64(&s.bytes));
     RE2X_RETURN_IF_ERROR(r.U64(&s.checksum));
-    // Version 1 carries ids 1-7; version 3 adds the delta chain. Any
-    // other id — the reserved 8-10 included — means corruption, not a
-    // feature gap.
+    // Version 1 carries ids 1-7; version 3 adds the delta chain. The
+    // retired six-array delta chain (id 11) is an image of an older
+    // build; any other id — the reserved 8-10 included — means
+    // corruption, not a feature gap.
+    if (id == kRetiredDeltaChainId) {
+      return util::Status::InvalidArgument(
+          "snapshot carries the retired delta_chain section (id 11, with "
+          "OSP arrays): written by an older build; re-save it with this "
+          "build's writer");
+    }
     const bool known =
         (id >= static_cast<uint32_t>(SectionId::kDictionary) &&
          id <= static_cast<uint32_t>(SectionId::kVsg)) ||
@@ -812,7 +803,7 @@ util::Status SaveSnapshotImpl(const std::string& path,
     return util::Status::InvalidArgument(
         "refusing to snapshot an empty store: nothing to persist");
   }
-  // The index trio always carries the chain's base (the whole store on
+  // The index pair always carries the chain's base (the whole store on
   // non-live stores); visible = base + delta adds - delta dels.
   const uint64_t base_triples =
       chain == nullptr
@@ -821,7 +812,7 @@ util::Status SaveSnapshotImpl(const std::string& path,
   if (base_triples == 0) {
     return util::Status::InvalidArgument(
         "refusing to snapshot a live store whose chain base is empty; "
-        "compact first so the image carries a non-empty index trio");
+        "compact first so the image carries a non-empty index pair");
   }
   RE2X_RETURN_IF_ERROR(GuardCheck(options.guard));
   util::WallTimer timer;
@@ -853,15 +844,11 @@ util::Status SaveSnapshotImpl(const std::string& path,
         live_base->spo.size() * sizeof(EncodedTriple));
     add(SectionId::kPos, live_base->pos.data(),
         live_base->pos.size() * sizeof(EncodedTriple));
-    add(SectionId::kOsp, live_base->osp.data(),
-        live_base->osp.size() * sizeof(EncodedTriple));
   } else {
     add(SectionId::kSpo, store.spo_span().data(),
         store.spo_span().size_bytes());
     add(SectionId::kPos, store.pos_span().data(),
         store.pos_span().size_bytes());
-    add(SectionId::kOsp, store.osp_span().data(),
-        store.osp_span().size_bytes());
   }
   add(SectionId::kPredicateStats);
   if (text != nullptr) add(SectionId::kTextIndex);
@@ -882,7 +869,7 @@ util::Status SaveSnapshotImpl(const std::string& path,
             EncodeDictionary(store.dictionary(), options.guard, &s.buf);
         break;
       case SectionId::kPredicateStats:
-        // The stats section matches the index trio, i.e. the chain base:
+        // The stats section matches the index pair, i.e. the chain base:
         // the loader re-applies the delta layers' stat adjustments when it
         // republishes the chain (TripleStore::RestoreChain).
         s.status = EncodeStats(live_base != nullptr
@@ -1011,17 +998,17 @@ util::Result<LoadedSnapshot> LoadSnapshotImpl(
         VerifySectionChecksums(base, info, options.pool, options.guard));
   }
 
-  // Required sections.
+  // Required sections. An OSP section (id 4) of an older build's image
+  // passed the checksum pass above and is otherwise skipped.
   const SectionInfo* dict_sec = FindSection(info, SectionId::kDictionary);
   const SectionInfo* spo_sec = FindSection(info, SectionId::kSpo);
   const SectionInfo* pos_sec = FindSection(info, SectionId::kPos);
-  const SectionInfo* osp_sec = FindSection(info, SectionId::kOsp);
   const SectionInfo* stats_sec = FindSection(info, SectionId::kPredicateStats);
   if (dict_sec == nullptr || stats_sec == nullptr || spo_sec == nullptr ||
-      pos_sec == nullptr || osp_sec == nullptr) {
+      pos_sec == nullptr) {
     return util::Status::ParseError(
         "snapshot is missing a required section (dictionary/predicate_stats/"
-        "index trio)");
+        "spo/pos)");
   }
   // ParseHeader already rejects a kDeltaChain id in pre-v3 images, so only
   // the missing direction can actually fire here.
@@ -1056,15 +1043,12 @@ util::Result<LoadedSnapshot> LoadSnapshotImpl(
     return std::span<const EncodedTriple>(
         reinterpret_cast<const EncodedTriple*>(base + s.offset), count);
   };
-  std::span<const EncodedTriple> spo, pos, osp;
+  std::span<const EncodedTriple> spo, pos;
   RE2X_ASSIGN_OR_RETURN(spo, triple_view(*spo_sec));
   RE2X_ASSIGN_OR_RETURN(pos, triple_view(*pos_sec));
-  RE2X_ASSIGN_OR_RETURN(osp, triple_view(*osp_sec));
   RE2X_RETURN_IF_ERROR(ValidateTriples(spo, info.term_count, SpoLess, "spo",
                                        options.pool, options.guard));
   RE2X_RETURN_IF_ERROR(ValidateTriples(pos, info.term_count, PosLess, "pos",
-                                       options.pool, options.guard));
-  RE2X_RETURN_IF_ERROR(ValidateTriples(osp, info.term_count, OspLess, "osp",
                                        options.pool, options.guard));
 
   LoadedSnapshot out;
@@ -1142,9 +1126,9 @@ util::Result<LoadedSnapshot> LoadSnapshotImpl(
   // so no index bytes are copied. The first mutation materializes owned
   // vectors either way; heap-mode loads are file-independent the moment
   // this returns (the buffer, not the file, backs the views).
-  out.store->AdoptFrozenView(spo, pos, osp, std::move(stats),
+  out.store->AdoptFrozenView(spo, pos, std::move(stats),
                              info.freeze_epoch, keepalive);
-  // Version 3: the adopted trio is the chain base — resume live mode and
+  // Version 3: the adopted pair is the chain base — resume live mode and
   // republish the saved layers at the saved epoch (RestoreChain recomputes
   // merged stats, visible count and delta totals from the layers).
   if (delta_sec != nullptr) {

@@ -3,7 +3,7 @@
 
 // Persistent snapshot subsystem: versioned binary store images with mmap
 // fast-boot. A snapshot serializes a complete frozen dataset — Dictionary
-// terms, the three sorted TripleStore index permutations with their
+// terms, the two stored TripleStore index permutations with their
 // freeze_epoch, per-predicate statistics, the TextIndex postings, and the
 // VirtualSchemaGraph — into one file, so subsequent processes boot by
 // loading (or zero-copy mmap-ing) the image instead of re-parsing
@@ -25,23 +25,29 @@
 //   | section payloads, each 64-byte aligned, checksummed above    |
 //   +--------------------------------------------------------------+
 //
-// The triple-index sections (SPO/POS/OSP) are raw arrays of 12-byte
-// (s,p,o) id triples at 64-byte-aligned offsets, so a loader may point the
+// The triple-index sections (SPO/POS) are raw arrays of 12-byte (s,p,o)
+// id triples at 64-byte-aligned offsets, so a loader may point the
 // TripleStore directly into the mapped file (zero copy) instead of copying.
+// The OSP order is a view over POS (rdf/triple_store.h) and is not
+// written. Older builds also wrote an OSP section (id 4): such an image
+// still loads, its checksum verified like every section's, and its
+// payload is neither validated nor adopted.
 //
 // Version 2 images (compressed block index sections, ids 8-10) are no
 // longer read: they fail with kInvalidArgument like any other unsupported
 // version.
 //
 // Version 3 images persist a live store (rdf/delta_layer.h) whose epoch
-// chain carries delta layers: the index trio holds the chain's base,
+// chain carries delta layers: the index pair holds the chain's base,
 // header triple_count counts that base, freeze_epoch is the chain's
 // epoch, and one kDeltaChain section holds every sealed layer. The
 // loader adopts the base, re-enters live mode and republishes the layers
 // (TripleStore::RestoreChain), so queries, cache keys and the visible
 // triple set resume exactly where the saved process stopped. A live store
 // with an empty chain writes a plain version 1 image (a compacted base is
-// written as the raw trio), losing nothing but the liveness flag.
+// written as the raw pair), losing nothing but the liveness flag. A delta
+// chain in section id 11 (six arrays per layer, OSP included) was written
+// by an older build: it is rejected with kInvalidArgument.
 // Saving a live store requires ingestion to be quiesced — no concurrent
 // IngestText/Compact publication during the save.
 //
@@ -77,7 +83,7 @@ inline constexpr char kSnapshotMagic[8] = {'R', '2', 'X', 'S',
                                            'N', 'A', 'P', '\n'};
 inline constexpr uint32_t kSnapshotVersion = 1;
 /// Version written for live stores whose epoch chain carries delta layers:
-/// the index trio holds the chain's base and a kDeltaChain section holds
+/// the index pair holds the chain's base and a kDeltaChain section holds
 /// the layers, so a loaded image resumes live at the exact saved epoch. A
 /// live store with an empty chain writes a plain version 1 image. Version
 /// 2 is retired and never read or written.
@@ -92,17 +98,22 @@ enum class SectionId : uint32_t {
   kDictionary = 1,      // interned terms, id order
   kSpo = 2,             // raw EncodedTriple array sorted by (s,p,o)
   kPos = 3,             // raw EncodedTriple array sorted by (p,o,s)
-  kOsp = 4,             // raw EncodedTriple array sorted by (o,s,p)
+  // Older builds wrote the (o,s,p) array here. Never written now; an
+  // image carrying it loads with the section skipped.
+  kOsp = 4,
   kPredicateStats = 5,  // planner cardinality statistics
   kTextIndex = 6,       // keyword + exact postings (optional)
   kVsg = 7,             // virtual schema graph parts (optional)
   // Ids 8-10 held the retired version 2's compressed block permutations;
   // they stay reserved and are never reused.
+  // Id 11 held the delta chain of older builds (six arrays per layer:
+  // add and del spo/pos/osp). It stays reserved; an image carrying it is
+  // kInvalidArgument.
   // Version 3 only: the live store's sealed delta layers (inserts and
-  // tombstones above the base index trio). Layout: layer_count u64, then
+  // tombstones above the base index pair). Layout: layer_count u64, then
   // per layer { batch_id u64 | add_count u64 | del_count u64 } followed by
-  // six raw EncodedTriple arrays (add spo/pos/osp, then del spo/pos/osp).
-  kDeltaChain = 11,
+  // four raw EncodedTriple arrays (add spo/pos, then del spo/pos).
+  kDeltaChain = 12,
 };
 
 /// Stable display name ("dictionary", "spo", ...) for diagnostics.
@@ -159,7 +170,7 @@ struct SnapshotWriteOptions {
   const util::ExecGuard* guard = nullptr;
 };
 
-/// Options for LoadSnapshot. The three triple-index arrays are always
+/// Options for LoadSnapshot. The two triple-index arrays are always
 /// zero-copy views into the loaded image (the TripleStore keeps the image
 /// alive; see TripleStore::AdoptFrozenView); `use_mmap` selects what backs
 /// the image: the mapped file (lazy page-in, cheapest start) or a heap

@@ -127,12 +127,9 @@ Result<IngestReceipt> Ingestor::IngestText(std::string_view text, IngestOp op,
     layer->batch_id = ++batch_seq_;
     auto& spo_arr = op == IngestOp::kInsert ? layer->add_spo : layer->del_spo;
     auto& pos_arr = op == IngestOp::kInsert ? layer->add_pos : layer->del_pos;
-    auto& osp_arr = op == IngestOp::kInsert ? layer->add_osp : layer->del_osp;
     spo_arr = std::move(final_batch);
     pos_arr = spo_arr;
     std::sort(pos_arr.begin(), pos_arr.end(), rdf::PosLess());
-    osp_arr = spo_arr;
-    std::sort(osp_arr.begin(), osp_arr.end(), rdf::OspLess());
     layer->RebuildPredicateDelta();
 
     auto fresh = std::make_shared<EpochChain>();
@@ -248,18 +245,16 @@ util::Status Ingestor::CompactNow(const ExecGuard* guard,
   span.SetAttr("layers", snap->depth());
   span.SetAttr("delta_triples", snap->delta_adds + snap->delta_dels);
 
-  // Fold the snapshotted chain into fresh owned arrays, one permutation
-  // at a time. The merged view already annihilates tombstones, so a plain
-  // sequential drain of each permutation IS the fold. No lock is held:
-  // ingest keeps publishing on top, and readers keep serving whichever
-  // chain they pinned.
+  // Fold the snapshotted chain into fresh owned arrays, one stored
+  // permutation at a time. The merged view already annihilates
+  // tombstones, so a plain sequential drain of each permutation IS the
+  // fold. No lock is held: ingest keeps publishing on top, and readers
+  // keep serving whichever chain they pinned.
   auto base = std::make_shared<rdf::LiveBase>();
-  std::array<Status, 3> merge_status;
+  std::array<Status, 2> merge_status;
   auto merge_one = [&](size_t i) {
-    const Perm perm = static_cast<Perm>(i);
-    std::vector<EncodedTriple>& out = perm == Perm::kSpo   ? base->spo
-                                      : perm == Perm::kPos ? base->pos
-                                                           : base->osp;
+    const Perm perm = i == 0 ? Perm::kSpo : Perm::kPos;
+    std::vector<EncodedTriple>& out = i == 0 ? base->spo : base->pos;
     rdf::IndexRange range = store_->ChainPermutationRange(snap, perm);
     out.reserve(range.size());
     rdf::IndexCursor cur(range);
@@ -276,9 +271,9 @@ util::Status Ingestor::CompactNow(const ExecGuard* guard,
     }
   };
   if (merge_pool != nullptr && merge_pool->size() > 0) {
-    merge_pool->ParallelFor(3, merge_one);
+    merge_pool->ParallelFor(2, merge_one);
   } else {
-    for (size_t i = 0; i < 3; ++i) merge_one(i);
+    for (size_t i = 0; i < 2; ++i) merge_one(i);
   }
   for (const Status& st : merge_status) {
     if (!st.ok()) return st;

@@ -4,6 +4,8 @@
 // row multiset; ORDER BY key sequences; LIMIT/OFFSET windows drawn from
 // the full answer). Guard violations must surface as their typed status
 // codes.
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <random>
 #include <string>
@@ -14,11 +16,15 @@
 
 #include "qb/datasets.h"
 #include "qb/generator.h"
+#include "rdf/ntriples.h"
 #include "sparql/executor.h"
+#include "store/ingestor.h"
 #include "tests/reference_eval.h"
 #include "tests/test_data.h"
 #include "tests/uncached_engine.h"
 #include "util/exec_guard.h"
+#include "util/failpoint.h"
+#include "util/thread_pool.h"
 
 namespace re2xolap::sparql {
 namespace {
@@ -173,7 +179,11 @@ TEST_F(ExecutorDiffTest, CorpusProducesIdenticalResults) {
 
 // Randomized property test: arbitrary BGPs (with variable reuse across
 // patterns, constants in arbitrary positions, occasional repeated
-// variables inside one pattern) over a small dense random graph.
+// variables inside one pattern) over a small dense random graph, frozen
+// and then live (a base plus insert and delete layers, against the
+// reference over a refrozen copy). At least 20 of the BGPs read the OSP
+// view: a pattern with a constant object under a predicate variable that
+// no other pattern binds.
 TEST(ExecutorDiffPropertyTest, RandomBgpsProduceIdenticalResults) {
   rdf::TripleStore store;
   std::mt19937 rng(20260809);
@@ -204,21 +214,90 @@ TEST(ExecutorDiffPropertyTest, RandomBgpsProduceIdenticalResults) {
         return "<http://r/o/" + std::to_string(r() % 12) + ">";
     }
   };
+  std::vector<std::string> queries;
+  int osp_view_queries = 0;
   for (int q = 0; q < 200; ++q) {
     const size_t n_patterns = 1 + rng() % 3;
     std::string body;
+    std::vector<std::array<std::string, 3>> patterns;
     for (size_t i = 0; i < n_patterns; ++i) {
+      std::array<std::string, 3> pattern;
       for (int pos = 0; pos < 3; ++pos) {
         // Bias toward variables so joins actually connect; always make
         // the first pattern's subject a variable so SELECT * projects.
         bool var = (i == 0 && pos == 0) || rng() % 3 != 0;
-        body += var ? vars[rng() % 5] : random_term(rng);
-        body += ' ';
+        pattern[pos] = var ? vars[rng() % 5] : random_term(rng);
+        body += pattern[pos] + ' ';
       }
       body += ". ";
+      patterns.push_back(pattern);
     }
-    const std::string query = "SELECT * WHERE { " + body + "}";
+    queries.push_back("SELECT * WHERE { " + body + "}");
+    auto occurrences = [&patterns](const std::string& term) {
+      int n = 0;
+      for (const auto& pattern : patterns) {
+        n += static_cast<int>(std::count(pattern.begin(), pattern.end(), term));
+      }
+      return n;
+    };
+    for (const auto& pattern : patterns) {
+      if (pattern[1][0] == '?' && pattern[2][0] != '?' &&
+          occurrences(pattern[1]) == 1) {
+        ++osp_view_queries;
+        break;
+      }
+    }
+  }
+  EXPECT_GE(osp_view_queries, 20);
+  for (const std::string& query : queries) {
     EXPECT_TRUE(AgreesWithReference(store, query)) << "query: " << query;
+  }
+
+  // The same graph as a live store: a base of two thirds of the triples,
+  // then layers inserting the rest, deleting triples and reinserting some
+  // of them.
+  std::vector<std::string> lines;
+  for (const rdf::EncodedTriple& t : store.spo_span()) {
+    lines.push_back(rdf::ToNTriples(store.term(t.s)) + " " +
+                    rdf::ToNTriples(store.term(t.p)) + " " +
+                    rdf::ToNTriples(store.term(t.o)) + " .\n");
+  }
+  util::FailpointRegistry::Global().DisarmAll();
+  rdf::TripleStore live;
+  std::string base;
+  std::string inserts_a;
+  std::string inserts_b;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    (i % 3 != 0 ? base : i % 2 == 0 ? inserts_a : inserts_b) += lines[i];
+  }
+  ASSERT_TRUE(rdf::ParseNTriples(base, &live).ok());
+  live.Freeze();
+  live.EnterLive();
+  util::ThreadPool pool(1);
+  store::IngestorConfig config;
+  config.auto_compact = false;
+  store::Ingestor ingestor(&live, &pool, config);
+  std::mt19937 layer_rng(77);
+  std::string deletes;
+  std::string reinserts;
+  for (int i = 0; i < 30; ++i) {
+    const std::string& l = lines[layer_rng() % lines.size()];
+    deletes += l;
+    if (i % 3 == 0) reinserts += l;
+  }
+  for (const auto& [text, op] :
+       {std::pair{inserts_a, store::IngestOp::kInsert},
+        std::pair{deletes, store::IngestOp::kDelete},
+        std::pair{inserts_b, store::IngestOp::kInsert},
+        std::pair{reinserts, store::IngestOp::kInsert}}) {
+    auto receipt = ingestor.IngestText(text, op, nullptr);
+    ASSERT_TRUE(receipt.ok()) << receipt.status();
+  }
+  ASSERT_EQ(live.chain_depth(), 4u);
+  auto refrozen = re2xolap::testing::RefreezeVisible(live);
+  for (const std::string& query : queries) {
+    EXPECT_TRUE(AgreesWithReference(live, *refrozen, query))
+        << "live query: " << query;
   }
 }
 

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <random>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -21,6 +22,8 @@
 #include <gtest/gtest.h>
 
 #include "engine/query_engine.h"
+#include "qb/datasets.h"
+#include "qb/generator.h"
 #include "rdf/ntriples.h"
 #include "rdf/triple_store.h"
 #include "server/http_client.h"
@@ -356,6 +359,232 @@ TEST(IngestTest, MergedViewMatchesRefrozenOracle) {
     ASSERT_TRUE(live.ok()) << live.status() << "\nquery: " << query;
     ASSERT_TRUE(expect.ok()) << expect.status();
     EXPECT_EQ(SortedRows(*live), SortedRows(*expect)) << "query: " << query;
+  }
+}
+
+/// Every triple of `range`, in range order.
+std::vector<rdf::EncodedTriple> Drain(const rdf::IndexRange& range) {
+  return std::vector<rdf::EncodedTriple>(range.begin(), range.end());
+}
+
+/// `triples` sorted in `perm`'s key order, spelled out here rather than
+/// taken from rdf::PermLess: the independent oracle of a permutation read.
+std::vector<rdf::EncodedTriple> SortedBy(std::vector<rdf::EncodedTriple> triples,
+                                         rdf::Perm perm) {
+  auto key = [perm](const rdf::EncodedTriple& t) {
+    switch (perm) {
+      case rdf::Perm::kSpo:
+        return std::tuple(t.s, t.p, t.o);
+      case rdf::Perm::kPos:
+        return std::tuple(t.p, t.o, t.s);
+      default:
+        return std::tuple(t.o, t.s, t.p);
+    }
+  };
+  std::sort(triples.begin(), triples.end(),
+            [&key](const rdf::EncodedTriple& a, const rdf::EncodedTriple& b) {
+              return key(a) < key(b);
+            });
+  return triples;
+}
+
+/// Probes `range` at random positions, probes and limits and requires
+/// every bound, gallop, point read and Fetch chunk to agree with the
+/// sorted array `want`.
+void ExpectRangeReadsMatch(const rdf::IndexRange& range,
+                           const std::vector<rdf::EncodedTriple>& want,
+                           rdf::TermId max_id, std::mt19937* rng) {
+  ASSERT_EQ(range.size(), want.size());
+  if (want.empty()) return;
+  const rdf::Perm perm = range.perm();
+  auto less = [perm](const rdf::EncodedTriple& a,
+                     const rdf::EncodedTriple& b) {
+    return rdf::PermLess(perm, a, b);
+  };
+  // Probe components at, between and beyond the stored ids.
+  auto component = [&]() -> rdf::TermId {
+    switch ((*rng)() % 4) {
+      case 0:
+        return rdf::kInvalidTermId;
+      case 1:
+        return rdf::kMaxTermId;
+      default:
+        return 1 + static_cast<rdf::TermId>((*rng)() % max_id);
+    }
+  };
+  rdf::IndexBlockScratch scratch;
+  for (int i = 0; i < 200; ++i) {
+    rdf::EncodedTriple probe{component(), component(), component()};
+    if (i % 2 == 0) probe = want[(*rng)() % want.size()];
+    const uint64_t lb = static_cast<uint64_t>(
+        std::lower_bound(want.begin(), want.end(), probe, less) - want.begin());
+    const uint64_t ub = static_cast<uint64_t>(
+        std::upper_bound(want.begin(), want.end(), probe, less) - want.begin());
+    EXPECT_EQ(range.LowerBound(probe), lb);
+    EXPECT_EQ(range.UpperBound(probe), ub);
+    const uint64_t from = (*rng)() % (want.size() + 1);
+    EXPECT_EQ(range.GallopLowerBound(from, probe), std::max(from, lb));
+    EXPECT_EQ(range.GallopUpperBound(from, probe), std::max(from, ub));
+
+    const uint64_t pos = (*rng)() % want.size();
+    const uint64_t limit = (*rng)() % 40;  // 0 = no cap
+    EXPECT_EQ(range[pos], want[pos]) << "pos " << pos;
+    std::span<const rdf::EncodedTriple> chunk =
+        range.Fetch(pos, limit, &scratch);
+    ASSERT_FALSE(chunk.empty()) << "pos " << pos;
+    if (limit != 0) {
+      EXPECT_LE(chunk.size(), limit);
+    }
+    ASSERT_LE(pos + chunk.size(), want.size());
+    for (size_t j = 0; j < chunk.size(); ++j) {
+      ASSERT_EQ(chunk[j], want[pos + j]) << "pos " << pos << " + " << j;
+    }
+  }
+}
+
+// The OSP order is a merge of the POS predicate runs of every chain
+// source: the base (the store's own arrays, or a compacted base) and each
+// layer's inserts and tombstones. On random chains of depth 0-6, over a
+// pristine or a compacted base, with triples deleted and reinserted
+// across layers, every OSP read must equal the refrozen store's (same
+// term ids) and an independent sort of the visible triples, in order.
+TEST(IngestTest, OspViewMatchesRefrozenStoreOnRandomChains) {
+  for (int trial = 0; trial < 14; ++trial) {
+    SCOPED_TRACE(trial);
+    store::IngestorConfig config;
+    config.auto_compact = false;
+    LiveFixture fx(config);
+    std::mt19937 rng(7100 + trial);
+    const bool compacted = trial % 2 == 1;
+    const int depth = trial / 2;
+    std::vector<std::string> deleted;  // reinsertion candidates
+    auto ingest_batch = [&](bool deleting) {
+      const std::multiset<std::string> visible_set = VisibleTriples(*fx.store);
+      const std::vector<std::string> visible(visible_set.begin(),
+                                             visible_set.end());
+      std::string text;
+      if (deleting) {
+        // Visible triples (base or synthetic), plus one that may not be.
+        for (int i = 0; i < 10; ++i) {
+          const std::string& line = visible[rng() % visible.size()];
+          text += line + "\n";
+          deleted.push_back(line);
+        }
+        text += Line(rng() % 8, rng() % 4, rng() % 8);
+      } else {
+        // Fresh triples over a small id space, so objects recur under
+        // several predicates, plus reinsertions of deleted triples.
+        for (int i = 0; i < 12; ++i) {
+          text += Line(rng() % 8, rng() % 4, rng() % 8);
+        }
+        for (int i = 0; i < 4 && !deleted.empty(); ++i) {
+          text += deleted[rng() % deleted.size()] + "\n";
+        }
+      }
+      fx.MustIngest(text, deleting ? IngestOp::kDelete : IngestOp::kInsert);
+    };
+    if (compacted) {
+      for (int b = 0; b < 3; ++b) ingest_batch(b == 1);
+      ASSERT_TRUE(fx.ingestor->Compact().ok());
+      ASSERT_TRUE(fx.store->live_info().compacted_base);
+    }
+    for (int b = 0; b < depth; ++b) ingest_batch(b % 3 == 1);
+    ASSERT_EQ(fx.store->chain_depth(), static_cast<uint64_t>(depth));
+
+    auto frozen = testing::RefreezeVisible(*fx.store);
+    rdf::TripleStore::ReadPin pin(*fx.store);
+    const std::vector<rdf::EncodedTriple> osp = SortedBy(
+        Drain(frozen->PermutationRange(rdf::Perm::kSpo)), rdf::Perm::kOsp);
+    ASSERT_EQ(osp.size(), fx.store->size());
+    EXPECT_EQ(Drain(fx.store->PermutationRange(rdf::Perm::kOsp)), osp);
+    EXPECT_EQ(Drain(frozen->PermutationRange(rdf::Perm::kOsp)), osp);
+
+    const auto max_id =
+        static_cast<rdf::TermId>(fx.store->dictionary().size());
+    for (rdf::TermId o = 1; o <= max_id; ++o) {
+      auto first = std::lower_bound(
+          osp.begin(), osp.end(), rdf::EncodedTriple{0, 0, o},
+          [](const rdf::EncodedTriple& a, const rdf::EncodedTriple& b) {
+            return a.o < b.o;
+          });
+      auto last = first;
+      while (last != osp.end() && last->o == o) ++last;
+      const std::vector<rdf::EncodedTriple> with_o(first, last);
+      ASSERT_EQ(Drain(fx.store->Match({0, 0, o})), with_o) << "o " << o;
+      ASSERT_EQ(Drain(frozen->Match({0, 0, o})), with_o) << "o " << o;
+      for (rdf::TermId s = 1; s <= max_id; ++s) {
+        std::vector<rdf::EncodedTriple> with_so;
+        for (const rdf::EncodedTriple& t : with_o) {
+          if (t.s == s) with_so.push_back(t);
+        }
+        ASSERT_EQ(Drain(fx.store->Match({s, 0, o})), with_so)
+            << "s " << s << " o " << o;
+        ASSERT_EQ(Drain(frozen->Match({s, 0, o})), with_so)
+            << "s " << s << " o " << o;
+      }
+    }
+    ExpectRangeReadsMatch(fx.store->PermutationRange(rdf::Perm::kOsp), osp,
+                          max_id, &rng);
+    ExpectRangeReadsMatch(frozen->PermutationRange(rdf::Perm::kOsp), osp,
+                          max_id, &rng);
+  }
+}
+
+// Merged seeks on stores large enough that a cold Fetch bisects rather
+// than merging forward from the start: the OSP view of a generated store
+// (one source per predicate, over disjoint object ranges) and all three
+// orders of a live chain above it, against sorted copies.
+TEST(IngestTest, MergedSeeksMatchSortedOracleOnGeneratedStore) {
+  util::FailpointRegistry::Global().DisarmAll();
+  auto ds = qb::Generate(qb::EurostatSpec(3000));
+  ASSERT_TRUE(ds.ok()) << ds.status();
+  rdf::TripleStore& store = *ds->store;
+  std::mt19937 rng(9090);
+  const std::vector<rdf::EncodedTriple> spo(store.spo_span().begin(),
+                                            store.spo_span().end());
+  const auto max_id = static_cast<rdf::TermId>(store.dictionary().size());
+  {
+    const rdf::IndexRange osp = store.PermutationRange(rdf::Perm::kOsp);
+    EXPECT_TRUE(osp.merged());
+    ExpectRangeReadsMatch(osp, SortedBy(spo, rdf::Perm::kOsp), max_id, &rng);
+  }
+
+  store.EnterLive();
+  util::ThreadPool pool(1);
+  store::IngestorConfig config;
+  config.auto_compact = false;
+  Ingestor ingestor(&store, &pool, config);
+  for (int batch = 0; batch < 4; ++batch) {
+    std::string text;
+    if (batch % 2 == 1) {
+      rdf::TripleStore::ReadPin pin(store);
+      const rdf::IndexRange all = store.PermutationRange(rdf::Perm::kSpo);
+      for (int i = 0; i < 300; ++i) {
+        const rdf::EncodedTriple t = all[rng() % all.size()];
+        text += rdf::ToNTriples(store.term(t.s)) + " " +
+                rdf::ToNTriples(store.term(t.p)) + " " +
+                rdf::ToNTriples(store.term(t.o)) + " .\n";
+      }
+    } else {
+      for (int i = 0; i < 300; ++i) text += Line(rng() % 50, rng() % 6, rng() % 50);
+    }
+    auto receipt = ingestor.IngestText(
+        text, batch % 2 == 1 ? IngestOp::kDelete : IngestOp::kInsert, nullptr);
+    ASSERT_TRUE(receipt.ok()) << receipt.status();
+  }
+  ASSERT_EQ(store.chain_depth(), 4u);
+  auto frozen = testing::RefreezeVisible(store);
+  const std::vector<rdf::EncodedTriple> visible(frozen->spo_span().begin(),
+                                                frozen->spo_span().end());
+  rdf::TripleStore::ReadPin pin(store);
+  for (rdf::Perm perm :
+       {rdf::Perm::kSpo, rdf::Perm::kPos, rdf::Perm::kOsp}) {
+    SCOPED_TRACE(static_cast<int>(perm));
+    const rdf::IndexRange range = store.PermutationRange(perm);
+    EXPECT_TRUE(range.merged());
+    ExpectRangeReadsMatch(range, SortedBy(visible, perm),
+                          static_cast<rdf::TermId>(store.dictionary().size()),
+                          &rng);
   }
 }
 

@@ -396,6 +396,12 @@ util::Result<sparql::ResultTable> ReferencePostOps(
 
 ::testing::AssertionResult AgreesWithReference(const rdf::TripleStore& store,
                                                std::string_view sparql) {
+  return AgreesWithReference(store, store, sparql);
+}
+
+::testing::AssertionResult AgreesWithReference(
+    const rdf::TripleStore& store, const rdf::TripleStore& reference_store,
+    std::string_view sparql) {
   auto parsed = sparql::ParseQuery(sparql);
   if (!parsed.ok()) {
     return ::testing::AssertionFailure()
@@ -403,7 +409,7 @@ util::Result<sparql::ResultTable> ReferencePostOps(
   }
   const SelectQuery& query = *parsed;
   auto actual = RunUncached(store, query);
-  auto expected = ReferenceEvaluate(store, query);
+  auto expected = ReferenceEvaluate(reference_store, query);
   if (!actual.ok() || !expected.ok()) {
     if (!actual.ok() && !expected.ok() &&
         actual.status().code() == expected.status().code()) {
@@ -440,12 +446,13 @@ util::Result<sparql::ResultTable> ReferencePostOps(
     SelectQuery unlimited = query;
     unlimited.limit.reset();
     unlimited.offset = 0;
-    auto all = ReferenceEvaluate(store, unlimited);
+    auto all = ReferenceEvaluate(reference_store, unlimited);
     if (!all.ok()) {
       return ::testing::AssertionFailure()
              << "reference without LIMIT/OFFSET: " << all.status().ToString();
     }
-    std::multiset<std::string> pool = RowKeys(store, *all, reference_order);
+    std::multiset<std::string> pool =
+        RowKeys(reference_store, *all, reference_order);
     for (const std::string& row : got) {
       auto it = pool.find(row);
       if (it == pool.end()) {
@@ -458,7 +465,7 @@ util::Result<sparql::ResultTable> ReferencePostOps(
     }
   } else {
     const std::multiset<std::string> want =
-        RowKeys(store, *expected, reference_order);
+        RowKeys(reference_store, *expected, reference_order);
     if (got != want) {
       return ::testing::AssertionFailure()
              << "rows differ\nengine:\n" << Describe(got) << "reference:\n"
@@ -466,10 +473,26 @@ util::Result<sparql::ResultTable> ReferencePostOps(
     }
   }
   if (!query.order_by.empty() &&
-      OrderKeys(store, *actual, query) != OrderKeys(store, *expected, query)) {
+      OrderKeys(store, *actual, query) !=
+          OrderKeys(reference_store, *expected, query)) {
     return ::testing::AssertionFailure() << "ORDER BY key sequence differs";
   }
   return ::testing::AssertionSuccess();
+}
+
+std::unique_ptr<rdf::TripleStore> RefreezeVisible(
+    const rdf::TripleStore& store) {
+  auto out = std::make_unique<rdf::TripleStore>();
+  store.dictionary().ForEach([&out](rdf::TermId id, rdf::TermView t) {
+    const rdf::TermId copy = out->Intern(t);
+    EXPECT_EQ(copy, id) << "dictionary ids must carry over";
+  });
+  rdf::TripleStore::ReadPin pin(store);
+  const rdf::IndexRange spo = store.PermutationRange(rdf::Perm::kSpo);
+  out->Reserve(spo.size());
+  for (const rdf::EncodedTriple& t : spo) out->AddEncoded(t);
+  out->Freeze();
+  return out;
 }
 
 }  // namespace re2xolap::testing

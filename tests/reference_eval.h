@@ -14,6 +14,7 @@
 // Speed is not: every solution is materialized and every pattern is a
 // fresh Match() call. Keep inputs test-sized.
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,6 +61,19 @@ util::Result<sparql::ResultTable> ReferencePostOps(
 ///     cells, row by row.
 ::testing::AssertionResult AgreesWithReference(const rdf::TripleStore& store,
                                                std::string_view sparql);
+
+/// The same check with the reference evaluating over `reference_store`,
+/// which must hold the same triples under the same term ids (for example
+/// RefreezeVisible(store) of a live store).
+::testing::AssertionResult AgreesWithReference(
+    const rdf::TripleStore& store, const rdf::TripleStore& reference_store,
+    std::string_view sparql);
+
+/// A freeze-once copy of `store`'s visible triples (on a live store, its
+/// current chain) with the same dictionary ids, so answers over the copy
+/// compare id for id and in order with answers over `store`.
+std::unique_ptr<rdf::TripleStore> RefreezeVisible(
+    const rdf::TripleStore& store);
 
 }  // namespace re2xolap::testing
 

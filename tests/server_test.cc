@@ -374,6 +374,73 @@ TEST_F(ServerTest, SaturatedServerStillAnswersProbes) {
   EXPECT_GE(server_->stats().shed, 1u);
 }
 
+// A shed request whose body had fully arrived counts once. Each client
+// holds a keep-alive connection (HttpClient retries a failed exchange on
+// such a connection, and a retry would be shed and counted again), and
+// each body is longer than the head the acceptor reads to look for probe
+// routes, so request bytes are still unread when the server sheds them
+// (it discards them before closing).
+TEST_F(ServerTest, ShedPostWithFullBodyCountsOnce) {
+  ServerConfig config;
+  config.worker_threads = 1;
+  config.queue_capacity = 1;
+  StartServer(config);
+  constexpr uint64_t kSheds = 8;
+  std::vector<std::unique_ptr<HttpClient>> clients;
+  for (uint64_t i = 0; i < kSheds; ++i) {
+    clients.push_back(
+        std::make_unique<HttpClient>("127.0.0.1", server_->port()));
+    auto warm = clients.back()->Get("/healthz");
+    ASSERT_TRUE(warm.ok()) << warm.status();
+    ASSERT_EQ(warm->status, 200);
+  }
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  auto inflight = [&] { return metrics.GetGauge("server.inflight").value(); };
+  auto queued = [&] { return metrics.GetGauge("server.queue_depth").value(); };
+  // The worker lowers the in-flight gauge after it has written the last
+  // warm-up response: wait for that, so the gauge below reads the pins.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (inflight() > 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(inflight(), 0);
+  ASSERT_TRUE(util::FailpointRegistry::Global()
+                  .Configure("engine.execute=delay:600")
+                  .ok());
+  // Saturate: one query executing, one queued (distinct texts, so
+  // neither is a result-cache hit).
+  auto pin = [&](const char* var) {
+    HttpClient c("127.0.0.1", server_->port());
+    (void)c.Post("/query", std::string("SELECT ?") + var + " WHERE { ?" +
+                               var + " a <http://test/Observation> }");
+  };
+  std::thread t1(pin, "p1");
+  while (inflight() < 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  std::thread t2(pin, "p2");
+  while (queued() < 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(inflight(), 1);
+  ASSERT_EQ(queued(), 1);
+  const uint64_t shed_before = server_->stats().shed;
+  const std::string body =
+      std::string(kObsQuery) + " #" + std::string(32u << 10, 'x');
+  std::vector<int> statuses;
+  for (auto& client : clients) {
+    auto resp = client->Post("/query", body);
+    statuses.push_back(resp.ok() ? resp->status : -1);
+  }
+  const uint64_t shed = server_->stats().shed - shed_before;
+  t1.join();
+  t2.join();
+  util::FailpointRegistry::Global().DisarmAll();
+  EXPECT_EQ(statuses, std::vector<int>(kSheds, 503));
+  EXPECT_EQ(shed, kSheds);
+}
+
 TEST_F(ServerTest, AcceptFailpointDropsConnectionsWithoutCrashing) {
   HttpClient client = StartServer();
   ASSERT_TRUE(util::FailpointRegistry::Global()
