@@ -3,7 +3,6 @@
 //
 // Usage:  ./build/examples/re2xolap_repl [eurostat|production|dbpedia] [obs]
 // Commands (also: `help`):
-//   profile                 print the dataset profile
 //   find <v1> [| <v2> ...]  reverse-engineer queries from example values
 //   pick <n>                choose a candidate query / refinement
 //   show [n]                execute the current query, print first n rows
@@ -11,6 +10,7 @@
 //   explain                 run the current query with per-operator profiling
 //   refine dis|topk|perc|sim|cluster   propose refinements
 //   neg <value>             exclude a negative example
+//   export <file>           write the current result table as CSV
 //   back                    undo the last refinement
 //   stats                   session statistics (exploration paths, tuples)
 //   quit
@@ -24,7 +24,6 @@
 
 #include <fstream>
 
-#include "core/profile.h"
 #include "core/session.h"
 #include "engine/explain.h"
 #include "sparql/csv.h"
@@ -48,7 +47,7 @@ std::vector<std::string> ParseValues(const std::string& rest) {
 
 void PrintHelp() {
   std::cout <<
-      "  profile | find <v1> [| <v2>] | pick <n> | show [n] | sparql |\n"
+      "  find <v1> [| <v2>] | pick <n> | show [n] | sparql |\n"
       "  explain | refine dis|topk|perc|sim|cluster | neg <value> |\n"
       "  export <file> | back | stats | quit\n";
 }
@@ -98,24 +97,13 @@ int main(int argc, char** argv) {
       PrintHelp();
       continue;
     }
-    if (cmd == "profile") {
-      auto profile = core::ProfileDataset(*ds->store, *vsg, engine);
-      if (!profile.ok()) {
-        std::cout << "error: " << profile.status() << "\n";
-      } else {
-        profile->Print(std::cout);
-      }
-      continue;
-    }
     if (cmd == "find") {
       std::vector<std::string> values = ParseValues(rest);
       if (values.empty()) {
         std::cout << "usage: find <value> [| <value> ...]\n";
         continue;
       }
-      core::ReolapOptions opts;
-      opts.rank_candidates = true;
-      auto candidates = session.Start(values, opts);
+      auto candidates = session.Start(values);
       if (!candidates.ok()) {
         std::cout << "error: " << candidates.status() << "\n";
         continue;

@@ -811,106 +811,4 @@ util::Result<NegativeResult> ExcludeNegativeExamples(
   return result;
 }
 
-// --- Contrast queries (Section 8 future work) ------------------------------------
-
-util::Result<ExploreState> ContrastWith(
-    const Reolap& reolap, const ExploreState& state,
-    const std::vector<std::string>& other_values) {
-  const rdf::TripleStore& store = reolap.store();
-  if (other_values.size() != state.example.size()) {
-    return util::Status::InvalidArgument(
-        "the contrast set must have one value per example dimension");
-  }
-  // Map each value onto the corresponding example column's level path.
-  std::vector<Interpretation> other(state.example.size());
-  for (size_t i = 0; i < other_values.size(); ++i) {
-    bool found = false;
-    for (const Interpretation& in : reolap.MatchValue(other_values[i])) {
-      if (in.path == state.example[i].path) {
-        other[i] = in;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      return util::Status::NotFound(
-          "\"" + other_values[i] + "\" has no member at the level of " +
-          state.example_columns[i]);
-    }
-  }
-  if (!reolap.ValidateCombo(other, 10000)) {
-    return util::Status::NotFound(
-        "no observation matches the contrast combination");
-  }
-
-  ExploreState next = state;
-  // Restrict the example dimensions to the two combinations.
-  auto combo_expr = [&](const std::vector<Interpretation>& row) {
-    sparql::ExprPtr conj;
-    for (size_t i = 0; i < row.size(); ++i) {
-      sparql::ExprPtr eq = sparql::Expr::Compare(
-          sparql::CompareOp::kEq,
-          sparql::Expr::Var(state.example_columns[i]),
-          sparql::Expr::Constant(store.term(row[i].member).ToTerm()));
-      conj = conj ? sparql::Expr::And(std::move(conj), std::move(eq))
-                  : std::move(eq);
-    }
-    return conj;
-  };
-  next.query.filters.push_back(
-      sparql::Expr::Or(combo_expr(state.example), combo_expr(other)));
-  next.extra_examples.push_back(other);
-  std::string a = DisplayName(store, state.example[0].member);
-  std::string b = DisplayName(store, other[0].member);
-  next.description = "Contrast \"" + a + "\" against \"" + b + "\"";
-  next.trail.push_back("Contrast(" + a + " vs " + b + ")");
-  return next;
-}
-
-ContrastReport BuildContrastReport(const ExploreState& state,
-                                   const sparql::ResultTable& results) {
-  ContrastReport report;
-  report.measure_columns = state.measure_columns;
-  report.primary.assign(state.measure_columns.size(), 0.0);
-  report.others.assign(state.extra_examples.size(),
-                       std::vector<double>(state.measure_columns.size(), 0.0));
-
-  std::vector<int> example_cols;
-  for (const std::string& c : state.example_columns) {
-    example_cols.push_back(results.ColumnIndex(c));
-  }
-  std::vector<int> measure_cols;
-  for (const std::string& c : state.measure_columns) {
-    measure_cols.push_back(results.ColumnIndex(c));
-  }
-  auto row_matches = [&](size_t r, const std::vector<Interpretation>& row) {
-    for (size_t i = 0; i < example_cols.size(); ++i) {
-      if (example_cols[i] < 0) return false;
-      const sparql::Cell cell = results.at(r, example_cols[i]);
-      if (!cell.is_term() || cell.term != row[i].member) return false;
-    }
-    return true;
-  };
-  for (size_t r = 0; r < results.row_count(); ++r) {
-    std::vector<double>* target = nullptr;
-    if (row_matches(r, state.example)) {
-      target = &report.primary;
-    } else {
-      for (size_t e = 0; e < state.extra_examples.size(); ++e) {
-        if (row_matches(r, state.extra_examples[e])) {
-          target = &report.others[e];
-          break;
-        }
-      }
-    }
-    if (!target) continue;
-    for (size_t m = 0; m < measure_cols.size(); ++m) {
-      if (measure_cols[m] >= 0) {
-        (*target)[m] += results.NumericValue(results.at(r, measure_cols[m]));
-      }
-    }
-  }
-  return report;
-}
-
 }  // namespace re2xolap::core

@@ -189,28 +189,6 @@ util::Result<NegativeResult> ExcludeNegativeExamples(
     const Reolap& reolap, const ExploreState& state,
     const std::vector<std::string>& negative_values);
 
-/// Contrast queries (paper Section 8 future work: "the user is interested
-/// in contrasting the measure values of two different sets of examples").
-/// Maps `other_values` (same arity as the state's example) onto the same
-/// level paths, validates the combination, restricts the query to the two
-/// example combinations, and records the second combination as an extra
-/// example row. BuildContrastReport then compares the measures side by
-/// side after execution.
-util::Result<ExploreState> ContrastWith(
-    const Reolap& reolap, const ExploreState& state,
-    const std::vector<std::string>& other_values);
-
-/// Side-by-side measure comparison of the state's example rows: for each
-/// measure column, the sum over result rows matching the primary example
-/// and over rows matching each extra example row.
-struct ContrastReport {
-  std::vector<std::string> measure_columns;
-  std::vector<double> primary;               // per measure column
-  std::vector<std::vector<double>> others;   // [extra row][measure column]
-};
-ContrastReport BuildContrastReport(const ExploreState& state,
-                                   const sparql::ResultTable& results);
-
 }  // namespace re2xolap::core
 
 #endif  // RE2XOLAP_CORE_EXREF_H_

@@ -1,7 +1,6 @@
 #include "core/reolap.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <set>
 
@@ -409,7 +408,6 @@ util::Result<std::vector<CandidateQuery>> Reolap::Synthesize(
     stats->combine_millis = combine_ms;
     stats->validate_millis = validate_ms;
   }
-  if (opts.rank_candidates) RankCandidates(*vsg_, &unique);
   synth_span.SetAttr("candidates", static_cast<uint64_t>(unique.size()));
   return unique;
 }
@@ -546,24 +544,6 @@ util::Result<std::vector<CandidateQuery>> Reolap::SynthesizeMulti(
     kept.push_back(std::move(candidates[c]));
   }
   return kept;
-}
-
-void RankCandidates(const VirtualSchemaGraph& vsg,
-                    std::vector<CandidateQuery>* candidates) {
-  auto score = [&vsg](const CandidateQuery& c) {
-    size_t depth = 0;
-    double log_card = 0;
-    for (const Interpretation& in : c.interpretations) {
-      depth += in.path->predicates.size();
-      size_t members = vsg.node(in.path->target_node).members.size();
-      log_card += std::log(static_cast<double>(std::max<size_t>(1, members)));
-    }
-    return std::make_pair(depth, log_card);
-  };
-  std::stable_sort(candidates->begin(), candidates->end(),
-                   [&](const CandidateQuery& a, const CandidateQuery& b) {
-                     return score(a) < score(b);
-                   });
 }
 
 }  // namespace re2xolap::core

@@ -60,9 +60,6 @@ struct ReolapOptions {
   /// Aggregation functions emitted per measure; default all four as in the
   /// paper ("we will retrieve results for all aggregation functions").
   bool all_aggregates = true;
-  /// When true, candidates are ordered by RankCandidates() before being
-  /// returned (simpler + more focused interpretations first).
-  bool rank_candidates = false;
   /// Threads applied to the per-value MATCHES() lookups and the LIMIT-1
   /// validation probes (the two store-touching phases). 0 = one thread
   /// per hardware core; 1 = serial. The candidate list, ordering, and
@@ -162,14 +159,6 @@ class Reolap {
   const rdf::TextIndex* text_;
   engine::QueryEngine* engine_;
 };
-
-/// Ranks candidate queries in place (paper Section 8 lists ranking of
-/// interpretations as future work; this implements a simple instance).
-/// Preference order: shallower paths first (simpler interpretations),
-/// then smaller estimated result cardinality (product of target-level
-/// member counts) — focused views before monster cross-products.
-void RankCandidates(const VirtualSchemaGraph& vsg,
-                    std::vector<CandidateQuery>* candidates);
 
 }  // namespace re2xolap::core
 

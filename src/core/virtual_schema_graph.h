@@ -114,8 +114,8 @@ class VirtualSchemaGraph {
                           nullptr,
                       VsgBuildStats* stats = nullptr);
 
-  /// Assembles a graph from externally provided components (used by the
-  /// QB4OLAP annotation importer, see core/qb4olap.h). `nodes[0]` must be
+  /// Assembles a graph from previously built components (snapshot load
+  /// restores the `vsg` section through it). `nodes[0]` must be
   /// the observation root; node member lists need not be sorted. Edge
   /// endpoints are validated.
   static util::Result<VirtualSchemaGraph> FromParts(

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/trace.h"
 #include "util/result.h"
 
 namespace re2xolap::server {
@@ -85,9 +86,8 @@ std::string SerializeResponse(const HttpResponse& resp, bool keep_alive);
 /// pass through verbatim).
 std::string UrlDecode(std::string_view s);
 
-/// Escapes a string for embedding in a JSON string literal (quotes,
-/// backslashes, control characters).
-std::string JsonEscape(std::string_view s);
+/// The JSON string escaper, shared with the observability layer.
+using obs::JsonEscape;
 
 /// Builds the uniform JSON error body: {"error": <msg>, "code": <code>}.
 std::string JsonError(std::string_view code, std::string_view message);

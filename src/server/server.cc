@@ -122,6 +122,16 @@ bool IsRetryableOverload(const util::Status& st) {
   return st.IsUnavailable() || st.IsCancelled();
 }
 
+/// True when the peer of an idle connection has closed it (or reset it)
+/// with no request byte left to read. poll() reports a peer's FIN as
+/// POLLIN, so readability alone does not mean a request arrived.
+bool PeerClosed(int fd) {
+  char byte;
+  const ssize_t n = ::recv(fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
+  return n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
+                    errno != EINTR);
+}
+
 }  // namespace
 
 /// One client connection. Owned by exactly one thread at a time: the
@@ -374,8 +384,7 @@ void Server::AcceptorLoop() {
         const size_t idx = i - base;
         std::unique_ptr<Conn> conn = std::move(idle[idx]);
         idle.erase(idle.begin() + static_cast<ptrdiff_t>(idx));
-        if ((revents & (POLLERR | POLLNVAL)) ||
-            ((revents & POLLHUP) && !(revents & POLLIN))) {
+        if ((revents & (POLLERR | POLLNVAL)) || PeerClosed(conn->fd)) {
           continue;  // peer vanished; destructor closes
         }
         conn->arrival = std::chrono::steady_clock::now();

@@ -1,12 +1,9 @@
 // Tests for the extensions beyond the paper's core algorithms: multi-tuple
-// synthesis, mixed (IRI) inputs, candidate ranking, negative examples,
-// clustering-based subsets, and the dataset profiler.
-
-#include <sstream>
+// synthesis, mixed (IRI) inputs, negative examples and clustering-based
+// subsets.
 
 #include <gtest/gtest.h>
 
-#include "core/profile.h"
 #include "core/session.h"
 #include "sparql/executor.h"
 #include "tests/test_data.h"
@@ -118,33 +115,6 @@ TEST_F(ExtensionsTest, MultiTupleExampleRowsAnchorRefinements) {
   EXPECT_EQ(ExampleRowIndexes(st, *table).size(), 2u);
 }
 
-// --- Ranking ----------------------------------------------------------------------
-
-TEST_F(ExtensionsTest, RankingPrefersShallowerAndSmallerLevels) {
-  // "2014" at year level (depth 2, 2 members) vs "Germany" at destination
-  // base (depth 1): build synthetic candidates and rank.
-  auto q_deep = reolap->Synthesize({"2014"});
-  auto q_flat = reolap->Synthesize({"Germany"});
-  ASSERT_TRUE(q_deep.ok());
-  ASSERT_TRUE(q_flat.ok());
-  std::vector<CandidateQuery> all;
-  all.push_back((*q_deep)[0]);   // depth 2
-  all.push_back((*q_flat)[0]);   // depth 1
-  RankCandidates(*vsg, &all);
-  EXPECT_EQ(all[0].interpretations[0].path->predicates.size(), 1u);
-  EXPECT_EQ(all[1].interpretations[0].path->predicates.size(), 2u);
-}
-
-TEST_F(ExtensionsTest, RankingViaOptionsIsStableAndComplete) {
-  ReolapOptions opts;
-  opts.rank_candidates = true;
-  auto ranked = reolap->Synthesize({"Asia", "Germany"}, opts);
-  auto plain = reolap->Synthesize({"Asia", "Germany"});
-  ASSERT_TRUE(ranked.ok());
-  ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(ranked->size(), plain->size());
-}
-
 // --- Negative examples --------------------------------------------------------------
 
 TEST_F(ExtensionsTest, NegativeExampleExcludesMember) {
@@ -250,121 +220,6 @@ TEST_F(ExtensionsTest, ClusterViaSession) {
   ASSERT_TRUE(refs.ok());
   EXPECT_FALSE(refs->empty());
   EXPECT_STREQ(RefinementKindName(RefinementKind::kCluster), "Cluster");
-}
-
-// --- Profiler ---------------------------------------------------------------------------
-
-TEST_F(ExtensionsTest, ProfileReportsStructureAndStats) {
-  auto profile = ProfileDataset(*store, *vsg, *engine);
-  ASSERT_TRUE(profile.ok()) << profile.status().ToString();
-  EXPECT_EQ(profile->observation_count, 5u);
-  EXPECT_EQ(profile->triple_count, store->size());
-  EXPECT_EQ(profile->total_members, 14u);
-  EXPECT_EQ(profile->dimensions.size(), 4u);
-  ASSERT_EQ(profile->measures.size(), 1u);
-  const MeasureProfile& m = profile->measures[0];
-  EXPECT_EQ(m.count, 5u);
-  EXPECT_DOUBLE_EQ(m.min, 60);
-  EXPECT_DOUBLE_EQ(m.max, 500);
-  EXPECT_DOUBLE_EQ(m.sum, 1163);
-
-  std::ostringstream os;
-  profile->Print(os);
-  EXPECT_NE(os.str().find("dimensions (4)"), std::string::npos);
-  EXPECT_NE(os.str().find("Num Applicants"), std::string::npos);
-}
-
-TEST_F(ExtensionsTest, ProfileSamplesMemberLabels) {
-  auto profile = ProfileDataset(*store, *vsg, *engine);
-  ASSERT_TRUE(profile.ok());
-  bool found_germany = false;
-  for (const DimensionProfile& d : profile->dimensions) {
-    for (const LevelProfile& l : d.levels) {
-      EXPECT_GT(l.member_count, 0u);
-      EXPECT_FALSE(l.sample_labels.empty());
-      for (const std::string& s : l.sample_labels) {
-        if (s == "Germany") found_germany = true;
-      }
-    }
-  }
-  EXPECT_TRUE(found_germany);
-}
-
-}  // namespace
-}  // namespace re2xolap::core
-
-namespace re2xolap::core {
-namespace {
-
-class ContrastTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    store = re2xolap::testing::BuildFigure1Store();
-    auto r = VirtualSchemaGraph::Build(*store, re2xolap::testing::kObsClass);
-    ASSERT_TRUE(r.ok());
-    vsg = std::make_unique<VirtualSchemaGraph>(std::move(r).value());
-    text = std::make_unique<rdf::TextIndex>(*store);
-    engine = std::make_unique<engine::QueryEngine>(*store, kUncached);
-    reolap = std::make_unique<Reolap>(vsg.get(), text.get(), *engine);
-  }
-  std::unique_ptr<rdf::TripleStore> store;
-  std::unique_ptr<VirtualSchemaGraph> vsg;
-  std::unique_ptr<rdf::TextIndex> text;
-  std::unique_ptr<engine::QueryEngine> engine;
-  std::unique_ptr<Reolap> reolap;
-};
-
-TEST_F(ContrastTest, ComparesTwoExampleSets) {
-  auto queries = reolap->Synthesize({"Syria"});
-  ASSERT_TRUE(queries.ok());
-  ASSERT_FALSE(queries->empty());
-  ExploreState st = InitialState((*queries)[0]);
-  auto contrasted = ContrastWith(*reolap, st, {"China"});
-  ASSERT_TRUE(contrasted.ok()) << contrasted.status().ToString();
-  auto table = RunUncached(*store, contrasted->query);
-  ASSERT_TRUE(table.ok());
-  // Only the two origin countries remain.
-  EXPECT_EQ(table->row_count(), 2u);
-  ContrastReport report = BuildContrastReport(*contrasted, *table);
-  ASSERT_EQ(report.measure_columns.size(), 4u);
-  ASSERT_EQ(report.others.size(), 1u);
-  // Syria: 403+500+120 = 1023; China: 80 (sum measure is column 0).
-  EXPECT_DOUBLE_EQ(report.primary[0], 1023);
-  EXPECT_DOUBLE_EQ(report.others[0][0], 80);
-}
-
-TEST_F(ContrastTest, ContrastSurvivesDisaggregation) {
-  auto queries = reolap->Synthesize({"Syria"});
-  ASSERT_TRUE(queries.ok());
-  ExploreState st = InitialState((*queries)[0]);
-  auto contrasted = ContrastWith(*reolap, st, {"Nigeria"});
-  ASSERT_TRUE(contrasted.ok());
-  // Disaggregate by destination: the report now sums over dest rows.
-  auto dis = Disaggregate(*vsg, *store, *contrasted);
-  const ExploreState* by_dest = nullptr;
-  for (const ExploreState& d : dis) {
-    if (d.extra_columns[0].find("countryDestination") != std::string::npos) {
-      by_dest = &d;
-    }
-  }
-  ASSERT_NE(by_dest, nullptr);
-  auto table = RunUncached(*store, by_dest->query);
-  ASSERT_TRUE(table.ok());
-  ContrastReport report = BuildContrastReport(*by_dest, *table);
-  EXPECT_DOUBLE_EQ(report.primary[0], 1023);    // Syria across dests
-  EXPECT_DOUBLE_EQ(report.others[0][0], 60);    // Nigeria
-}
-
-TEST_F(ContrastTest, RejectsBadContrasts) {
-  auto queries = reolap->Synthesize({"Syria"});
-  ASSERT_TRUE(queries.ok());
-  ExploreState st = InitialState((*queries)[0]);
-  // Arity mismatch.
-  EXPECT_FALSE(ContrastWith(*reolap, st, {"China", "2014"}).ok());
-  // Value not at the example's level ("Germany" is a destination).
-  EXPECT_FALSE(ContrastWith(*reolap, st, {"Germany"}).ok());
-  // Unknown value.
-  EXPECT_FALSE(ContrastWith(*reolap, st, {"Narnia"}).ok());
 }
 
 }  // namespace

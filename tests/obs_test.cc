@@ -120,6 +120,18 @@ TEST(TraceTest, ClearDiscardsSpans) {
 
 // --- metrics ---------------------------------------------------------------
 
+TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(obs::JsonEscape("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(obs::JsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(obs::JsonEscape("1\n2\r3\t4"), "1\\n2\\r3\\t4");
+  EXPECT_EQ(obs::JsonEscape(std::string_view("\x01", 1)), "\\u0001");
+  EXPECT_EQ(obs::JsonEscape("\x1f"), "\\u001f");
+  EXPECT_EQ(obs::JsonEscape(std::string_view("a\0b", 3)), "a\\u0000b");
+  // Multibyte UTF-8 passes through byte for byte.
+  EXPECT_EQ(obs::JsonEscape("Zürich €"), "Zürich €");
+  EXPECT_EQ(obs::JsonEscape(""), "");
+}
+
 TEST(MetricsTest, CounterAndGaugeBasics) {
   obs::Counter c;
   c.Inc();

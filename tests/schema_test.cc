@@ -1,14 +1,9 @@
-// Tests for schema tooling: incremental virtual-graph updates, QB4OLAP
-// annotation export/import, and analytical-view materialization.
+// Tests for incremental virtual-graph updates (VirtualSchemaGraph::Update).
 
 #include <gtest/gtest.h>
 
-#include "core/analytical_view.h"
-#include "core/qb4olap.h"
 #include "core/reolap.h"
 #include "core/virtual_schema_graph.h"
-#include "qb/datasets.h"
-#include "qb/generator.h"
 #include "sparql/executor.h"
 #include "tests/test_data.h"
 #include "tests/uncached_engine.h"
@@ -127,225 +122,6 @@ TEST_F(VsgUpdateTest, NoOpUpdateKeepsEverything) {
   size_t members = vsg->total_members();
   ASSERT_TRUE(vsg->Update(*store, kObsClass).ok());
   EXPECT_EQ(vsg->total_members(), members);
-}
-
-// --- QB4OLAP annotations ----------------------------------------------------------
-
-class Qb4olapTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    store = BuildFigure1Store();
-    auto r = VirtualSchemaGraph::Build(*store, kObsClass);
-    ASSERT_TRUE(r.ok());
-    vsg = std::make_unique<VirtualSchemaGraph>(std::move(r).value());
-  }
-  std::unique_ptr<rdf::TripleStore> store;
-  std::unique_ptr<VirtualSchemaGraph> vsg;
-  const std::string ds_iri = "http://test/dataset";
-};
-
-TEST_F(Qb4olapTest, ExportImportRoundTrip) {
-  ASSERT_TRUE(ExportQb4OlapAnnotations(*store, *vsg, ds_iri, kObsClass,
-                                       store.get())
-                  .ok());
-  store->Freeze();
-  auto imported = BuildFromQb4Olap(*store, ds_iri);
-  ASSERT_TRUE(imported.ok()) << imported.status().ToString();
-  EXPECT_EQ(imported->dimension_count(), vsg->dimension_count());
-  EXPECT_EQ(imported->level_count(), vsg->level_count());
-  EXPECT_EQ(imported->total_members(), vsg->total_members());
-  EXPECT_EQ(imported->hierarchy_count(), vsg->hierarchy_count());
-  EXPECT_EQ(imported->level_paths().size(), vsg->level_paths().size());
-  EXPECT_EQ(imported->measure_predicates(), vsg->measure_predicates());
-}
-
-TEST_F(Qb4olapTest, AnnotatedObservationClassRecovered) {
-  ASSERT_TRUE(ExportQb4OlapAnnotations(*store, *vsg, ds_iri, kObsClass,
-                                       store.get())
-                  .ok());
-  store->Freeze();
-  auto cls = AnnotatedObservationClass(*store, ds_iri);
-  ASSERT_TRUE(cls.ok());
-  EXPECT_EQ(*cls, kObsClass);
-}
-
-TEST_F(Qb4olapTest, ImportedGraphServesSynthesis) {
-  ASSERT_TRUE(ExportQb4OlapAnnotations(*store, *vsg, ds_iri, kObsClass,
-                                       store.get())
-                  .ok());
-  store->Freeze();
-  auto imported = BuildFromQb4Olap(*store, ds_iri);
-  ASSERT_TRUE(imported.ok());
-  rdf::TextIndex text(*store);
-  engine::QueryEngine engine(*store, kUncached);
-  Reolap reolap(&*imported, &text, engine);
-  auto queries = reolap.Synthesize({"Germany", "2014"});
-  ASSERT_TRUE(queries.ok());
-  ASSERT_EQ(queries->size(), 1u);
-  auto table = RunUncached(*store, (*queries)[0].query);
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ(table->row_count(), 3u);
-}
-
-TEST_F(Qb4olapTest, MissingAnnotationsIsNotFound) {
-  EXPECT_TRUE(BuildFromQb4Olap(*store, "http://test/nope").status()
-                  .IsNotFound());
-  EXPECT_TRUE(
-      AnnotatedObservationClass(*store, "http://test/nope").status()
-          .IsNotFound());
-}
-
-TEST_F(Qb4olapTest, FromPartsValidatesInput) {
-  // Root must be first.
-  VsgNode not_root;
-  not_root.id = 0;
-  EXPECT_FALSE(
-      VirtualSchemaGraph::FromParts({not_root}, {}, {}, {}).ok());
-  // Dense ids required.
-  VsgNode root;
-  root.id = 0;
-  root.is_root = true;
-  VsgNode stray;
-  stray.id = 5;
-  EXPECT_FALSE(
-      VirtualSchemaGraph::FromParts({root, stray}, {}, {}, {}).ok());
-  // Edge endpoint validation.
-  VsgNode l1;
-  l1.id = 1;
-  EXPECT_FALSE(VirtualSchemaGraph::FromParts(
-                   {root, l1}, {VsgEdge{0, 7, 3}}, {}, {})
-                   .ok());
-}
-
-// --- Analytical view --------------------------------------------------------------
-
-class ViewTest : public ::testing::Test {
- protected:
-  // A non-cube "movie KG": reviews are facts; the reviewer's country and
-  // the movie's genre are only reachable through intermediate nodes.
-  void SetUp() override {
-    using rdf::Term;
-    auto iri = [](const std::string& l) {
-      return Term::Iri("http://kg/" + l);
-    };
-    Term type = Term::Iri(re2xolap::testing::kTypeIri);
-    Term label = Term::Iri(re2xolap::testing::kLabelIri);
-    auto labeled = [&](const std::string& l, const std::string& text) {
-      Term t = iri(l);
-      source.Add(t, label, Term::StringLiteral(text));
-      return t;
-    };
-    Term france = labeled("country/fr", "France");
-    Term japan = labeled("country/jp", "Japan");
-    Term drama = labeled("genre/drama", "Drama");
-    Term comedy = labeled("genre/comedy", "Comedy");
-    Term alice = labeled("person/alice", "Alice");
-    Term bob = labeled("person/bob", "Bob");
-    source.Add(alice, iri("livesIn"), france);
-    source.Add(bob, iri("livesIn"), japan);
-    Term m1 = labeled("movie/m1", "The Long Silence");
-    Term m2 = labeled("movie/m2", "Laughing Matters");
-    source.Add(m1, iri("hasGenre"), drama);
-    source.Add(m2, iri("hasGenre"), comedy);
-    struct Review {
-      const char* id;
-      Term reviewer, movie;
-      int64_t stars;
-    };
-    Review reviews[] = {
-        {"r1", alice, m1, 5}, {"r2", alice, m2, 3},
-        {"r3", bob, m1, 4},   {"r4", bob, m2, 2},
-    };
-    for (const Review& r : reviews) {
-      Term rev = iri(std::string("review/") + r.id);
-      source.Add(rev, type, iri("Review"));
-      source.Add(rev, iri("byReviewer"), r.reviewer);
-      source.Add(rev, iri("ofMovie"), r.movie);
-      source.Add(rev, iri("stars"), Term::IntegerLiteral(r.stars));
-    }
-    // A review missing its star rating: must be skipped.
-    Term incomplete = iri("review/r5");
-    source.Add(incomplete, type, iri("Review"));
-    source.Add(incomplete, iri("byReviewer"), alice);
-    source.Add(incomplete, iri("ofMovie"), m1);
-    source.Freeze();
-
-    def.fact_class = "http://kg/Review";
-    def.view_iri_base = "http://view/";
-    def.dimensions = {
-        {"reviewerCountry", {"http://kg/byReviewer", "http://kg/livesIn"}},
-        {"movieGenre", {"http://kg/ofMovie", "http://kg/hasGenre"}},
-    };
-    def.measures = {{"stars", {"http://kg/stars"}}};
-  }
-  rdf::TripleStore source;
-  ViewDefinition def;
-};
-
-TEST_F(ViewTest, FlattensPathsIntoDimensions) {
-  uint64_t skipped = 0;
-  auto view = MaterializeView(source, def, &skipped);
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  EXPECT_EQ(skipped, 1u);  // the rating-less review
-  rdf::TermId type =
-      (*view)->Lookup(rdf::Term::Iri(re2xolap::testing::kTypeIri));
-  rdf::TermId cls =
-      (*view)->Lookup(rdf::Term::Iri(def.ObservationClassIri()));
-  EXPECT_EQ((*view)->CountMatches({rdf::kInvalidTermId, type, cls}), 4u);
-  // Direct (single-hop) dimension edge in the view.
-  rdf::TermId pred =
-      (*view)->Lookup(rdf::Term::Iri("http://view/reviewerCountry"));
-  rdf::TermId france = (*view)->Lookup(rdf::Term::Iri("http://kg/country/fr"));
-  ASSERT_NE(pred, rdf::kInvalidTermId);
-  EXPECT_EQ((*view)->CountMatches({rdf::kInvalidTermId, pred, france}), 2u);
-}
-
-TEST_F(ViewTest, ViewBootstrapsAndSynthesizes) {
-  auto view = MaterializeView(source, def);
-  ASSERT_TRUE(view.ok());
-  auto vsg =
-      VirtualSchemaGraph::Build(**view, def.ObservationClassIri());
-  ASSERT_TRUE(vsg.ok()) << vsg.status().ToString();
-  EXPECT_EQ(vsg->dimension_count(), 2u);
-  EXPECT_EQ(vsg->measure_count(), 1u);
-  rdf::TextIndex text(**view);
-  engine::QueryEngine engine(**view, kUncached);
-  Reolap reolap(&*vsg, &text, engine);
-  auto queries = reolap.Synthesize({"France", "Drama"});
-  ASSERT_TRUE(queries.ok());
-  ASSERT_EQ(queries->size(), 1u);
-  auto table = RunUncached(**view, (*queries)[0].query);
-  ASSERT_TRUE(table.ok());
-  // (France, Drama), (France, Comedy), (Japan, Drama), (Japan, Comedy).
-  EXPECT_EQ(table->row_count(), 4u);
-}
-
-TEST_F(ViewTest, RejectsBadDefinitions) {
-  ViewDefinition bad = def;
-  bad.fact_class = "http://kg/NoSuchClass";
-  EXPECT_TRUE(MaterializeView(source, bad).status().IsNotFound());
-
-  bad = def;
-  bad.dimensions[0].path = {"http://kg/noSuchPredicate"};
-  EXPECT_TRUE(MaterializeView(source, bad).status().IsNotFound());
-
-  bad = def;
-  bad.measures.clear();
-  EXPECT_TRUE(MaterializeView(source, bad).status().IsInvalidArgument());
-
-  bad = def;
-  bad.dimensions[0].path.clear();
-  EXPECT_FALSE(MaterializeView(source, bad).ok());
-}
-
-TEST_F(ViewTest, CopiesMemberAttributes) {
-  auto view = MaterializeView(source, def);
-  ASSERT_TRUE(view.ok());
-  // Labels of reached members must exist in the view (needed by ReOLAP).
-  EXPECT_NE((*view)->Lookup(rdf::Term::StringLiteral("France")),
-            rdf::kInvalidTermId);
-  EXPECT_NE((*view)->Lookup(rdf::Term::StringLiteral("Drama")),
-            rdf::kInvalidTermId);
 }
 
 }  // namespace

@@ -318,7 +318,9 @@ TEST_F(ServerTest, FullQueueShedsWith503RetryAfter) {
   EXPECT_EQ(resp->status, 503) << resp->body;
   EXPECT_EQ(resp->Header("retry-after"), "1");
   EXPECT_NE(resp->body.find("queue"), std::string::npos);
-  EXPECT_GE(server_->stats().shed, 1u);
+  // Exactly 1: the pins' clients close their keep-alive connections after
+  // their answers, and a peer's close is not a shed.
+  EXPECT_EQ(server_->stats().shed, 1u);
 }
 
 TEST_F(ServerTest, SaturatedServerStillAnswersProbes) {
@@ -369,9 +371,63 @@ TEST_F(ServerTest, SaturatedServerStillAnswersProbes) {
       << health_resp->body;
   ASSERT_TRUE(shed_resp.ok()) << shed_resp.status();
   EXPECT_EQ(shed_resp->status, 503) << shed_resp->body;
-  // At least 1: a shed connection closed before its body arrived may be
-  // reset, and the client retries once on a fresh connection.
-  EXPECT_GE(server_->stats().shed, 1u);
+  // Exactly 1: t1's client closes its keep-alive connection after its
+  // answer, possibly while t2 still fills the queue, and a peer's close
+  // is not a shed.
+  EXPECT_EQ(server_->stats().shed, 1u);
+}
+
+// A keep-alive client that closes its idle connection while the queue is
+// full is neither queued nor shed: poll() reports the peer's FIN as
+// readable, and the acceptor must tell it from a new request.
+TEST_F(ServerTest, IdleCloseOnSaturatedServerIsNotShed) {
+  ServerConfig config;
+  config.worker_threads = 1;
+  config.queue_capacity = 1;
+  StartServer(config);
+  auto idle_client = std::make_unique<HttpClient>("127.0.0.1", server_->port());
+  auto warm = idle_client->Get("/healthz");
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  ASSERT_EQ(warm->status, 200);
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  auto inflight = [&] { return metrics.GetGauge("server.inflight").value(); };
+  auto queued = [&] { return metrics.GetGauge("server.queue_depth").value(); };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (inflight() > 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(inflight(), 0);
+  ASSERT_TRUE(util::FailpointRegistry::Global()
+                  .Configure("engine.execute=delay:600")
+                  .ok());
+  auto pin = [&](const char* var) {
+    HttpClient c("127.0.0.1", server_->port());
+    (void)c.Post("/query", std::string("SELECT ?") + var + " WHERE { ?" +
+                               var + " a <http://test/Observation> }");
+  };
+  std::thread t1(pin, "p1");
+  while (inflight() < 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  std::thread t2(pin, "p2");
+  while (queued() < 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(inflight(), 1);
+  ASSERT_EQ(queued(), 1);
+  const uint64_t shed_before = server_->stats().shed;
+  idle_client.reset();  // FIN on the idle keep-alive connection
+  // The acceptor polls every 100ms at most; the pins hold the queue full
+  // for far longer than this wait.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const uint64_t shed = server_->stats().shed - shed_before;
+  const double still_queued = queued();
+  t1.join();
+  t2.join();
+  util::FailpointRegistry::Global().DisarmAll();
+  EXPECT_EQ(still_queued, 1);
+  EXPECT_EQ(shed, 0u);
 }
 
 // A shed request whose body had fully arrived counts once. Each client

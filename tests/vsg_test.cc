@@ -181,6 +181,28 @@ TEST(VsgBuildTest, PrettifyIriLocalName) {
   EXPECT_EQ(PrettifyIriLocalName("plain"), "Plain");
 }
 
+TEST(VsgBuildTest, FromPartsValidatesInput) {
+  // Root must be first.
+  VsgNode not_root;
+  not_root.id = 0;
+  EXPECT_FALSE(
+      VirtualSchemaGraph::FromParts({not_root}, {}, {}, {}).ok());
+  // Dense ids required.
+  VsgNode root;
+  root.id = 0;
+  root.is_root = true;
+  VsgNode stray;
+  stray.id = 5;
+  EXPECT_FALSE(
+      VirtualSchemaGraph::FromParts({root, stray}, {}, {}, {}).ok());
+  // Edge endpoint validation.
+  VsgNode l1;
+  l1.id = 1;
+  EXPECT_FALSE(VirtualSchemaGraph::FromParts(
+                   {root, l1}, {VsgEdge{0, 7, 3}}, {}, {})
+                   .ok());
+}
+
 // --- against the synthetic datasets --------------------------------------------
 
 TEST(VsgDatasetTest, EurostatShapeMatchesTable3) {
