@@ -12,6 +12,8 @@
 // that synthesis cost depends on schema complexity, not observation count.
 // Override the default scale with the RE2X_BENCH_OBS environment variable.
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
@@ -45,6 +47,11 @@ struct BenchEnv {
   double generate_millis = 0;
   double vsg_millis = 0;
   double text_millis = 0;
+  // Minor page faults taken by each phase: a fresh array's first touch
+  // costs one per page, so they show what a phase allocates.
+  long generate_faults = 0;
+  long vsg_faults = 0;
+  long text_faults = 0;
   core::VsgBuildStats vsg_stats;
 
   const rdf::TripleStore& store() const { return *dataset.store; }
@@ -71,11 +78,19 @@ inline qb::DatasetSpec SpecByName(const std::string& name, uint64_t obs) {
   std::exit(1);
 }
 
+/// Minor page faults this process has taken so far.
+inline long MinorFaults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
 /// Generates and bootstraps a dataset (no caching; callers keep the env
 /// alive for the binary's lifetime).
 inline BenchEnv MakeEnv(const std::string& name, uint64_t observations) {
   BenchEnv env;
   util::WallTimer timer;
+  long faults = MinorFaults();
   auto ds = qb::Generate(SpecByName(name, observations));
   if (!ds.ok()) {
     std::cerr << "generate " << name << " failed: " << ds.status() << "\n";
@@ -83,8 +98,10 @@ inline BenchEnv MakeEnv(const std::string& name, uint64_t observations) {
   }
   env.dataset = std::move(ds).value();
   env.generate_millis = timer.ElapsedMillis();
+  env.generate_faults = MinorFaults() - faults;
 
   timer.Restart();
+  faults = MinorFaults();
   auto vsg = core::VirtualSchemaGraph::Build(
       env.store(), env.dataset.spec.observation_class, {}, &env.vsg_stats);
   if (!vsg.ok()) {
@@ -93,10 +110,13 @@ inline BenchEnv MakeEnv(const std::string& name, uint64_t observations) {
   }
   env.vsg = std::make_unique<core::VirtualSchemaGraph>(std::move(vsg).value());
   env.vsg_millis = timer.ElapsedMillis();
+  env.vsg_faults = MinorFaults() - faults;
 
   timer.Restart();
+  faults = MinorFaults();
   env.text = std::make_unique<rdf::TextIndex>(env.store());
   env.text_millis = timer.ElapsedMillis();
+  env.text_faults = MinorFaults() - faults;
   return env;
 }
 

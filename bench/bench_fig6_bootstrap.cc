@@ -10,7 +10,9 @@
 // hold: the schema crawl's scans follow the schema (one per predicate and
 // per level member), not the observation count — the program exits
 // non-zero when they differ across the Eurostat sweep — and per-dataset
-// ordering follows schema/member complexity.
+// ordering follows schema/member complexity. Each phase also reports its
+// minor page faults (getrusage ru_minflt deltas), so a set-up change shows
+// how much of its cost is first touches of freshly allocated memory.
 
 #include <algorithm>
 #include <cstdio>
@@ -33,7 +35,8 @@ int main() {
   std::cout << "=== Figure 6c: bootstrap time per dataset ===\n\n";
   util::TablePrinter t({"Dataset", "#Obs", "Generate (ms)", "VGraph (ms)",
                         "TextIndex (ms)", "Bootstrap total (ms)",
-                        "Store scans", "Members visited"});
+                        "Store scans", "Members visited", "Generate faults",
+                        "VGraph faults", "TextIndex faults"});
   for (const std::string& name : AllDatasets()) {
     uint64_t obs = DefaultObservations(name);
     BenchEnv env = MakeEnv(name, obs);
@@ -41,7 +44,10 @@ int main() {
               Ms(env.vsg_millis), Ms(env.text_millis),
               Ms(env.vsg_millis + env.text_millis),
               std::to_string(env.vsg_stats.store_scans),
-              std::to_string(env.vsg_stats.members_visited)});
+              std::to_string(env.vsg_stats.members_visited),
+              std::to_string(env.generate_faults),
+              std::to_string(env.vsg_faults),
+              std::to_string(env.text_faults)});
   }
   t.Print(std::cout);
 
@@ -75,10 +81,11 @@ int main() {
   // --- Ablation: cold bootstrap vs snapshot restore -------------------------
   //
   // The cold path is the full journey a fresh process takes: parse the
-  // N-Triples dump, Freeze (build 3 permutations + stats), build the text
-  // index, build the virtual schema graph. The warm path loads a snapshot
-  // image saved by a previous run (both copy and zero-copy mmap modes) and
-  // reconstructs the schema graph from its serialized parts.
+  // N-Triples dump, Freeze (build the SPO and POS permutations + stats),
+  // build the text index, build the virtual schema graph. The warm path
+  // loads a snapshot image saved by a previous run (both copy and
+  // zero-copy mmap modes) and reconstructs the schema graph from its
+  // serialized parts.
   std::cout << "\n=== Ablation: cold parse+freeze+bootstrap vs snapshot "
                "load ===\n\n";
   util::ThreadPool pool(util::ThreadPool::DefaultThreads());
@@ -168,7 +175,10 @@ int main() {
         .Num("speedup_copy", speedup_copy)
         .Num("speedup_mmap", speedup_mmap)
         .Num("vsg_build_millis", env.vsg_millis)
-        .Num("text_index_millis", env.text_millis);
+        .Num("text_index_millis", env.text_millis)
+        .Int("generate_minor_faults", env.generate_faults)
+        .Int("vsg_build_minor_faults", env.vsg_faults)
+        .Int("text_index_minor_faults", env.text_faults);
   }
   ab.Print(std::cout);
   std::cout << "\nShape check: snapshot restore skips parsing, permutation "

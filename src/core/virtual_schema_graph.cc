@@ -1,6 +1,7 @@
 #include "core/virtual_schema_graph.h"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <map>
 #include <set>
@@ -195,9 +196,20 @@ util::Result<VirtualSchemaGraph> VirtualSchemaGraph::Build(
   // from the end of the previous one.
   const rdf::IndexRange spo = store.PermutationRange(rdf::Perm::kSpo);
   rdf::IndexBlockScratch scratch;
-  // (p, o) steps packed as p << 32 | o, so one integer sort orders them.
-  std::vector<uint64_t> steps;
+  // The objects one hierarchy-step predicate reaches from the level's
+  // members, in arrival order with repeats, and their id bounds.
+  struct StepTargets {
+    rdf::TermId pred;
+    rdf::TermId min_o;
+    rdf::TermId max_o;
+    std::vector<rdf::TermId> objects;
+  };
+  std::vector<StepTargets> targets;
   std::vector<rdf::TermId> level_attrs;
+  // Bit o is set while object o is collected for the current predicate;
+  // walking the set bits yields the target members ascending and
+  // distinct, and clears the bitmap for the next predicate.
+  std::vector<uint64_t> seen;
   while (!worklist.empty()) {
     auto [nid, depth] = worklist.back();
     worklist.pop_back();
@@ -208,7 +220,7 @@ util::Result<VirtualSchemaGraph> VirtualSchemaGraph::Build(
         vsg.nodes_[nid].members.size() > options.max_members_per_level) {
       continue;
     }
-    steps.clear();
+    targets.clear();
     level_attrs.clear();
     uint64_t pos = 0;
     for (rdf::TermId m : vsg.nodes_[nid].members) {
@@ -219,16 +231,32 @@ util::Result<VirtualSchemaGraph> VirtualSchemaGraph::Build(
           pos, rdf::EncodedTriple{m, rdf::kInvalidTermId, rdf::kInvalidTermId});
       const uint64_t end = spo.GallopUpperBound(
           pos, rdf::EncodedTriple{m, rdf::kMaxTermId, rdf::kMaxTermId});
+      // A member's triples arrive grouped by predicate, so the slot found
+      // for one triple serves the rest of its predicate run.
+      StepTargets* slot = nullptr;
       while (pos < end) {
         std::span<const rdf::EncodedTriple> chunk =
             spo.Fetch(pos, end - pos, &scratch);
         for (const rdf::EncodedTriple& t : chunk) {
           if (t.p == type_pred) continue;
-          if (!store.term(t.o).is_literal()) {
-            steps.push_back(uint64_t{t.p} << 32 | t.o);
-          } else if (level_attrs.empty() || level_attrs.back() != t.p) {
-            level_attrs.push_back(t.p);
+          if (store.term(t.o).is_literal()) {
+            if (level_attrs.empty() || level_attrs.back() != t.p) {
+              level_attrs.push_back(t.p);
+            }
+            continue;
           }
+          if (slot == nullptr || slot->pred != t.p) {
+            slot = nullptr;
+            for (StepTargets& s : targets) {
+              if (s.pred == t.p) slot = &s;
+            }
+            if (slot == nullptr) {
+              slot = &targets.emplace_back(StepTargets{t.p, t.o, t.o, {}});
+            }
+          }
+          slot->min_o = std::min(slot->min_o, t.o);
+          slot->max_o = std::max(slot->max_o, t.o);
+          slot->objects.push_back(t.o);
         }
         pos += chunk.size();
       }
@@ -238,28 +266,39 @@ util::Result<VirtualSchemaGraph> VirtualSchemaGraph::Build(
                       level_attrs.end());
     vsg.nodes_[nid].attribute_predicates.assign(level_attrs.begin(),
                                                 level_attrs.end());
-    std::sort(steps.begin(), steps.end());
-    steps.erase(std::unique(steps.begin(), steps.end()), steps.end());
-    for (size_t i = 0; i < steps.size();) {
-      const auto pred = static_cast<rdf::TermId>(steps[i] >> 32);
+    std::sort(targets.begin(), targets.end(),
+              [](const StepTargets& a, const StepTargets& b) {
+                return a.pred < b.pred;
+              });
+    for (const StepTargets& step : targets) {
+      const size_t first_word = step.min_o / 64;
+      const size_t last_word = step.max_o / 64;
+      if (seen.size() <= last_word) seen.resize(last_word + 1, 0);
+      for (rdf::TermId o : step.objects) {
+        seen[o / 64] |= uint64_t{1} << (o % 64);
+      }
       std::vector<rdf::TermId> members;
-      for (; i < steps.size() && steps[i] >> 32 == pred; ++i) {
-        members.push_back(static_cast<rdf::TermId>(steps[i]));
+      for (size_t w = first_word; w <= last_word; ++w) {
+        for (uint64_t bits = std::exchange(seen[w], 0); bits != 0;
+             bits &= bits - 1) {
+          members.push_back(
+              static_cast<rdf::TermId>(w * 64 + std::countr_zero(bits)));
+        }
       }
       bool created = false;
       int target = find_or_create_node(
-          std::move(members), PrettifyIriLocalName(store.term(pred).value),
-          &created);
+          std::move(members),
+          PrettifyIriLocalName(store.term(step.pred).value), &created);
       // Avoid duplicate parallel edges (possible when two merged levels
       // share predicates).
       bool dup = false;
       for (const VsgEdge& e : vsg.edges_) {
-        if (e.from == nid && e.to == target && e.predicate == pred) {
+        if (e.from == nid && e.to == target && e.predicate == step.pred) {
           dup = true;
           break;
         }
       }
-      if (!dup) vsg.edges_.push_back(VsgEdge{nid, target, pred});
+      if (!dup) vsg.edges_.push_back(VsgEdge{nid, target, step.pred});
       if (created) worklist.emplace_back(target, depth + 1);
     }
   }
@@ -430,13 +469,21 @@ util::Status VirtualSchemaGraph::Update(
 }
 
 void VirtualSchemaGraph::CountMembers() {
-  std::vector<rdf::TermId> all;
+  // One bit per term id: a member shared by several levels is set once,
+  // so the popcount is the number of distinct members.
+  rdf::TermId max_member = 0;
   for (const VsgNode& n : nodes_) {
-    if (!n.is_root) all.insert(all.end(), n.members.begin(), n.members.end());
+    if (!n.is_root && !n.members.empty()) {
+      max_member = std::max(max_member, n.members.back());
+    }
   }
-  std::sort(all.begin(), all.end());
-  total_members_ = static_cast<size_t>(
-      std::unique(all.begin(), all.end()) - all.begin());
+  std::vector<uint64_t> seen(max_member / 64 + 1, 0);
+  for (const VsgNode& n : nodes_) {
+    if (n.is_root) continue;
+    for (rdf::TermId m : n.members) seen[m / 64] |= uint64_t{1} << (m % 64);
+  }
+  total_members_ = 0;
+  for (uint64_t word : seen) total_members_ += std::popcount(word);
 }
 
 void VirtualSchemaGraph::ComputePaths() {

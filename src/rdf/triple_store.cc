@@ -109,33 +109,37 @@ void TripleStore::Freeze() {
 
 namespace {
 
-// Stable counting sort of `in` by one id column into `out` (resized to
-// in.size()). Keys are term ids below `key_bound`, so the sort costs
-// O(n + key_bound); stability is what lets consecutive passes build a
-// lexicographic order one column at a time.
+// Stable counting sort of `in` by one id column into `out` (cleared, then
+// resized to in.size(), so a reused buffer's old contents are never
+// copied). Keys are term ids below `count->size() - 1`, so the sort costs
+// O(n + key bound); stability is what lets consecutive passes build a
+// lexicographic order one column at a time. `count` must be all zero and
+// is left all zero.
 void CountingSortBy(std::span<const EncodedTriple> in,
-                    TermId EncodedTriple::*key, size_t key_bound,
+                    TermId EncodedTriple::*key, std::vector<size_t>* count,
                     std::vector<EncodedTriple>* out) {
-  std::vector<size_t> offset(key_bound + 1, 0);
+  std::vector<size_t>& offset = *count;
   for (const EncodedTriple& t : in) {
-    assert(t.*key < key_bound);
+    assert(t.*key + size_t{1} < offset.size());
     ++offset[t.*key + 1];
   }
-  for (size_t k = 1; k <= key_bound; ++k) offset[k] += offset[k - 1];
+  for (size_t k = 1; k < offset.size(); ++k) offset[k] += offset[k - 1];
+  out->clear();
   out->resize(in.size());
   for (const EncodedTriple& t : in) (*out)[offset[t.*key]++] = t;
+  std::fill(offset.begin(), offset.end(), 0);
 }
 
 // Reorders each predicate run of `pos`, which arrives in (p, s, o) order,
 // into (p, o, s) order: a stable sort by o keeps the s order within an
 // object. A run of k triples whose object ids span at most k log2 k
 // values is counting-sorted through `scratch` over the [min o, max o]
-// window of `offset` (sized key_bound + 1, all zero between runs); a run
+// window of `count` (all zero, and zeroed again after each run); a run
 // of more widely spread objects is comparison-sorted by (o, s) instead,
 // which gives the same bytes because (o, s) pairs are unique within a
 // run.
-void SortRunsByObject(std::vector<EncodedTriple>* pos, size_t key_bound) {
-  std::vector<size_t> offset(key_bound + 1, 0);
+void SortRunsByObject(std::vector<EncodedTriple>* pos,
+                      std::vector<size_t>* count_array) {
   std::vector<EncodedTriple> scratch;
   for (auto run = pos->begin(); run != pos->end();) {
     const TermId p = run->p;
@@ -149,7 +153,7 @@ void SortRunsByObject(std::vector<EncodedTriple>* pos, size_t key_bound) {
     const size_t k = static_cast<size_t>(run_end - run);
     const size_t span = size_t{max_o} - min_o + 1;
     if (span <= k * std::bit_width(k)) {
-      std::span<size_t> count(offset.data() + min_o, span + 1);
+      std::span<size_t> count(count_array->data() + min_o, span + 1);
       for (auto it = run; it != run_end; ++it) ++count[it->o - min_o + 1];
       for (size_t i = 1; i <= span; ++i) count[i] += count[i - 1];
       scratch.resize(k);
@@ -175,12 +179,21 @@ void TripleStore::BuildIndexes() {
   // degrades to O(n log n) only when most triples share one subject. POS
   // is one stable pass by p over SPO, which leaves each predicate run in
   // (s, o) order, then a stable sort of each run by o (SortRunsByObject).
-  // OSP is not stored: it is a merged view over the POS runs. Peak memory
-  // is two copies of the triples plus one predicate run of scratch.
-  const size_t key_bound = dict_.size() + 1;
+  // OSP is not stored: it is a merged view over the POS runs.
+  //
+  // Peak memory is two copies of the triples, one count array over the
+  // term ids (the three counting passes share it) and one predicate run
+  // of scratch. The subject pass sorts into a fresh array and frees the
+  // load buffer, and the predicate pass writes into the previous POS
+  // array when it is large enough (a re-Freeze). Keeping the load buffer
+  // as POS's destination instead, so that a first Freeze frees no large
+  // array, measured worse: the whole first set-up of a process then stays
+  // above glibc's default mmap threshold, and each later set-up in the
+  // same process re-faults its heap (DESIGN.md §8).
+  std::vector<size_t> count(dict_.size() + 2, 0);
   {
     std::vector<EncodedTriple> scratch;
-    CountingSortBy(spo_, &EncodedTriple::s, key_bound, &scratch);
+    CountingSortBy(spo_, &EncodedTriple::s, &count, &scratch);
     spo_.swap(scratch);
   }
   for (auto run = spo_.begin(); run != spo_.end();) {
@@ -192,8 +205,8 @@ void TripleStore::BuildIndexes() {
   }
   spo_.erase(std::unique(spo_.begin(), spo_.end()), spo_.end());
   spo_.shrink_to_fit();
-  CountingSortBy(spo_, &EncodedTriple::p, key_bound, &pos_);
-  SortRunsByObject(&pos_, key_bound);
+  CountingSortBy(spo_, &EncodedTriple::p, &count, &pos_);
+  SortRunsByObject(&pos_, &count);
 }
 
 std::unordered_map<TermId, PredicateStats> ComputePredicateStats(

@@ -106,7 +106,9 @@ class TripleStore {
   /// over SPO plus a stable sort by object inside each predicate run. The
   /// build is O(n + |dictionary| + sum of k log k) over subject runs of
   /// length k — near linear when subjects carry few triples each,
-  /// O(n log n) in the worst case of one shared subject.
+  /// O(n log n) in the worst case of one shared subject. Peak memory is
+  /// two copies of the triples; a re-Freeze sorts POS into the previous
+  /// POS array.
   void Freeze();
 
   bool frozen() const { return frozen_; }

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <bit>
 #include <map>
+#include <memory>
 #include <random>
 #include <set>
 #include <span>
@@ -326,59 +327,105 @@ void ExpectStatsEqual(const std::unordered_map<TermId, PredicateStats>& got,
   }
 }
 
-// The index backing a parametrized suite freezes into: raw sorted
-// arrays, the store's one format.
-enum class Backing : uint8_t { kRaw = 0 };
+// Checks a frozen store against the sort/unique oracle over `raw` (every
+// triple ever added, repeats included) and brute-force stats.
+void ExpectFrozenMatchesOracle(const TripleStore& store,
+                               const std::vector<EncodedTriple>& raw) {
+  auto spo = OracleSorted(raw, [](const EncodedTriple& t) {
+    return std::tie(t.s, t.p, t.o);
+  });
+  auto pos = OracleSorted(raw, [](const EncodedTriple& t) {
+    return std::tie(t.p, t.o, t.s);
+  });
+  auto osp = OracleSorted(raw, [](const EncodedTriple& t) {
+    return std::tie(t.o, t.s, t.p);
+  });
+  EXPECT_EQ(store.size(), spo.size());
+  EXPECT_EQ(Drain(store.PermutationRange(Perm::kSpo)), spo);
+  EXPECT_EQ(Drain(store.PermutationRange(Perm::kPos)), pos);
+  EXPECT_EQ(Drain(store.PermutationRange(Perm::kOsp)), osp);
 
-class FreezeOracleTest : public ::testing::TestWithParam<Backing> {};
+  const std::map<TermId, PredicateStats> want = BruteForceStats(spo);
+  ExpectStatsEqual(ComputePredicateStats(spo, pos), want);
+  ExpectStatsEqual(store.all_predicate_stats(), want);
+}
 
 // The index build (counting sorts plus per-subject run sorts) must produce
 // exactly what sorting each permutation with std::sort and dropping
 // duplicates produces, and the sort-free stats must match brute-force
-// counts, for every id shape.
-TEST_P(FreezeOracleTest, MatchesSortUniqueOracle) {
+// counts, for every id shape. Each shape is frozen three ways, one per
+// buffer Freeze() sorts through: a fresh load; a re-Freeze after a second
+// batch that repeats already-frozen triples (the previous POS array is the
+// scratch); and a Freeze after AdoptFrozenView plus AddEncoded, which
+// materializes the borrowed views first.
+TEST(FreezeOracleTest, MatchesSortUniqueOracle) {
   constexpr TermId kTerms = 60;
   std::mt19937 rng(20230328);
+  auto new_store = [&] {
+    auto store = std::make_unique<TripleStore>();
+    for (TermId i = 1; i <= kTerms; ++i) {
+      store->Intern(Term::Iri("t" + std::to_string(i)));
+    }
+    return store;
+  };
   for (FreezeShape shape :
        {FreezeShape::kRandomWithDuplicates, FreezeShape::kEmpty,
         FreezeShape::kSingleTriple, FreezeShape::kSharedPredicate,
         FreezeShape::kSharedObject, FreezeShape::kMaxIds,
         FreezeShape::kSharedSubject, FreezeShape::kDescendingRuns}) {
     SCOPED_TRACE(static_cast<int>(shape));
-    TripleStore store;
-    for (TermId i = 1; i <= kTerms; ++i) {
-      store.Intern(Term::Iri("t" + std::to_string(i)));
+    const std::vector<EncodedTriple> raw = ShapeTriples(shape, kTerms, &rng);
+    {
+      SCOPED_TRACE("fresh");
+      auto store = new_store();
+      ASSERT_EQ(store->dictionary().size(), kTerms);
+      for (const EncodedTriple& t : raw) store->AddEncoded(t);
+      store->Freeze();
+      ExpectFrozenMatchesOracle(*store, raw);
     }
-    ASSERT_EQ(store.dictionary().size(), kTerms);
-    std::vector<EncodedTriple> raw = ShapeTriples(shape, kTerms, &rng);
-    for (const EncodedTriple& t : raw) store.AddEncoded(t);
-    store.Freeze();
 
-    auto spo = OracleSorted(raw, [](const EncodedTriple& t) {
-      return std::tie(t.s, t.p, t.o);
-    });
-    auto pos = OracleSorted(raw, [](const EncodedTriple& t) {
-      return std::tie(t.p, t.o, t.s);
-    });
-    auto osp = OracleSorted(raw, [](const EncodedTriple& t) {
-      return std::tie(t.o, t.s, t.p);
-    });
-    EXPECT_EQ(store.size(), spo.size());
-    EXPECT_EQ(Drain(store.PermutationRange(Perm::kSpo)), spo);
-    EXPECT_EQ(Drain(store.PermutationRange(Perm::kPos)), pos);
-    EXPECT_EQ(Drain(store.PermutationRange(Perm::kOsp)), osp);
-
-    const std::map<TermId, PredicateStats> want = BruteForceStats(spo);
-    ExpectStatsEqual(ComputePredicateStats(spo, pos), want);
-    ExpectStatsEqual(store.all_predicate_stats(), want);
+    // The second batch: the later half of `raw` plus every third triple
+    // of the earlier half again.
+    const size_t half = raw.size() / 2;
+    const std::vector<EncodedTriple> first(raw.begin(), raw.begin() + half);
+    std::vector<EncodedTriple> second(raw.begin() + half, raw.end());
+    for (size_t i = 0; i < half; i += 3) second.push_back(raw[i]);
+    std::vector<EncodedTriple> all = first;
+    all.insert(all.end(), second.begin(), second.end());
+    {
+      SCOPED_TRACE("re-frozen");
+      auto store = new_store();
+      for (const EncodedTriple& t : first) store->AddEncoded(t);
+      store->Freeze();
+      for (const EncodedTriple& t : second) store->AddEncoded(t);
+      store->Freeze();
+      ExpectFrozenMatchesOracle(*store, all);
+    }
+    {
+      SCOPED_TRACE("adopted view");
+      auto source = new_store();
+      for (const EncodedTriple& t : first) source->AddEncoded(t);
+      source->Freeze();
+      // The borrowed image: both permutations in one buffer, as a
+      // snapshot load maps them.
+      auto image = std::make_shared<std::vector<EncodedTriple>>(
+          source->spo_span().begin(), source->spo_span().end());
+      image->insert(image->end(), source->pos_span().begin(),
+                    source->pos_span().end());
+      const std::span<const EncodedTriple> view(*image);
+      const size_t n = source->spo_span().size();
+      auto store = new_store();
+      store->AdoptFrozenView(view.first(n), view.subspan(n),
+                             source->all_predicate_stats(),
+                             source->freeze_epoch(), image);
+      ASSERT_TRUE(store->borrows_snapshot());
+      for (const EncodedTriple& t : second) store->AddEncoded(t);
+      store->Freeze();
+      EXPECT_FALSE(store->borrows_snapshot());
+      ExpectFrozenMatchesOracle(*store, all);
+    }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Formats, FreezeOracleTest,
-                         ::testing::Values(Backing::kRaw),
-                         [](const ::testing::TestParamInfo<Backing>&) {
-                           return "Raw";
-                         });
 
 // --- TextIndex ------------------------------------------------------------------------
 
