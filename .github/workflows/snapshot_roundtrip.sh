@@ -2,8 +2,9 @@
 # End-to-end exercise of the snapshot subsystem against a real build:
 # build an image from N-Triples, verify it, export it back (must be the
 # same triple set), then flip one bit and require verification to fail.
-# The image must be version 1, carry a text_index section and no osp
-# section (the OSP order is a view over POS, never written). Run under
+# The image must be format version 4 (the one version this build reads
+# and writes), carry a text_index section and no osp section (the OSP
+# order is a view over POS, never written). Run under
 # each sanitizer job so the loader's corruption paths stay ASan/TSan-clean.
 # The fixture's labels include a multi-word one and a case-only duplicate.
 set -euo pipefail
@@ -31,8 +32,8 @@ sort "$WORK/data.nt" > "$WORK/expected"
 SNAP="$WORK/data.snap"
 "$CLI" build "$WORK/data.nt" "$SNAP" http://e/Obs
 "$CLI" inspect "$SNAP" | tee "$WORK/inspect"
-if ! grep -qx 'version: *1' "$WORK/inspect"; then
-  echo "ERROR: inspect did not report version=1" >&2
+if ! grep -qx 'version: *4' "$WORK/inspect"; then
+  echo "ERROR: inspect did not report version=4" >&2
   exit 1
 fi
 if ! grep -q '^  text_index .*xxh64=' "$WORK/inspect"; then

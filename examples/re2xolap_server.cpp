@@ -10,7 +10,8 @@
 //     --query-log=PATH      arm the JSONL query-log sink
 //     --live                enter live mode: POST /ingest applies N-Triples
 //                           batches while queries keep serving (implied
-//                           when the image is a version 3 live snapshot)
+//                           when the image is a live snapshot, i.e. carries
+//                           a delta_chain section)
 //     --per-client-cap=N    fair shedding: max queued requests per client
 //                           IP (default 0 = disabled)
 //
@@ -154,8 +155,8 @@ int main(int argc, char** argv) {
   dataset.vsg = vsg.get();
   dataset.text = loaded->text.get();
 
-  // A version 3 image comes back already live; --live upgrades a frozen
-  // image in place. Either way the ingestor enables POST /ingest.
+  // A live image (one with a delta_chain section) comes back already
+  // live; --live upgrades a frozen image in place. Either way the ingestor enables POST /ingest.
   std::unique_ptr<store::Ingestor> ingestor;
   if (live || loaded->store->live()) {
     if (!loaded->store->live()) loaded->store->EnterLive();

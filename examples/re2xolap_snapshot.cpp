@@ -3,7 +3,8 @@
 //   re2xolap_snapshot build <input.nt> <out.snap> [observation_class_iri]
 //       Parses an N-Triples file, freezes the store, builds the text
 //       index (and, when an observation class IRI is given, the virtual
-//       schema graph) and writes a version-1 snapshot image.
+//       schema graph) and writes a snapshot image (format version 4,
+//       frozen: no delta_chain section).
 //
 //   re2xolap_snapshot inspect <file.snap>
 //       Prints the header and section table without touching payloads.

@@ -16,31 +16,9 @@ size_t TripleBytes(const std::vector<EncodedTriple>& v) {
   return v.capacity() * sizeof(EncodedTriple);
 }
 
-}  // namespace
-
-void DeltaLayer::RebuildPredicateDelta() {
-  predicate_delta.clear();
-  for (const EncodedTriple& t : add_pos) ++predicate_delta[t.p];
-  for (const EncodedTriple& t : del_pos) --predicate_delta[t.p];
-  // Drop exact cancellations so the map mirrors what the builder wrote.
-  for (auto it = predicate_delta.begin(); it != predicate_delta.end();) {
-    it = it->second == 0 ? predicate_delta.erase(it) : std::next(it);
-  }
-}
-
-size_t DeltaLayer::MemoryUsage() const {
-  return TripleBytes(add_spo) + TripleBytes(add_pos) + TripleBytes(del_spo) +
-         TripleBytes(del_pos) +
-         predicate_delta.size() * (sizeof(TermId) + sizeof(int64_t) +
-                                   2 * sizeof(void*));
-}
-
-size_t LiveBase::MemoryUsage() const {
-  return TripleBytes(spo) + TripleBytes(pos) +
-         stats.size() *
-             (sizeof(TermId) + sizeof(PredicateStats) + 2 * sizeof(void*));
-}
-
+// Applies `layer` on top of `stats` (the merged-stats construction
+// described on EpochChain::stats). Predicates whose count reaches zero
+// are erased so AllPredicates() stops listing them.
 void ApplyLayerToStats(const DeltaLayer& layer,
                        std::unordered_map<TermId, PredicateStats>* stats) {
   for (const auto& [p, delta] : layer.predicate_delta) {
@@ -69,13 +47,53 @@ void ApplyLayerToStats(const DeltaLayer& layer,
   }
 }
 
+}  // namespace
+
+void DeltaLayer::RebuildPredicateDelta() {
+  predicate_delta.clear();
+  for (const EncodedTriple& t : add_pos) ++predicate_delta[t.p];
+  for (const EncodedTriple& t : del_pos) --predicate_delta[t.p];
+  // Drop exact cancellations so the map mirrors what the builder wrote.
+  for (auto it = predicate_delta.begin(); it != predicate_delta.end();) {
+    it = it->second == 0 ? predicate_delta.erase(it) : std::next(it);
+  }
+}
+
+size_t DeltaLayer::MemoryUsage() const {
+  return TripleBytes(add_spo) + TripleBytes(add_pos) + TripleBytes(del_spo) +
+         TripleBytes(del_pos) +
+         predicate_delta.size() * (sizeof(TermId) + sizeof(int64_t) +
+                                   2 * sizeof(void*));
+}
+
+std::shared_ptr<const EpochChain> MakeEpochChain(
+    std::shared_ptr<const IndexBase> base,
+    std::vector<std::shared_ptr<const DeltaLayer>> layers, uint64_t epoch) {
+  assert(base != nullptr && "an epoch chain always has a base");
+  auto chain = std::make_shared<EpochChain>();
+  chain->stats = base->stats;
+  uint64_t visible = base->spo.size();
+  for (const std::shared_ptr<const DeltaLayer>& layer : layers) {
+    ApplyLayerToStats(*layer, &chain->stats);
+    chain->delta_adds += layer->add_count();
+    chain->delta_dels += layer->del_count();
+    visible += layer->add_count();
+    visible -= layer->del_count();
+  }
+  chain->base = std::move(base);
+  chain->layers = std::move(layers);
+  chain->epoch = epoch;
+  chain->visible_triples = visible;
+  return chain;
+}
+
 MergedRun::MergedRun(std::vector<IndexRange> adds, std::vector<IndexRange> dels,
-                     Perm perm, std::shared_ptr<const void> keepalive)
+                     Perm perm, std::shared_ptr<const EpochChain> chain)
     : adds_(std::move(adds)),
       dels_(std::move(dels)),
       perm_(perm),
       id_(NextMergedRunId()),
-      keepalive_(std::move(keepalive)) {
+      chain_(std::move(chain)) {
   assert(!adds_.empty());
   uint64_t add_total = 0;
   uint64_t del_total = 0;

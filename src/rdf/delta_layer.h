@@ -1,9 +1,9 @@
 #ifndef RE2XOLAP_RDF_DELTA_LAYER_H_
 #define RE2XOLAP_RDF_DELTA_LAYER_H_
 
-// Epoch-chain building blocks for live ingestion: an immutable frozen
-// base plus a stack of immutable sorted delta layers, merged at read
-// time behind the IndexRange seam (ROADMAP item 3).
+// Epoch-chain building blocks for live ingestion: an immutable IndexBase
+// (rdf/triple_store.h) plus a stack of immutable sorted delta layers,
+// merged at read time behind the IndexRange seam (ROADMAP item 3).
 //
 // A DeltaLayer is one atomically published ingest batch: inserts and
 // tombstoned deletes, each sorted in both stored permutation orders (SPO,
@@ -78,27 +78,16 @@ struct DeltaLayer {
   size_t MemoryUsage() const;
 };
 
-/// Owned storage of a compacted base: the fold of a previous base plus
-/// its sealed layers into fresh sorted raw arrays. When an EpochChain's
-/// `base` is null the owning TripleStore's own frozen arrays serve as
-/// the base instead (the state right after EnterLive()).
-struct LiveBase {
-  std::vector<EncodedTriple> spo;  // sorted by (s, p, o)
-  std::vector<EncodedTriple> pos;  // sorted by (p, o, s)
-  std::unordered_map<TermId, PredicateStats> stats;
-
-  size_t MemoryUsage() const;
-};
-
 /// One immutable snapshot of the live store's state: a base plus zero or
 /// more delta layers, published atomically per ingest batch / compaction.
-/// Readers pin a chain (TripleStore::ReadPin) for the duration of a
-/// query; the shared_ptr graph keeps every array a handed-out IndexRange
-/// references alive until the last reader drops its pin.
+/// Built only by MakeEpochChain. Readers pin a chain (TripleStore::ReadPin)
+/// for the duration of a query, and every IndexRange read from a chain
+/// owns it, so the arrays a range references stay alive until the last
+/// range and pin drop it.
 struct EpochChain {
-  /// Compacted base storage; null while the store's own frozen arrays
-  /// are the base.
-  std::shared_ptr<const LiveBase> base;
+  /// The frozen index pair below the layers: the store's first base, a
+  /// compaction product or a loaded image. Never null.
+  std::shared_ptr<const IndexBase> base;
   /// Delta layers, oldest first. Tombstones in layer k refer to triples
   /// visible in base + layers [0, k).
   std::vector<std::shared_ptr<const DeltaLayer>> layers;
@@ -120,11 +109,12 @@ struct EpochChain {
   uint64_t depth() const { return layers.size(); }
 };
 
-/// Applies `layer` on top of `stats` (the merged-stats construction
-/// described on EpochChain::stats). Predicates whose count reaches zero
-/// are erased so AllPredicates() stops listing them.
-void ApplyLayerToStats(const DeltaLayer& layer,
-                       std::unordered_map<TermId, PredicateStats>* stats);
+/// The one constructor of an EpochChain: `layers` (oldest first) above
+/// `base` at `epoch`, with the merged stats, the visible-triple count and
+/// the delta totals derived from them.
+std::shared_ptr<const EpochChain> MakeEpochChain(
+    std::shared_ptr<const IndexBase> base,
+    std::vector<std::shared_ptr<const DeltaLayer>> layers, uint64_t epoch);
 
 /// The K-way merged view a merged IndexRange reads through: one sorted
 /// run per source, inserts and base runs as adds, tombstone runs as dels.
@@ -133,16 +123,17 @@ void ApplyLayerToStats(const DeltaLayer& layer,
 /// clipped to the pattern's object; they need not share a clip window,
 /// only be sorted in `perm` order. Positions are exact under the
 /// layer-build invariants (see file header): size() = sum(adds) -
-/// sum(dels), and every bound is the same sum over per-source bounds. Immutable and shared: the
-/// IndexRanges handed to executors hold a shared_ptr to it, and it holds
-/// the chain keepalive, so a range outlives chain publication safely.
+/// sum(dels), and every bound is the same sum over per-source bounds.
+/// Immutable and shared: the IndexRanges handed to executors own it, and
+/// it holds the chain its sources alias, so a range outlives chain
+/// publication safely.
 class MergedRun {
  public:
   /// `adds` must be non-empty; every range must be raw (not merged) and
-  /// sorted in `perm` order. `keepalive` pins the chain the sources alias
-  /// (null when they alias only the store's own arrays).
+  /// sorted in `perm` order. `chain` pins the epoch chain the sources
+  /// alias (null when they alias a frozen store's base).
   MergedRun(std::vector<IndexRange> adds, std::vector<IndexRange> dels,
-            Perm perm, std::shared_ptr<const void> keepalive);
+            Perm perm, std::shared_ptr<const EpochChain> chain);
 
   uint64_t size() const { return size_; }
   Perm perm() const { return perm_; }
@@ -177,7 +168,7 @@ class MergedRun {
   Perm perm_ = Perm::kSpo;
   uint64_t size_ = 0;
   uint64_t id_ = 0;
-  std::shared_ptr<const void> keepalive_;
+  std::shared_ptr<const EpochChain> chain_;
 };
 
 }  // namespace re2xolap::rdf

@@ -53,7 +53,7 @@ std::span<const EncodedTriple> IndexRange::FetchMerged(
   // source setup, small enough to stay cache-resident.
   constexpr uint64_t kMergedWindow = 1024;
   if (scratch == nullptr) scratch = &t_point_scratch;
-  const MergedRun& run = *merged_;
+  const MergedRun& run = *run_;
   const uint64_t abs = begin_ + pos;
   const bool same_run = scratch->merged_id == run.id();
   if (same_run && abs >= scratch->merged_win_start &&
@@ -98,7 +98,7 @@ uint64_t IndexRange::GallopLowerBound(uint64_t from,
     // Merged bounds are sums of per-source bounds (exact under the
     // delta-layer invariants); `from` only clamps.
     const uint64_t abs =
-        std::clamp(merged_->Bound(probe, /*upper=*/false), begin_ + from, end_);
+        std::clamp(run_->Bound(probe, /*upper=*/false), begin_ + from, end_);
     return abs - begin_;
   }
   const Perm perm = perm_;
@@ -111,7 +111,7 @@ uint64_t IndexRange::GallopUpperBound(uint64_t from,
                                       const EncodedTriple& probe) const {
   if (merged()) {
     const uint64_t abs =
-        std::clamp(merged_->Bound(probe, /*upper=*/true), begin_ + from, end_);
+        std::clamp(run_->Bound(probe, /*upper=*/true), begin_ + from, end_);
     return abs - begin_;
   }
   const Perm perm = perm_;

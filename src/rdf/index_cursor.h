@@ -5,11 +5,12 @@
 //
 // TripleStore::Match() answers every pattern with an IndexRange: a
 // sorted run of triples in one permutation order. The range is backed
-// either by a sorted EncodedTriple array (a zero-copy span into the
-// store's own vectors or a mapped snapshot image) or by the K-way
-// MergedRun of rdf/delta_layer.h: the OSP order merged from POS
-// predicate runs, and on live stores the base-plus-delta view. Consumers that
-// only iterate use the range-for iterator or IndexCursor::NextChunk; the
+// either by a sorted EncodedTriple array (a zero-copy span into an
+// IndexBase, built vectors or a mapped snapshot image, or into a delta
+// layer) or by the K-way MergedRun of rdf/delta_layer.h: the OSP order
+// merged from POS predicate runs, and on live stores the base-plus-delta
+// view. Consumers that only iterate use the range-for iterator or
+// IndexCursor::NextChunk; the
 // executors additionally seek and gallop via sentinel-triple probes.
 //
 // Position convention: all positions are relative to the range (0 ..
@@ -101,31 +102,37 @@ struct IndexBlockScratch {
 };
 
 /// A contiguous sorted run of triples inside one permutation. Cheap value
-/// type (pointer + offsets); validity follows the backing store — like the
-/// spans Match() used to return, a range must not outlive its TripleStore
-/// or the store's next mutation.
+/// type (pointer + offsets + one owner). A range read from a live store's
+/// epoch chain owns what it reads, so it outlives any later publication;
+/// a range over a frozen store owns nothing and, like the spans Match()
+/// used to return, must not outlive its TripleStore or the store's next
+/// mutation.
 class IndexRange {
  public:
   IndexRange() = default;
 
-  /// Raw backing: the span IS the range.
-  static IndexRange FromSpan(std::span<const EncodedTriple> s, Perm perm) {
+  /// Raw backing: the span IS the range. `owner`, when set, keeps the
+  /// span's memory valid (a live store's epoch chain).
+  static IndexRange FromSpan(std::span<const EncodedTriple> s, Perm perm,
+                             std::shared_ptr<const void> owner = nullptr) {
     IndexRange r;
     r.data_ = s.data();
+    r.owner_ = std::move(owner);
     r.end_ = s.size();
     r.perm_ = perm;
     return r;
   }
 
-  /// Merged backing (live stores): positions [begin, end) of `run`, the
-  /// K-way base-plus-delta view of rdf/delta_layer.h. The shared_ptr
-  /// keeps the run — and through it the pinned epoch chain — alive for
-  /// as long as any copy of the range exists, so merged ranges survive
-  /// concurrent chain publication.
+  /// Merged backing: positions [begin, end) of `run`, the K-way view of
+  /// rdf/delta_layer.h. The range owns the run — and through it the
+  /// epoch chain the sources alias — for as long as any copy of it
+  /// exists.
   static IndexRange FromMerged(std::shared_ptr<const MergedRun> run,
                                uint64_t begin, uint64_t end, Perm perm) {
     IndexRange r;
-    r.merged_ = std::move(run);
+    r.run_ = run.get();
+    r.owner_ = std::move(run);
+    r.merged_ = true;
     r.begin_ = begin;
     r.end_ = end;
     r.perm_ = perm;
@@ -134,7 +141,7 @@ class IndexRange {
 
   uint64_t size() const { return end_ - begin_; }
   bool empty() const { return end_ == begin_; }
-  bool merged() const { return merged_ != nullptr; }
+  bool merged() const { return merged_; }
   Perm perm() const { return perm_; }
 
   /// Zero-copy access to a raw-backed range. Precondition: !merged().
@@ -229,13 +236,17 @@ class IndexRange {
   std::span<const EncodedTriple> FetchMerged(uint64_t pos, uint64_t limit,
                                              IndexBlockScratch* scratch) const;
 
-  const EncodedTriple* data_ = nullptr;  // raw backing base
-  // Merged backing (null => raw): copying a null shared_ptr is free, so
-  // raw ranges pay nothing for this member.
-  std::shared_ptr<const MergedRun> merged_;
+  union {
+    const EncodedTriple* data_ = nullptr;  // raw backing base
+    const MergedRun* run_;                 // merged backing, in owner_
+  };
+  // What the range reads: the MergedRun, or the chain a raw span aliases.
+  // Null on a frozen store, and copying a null shared_ptr is free.
+  std::shared_ptr<const void> owner_;
   uint64_t begin_ = 0;  // absolute start position
   uint64_t end_ = 0;    // absolute end position
   Perm perm_ = Perm::kSpo;
+  bool merged_ = false;
 };
 
 /// Stateful forward reader over an IndexRange: seek + chunk-at-a-time

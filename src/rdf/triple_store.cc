@@ -10,6 +10,32 @@
 
 namespace re2xolap::rdf {
 
+std::shared_ptr<const IndexBase> IndexBase::Build(
+    std::vector<EncodedTriple> spo, std::vector<EncodedTriple> pos,
+    std::unordered_map<TermId, PredicateStats> stats) {
+  struct Arrays {
+    std::vector<EncodedTriple> spo;
+    std::vector<EncodedTriple> pos;
+  };
+  auto arrays = std::make_shared<const Arrays>(
+      Arrays{std::move(spo), std::move(pos)});
+  auto base = std::make_shared<IndexBase>();
+  base->spo = arrays->spo;
+  base->pos = arrays->pos;
+  base->owner = std::move(arrays);
+  base->stats = std::move(stats);
+  return base;
+}
+
+void IndexBase::AddMemory(StoreMemory* m) const {
+  // Built arrays are exactly sized (Freeze shrinks SPO and sizes POS from
+  // it; compaction reserves the visible count), so the spans measure them.
+  (borrowed ? m->mapped_bytes : m->heap_bytes) +=
+      spo.size_bytes() + pos.size_bytes();
+  m->heap_bytes += stats.size() * (sizeof(TermId) + sizeof(PredicateStats) +
+                                   2 * sizeof(void*));
+}
+
 TripleStore::TripleStore() = default;
 
 TripleStore::~TripleStore() = default;
@@ -23,50 +49,20 @@ void TripleStore::AddEncoded(EncodedTriple t) {
   assert(active_readers_.load(std::memory_order_relaxed) == 0 &&
          "TripleStore::Add() during concurrent reads of a frozen store");
   assert(!live() && "live stores mutate via store::Ingestor, not Add()");
-  Materialize();
-  spo_.push_back(t);
-  frozen_ = false;
+  Reopen();
+  pending_.push_back(t);
 }
 
 void TripleStore::Reserve(size_t triples) {
   assert(!live() && "live stores mutate via store::Ingestor, not Add()");
-  Materialize();
-  spo_.reserve(triples);
+  Reopen();
+  pending_.reserve(triples);
 }
 
-void TripleStore::Materialize() {
-  if (keepalive_ == nullptr) return;
-  spo_.assign(spo_view_.begin(), spo_view_.end());
-  pos_.assign(pos_view_.begin(), pos_view_.end());
-  spo_view_ = {};
-  pos_view_ = {};
-  keepalive_.reset();
-}
-
-void TripleStore::ResetIndexState() {
-  spo_.clear();
-  spo_.shrink_to_fit();
-  pos_.clear();
-  pos_.shrink_to_fit();
-  spo_view_ = {};
-  pos_view_ = {};
-  keepalive_.reset();
-}
-
-void TripleStore::AdoptFrozen(std::vector<EncodedTriple> spo,
-                              std::vector<EncodedTriple> pos,
-                              std::unordered_map<TermId, PredicateStats> stats,
-                              uint64_t epoch) {
-  assert(active_readers_.load(std::memory_order_relaxed) == 0 &&
-         "TripleStore::AdoptFrozen() during concurrent reads");
-  assert(!live() && "TripleStore::AdoptFrozen() on a live store");
-  ResetIndexState();
-  spo_ = std::move(spo);
-  pos_ = std::move(pos);
-  stats_ = std::move(stats);
-  frozen_ = true;
-  freeze_epoch_ = epoch;
-  UpdateStoreGauges();
+void TripleStore::Reopen() {
+  if (base_ == nullptr) return;
+  pending_.assign(base_->spo.begin(), base_->spo.end());
+  base_.reset();
 }
 
 void TripleStore::AdoptFrozenView(
@@ -77,12 +73,15 @@ void TripleStore::AdoptFrozenView(
          "TripleStore::AdoptFrozenView() during concurrent reads");
   assert(!live() && "TripleStore::AdoptFrozenView() on a live store");
   assert(keepalive != nullptr && "view adoption requires a keepalive");
-  ResetIndexState();
-  spo_view_ = spo;
-  pos_view_ = pos;
-  keepalive_ = std::move(keepalive);
-  stats_ = std::move(stats);
-  frozen_ = true;
+  pending_.clear();
+  pending_.shrink_to_fit();
+  auto base = std::make_shared<IndexBase>();
+  base->spo = spo;
+  base->pos = pos;
+  base->owner = std::move(keepalive);
+  base->stats = std::move(stats);
+  base->borrowed = true;
+  base_ = std::move(base);
   freeze_epoch_ = epoch;
   UpdateStoreGauges();
 }
@@ -92,17 +91,20 @@ void TripleStore::Freeze() {
          "TripleStore::Freeze() during concurrent reads");
   assert(!live() && "live stores advance epochs via PublishChain()");
   obs::Span span("store.freeze");
-  Materialize();
-  span.SetAttr("triples", static_cast<uint64_t>(spo_.size()));
+  Reopen();
+  span.SetAttr("triples", static_cast<uint64_t>(pending_.size()));
+  std::vector<EncodedTriple> pos;
   {
     obs::Span child("store.build_indexes");
-    BuildIndexes();
+    BuildIndexes(&pos);
   }
+  std::unordered_map<TermId, PredicateStats> stats;
   {
     obs::Span child("store.compute_stats");
-    ComputeStats();
+    stats = ComputePredicateStats(pending_, pos);
   }
-  frozen_ = true;
+  base_ = IndexBase::Build(std::move(pending_), std::move(pos),
+                           std::move(stats));
   ++freeze_epoch_;
   UpdateStoreGauges();
 }
@@ -171,7 +173,7 @@ void SortRunsByObject(std::vector<EncodedTriple>* pos,
 
 }  // namespace
 
-void TripleStore::BuildIndexes() {
+void TripleStore::BuildIndexes(std::vector<EncodedTriple>* pos) {
   // Term ids are dense in [1, dictionary().size()], so columns sort by
   // counting. SPO is one stable counting pass by s followed by a
   // comparison sort of each subject's run by (p, o), then the dedup:
@@ -184,29 +186,30 @@ void TripleStore::BuildIndexes() {
   // Peak memory is two copies of the triples, one count array over the
   // term ids (the three counting passes share it) and one predicate run
   // of scratch. The subject pass sorts into a fresh array and frees the
-  // load buffer, and the predicate pass writes into the previous POS
-  // array when it is large enough (a re-Freeze). Keeping the load buffer
-  // as POS's destination instead, so that a first Freeze frees no large
-  // array, measured worse: the whole first set-up of a process then stays
-  // above glibc's default mmap threshold, and each later set-up in the
-  // same process re-faults its heap (DESIGN.md §8).
+  // load buffer, and the predicate pass writes into a fresh POS array.
+  // Keeping the load buffer as POS's destination instead, so that a
+  // first Freeze frees no large array, measured worse: the whole first
+  // set-up of a process then stays above glibc's default mmap threshold,
+  // and each later set-up in the same process re-faults its heap
+  // (DESIGN.md §8).
+  std::vector<EncodedTriple>& spo = pending_;
   std::vector<size_t> count(dict_.size() + 2, 0);
   {
     std::vector<EncodedTriple> scratch;
-    CountingSortBy(spo_, &EncodedTriple::s, &count, &scratch);
-    spo_.swap(scratch);
+    CountingSortBy(spo, &EncodedTriple::s, &count, &scratch);
+    spo.swap(scratch);
   }
-  for (auto run = spo_.begin(); run != spo_.end();) {
-    auto run_end = std::find_if(run, spo_.end(), [&](const EncodedTriple& t) {
+  for (auto run = spo.begin(); run != spo.end();) {
+    auto run_end = std::find_if(run, spo.end(), [&](const EncodedTriple& t) {
       return t.s != run->s;
     });
     std::sort(run, run_end, SpoLess());
     run = run_end;
   }
-  spo_.erase(std::unique(spo_.begin(), spo_.end()), spo_.end());
-  spo_.shrink_to_fit();
-  CountingSortBy(spo_, &EncodedTriple::p, &count, &pos_);
-  SortRunsByObject(&pos_, &count);
+  spo.erase(std::unique(spo.begin(), spo.end()), spo.end());
+  spo.shrink_to_fit();
+  CountingSortBy(spo, &EncodedTriple::p, &count, pos);
+  SortRunsByObject(pos, &count);
 }
 
 std::unordered_map<TermId, PredicateStats> ComputePredicateStats(
@@ -240,24 +243,13 @@ std::unordered_map<TermId, PredicateStats> ComputePredicateStats(
   return stats;
 }
 
-void TripleStore::ComputeStats() {
-  stats_ = ComputePredicateStats(spo_, pos_);
-}
-
 IndexRange TripleStore::PermutationRange(Perm perm) const {
-  if (live()) return LivePermutationRange(perm);
-  return ClassicPermutationRange(perm);
-}
-
-IndexRange TripleStore::ClassicPermutationRange(Perm perm) const {
-  switch (perm) {
-    case Perm::kSpo:
-      return IndexRange::FromSpan(SpoView(), perm);
-    case Perm::kPos:
-      return IndexRange::FromSpan(PosView(), perm);
-    default:
-      return OspMerge(nullptr, kInvalidTermId, kInvalidTermId);
+  if (live()) return ChainPermutationRange(PinnedChain(), perm);
+  if (perm == Perm::kOsp) {
+    return OspMerge(nullptr, kInvalidTermId, kInvalidTermId);
   }
+  const IndexBase& base = FrozenBase();
+  return IndexRange::FromSpan(perm == Perm::kSpo ? base.spo : base.pos, perm);
 }
 
 namespace {
@@ -382,16 +374,15 @@ uint64_t TripleStore::freeze_epoch() const {
   return freeze_epoch_;
 }
 
-void TripleStore::EnterLive() {
-  assert(frozen_ && "EnterLive() requires a frozen store");
+void TripleStore::EnterLive(
+    std::vector<std::shared_ptr<const DeltaLayer>> layers) {
+  assert(base_ != nullptr && "EnterLive() requires a frozen store");
   assert(!live() && "EnterLive() called twice");
   assert(active_readers_.load(std::memory_order_relaxed) == 0 &&
          "TripleStore::EnterLive() during concurrent reads");
   dict_.EnterLive();
-  auto chain = std::make_shared<EpochChain>();
-  chain->epoch = freeze_epoch_;
-  chain->visible_triples = ClassicSize();
-  chain->stats = stats_;
+  std::shared_ptr<const EpochChain> chain =
+      MakeEpochChain(std::move(base_), std::move(layers), freeze_epoch_);
   UpdateChainGauges(*chain);
   SetChain(std::move(chain));
   live_.store(true, std::memory_order_release);
@@ -402,25 +393,6 @@ void TripleStore::PublishChain(std::shared_ptr<const EpochChain> chain) {
   assert(chain != nullptr);
   UpdateChainGauges(*chain);
   SetChain(std::move(chain));
-}
-
-void TripleStore::RestoreChain(
-    std::vector<std::shared_ptr<const DeltaLayer>> layers, uint64_t epoch) {
-  assert(live() && "RestoreChain() requires EnterLive()");
-  auto chain = std::make_shared<EpochChain>();
-  chain->layers = std::move(layers);
-  chain->epoch = epoch;
-  chain->stats = stats_;
-  uint64_t visible = ClassicSize();
-  for (const std::shared_ptr<const DeltaLayer>& layer : chain->layers) {
-    chain->delta_adds += layer->add_count();
-    chain->delta_dels += layer->del_count();
-    visible += layer->add_count();
-    visible -= layer->del_count();
-    ApplyLayerToStats(*layer, &chain->stats);
-  }
-  chain->visible_triples = visible;
-  PublishChain(std::move(chain));
 }
 
 uint64_t TripleStore::chain_depth() const {
@@ -437,7 +409,6 @@ TripleStore::LiveInfo TripleStore::live_info() const {
   info.delta_adds = chain->delta_adds;
   info.delta_dels = chain->delta_dels;
   info.visible_triples = chain->visible_triples;
-  info.compacted_base = chain->base != nullptr;
   return info;
 }
 
@@ -453,32 +424,19 @@ void TripleStore::UpdateChainGauges(const EpochChain& chain) const {
       .Set(static_cast<double>(chain.visible_triples));
 }
 
-IndexRange TripleStore::LivePermutationRange(Perm perm) const {
-  return ChainPermutationRange(PinnedChain(), perm);
-}
-
 IndexRange TripleStore::ChainPermutationRange(
     std::shared_ptr<const EpochChain> chain, Perm perm) const {
-  const LiveBase* base = chain->base.get();
-  if (base == nullptr && chain->layers.empty()) {
-    // Pristine chain: the store's own frozen arrays ARE the view, and
-    // they are store-owned, so no keepalive is needed.
-    return ClassicPermutationRange(perm);
-  }
   if (perm == Perm::kOsp) {
     return OspMerge(chain, kInvalidTermId, kInvalidTermId);
   }
   std::vector<IndexRange> adds;
   std::vector<IndexRange> dels;
   adds.reserve(chain->layers.size() + 1);
-  IndexRange base_range;
-  if (base != nullptr) {
-    base_range = IndexRange::FromSpan(
-        perm == Perm::kSpo ? base->spo : base->pos, perm);
-  } else {
-    base_range = ClassicPermutationRange(perm);
+  const IndexBase& base = *chain->base;
+  if (!base.spo.empty()) {
+    adds.push_back(
+        IndexRange::FromSpan(perm == Perm::kSpo ? base.spo : base.pos, perm));
   }
-  if (!base_range.empty()) adds.push_back(base_range);
   for (const std::shared_ptr<const DeltaLayer>& layer : chain->layers) {
     if (!layer->adds(perm).empty()) {
       adds.push_back(IndexRange::FromSpan(layer->adds(perm), perm));
@@ -488,9 +446,11 @@ IndexRange TripleStore::ChainPermutationRange(
     }
   }
   if (adds.empty()) return IndexRange();
-  // Even a single-source view goes through MergedRun when it aliases
-  // chain-owned memory (a compacted base or a layer): the run's
-  // keepalive is what lets the range outlive a concurrent publication.
+  if (adds.size() == 1 && dels.empty()) {
+    // One source and nothing to cancel: a zero-copy span that owns the
+    // chain it aliases.
+    return IndexRange::FromSpan(adds.front().raw(), perm, std::move(chain));
+  }
   auto run = std::make_shared<const MergedRun>(std::move(adds),
                                                std::move(dels), perm, chain);
   const uint64_t n = run->size();
@@ -500,37 +460,32 @@ IndexRange TripleStore::ChainPermutationRange(
 IndexRange TripleStore::OspMerge(
     const std::shared_ptr<const EpochChain>& chain, TermId o,
     TermId s) const {
-  // Per-thread slice lists, reused: the usual answer is one slice of the
-  // store's own array, returned as a raw range without allocating.
+  // Per-thread slice lists, reused: the usual answer is one slice, returned
+  // as a raw range without allocating. The slices own nothing; the range
+  // returned owns the chain (null on a frozen store) they alias.
   thread_local std::vector<IndexRange> adds;
   thread_local std::vector<IndexRange> dels;
   adds.clear();
   dels.clear();
-  // Slices of the store's own POS array live as long as the store; a
-  // slice of a compacted base or a layer needs the chain as keepalive.
-  bool chain_owned = false;
-  const LiveBase* base = chain != nullptr ? chain->base.get() : nullptr;
-  if (base != nullptr) {
-    chain_owned |= AppendOspSlices(base->pos, o, s, &adds);
-  } else {
-    AppendOspSlices(PosView(), o, s, &adds);
-  }
+  AppendOspSlices(chain != nullptr ? chain->base->pos : FrozenBase().pos, o,
+                  s, &adds);
   if (chain != nullptr) {
     for (const std::shared_ptr<const DeltaLayer>& layer : chain->layers) {
-      chain_owned |= AppendOspSlices(layer->add_pos, o, s, &adds);
-      chain_owned |= AppendOspSlices(layer->del_pos, o, s, &dels);
+      AppendOspSlices(layer->add_pos, o, s, &adds);
+      AppendOspSlices(layer->del_pos, o, s, &dels);
     }
   }
   if (adds.empty()) return IndexRange::FromSpan({}, Perm::kOsp);
-  if (adds.size() == 1 && !chain_owned) return adds.front();
-  auto run = std::make_shared<const MergedRun>(
-      adds, dels, Perm::kOsp, chain_owned ? chain : nullptr);
+  if (adds.size() == 1 && dels.empty()) {
+    return IndexRange::FromSpan(adds.front().raw(), Perm::kOsp, chain);
+  }
+  auto run = std::make_shared<const MergedRun>(adds, dels, Perm::kOsp, chain);
   const uint64_t n = run->size();
   return IndexRange::FromMerged(std::move(run), 0, n, Perm::kOsp);
 }
 
 IndexRange TripleStore::Match(const TriplePattern& q) const {
-  assert(frozen_ && "TripleStore::Freeze() must be called before Match()");
+  assert(frozen() && "TripleStore::Freeze() must be called before Match()");
   ReadGuard guard(this);
   const bool bs = q.s != kInvalidTermId;
   const bool bp = q.p != kInvalidTermId;
@@ -587,10 +542,12 @@ std::vector<TermId> TripleStore::PredicatesOfObject(TermId o) const {
 
 std::vector<TermId> TripleStore::AllPredicates() const {
   std::shared_ptr<const EpochChain> chain;
-  const std::unordered_map<TermId, PredicateStats>* stats = &stats_;
+  const std::unordered_map<TermId, PredicateStats>* stats = nullptr;
   if (live()) {
     chain = PinnedChain();
     stats = &chain->stats;
+  } else {
+    stats = &FrozenBase().stats;
   }
   std::vector<TermId> out;
   out.reserve(stats->size());
@@ -605,34 +562,41 @@ PredicateStats TripleStore::predicate_stats(TermId p) const {
     auto it = chain->stats.find(p);
     return it == chain->stats.end() ? PredicateStats{} : it->second;
   }
-  auto it = stats_.find(p);
-  return it == stats_.end() ? PredicateStats{} : it->second;
+  const std::unordered_map<TermId, PredicateStats>& stats =
+      FrozenBase().stats;
+  auto it = stats.find(p);
+  return it == stats.end() ? PredicateStats{} : it->second;
 }
 
 uint64_t TripleStore::size() const {
   if (live()) return PinnedChain()->visible_triples;
-  return ClassicSize();
+  return base_ != nullptr ? base_->spo.size() : pending_.size();
 }
 
-uint64_t TripleStore::ClassicSize() const { return SpoView().size(); }
+std::shared_ptr<const IndexBase> TripleStore::index_base() const {
+  if (live()) return PinnedChain()->base;
+  assert(base_ != nullptr && "index_base() requires a frozen store");
+  return base_;
+}
+
+bool TripleStore::borrows_snapshot() const {
+  std::shared_ptr<const IndexBase> base =
+      live() ? PinnedChain()->base : base_;
+  return base != nullptr && base->borrowed;
+}
 
 StoreMemory TripleStore::MemoryBreakdown() const {
   StoreMemory m;
   m.heap_bytes = dict_.MemoryUsage() +
-                 (spo_.capacity() + pos_.capacity()) * sizeof(EncodedTriple) +
-                 stats_.size() * (sizeof(TermId) + sizeof(PredicateStats) +
-                                  2 * sizeof(void*));
-  if (keepalive_ != nullptr) {
-    // Borrowed views: the image bytes the two spans alias.
-    m.mapped_bytes +=
-        (spo_view_.size() + pos_view_.size()) * sizeof(EncodedTriple);
-  }
+                 pending_.capacity() * sizeof(EncodedTriple);
   if (live()) {
     std::shared_ptr<const EpochChain> chain = PinnedChain();
-    if (chain->base != nullptr) m.heap_bytes += chain->base->MemoryUsage();
+    chain->base->AddMemory(&m);
     for (const std::shared_ptr<const DeltaLayer>& layer : chain->layers) {
       m.heap_bytes += layer->MemoryUsage();
     }
+  } else if (base_ != nullptr) {
+    base_->AddMemory(&m);
   }
   return m;
 }
@@ -644,9 +608,9 @@ void TripleStore::UpdateStoreGauges() const {
   reg.GetGauge("store.bytes.heap").Set(static_cast<double>(m.heap_bytes));
   reg.GetGauge("store.bytes.mapped").Set(static_cast<double>(m.mapped_bytes));
   reg.GetGauge("store.index.spo.bytes")
-      .Set(static_cast<double>(SpoView().size_bytes()));
+      .Set(static_cast<double>(base_->spo.size_bytes()));
   reg.GetGauge("store.index.pos.bytes")
-      .Set(static_cast<double>(PosView().size_bytes()));
+      .Set(static_cast<double>(base_->pos.size_bytes()));
 }
 
 }  // namespace re2xolap::rdf

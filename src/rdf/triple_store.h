@@ -50,6 +50,32 @@ struct StoreMemory {
   size_t mapped_bytes = 0;
 };
 
+/// The one immutable holder of a frozen index pair: the SPO and POS
+/// arrays, their predicate statistics and the owner that keeps the arrays
+/// valid. Freeze() and compaction build one over vectors they move in
+/// (never copy); AdoptFrozenView() builds one over a loaded snapshot
+/// image. A frozen store reads its own base; a live store's EpochChain
+/// (rdf/delta_layer.h) always points at one, so a compacted base is read
+/// exactly like the store's first one.
+struct IndexBase {
+  std::span<const EncodedTriple> spo;  // sorted by (s, p, o)
+  std::span<const EncodedTriple> pos;  // sorted by (p, o, s)
+  /// Keeps `spo` and `pos` valid: the built vectors, or the image.
+  std::shared_ptr<const void> owner;
+  std::unordered_map<TermId, PredicateStats> stats;
+  /// True when the arrays alias a loaded snapshot image (reported as
+  /// mapped bytes) rather than vectors built in this process.
+  bool borrowed = false;
+
+  /// A base owning freshly built, sorted and deduplicated arrays.
+  static std::shared_ptr<const IndexBase> Build(
+      std::vector<EncodedTriple> spo, std::vector<EncodedTriple> pos,
+      std::unordered_map<TermId, PredicateStats> stats);
+
+  /// Adds the arrays (heap or mapped) and the stats (heap) to `m`.
+  void AddMemory(StoreMemory* m) const;
+};
+
 /// In-memory RDF triple store with dictionary encoding and two stored
 /// index permutations (SPO, POS). The third order, OSP, is a view over
 /// POS: for a fixed predicate a POS run is already in (o, s) order, so a
@@ -62,13 +88,13 @@ struct StoreMemory {
 /// This mirrors the paper's setting: the KG is loaded/bootstrapped once and
 /// then queried read-only.
 ///
-/// Each stored permutation is a sorted EncodedTriple array: an owned
-/// vector or a span borrowed from a loaded snapshot image. Match() answers
-/// with an IndexRange (rdf/index_cursor.h) over it — a zero-copy span, or
-/// a merged view (the OSP order over several predicate runs, or on a live
-/// store the base plus its delta layers). The first mutation
-/// (Add/AddEncoded/Freeze) transparently materializes owned vectors, so
-/// the mutable API keeps working after a zero-copy load.
+/// The two stored permutations live in one IndexBase: vectors Freeze()
+/// built, or spans into a loaded snapshot image. Match() answers with an
+/// IndexRange (rdf/index_cursor.h) over it — a zero-copy span, or a merged
+/// view (the OSP order over several predicate runs, or on a live store the
+/// base plus its delta layers). The first mutation (Add/AddEncoded/Freeze)
+/// copies the base back into the load buffer, so the mutable API keeps
+/// working after a zero-copy load.
 ///
 /// Concurrent-read contract: after Freeze() returns, every const member
 /// (Match, CountMatches, Exists, Lookup, term, predicate_stats, ...) is
@@ -107,17 +133,17 @@ class TripleStore {
   /// build is O(n + |dictionary| + sum of k log k) over subject runs of
   /// length k — near linear when subjects carry few triples each,
   /// O(n log n) in the worst case of one shared subject. Peak memory is
-  /// two copies of the triples; a re-Freeze sorts POS into the previous
-  /// POS array.
+  /// two copies of the triples. The sorted arrays move into a fresh
+  /// IndexBase.
   void Freeze();
 
-  bool frozen() const { return frozen_; }
+  bool frozen() const { return base_ != nullptr || live(); }
 
   /// Monotone counter bumped by every Freeze(). Caches keyed on query
   /// results (e.g. engine::QueryEngine) include the epoch in their keys so
   /// a re-Freeze() — the only way new data becomes visible — invalidates
   /// every entry derived from the previous index state. 0 = never frozen.
-  /// Snapshot restore (AdoptFrozen*) reinstalls the epoch the image was
+  /// Snapshot restore (AdoptFrozenView) reinstalls the epoch the image was
   /// saved at, so cache keys behave identically across a save/load cycle.
   /// Live stores (EnterLive) answer with the current epoch chain's epoch,
   /// which every published ingest batch / compaction bumps.
@@ -125,15 +151,17 @@ class TripleStore {
 
   /// --- Live ingestion (rdf/delta_layer.h, src/store/) ---------------------
 
-  /// Switches a frozen store into live mode: the frozen indexes become the
-  /// immutable base of an epoch chain, the dictionary enters its
+  /// Switches a frozen store into live mode: the store's IndexBase becomes
+  /// the base of an epoch chain (the store keeps no other reference to
+  /// it), `layers` — a snapshot's saved delta chain, oldest first — sit
+  /// above it at the store's freeze epoch, the dictionary enters its
   /// concurrent-append mode, and new data arrives as delta layers
   /// published via PublishChain() (store::Ingestor drives this). Live
-  /// stores reject the freeze-once mutators (Add/Freeze/Adopt*); reads
-  /// keep the frozen-store concurrency contract and additionally tolerate
-  /// concurrent chain publication — a query pins one chain for its
-  /// duration with ReadPin. Irreversible for the store's lifetime.
-  void EnterLive();
+  /// stores reject the freeze-once mutators (Add/Freeze/AdoptFrozenView);
+  /// reads keep the frozen-store concurrency contract and additionally
+  /// tolerate concurrent chain publication — a query pins one chain for
+  /// its duration with ReadPin. Irreversible for the store's lifetime.
+  void EnterLive(std::vector<std::shared_ptr<const DeltaLayer>> layers = {});
 
   bool live() const { return live_.load(std::memory_order_acquire); }
 
@@ -146,13 +174,6 @@ class TripleStore {
   /// compaction). In-flight readers keep serving their pinned chain; new
   /// ReadPins see `chain`. Refreshes the store.delta.* gauges.
   void PublishChain(std::shared_ptr<const EpochChain> chain);
-
-  /// Rebuilds and publishes a chain over the store's own frozen base from
-  /// snapshot-restored delta layers: merged stats, visible-triple count
-  /// and delta totals are recomputed here, so the loader only supplies
-  /// the layers and the epoch the image was saved at. Requires live().
-  void RestoreChain(std::vector<std::shared_ptr<const DeltaLayer>> layers,
-                    uint64_t epoch);
 
   /// Number of delta layers above the base (0 on non-live stores).
   uint64_t chain_depth() const;
@@ -174,7 +195,6 @@ class TripleStore {
     uint64_t delta_adds = 0;
     uint64_t delta_dels = 0;
     uint64_t visible_triples = 0;
-    bool compacted_base = false;  // chain base is a compaction product
   };
   LiveInfo live_info() const;
 
@@ -197,28 +217,22 @@ class TripleStore {
 
   /// --- Snapshot restore (src/storage/) -----------------------------------
 
-  /// Installs a fully built frozen image: both arrays must already be
-  /// sorted in their permutation orders and deduplicated, `stats` must
-  /// match them, and every id must be interned in dictionary(). Marks the
-  /// store frozen at `epoch`. Replaces any previous triple data.
-  void AdoptFrozen(std::vector<EncodedTriple> spo,
-                   std::vector<EncodedTriple> pos,
-                   std::unordered_map<TermId, PredicateStats> stats,
-                   uint64_t epoch);
-
-  /// Zero-copy variant: the spans alias externally owned memory (typically
-  /// a memory-mapped snapshot) which `keepalive` keeps valid; the store
-  /// holds the keepalive until destruction or the first mutation (which
-  /// materializes owned copies first). Same preconditions as AdoptFrozen.
+  /// Installs a frozen image without copying it: the spans alias
+  /// externally owned memory (typically a memory-mapped snapshot) which
+  /// `keepalive` keeps valid, as the owner of the store's IndexBase. Both
+  /// arrays must already be sorted in their permutation orders and
+  /// deduplicated, `stats` must match them, and every id must be interned
+  /// in dictionary(). Marks the store frozen at `epoch`. Replaces any
+  /// previous triple data.
   void AdoptFrozenView(std::span<const EncodedTriple> spo,
                        std::span<const EncodedTriple> pos,
                        std::unordered_map<TermId, PredicateStats> stats,
                        uint64_t epoch, std::shared_ptr<const void> keepalive);
 
-  /// True while the indexes borrow a loaded snapshot image — mapped file
-  /// or heap buffer (diagnostics; flips to false when a mutation
-  /// materializes owned copies).
-  bool borrows_snapshot() const { return keepalive_ != nullptr; }
+  /// True while the base reads borrow a loaded snapshot image — mapped
+  /// file or heap buffer (diagnostics; false once a mutation or a
+  /// compaction replaces that base).
+  bool borrows_snapshot() const;
 
   /// --- Term access -------------------------------------------------------
 
@@ -249,9 +263,10 @@ class TripleStore {
   /// permutation orders. Triple component order is always s/p/o
   /// regardless of which permutation serves it. A bound object with an
   /// unbound predicate reads the OSP view: the pattern's slice of each
-  /// predicate run, zero-copy when only one slice of the store's own POS
-  /// array is non-empty, else their merge. The range is valid until the
-  /// store's next mutation (exactly the old span lifetime rule).
+  /// predicate run, zero-copy when only one slice is non-empty, else their
+  /// merge. On a frozen store the range is valid until the store's next
+  /// mutation (exactly the old span lifetime rule); on a live store it
+  /// owns the chain it reads, so it outlives any later publication.
   IndexRange Match(const TriplePattern& pattern) const;
 
   /// Number of triples matching a pattern. Pure index-range arithmetic:
@@ -279,16 +294,20 @@ class TripleStore {
   /// Statistics for a predicate (zeroes for unknown predicates).
   PredicateStats predicate_stats(TermId p) const;
 
-  /// All predicate statistics (snapshot serialization).
+  /// The IndexBase reads start from: the pinned chain's base on live
+  /// stores, the store's own otherwise. Holding the pointer keeps the
+  /// arrays valid. Requires frozen().
+  std::shared_ptr<const IndexBase> index_base() const;
+
+  /// The frozen store's base arrays and statistics (canonical triple list
+  /// = spo_span()), valid until the next mutation. Require frozen() and
+  /// !live(); live stores read index_base() instead.
+  std::span<const EncodedTriple> spo_span() const { return FrozenBase().spo; }
+  std::span<const EncodedTriple> pos_span() const { return FrozenBase().pos; }
   const std::unordered_map<TermId, PredicateStats>& all_predicate_stats()
       const {
-    return stats_;
+    return FrozenBase().stats;
   }
-
-  /// The two stored index permutations as contiguous spans (canonical
-  /// triple list = spo_span()). Require frozen().
-  std::span<const EncodedTriple> spo_span() const { return SpoView(); }
-  std::span<const EncodedTriple> pos_span() const { return PosView(); }
 
   /// --- Size accounting ----------------------------------------------------
 
@@ -326,63 +345,46 @@ class TripleStore {
 #endif
   };
 
-  /// Owned-or-borrowed view selection. While keepalive_ is set the spans
-  /// alias the loaded image; otherwise they are the owned vectors.
-  std::span<const EncodedTriple> SpoView() const {
-    return keepalive_ ? spo_view_ : std::span<const EncodedTriple>(spo_);
-  }
-  std::span<const EncodedTriple> PosView() const {
-    return keepalive_ ? pos_view_ : std::span<const EncodedTriple>(pos_);
+  /// The base of a frozen, non-live store.
+  const IndexBase& FrozenBase() const {
+    assert(base_ != nullptr && !live() &&
+           "frozen-store base read on an unfrozen or live store");
+    return *base_;
   }
 
-  /// Copies borrowed views into owned vectors and drops the keepalive, so
-  /// mutation can proceed on owned storage. No-op for owned stores.
-  void Materialize();
+  /// Reopens a frozen store for loading: copies the base's SPO array into
+  /// the load buffer and drops the base. No-op while unfrozen.
+  void Reopen();
 
-  /// Freeze() phases: sort and deduplicate the permutations, then compute
-  /// the predicate stats.
-  void BuildIndexes();
-  void ComputeStats();
-  /// PermutationRange over the store's own frozen arrays, ignoring
-  /// any epoch chain (the chain's base when EpochChain::base is null).
-  IndexRange ClassicPermutationRange(Perm perm) const;
-  /// The OSP view of `chain` (null: the store's own arrays): every POS
+  /// Freeze()'s index build: sorts and deduplicates the load buffer in
+  /// place into SPO order and counting-sorts `pos` from it.
+  void BuildIndexes(std::vector<EncodedTriple>* pos);
+  /// The OSP view of `chain` (null: the frozen store's base): every POS
   /// source — base, layer inserts, layer tombstones — cut into its
   /// predicate runs, each clipped to object `o` and subject `s`
-  /// (kInvalidTermId: unbound), merged in (o, s, p) order.
+  /// (kInvalidTermId: unbound), merged in (o, s, p) order. Ranges over a
+  /// chain own it.
   IndexRange OspMerge(const std::shared_ptr<const EpochChain>& chain,
                       TermId o, TermId s) const;
-  /// Live read path: the whole permutation as a base-plus-deltas view of
-  /// the calling thread's pinned chain (single-source fast path when the
-  /// chain has no layers and the store's own arrays are the base).
-  IndexRange LivePermutationRange(Perm perm) const;
   /// The chain reads on this thread should use (see live_chain()).
   std::shared_ptr<const EpochChain> PinnedChain() const;
   /// The latest published chain.
   std::shared_ptr<const EpochChain> CurrentChain() const;
   /// Swaps in `chain` as the latest published chain.
   void SetChain(std::shared_ptr<const EpochChain> chain);
-  /// size() of the store's own frozen arrays (the chain-base size).
-  uint64_t ClassicSize() const;
   /// Refreshes store.epoch / store.delta.* / store.triples after a chain
   /// publication.
   void UpdateChainGauges(const EpochChain& chain) const;
   /// Refreshes the store.* gauges (triples, heap/mapped bytes, per-index
   /// bytes) after any freeze/adopt.
   void UpdateStoreGauges() const;
-  void ResetIndexState();
 
   Dictionary dict_;
-  // The two stored permutations each hold full (s,p,o) triples sorted by
-  // a different key order. spo_ doubles as the canonical triple list.
-  std::vector<EncodedTriple> spo_;  // sorted by (s, p, o)
-  std::vector<EncodedTriple> pos_;  // sorted by (p, o, s)
-  // Borrowed-index state (AdoptFrozenView): spans into `keepalive_`.
-  std::span<const EncodedTriple> spo_view_;
-  std::span<const EncodedTriple> pos_view_;
-  std::shared_ptr<const void> keepalive_;
-  std::unordered_map<TermId, PredicateStats> stats_;
-  bool frozen_ = false;
+  // Triples added since the last Freeze(), unsorted and possibly repeated.
+  std::vector<EncodedTriple> pending_;
+  // The frozen indexes of a non-live store; null while unfrozen, and
+  // handed to the epoch chain by EnterLive().
+  std::shared_ptr<const IndexBase> base_;
   uint64_t freeze_epoch_ = 0;
   // Live-mode state (EnterLive): the current epoch chain, swapped under
   // chain_mu_ by every publication (readers copy the pointer under the

@@ -958,8 +958,7 @@ HttpResponse Server::HandleHealthz() const {
   if (live.live) {
     body += ", \"chain_depth\": " + std::to_string(live.chain_depth) +
             ", \"delta_adds\": " + std::to_string(live.delta_adds) +
-            ", \"delta_dels\": " + std::to_string(live.delta_dels) +
-            ", \"compacted_base\": " + (live.compacted_base ? "true" : "false");
+            ", \"delta_dels\": " + std::to_string(live.delta_dels);
   }
   body += ", \"uptime_millis\": " + JsonNumber(MillisSince(started_at_)) +
           ", \"engine\": {\"plan_hits\": " + std::to_string(cache.plan_hits) +

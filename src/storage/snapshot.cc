@@ -36,9 +36,6 @@ using rdf::TermId;
 constexpr uint64_t kFixedHeaderBytes = 56;
 constexpr uint64_t kSectionEntryBytes = 32;
 constexpr uint32_t kMaxSections = 64;
-// Section id of the delta chain as older builds wrote it (six arrays per
-// layer, OSP included); see SectionId::kDeltaChain.
-constexpr uint32_t kRetiredDeltaChainId = 11;
 // Poll the ExecGuard every this many loop iterations in term/posting loops.
 constexpr size_t kGuardStride = 1 << 16;
 
@@ -509,9 +506,9 @@ util::Status ValidateTriples(std::span<const EncodedTriple> triples,
   return util::Status::OK();
 }
 
-// --- delta chain section (version >= 3) --------------------------------------
+// --- delta chain section (live images) ----------------------------------------
 
-/// Decodes and validates the sealed delta layers of a version 3 image.
+/// Decodes and validates the sealed delta layers of a live image.
 /// Structural validation matches the base pair's: every array strictly
 /// sorted in its permutation order with every id inside the dictionary.
 /// (The set-semantics invariants — adds not yet visible, deletes visible —
@@ -524,11 +521,6 @@ DecodeDeltaChain(const std::byte* data, size_t bytes, uint64_t term_count,
   ByteReader r(data, bytes);
   uint64_t layer_count = 0;
   RE2X_RETURN_IF_ERROR(r.U64(&layer_count));
-  if (layer_count == 0) {
-    return util::Status::ParseError(
-        "snapshot delta_chain declares zero layers; version 3 images are "
-        "only written for non-empty chains");
-  }
   // Each layer occupies at least its 24-byte fixed part.
   if (layer_count > r.remaining() / 24) {
     return util::Status::ParseError("snapshot delta_chain overruns payload");
@@ -650,12 +642,11 @@ util::Result<SnapshotInfo> ParseHeader(const std::byte* data,
   RE2X_RETURN_IF_ERROR(r.U64(&info.triple_count));
   RE2X_RETURN_IF_ERROR(r.U64(&info.term_count));
   RE2X_RETURN_IF_ERROR(r.U64(&flags));
-  if (info.version != kSnapshotVersion &&
-      info.version != kSnapshotVersionLive) {
+  if (info.version != kSnapshotVersion) {
     return util::Status::InvalidArgument(
         "unsupported snapshot version " + std::to_string(info.version) +
-        " (this build reads versions " + std::to_string(kSnapshotVersion) +
-        " and " + std::to_string(kSnapshotVersionLive) + ")");
+        " (this build reads version " + std::to_string(kSnapshotVersion) +
+        " only)");
   }
   if (section_count == 0 || section_count > kMaxSections) {
     return util::Status::ParseError("snapshot section count " +
@@ -696,21 +687,15 @@ util::Result<SnapshotInfo> ParseHeader(const std::byte* data,
     RE2X_RETURN_IF_ERROR(r.U64(&s.offset));
     RE2X_RETURN_IF_ERROR(r.U64(&s.bytes));
     RE2X_RETURN_IF_ERROR(r.U64(&s.checksum));
-    // Version 1 carries ids 1-7; version 3 adds the delta chain. The
-    // retired six-array delta chain (id 11) is an image of an older
-    // build; any other id — the reserved 8-10 included — means
-    // corruption, not a feature gap.
-    if (id == kRetiredDeltaChainId) {
-      return util::Status::InvalidArgument(
-          "snapshot carries the retired delta_chain section (id 11, with "
-          "OSP arrays): written by an older build; re-save it with this "
-          "build's writer");
-    }
+    // Any id outside the current set — the reserved 4 and 8-11 included —
+    // means corruption, not a feature gap: only older versions wrote them.
     const bool known =
-        (id >= static_cast<uint32_t>(SectionId::kDictionary) &&
+        id == static_cast<uint32_t>(SectionId::kDictionary) ||
+        id == static_cast<uint32_t>(SectionId::kSpo) ||
+        id == static_cast<uint32_t>(SectionId::kPos) ||
+        (id >= static_cast<uint32_t>(SectionId::kPredicateStats) &&
          id <= static_cast<uint32_t>(SectionId::kVsg)) ||
-        (info.version == kSnapshotVersionLive &&
-         id == static_cast<uint32_t>(SectionId::kDeltaChain));
+        id == static_cast<uint32_t>(SectionId::kDeltaChain);
     if (!known) {
       return util::Status::ParseError("snapshot contains unknown section id " +
                                       std::to_string(id));
@@ -769,7 +754,6 @@ const char* SectionName(SectionId id) {
     case SectionId::kDictionary: return "dictionary";
     case SectionId::kSpo: return "spo";
     case SectionId::kPos: return "pos";
-    case SectionId::kOsp: return "osp";
     case SectionId::kPredicateStats: return "predicate_stats";
     case SectionId::kTextIndex: return "text_index";
     case SectionId::kVsg: return "vsg";
@@ -797,18 +781,14 @@ util::Status SaveSnapshotImpl(const std::string& path,
   // quiesced ingestion — see the format notes in snapshot.h.
   rdf::TripleStore::ReadPin pin(store);
   std::shared_ptr<const rdf::EpochChain> chain = store.live_chain();
-  const rdf::LiveBase* live_base = chain ? chain->base.get() : nullptr;
-  const bool live_layers = chain != nullptr && !chain->layers.empty();
   if (store.size() == 0) {
     return util::Status::InvalidArgument(
         "refusing to snapshot an empty store: nothing to persist");
   }
-  // The index pair always carries the chain's base (the whole store on
-  // non-live stores); visible = base + delta adds - delta dels.
-  const uint64_t base_triples =
-      chain == nullptr
-          ? store.size()
-          : store.size() + chain->delta_dels - chain->delta_adds;
+  // The index pair and the stats always carry the base: the whole store
+  // on non-live stores, the chain's base below its layers on live ones.
+  const std::shared_ptr<const rdf::IndexBase> base = store.index_base();
+  const uint64_t base_triples = base->spo.size();
   if (base_triples == 0) {
     return util::Status::InvalidArgument(
         "refusing to snapshot a live store whose chain base is empty; "
@@ -835,25 +815,13 @@ util::Status SaveSnapshotImpl(const std::string& path,
     p.bytes = bytes;
     sections.push_back(std::move(p));
   };
-  // A compacted chain base lives in the chain's LiveBase vectors, not in
-  // the store's own arrays — those still hold the stale pre-ingestion
-  // data.
   add(SectionId::kDictionary);
-  if (live_base != nullptr) {
-    add(SectionId::kSpo, live_base->spo.data(),
-        live_base->spo.size() * sizeof(EncodedTriple));
-    add(SectionId::kPos, live_base->pos.data(),
-        live_base->pos.size() * sizeof(EncodedTriple));
-  } else {
-    add(SectionId::kSpo, store.spo_span().data(),
-        store.spo_span().size_bytes());
-    add(SectionId::kPos, store.pos_span().data(),
-        store.pos_span().size_bytes());
-  }
+  add(SectionId::kSpo, base->spo.data(), base->spo.size_bytes());
+  add(SectionId::kPos, base->pos.data(), base->pos.size_bytes());
   add(SectionId::kPredicateStats);
   if (text != nullptr) add(SectionId::kTextIndex);
   if (vsg != nullptr) add(SectionId::kVsg);
-  if (live_layers) add(SectionId::kDeltaChain);
+  if (chain != nullptr) add(SectionId::kDeltaChain);
 
   static obs::Histogram& encode_hist =
       obs::MetricsRegistry::Global().GetHistogram(
@@ -869,13 +837,9 @@ util::Status SaveSnapshotImpl(const std::string& path,
             EncodeDictionary(store.dictionary(), options.guard, &s.buf);
         break;
       case SectionId::kPredicateStats:
-        // The stats section matches the index pair, i.e. the chain base:
-        // the loader re-applies the delta layers' stat adjustments when it
-        // republishes the chain (TripleStore::RestoreChain).
-        s.status = EncodeStats(live_base != nullptr
-                                   ? live_base->stats
-                                   : store.all_predicate_stats(),
-                               &s.buf);
+        // The stats section matches the index pair, i.e. the base: the
+        // loader's chain re-applies the delta layers' stat adjustments.
+        s.status = EncodeStats(base->stats, &s.buf);
         break;
       case SectionId::kTextIndex:
         s.status = EncodeTextIndex(*text, options.guard, &s.buf);
@@ -901,9 +865,9 @@ util::Status SaveSnapshotImpl(const std::string& path,
   RE2X_RETURN_IF_ERROR(GuardCheck(options.guard));
 
   SnapshotInfo info;
-  info.version = live_layers ? kSnapshotVersionLive : kSnapshotVersion;
+  info.version = kSnapshotVersion;
   // Live stores answer freeze_epoch() with the pinned chain's epoch, so a
-  // version 3 image restores at exactly the epoch it was saved at.
+  // live image restores at exactly the epoch it was saved at.
   info.freeze_epoch = store.freeze_epoch();
   info.triple_count = base_triples;
   info.term_count = store.dictionary().size();
@@ -998,8 +962,7 @@ util::Result<LoadedSnapshot> LoadSnapshotImpl(
         VerifySectionChecksums(base, info, options.pool, options.guard));
   }
 
-  // Required sections. An OSP section (id 4) of an older build's image
-  // passed the checksum pass above and is otherwise skipped.
+  // Required sections.
   const SectionInfo* dict_sec = FindSection(info, SectionId::kDictionary);
   const SectionInfo* spo_sec = FindSection(info, SectionId::kSpo);
   const SectionInfo* pos_sec = FindSection(info, SectionId::kPos);
@@ -1010,14 +973,7 @@ util::Result<LoadedSnapshot> LoadSnapshotImpl(
         "snapshot is missing a required section (dictionary/predicate_stats/"
         "spo/pos)");
   }
-  // ParseHeader already rejects a kDeltaChain id in pre-v3 images, so only
-  // the missing direction can actually fire here.
   const SectionInfo* delta_sec = FindSection(info, SectionId::kDeltaChain);
-  if ((info.version >= kSnapshotVersionLive) != (delta_sec != nullptr)) {
-    return util::Status::ParseError(
-        "snapshot version disagrees with the delta_chain section (version "
-        "3 images carry exactly one, earlier versions none)");
-  }
   if (info.triple_count == 0 || info.term_count == 0) {
     return util::Status::ParseError(
         "snapshot declares an empty store; images of empty stores are "
@@ -1122,19 +1078,15 @@ util::Result<LoadedSnapshot> LoadSnapshotImpl(
   }
 
   // Both modes adopt the index sections as views into the loaded image —
-  // a mapped file or an owned heap buffer — with the image as keepalive,
-  // so no index bytes are copied. The first mutation materializes owned
-  // vectors either way; heap-mode loads are file-independent the moment
-  // this returns (the buffer, not the file, backs the views).
+  // a mapped file or an owned heap buffer — with the image as the base's
+  // owner, so no index bytes are copied. Heap-mode loads are
+  // file-independent the moment this returns (the buffer, not the file,
+  // backs the views).
   out.store->AdoptFrozenView(spo, pos, std::move(stats),
                              info.freeze_epoch, keepalive);
-  // Version 3: the adopted pair is the chain base — resume live mode and
-  // republish the saved layers at the saved epoch (RestoreChain recomputes
-  // merged stats, visible count and delta totals from the layers).
-  if (delta_sec != nullptr) {
-    out.store->EnterLive();
-    out.store->RestoreChain(std::move(delta_layers), info.freeze_epoch);
-  }
+  // A live image: the adopted pair is the chain base, and the saved layers
+  // go back above it at the saved epoch.
+  if (delta_sec != nullptr) out.store->EnterLive(std::move(delta_layers));
 
   obs::MetricsRegistry::Global().GetCounter("storage.loads").Inc();
   obs::MetricsRegistry::Global()

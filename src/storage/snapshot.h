@@ -26,30 +26,25 @@
 //   +--------------------------------------------------------------+
 //
 // The triple-index sections (SPO/POS) are raw arrays of 12-byte (s,p,o)
-// id triples at 64-byte-aligned offsets, so a loader may point the
-// TripleStore directly into the mapped file (zero copy) instead of copying.
+// id triples at 64-byte-aligned offsets, so a loader points the store's
+// IndexBase directly into the loaded image (zero copy) instead of copying.
 // The OSP order is a view over POS (rdf/triple_store.h) and is not
-// written. Older builds also wrote an OSP section (id 4): such an image
-// still loads, its checksum verified like every section's, and its
-// payload is neither validated nor adopted.
+// written.
 //
-// Version 2 images (compressed block index sections, ids 8-10) are no
-// longer read: they fail with kInvalidArgument like any other unsupported
-// version.
-//
-// Version 3 images persist a live store (rdf/delta_layer.h) whose epoch
-// chain carries delta layers: the index pair holds the chain's base,
-// header triple_count counts that base, freeze_epoch is the chain's
-// epoch, and one kDeltaChain section holds every sealed layer. The
-// loader adopts the base, re-enters live mode and republishes the layers
-// (TripleStore::RestoreChain), so queries, cache keys and the visible
-// triple set resume exactly where the saved process stopped. A live store
-// with an empty chain writes a plain version 1 image (a compacted base is
-// written as the raw pair), losing nothing but the liveness flag. A delta
-// chain in section id 11 (six arrays per layer, OSP included) was written
-// by an older build: it is rejected with kInvalidArgument.
-// Saving a live store requires ingestion to be quiesced — no concurrent
-// IngestText/Compact publication during the save.
+// There is one version, kSnapshotVersion. The index pair and the stats
+// section always describe one rdf::IndexBase: a frozen store's, or a live
+// store's chain base, in which case header triple_count counts that base
+// and freeze_epoch is the chain's epoch. A live store (rdf/delta_layer.h)
+// always writes a kDeltaChain section, with zero layers when the chain is
+// fully compacted; that section's presence is what marks an image live.
+// The loader adopts the base and, for a live image, re-enters live mode
+// with the saved layers at the saved epoch (TripleStore::EnterLive), so
+// queries, cache keys and the visible triple set resume exactly where the
+// saved process stopped. Every other version — the frozen 1, the block-
+// compressed 2 and the live 3 of older builds — fails the version check
+// with kInvalidArgument. Saving a live store requires ingestion to be
+// quiesced — no concurrent IngestText/Compact publication during the
+// save.
 //
 // Corruption is a first-class path: every failure mode surfaces as a typed
 // util::Status, never UB —
@@ -81,13 +76,9 @@ namespace re2xolap::storage {
 
 inline constexpr char kSnapshotMagic[8] = {'R', '2', 'X', 'S',
                                            'N', 'A', 'P', '\n'};
-inline constexpr uint32_t kSnapshotVersion = 1;
-/// Version written for live stores whose epoch chain carries delta layers:
-/// the index pair holds the chain's base and a kDeltaChain section holds
-/// the layers, so a loaded image resumes live at the exact saved epoch. A
-/// live store with an empty chain writes a plain version 1 image. Version
-/// 2 is retired and never read or written.
-inline constexpr uint32_t kSnapshotVersionLive = 3;
+/// The one version this build reads and writes. Versions 1-3 belong to
+/// older builds and are refused.
+inline constexpr uint32_t kSnapshotVersion = 4;
 /// Section payloads (and the first payload after the header) start at
 /// multiples of this, so raw triple arrays are safely mmap-addressable.
 inline constexpr uint64_t kSectionAlignment = 64;
@@ -98,21 +89,17 @@ enum class SectionId : uint32_t {
   kDictionary = 1,      // interned terms, id order
   kSpo = 2,             // raw EncodedTriple array sorted by (s,p,o)
   kPos = 3,             // raw EncodedTriple array sorted by (p,o,s)
-  // Older builds wrote the (o,s,p) array here. Never written now; an
-  // image carrying it loads with the section skipped.
-  kOsp = 4,
+  // Id 4 held older builds' (o,s,p) array. Reserved, never reused.
   kPredicateStats = 5,  // planner cardinality statistics
   kTextIndex = 6,       // keyword + exact postings (optional)
   kVsg = 7,             // virtual schema graph parts (optional)
-  // Ids 8-10 held the retired version 2's compressed block permutations;
-  // they stay reserved and are never reused.
-  // Id 11 held the delta chain of older builds (six arrays per layer:
-  // add and del spo/pos/osp). It stays reserved; an image carrying it is
-  // kInvalidArgument.
-  // Version 3 only: the live store's sealed delta layers (inserts and
-  // tombstones above the base index pair). Layout: layer_count u64, then
-  // per layer { batch_id u64 | add_count u64 | del_count u64 } followed by
-  // four raw EncodedTriple arrays (add spo/pos, then del spo/pos).
+  // Ids 8-10 (block-compressed permutations) and 11 (a six-array delta
+  // chain) held sections of older builds. Reserved, never reused.
+  // Live images only: the store's sealed delta layers (inserts and
+  // tombstones above the base index pair). Layout: layer_count u64 (0 for
+  // a fully compacted chain), then per layer { batch_id u64 | add_count
+  // u64 | del_count u64 } followed by four raw EncodedTriple arrays (add
+  // spo/pos, then del spo/pos).
   kDeltaChain = 12,
 };
 
@@ -171,8 +158,8 @@ struct SnapshotWriteOptions {
 };
 
 /// Options for LoadSnapshot. The two triple-index arrays are always
-/// zero-copy views into the loaded image (the TripleStore keeps the image
-/// alive; see TripleStore::AdoptFrozenView); `use_mmap` selects what backs
+/// zero-copy views into the loaded image (the store's IndexBase keeps the
+/// image alive; see TripleStore::AdoptFrozenView); `use_mmap` selects what backs
 /// the image: the mapped file (lazy page-in, cheapest start) or a heap
 /// buffer read in one pass (independent of the file once loaded).
 /// Dictionary, text and graph sections are always materialized on the
@@ -189,8 +176,8 @@ struct SnapshotLoadOptions {
 /// A reconstructed dataset image. `store` is always present and frozen at
 /// the image's epoch; `text` and `vsg` are present when the image carried
 /// those sections. The zero-copy mapping (if any) is owned by the store.
-/// Version 3 images hand back a store already in live mode with the saved
-/// delta layers republished at the saved epoch.
+/// Live images hand back a store already in live mode with the saved
+/// delta layers above the base at the saved epoch.
 struct LoadedSnapshot {
   SnapshotInfo info;
   std::unique_ptr<rdf::TripleStore> store;
@@ -200,8 +187,8 @@ struct LoadedSnapshot {
 
 /// Serializes `store` (which must be frozen and non-empty) plus the
 /// optional text index and graph image into a snapshot file at `path`.
-/// Live stores write a version 3 image when their chain carries layers
-/// (see the format notes above); the caller must quiesce ingestion first.
+/// Live stores write their chain base plus a delta_chain section (see the
+/// format notes above); the caller must quiesce ingestion first.
 /// Registered failpoint: `snapshot.save`.
 util::Status SaveSnapshot(const std::string& path,
                           const rdf::TripleStore& store,

@@ -132,23 +132,15 @@ Result<IngestReceipt> Ingestor::IngestText(std::string_view text, IngestOp op,
     std::sort(pos_arr.begin(), pos_arr.end(), rdf::PosLess());
     layer->RebuildPredicateDelta();
 
-    auto fresh = std::make_shared<EpochChain>();
-    fresh->base = chain->base;
-    fresh->layers = chain->layers;
-    fresh->layers.push_back(layer);
-    fresh->epoch = chain->epoch + 1;
-    fresh->stats = chain->stats;
-    rdf::ApplyLayerToStats(*layer, &fresh->stats);
-    fresh->visible_triples =
-        chain->visible_triples + layer->add_count() - layer->del_count();
-    fresh->delta_adds = chain->delta_adds + layer->add_count();
-    fresh->delta_dels = chain->delta_dels + layer->del_count();
+    std::vector<std::shared_ptr<const DeltaLayer>> layers = chain->layers;
+    layers.push_back(layer);
+    next = rdf::MakeEpochChain(chain->base, std::move(layers),
+                               chain->epoch + 1);
 
-    receipt.epoch = fresh->epoch;
+    receipt.epoch = next->epoch;
     receipt.added = layer->add_count();
     receipt.deleted = layer->del_count();
-    receipt.chain_depth = fresh->depth();
-    next = fresh;
+    receipt.chain_depth = next->depth();
     store_->PublishChain(next);
   }
 
@@ -245,16 +237,16 @@ util::Status Ingestor::CompactNow(const ExecGuard* guard,
   span.SetAttr("layers", snap->depth());
   span.SetAttr("delta_triples", snap->delta_adds + snap->delta_dels);
 
-  // Fold the snapshotted chain into fresh owned arrays, one stored
-  // permutation at a time. The merged view already annihilates
-  // tombstones, so a plain sequential drain of each permutation IS the
-  // fold. No lock is held: ingest keeps publishing on top, and readers
-  // keep serving whichever chain they pinned.
-  auto base = std::make_shared<rdf::LiveBase>();
+  // Fold the snapshotted chain into fresh arrays, one stored permutation
+  // at a time. The merged view already annihilates tombstones, so a plain
+  // sequential drain of each permutation IS the fold. No lock is held:
+  // ingest keeps publishing on top, and readers keep serving whichever
+  // chain they pinned.
+  std::array<std::vector<EncodedTriple>, 2> folded;
   std::array<Status, 2> merge_status;
   auto merge_one = [&](size_t i) {
     const Perm perm = i == 0 ? Perm::kSpo : Perm::kPos;
-    std::vector<EncodedTriple>& out = i == 0 ? base->spo : base->pos;
+    std::vector<EncodedTriple>& out = folded[i];
     rdf::IndexRange range = store_->ChainPermutationRange(snap, perm);
     out.reserve(range.size());
     rdf::IndexCursor cur(range);
@@ -278,7 +270,9 @@ util::Status Ingestor::CompactNow(const ExecGuard* guard,
   for (const Status& st : merge_status) {
     if (!st.ok()) return st;
   }
-  base->stats = rdf::ComputePredicateStats(base->spo, base->pos);
+  auto stats = rdf::ComputePredicateStats(folded[0], folded[1]);
+  std::shared_ptr<const rdf::IndexBase> base = rdf::IndexBase::Build(
+      std::move(folded[0]), std::move(folded[1]), std::move(stats));
 
   {
     std::lock_guard<std::mutex> lk(ingest_mu_);
@@ -286,18 +280,12 @@ util::Status Ingestor::CompactNow(const ExecGuard* guard,
     // Layers are append-only and compactions are serialized, so the
     // current chain starts with exactly the layers the snapshot folded.
     assert(cur_chain->layers.size() >= snap->layers.size());
-    auto fresh = std::make_shared<EpochChain>();
-    fresh->base = base;
-    fresh->layers.assign(cur_chain->layers.begin() + snap->layers.size(),
-                         cur_chain->layers.end());
-    fresh->epoch = cur_chain->epoch + 1;
-    fresh->stats = base->stats;
-    for (const std::shared_ptr<const DeltaLayer>& layer : fresh->layers) {
-      rdf::ApplyLayerToStats(*layer, &fresh->stats);
-      fresh->delta_adds += layer->add_count();
-      fresh->delta_dels += layer->del_count();
-    }
-    fresh->visible_triples = cur_chain->visible_triples;
+    std::shared_ptr<const EpochChain> fresh = rdf::MakeEpochChain(
+        std::move(base),
+        {cur_chain->layers.begin() + snap->layers.size(),
+         cur_chain->layers.end()},
+        cur_chain->epoch + 1);
+    assert(fresh->visible_triples == cur_chain->visible_triples);
     store_->PublishChain(std::move(fresh));
   }
 

@@ -1,8 +1,8 @@
 // Live-ingestion subsystem tests: delta-merge iterator corner cases
 // (duplicate triples, delete-then-reinsert, empty batches), epoch
 // semantics (per-query pinning, cache-key movement), background
-// compaction, the version 3 base-plus-delta snapshot round trip
-// (bit-identity), the POST /ingest HTTP route with per-client fair
+// compaction, zero-copy reads over a compacted base, the live
+// base-plus-delta snapshot round trip (bit-identity), the POST /ingest HTTP route with per-client fair
 // shedding, and a concurrent read/ingest/compact stress that must be
 // TSan-clean.
 
@@ -443,9 +443,9 @@ void ExpectRangeReadsMatch(const rdf::IndexRange& range,
 }
 
 // The OSP order is a merge of the POS predicate runs of every chain
-// source: the base (the store's own arrays, or a compacted base) and each
-// layer's inserts and tombstones. On random chains of depth 0-6, over a
-// pristine or a compacted base, with triples deleted and reinserted
+// source: the base (the store's first, or a compacted one) and each
+// layer's inserts and tombstones. On random chains of depth 0-6, over the
+// first base or a compacted one, with triples deleted and reinserted
 // across layers, every OSP read must equal the refrozen store's (same
 // term ids) and an independent sort of the visible triples, in order.
 TEST(IngestTest, OspViewMatchesRefrozenStoreOnRandomChains) {
@@ -486,7 +486,7 @@ TEST(IngestTest, OspViewMatchesRefrozenStoreOnRandomChains) {
     if (compacted) {
       for (int b = 0; b < 3; ++b) ingest_batch(b == 1);
       ASSERT_TRUE(fx.ingestor->Compact().ok());
-      ASSERT_TRUE(fx.store->live_info().compacted_base);
+      ASSERT_EQ(fx.store->chain_depth(), 0u);
     }
     for (int b = 0; b < depth; ++b) ingest_batch(b % 3 == 1);
     ASSERT_EQ(fx.store->chain_depth(), static_cast<uint64_t>(depth));
@@ -608,7 +608,6 @@ TEST(IngestTest, CompactionFoldsChainPreservingVisibleSet) {
   EXPECT_EQ(fx.store->freeze_epoch(), epoch_before + 1);
   rdf::TripleStore::LiveInfo info = fx.store->live_info();
   EXPECT_TRUE(info.live);
-  EXPECT_TRUE(info.compacted_base);
   EXPECT_EQ(info.delta_adds, 0u);
   EXPECT_EQ(info.delta_dels, 0u);
   EXPECT_EQ(VisibleTriples(*fx.store), before);
@@ -701,11 +700,78 @@ TEST(IngestTest, EngineCacheFollowsEpochBumps) {
   EXPECT_EQ((*deleted)->row_count(), 1u);
 }
 
+// A live store compacted to depth 0 reads its base exactly like a frozen
+// store reads its own: Match and PermutationRange answer with zero-copy
+// spans, not merged views. Each span owns the chain it was read from, so
+// one taken before later ingest + Compact publications (which release that
+// chain's base) still reads the same triples after them, with no pin
+// held.
+TEST(IngestTest, CompactedBaseReadsAreZeroCopyAndOutliveRepublication) {
+  store::IngestorConfig config;
+  config.auto_compact = false;
+  LiveFixture fx(config);
+  fx.MustIngest(Line(1, 1, 1) + Line(2, 1, 2) + Line(3, 2, 1));
+  fx.MustIngest(Line(2, 1, 2), IngestOp::kDelete);
+  ASSERT_TRUE(fx.ingestor->Compact().ok());
+  ASSERT_EQ(fx.store->chain_depth(), 0u);
+
+  const rdf::TermId p1 = fx.store->Lookup(rdf::Term::Iri("http://t/p1"));
+  const rdf::TermId s1 = fx.store->Lookup(rdf::Term::Iri("http://t/s1"));
+  const rdf::IndexRange all = fx.store->PermutationRange(rdf::Perm::kSpo);
+  const rdf::IndexRange by_p = fx.store->Match({0, p1, 0});
+  const rdf::IndexRange by_s = fx.store->Match({s1, 0, 0});
+  for (const rdf::IndexRange* r : {&all, &by_p, &by_s}) {
+    EXPECT_FALSE(r->merged());
+    EXPECT_FALSE(r->empty());
+  }
+  EXPECT_FALSE(fx.store->PermutationRange(rdf::Perm::kPos).merged());
+  const std::vector<rdf::EncodedTriple> all_before = Drain(all);
+  const std::vector<rdf::EncodedTriple> p_before = Drain(by_p);
+  const std::vector<rdf::EncodedTriple> s_before = Drain(by_s);
+  EXPECT_EQ(all_before.size(), fx.store->size());
+  EXPECT_EQ(p_before.size(), 1u);
+
+  for (int round = 0; round < 2; ++round) {
+    fx.MustIngest(Line(10 + round, 1, 3));
+    ASSERT_TRUE(fx.ingestor->Compact().ok());
+  }
+  ASSERT_EQ(fx.store->chain_depth(), 0u);
+  EXPECT_EQ(fx.store->CountMatches({0, p1, 0}), 3u);
+  EXPECT_EQ(Drain(all), all_before);
+  EXPECT_EQ(Drain(by_p), p_before);
+  EXPECT_EQ(Drain(by_s), s_before);
+  EXPECT_EQ(all.raw().size(), all_before.size());
+}
+
+// Once the store is live its base is held only through the epoch chain,
+// so the first compaction frees the arrays frozen before ingestion: with
+// no range or pin outstanding, the heap holds the dictionary, the one
+// compacted base (arrays and stats) and nothing else.
+TEST(IngestTest, CompactionFreesPreIngestArrays) {
+  store::IngestorConfig config;
+  config.auto_compact = false;
+  LiveFixture fx(config);
+  fx.MustIngest(Line(1, 1, 1) + Line(2, 1, 2));
+  fx.MustIngest(Line(3, 2, 3));
+  ASSERT_TRUE(fx.ingestor->Compact().ok());
+  ASSERT_EQ(fx.store->chain_depth(), 0u);
+
+  const size_t stats_bytes =
+      fx.store->AllPredicates().size() *
+      (sizeof(rdf::TermId) + sizeof(rdf::PredicateStats) + 2 * sizeof(void*));
+  const rdf::StoreMemory m = fx.store->MemoryBreakdown();
+  EXPECT_EQ(m.heap_bytes, fx.store->dictionary().MemoryUsage() +
+                              2 * fx.store->size() *
+                                  sizeof(rdf::EncodedTriple) +
+                              stats_bytes);
+  EXPECT_EQ(m.mapped_bytes, 0u);
+}
+
 // ---------------------------------------------------------------------------
-// Version 3 snapshots: base + delta chain
+// Live snapshots: base + delta chain
 // ---------------------------------------------------------------------------
 
-TEST(SnapshotV3Test, LiveRoundTripIsBitIdentical) {
+TEST(LiveSnapshotTest, LiveRoundTripIsBitIdentical) {
   const std::string path1 = TempPath("live1.snap");
   const std::string path2 = TempPath("live2.snap");
   LiveFixture fx;
@@ -719,7 +785,7 @@ TEST(SnapshotV3Test, LiveRoundTripIsBitIdentical) {
       storage::SaveSnapshot(path1, *fx.store, nullptr, nullptr).ok());
   auto info = storage::InspectSnapshot(path1);
   ASSERT_TRUE(info.ok()) << info.status();
-  EXPECT_EQ(info->version, storage::kSnapshotVersionLive);
+  EXPECT_EQ(info->version, storage::kSnapshotVersion);
 
   auto loaded = storage::LoadSnapshot(path1);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
@@ -756,7 +822,7 @@ TEST(SnapshotV3Test, LiveRoundTripIsBitIdentical) {
   std::remove(path2.c_str());
 }
 
-TEST(SnapshotV3Test, CompactedLiveStoreWritesClassicImage) {
+TEST(LiveSnapshotTest, CompactedLiveStoreReloadsLive) {
   const std::string path = TempPath("compacted.snap");
   store::IngestorConfig config;
   config.auto_compact = false;
@@ -765,23 +831,39 @@ TEST(SnapshotV3Test, CompactedLiveStoreWritesClassicImage) {
   ASSERT_TRUE(fx.ingestor->Compact().ok());
   ASSERT_EQ(fx.store->chain_depth(), 0u);
   const auto visible = VisibleTriples(*fx.store);
+  const uint64_t epoch = fx.store->freeze_epoch();
 
-  // A depth-0 chain needs no delta section: the folded base is written
-  // as a plain version 1 image (nothing lost but the liveness flag).
+  // A live store always writes a delta_chain section, here with no
+  // layers: the folded base is the index pair, and the image stays live.
   ASSERT_TRUE(storage::SaveSnapshot(path, *fx.store, nullptr, nullptr).ok());
   auto info = storage::InspectSnapshot(path);
   ASSERT_TRUE(info.ok()) << info.status();
   EXPECT_EQ(info->version, storage::kSnapshotVersion);
+  bool delta_chain = false;
+  for (const storage::SectionInfo& s : info->sections) {
+    delta_chain |= s.id == storage::SectionId::kDeltaChain;
+  }
+  EXPECT_TRUE(delta_chain);
 
   auto loaded = storage::LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_FALSE(loaded->store->live());
-  EXPECT_EQ(loaded->store->freeze_epoch(), fx.store->freeze_epoch());
+  EXPECT_TRUE(loaded->store->live());
+  EXPECT_EQ(loaded->store->freeze_epoch(), epoch);
+  EXPECT_EQ(loaded->store->chain_depth(), 0u);
   EXPECT_EQ(VisibleTriples(*loaded->store), visible);
+
+  // The reloaded store keeps ingesting on top of the loaded base.
+  util::ThreadPool pool(1);
+  Ingestor ingestor(loaded->store.get(), &pool, config);
+  auto r = ingestor.IngestText(Line(7, 7, 7), IngestOp::kInsert, nullptr);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->epoch, epoch + 1);
+  EXPECT_EQ(loaded->store->chain_depth(), 1u);
+  EXPECT_EQ(loaded->store->size(), fx.store->size() + 1);
   std::remove(path.c_str());
 }
 
-TEST(SnapshotV3Test, MmapLoadServesLiveChain) {
+TEST(LiveSnapshotTest, MmapLoadServesLiveChain) {
   const std::string path = TempPath("live_mmap.snap");
   LiveFixture fx;
   fx.MustIngest(Line(1, 1, 1) + Line(2, 2, 2));
@@ -797,7 +879,7 @@ TEST(SnapshotV3Test, MmapLoadServesLiveChain) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotV3Test, EmptyChainBaseIsRefused) {
+TEST(LiveSnapshotTest, EmptyChainBaseIsRefused) {
   util::FailpointRegistry::Global().DisarmAll();  // chaos CI env baseline
   const std::string path = TempPath("emptybase.snap");
   auto store = std::make_unique<rdf::TripleStore>();

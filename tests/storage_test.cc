@@ -326,29 +326,34 @@ TEST_F(SnapshotCorruptionTest, BadMagic) {
   EXPECT_TRUE(storage::VerifySnapshot(path_).status().IsParseError());
 }
 
+// Every version but the current one — the frozen 1, the block-compressed
+// 2 and the live 3 of older builds, and a future one — is refused by the
+// one version check. Each header is rewritten over a valid image with its
+// checksum recomputed, so only the version can reject it.
 TEST_F(SnapshotCorruptionTest, VersionSkewIsInvalidArgument) {
   const std::vector<char> valid = bytes_;
-  // Version field sits right after the 8-byte magic.
-  bytes_[8] = 99;
-  WriteAll(path_, bytes_);
-  ExpectLoadFails(util::StatusCode::kInvalidArgument, "version");
-
-  // A retired version-2 header over a valid version-1 image, with the
-  // header checksum recomputed so only the version can reject it.
-  bytes_ = valid;
-  ASSERT_EQ(bytes_[8], 1);
-  bytes_[8] = 2;
+  uint32_t version = 0;
+  std::memcpy(&version, valid.data() + 8, sizeof(version));
+  ASSERT_EQ(version, storage::kSnapshotVersion);
   uint32_t sections = 0;
-  std::memcpy(&sections, bytes_.data() + 12, sizeof(sections));
+  std::memcpy(&sections, valid.data() + 12, sizeof(sections));
   const size_t checksum_at = 56 + size_t{sections} * 32;
-  ASSERT_LT(checksum_at + 8, bytes_.size());
-  const uint64_t checksum = util::Xxh64(bytes_.data(), checksum_at);
-  std::memcpy(bytes_.data() + checksum_at, &checksum, sizeof(checksum));
-  WriteAll(path_, bytes_);
-  ExpectLoadFails(util::StatusCode::kInvalidArgument, "version 2");
-  auto verified = storage::VerifySnapshot(path_);
-  ASSERT_FALSE(verified.ok());
-  EXPECT_TRUE(verified.status().IsInvalidArgument()) << verified.status();
+  ASSERT_LT(checksum_at + 8, valid.size());
+  for (uint32_t skew : {1u, 2u, 3u, storage::kSnapshotVersion + 1}) {
+    SCOPED_TRACE(skew);
+    bytes_ = valid;
+    // The version field sits right after the 8-byte magic.
+    std::memcpy(bytes_.data() + 8, &skew, sizeof(skew));
+    const uint64_t checksum = util::Xxh64(bytes_.data(), checksum_at);
+    std::memcpy(bytes_.data() + checksum_at, &checksum, sizeof(checksum));
+    WriteAll(path_, bytes_);
+    ExpectLoadFails(util::StatusCode::kInvalidArgument,
+                    "version " + std::to_string(skew));
+    EXPECT_TRUE(storage::InspectSnapshot(path_).status().IsInvalidArgument());
+    auto verified = storage::VerifySnapshot(path_);
+    ASSERT_FALSE(verified.ok());
+    EXPECT_TRUE(verified.status().IsInvalidArgument()) << verified.status();
+  }
 }
 
 TEST_F(SnapshotCorruptionTest, TruncatedFile) {
@@ -586,52 +591,6 @@ class TextSectionTest : public ::testing::Test {
     WriteWithSection(storage::SectionId::kTextIndex, payload);
   }
 
-  /// Writes the image with one more section, `id` carrying `payload`,
-  /// inserted at table position `at`: every payload moves to a fresh
-  /// aligned offset, and the section count, file size and both checksums
-  /// are rewritten — the image a writer emitting that section would
-  /// produce.
-  void WriteWithExtraSection(size_t at, uint32_t id,
-                             const std::string& payload) {
-    struct Part {
-      uint32_t id;
-      const char* data;
-      uint64_t bytes;
-      uint64_t checksum;
-    };
-    std::vector<Part> parts;
-    for (const storage::SectionInfo& sec : sections_) {
-      parts.push_back({static_cast<uint32_t>(sec.id),
-                       image_.data() + sec.offset, sec.bytes, sec.checksum});
-    }
-    parts.insert(parts.begin() + static_cast<std::ptrdiff_t>(at),
-                 Part{id, payload.data(), payload.size(),
-                      util::Xxh64(payload.data(), payload.size())});
-    auto align = [](uint64_t v) { return (v + 63) & ~uint64_t{63}; };
-    const size_t header = kFixedHeaderBytes + parts.size() * kEntryBytes;
-    std::vector<char> image(header + 8, '\0');
-    std::memcpy(image.data(), image_.data(), kFixedHeaderBytes);
-    const auto count = static_cast<uint32_t>(parts.size());
-    std::memcpy(image.data() + 12, &count, sizeof(count));
-    auto put = [&image](size_t offset, uint64_t v) {
-      std::memcpy(image.data() + offset, &v, sizeof(v));
-    };
-    uint64_t offset = align(image.size());
-    for (size_t i = 0; i < parts.size(); ++i) {
-      const size_t entry = kFixedHeaderBytes + i * kEntryBytes;
-      std::memcpy(image.data() + entry, &parts[i].id, sizeof(uint32_t));
-      put(entry + 8, offset);
-      put(entry + 16, parts[i].bytes);
-      put(entry + 24, parts[i].checksum);
-      image.resize(offset + parts[i].bytes, '\0');
-      std::memcpy(image.data() + offset, parts[i].data, parts[i].bytes);
-      offset = align(offset + parts[i].bytes);
-    }
-    put(16, image.size());
-    put(header, util::Xxh64(image.data(), header));
-    WriteAll(path_, image);
-  }
-
   /// Re-images as a live store with one sealed delta layer, so the image
   /// carries a delta_chain section, and reloads image_ and sections_.
   void ReimageAsLiveStore() {
@@ -848,101 +807,6 @@ TEST_F(GraphSectionTest, CraftedCountsYieldTypedStatus) {
   ExpectSectionRejected(storage::SectionId::kDeltaChain,
                         words({1, 1, kMax, 1}),
                         "delta_chain layer 0 overruns payload");
-}
-
-// Older builds also wrote the (o,s,p) array, as section 4, right after
-// POS. Such an image still loads in both modes and answers every pattern
-// shape exactly like the store it was saved from; the section is skipped
-// on load, yet its checksum is verified like every section's.
-TEST_F(GraphSectionTest, ImageWithOlderOspSectionLoadsAndAnswers) {
-  std::vector<rdf::EncodedTriple> osp(store_->spo_span().begin(),
-                                      store_->spo_span().end());
-  std::sort(osp.begin(), osp.end(), rdf::OspLess());
-  const std::string payload(reinterpret_cast<const char*>(osp.data()),
-                            osp.size() * sizeof(rdf::EncodedTriple));
-  WriteWithExtraSection(Entry(storage::SectionId::kPos) + 1,
-                        static_cast<uint32_t>(storage::SectionId::kOsp),
-                        payload);
-  auto verified = storage::VerifySnapshot(path_);
-  ASSERT_TRUE(verified.ok()) << verified.status();
-  ASSERT_EQ(verified->sections.size(), sections_.size() + 1);
-  const storage::SectionInfo osp_sec =
-      verified->sections[Entry(storage::SectionId::kPos) + 1];
-  ASSERT_EQ(osp_sec.id, storage::SectionId::kOsp);
-
-  auto drain = [](const rdf::IndexRange& r) {
-    return std::vector<rdf::EncodedTriple>(r.begin(), r.end());
-  };
-  const std::span<const rdf::EncodedTriple> spo = store_->spo_span();
-  for (bool mmap : {false, true}) {
-    SCOPED_TRACE(mmap);
-    SnapshotLoadOptions options;
-    options.use_mmap = mmap;
-    auto loaded = storage::LoadSnapshot(path_, options);
-    ASSERT_TRUE(loaded.ok()) << loaded.status();
-    const rdf::TripleStore& got = *loaded->store;
-    ASSERT_EQ(got.size(), store_->size());
-    EXPECT_EQ(drain(got.PermutationRange(rdf::Perm::kOsp)), osp);
-    EXPECT_EQ(drain(got.Match({})), drain(store_->Match({})));
-    for (rdf::TermId p : store_->AllPredicates()) {
-      ASSERT_EQ(drain(got.Match({0, p, 0})), drain(store_->Match({0, p, 0})));
-    }
-    for (size_t i = 0; i < spo.size(); i += 61) {
-      const rdf::EncodedTriple& t = spo[i];
-      for (int bound = 1; bound < 8; ++bound) {
-        if (bound == 2) continue;  // predicate runs: compared above
-        const rdf::TriplePattern q{(bound & 1) != 0 ? t.s : 0,
-                                   (bound & 2) != 0 ? t.p : 0,
-                                   (bound & 4) != 0 ? t.o : 0};
-        ASSERT_EQ(drain(got.Match(q)), drain(store_->Match(q)))
-            << "triple " << i << " bound " << bound;
-      }
-    }
-  }
-
-  std::vector<char> flipped = ReadAll(path_);
-  flipped[osp_sec.offset + osp_sec.bytes / 2] ^= 0x10;
-  WriteAll(path_, flipped);
-  for (bool mmap : {false, true}) {
-    SnapshotLoadOptions options;
-    options.use_mmap = mmap;
-    auto loaded = storage::LoadSnapshot(path_, options);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_TRUE(loaded.status().IsParseError()) << loaded.status();
-    EXPECT_NE(loaded.status().message().find("osp checksum mismatch"),
-              std::string::npos)
-        << loaded.status();
-  }
-}
-
-// Section id 11 held the delta chain of older builds, with six arrays per
-// layer. An image carrying it is refused as the product of an older
-// build — in both load modes and by VerifySnapshot — rather than read
-// with the four-array layout.
-TEST_F(GraphSectionTest, RetiredDeltaChainSectionIsInvalidArgument) {
-  ASSERT_NO_FATAL_FAILURE(ReimageAsLiveStore());
-  std::vector<char> image = image_;
-  const size_t entry =
-      kFixedHeaderBytes + Entry(storage::SectionId::kDeltaChain) * kEntryBytes;
-  const uint32_t retired = 11;
-  std::memcpy(image.data() + entry, &retired, sizeof(retired));
-  const size_t header = kFixedHeaderBytes + sections_.size() * kEntryBytes;
-  const uint64_t checksum = util::Xxh64(image.data(), header);
-  std::memcpy(image.data() + header, &checksum, sizeof(checksum));
-  WriteAll(path_, image);
-  for (bool mmap : {false, true}) {
-    SnapshotLoadOptions options;
-    options.use_mmap = mmap;
-    auto loaded = storage::LoadSnapshot(path_, options);
-    ASSERT_FALSE(loaded.ok()) << "mmap=" << mmap;
-    EXPECT_TRUE(loaded.status().IsInvalidArgument()) << loaded.status();
-    EXPECT_NE(loaded.status().message().find("older build"),
-              std::string::npos)
-        << loaded.status();
-  }
-  auto verified = storage::VerifySnapshot(path_);
-  ASSERT_FALSE(verified.ok());
-  EXPECT_TRUE(verified.status().IsInvalidArgument()) << verified.status();
 }
 
 // Seeded bit flips and truncations of the real section: each load either
