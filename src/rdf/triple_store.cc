@@ -273,13 +273,11 @@ const EncodedTriple* GallopPartition(const EncodedTriple* first,
 // reads: one per predicate run, clipped to object `o` and then subject
 // `s` when they are bound, empty slices skipped. Within one predicate POS
 // order is (o, s) order, so every slice is a sorted kOsp range. Runs are
-// found by galloping, so the cost is O(P log n) for P predicates. Returns
-// whether a slice was appended.
-bool AppendOspSlices(std::span<const EncodedTriple> pos, TermId o, TermId s,
+// found by galloping, so the cost is O(P log n) for P predicates.
+void AppendOspSlices(std::span<const EncodedTriple> pos, TermId o, TermId s,
                      std::vector<IndexRange>* out) {
   const TermId s_hi = s != kInvalidTermId ? s : kMaxTermId;
   const EncodedTriple* const end = pos.data() + pos.size();
-  bool appended = false;
   for (const EncodedTriple* run = pos.data(); run != end;) {
     const TermId p = run->p;
     const EncodedTriple* run_end = GallopPartition(
@@ -303,11 +301,9 @@ bool AppendOspSlices(std::span<const EncodedTriple> pos, TermId o, TermId s,
     if (lo != hi) {
       out->push_back(IndexRange::FromSpan(
           std::span<const EncodedTriple>(lo, hi), Perm::kOsp));
-      appended = true;
     }
     run = run_end;
   }
-  return appended;
 }
 
 // Clips a whole-permutation range down to the triples between the lo/hi

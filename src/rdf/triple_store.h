@@ -299,16 +299,6 @@ class TripleStore {
   /// arrays valid. Requires frozen().
   std::shared_ptr<const IndexBase> index_base() const;
 
-  /// The frozen store's base arrays and statistics (canonical triple list
-  /// = spo_span()), valid until the next mutation. Require frozen() and
-  /// !live(); live stores read index_base() instead.
-  std::span<const EncodedTriple> spo_span() const { return FrozenBase().spo; }
-  std::span<const EncodedTriple> pos_span() const { return FrozenBase().pos; }
-  const std::unordered_map<TermId, PredicateStats>& all_predicate_stats()
-      const {
-    return FrozenBase().stats;
-  }
-
   /// --- Size accounting ----------------------------------------------------
 
   uint64_t size() const;
@@ -380,7 +370,8 @@ class TripleStore {
   void UpdateStoreGauges() const;
 
   Dictionary dict_;
-  // Triples added since the last Freeze(), unsorted and possibly repeated.
+  // The load buffer: every triple added while unfrozen (after Reopen(),
+  // the previous base's triples too), unsorted and possibly repeated.
   std::vector<EncodedTriple> pending_;
   // The frozen indexes of a non-live store; null while unfrozen, and
   // handed to the epoch chain by EnterLive().

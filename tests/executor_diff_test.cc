@@ -257,7 +257,7 @@ TEST(ExecutorDiffPropertyTest, RandomBgpsProduceIdenticalResults) {
   // then layers inserting the rest, deleting triples and reinserting some
   // of them.
   std::vector<std::string> lines;
-  for (const rdf::EncodedTriple& t : store.spo_span()) {
+  for (const rdf::EncodedTriple& t : store.index_base()->spo) {
     lines.push_back(rdf::ToNTriples(store.term(t.s)) + " " +
                     rdf::ToNTriples(store.term(t.p)) + " " +
                     rdf::ToNTriples(store.term(t.o)) + " .\n");

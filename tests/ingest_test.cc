@@ -540,8 +540,8 @@ TEST(IngestTest, MergedSeeksMatchSortedOracleOnGeneratedStore) {
   ASSERT_TRUE(ds.ok()) << ds.status();
   rdf::TripleStore& store = *ds->store;
   std::mt19937 rng(9090);
-  const std::vector<rdf::EncodedTriple> spo(store.spo_span().begin(),
-                                            store.spo_span().end());
+  const std::span<const rdf::EncodedTriple> base = store.index_base()->spo;
+  const std::vector<rdf::EncodedTriple> spo(base.begin(), base.end());
   const auto max_id = static_cast<rdf::TermId>(store.dictionary().size());
   {
     const rdf::IndexRange osp = store.PermutationRange(rdf::Perm::kOsp);
@@ -574,8 +574,10 @@ TEST(IngestTest, MergedSeeksMatchSortedOracleOnGeneratedStore) {
   }
   ASSERT_EQ(store.chain_depth(), 4u);
   auto frozen = testing::RefreezeVisible(store);
-  const std::vector<rdf::EncodedTriple> visible(frozen->spo_span().begin(),
-                                                frozen->spo_span().end());
+  const std::span<const rdf::EncodedTriple> refrozen =
+      frozen->index_base()->spo;
+  const std::vector<rdf::EncodedTriple> visible(refrozen.begin(),
+                                                refrozen.end());
   rdf::TripleStore::ReadPin pin(store);
   for (rdf::Perm perm :
        {rdf::Perm::kSpo, rdf::Perm::kPos, rdf::Perm::kOsp}) {

@@ -347,7 +347,7 @@ void ExpectFrozenMatchesOracle(const TripleStore& store,
 
   const std::map<TermId, PredicateStats> want = BruteForceStats(spo);
   ExpectStatsEqual(ComputePredicateStats(spo, pos), want);
-  ExpectStatsEqual(store.all_predicate_stats(), want);
+  ExpectStatsEqual(store.index_base()->stats, want);
 }
 
 // The index build (counting sorts plus per-subject run sorts) must produce
@@ -408,15 +408,14 @@ TEST(FreezeOracleTest, MatchesSortUniqueOracle) {
       source->Freeze();
       // The borrowed image: both permutations in one buffer, as a
       // snapshot load maps them.
+      const std::shared_ptr<const IndexBase> base = source->index_base();
       auto image = std::make_shared<std::vector<EncodedTriple>>(
-          source->spo_span().begin(), source->spo_span().end());
-      image->insert(image->end(), source->pos_span().begin(),
-                    source->pos_span().end());
+          base->spo.begin(), base->spo.end());
+      image->insert(image->end(), base->pos.begin(), base->pos.end());
       const std::span<const EncodedTriple> view(*image);
-      const size_t n = source->spo_span().size();
+      const size_t n = base->spo.size();
       auto store = new_store();
-      store->AdoptFrozenView(view.first(n), view.subspan(n),
-                             source->all_predicate_stats(),
+      store->AdoptFrozenView(view.first(n), view.subspan(n), base->stats,
                              source->freeze_epoch(), image);
       ASSERT_TRUE(store->borrows_snapshot());
       for (const EncodedTriple& t : second) store->AddEncoded(t);

@@ -86,7 +86,8 @@ void ExpectStoresMatch(const rdf::TripleStore& a, const rdf::TripleStore& b) {
     EXPECT_EQ(b.term(id), t);
   });
   // Pattern results agree for a spread of shapes.
-  auto spo = a.spo_span();
+  const std::shared_ptr<const rdf::IndexBase> base = a.index_base();
+  const std::span<const rdf::EncodedTriple> spo = base->spo;
   for (size_t i = 0; i < spo.size(); i += 3) {
     const rdf::EncodedTriple& t = spo[i];
     EXPECT_EQ(a.Match({t.s, 0, 0}).size(), b.Match({t.s, 0, 0}).size());
@@ -353,6 +354,32 @@ TEST_F(SnapshotCorruptionTest, VersionSkewIsInvalidArgument) {
     auto verified = storage::VerifySnapshot(path_);
     ASSERT_FALSE(verified.ok());
     EXPECT_TRUE(verified.status().IsInvalidArgument()) << verified.status();
+  }
+}
+
+// Section ids 4 (the old OSP index) and 11 (the old delta chain) are
+// reserved: only older versions wrote them, so a current image carrying
+// one is corrupt. The last table entry's id is rewritten over a valid
+// image with the header checksum recomputed, so only the id can reject it.
+TEST_F(SnapshotCorruptionTest, ReservedSectionIdsAreParseError) {
+  const std::vector<char> valid = bytes_;
+  uint32_t sections = 0;
+  std::memcpy(&sections, valid.data() + 12, sizeof(sections));
+  ASSERT_GT(sections, 0u);
+  const size_t checksum_at = 56 + size_t{sections} * 32;
+  ASSERT_LT(checksum_at + 8, valid.size());
+  const size_t last_id_at = 56 + size_t{sections - 1} * 32;
+  for (uint32_t reserved : {4u, 11u}) {
+    SCOPED_TRACE(reserved);
+    bytes_ = valid;
+    std::memcpy(bytes_.data() + last_id_at, &reserved, sizeof(reserved));
+    const uint64_t checksum = util::Xxh64(bytes_.data(), checksum_at);
+    std::memcpy(bytes_.data() + checksum_at, &checksum, sizeof(checksum));
+    WriteAll(path_, bytes_);
+    ExpectLoadFails(util::StatusCode::kParseError,
+                    "unknown section id " + std::to_string(reserved));
+    EXPECT_TRUE(storage::InspectSnapshot(path_).status().IsParseError());
+    EXPECT_TRUE(storage::VerifySnapshot(path_).status().IsParseError());
   }
 }
 
