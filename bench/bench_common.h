@@ -12,8 +12,6 @@
 // that synthesis cost depends on schema complexity, not observation count.
 // Override the default scale with the RE2X_BENCH_OBS environment variable.
 
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
@@ -52,6 +50,10 @@ struct BenchEnv {
   long generate_faults = 0;
   long vsg_faults = 0;
   long text_faults = 0;
+  // The part of Generate that is TripleStore::Freeze (the index build and
+  // stats), from its store.freeze span; the rest is the load loop.
+  double freeze_millis = 0;
+  long freeze_faults = 0;
   core::VsgBuildStats vsg_stats;
 
   const rdf::TripleStore& store() const { return *dataset.store; }
@@ -78,12 +80,7 @@ inline qb::DatasetSpec SpecByName(const std::string& name, uint64_t obs) {
   std::exit(1);
 }
 
-/// Minor page faults this process has taken so far.
-inline long MinorFaults() {
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return ru.ru_minflt;
-}
+using util::MinorFaults;
 
 /// Generates and bootstraps a dataset (no caching; callers keep the env
 /// alive for the binary's lifetime).
@@ -91,7 +88,12 @@ inline BenchEnv MakeEnv(const std::string& name, uint64_t observations) {
   BenchEnv env;
   util::WallTimer timer;
   long faults = MinorFaults();
+  // Trace Generate to read its Freeze span (the tracer is left as found).
+  obs::Tracer& tracer = obs::Tracer::Global();
+  const bool tracing = tracer.enabled();
+  tracer.SetEnabled(true);
   auto ds = qb::Generate(SpecByName(name, observations));
+  tracer.SetEnabled(tracing);
   if (!ds.ok()) {
     std::cerr << "generate " << name << " failed: " << ds.status() << "\n";
     std::exit(1);
@@ -99,6 +101,16 @@ inline BenchEnv MakeEnv(const std::string& name, uint64_t observations) {
   env.dataset = std::move(ds).value();
   env.generate_millis = timer.ElapsedMillis();
   env.generate_faults = MinorFaults() - faults;
+  for (const obs::SpanEvent& span : tracer.Snapshot()) {
+    if (span.name != "store.freeze") continue;  // the last one wins
+    env.freeze_millis = span.dur_micros / 1000;
+    for (const obs::SpanAttr& attr : span.attrs) {
+      if (attr.key == "minor_faults") {
+        env.freeze_faults = std::strtol(attr.value.c_str(), nullptr, 10);
+      }
+    }
+  }
+  if (!tracing) tracer.Clear();
 
   timer.Restart();
   faults = MinorFaults();

@@ -16,6 +16,10 @@
 #include "util/result.h"
 #include "util/status.h"
 
+namespace re2xolap::util {
+class ThreadPool;
+}  // namespace re2xolap::util
+
 namespace re2xolap::rdf {
 
 struct DeltaLayer;
@@ -35,10 +39,13 @@ struct PredicateStats {
 /// folds base + deltas into new sorted arrays and needs fresh stats
 /// without a TripleStore). Two linear passes, no sorting: triple and
 /// distinct-object counts come from POS runs, distinct subjects from
-/// counting (s,p) runs in SPO.
+/// counting (s,p) runs in SPO. Both passes split into chunks that run on
+/// `pool` (null: the calling thread alone); the result does not depend
+/// on the pool.
 std::unordered_map<TermId, PredicateStats> ComputePredicateStats(
     std::span<const EncodedTriple> spo_sorted,
-    std::span<const EncodedTriple> pos_sorted);
+    std::span<const EncodedTriple> pos_sorted,
+    util::ThreadPool* pool = nullptr);
 
 /// Heap vs file-backed split of a store's footprint: `heap_bytes` is
 /// malloc'd memory (dictionary, owned indexes, stats), `mapped_bytes` the
@@ -69,7 +76,7 @@ struct IndexBase {
 
   /// A base owning freshly built, sorted and deduplicated arrays.
   static std::shared_ptr<const IndexBase> Build(
-      std::vector<EncodedTriple> spo, std::vector<EncodedTriple> pos,
+      TripleVector spo, TripleVector pos,
       std::unordered_map<TermId, PredicateStats> stats);
 
   /// Adds the arrays (heap or mapped) and the stats (heap) to `m`.
@@ -119,7 +126,15 @@ class TripleStore {
   void Add(const Term& s, const Term& p, const Term& o);
 
   /// Appends an already-encoded triple; the ids must come from dictionary().
-  void AddEncoded(EncodedTriple t);
+  /// Inline: a generator or parser appends every triple through it.
+  void AddEncoded(EncodedTriple t) {
+    assert(dict_.IsValid(t.s) && dict_.IsValid(t.p) && dict_.IsValid(t.o));
+    assert(active_readers_.load(std::memory_order_relaxed) == 0 &&
+           "TripleStore::Add() during concurrent reads of a frozen store");
+    assert(!live() && "live stores mutate via store::Ingestor, not Add()");
+    if (base_ != nullptr) Reopen();
+    pending_.push_back(t);
+  }
 
   /// Pre-sizes the unsorted triple list for `triples` Add()s in total, so
   /// a loader that knows its count appends without regrowing the list.
@@ -127,14 +142,16 @@ class TripleStore {
 
   /// Sorts and deduplicates the two stored permutations and computes
   /// predicate statistics. Must be called after loading, before querying.
-  /// SPO comes from one stable counting sort by subject plus a sort of
-  /// each subject's run by (p, o); POS from one counting sort by predicate
+  /// SPO comes from a counting sort by subject plus a sort of each
+  /// subject's run by (p, o); POS from a stable counting sort by predicate
   /// over SPO plus a stable sort by object inside each predicate run. The
   /// build is O(n + |dictionary| + sum of k log k) over subject runs of
   /// length k — near linear when subjects carry few triples each,
-  /// O(n log n) in the worst case of one shared subject. Peak memory is
-  /// two copies of the triples. The sorted arrays move into a fresh
-  /// IndexBase.
+  /// O(n log n) in the worst case of one shared subject. It runs on a
+  /// thread pool Freeze() owns: one thread per core, at most 8, and the
+  /// calling thread alone below 2^16 triples. The bytes do not depend on
+  /// the thread count. Peak memory is two copies of the triples. The
+  /// sorted arrays move into a fresh IndexBase.
   void Freeze();
 
   bool frozen() const { return base_ != nullptr || live(); }
@@ -346,9 +363,9 @@ class TripleStore {
   /// the load buffer and drops the base. No-op while unfrozen.
   void Reopen();
 
-  /// Freeze()'s index build: sorts and deduplicates the load buffer in
-  /// place into SPO order and counting-sorts `pos` from it.
-  void BuildIndexes(std::vector<EncodedTriple>* pos);
+  /// Freeze()'s index build on `pool`: sorts and deduplicates the load
+  /// buffer into SPO order and counting-sorts `pos` from it.
+  void BuildIndexes(util::ThreadPool& pool, TripleVector* pos);
   /// The OSP view of `chain` (null: the frozen store's base): every POS
   /// source — base, layer inserts, layer tombstones — cut into its
   /// predicate runs, each clipped to object `o` and subject `s`
@@ -372,7 +389,7 @@ class TripleStore {
   Dictionary dict_;
   // The load buffer: every triple added while unfrozen (after Reopen(),
   // the previous base's triples too), unsorted and possibly repeated.
-  std::vector<EncodedTriple> pending_;
+  TripleVector pending_;
   // The frozen indexes of a non-live store; null while unfrozen, and
   // handed to the epoch chain by EnterLive().
   std::shared_ptr<const IndexBase> base_;

@@ -566,12 +566,9 @@ void Server::WorkerLoop() {
       }
     }
     Metrics().queue_wait_millis.Observe(MillisSince(conn->arrival));
-    const size_t now_inflight =
-        inflight_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    NoteInflight(now_inflight);
+    NoteInflight(inflight_.fetch_add(1, std::memory_order_acq_rel) + 1);
     conn = HandleOneRequest(std::move(conn));
-    Metrics().inflight.Set(static_cast<double>(
-        inflight_.fetch_sub(1, std::memory_order_acq_rel) - 1));
+    inflight_.fetch_sub(1, std::memory_order_acq_rel);
     if (conn != nullptr) {
       {
         std::lock_guard<std::mutex> lock(returned_mu_);
@@ -586,7 +583,8 @@ void Server::WorkerLoop() {
 }
 
 void Server::NoteInflight(size_t now_inflight) {
-  Metrics().inflight.Set(static_cast<double>(now_inflight));
+  Metrics().inflight.Set(static_cast<double>(
+      unanswered_.fetch_add(1, std::memory_order_acq_rel) + 1));
   uint64_t prev = max_inflight_.load(std::memory_order_relaxed);
   while (now_inflight > prev &&
          !max_inflight_.compare_exchange_weak(prev, now_inflight,
@@ -596,9 +594,25 @@ void Server::NoteInflight(size_t now_inflight) {
       static_cast<double>(max_inflight_.load(std::memory_order_relaxed)));
 }
 
+void Server::NoteAnswered() {
+  Metrics().inflight.Set(static_cast<double>(
+      unanswered_.fetch_sub(1, std::memory_order_acq_rel) - 1));
+}
+
 std::unique_ptr<Server::Conn> Server::HandleOneRequest(
     std::unique_ptr<Conn> conn) {
   const auto arrival = conn->arrival;
+  // Lowers the in-flight gauge exactly once: explicitly before the final
+  // write, or on return when the request ends without one.
+  struct Answer {
+    Server* server;
+    bool noted = false;
+    void Note() {
+      if (!noted) server->NoteAnswered();
+      noted = true;
+    }
+    ~Answer() { Note(); }
+  } answer{this};
   HttpRequest req;
   util::Status read_status = ReadRequest(conn.get(), &req);
   if (!read_status.ok()) {
@@ -622,8 +636,9 @@ std::unique_ptr<Server::Conn> Server::HandleOneRequest(
     }
     responses_error_.fetch_add(1, std::memory_order_relaxed);
     Metrics().responses_error.Inc();
-    WriteAll(conn.get(), SerializeResponse(resp, /*keep_alive=*/false),
-             config_.write_timeout_millis);
+    const std::string bytes = SerializeResponse(resp, /*keep_alive=*/false);
+    answer.Note();
+    WriteAll(conn.get(), bytes, config_.write_timeout_millis);
     return nullptr;  // malformed/slow connections never survive
   }
 
@@ -647,6 +662,7 @@ std::unique_ptr<Server::Conn> Server::HandleOneRequest(
   }
 
   std::string bytes = SerializeResponse(resp, keep_alive);
+  answer.Note();
   if (!WriteAll(conn.get(), bytes, config_.write_timeout_millis)) {
     client_timeouts_.fetch_add(1, std::memory_order_relaxed);
     Metrics().client_timeouts.Inc();

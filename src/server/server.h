@@ -252,7 +252,14 @@ class Server {
   util::ExecGuard MakeGuard(const HttpRequest& req,
                             std::chrono::steady_clock::time_point arrival);
 
+  /// A worker took a request: raises the server.inflight gauge and the
+  /// in-flight peak (`now_inflight` counts the request).
   void NoteInflight(size_t now_inflight);
+  /// Lowers the server.inflight gauge for a request about to be answered
+  /// (or dropped unanswered). HandleOneRequest calls it once per request,
+  /// before the final write, so a client holding its whole response never
+  /// finds its request still counted.
+  void NoteAnswered();
 
   Dataset dataset_;
   const ServerConfig config_;
@@ -292,7 +299,12 @@ class Server {
   util::CancellationToken drain_token_;
 
   std::atomic<size_t> open_conns_{0};
+  /// Requests a worker holds, until HandleOneRequest returns (Stop()
+  /// drains on it).
   std::atomic<size_t> inflight_{0};
+  /// Requests a worker holds whose answer has not started: the
+  /// server.inflight gauge.
+  std::atomic<size_t> unanswered_{0};
 
   // Instance counters (relaxed; exact under the tests' sync points).
   std::atomic<uint64_t> accepted_conns_{0}, requests_{0}, responses_ok_{0},

@@ -242,11 +242,11 @@ util::Status Ingestor::CompactNow(const ExecGuard* guard,
   // sequential drain of each permutation IS the fold. No lock is held:
   // ingest keeps publishing on top, and readers keep serving whichever
   // chain they pinned.
-  std::array<std::vector<EncodedTriple>, 2> folded;
+  std::array<rdf::TripleVector, 2> folded;
   std::array<Status, 2> merge_status;
   auto merge_one = [&](size_t i) {
     const Perm perm = i == 0 ? Perm::kSpo : Perm::kPos;
-    std::vector<EncodedTriple>& out = folded[i];
+    rdf::TripleVector& out = folded[i];
     rdf::IndexRange range = store_->ChainPermutationRange(snap, perm);
     out.reserve(range.size());
     rdf::IndexCursor cur(range);
@@ -270,7 +270,8 @@ util::Status Ingestor::CompactNow(const ExecGuard* guard,
   for (const Status& st : merge_status) {
     if (!st.ok()) return st;
   }
-  auto stats = rdf::ComputePredicateStats(folded[0], folded[1]);
+  auto stats =
+      rdf::ComputePredicateStats(folded[0], folded[1], merge_pool);
   std::shared_ptr<const rdf::IndexBase> base = rdf::IndexBase::Build(
       std::move(folded[0]), std::move(folded[1]), std::move(stats));
 

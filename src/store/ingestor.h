@@ -103,9 +103,10 @@ class Ingestor {
  private:
   /// The compaction body: snapshot the chain, merge outside the locks,
   /// publish under the ingest mutex. Caller owns the inflight flag.
-  /// `merge_pool` parallelizes the fold; it must be null when the caller
-  /// already runs on a pool worker (BackgroundCompact) — a nested
-  /// ParallelFor would wait behind its own occupied worker.
+  /// `merge_pool` parallelizes the fold and its predicate stats; it must
+  /// be null when the caller already runs on a pool worker
+  /// (BackgroundCompact) — a nested ParallelFor would wait behind its own
+  /// occupied worker.
   util::Status CompactNow(const util::ExecGuard* guard,
                           util::ThreadPool* merge_pool);
   util::Status BackgroundCompact();

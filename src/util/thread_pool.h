@@ -1,14 +1,14 @@
 #ifndef RE2XOLAP_UTIL_THREAD_POOL_H_
 #define RE2XOLAP_UTIL_THREAD_POOL_H_
 
+#include <pthread.h>
+
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 namespace re2xolap::util {
@@ -32,11 +32,21 @@ class CancellationToken {
   std::atomic<bool> cancelled_{false};
 };
 
-/// Fixed-size worker pool for fanning independent, read-only work items
-/// across cores (ReOLAP validation probes, ExRef refinement evaluation,
-/// index sorting). Sized once at construction; a pool of size 0 or 1 runs
-/// everything inline on the calling thread, so callers never need a
-/// serial code path of their own.
+/// Fixed-size worker pool for fanning independent work items across
+/// cores: ReOLAP validation probes, ExRef refinement evaluation, snapshot
+/// sections, compaction's merge and predicate stats, and
+/// TripleStore::Freeze()'s index build, whose chunks and buckets write
+/// disjoint slices of arrays the caller allocated (a worker that
+/// allocated would grow a heap arena of its own). Sized once at
+/// construction; a pool of size 0 or 1 runs everything inline on the
+/// calling thread, so callers never need a serial code path of their
+/// own. Neither starting a worker nor a ParallelFor leaves a worker a
+/// block of the caller's heap to free: a ParallelFor allocates nothing,
+/// and the workers are POSIX threads (a std::thread allocates its start
+/// state on the creator and frees it on the new thread). So the caller's
+/// heap after a loop, and after the pool, is the same on every run; a
+/// Submit()ted task that owns heap memory is still freed by the worker
+/// that ran it.
 ///
 /// Thread-safety contract: tasks submitted to the pool must only touch
 /// shared state that is safe for concurrent reads (e.g. a TripleStore
@@ -88,13 +98,28 @@ class ThreadPool {
   static size_t DefaultThreads();
 
  private:
-  void WorkerLoop();
+  struct Worker {
+    ThreadPool* pool;
+    size_t index;
+    pthread_t thread;
+  };
+  static void* WorkerMain(void* worker);
+  void WorkerLoop(size_t index);
+  // Lets the workers exit, one at a time and in index order, once the
+  // queue is drained, and joins them.
+  void Retire();
 
-  std::vector<std::thread> workers_;
+  // Sized once, before any worker starts: each worker reads its entry.
+  std::vector<Worker> workers_;
   std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
-  bool shutdown_ = false;
+  // Queued tasks; [head_, size) are still to run. Taking a task frees
+  // nothing (a deque frees each drained block on the worker that empties
+  // it): the vector is cleared, keeping its capacity, once drained.
+  std::vector<std::function<void()>> queue_;
+  size_t head_ = 0;
+  // Workers with an index below this exit once the queue is drained.
+  size_t retired_ = 0;
 };
 
 }  // namespace re2xolap::util

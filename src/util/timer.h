@@ -1,6 +1,8 @@
 #ifndef RE2XOLAP_UTIL_TIMER_H_
 #define RE2XOLAP_UTIL_TIMER_H_
 
+#include <sys/resource.h>
+
 #include <chrono>
 
 namespace re2xolap::util {
@@ -34,6 +36,13 @@ class WallTimer {
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };
+
+/// Minor page faults this process has taken so far (getrusage).
+inline long MinorFaults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
 
 }  // namespace re2xolap::util
 

@@ -224,7 +224,7 @@ StoreDigests DigestStore(const rdf::TripleStore& s) {
 // Term ids, the three permutations and the predicate stats of generated
 // stores are pinned to digests of the store that per-triple Add() calls
 // and comparison sorts build: memoized interning and the counting-sort
-// index build must reproduce it bit for bit, in either index format.
+// index build must reproduce it bit for bit, on one thread or several.
 TEST(GeneratorTest, GeneratedStoreIsBitIdenticalToRecordedDigests) {
   struct Case {
     const char* name;
@@ -236,6 +236,11 @@ TEST(GeneratorTest, GeneratedStoreIsBitIdenticalToRecordedDigests) {
        {18042907088273982241ull, 10333071212324549493ull,
         6806650602963244226ull, 12889266276655732789ull,
         13061530376661414404ull}},
+      // 330,970 triples: above the size at which Freeze starts threads.
+      {"eurostat-30000", EurostatSpec(30000),
+       {17913978439744385386ull, 3830889694553545459ull,
+        18316362515586561318ull, 7716288820509800488ull,
+        13424206229387681873ull}},
       {"dbpedia-1000", DbpediaSpec(1000),
        {14500672023350541730ull, 10042637518140192401ull,
         15711433426334556387ull, 10971972233451666563ull,

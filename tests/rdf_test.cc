@@ -350,79 +350,189 @@ void ExpectFrozenMatchesOracle(const TripleStore& store,
   ExpectStatsEqual(store.index_base()->stats, want);
 }
 
+// A store with ids 1..terms interned.
+std::unique_ptr<TripleStore> StoreWithTerms(TermId terms) {
+  auto store = std::make_unique<TripleStore>();
+  for (TermId i = 1; i <= terms; ++i) {
+    store->Intern(Term::Iri("t" + std::to_string(i)));
+  }
+  return store;
+}
+
+// Freezes `raw` three ways, one per buffer Freeze() sorts through, and
+// checks each against the oracle: a fresh load; a re-Freeze after a second
+// batch that repeats already-frozen triples; and a Freeze after
+// AdoptFrozenView plus AddEncoded, which materializes the borrowed views
+// first.
+void ExpectThreeWayFreezesMatchOracle(TermId terms,
+                                      const std::vector<EncodedTriple>& raw) {
+  {
+    SCOPED_TRACE("fresh");
+    auto store = StoreWithTerms(terms);
+    ASSERT_EQ(store->dictionary().size(), terms);
+    for (const EncodedTriple& t : raw) store->AddEncoded(t);
+    store->Freeze();
+    ExpectFrozenMatchesOracle(*store, raw);
+  }
+
+  // The second batch: the later half of `raw` plus every third triple
+  // of the earlier half again.
+  const size_t half = raw.size() / 2;
+  const std::vector<EncodedTriple> first(raw.begin(), raw.begin() + half);
+  std::vector<EncodedTriple> second(raw.begin() + half, raw.end());
+  for (size_t i = 0; i < half; i += 3) second.push_back(raw[i]);
+  std::vector<EncodedTriple> all = first;
+  all.insert(all.end(), second.begin(), second.end());
+  {
+    SCOPED_TRACE("re-frozen");
+    auto store = StoreWithTerms(terms);
+    for (const EncodedTriple& t : first) store->AddEncoded(t);
+    store->Freeze();
+    for (const EncodedTriple& t : second) store->AddEncoded(t);
+    store->Freeze();
+    ExpectFrozenMatchesOracle(*store, all);
+  }
+  {
+    SCOPED_TRACE("adopted view");
+    auto source = StoreWithTerms(terms);
+    for (const EncodedTriple& t : first) source->AddEncoded(t);
+    source->Freeze();
+    // The borrowed image: both permutations in one buffer, as a
+    // snapshot load maps them.
+    const std::shared_ptr<const IndexBase> base = source->index_base();
+    auto image = std::make_shared<std::vector<EncodedTriple>>(
+        base->spo.begin(), base->spo.end());
+    image->insert(image->end(), base->pos.begin(), base->pos.end());
+    const std::span<const EncodedTriple> view(*image);
+    const size_t n = base->spo.size();
+    auto store = StoreWithTerms(terms);
+    store->AdoptFrozenView(view.first(n), view.subspan(n), base->stats,
+                           source->freeze_epoch(), image);
+    ASSERT_TRUE(store->borrows_snapshot());
+    for (const EncodedTriple& t : second) store->AddEncoded(t);
+    store->Freeze();
+    EXPECT_FALSE(store->borrows_snapshot());
+    ExpectFrozenMatchesOracle(*store, all);
+  }
+}
+
 // The index build (counting sorts plus per-subject run sorts) must produce
 // exactly what sorting each permutation with std::sort and dropping
 // duplicates produces, and the sort-free stats must match brute-force
-// counts, for every id shape. Each shape is frozen three ways, one per
-// buffer Freeze() sorts through: a fresh load; a re-Freeze after a second
-// batch that repeats already-frozen triples (the previous POS array is the
-// scratch); and a Freeze after AdoptFrozenView plus AddEncoded, which
-// materializes the borrowed views first.
+// counts, for every id shape.
 TEST(FreezeOracleTest, MatchesSortUniqueOracle) {
   constexpr TermId kTerms = 60;
   std::mt19937 rng(20230328);
-  auto new_store = [&] {
-    auto store = std::make_unique<TripleStore>();
-    for (TermId i = 1; i <= kTerms; ++i) {
-      store->Intern(Term::Iri("t" + std::to_string(i)));
-    }
-    return store;
-  };
   for (FreezeShape shape :
        {FreezeShape::kRandomWithDuplicates, FreezeShape::kEmpty,
         FreezeShape::kSingleTriple, FreezeShape::kSharedPredicate,
         FreezeShape::kSharedObject, FreezeShape::kMaxIds,
         FreezeShape::kSharedSubject, FreezeShape::kDescendingRuns}) {
     SCOPED_TRACE(static_cast<int>(shape));
-    const std::vector<EncodedTriple> raw = ShapeTriples(shape, kTerms, &rng);
-    {
-      SCOPED_TRACE("fresh");
-      auto store = new_store();
-      ASSERT_EQ(store->dictionary().size(), kTerms);
-      for (const EncodedTriple& t : raw) store->AddEncoded(t);
-      store->Freeze();
-      ExpectFrozenMatchesOracle(*store, raw);
-    }
+    ExpectThreeWayFreezesMatchOracle(kTerms,
+                                     ShapeTriples(shape, kTerms, &rng));
+  }
+}
 
-    // The second batch: the later half of `raw` plus every third triple
-    // of the earlier half again.
-    const size_t half = raw.size() / 2;
-    const std::vector<EncodedTriple> first(raw.begin(), raw.begin() + half);
-    std::vector<EncodedTriple> second(raw.begin() + half, raw.end());
-    for (size_t i = 0; i < half; i += 3) second.push_back(raw[i]);
-    std::vector<EncodedTriple> all = first;
-    all.insert(all.end(), second.begin(), second.end());
-    {
-      SCOPED_TRACE("re-frozen");
-      auto store = new_store();
-      for (const EncodedTriple& t : first) store->AddEncoded(t);
-      store->Freeze();
-      for (const EncodedTriple& t : second) store->AddEncoded(t);
-      store->Freeze();
-      ExpectFrozenMatchesOracle(*store, all);
+// Shapes of more than 2^16 triples, the size from which Freeze() splits
+// its passes across threads: the edges of that split.
+enum class ParallelShape {
+  // One subject holding a whole subject bucket and more than a thread's
+  // chunk of the input.
+  kSubjectOverBucket,
+  // Every triple on one predicate: one POS run split across threads.
+  kOnePredicate,
+  // One object everywhere: every run's objects span a single id.
+  kOneObject,
+  // The largest ids in every position.
+  kMaxIds,
+  // Every triple repeated next to itself and again far away, on subjects
+  // either side of every multiple of 32 (the subject-bucket width at
+  // 5,000 terms), so duplicates straddle both chunk and bucket seams.
+  kSeamDuplicates,
+  // One long run whose objects spread over every id, sorted by
+  // comparison rather than by counting.
+  kSpreadObjects,
+};
+
+std::vector<EncodedTriple> ParallelShapeTriples(ParallelShape shape,
+                                                TermId terms,
+                                                std::mt19937* rng) {
+  auto id = [&](TermId pool) {
+    return static_cast<TermId>(1 + (*rng)() % pool);
+  };
+  std::vector<EncodedTriple> out;
+  switch (shape) {
+    case ParallelShape::kSubjectOverBucket:
+      for (int i = 0; i < 70000; ++i) out.push_back({9, id(40), id(terms)});
+      for (int i = 0; i < 10000; ++i) {
+        out.push_back({id(terms), id(40), id(terms)});
+      }
+      std::shuffle(out.begin(), out.end(), *rng);
+      break;
+    case ParallelShape::kOnePredicate:
+      for (int i = 0; i < 80000; ++i) {
+        out.push_back({id(terms), 5, id(terms)});
+      }
+      break;
+    case ParallelShape::kOneObject:
+      for (int i = 0; i < 80000; ++i) {
+        out.push_back({id(terms), id(12), 7});
+      }
+      break;
+    case ParallelShape::kMaxIds:
+      for (int i = 0; i < 80000; ++i) {
+        out.push_back({terms - id(3) + 1, terms - id(30) + 1,
+                       terms - id(terms) + 1});
+      }
+      out.push_back({terms, terms, terms});
+      out.push_back({terms, 1, terms});
+      out.push_back({1, terms, 1});
+      break;
+    case ParallelShape::kSeamDuplicates: {
+      std::vector<EncodedTriple> base;
+      for (int i = 0; i < 25000; ++i) {
+        const TermId seam = 32 * id(terms / 32 - 1);
+        base.push_back({static_cast<TermId>(seam - 1 + (*rng)() % 2), id(8),
+                        id(200)});
+      }
+      for (const EncodedTriple& t : base) {
+        out.push_back(t);
+        out.push_back(t);
+      }
+      out.insert(out.end(), base.rbegin(), base.rend());
+      break;
     }
-    {
-      SCOPED_TRACE("adopted view");
-      auto source = new_store();
-      for (const EncodedTriple& t : first) source->AddEncoded(t);
-      source->Freeze();
-      // The borrowed image: both permutations in one buffer, as a
-      // snapshot load maps them.
-      const std::shared_ptr<const IndexBase> base = source->index_base();
-      auto image = std::make_shared<std::vector<EncodedTriple>>(
-          base->spo.begin(), base->spo.end());
-      image->insert(image->end(), base->pos.begin(), base->pos.end());
-      const std::span<const EncodedTriple> view(*image);
-      const size_t n = base->spo.size();
-      auto store = new_store();
-      store->AdoptFrozenView(view.first(n), view.subspan(n), base->stats,
-                             source->freeze_epoch(), image);
-      ASSERT_TRUE(store->borrows_snapshot());
-      for (const EncodedTriple& t : second) store->AddEncoded(t);
-      store->Freeze();
-      EXPECT_FALSE(store->borrows_snapshot());
-      ExpectFrozenMatchesOracle(*store, all);
-    }
+    case ParallelShape::kSpreadObjects:
+      for (int i = 0; i < 17000; ++i) out.push_back({id(500), 3, id(terms)});
+      out.push_back({1, 3, 1});
+      out.push_back({2, 3, terms});
+      for (int i = 0; i < 60000; ++i) {
+        out.push_back({id(terms), 3 + id(20), id(64)});
+      }
+      std::shuffle(out.begin(), out.end(), *rng);
+      break;
+  }
+  return out;
+}
+
+// The oracle check above the parallel cut-over: whatever the number of
+// threads, every shape must freeze to the bytes of the sort/unique oracle.
+TEST(FreezeOracleTest, ParallelBuildMatchesSortUniqueOracle) {
+  std::mt19937 rng(20261020);
+  for (ParallelShape shape :
+       {ParallelShape::kSubjectOverBucket, ParallelShape::kOnePredicate,
+        ParallelShape::kOneObject, ParallelShape::kMaxIds,
+        ParallelShape::kSeamDuplicates, ParallelShape::kSpreadObjects}) {
+    SCOPED_TRACE(static_cast<int>(shape));
+    // The spread run needs ids beyond 17,000 · log2(17,000) to be
+    // comparison-sorted.
+    const TermId terms =
+        shape == ParallelShape::kSpreadObjects ? TermId{1} << 18 : 5000;
+    const std::vector<EncodedTriple> raw =
+        ParallelShapeTriples(shape, terms, &rng);
+    ASSERT_GT(raw.size(), size_t{1} << 16);
+    ExpectThreeWayFreezesMatchOracle(terms, raw);
   }
 }
 

@@ -167,6 +167,29 @@ TEST_F(ServerTest, MetricsServePrometheusTextFormat) {
   EXPECT_NE(resp->body.find("server_requests"), std::string::npos);
 }
 
+// The in-flight gauge drops before a response is written: a client that
+// has read its whole response, and then asks /metrics on another
+// connection (so another worker answers), finds only the /metrics request
+// itself in flight, never its own finished one.
+TEST_F(ServerTest, InflightGaugeDropsBeforeTheResponseArrives) {
+  ServerConfig config;
+  config.worker_threads = 2;
+  HttpClient client = StartServer(config);
+  HttpClient probe("127.0.0.1", server_->port());
+  obs::Gauge& gauge =
+      obs::MetricsRegistry::Global().GetGauge("server.inflight");
+  for (int i = 0; i < 50; ++i) {
+    auto resp = client.Post("/query", kObsQuery);
+    ASSERT_TRUE(resp.ok()) << resp.status();
+    ASSERT_EQ(resp->status, 200);
+    EXPECT_EQ(gauge.value(), 0) << "request " << i;
+    auto metrics = probe.Get("/metrics");
+    ASSERT_TRUE(metrics.ok()) << metrics.status();
+    EXPECT_NE(metrics->body.find("\nserver_inflight 1\n"), std::string::npos)
+        << "request " << i;
+  }
+}
+
 TEST_F(ServerTest, QueryExecutesSparqlOverSharedEngine) {
   HttpClient client = StartServer();
   auto resp = client.Post("/query", kObsQuery);
@@ -453,14 +476,11 @@ TEST_F(ServerTest, ShedPostWithFullBodyCountsOnce) {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   auto inflight = [&] { return metrics.GetGauge("server.inflight").value(); };
   auto queued = [&] { return metrics.GetGauge("server.queue_depth").value(); };
-  // The worker lowers the in-flight gauge after it has written the last
-  // warm-up response: wait for that, so the gauge below reads the pins.
+  // The worker lowers the in-flight gauge before it writes each warm-up
+  // response, so the gauge below reads the pins alone.
+  ASSERT_EQ(inflight(), 0);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (inflight() > 0 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_EQ(inflight(), 0);
   ASSERT_TRUE(util::FailpointRegistry::Global()
                   .Configure("engine.execute=delay:600")
                   .ok());
