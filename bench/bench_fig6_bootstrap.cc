@@ -13,9 +13,9 @@
 // ordering follows schema/member complexity. Each phase also reports its
 // minor page faults (getrusage ru_minflt deltas), so a set-up change shows
 // how much of its cost is first touches of freshly allocated memory, and
-// Generate's TripleStore::Freeze gets columns of its own (from its
-// store.freeze span), so the load loop and the index build can be told
-// apart.
+// Generate's phases get columns of their own, read from their spans: the
+// observations' parallel draw pass (qb.generate.draw), their serial
+// interning (qb.generate.intern) and TripleStore::Freeze (store.freeze).
 
 #include <algorithm>
 #include <cstdio>
@@ -29,24 +29,58 @@
 #include "storage/snapshot.h"
 #include "util/thread_pool.h"
 
+using namespace re2xolap;
+using namespace re2xolap::bench;
+
+namespace {
+
+// Wall time of Generate's observation passes, from their spans.
+struct GeneratePasses {
+  double draw_millis = 0;
+  double intern_millis = 0;
+};
+
+// MakeEnv() with Generate traced, so that its draw and intern spans can be
+// read; the tracer is left as found.
+BenchEnv MakeTimedEnv(const std::string& name, uint64_t obs,
+                      GeneratePasses* passes) {
+  obs::Tracer& tracer = obs::Tracer::Global();
+  const bool tracing = tracer.enabled();
+  tracer.SetEnabled(true);
+  BenchEnv env = MakeEnv(name, obs);
+  tracer.SetEnabled(tracing);
+  for (const obs::SpanEvent& span : tracer.Snapshot()) {  // the last wins
+    if (span.name == "qb.generate.draw") {
+      passes->draw_millis = span.dur_micros / 1000;
+    } else if (span.name == "qb.generate.intern") {
+      passes->intern_millis = span.dur_micros / 1000;
+    }
+  }
+  if (!tracing) tracer.Clear();
+  return env;
+}
+
+}  // namespace
+
 int main() {
-  using namespace re2xolap;
-  using namespace re2xolap::bench;
 
   JsonBenchLog log("fig6_bootstrap");
 
   std::cout << "=== Figure 6c: bootstrap time per dataset ===\n\n";
-  // Generate includes its Freeze, which is also shown on its own.
-  util::TablePrinter t({"Dataset", "#Obs", "Generate (ms)", "Freeze (ms)",
-                        "VGraph (ms)", "TextIndex (ms)",
+  // Generate includes its observation passes and its Freeze, which are
+  // also shown on their own.
+  util::TablePrinter t({"Dataset", "#Obs", "Generate (ms)", "Draw (ms)",
+                        "Intern (ms)", "Freeze (ms)", "VGraph (ms)", "TextIndex (ms)",
                         "Bootstrap total (ms)", "Store scans",
                         "Members visited", "Generate faults",
                         "Freeze faults", "VGraph faults",
                         "TextIndex faults"});
   for (const std::string& name : AllDatasets()) {
     uint64_t obs = DefaultObservations(name);
-    BenchEnv env = MakeEnv(name, obs);
+    GeneratePasses passes;
+    BenchEnv env = MakeTimedEnv(name, obs, &passes);
     t.AddRow({name, std::to_string(obs), Ms(env.generate_millis),
+              Ms(passes.draw_millis), Ms(passes.intern_millis),
               Ms(env.freeze_millis), Ms(env.vsg_millis), Ms(env.text_millis),
               Ms(env.vsg_millis + env.text_millis),
               std::to_string(env.vsg_stats.store_scans),
@@ -101,7 +135,8 @@ int main() {
                          "Speedup mmap"});
   for (const std::string& name : AllDatasets()) {
     uint64_t obs = DefaultObservations(name);
-    BenchEnv env = MakeEnv(name, obs);
+    GeneratePasses passes;
+    BenchEnv env = MakeTimedEnv(name, obs, &passes);
 
     std::ostringstream nt;
     rdf::WriteNTriples(env.store(), nt);
@@ -184,6 +219,8 @@ int main() {
         .Num("vsg_build_millis", env.vsg_millis)
         .Num("text_index_millis", env.text_millis)
         .Num("generate_millis", env.generate_millis)
+        .Num("draw_millis", passes.draw_millis)
+        .Num("intern_millis", passes.intern_millis)
         .Num("freeze_millis", env.freeze_millis)
         .Int("generate_minor_faults", env.generate_faults)
         .Int("freeze_minor_faults", env.freeze_faults)

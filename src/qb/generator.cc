@@ -4,9 +4,12 @@
 #include <charconv>
 #include <cstring>
 #include <set>
+#include <span>
 #include <unordered_map>
 
+#include "obs/trace.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace re2xolap::qb {
 
@@ -266,67 +269,120 @@ util::Result<GeneratedDataset> Generate(DatasetSpec spec) {
   }
 
   // --- observations ----------------------------------------------------------
+  // Observation n owns the k slots of the load buffer from n * k, in
+  // emission order: its type triple, then one triple per dimension,
+  // measure and attribute. Two passes fill them.
+  //  1. Draw, in chunks on a pool: each chunk jumps the RNG to its first
+  //     observation's first draw and writes the drawn base member, measure
+  //     value and attribute value indices into the slots' objects.
+  //  2. Intern, on the calling thread, in observation order: the same
+  //     Intern and memo calls one serial loop would make, rewriting each
+  //     slot in place with ids, so term ids and the frozen store do not
+  //     depend on the pool.
   // Every base level was validated by the hierarchy pass above.
   std::vector<const LevelSpec*> dim_base;
   for (const DimensionSpec& dim : spec.dimensions) {
     dim_base.push_back(levels.at(dim.base_level));
   }
-  std::vector<rdf::TermId> dim_pred(spec.dimensions.size());
-  std::vector<rdf::TermId> measure_pred(spec.measure_predicates.size());
-  std::vector<rdf::TermId> attr_pred(spec.observation_attrs.size());
-  std::vector<std::vector<rdf::TermId>> attr_value(
-      spec.observation_attrs.size());
-  for (size_t a = 0; a < spec.observation_attrs.size(); ++a) {
-    attr_value[a].assign(spec.observation_attrs[a].values.size(),
-                         rdf::kInvalidTermId);
-  }
-  // Measure literals by value.
-  std::vector<rdf::TermId> measure_literal(kMeasureRange + 1);
-  for (uint64_t n = 0; n < spec.observations; ++n) {
-    const rdf::TermId obs = store->Intern(indexed_iri("obs", n));
-    rdf::TermId p =
-        memo(&type_pred, [] { return rdf::Term::Iri(kRdfType); });
-    rdf::TermId o = memo(&obs_class, [&] {
-      return rdf::Term::Iri(spec.observation_class);
-    });
-    store->AddEncoded({obs, p, o});
-    for (size_t d = 0; d < spec.dimensions.size(); ++d) {
-      const LevelSpec* base = dim_base[d];
-      // Coverage pass: the first |base| observations cycle through every
-      // member so that each base member is referenced at least once (the
-      // real KGs are dense in this sense); afterwards, skewed sampling.
-      size_t member;
-      if (n < base->member_count()) {
-        member = static_cast<size_t>(n);
-      } else {
-        member = static_cast<size_t>(rng.Skewed(base->member_count()));
-        if (member >= base->member_count()) member = base->member_count() - 1;
+  const size_t dims = spec.dimensions.size();
+  const size_t measures = spec.measure_predicates.size();
+  const size_t attrs = spec.observation_attrs.size();
+  const size_t k = 1 + dims + measures + attrs;
+  const uint64_t obs_count = spec.observations;
+  const std::span<rdf::EncodedTriple> slots =
+      store->AppendUnwritten(obs_count * k);
+  {
+    obs::Span span("qb.generate.draw");
+    // Draws made before observation n: one per measure and attribute of
+    // each earlier observation, plus one per dimension for each earlier
+    // observation past that dimension's coverage pass, which draws nothing
+    // while n < |base|.
+    auto first_draw = [&](uint64_t n) {
+      uint64_t draws = n * (measures + attrs);
+      for (const LevelSpec* base : dim_base) {
+        if (n > base->member_count()) draws += n - base->member_count();
       }
-      p = memo(&dim_pred[d], [&] {
-        return rdf::Term::Iri(spec.iri_base + spec.dimensions[d].predicate);
-      });
-      o = member_id(*base, member);
-      store->AddEncoded({obs, p, o});
+      return draws;
+    };
+    const size_t chunks =
+        (obs_count + kObservationChunk - 1) / kObservationChunk;
+    util::ThreadPool pool(rdf::LoadThreads(slots.size()));
+    pool.ParallelFor(chunks, [&](size_t c) {
+      const uint64_t begin = c * kObservationChunk;
+      const uint64_t end = std::min(obs_count, begin + kObservationChunk);
+      util::Rng rng(spec.seed);
+      rng.Advance(first_draw(begin));
+      for (uint64_t n = begin; n < end; ++n) {
+        rdf::EncodedTriple* t = &slots[n * k + 1];
+        for (const LevelSpec* base : dim_base) {
+          // Coverage pass: the first |base| observations cycle through
+          // every member so that each base member is referenced at least
+          // once (the real KGs are dense in this sense); afterwards,
+          // skewed sampling.
+          const size_t members = base->member_count();
+          uint64_t member = n;
+          if (n >= members) {
+            member = std::min<uint64_t>(rng.Skewed(members), members - 1);
+          }
+          (t++)->o = static_cast<rdf::TermId>(member);
+        }
+        for (size_t m = 0; m < measures; ++m) {
+          // Skewed positive integer measure (long tail of large values).
+          (t++)->o = static_cast<rdf::TermId>(1 + rng.Skewed(kMeasureRange));
+        }
+        for (const ObservationAttrSpec& attr : spec.observation_attrs) {
+          (t++)->o = static_cast<rdf::TermId>(rng.Uniform(attr.values.size()));
+        }
+      }
+    });
+  }
+  {
+    obs::Span span("qb.generate.intern");
+    std::vector<rdf::TermId> dim_pred(dims);
+    std::vector<rdf::TermId> measure_pred(measures);
+    std::vector<rdf::TermId> attr_pred(attrs);
+    std::vector<std::vector<rdf::TermId>> attr_value(attrs);
+    for (size_t a = 0; a < attrs; ++a) {
+      attr_value[a].assign(spec.observation_attrs[a].values.size(),
+                           rdf::kInvalidTermId);
     }
-    for (size_t m = 0; m < spec.measure_predicates.size(); ++m) {
-      // Skewed positive integer measure (long tail of large values).
-      int64_t value = 1 + static_cast<int64_t>(rng.Skewed(kMeasureRange));
-      p = memo(&measure_pred[m], [&] {
-        return rdf::Term::Iri(spec.iri_base + spec.measure_predicates[m]);
+    // Measure literals by value.
+    std::vector<rdf::TermId> measure_literal(kMeasureRange + 1);
+    for (uint64_t n = 0; n < obs_count; ++n) {
+      rdf::EncodedTriple* t = &slots[n * k];
+      const rdf::TermId obs = store->Intern(indexed_iri("obs", n));
+      rdf::TermId p =
+          memo(&type_pred, [] { return rdf::Term::Iri(kRdfType); });
+      rdf::TermId o = memo(&obs_class, [&] {
+        return rdf::Term::Iri(spec.observation_class);
       });
-      o = memo(&measure_literal[value],
-               [value] { return rdf::Term::IntegerLiteral(value); });
-      store->AddEncoded({obs, p, o});
-    }
-    for (size_t a = 0; a < spec.observation_attrs.size(); ++a) {
-      const ObservationAttrSpec& attr = spec.observation_attrs[a];
-      const size_t v = rng.Uniform(attr.values.size());
-      p = memo(&attr_pred[a], [&] {
-        return rdf::Term::Iri(spec.iri_base + attr.predicate);
-      });
-      o = memo(&attr_value[a][v],
-               [&] { return string_literal(attr.values[v]); });
-      store->AddEncoded({obs, p, o});
+      *t++ = {obs, p, o};
+      for (size_t d = 0; d < dims; ++d, ++t) {
+        const size_t member = t->o;
+        p = memo(&dim_pred[d], [&] {
+          return rdf::Term::Iri(spec.iri_base + spec.dimensions[d].predicate);
+        });
+        *t = {obs, p, member_id(*dim_base[d], member)};
+      }
+      for (size_t m = 0; m < measures; ++m, ++t) {
+        const int64_t value = t->o;
+        p = memo(&measure_pred[m], [&] {
+          return rdf::Term::Iri(spec.iri_base + spec.measure_predicates[m]);
+        });
+        o = memo(&measure_literal[value],
+                 [value] { return rdf::Term::IntegerLiteral(value); });
+        *t = {obs, p, o};
+      }
+      for (size_t a = 0; a < attrs; ++a, ++t) {
+        const ObservationAttrSpec& attr = spec.observation_attrs[a];
+        const size_t v = t->o;
+        p = memo(&attr_pred[a], [&] {
+          return rdf::Term::Iri(spec.iri_base + attr.predicate);
+        });
+        o = memo(&attr_value[a][v],
+                 [&] { return string_literal(attr.values[v]); });
+        *t = {obs, p, o};
+      }
     }
   }
 

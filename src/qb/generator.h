@@ -39,8 +39,14 @@ struct GeneratedDataset {
 /// dataset size: each distinct term is interned once (memoized per
 /// predicate, level member, observation, measure value and attribute
 /// value) in the order per-triple Add() calls would intern it, so term ids
-/// are a pure function of the spec, and triples go in via AddEncoded().
+/// are a pure function of the spec. The observations' random draws run in
+/// chunks of kObservationChunk on a pool sized by rdf::LoadThreads(), each
+/// chunk jumping the RNG to its first draw; their terms are interned on
+/// the calling thread afterwards. Nothing depends on the thread count.
 util::Result<GeneratedDataset> Generate(DatasetSpec spec);
+
+/// Observations per chunk of Generate()'s parallel draw pass.
+inline constexpr uint64_t kObservationChunk = 4096;
 
 }  // namespace re2xolap::qb
 

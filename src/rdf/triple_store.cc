@@ -41,6 +41,14 @@ void IndexBase::AddMemory(StoreMemory* m) const {
                                    2 * sizeof(void*));
 }
 
+size_t LoadThreads(size_t triples) {
+  constexpr size_t kMaxThreads = 8;
+  constexpr size_t kParallelTriples = size_t{1} << 16;
+  return triples < kParallelTriples
+             ? 1
+             : std::min(util::ThreadPool::DefaultThreads(), kMaxThreads);
+}
+
 TripleStore::TripleStore() = default;
 
 TripleStore::~TripleStore() = default;
@@ -53,6 +61,18 @@ void TripleStore::Reserve(size_t triples) {
   assert(!live() && "live stores mutate via store::Ingestor, not Add()");
   Reopen();
   pending_.reserve(triples);
+}
+
+std::span<EncodedTriple> TripleStore::AppendUnwritten(size_t n) {
+  assert(active_readers_.load(std::memory_order_relaxed) == 0 &&
+         "TripleStore::AppendUnwritten() during concurrent reads");
+  assert(!live() && "live stores mutate via store::Ingestor, not Add()");
+  Reopen();
+  const size_t begin = pending_.size();
+  assert(n <= pending_.capacity() - begin &&
+         "AppendUnwritten() beyond the capacity Reserve() made");
+  pending_.resize(begin + n);
+  return std::span<EncodedTriple>(pending_).subspan(begin);
 }
 
 void TripleStore::Reopen() {
@@ -84,12 +104,8 @@ void TripleStore::AdoptFrozenView(
 
 namespace {
 
-// Freeze() runs on one thread per core, at most kMaxFreezeThreads, and on
-// the calling thread alone below kParallelFreezeTriples, where starting
-// threads costs more than it saves. A predicate run shorter than
-// kParallelRunTriples is sorted on the calling thread.
-constexpr size_t kMaxFreezeThreads = 8;
-constexpr size_t kParallelFreezeTriples = size_t{1} << 16;
+// A predicate run shorter than kParallelRunTriples is sorted on the
+// calling thread.
 constexpr size_t kParallelRunTriples = size_t{1} << 14;
 // The scatters split keys into at most 2^kBucketBits buckets.
 constexpr int kBucketBits = 8;
@@ -291,11 +307,15 @@ void TripleStore::Freeze() {
   obs::Span span("store.freeze");
   const long faults = span.active() ? util::MinorFaults() : 0;
   Reopen();
+  // Slots from AppendUnwritten() skipped AddEncoded()'s checks.
+  assert(std::all_of(pending_.begin(), pending_.end(),
+                     [this](const EncodedTriple& t) {
+                       return dict_.IsValid(t.s) && dict_.IsValid(t.p) &&
+                              dict_.IsValid(t.o);
+                     }) &&
+         "a load-buffer triple holds an id the dictionary never issued");
   span.SetAttr("triples", static_cast<uint64_t>(pending_.size()));
-  util::ThreadPool pool(
-      pending_.size() < kParallelFreezeTriples
-          ? 1
-          : std::min(util::ThreadPool::DefaultThreads(), kMaxFreezeThreads));
+  util::ThreadPool pool(LoadThreads(pending_.size()));
   TripleVector pos;
   {
     obs::Span child("store.build_indexes");

@@ -47,6 +47,12 @@ std::unordered_map<TermId, PredicateStats> ComputePredicateStats(
     std::span<const EncodedTriple> pos_sorted,
     util::ThreadPool* pool = nullptr);
 
+/// Threads for one pass over `triples` triples of a load buffer, the
+/// rule Freeze() and qb::Generate() size their pools by: one per core, at
+/// most 8, and the calling thread alone below 2^16 triples, where starting
+/// threads costs more than it saves.
+size_t LoadThreads(size_t triples);
+
 /// Heap vs file-backed split of a store's footprint: `heap_bytes` is
 /// malloc'd memory (dictionary, owned indexes, stats), `mapped_bytes` the
 /// borrowed snapshot image a zero-copy load serves from. Report both —
@@ -140,6 +146,14 @@ class TripleStore {
   /// a loader that knows its count appends without regrowing the list.
   void Reserve(size_t triples);
 
+  /// Appends `n` unwritten triples inside the capacity Reserve() made
+  /// (asserted: a regrowth would copy the whole list) and returns them, so
+  /// a loader can fill its slots out of order or from several threads.
+  /// The caller must write every slot with ids from dictionary() before
+  /// Freeze(), which asserts it in debug builds; no AddEncoded() checks
+  /// run on them.
+  std::span<EncodedTriple> AppendUnwritten(size_t n);
+
   /// Sorts and deduplicates the two stored permutations and computes
   /// predicate statistics. Must be called after loading, before querying.
   /// SPO comes from a counting sort by subject plus a sort of each
@@ -148,10 +162,9 @@ class TripleStore {
   /// build is O(n + |dictionary| + sum of k log k) over subject runs of
   /// length k — near linear when subjects carry few triples each,
   /// O(n log n) in the worst case of one shared subject. It runs on a
-  /// thread pool Freeze() owns: one thread per core, at most 8, and the
-  /// calling thread alone below 2^16 triples. The bytes do not depend on
-  /// the thread count. Peak memory is two copies of the triples. The
-  /// sorted arrays move into a fresh IndexBase.
+  /// thread pool Freeze() owns, sized by LoadThreads(). The bytes do not
+  /// depend on the thread count. Peak memory is two copies of the
+  /// triples. The sorted arrays move into a fresh IndexBase.
   void Freeze();
 
   bool frozen() const { return base_ != nullptr || live(); }

@@ -14,11 +14,16 @@ class Rng {
 
   /// Next raw 64-bit value.
   uint64_t Next() {
-    uint64_t z = (state_ += 0x9E3779B97F4A7C15ULL);
+    uint64_t z = (state_ += kGamma);
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
     return z ^ (z >> 31);
   }
+
+  /// Skips `k` draws in O(1): the state is a counter that each Next()
+  /// steps by the same odd constant, so the generator can be jumped to
+  /// any draw (a parallel loop starts each chunk at its first draw).
+  void Advance(uint64_t k) { state_ += k * kGamma; }
 
   /// Uniform integer in [0, n). n must be > 0.
   uint64_t Uniform(uint64_t n) { return Next() % n; }
@@ -44,6 +49,7 @@ class Rng {
   }
 
  private:
+  static constexpr uint64_t kGamma = 0x9E3779B97F4A7C15ULL;
   uint64_t state_;
 };
 

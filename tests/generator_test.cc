@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "qb/datasets.h"
 #include "qb/generator.h"
 #include "util/hash.h"
+#include "util/rng.h"
 
 namespace re2xolap::qb {
 namespace {
@@ -245,6 +248,15 @@ TEST(GeneratorTest, GeneratedStoreIsBitIdenticalToRecordedDigests) {
        {14500672023350541730ull, 10042637518140192401ull,
         15711433426334556387ull, 10971972233451666563ull,
         10127504776548108951ull}},
+      // The two datasets the end-to-end benchmark serves.
+      {"eurostat-120000", EurostatSpec(120000),
+       {15601311024855975116ull, 16780486661621512604ull,
+        6694938105513030991ull, 15184091551281938630ull,
+        2963162666096874806ull}},
+      {"dbpedia-60000", DbpediaSpec(60000),
+       {1984100497667033196ull, 15699028600025400566ull,
+        3438288832655265073ull, 7894785622057517716ull,
+        6745528599716225733ull}},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -256,6 +268,174 @@ TEST(GeneratorTest, GeneratedStoreIsBitIdenticalToRecordedDigests) {
     EXPECT_EQ(got.pos, c.want.pos);
     EXPECT_EQ(got.osp, c.want.osp);
     EXPECT_EQ(got.stats, c.want.stats);
+  }
+}
+
+// --- reference generator ------------------------------------------------------
+
+// The dataset of `spec` from per-triple Add() calls and one RNG drawing
+// every observation in order on one thread: Generate() as a plain serial
+// loop, without memoized interning, pre-sizing or chunked draws. `spec`
+// must be valid.
+std::unique_ptr<rdf::TripleStore> ReferenceGenerate(const DatasetSpec& spec) {
+  constexpr uint64_t kMeasureRange = 10000;
+  auto store = std::make_unique<rdf::TripleStore>();
+  auto iri = [&spec](const std::string& local) {
+    return rdf::Term::Iri(spec.iri_base + local);
+  };
+  auto member = [&iri](const std::string& level, uint64_t i) {
+    return iri(level + "/" + std::to_string(i));
+  };
+  const rdf::Term label = rdf::Term::Iri(kHasLabel);
+  std::set<std::string> emitted;
+  auto emit_level = [&](const LevelSpec& level) {
+    if (!emitted.insert(level.name).second) return;
+    for (size_t i = 0; i < level.labels.size(); ++i) {
+      store->Add(member(level.name, i), label,
+                 rdf::Term::StringLiteral(level.labels[i]));
+    }
+  };
+  for (const auto& [local, text] : spec.predicate_labels) {
+    store->Add(iri(local), label, rdf::Term::StringLiteral(text));
+  }
+  size_t salt = 1;
+  for (const DimensionSpec& dim : spec.dimensions) {
+    emit_level(*spec.FindLevel(dim.base_level));
+    for (const BranchSpec& branch : dim.branches) {
+      for (const HierarchyStep& step : branch.steps) {
+        const LevelSpec& from = *spec.FindLevel(step.from_level);
+        const LevelSpec& to = *spec.FindLevel(step.to_level);
+        emit_level(from);
+        emit_level(to);
+        const size_t parents = to.member_count();
+        for (size_t i = 0; i < from.member_count(); ++i) {
+          for (size_t k = 0; k < std::min(step.parents_per_member, parents);
+               ++k) {
+            size_t parent;
+            if (step.parent_of && k == 0) {
+              parent = step.parent_of(i);
+            } else if (k == 0 && i < parents) {
+              parent = i;
+            } else {
+              uint64_t h = i * 2654435761ULL + (salt + k) * 0x9E3779B97F4A7C15ULL;
+              h ^= h >> 29;
+              parent = static_cast<size_t>(h % parents);
+            }
+            store->Add(member(from.name, i), iri(step.predicate),
+                       member(to.name, parent % parents));
+          }
+        }
+        ++salt;
+      }
+    }
+  }
+  const rdf::Term type = rdf::Term::Iri(kRdfType);
+  const rdf::Term cls = rdf::Term::Iri(spec.observation_class);
+  util::Rng rng(spec.seed);
+  for (uint64_t n = 0; n < spec.observations; ++n) {
+    const rdf::Term obs = member("obs", n);
+    store->Add(obs, type, cls);
+    for (const DimensionSpec& dim : spec.dimensions) {
+      const uint64_t members = spec.FindLevel(dim.base_level)->member_count();
+      uint64_t m = n;
+      if (n >= members) m = std::min(rng.Skewed(members), members - 1);
+      store->Add(obs, iri(dim.predicate), member(dim.base_level, m));
+    }
+    for (const std::string& measure : spec.measure_predicates) {
+      const int64_t value = 1 + static_cast<int64_t>(rng.Skewed(kMeasureRange));
+      store->Add(obs, iri(measure), rdf::Term::IntegerLiteral(value));
+    }
+    for (const ObservationAttrSpec& attr : spec.observation_attrs) {
+      const size_t v = rng.Uniform(attr.values.size());
+      store->Add(obs, iri(attr.predicate),
+                 rdf::Term::StringLiteral(attr.values[v]));
+    }
+  }
+  store->Freeze();
+  return store;
+}
+
+void ExpectSameStore(const rdf::TripleStore& got,
+                     const rdf::TripleStore& want) {
+  ASSERT_EQ(got.dictionary().size(), want.dictionary().size());
+  for (rdf::TermId id = 1; id <= want.dictionary().size(); ++id) {
+    const rdf::TermView g = got.term(id);
+    const rdf::TermView w = want.term(id);
+    ASSERT_TRUE(g.kind == w.kind && g.literal_type == w.literal_type &&
+                g.value == w.value)
+        << "term " << id << ": " << g.ToString() << " vs " << w.ToString();
+  }
+  for (rdf::Perm perm : {rdf::Perm::kSpo, rdf::Perm::kPos}) {
+    std::vector<rdf::EncodedTriple> g, w;
+    for (const rdf::EncodedTriple& t : got.PermutationRange(perm)) {
+      g.push_back(t);
+    }
+    for (const rdf::EncodedTriple& t : want.PermutationRange(perm)) {
+      w.push_back(t);
+    }
+    ASSERT_EQ(g.size(), w.size());
+    const auto diff = std::mismatch(g.begin(), g.end(), w.begin());
+    EXPECT_TRUE(diff.first == g.end())
+        << "permutation " << static_cast<int>(perm) << " differs at "
+        << diff.first - g.begin();
+  }
+}
+
+// A spec that puts more than one chunk of members on a base level, so the
+// coverage pass ends inside the second chunk; two measures; and an
+// attribute value that is also a level label, so interning it returns an
+// existing id.
+DatasetSpec WideSpec(uint64_t observations, bool attributes) {
+  DatasetSpec spec;
+  spec.name = "wide";
+  spec.iri_base = "http://example.org/wide/";
+  spec.observation_class = spec.iri_base + "Observation";
+  spec.measure_predicates = {"amount", "weight"};
+  LevelSpec item{"item", {}};
+  for (uint64_t i = 0; i < kObservationChunk + kObservationChunk / 2 + 7; ++i) {
+    item.labels.push_back("item " + std::to_string(i));
+  }
+  spec.levels = {item,
+                 {"group", {"small", "medium", "large"}},
+                 {"color", {"red", "green", "blue", "black"}}};
+  spec.dimensions = {
+      {"Item", "item", "item",
+       {BranchSpec{{HierarchyStep{"inGroup", "item", "group", nullptr, 2}}}}},
+      {"Color", "color", "color", {}}};
+  if (attributes) {
+    spec.observation_attrs = {{"finish", {"matte", "red", "glossy"}}};
+  }
+  spec.predicate_labels = {{"item", "Item"}, {"amount", "Amount"}};
+  spec.observations = observations;
+  spec.seed = 5;
+  return spec;
+}
+
+// Generate() draws observations in chunks on a pool and interns them
+// afterwards; the serial reference must come out the same, id for id, on
+// every chunk seam.
+TEST(GeneratorTest, MatchesSerialReferenceGenerator) {
+  struct Case {
+    std::string name;
+    DatasetSpec spec;
+  };
+  const uint64_t chunk = kObservationChunk;
+  const Case cases[] = {
+      {"eurostat-1", EurostatSpec(1)},
+      {"eurostat-chunk-1", EurostatSpec(chunk - 1)},
+      {"eurostat-chunk", EurostatSpec(chunk)},
+      {"eurostat-chunk+1", EurostatSpec(chunk + 1)},
+      // Above the size at which the draw pass starts threads.
+      {"eurostat-3.3-chunks", EurostatSpec(3 * chunk + 1234)},
+      {"dbpedia-2-chunks+3", DbpediaSpec(2 * chunk + 3)},
+      {"wide", WideSpec(3 * chunk + 5, true)},
+      {"wide-no-attributes", WideSpec(3 * chunk + 5, false)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto ds = Generate(c.spec);
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    ExpectSameStore(*ds->store, *ReferenceGenerate(c.spec));
   }
 }
 

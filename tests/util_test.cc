@@ -225,6 +225,18 @@ TEST(RngTest, SkewedFavorsSmallIndices) {
   EXPECT_GT(small, n / 3);
 }
 
+TEST(RngTest, AdvanceMatchesRepeatedNext) {
+  // A seed just below 2^64: the very first step wraps the state.
+  const uint64_t seed = ~uint64_t{0} - 5;
+  for (uint64_t k : {0ull, 1ull, 7ull, 4096ull, 1000000ull}) {
+    SCOPED_TRACE(k);
+    Rng stepped(seed), jumped(seed);
+    for (uint64_t i = 0; i < k; ++i) stepped.Next();
+    jumped.Advance(k);
+    for (int i = 0; i < 3; ++i) EXPECT_EQ(jumped.Next(), stepped.Next());
+  }
+}
+
 // --- TablePrinter --------------------------------------------------------------------
 
 TEST(TablePrinterTest, AlignsColumns) {
