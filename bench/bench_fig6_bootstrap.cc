@@ -63,15 +63,14 @@ BenchEnv MakeTimedEnv(const std::string& name, uint64_t obs,
 }  // namespace
 
 int main() {
-
   JsonBenchLog log("fig6_bootstrap");
 
   std::cout << "=== Figure 6c: bootstrap time per dataset ===\n\n";
   // Generate includes its observation passes and its Freeze, which are
   // also shown on their own.
   util::TablePrinter t({"Dataset", "#Obs", "Generate (ms)", "Draw (ms)",
-                        "Intern (ms)", "Freeze (ms)", "VGraph (ms)", "TextIndex (ms)",
-                        "Bootstrap total (ms)", "Store scans",
+                        "Intern (ms)", "Freeze (ms)", "VGraph (ms)",
+                        "TextIndex (ms)", "Bootstrap total (ms)", "Store scans",
                         "Members visited", "Generate faults",
                         "Freeze faults", "VGraph faults",
                         "TextIndex faults"});

@@ -85,8 +85,9 @@ struct EngineCacheStats {
 ///   entries.
 ///
 /// Invalidation: every Execute compares the store's freeze_epoch()
-/// against the epoch the caches were built at; a re-Freeze() (the only
-/// way new data becomes visible) clears both caches, and the epoch is
+/// against the epoch the caches were built at. New data becomes visible
+/// only with a new epoch (a re-Freeze(), or on a live store a published
+/// ingest batch or compaction), which clears both caches; the epoch is
 /// also part of every key, so a stale entry can never be served even if
 /// it races the clear.
 ///

@@ -169,10 +169,11 @@ class TripleStore {
 
   bool frozen() const { return base_ != nullptr || live(); }
 
-  /// Monotone counter bumped by every Freeze(). Caches keyed on query
-  /// results (e.g. engine::QueryEngine) include the epoch in their keys so
-  /// a re-Freeze() — the only way new data becomes visible — invalidates
-  /// every entry derived from the previous index state. 0 = never frozen.
+  /// Monotone counter bumped whenever new data becomes visible: by every
+  /// Freeze() and, on a live store, by every published chain (an ingest
+  /// batch or a compaction). Caches keyed on query results (e.g.
+  /// engine::QueryEngine) include the epoch in their keys, so every entry
+  /// derived from an earlier index state is invalidated. 0 = never frozen.
   /// Snapshot restore (AdoptFrozenView) reinstalls the epoch the image was
   /// saved at, so cache keys behave identically across a save/load cycle.
   /// Live stores (EnterLive) answer with the current epoch chain's epoch,

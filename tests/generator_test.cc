@@ -271,7 +271,7 @@ TEST(GeneratorTest, GeneratedStoreIsBitIdenticalToRecordedDigests) {
   }
 }
 
-// --- reference generator ------------------------------------------------------
+// --- reference generator -------------------------------------------------
 
 // The dataset of `spec` from per-triple Add() calls and one RNG drawing
 // every observation in order on one thread: Generate() as a plain serial
@@ -317,7 +317,8 @@ std::unique_ptr<rdf::TripleStore> ReferenceGenerate(const DatasetSpec& spec) {
             } else if (k == 0 && i < parents) {
               parent = i;
             } else {
-              uint64_t h = i * 2654435761ULL + (salt + k) * 0x9E3779B97F4A7C15ULL;
+              uint64_t h =
+                  i * 2654435761ULL + (salt + k) * 0x9E3779B97F4A7C15ULL;
               h ^= h >> 29;
               parent = static_cast<size_t>(h % parents);
             }
