@@ -14,7 +14,8 @@
 // minor page faults (getrusage ru_minflt deltas), so a set-up change shows
 // how much of its cost is first touches of freshly allocated memory, and
 // Generate's phases get columns of their own, read from their spans: the
-// observations' parallel draw pass (qb.generate.draw), their serial
+// sizing, level members, labels and hierarchy edges (qb.generate.levels),
+// the observations' parallel draw pass (qb.generate.draw), their serial
 // interning (qb.generate.intern) and TripleStore::Freeze (store.freeze).
 
 #include <algorithm>
@@ -34,14 +35,15 @@ using namespace re2xolap::bench;
 
 namespace {
 
-// Wall time of Generate's observation passes, from their spans.
+// Wall time of Generate's passes, from their spans.
 struct GeneratePasses {
+  double levels_millis = 0;
   double draw_millis = 0;
   double intern_millis = 0;
 };
 
-// MakeEnv() with Generate traced, so that its draw and intern spans can be
-// read; the tracer is left as found.
+// MakeEnv() with Generate traced, so that its levels, draw and intern spans
+// can be read; the tracer is left as found.
 BenchEnv MakeTimedEnv(const std::string& name, uint64_t obs,
                       GeneratePasses* passes) {
   obs::Tracer& tracer = obs::Tracer::Global();
@@ -50,7 +52,9 @@ BenchEnv MakeTimedEnv(const std::string& name, uint64_t obs,
   BenchEnv env = MakeEnv(name, obs);
   tracer.SetEnabled(tracing);
   for (const obs::SpanEvent& span : tracer.Snapshot()) {  // the last wins
-    if (span.name == "qb.generate.draw") {
+    if (span.name == "qb.generate.levels") {
+      passes->levels_millis = span.dur_micros / 1000;
+    } else if (span.name == "qb.generate.draw") {
       passes->draw_millis = span.dur_micros / 1000;
     } else if (span.name == "qb.generate.intern") {
       passes->intern_millis = span.dur_micros / 1000;
@@ -66,11 +70,12 @@ int main() {
   JsonBenchLog log("fig6_bootstrap");
 
   std::cout << "=== Figure 6c: bootstrap time per dataset ===\n\n";
-  // Generate includes its observation passes and its Freeze, which are
-  // also shown on their own.
-  util::TablePrinter t({"Dataset", "#Obs", "Generate (ms)", "Draw (ms)",
-                        "Intern (ms)", "Freeze (ms)", "VGraph (ms)",
-                        "TextIndex (ms)", "Bootstrap total (ms)", "Store scans",
+  // Generate includes its levels pass, its observation passes and its
+  // Freeze, which are also shown on their own.
+  util::TablePrinter t({"Dataset", "#Obs", "Generate (ms)", "Levels (ms)",
+                        "Draw (ms)", "Intern (ms)", "Freeze (ms)",
+                        "VGraph (ms)", "TextIndex (ms)",
+                        "Bootstrap total (ms)", "Store scans",
                         "Members visited", "Generate faults",
                         "Freeze faults", "VGraph faults",
                         "TextIndex faults"});
@@ -79,8 +84,9 @@ int main() {
     GeneratePasses passes;
     BenchEnv env = MakeTimedEnv(name, obs, &passes);
     t.AddRow({name, std::to_string(obs), Ms(env.generate_millis),
-              Ms(passes.draw_millis), Ms(passes.intern_millis),
-              Ms(env.freeze_millis), Ms(env.vsg_millis), Ms(env.text_millis),
+              Ms(passes.levels_millis), Ms(passes.draw_millis),
+              Ms(passes.intern_millis), Ms(env.freeze_millis),
+              Ms(env.vsg_millis), Ms(env.text_millis),
               Ms(env.vsg_millis + env.text_millis),
               std::to_string(env.vsg_stats.store_scans),
               std::to_string(env.vsg_stats.members_visited),
@@ -218,6 +224,7 @@ int main() {
         .Num("vsg_build_millis", env.vsg_millis)
         .Num("text_index_millis", env.text_millis)
         .Num("generate_millis", env.generate_millis)
+        .Num("levels_millis", passes.levels_millis)
         .Num("draw_millis", passes.draw_millis)
         .Num("intern_millis", passes.intern_millis)
         .Num("freeze_millis", env.freeze_millis)

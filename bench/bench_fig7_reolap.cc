@@ -11,11 +11,7 @@
 //   7b: <10 queries on average for sizes 1–2; the count grows with shared
 //       members / number of hierarchies.
 
-// The trailing thread sweep measures the parallel validation subsystem:
-// Synthesize with num_threads in {1, 2, 4, 8} on the same inputs, checking
-// that every thread count produces byte-identical candidates (description +
-// SPARQL text) and reporting the validation-phase speedup over 1 thread.
-// Machine-readable per-phase timings land in BENCH_reolap.json.
+// Machine-readable timings land in BENCH_reolap.json.
 
 #include <iostream>
 
@@ -23,23 +19,6 @@
 #include "engine/query_engine.h"
 #include "sparql/ast.h"
 #include "sparql/executor.h"
-
-namespace {
-
-/// Canonical byte signature of a candidate list (descriptions + SPARQL).
-std::string CandidateSignature(
-    const std::vector<re2xolap::core::CandidateQuery>& candidates) {
-  std::string sig;
-  for (const auto& c : candidates) {
-    sig += c.description;
-    sig += '\n';
-    sig += re2xolap::sparql::ToSparql(c.query);
-    sig += '\n';
-  }
-  return sig;
-}
-
-}  // namespace
 
 int main() {
   using namespace re2xolap;
@@ -99,76 +78,7 @@ int main() {
                "interpretation combinations); sizes 1-2 yield <10 queries "
                "on average.\n";
 
-  // --- Thread sweep: parallel validation vs serial ------------------------
-  constexpr int kSweepInputs = 8;
-  constexpr size_t kSweepSize = 3;  // validation-heavy input size
-  const std::vector<size_t> kThreadCounts = {1, 2, 4, 8};
-
-  std::cout << "\n=== Parallel validation sweep (input size "
-            << kSweepSize << ", " << kSweepInputs << " inputs, "
-            << "hardware_concurrency="
-            << util::ThreadPool::DefaultThreads() << ") ===\n\n";
-  util::TablePrinter sweep({"Dataset", "Threads", "Total (ms)",
-                            "Validate (ms)", "Speedup(val)", "Identical"});
   JsonBenchLog log("fig7_reolap");
-
-  for (const std::string& name : AllDatasets()) {
-    BenchEnv env = MakeEnv(name, DefaultObservations(name));
-    engine::QueryEngine uncached(env.store(), kUncached);
-    core::Reolap reolap(env.vsg.get(), env.text.get(), uncached);
-    // Fixed inputs shared by every thread count.
-    util::Rng rng(99);
-    std::vector<std::vector<std::string>> tuples;
-    while (tuples.size() < kSweepInputs) {
-      std::vector<std::string> t = SampleExampleTuple(env, kSweepSize, rng);
-      if (t.empty()) break;
-      tuples.push_back(std::move(t));
-    }
-
-    double serial_validate_ms = 0;
-    std::vector<std::string> serial_sigs;
-    for (size_t threads : kThreadCounts) {
-      core::ReolapOptions options;
-      options.num_threads = threads;
-      double total_ms = 0, match_ms = 0, combine_ms = 0, validate_ms = 0;
-      bool identical = true;
-      for (size_t i = 0; i < tuples.size(); ++i) {
-        core::ReolapStats stats;
-        util::WallTimer timer;
-        auto queries = reolap.Synthesize(tuples[i], options, &stats);
-        total_ms += timer.ElapsedMillis();
-        if (!queries.ok()) continue;
-        match_ms += stats.match_millis;
-        combine_ms += stats.combine_millis;
-        validate_ms += stats.validate_millis;
-        std::string sig = CandidateSignature(*queries);
-        if (threads == 1) {
-          serial_sigs.push_back(std::move(sig));
-        } else if (i >= serial_sigs.size() || sig != serial_sigs[i]) {
-          identical = false;
-        }
-      }
-      if (threads == 1) serial_validate_ms = validate_ms;
-      double speedup =
-          validate_ms > 0 ? serial_validate_ms / validate_ms : 1.0;
-      sweep.AddRow({name, std::to_string(threads), Ms(total_ms),
-                    Ms(validate_ms), Ms(speedup), identical ? "yes" : "NO"});
-      log.AddRecord()
-          .Str("dataset", name)
-          .Int("threads", static_cast<long long>(threads))
-          .Int("inputs", static_cast<long long>(tuples.size()))
-          .Num("total_ms", total_ms)
-          .Num("match_ms", match_ms)
-          .Num("combine_ms", combine_ms)
-          .Num("validate_ms", validate_ms)
-          .Num("validate_speedup_vs_1thread", speedup)
-          .Bool("identical_to_serial", identical);
-    }
-  }
-  sweep.Print(std::cout);
-  std::cout << "\nExpectation: validation speedup approaches the physical "
-               "core count (the probes are independent read-only LIMIT-1 "
-               "queries); every thread count must report Identical=yes.\n";
 
   // --- Cache ablation: repeated-probe validation through the engine -------
   // Re-synthesizing the same example tuples (a user retrying an input, or

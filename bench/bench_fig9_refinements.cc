@@ -100,17 +100,10 @@ int main() {
   std::cout << "\n--- Fig 9b: number of refinements produced (avg) ---\n";
   t9b.Print(std::cout);
 
-  // --- Thread sweep: concurrent refinement evaluation ----------------------
+  // --- Refinement evaluation --------------------------------------------------
   // After one Disaggregate step the session holds N candidate refinements;
   // evaluating all of them (the "preview every refinement" workload) is N
-  // independent read-only aggregate queries — the ExRef counterpart of
-  // ReOLAP's validation fan-out.
-  const std::vector<size_t> kThreadCounts = {1, 2, 4, 8};
-  std::cout << "\n=== Parallel refinement evaluation sweep "
-               "(hardware_concurrency="
-            << util::ThreadPool::DefaultThreads() << ") ===\n\n";
-  util::TablePrinter sweep({"Dataset", "Refinements", "Threads",
-                            "Eval (ms)", "Speedup", "Rows(total)"});
+  // read-only aggregate queries.
   util::TablePrinter ablation({"Dataset", "Engine cache", "Pass1 (ms)",
                                "Pass2 (ms)", "Pass2 speedup vs off"});
   JsonBenchLog log("fig9_refinements");
@@ -134,38 +127,6 @@ int main() {
       states = core::Disaggregate(*env.vsg, env.store(), state);
     }
     if (states.empty()) continue;
-
-    // Caches off: every evaluation below re-executes its query, so the
-    // sweep and the "off" arm of the cache ablation measure execution.
-    double serial_ms = 0;
-    size_t serial_rows = 0;
-    for (size_t threads : kThreadCounts) {
-      util::ThreadPool pool(threads);
-      util::WallTimer timer;
-      auto tables = core::EvaluateStates(uncached, states, exec,
-                                         threads > 1 ? &pool : nullptr);
-      double ms = timer.ElapsedMillis();
-      size_t rows = 0;
-      for (const auto& t : tables) {
-        if (t.ok()) rows += (*t)->row_count();
-      }
-      if (threads == 1) {
-        serial_ms = ms;
-        serial_rows = rows;
-      }
-      double speedup = ms > 0 ? serial_ms / ms : 1.0;
-      sweep.AddRow({name, std::to_string(states.size()),
-                    std::to_string(threads), Ms(ms), Ms(speedup),
-                    std::to_string(rows)});
-      log.AddRecord()
-          .Str("dataset", name)
-          .Int("refinements", static_cast<long long>(states.size()))
-          .Int("threads", static_cast<long long>(threads))
-          .Num("eval_ms", ms)
-          .Num("eval_speedup_vs_1thread", speedup)
-          .Int("result_rows", static_cast<long long>(rows))
-          .Bool("identical_to_serial", rows == serial_rows);
-    }
 
     // --- Uncached execution: the same frontier, one query at a time ----
     // Per-query execution of the Disaggregate frontier through the
@@ -242,7 +203,6 @@ int main() {
           .Bool("identical_rows", !on || rows_on == rows_off);
     }
   }
-  sweep.Print(std::cout);
   std::cout << "\n=== Engine result-cache ablation (same frontier, two "
                "passes) ===\n\n";
   ablation.Print(std::cout);

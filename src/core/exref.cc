@@ -132,13 +132,9 @@ ExploreState DisaggregateOne(const rdf::TripleStore& store,
 
 std::vector<ExploreState> Disaggregate(const VirtualSchemaGraph& vsg,
                                        const rdf::TripleStore& store,
-                                       const ExploreState& state,
-                                       util::ThreadPool* pool) {
+                                       const ExploreState& state) {
   obs::Span span("exref.disaggregate");
-  // Filter the valid candidate paths first (cheap pointer checks), then
-  // derive the refined states — each from `state` alone, so the per-path
-  // constructions are independent and land in order-preserving slots.
-  std::vector<const LevelPath*> valid;
+  std::vector<ExploreState> out;
   for (const LevelPath& candidate : vsg.level_paths()) {
     bool invalid = false;
     for (const LevelPath* present : state.paths) {
@@ -148,72 +144,41 @@ std::vector<ExploreState> Disaggregate(const VirtualSchemaGraph& vsg,
         break;
       }
     }
-    if (!invalid) valid.push_back(&candidate);
-  }
-  std::vector<ExploreState> out(valid.size());
-  auto build_one = [&](size_t i) {
-    out[i] = DisaggregateOne(store, state, *valid[i]);
-  };
-  if (pool != nullptr && valid.size() > 1) {
-    pool->ParallelFor(valid.size(), build_one);
-  } else {
-    for (size_t i = 0; i < valid.size(); ++i) build_one(i);
+    if (!invalid) out.push_back(DisaggregateOne(store, state, candidate));
   }
   return out;
 }
 
-namespace {
-
-/// Folds the per-index skip markers into a Degradation report — called
-/// once on the calling thread after the fan-out, so it is race-free.
-void ReportSkipped(const std::vector<uint8_t>& skipped, size_t n_states,
-                   util::Degradation* degradation) {
-  if (degradation == nullptr) return;
-  size_t n_skipped = 0;
-  for (uint8_t s : skipped) n_skipped += s;
-  if (n_skipped == 0) return;
-  degradation->truncated = true;
-  degradation->degraded_reason =
-      std::to_string(n_skipped) + " of " + std::to_string(n_states) +
-      " preview evaluations skipped: deadline/budget exhausted";
-}
-
-}  // namespace
-
 std::vector<util::Result<engine::TableHandle>> EvaluateStates(
     engine::QueryEngine& engine, const std::vector<ExploreState>& states,
-    const sparql::ExecOptions& exec, util::ThreadPool* pool,
-    std::vector<sparql::ExecStats>* stats, const util::ExecGuard* guard,
-    util::Degradation* degradation) {
+    const sparql::ExecOptions& exec, std::vector<sparql::ExecStats>* stats,
+    const util::ExecGuard* guard, util::Degradation* degradation) {
   obs::Span span("exref.evaluate_states");
   span.SetAttr("states", static_cast<uint64_t>(states.size()));
   std::vector<util::Result<engine::TableHandle>> out;
   out.reserve(states.size());
-  for (size_t i = 0; i < states.size(); ++i) {
-    out.emplace_back(util::Status::Internal("not evaluated"));
-  }
   if (stats != nullptr) stats->assign(states.size(), sparql::ExecStats{});
-  std::vector<uint8_t> skipped(states.size(), 0);
-  auto eval_one = [&](size_t i) {
+  size_t n_skipped = 0;
+  for (size_t i = 0; i < states.size(); ++i) {
     // Min-progress: state 0 always runs, so even an expired deadline
     // yields one real preview; later states degrade to skipped slots.
     if (guard != nullptr && i > 0) {
       util::Status g = guard->Check();
       if (!g.ok()) {
-        skipped[i] = 1;
-        out[i] = std::move(g);
-        return;
+        ++n_skipped;
+        out.emplace_back(std::move(g));
+        continue;
       }
     }
-    out[i] = engine.Execute(states[i].query, exec,
-                            stats != nullptr ? &(*stats)[i] : nullptr);
-  };
-  if (pool != nullptr && states.size() > 1) {
-    pool->ParallelFor(states.size(), eval_one);
-  } else {
-    for (size_t i = 0; i < states.size(); ++i) eval_one(i);
+    out.push_back(engine.Execute(states[i].query, exec,
+                                 stats != nullptr ? &(*stats)[i] : nullptr));
   }
-  ReportSkipped(skipped, states.size(), degradation);
+  if (degradation != nullptr && n_skipped > 0) {
+    degradation->truncated = true;
+    degradation->degraded_reason =
+        std::to_string(n_skipped) + " of " + std::to_string(states.size()) +
+        " preview evaluations skipped: deadline/budget exhausted";
+  }
   return out;
 }
 

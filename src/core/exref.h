@@ -10,7 +10,6 @@
 #include "sparql/result_table.h"
 #include "util/exec_guard.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace re2xolap::core {
 
@@ -52,38 +51,29 @@ std::vector<size_t> ExampleRowIndexes(const ExploreState& state,
 /// Enumerates, purely on the virtual graph, every level path not yet in the
 /// query that does not re-aggregate at a coarser level of an existing path
 /// (a candidate extending a present path upward is discarded). One refined
-/// state per valid path. Cost O(|L|), no store access. Each refined state
-/// is derived from `state` independently, so when `pool` is non-null the
-/// per-path state construction fans out across it (the output order — one
-/// state per valid path in vsg.level_paths() order — is unchanged).
+/// state per valid path, in vsg.level_paths() order. Cost O(|L|), no
+/// store access.
 std::vector<ExploreState> Disaggregate(const VirtualSchemaGraph& vsg,
                                        const rdf::TripleStore& store,
-                                       const ExploreState& state,
-                                       util::ThreadPool* pool = nullptr);
+                                       const ExploreState& state);
 
-/// Executes every state's query through `engine`, fanning the evaluations
-/// across `pool` (serial when null). Result i corresponds to states[i];
-/// per-query ExecStats land in `stats` (resized to match) when non-null,
-/// so the aggregation is race-free by construction. This is the ExRef
-/// counterpart of ReOLAP's parallel validation: after a refinement step
-/// produces N candidate queries, their (read-only) evaluations are
-/// independent probes against the store. Repeated evaluations of the same
-/// refinement (across rounds, or shared prefixes re-offered after Back())
-/// are served from the engine's result cache, and planning is amortized
-/// across threads; an engine built with both caches disabled evaluates
-/// every state afresh. Results are handles into the cache — copy-free,
-/// shared, immutable.
+/// Executes every state's query through `engine`, in order, on the calling
+/// thread. Result i corresponds to states[i]; per-query ExecStats land in
+/// `stats` (resized to match) when non-null. Repeated evaluations of the
+/// same refinement (across rounds, or shared prefixes re-offered after
+/// Back()) are served from the engine's result cache; an engine built with
+/// both caches disabled evaluates every state afresh. Results are handles
+/// into the cache — copy-free, shared, immutable.
 ///
 /// Graceful degradation: when `guard` is supplied, states beyond the
 /// first are skipped once the guard trips — their slots hold the guard's
 /// error status (kTimeout / kResourceExhausted / kCancelled) while state
 /// 0 is always evaluated, so a preview round under an expired deadline
 /// still produces at least one real result. `degradation` (when non-null)
-/// reports whether and why slots were skipped; it is written only after
-/// the fan-out completes, race-free.
+/// reports whether and why slots were skipped.
 std::vector<util::Result<engine::TableHandle>> EvaluateStates(
     engine::QueryEngine& engine, const std::vector<ExploreState>& states,
-    const sparql::ExecOptions& exec = {}, util::ThreadPool* pool = nullptr,
+    const sparql::ExecOptions& exec = {},
     std::vector<sparql::ExecStats>* stats = nullptr,
     const util::ExecGuard* guard = nullptr,
     util::Degradation* degradation = nullptr);

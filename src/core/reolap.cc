@@ -1,7 +1,6 @@
 #include "core/reolap.h"
 
 #include <algorithm>
-#include <memory>
 #include <set>
 
 #include "core/describe.h"
@@ -20,23 +19,6 @@ namespace {
 std::string IriLocalName(std::string_view iri) {
   size_t cut = iri.find_last_of("/#");
   return std::string(cut == std::string::npos ? iri : iri.substr(cut + 1));
-}
-
-/// Resolves the effective validation parallelism of `options`.
-size_t EffectiveThreads(const ReolapOptions& options) {
-  return options.num_threads == 0 ? util::ThreadPool::DefaultThreads()
-                                  : options.num_threads;
-}
-
-/// Returns the pool to fan work onto: the caller-supplied one, a freshly
-/// created local pool (owned by `local`), or nullptr for serial runs.
-util::ThreadPool* ResolvePool(const ReolapOptions& options,
-                              std::unique_ptr<util::ThreadPool>* local) {
-  if (options.pool != nullptr) return options.pool;
-  size_t threads = EffectiveThreads(options);
-  if (threads <= 1) return nullptr;
-  *local = std::make_unique<util::ThreadPool>(threads);
-  return local->get();
 }
 
 /// Column/variable name for the group-by variable of an interpretation:
@@ -234,7 +216,7 @@ util::Result<std::vector<CandidateQuery>> Reolap::Synthesize(
   // Overall-deadline guard: the caller's guard when supplied, otherwise a
   // local one derived from overall_deadline_millis. Expiry degrades the
   // synthesis (partial-but-validated candidates, truncated flag in stats)
-  // rather than erroring; the first validation block always completes, so
+  // rather than erroring; the first combination is always probed, so
   // even an already expired deadline yields a usable answer.
   util::ExecGuard local_guard;
   ReolapOptions opts = options;
@@ -243,26 +225,16 @@ util::Result<std::vector<CandidateQuery>> Reolap::Synthesize(
     opts.guard = &local_guard;
   }
   const util::ExecGuard* guard = opts.guard;
-  std::unique_ptr<util::ThreadPool> local_pool;
-  util::ThreadPool* pool = ResolvePool(opts, &local_pool);
-  if (stats) stats->threads_used = EffectiveThreads(opts);
   obs::Span synth_span("reolap.synthesize");
   synth_span.SetAttr("values", static_cast<uint64_t>(example_tuple.size()));
   util::WallTimer timer;
 
-  // Lines 2–7 of Algorithm 1: interpretations per value. Each value's
-  // MATCHES() is independent and read-only, so values fan out across the
-  // pool into per-index slots (order-preserving).
+  // Lines 2–7 of Algorithm 1: interpretations per value.
   std::vector<std::vector<Interpretation>> dims(example_tuple.size());
   {
     obs::Span match_span("reolap.match");
-    auto match_one = [&](size_t i) {
+    for (size_t i = 0; i < dims.size(); ++i) {
       dims[i] = MatchValue(example_tuple[i], opts);
-    };
-    if (pool != nullptr && example_tuple.size() > 1) {
-      pool->ParallelFor(dims.size(), match_one);
-    } else {
-      for (size_t i = 0; i < dims.size(); ++i) match_one(i);
     }
   }
   for (const auto& d : dims) {
@@ -282,32 +254,21 @@ util::Result<std::vector<CandidateQuery>> Reolap::Synthesize(
 
   // Lines 8–11: combine interpretations. Within one combination every value
   // must map to a distinct dimension (distinct root predicates): a single
-  // result tuple carries one member per dimension.
-  //
-  // The probe fan-out works in blocks to stay deterministic: the odometer
-  // enumerates the next block of deduplicated combinations in serial
-  // order, the block's LIMIT-1 probes run concurrently into per-index
-  // verdict slots, and the verdicts are then consumed back in serial
-  // order — so the output candidates, their ordering, and the stats
-  // counters are byte-identical for every thread count (the only
-  // difference is up to one block of extra probes past the max_queries
-  // cut-off, whose verdicts are discarded uncounted).
+  // result tuple carries one member per dimension. Each unique combination
+  // is probed as soon as the odometer reaches it.
   std::vector<CandidateQuery> out;
   std::vector<Interpretation> combo(example_tuple.size());
   std::set<std::vector<std::pair<rdf::TermId, const LevelPath*>>> emitted;
 
-  const size_t block_size =
-      pool == nullptr ? 1 : std::max<size_t>(4 * (pool->size() + 1), 16);
-  std::vector<std::vector<Interpretation>> pending;
   std::vector<size_t> idx(example_tuple.size(), 0);
   bool exhausted = false, capped = false;
   double combine_ms = 0, validate_ms = 0;
   obs::Span combine_span("reolap.combine_validate");
   while (!exhausted && !capped) {
-    // Enumerate the next block of unique, distinct-dimension combos.
+    // Enumerate the next unique, distinct-dimension combo into `combo`.
     timer.Restart();
-    pending.clear();
-    while (!exhausted && pending.size() < block_size) {
+    bool found = false;
+    while (!exhausted && !found) {
       bool ok = true;
       std::set<rdf::TermId> used_dims;
       for (size_t i = 0; i < idx.size() && ok; ++i) {
@@ -323,7 +284,7 @@ util::Result<std::vector<CandidateQuery>> Reolap::Synthesize(
         for (const Interpretation& in : combo) {
           sig.emplace_back(in.member, in.path);
         }
-        if (emitted.insert(sig).second) pending.push_back(combo);
+        found = emitted.insert(sig).second;
       }
       // Advance the odometer.
       size_t pos = 0;
@@ -335,10 +296,10 @@ util::Result<std::vector<CandidateQuery>> Reolap::Synthesize(
       if (pos == idx.size()) exhausted = true;
     }
     combine_ms += timer.ElapsedMillis();
+    if (!found) break;
 
-    // Probe the block concurrently; verdicts land in per-index slots.
     // Per-probe timeouts are clamped to the remaining overall budget
-    // (floored at 1 ms so the min-progress block still runs real probes).
+    // (floored at 1 ms so the min-progress probe is a real one).
     uint64_t probe_timeout = opts.validation_timeout_millis;
     if (guard != nullptr && guard->has_deadline()) {
       uint64_t remaining = guard->remaining_millis();
@@ -348,38 +309,23 @@ util::Result<std::vector<CandidateQuery>> Reolap::Synthesize(
       probe_timeout = std::max<uint64_t>(1, probe_timeout);
     }
     timer.Restart();
-    std::vector<uint8_t> valid(pending.size(), 1);
-    if (opts.validate && !pending.empty()) {
-      auto probe = [&](size_t i) {
-        valid[i] =
-            ValidateCombo(pending[i], probe_timeout) ? 1
-                                                                         : 0;
-      };
-      if (pool != nullptr) {
-        pool->ParallelFor(pending.size(), probe);
-      } else {
-        for (size_t i = 0; i < pending.size(); ++i) probe(i);
-      }
-    }
+    const bool valid = !opts.validate || ValidateCombo(combo, probe_timeout);
     validate_ms += timer.ElapsedMillis();
 
-    // Consume verdicts in serial candidate order.
     timer.Restart();
-    for (size_t i = 0; i < pending.size() && !capped; ++i) {
-      if (stats) ++stats->combinations_checked;
-      if (valid[i]) {
-        if (stats) ++stats->validated_ok;
-        // Different members on the same path family produce the same
-        // query shape; the paper still treats them as one query per
-        // combination of *levels*. Dedupe output queries by path set.
-        out.push_back(BuildQuery(pending[i], opts));
-        if (out.size() >= opts.max_queries) capped = true;
-      }
+    if (stats) ++stats->combinations_checked;
+    if (valid) {
+      if (stats) ++stats->validated_ok;
+      // Different members on the same path family produce the same
+      // query shape; the paper still treats them as one query per
+      // combination of *levels*. Dedupe output queries by path set.
+      out.push_back(BuildQuery(combo, opts));
+      if (out.size() >= opts.max_queries) capped = true;
     }
     combine_ms += timer.ElapsedMillis();
 
-    // Degradation point: checked only *after* a block has been fully
-    // consumed, so the first block's candidates always survive.
+    // Degradation point: checked only *after* a combination has been
+    // consumed, so the first combination's candidate always survives.
     if (guard != nullptr && !exhausted && !capped && !guard->Check().ok()) {
       if (stats) {
         stats->truncated = true;
@@ -427,24 +373,18 @@ util::Result<std::vector<CandidateQuery>> Reolap::SynthesizeMulti(
   }
   // Candidates from the first tuple; the remaining tuples then filter
   // them: every row must map onto the candidate's level paths and
-  // jointly validate (T_E ⊑ T for every tuple in T_E). One pool serves
-  // both the nested Synthesize call and the per-candidate row checks.
-  std::unique_ptr<util::ThreadPool> local_pool;
-  util::ThreadPool* pool = ResolvePool(options, &local_pool);
-  ReolapOptions pooled_options = options;
-  pooled_options.pool = pool;
-  // One guard spans the nested Synthesize and the multi-tuple filtering,
-  // so the overall deadline covers the whole call.
+  // jointly validate (T_E ⊑ T for every tuple in T_E). One guard spans
+  // the nested Synthesize and the multi-tuple filtering, so the overall
+  // deadline covers the whole call.
   util::ExecGuard local_guard;
-  if (pooled_options.guard == nullptr &&
-      pooled_options.overall_deadline_millis > 0) {
-    local_guard =
-        util::ExecGuard::WithDeadline(pooled_options.overall_deadline_millis);
-    pooled_options.guard = &local_guard;
+  ReolapOptions opts = options;
+  if (opts.guard == nullptr && opts.overall_deadline_millis > 0) {
+    local_guard = util::ExecGuard::WithDeadline(opts.overall_deadline_millis);
+    opts.guard = &local_guard;
   }
-  const util::ExecGuard* guard = pooled_options.guard;
+  const util::ExecGuard* guard = opts.guard;
   RE2X_ASSIGN_OR_RETURN(std::vector<CandidateQuery> candidates,
-                        Synthesize(example_tuples[0], pooled_options, stats));
+                        Synthesize(example_tuples[0], opts, stats));
   if (example_tuples.size() == 1) return candidates;
 
   // Degradation point: when the budget is already gone, skip the
@@ -460,34 +400,20 @@ util::Result<std::vector<CandidateQuery>> Reolap::SynthesizeMulti(
     return candidates;
   }
 
-  // Interpretations per (tuple >= 1, column), computed once; the
-  // (tuple, column) MATCHES() lookups are independent and fan out.
+  // Interpretations per (tuple >= 1, column), computed once.
   std::vector<std::vector<std::vector<Interpretation>>> interps(
       example_tuples.size());
-  for (size_t t = 1; t < example_tuples.size(); ++t) interps[t].resize(arity);
-  auto match_one = [&](size_t flat) {
-    size_t t = 1 + flat / arity;
-    size_t j = flat % arity;
-    interps[t][j] = MatchValue(example_tuples[t][j], pooled_options);
-  };
-  const size_t n_lookups = (example_tuples.size() - 1) * arity;
-  if (pool != nullptr) {
-    pool->ParallelFor(n_lookups, match_one);
-  } else {
-    for (size_t flat = 0; flat < n_lookups; ++flat) match_one(flat);
+  for (size_t t = 1; t < example_tuples.size(); ++t) {
+    interps[t].resize(arity);
+    for (size_t j = 0; j < arity; ++j) {
+      interps[t][j] = MatchValue(example_tuples[t][j], opts);
+    }
   }
 
-  // Each candidate's row filtering is independent of the others: verdicts
-  // (plus the validated extra rows) land in per-candidate slots and the
-  // surviving candidates are collected in serial order afterwards.
-  struct RowCheck {
-    bool keep = false;
-    std::vector<std::vector<Interpretation>> extra_rows;
-  };
-  std::vector<RowCheck> checks(candidates.size());
-  auto check_one = [&](size_t c) {
-    const CandidateQuery& cand = candidates[c];
-    RowCheck& rc = checks[c];
+  // A candidate survives when every further tuple has a validating row
+  // over its level paths; those rows become its `extra_rows`.
+  std::vector<CandidateQuery> kept;
+  for (CandidateQuery& cand : candidates) {
     bool all_rows_ok = true;
     for (size_t t = 1; t < example_tuples.size() && all_rows_ok; ++t) {
       // Per column: members of this tuple interpretable over the
@@ -514,7 +440,7 @@ util::Result<std::vector<CandidateQuery>> Reolap::SynthesizeMulti(
         for (size_t j = 0; j < arity; ++j) row[j] = per_column[j][idx[j]];
         if (!options.validate ||
             ValidateCombo(row, options.validation_timeout_millis)) {
-          rc.extra_rows.push_back(std::move(row));
+          cand.extra_rows.push_back(std::move(row));
           row_ok = true;
           break;
         }
@@ -529,19 +455,7 @@ util::Result<std::vector<CandidateQuery>> Reolap::SynthesizeMulti(
       }
       if (!row_ok) all_rows_ok = false;
     }
-    rc.keep = all_rows_ok;
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(candidates.size(), check_one);
-  } else {
-    for (size_t c = 0; c < candidates.size(); ++c) check_one(c);
-  }
-
-  std::vector<CandidateQuery> kept;
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    if (!checks[c].keep) continue;
-    candidates[c].extra_rows = std::move(checks[c].extra_rows);
-    kept.push_back(std::move(candidates[c]));
+    if (all_rows_ok) kept.push_back(std::move(cand));
   }
   return kept;
 }

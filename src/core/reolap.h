@@ -11,7 +11,6 @@
 #include "sparql/ast.h"
 #include "util/exec_guard.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace re2xolap::engine {
 class QueryEngine;
@@ -60,22 +59,10 @@ struct ReolapOptions {
   /// Aggregation functions emitted per measure; default all four as in the
   /// paper ("we will retrieve results for all aggregation functions").
   bool all_aggregates = true;
-  /// Threads applied to the per-value MATCHES() lookups and the LIMIT-1
-  /// validation probes (the two store-touching phases). 0 = one thread
-  /// per hardware core; 1 = serial. The candidate list, ordering, and
-  /// ReolapStats counters are byte-identical for every thread count: the
-  /// probes are fanned out in blocks and their verdicts consumed in
-  /// serial candidate order.
-  size_t num_threads = 0;
-  /// Optional externally owned pool to run on (must have been built with
-  /// at least `num_threads` threads to reach that parallelism). When
-  /// null and the effective thread count exceeds 1, a pool local to the
-  /// Synthesize call is created.
-  util::ThreadPool* pool = nullptr;
   /// Overall wall-clock budget for one Synthesize/SynthesizeMulti call
   /// (0 = unlimited). Expiry degrades the call instead of erroring:
-  /// the first validation block is always processed (min-progress), later
-  /// blocks are skipped, per-probe timeouts are clamped to the remaining
+  /// the first combination is always probed (min-progress), later ones
+  /// are skipped, per-probe timeouts are clamped to the remaining
   /// budget, and the partial candidate set comes back flagged with
   /// ReolapStats::truncated and degraded_reason.
   uint64_t overall_deadline_millis = 0;
@@ -85,14 +72,11 @@ struct ReolapOptions {
   const util::ExecGuard* guard = nullptr;
 };
 
-/// Counters reported by the Figure 7 benches. Counters are aggregated on
-/// the synthesis thread only (worker threads report through per-index
-/// slots), so they are race-free and identical for every `num_threads`.
+/// Counters reported by the Figure 7 benches.
 struct ReolapStats {
   size_t interpretations_considered = 0;  // size of the cartesian space
   size_t combinations_checked = 0;
   size_t validated_ok = 0;
-  size_t threads_used = 1;  // effective validation parallelism
   double match_millis = 0;
   double combine_millis = 0;
   double validate_millis = 0;
@@ -107,6 +91,8 @@ struct ReolapStats {
 /// tuple of example attribute values (e.g. {"Germany", "2014"}). All
 /// lookups after construction run against the in-memory virtual schema
 /// graph and text index; the store is only touched for validation probes.
+/// A call runs wholly on the calling thread, probes included; concurrent
+/// calls on one engine (one per server request) are safe.
 class Reolap {
  public:
   /// Validation probes execute through `engine` and share its plan/result

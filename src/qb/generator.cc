@@ -131,6 +131,9 @@ size_t HashedParent(size_t child, size_t parent_count, size_t salt) {
 }  // namespace
 
 util::Result<GeneratedDataset> Generate(DatasetSpec spec) {
+  // Everything before the observations: the up-front sizing, the level
+  // members and their labels, predicate labels and hierarchy edges.
+  obs::Span levels_span("qb.generate.levels");
   auto store = std::make_unique<rdf::TripleStore>();
   const LoadSize load = PlanLoad(spec);
   store->Reserve(load.triples);
@@ -267,6 +270,8 @@ util::Result<GeneratedDataset> Generate(DatasetSpec spec) {
       }
     }
   }
+
+  levels_span.End();
 
   // --- observations ----------------------------------------------------------
   // Observation n owns the k slots of the load buffer from n * k, in

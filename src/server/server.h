@@ -87,8 +87,8 @@
 #include "rdf/triple_store.h"
 #include "server/http.h"
 #include "server/session_manager.h"
+#include "util/exec_guard.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace re2xolap::store {
 class Ingestor;

@@ -7,9 +7,28 @@
 #include <string>
 
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace re2xolap::util {
+
+/// Cooperative cancellation flag shared between a caller and the work it
+/// may stop: an ExecGuard polls it at operator boundaries, and the server
+/// fires it to drain in-flight requests. The flag never interrupts work
+/// preemptively.
+///
+/// Memory-ordering contract: Cancel() is a release store and cancelled()
+/// an acquire load, so everything the cancelling thread wrote *before*
+/// calling Cancel() — a reason string, a Status, a partial result — is
+/// visible to any thread that observes cancelled() == true. Pollers may
+/// therefore read the cancel reason without extra synchronization.
+class CancellationToken {
+ public:
+  void Cancel() { cancelled_.store(true, std::memory_order_release); }
+  bool cancelled() const { return cancelled_.load(std::memory_order_acquire); }
+  void Reset() { cancelled_.store(false, std::memory_order_release); }
+
+ private:
+  std::atomic<bool> cancelled_{false};
+};
 
 /// How a degraded (partial) answer came to be. Producers that return
 /// partial results under pressure (ReOLAP synthesis, ExRef preview

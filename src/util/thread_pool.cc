@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <system_error>
 #include <thread>
 
@@ -82,20 +83,16 @@ void ThreadPool::WorkerLoop(size_t index) {
   }
 }
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
-                             CancellationToken* token) {
+void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
   if (workers_.empty() || n == 1) {
-    for (size_t i = 0; i < n; ++i) {
-      if (token && token->cancelled()) return;
-      fn(i);
-    }
+    for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
 
   // Shared loop state: an atomic claim counter plus first-exception
   // capture. Helpers (including the calling thread) pull indexes until
-  // the range is exhausted, an exception is captured, or the token fires.
+  // the range is exhausted or an exception is captured.
   // It lives on the caller's stack: the caller returns only after the
   // last helper has counted itself out under `done_mu`, so helpers hold a
   // plain pointer, and each queued helper fits std::function's inline
@@ -105,7 +102,6 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
   struct LoopState {
     size_t n;
     const std::function<void(size_t)>* fn;
-    CancellationToken* token;
     // The caller's active trace span, propagated to the helpers so spans
     // opened inside `fn` on worker threads nest under it (the parallel
     // fan stays attached to its parent in a captured trace).
@@ -122,7 +118,6 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
       obs::ScopedSpanContext span_ctx(parent_span);
       for (;;) {
         if (failed.load(std::memory_order_acquire)) return;
-        if (token && token->cancelled()) return;
         size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= n) return;
         try {
@@ -137,7 +132,6 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
     }
   } state{.n = n,
           .fn = &fn,
-          .token = token,
           .parent_span =
               obs::Tracer::Global().enabled() ? obs::CurrentSpan() : 0};
 

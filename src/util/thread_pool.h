@@ -3,7 +3,6 @@
 
 #include <pthread.h>
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
@@ -13,29 +12,10 @@
 
 namespace re2xolap::util {
 
-/// Cooperative cancellation flag shared between a caller and the tasks it
-/// fans out. Tasks poll cancelled() at convenient boundaries; the flag
-/// never interrupts a task preemptively.
-///
-/// Memory-ordering contract: Cancel() is a release store and cancelled()
-/// an acquire load, so everything the cancelling thread wrote *before*
-/// calling Cancel() — a reason string, a Status, a partial result — is
-/// visible to any thread that observes cancelled() == true. Pollers may
-/// therefore read the cancel reason without extra synchronization.
-class CancellationToken {
- public:
-  void Cancel() { cancelled_.store(true, std::memory_order_release); }
-  bool cancelled() const { return cancelled_.load(std::memory_order_acquire); }
-  void Reset() { cancelled_.store(false, std::memory_order_release); }
-
- private:
-  std::atomic<bool> cancelled_{false};
-};
-
 /// Fixed-size worker pool for fanning independent work items across
-/// cores: ReOLAP validation probes, ExRef refinement evaluation, snapshot
-/// sections, compaction's merge and predicate stats, and
-/// TripleStore::Freeze()'s index build, whose chunks and buckets write
+/// cores where no request runs: the generator's draw pass, snapshot
+/// checksums and section loads, compaction's merge and predicate stats,
+/// and TripleStore::Freeze()'s index build, whose chunks and buckets write
 /// disjoint slices of arrays the caller allocated (a worker that
 /// allocated would grow a heap arena of its own). Sized once at
 /// construction; a pool of size 0 or 1 runs everything inline on the
@@ -75,15 +55,10 @@ class ThreadPool {
   /// rethrown on the calling thread after all claimed iterations drain;
   /// remaining unclaimed iterations are skipped.
   ///
-  /// If `token` is non-null and becomes cancelled, unclaimed iterations
-  /// are skipped (already-running ones finish normally); no exception is
-  /// raised for cancellation.
-  ///
   /// When tracing is enabled (obs::Tracer), the caller's active span is
   /// propagated to the worker threads for the duration of the loop, so
   /// spans opened inside `fn` nest under the caller's span.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
-                   CancellationToken* token = nullptr);
+  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   /// Enqueues one fire-and-forget task. Runs inline on the calling thread
   /// when the pool has no workers (so callers need no serial fallback of

@@ -323,14 +323,10 @@ TEST_F(EngineReolapTest, ConcurrentValidationThreadsShareOneEngine) {
   QueryEngine engine(*store);
   core::Reolap reolap(vsg.get(), text.get(), engine);
 
-  // Warm the cache serially, then fan the identical synthesis out over the
-  // parallel validation path (ParallelFor probes) and over plain threads —
-  // every probe races hit/miss/insert on the shared shards.
+  // Warm the cache serially, then run the identical synthesis on plain
+  // threads — every probe races hit/miss/insert on the shared shards.
   auto serial = reolap.Synthesize({"Germany", "2014"});
   ASSERT_TRUE(serial.ok());
-
-  core::ReolapOptions parallel_opts;
-  parallel_opts.num_threads = 4;
 
   constexpr int kThreads = 3;
   std::vector<std::thread> workers;
@@ -338,7 +334,7 @@ TEST_F(EngineReolapTest, ConcurrentValidationThreadsShareOneEngine) {
   for (int w = 0; w < kThreads; ++w) {
     workers.emplace_back([&, w] {
       for (int i = 0; i < 5; ++i) {
-        auto r = reolap.Synthesize({"Germany", "2014"}, parallel_opts);
+        auto r = reolap.Synthesize({"Germany", "2014"});
         if (!r.ok() || r->size() != serial->size()) ++failures[w];
       }
     });

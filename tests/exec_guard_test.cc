@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
-#include "util/thread_pool.h"
 
 namespace re2xolap::util {
 namespace {

@@ -392,8 +392,7 @@ TEST_F(ExrefTest, ExpiredGuardEvaluatesFirstStateAndSkipsTheRest) {
   engine::QueryEngine engine(*store, kUncached);
   util::Degradation degradation;
   auto tables =
-      EvaluateStates(engine, states, {}, nullptr, nullptr, &guard,
-                     &degradation);
+      EvaluateStates(engine, states, {}, nullptr, &guard, &degradation);
   ASSERT_EQ(tables.size(), states.size());
   // Min-progress: the first preview always runs even under an expired
   // deadline; every later one is skipped with the guard's status.
@@ -417,8 +416,7 @@ TEST_F(ExrefTest, HealthyGuardEvaluatesAllStates) {
   engine::QueryEngine engine(*store, kUncached);
   util::Degradation degradation;
   auto tables =
-      EvaluateStates(engine, states, {}, nullptr, nullptr, &guard,
-                     &degradation);
+      EvaluateStates(engine, states, {}, nullptr, &guard, &degradation);
   ASSERT_EQ(tables.size(), states.size());
   for (size_t i = 0; i < tables.size(); ++i) {
     EXPECT_TRUE(tables[i].ok()) << tables[i].status().ToString();

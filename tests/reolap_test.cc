@@ -5,6 +5,9 @@
 
 #include "core/reolap.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
+#include "qb/datasets.h"
+#include "qb/generator.h"
 #include "sparql/executor.h"
 #include "tests/test_data.h"
 #include "tests/uncached_engine.h"
@@ -201,7 +204,6 @@ TEST_F(ReolapTest, TinyDeadlineStillProducesTheFirstBlock) {
   // validated candidates of the first block instead of erroring.
   ReolapOptions opts;
   opts.overall_deadline_millis = 1;
-  opts.num_threads = 1;
   ReolapStats stats;
   auto r = reolap->Synthesize({"Germany", "2014"}, opts, &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -235,7 +237,6 @@ TEST_F(ReolapTest, ExpiredGuardTruncatesCombinationEnumeration) {
   util::ExecGuard guard = ExpiredGuard();
   ReolapOptions opts;
   opts.guard = &guard;
-  opts.num_threads = 1;  // serial: one combination per validation block
   ReolapStats stats;
   auto r = reolap->Synthesize({"Germany", "2014"}, opts, &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -254,7 +255,6 @@ TEST_F(ReolapTest, SynthesizeMultiSkipsFilteringUnderExpiredDeadline) {
   util::ExecGuard guard = ExpiredGuard();
   ReolapOptions opts;
   opts.guard = &guard;
-  opts.num_threads = 1;
   ReolapStats stats;
   auto r = reolap->SynthesizeMulti({{"Germany"}, {"France"}}, opts, &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -264,6 +264,51 @@ TEST_F(ReolapTest, SynthesizeMultiSkipsFilteringUnderExpiredDeadline) {
   EXPECT_NE(stats.degraded_reason.find("multi-tuple filtering"),
             std::string::npos)
       << stats.degraded_reason;
+}
+
+TEST(ReolapThreadTest, EveryProbeRunsOnTheCallingThread) {
+  // A call runs wholly on its caller's thread: with more than one
+  // combination to validate, every LIMIT-1 probe span carries the
+  // caller's thread tag, in Synthesize and in SynthesizeMulti's row checks.
+  auto ds = qb::Generate(qb::EurostatSpec(3000));
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  auto built =
+      VirtualSchemaGraph::Build(*ds->store, ds->spec.observation_class);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  VirtualSchemaGraph vsg = std::move(built).value();
+  rdf::TextIndex text(*ds->store);
+  engine::QueryEngine engine(*ds->store, kUncached);
+  Reolap reolap(&vsg, &text, engine);
+
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Clear();
+  tracer.SetEnabled(true);
+  constexpr size_t kRounds = 3;
+  size_t combinations = 0;
+  for (size_t round = 0; round < kRounds; ++round) {
+    ReolapStats stats;
+    auto single = reolap.Synthesize({"Germany", "2014"}, {}, &stats);
+    auto multi =
+        reolap.SynthesizeMulti({{"Germany", "2014"}, {"France", "2015"}});
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
+    ASSERT_TRUE(multi.ok()) << multi.status().ToString();
+    EXPECT_GT(stats.combinations_checked, 1u);
+    EXPECT_FALSE(multi->empty());
+    combinations += stats.combinations_checked;
+  }
+  tracer.SetEnabled(false);
+  std::vector<obs::SpanEvent> spans = tracer.Snapshot();
+  tracer.Clear();
+
+  const uint64_t caller = obs::ThisThreadTag();
+  size_t probes = 0;
+  for (const obs::SpanEvent& span : spans) {
+    if (span.name != "reolap.probe") continue;
+    ++probes;
+    EXPECT_EQ(span.thread, caller) << "probe " << span.id;
+  }
+  // Both calls probe every combination; SynthesizeMulti also probes rows.
+  EXPECT_GT(probes, 2 * combinations);
 }
 
 }  // namespace

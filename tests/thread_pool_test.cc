@@ -101,44 +101,6 @@ TEST(ThreadPoolTest, ExceptionSkipsUnclaimedIterations) {
   EXPECT_LT(executed.load(), static_cast<int>(kN));
 }
 
-TEST(ThreadPoolTest, CancellationStopsEarlySerial) {
-  ThreadPool pool(0);
-  CancellationToken token;
-  int executed = 0;
-  pool.ParallelFor(
-      100,
-      [&](size_t i) {
-        ++executed;
-        if (i == 3) token.Cancel();
-      },
-      &token);
-  // Serial inline execution checks the token before each iteration.
-  EXPECT_EQ(executed, 4);
-  token.Reset();
-  EXPECT_FALSE(token.cancelled());
-}
-
-TEST(ThreadPoolTest, CancellationStopsEarlyParallel) {
-  ThreadPool pool(4);
-  CancellationToken token;
-  token.Cancel();  // pre-cancelled: nothing may run
-  std::atomic<int> executed{0};
-  pool.ParallelFor(1000, [&](size_t) { ++executed; }, &token);
-  EXPECT_EQ(executed.load(), 0);
-
-  CancellationToken token2;
-  std::atomic<int> executed2{0};
-  pool.ParallelFor(
-      100000,
-      [&](size_t) {
-        if (executed2.fetch_add(1, std::memory_order_relaxed) == 10) {
-          token2.Cancel();
-        }
-      },
-      &token2);
-  EXPECT_LT(executed2.load(), 100000);
-}
-
 TEST(ThreadPoolTest, DefaultThreadsIsAtLeastOne) {
   EXPECT_GE(ThreadPool::DefaultThreads(), 1u);
 }
