@@ -15,8 +15,10 @@
 // how much of its cost is first touches of freshly allocated memory, and
 // Generate's phases get columns of their own, read from their spans: the
 // sizing, level members, labels and hierarchy edges (qb.generate.levels),
-// the observations' parallel draw pass (qb.generate.draw), their serial
-// interning (qb.generate.intern) and TripleStore::Freeze (store.freeze).
+// the observations' parallel draw pass (qb.generate.draw), their id walk
+// and triple writes (qb.generate.intern), the one dictionary index call
+// over the appended member and observation IRIs (qb.generate.index) and
+// TripleStore::Freeze (store.freeze).
 
 #include <algorithm>
 #include <cstdio>
@@ -40,10 +42,11 @@ struct GeneratePasses {
   double levels_millis = 0;
   double draw_millis = 0;
   double intern_millis = 0;
+  double index_millis = 0;
 };
 
-// MakeEnv() with Generate traced, so that its levels, draw and intern spans
-// can be read; the tracer is left as found.
+// MakeEnv() with Generate traced, so that its levels, draw, intern and index
+// spans can be read; the tracer is left as found.
 BenchEnv MakeTimedEnv(const std::string& name, uint64_t obs,
                       GeneratePasses* passes) {
   obs::Tracer& tracer = obs::Tracer::Global();
@@ -58,6 +61,8 @@ BenchEnv MakeTimedEnv(const std::string& name, uint64_t obs,
       passes->draw_millis = span.dur_micros / 1000;
     } else if (span.name == "qb.generate.intern") {
       passes->intern_millis = span.dur_micros / 1000;
+    } else if (span.name == "qb.generate.index") {
+      passes->index_millis = span.dur_micros / 1000;
     }
   }
   if (!tracing) tracer.Clear();
@@ -73,7 +78,8 @@ int main() {
   // Generate includes its levels pass, its observation passes and its
   // Freeze, which are also shown on their own.
   util::TablePrinter t({"Dataset", "#Obs", "Generate (ms)", "Levels (ms)",
-                        "Draw (ms)", "Intern (ms)", "Freeze (ms)",
+                        "Draw (ms)", "Intern (ms)", "Index (ms)",
+                        "Freeze (ms)",
                         "VGraph (ms)", "TextIndex (ms)",
                         "Bootstrap total (ms)", "Store scans",
                         "Members visited", "Generate faults",
@@ -85,7 +91,8 @@ int main() {
     BenchEnv env = MakeTimedEnv(name, obs, &passes);
     t.AddRow({name, std::to_string(obs), Ms(env.generate_millis),
               Ms(passes.levels_millis), Ms(passes.draw_millis),
-              Ms(passes.intern_millis), Ms(env.freeze_millis),
+              Ms(passes.intern_millis), Ms(passes.index_millis),
+              Ms(env.freeze_millis),
               Ms(env.vsg_millis), Ms(env.text_millis),
               Ms(env.vsg_millis + env.text_millis),
               std::to_string(env.vsg_stats.store_scans),
@@ -227,6 +234,7 @@ int main() {
         .Num("levels_millis", passes.levels_millis)
         .Num("draw_millis", passes.draw_millis)
         .Num("intern_millis", passes.intern_millis)
+        .Num("index_millis", passes.index_millis)
         .Num("freeze_millis", env.freeze_millis)
         .Int("generate_minor_faults", env.generate_faults)
         .Int("freeze_minor_faults", env.freeze_faults)

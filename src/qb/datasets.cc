@@ -2,6 +2,7 @@
 
 #include <array>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace re2xolap::qb {
@@ -77,6 +78,16 @@ std::vector<std::string> NumberedLabels(size_t n, const std::string& prefix) {
   return PadLabels({}, n, prefix);
 }
 
+/// `items` moved into one vector. A braced list would copy each of them
+/// twice, into the initializer_list and out of it.
+template <typename T, typename... Ts>
+std::vector<T> MoveToVector(Ts&... items) {
+  std::vector<T> out;
+  out.reserve(sizeof...(items));
+  (out.push_back(std::move(items)), ...);
+  return out;
+}
+
 const std::array<const char*, 12> kMonthNames = {
     "January", "February", "March", "April", "May", "June", "July",
     "August", "September", "October", "November", "December"};
@@ -131,10 +142,9 @@ DatasetSpec EurostatSpec(uint64_t observations, uint64_t seed) {
                          "Eurozone", "Nordic Countries", "Baltic States",
                          "Balkans", "Visegrad Group"}};
 
-  spec.levels = {age,           month,           quarter,
-                 year,          country_origin,  continent_origin,
-                 income_group,  country_dest,    continent_dest,
-                 econ_region};
+  spec.levels = MoveToVector<LevelSpec>(
+      age, month, quarter, year, country_origin, continent_origin,
+      income_group, country_dest, continent_dest, econ_region);
 
   // --- dimensions ------------------------------------------------------------
   DimensionSpec d_age{"Age", "age", "age", {}};
@@ -170,7 +180,8 @@ DatasetSpec EurostatSpec(uint64_t observations, uint64_t seed) {
                                            "econRegion", nullptr, 1});
   d_dest.branches = {dst_continent, dst_region};
 
-  spec.dimensions = {d_age, d_period, d_origin, d_dest};
+  spec.dimensions =
+      MoveToVector<DimensionSpec>(d_age, d_period, d_origin, d_dest);
 
   spec.predicate_labels = {
       {"age", "Age Range"},
@@ -254,8 +265,9 @@ DatasetSpec ProductionSpec(uint64_t observations, uint64_t seed) {
                  {"Million EUR", "Million USD", "Tonnes", "Kilotonnes",
                   "Terajoules", "Megawatt Hours", "Cubic Metres", "Items",
                   "Hours Worked", "Full-time Equivalents"}};
-  spec.levels = {country, region,        industry,  sector, product,
-                 partner, product_group, prod_year, flow,   unit};
+  spec.levels = MoveToVector<LevelSpec>(country, region, industry, sector,
+                                        product, partner, product_group,
+                                        prod_year, flow, unit);
 
   DimensionSpec d_country{"Country", "forCountry", "country", {}};
   BranchSpec c_region;
@@ -281,8 +293,8 @@ DatasetSpec ProductionSpec(uint64_t observations, uint64_t seed) {
   DimensionSpec d_flow{"FlowType", "flowType", "flowType", {}};
   DimensionSpec d_unit{"Unit", "inUnit", "unit", {}};
 
-  spec.dimensions = {d_country, d_industry, d_product, d_partner,
-                     d_year,    d_flow,     d_unit};
+  spec.dimensions = MoveToVector<DimensionSpec>(
+      d_country, d_industry, d_product, d_partner, d_year, d_flow, d_unit);
   return spec;
 }
 
@@ -379,13 +391,12 @@ DatasetSpec DbpediaSpec(uint64_t observations, uint64_t seed) {
   size_t artist_count = 87160 > fixed ? 87160 - fixed : 1000;
   LevelSpec artist{"artist", NumberedLabels(artist_count, "Artist")};
 
-  spec.levels = {genre,          parent_genre,   top_genre,    era,
-                 genre_country,  artist,         artist_country,
-                 artist_continent, decade,       artist_genre, artist_era,
-                 record_label,   label_country,  label_continent,
-                 label_genre,    label_decade,   instrument,
-                 instr_family,   instr_class,    instr_origin,
-                 director,       dir_country,    dir_continent, dir_decade};
+  spec.levels = MoveToVector<LevelSpec>(
+      genre, parent_genre, top_genre, era, genre_country, artist,
+      artist_country, artist_continent, decade, artist_genre, artist_era,
+      record_label, label_country, label_continent, label_genre, label_decade,
+      instrument, instr_family, instr_class, instr_origin, director,
+      dir_country, dir_continent, dir_decade);
 
   auto continent_of_120 = [](size_t c) { return OriginContinentOf(c); };
 
@@ -469,7 +480,8 @@ DatasetSpec DbpediaSpec(uint64_t observations, uint64_t seed) {
     d_director.branches = {dcountry, ddecade};
   }
 
-  spec.dimensions = {d_genre, d_artist, d_label, d_instrument, d_director};
+  spec.dimensions = MoveToVector<DimensionSpec>(d_genre, d_artist, d_label,
+                                                d_instrument, d_director);
   return spec;
 }
 

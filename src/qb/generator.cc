@@ -1,7 +1,7 @@
 #include "qb/generator.h"
 
 #include <algorithm>
-#include <charconv>
+#include <cassert>
 #include <cstring>
 #include <set>
 #include <span>
@@ -60,6 +60,8 @@ struct LoadSize {
   size_t triples = 0;
   size_t terms = 0;
   size_t text_bytes = 0;
+  // Of `terms`, the member and observation IRIs, which are appended.
+  size_t appends = 0;
 };
 
 LoadSize PlanLoad(const DatasetSpec& spec) {
@@ -101,6 +103,7 @@ LoadSize PlanLoad(const DatasetSpec& spec) {
     const size_t n = l->member_count();
     load.triples += n;
     terms(n, n * (spec.iri_base.size() + l->name.size() + 1 + IndexDigits(n)));
+    load.appends += n;
     for (const std::string& label : l->labels) terms(1, label.size());
   }
   const uint64_t obs = spec.observations;
@@ -108,6 +111,7 @@ LoadSize PlanLoad(const DatasetSpec& spec) {
       obs * (1 + spec.dimensions.size() + spec.measure_predicates.size() +
              spec.observation_attrs.size());
   terms(obs, obs * (spec.iri_base.size() + 4 + IndexDigits(obs)));
+  load.appends += obs;
   for (const DimensionSpec& d : spec.dimensions) iri(d.predicate);
   for (const std::string& m : spec.measure_predicates) iri(m);
   const size_t measure_values = static_cast<size_t>(
@@ -119,6 +123,37 @@ LoadSize PlanLoad(const DatasetSpec& spec) {
   }
   return load;
 }
+
+// The IRIs `<prefix>0`, `<prefix>1`, ... in turn. Next() increments the
+// decimal digits in place, at a fraction of the cost of formatting each
+// index afresh.
+class CountingIri {
+ public:
+  explicit CountingIri(std::string prefix)
+      : text_(std::move(prefix)), digits_at_(text_.size()) {
+    text_.reserve(digits_at_ + 20);
+    text_ += '0';
+  }
+
+  rdf::TermView view() const {
+    return rdf::TermView(rdf::TermKind::kIri, text_);
+  }
+
+  void Next() {
+    for (size_t i = text_.size(); i-- > digits_at_;) {
+      if (text_[i] != '9') {
+        ++text_[i];
+        return;
+      }
+      text_[i] = '0';
+    }
+    text_.insert(digits_at_, 1, '1');
+  }
+
+ private:
+  std::string text_;
+  const size_t digits_at_;
+};
 
 // Deterministic fallback parent mapping: spreads children roughly evenly
 // over parents while avoiding trivial modulo clustering.
@@ -137,29 +172,24 @@ util::Result<GeneratedDataset> Generate(DatasetSpec spec) {
   auto store = std::make_unique<rdf::TripleStore>();
   const LoadSize load = PlanLoad(spec);
   store->Reserve(load.triples);
-  store->dictionary().Reserve(load.terms, load.text_bytes);
-  util::Rng rng(spec.seed);
+  rdf::Dictionary& dict = store->dictionary();
+  dict.Reserve(load.terms, load.text_bytes, load.appends);
 
   // --- memoized interning ----------------------------------------------------
-  // Each distinct term is interned once, the first time a triple needs it.
-  // Every triple resolves its terms in s, p, o order, so first interns
-  // happen in exactly the order per-triple Add() calls would make them and
-  // the dictionary assigns the same ids. The dictionary copies each
+  // Each distinct term gets its id once, the first time a triple needs it.
+  // Every triple resolves its terms in s, p, o order, so new ids are
+  // assigned in exactly the order per-triple Add() calls would assign
+  // them. Member and observation IRIs are new by construction: they are
+  // Append()-ed, unprobed, and indexed in one IndexAppended() call before
+  // Freeze, which also rejects any other term equal to one of them. The
+  // other terms may repeat and are interned. The dictionary copies each
   // lexical form into its text buffer, sized up front by PlanLoad(), so
   // the bulk terms go in as views: labels straight from the spec, member
-  // and observation IRIs assembled in one reused buffer.
+  // and observation IRIs counted up in one CountingIri per level and one
+  // for the observations.
   auto memo = [&store](rdf::TermId* slot, auto&& make_term) {
     if (*slot == rdf::kInvalidTermId) *slot = store->Intern(make_term());
     return *slot;
-  };
-  std::string iri;
-  // `<iri_base><local>/<index>`, viewed until the next call.
-  auto indexed_iri = [&](std::string_view local, uint64_t index) {
-    char digits[20];
-    const char* end = std::to_chars(digits, digits + sizeof(digits), index).ptr;
-    iri.assign(spec.iri_base).append(local).append(1, '/');
-    iri.append(digits, static_cast<size_t>(end - digits));
-    return rdf::TermView(rdf::TermKind::kIri, iri);
   };
   auto string_literal = [](std::string_view text) {
     return rdf::TermView(rdf::TermKind::kLiteral, text);
@@ -174,6 +204,10 @@ util::Result<GeneratedDataset> Generate(DatasetSpec spec) {
   // Validate level references and index levels by name.
   std::unordered_map<std::string, const LevelSpec*> levels;
   for (const LevelSpec& l : spec.levels) {
+    if (l.name == "obs") {
+      return util::Status::InvalidArgument(
+          "level 'obs' would name its members like the observations");
+    }
     if (l.labels.empty()) {
       return util::Status::InvalidArgument("level '" + l.name +
                                            "' has no members");
@@ -191,14 +225,14 @@ util::Result<GeneratedDataset> Generate(DatasetSpec spec) {
     return it->second;
   };
 
-  // Member ids per level (indexed like spec.levels), then member index.
+  // Member ids per level (indexed like spec.levels), then member index;
+  // filled when the level is emitted, which precedes every other use.
   std::vector<std::vector<rdf::TermId>> member_ids(spec.levels.size());
-  for (size_t l = 0; l < spec.levels.size(); ++l) {
-    member_ids[l].assign(spec.levels[l].member_count(), rdf::kInvalidTermId);
-  }
   auto member_id = [&](const LevelSpec& level, size_t i) {
-    return memo(&member_ids[&level - spec.levels.data()][i],
-                [&] { return indexed_iri(level.name, i); });
+    const std::vector<rdf::TermId>& ids =
+        member_ids[&level - spec.levels.data()];
+    assert(i < ids.size());
+    return ids[i];
   };
 
   // --- emit level members and their labels ---------------------------------
@@ -207,8 +241,11 @@ util::Result<GeneratedDataset> Generate(DatasetSpec spec) {
   std::set<std::string> emitted;
   auto emit_level = [&](const LevelSpec& level) {
     if (!emitted.insert(level.name).second) return;
-    for (size_t i = 0; i < level.labels.size(); ++i) {
-      rdf::TermId s = member_id(level, i);
+    std::vector<rdf::TermId>& ids = member_ids[&level - spec.levels.data()];
+    ids.resize(level.labels.size());
+    CountingIri member(spec.iri_base + level.name + "/");
+    for (size_t i = 0; i < level.labels.size(); ++i, member.Next()) {
+      rdf::TermId s = ids[i] = dict.Append(member.view());
       rdf::TermId p = label_pred_id();
       rdf::TermId o = store->Intern(string_literal(level.labels[i]));
       store->AddEncoded({s, p, o});
@@ -276,18 +313,28 @@ util::Result<GeneratedDataset> Generate(DatasetSpec spec) {
   // --- observations ----------------------------------------------------------
   // Observation n owns the k slots of the load buffer from n * k, in
   // emission order: its type triple, then one triple per dimension,
-  // measure and attribute. Two passes fill them.
-  //  1. Draw, in chunks on a pool: each chunk jumps the RNG to its first
+  // measure and attribute. Three passes fill them, and one call indexes
+  // the appended IRIs; the pool serves the parallel ones and is gone
+  // before Freeze() starts its own.
+  //  1. Draw, in chunks on the pool: each chunk jumps the RNG to its first
   //     observation's first draw and writes the drawn base member, measure
   //     value and attribute value indices into the slots' objects.
-  //  2. Intern, on the calling thread, in observation order: the same
-  //     Intern and memo calls one serial loop would make, rewriting each
-  //     slot in place with ids, so term ids and the frozen store do not
-  //     depend on the pool.
-  // Every base level was validated by the hierarchy pass above.
+  //  2. Walk, on the calling thread, in observation order: append each
+  //     observation IRI and store its id as the type triple's subject, and
+  //     make the memo calls one serial loop would make (first uses of the
+  //     predicates, the class, measure literals and attribute values), so
+  //     term ids do not depend on the pool. It probes no observation IRI.
+  //  3. Write, in chunks on the pool: rewrite each observation's slots in
+  //     place with ids, reading only the memos and the subject id.
+  //  4. Index: IndexAppended() hashes the member and observation IRIs on
+  //     the pool and slots them.
+  // Every base level was validated, and emitted, by the hierarchy pass.
   std::vector<const LevelSpec*> dim_base;
+  std::vector<const rdf::TermId*> dim_members;
   for (const DimensionSpec& dim : spec.dimensions) {
-    dim_base.push_back(levels.at(dim.base_level));
+    const LevelSpec* base = levels.at(dim.base_level);
+    dim_base.push_back(base);
+    dim_members.push_back(member_ids[base - spec.levels.data()].data());
   }
   const size_t dims = spec.dimensions.size();
   const size_t measures = spec.measure_predicates.size();
@@ -296,98 +343,118 @@ util::Result<GeneratedDataset> Generate(DatasetSpec spec) {
   const uint64_t obs_count = spec.observations;
   const std::span<rdf::EncodedTriple> slots =
       store->AppendUnwritten(obs_count * k);
+  const size_t chunks = (obs_count + kObservationChunk - 1) / kObservationChunk;
   {
-    obs::Span span("qb.generate.draw");
-    // Draws made before observation n: one per measure and attribute of
-    // each earlier observation, plus one per dimension for each earlier
-    // observation past that dimension's coverage pass, which draws nothing
-    // while n < |base|.
-    auto first_draw = [&](uint64_t n) {
-      uint64_t draws = n * (measures + attrs);
-      for (const LevelSpec* base : dim_base) {
-        if (n > base->member_count()) draws += n - base->member_count();
-      }
-      return draws;
-    };
-    const size_t chunks =
-        (obs_count + kObservationChunk - 1) / kObservationChunk;
     util::ThreadPool pool(rdf::LoadThreads(slots.size()));
-    pool.ParallelFor(chunks, [&](size_t c) {
-      const uint64_t begin = c * kObservationChunk;
-      const uint64_t end = std::min(obs_count, begin + kObservationChunk);
-      util::Rng rng(spec.seed);
-      rng.Advance(first_draw(begin));
-      for (uint64_t n = begin; n < end; ++n) {
-        rdf::EncodedTriple* t = &slots[n * k + 1];
+    {
+      obs::Span span("qb.generate.draw");
+      // Draws made before observation n: one per measure and attribute of
+      // each earlier observation, plus one per dimension for each earlier
+      // observation past that dimension's coverage pass, which draws
+      // nothing while n < |base|.
+      auto first_draw = [&](uint64_t n) {
+        uint64_t draws = n * (measures + attrs);
         for (const LevelSpec* base : dim_base) {
-          // Coverage pass: the first |base| observations cycle through
-          // every member so that each base member is referenced at least
-          // once (the real KGs are dense in this sense); afterwards,
-          // skewed sampling.
-          const size_t members = base->member_count();
-          uint64_t member = n;
-          if (n >= members) {
-            member = std::min<uint64_t>(rng.Skewed(members), members - 1);
+          if (n > base->member_count()) draws += n - base->member_count();
+        }
+        return draws;
+      };
+      pool.ParallelFor(chunks, [&](size_t c) {
+        const uint64_t begin = c * kObservationChunk;
+        const uint64_t end = std::min(obs_count, begin + kObservationChunk);
+        util::Rng rng(spec.seed);
+        rng.Advance(first_draw(begin));
+        for (uint64_t n = begin; n < end; ++n) {
+          rdf::EncodedTriple* t = &slots[n * k + 1];
+          for (const LevelSpec* base : dim_base) {
+            // Coverage pass: the first |base| observations cycle through
+            // every member so that each base member is referenced at least
+            // once (the real KGs are dense in this sense); afterwards,
+            // skewed sampling.
+            const size_t members = base->member_count();
+            uint64_t member = n;
+            if (n >= members) {
+              member = std::min<uint64_t>(rng.Skewed(members), members - 1);
+            }
+            (t++)->o = static_cast<rdf::TermId>(member);
           }
-          (t++)->o = static_cast<rdf::TermId>(member);
+          for (size_t m = 0; m < measures; ++m) {
+            // Skewed positive integer measure (long tail of large values).
+            (t++)->o = static_cast<rdf::TermId>(1 + rng.Skewed(kMeasureRange));
+          }
+          for (const ObservationAttrSpec& attr : spec.observation_attrs) {
+            (t++)->o =
+                static_cast<rdf::TermId>(rng.Uniform(attr.values.size()));
+          }
         }
-        for (size_t m = 0; m < measures; ++m) {
-          // Skewed positive integer measure (long tail of large values).
-          (t++)->o = static_cast<rdf::TermId>(1 + rng.Skewed(kMeasureRange));
-        }
-        for (const ObservationAttrSpec& attr : spec.observation_attrs) {
-          (t++)->o = static_cast<rdf::TermId>(rng.Uniform(attr.values.size()));
-        }
-      }
-    });
-  }
-  {
-    obs::Span span("qb.generate.intern");
-    std::vector<rdf::TermId> dim_pred(dims);
-    std::vector<rdf::TermId> measure_pred(measures);
-    std::vector<rdf::TermId> attr_pred(attrs);
-    std::vector<std::vector<rdf::TermId>> attr_value(attrs);
-    for (size_t a = 0; a < attrs; ++a) {
-      attr_value[a].assign(spec.observation_attrs[a].values.size(),
-                           rdf::kInvalidTermId);
-    }
-    // Measure literals by value.
-    std::vector<rdf::TermId> measure_literal(kMeasureRange + 1);
-    for (uint64_t n = 0; n < obs_count; ++n) {
-      rdf::EncodedTriple* t = &slots[n * k];
-      const rdf::TermId obs = store->Intern(indexed_iri("obs", n));
-      rdf::TermId p =
-          memo(&type_pred, [] { return rdf::Term::Iri(kRdfType); });
-      rdf::TermId o = memo(&obs_class, [&] {
-        return rdf::Term::Iri(spec.observation_class);
       });
-      *t++ = {obs, p, o};
-      for (size_t d = 0; d < dims; ++d, ++t) {
-        const size_t member = t->o;
-        p = memo(&dim_pred[d], [&] {
-          return rdf::Term::Iri(spec.iri_base + spec.dimensions[d].predicate);
-        });
-        *t = {obs, p, member_id(*dim_base[d], member)};
+    }
+    {
+      obs::Span span("qb.generate.intern");
+      std::vector<rdf::TermId> dim_pred(dims);
+      std::vector<rdf::TermId> measure_pred(measures);
+      std::vector<rdf::TermId> attr_pred(attrs);
+      std::vector<std::vector<rdf::TermId>> attr_value(attrs);
+      for (size_t a = 0; a < attrs; ++a) {
+        attr_value[a].assign(spec.observation_attrs[a].values.size(),
+                             rdf::kInvalidTermId);
       }
-      for (size_t m = 0; m < measures; ++m, ++t) {
-        const int64_t value = t->o;
-        p = memo(&measure_pred[m], [&] {
-          return rdf::Term::Iri(spec.iri_base + spec.measure_predicates[m]);
-        });
-        o = memo(&measure_literal[value],
-                 [value] { return rdf::Term::IntegerLiteral(value); });
-        *t = {obs, p, o};
+      // Measure literals by value.
+      std::vector<rdf::TermId> measure_literal(kMeasureRange + 1);
+      CountingIri obs_iri(spec.iri_base + "obs/");
+      for (uint64_t n = 0; n < obs_count; ++n, obs_iri.Next()) {
+        rdf::EncodedTriple* t = &slots[n * k];
+        (t++)->s = dict.Append(obs_iri.view());
+        memo(&type_pred, [] { return rdf::Term::Iri(kRdfType); });
+        memo(&obs_class,
+             [&] { return rdf::Term::Iri(spec.observation_class); });
+        for (size_t d = 0; d < dims; ++d, ++t) {
+          memo(&dim_pred[d], [&] {
+            return rdf::Term::Iri(spec.iri_base + spec.dimensions[d].predicate);
+          });
+        }
+        for (size_t m = 0; m < measures; ++m, ++t) {
+          const int64_t value = t->o;
+          memo(&measure_pred[m], [&] {
+            return rdf::Term::Iri(spec.iri_base + spec.measure_predicates[m]);
+          });
+          memo(&measure_literal[value],
+               [value] { return rdf::Term::IntegerLiteral(value); });
+        }
+        for (size_t a = 0; a < attrs; ++a, ++t) {
+          const ObservationAttrSpec& attr = spec.observation_attrs[a];
+          const size_t v = t->o;
+          memo(&attr_pred[a], [&] {
+            return rdf::Term::Iri(spec.iri_base + attr.predicate);
+          });
+          memo(&attr_value[a][v],
+               [&] { return string_literal(attr.values[v]); });
+        }
       }
-      for (size_t a = 0; a < attrs; ++a, ++t) {
-        const ObservationAttrSpec& attr = spec.observation_attrs[a];
-        const size_t v = t->o;
-        p = memo(&attr_pred[a], [&] {
-          return rdf::Term::Iri(spec.iri_base + attr.predicate);
-        });
-        o = memo(&attr_value[a][v],
-                 [&] { return string_literal(attr.values[v]); });
-        *t = {obs, p, o};
-      }
+      pool.ParallelFor(chunks, [&](size_t c) {
+        const uint64_t begin = c * kObservationChunk;
+        const uint64_t end = std::min(obs_count, begin + kObservationChunk);
+        for (uint64_t n = begin; n < end; ++n) {
+          rdf::EncodedTriple* t = &slots[n * k];
+          const rdf::TermId obs = t->s;
+          *t++ = {obs, type_pred, obs_class};
+          for (size_t d = 0; d < dims; ++d, ++t) {
+            *t = {obs, dim_pred[d], dim_members[d][t->o]};
+          }
+          for (size_t m = 0; m < measures; ++m, ++t) {
+            *t = {obs, measure_pred[m], measure_literal[t->o]};
+          }
+          for (size_t a = 0; a < attrs; ++a, ++t) {
+            *t = {obs, attr_pred[a], attr_value[a][t->o]};
+          }
+        }
+      });
+    }
+    obs::Span span("qb.generate.index");
+    if (util::Status st = dict.IndexAppended(&pool); !st.ok()) {
+      return util::Status::InvalidArgument(
+          "a generated member or observation IRI collides with another "
+          "term: " + st.message());
     }
   }
 

@@ -35,17 +35,22 @@ struct GeneratedDataset {
 ///  - `spec.observations` observation nodes typed `observation_class`, each
 ///    linked to one (skewed-random) base member per dimension, one numeric
 ///    literal per measure, and the literal observation attributes.
-/// Fails on specs referencing undefined levels. Loading is linear in the
-/// dataset size: each distinct term is interned once (memoized per
-/// predicate, level member, observation, measure value and attribute
-/// value) in the order per-triple Add() calls would intern it, so term ids
-/// are a pure function of the spec. The observations' random draws run in
-/// chunks of kObservationChunk on a pool sized by rdf::LoadThreads(), each
-/// chunk jumping the RNG to its first draw; their terms are interned on
-/// the calling thread afterwards. Nothing depends on the thread count.
+/// Fails with InvalidArgument on specs referencing undefined levels, on a
+/// level named "obs" (its members would be named like observations), and
+/// when a predicate, label subject or class IRI equals a member or
+/// observation IRI. Loading is linear in the dataset size: each distinct
+/// term gets its id once, in the order per-triple Add() calls would
+/// intern it, so term ids are a pure function of the spec. Member and
+/// observation IRIs, distinct by construction, are appended to the
+/// dictionary unprobed and indexed once at the end; the other terms are
+/// interned on first use. The observations' random draws run in chunks of
+/// kObservationChunk on a pool sized by rdf::LoadThreads(), each chunk
+/// jumping the RNG to its first draw; their ids are assigned on the
+/// calling thread, and the same pool then writes their triples and hashes
+/// the appended IRIs. Nothing depends on the thread count.
 util::Result<GeneratedDataset> Generate(DatasetSpec spec);
 
-/// Observations per chunk of Generate()'s parallel draw pass.
+/// Observations per chunk of Generate()'s parallel draw and write passes.
 inline constexpr uint64_t kObservationChunk = 4096;
 
 }  // namespace re2xolap::qb

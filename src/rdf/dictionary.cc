@@ -1,15 +1,23 @@
 #include "rdf/dictionary.h"
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <utility>
+
+#include "util/thread_pool.h"
 
 namespace re2xolap::rdf {
 
 namespace {
 
 constexpr size_t kMinSlots = 16;
+// IndexAppended() hashes appended terms in chunks of this many entries.
+constexpr size_t kTagChunk = 8192;
+// ... and prefetches the home slot of the entry this far ahead.
+constexpr size_t kPrefetchAhead = 8;
 
 uint64_t MakeSlot(uint32_t tag, TermId id) {
   return (static_cast<uint64_t>(tag) << 32) | id;
@@ -75,25 +83,29 @@ void Dictionary::Rehash(size_t capacity) {
   }
 }
 
-TermId Dictionary::Insert(TermView term, uint32_t tag, size_t slot) {
-  assert(slots_[slot] == 0);
+bool Dictionary::GrowForOneMore() {
+  // After one more term the base holds tags_.size() terms.
+  if (tags_.size() * 10 <= slots_.size() * 7) return false;
+  Rehash(slots_.size() * 2);
+  return true;
+}
+
+TermId Dictionary::PushTerm(TermView term) {
   assert(std::less<const char*>()(term.value.data(), text_.data()) ||
          !std::less<const char*>()(term.value.data(),
                                    text_.data() + text_.size()));
   const TermId id = static_cast<TermId>(tags_.size());
-  // After this insert the table holds `id` entries; keep the load <= 0.7.
-  if (size_t{id} * 10 > slots_.size() * 7) {
-    Rehash(slots_.size() * 2);
-    slot = EmptySlot(tag);
-  }
-  // resize() zero-fills, which writes the form's NUL terminator.
-  const size_t begin = text_.size();
-  text_.resize(begin + term.value.size() + 1);
-  if (!term.value.empty()) {
-    std::memcpy(text_.data() + begin, term.value.data(), term.value.size());
-  }
+  text_.insert(text_.end(), term.value.begin(), term.value.end());
+  text_.push_back('\0');
   offsets_.push_back(text_.size());
   tags_.push_back(PackTag(term));
+  return id;
+}
+
+TermId Dictionary::Insert(TermView term, uint32_t tag, size_t slot) {
+  assert(slots_[slot] == 0);
+  if (GrowForOneMore()) slot = EmptySlot(tag);
+  const TermId id = PushTerm(term);
   slots_[slot] = MakeSlot(tag, id);
   return id;
 }
@@ -106,8 +118,59 @@ TermId Dictionary::Intern(TermView term) {
   return Insert(term, tag, slot);
 }
 
+TermId Dictionary::Append(TermView term) {
+  assert(!live() && "Dictionary::Append() on a live dictionary");
+  GrowForOneMore();
+  const TermId id = PushTerm(term);
+  unindexed_.push_back(id);
+  return id;
+}
+
+util::Status Dictionary::IndexAppended(util::ThreadPool* pool) {
+  assert(!live() && "Dictionary::IndexAppended() on a live dictionary");
+  const size_t n = unindexed_.size();
+  if (n == 0) return util::Status::OK();
+  // Tags first, in chunks that each write their own entries.
+  auto tag_chunk = [this, n](size_t c) {
+    const size_t end = std::min(n, (c + 1) * kTagChunk);
+    for (size_t j = c * kTagChunk; j < end; ++j) {
+      const uint64_t tag = Tag(BaseTerm(SlotId(unindexed_[j])));
+      unindexed_[j] |= tag << 32;
+    }
+  };
+  const size_t chunks = (n + kTagChunk - 1) / kTagChunk;
+  if (pool != nullptr) {
+    pool->ParallelFor(chunks, tag_chunk);
+  } else {
+    for (size_t c = 0; c < chunks; ++c) tag_chunk(c);
+  }
+  // Then the slots, in id order; Append() kept the table large enough.
+  const size_t mask = slots_.size() - 1;
+  for (size_t j = 0; j < n; ++j) {
+    if (j + kPrefetchAhead < n) {
+      __builtin_prefetch(
+          &slots_[SlotTag(unindexed_[j + kPrefetchAhead]) & mask]);
+    }
+    const uint64_t entry = unindexed_[j];
+    const TermId id = SlotId(entry);
+    const size_t slot = FindSlot(BaseTerm(id), SlotTag(entry));
+    if (slots_[slot] != 0) {
+      const TermId other = SlotId(slots_[slot]);
+      return util::Status::AlreadyExists(
+          "term " + std::to_string(std::max(id, other)) +
+          " duplicates term " + std::to_string(std::min(id, other)) + ", " +
+          BaseTerm(id).ToString());
+    }
+    slots_[slot] = entry;
+  }
+  std::vector<uint64_t>().swap(unindexed_);
+  return util::Status::OK();
+}
+
 void Dictionary::EnterLive() {
   assert(!live() && "Dictionary::EnterLive() called twice");
+  assert(unindexed_.empty() &&
+         "Dictionary::EnterLive() before IndexAppended()");
   live_.store(true, std::memory_order_release);
 }
 
@@ -136,6 +199,8 @@ TermView Dictionary::ExtTerm(TermId id) const {
 }
 
 TermId Dictionary::Lookup(TermView term) const {
+  assert(unindexed_.empty() &&
+         "Dictionary::Lookup() before IndexAppended()");
   const uint64_t slot = slots_[FindSlot(term, Tag(term))];
   if (slot != 0) return SlotId(slot);
   if (!live()) return kInvalidTermId;
@@ -144,19 +209,21 @@ TermId Dictionary::Lookup(TermView term) const {
   return eit == ext_index_.end() ? kInvalidTermId : eit->second;
 }
 
-void Dictionary::Reserve(size_t n, size_t text_bytes) {
+void Dictionary::Reserve(size_t n, size_t text_bytes, size_t appends) {
   assert(!live() && "Dictionary::Reserve() on a live dictionary");
   // Id 0 and the end sentinel take one more tag and one more offset.
   tags_.reserve(n + 1);
   offsets_.reserve(n + 2);
   text_.reserve(text_bytes + n + 1);
+  unindexed_.reserve(appends);
   const size_t slots = SlotsFor(n);
   if (slots > slots_.size()) Rehash(slots);
 }
 
 size_t Dictionary::MemoryUsage() const {
   size_t bytes = text_.capacity() + offsets_.capacity() * sizeof(uint64_t) +
-                 tags_.capacity() + SlotBytes();
+                 tags_.capacity() + SlotBytes() +
+                 unindexed_.capacity() * sizeof(uint64_t);
   if (live()) {
     std::shared_lock lk(ext_mu_);
     for (const Term& t : ext_terms_) bytes += sizeof(Term) + t.value.capacity();

@@ -35,7 +35,7 @@ namespace re2xolap::rdf {
 /// Concurrent-read contract: the index is immutable after construction —
 /// ExactMatch()/KeywordMatch()/Match() are const lookups over the flat
 /// tables with no lazy caches, so they are safe from any number of threads
-/// (the parallel ReOLAP matcher relies on this).
+/// (the server's request threads share one index).
 class TextIndex {
  public:
   /// One key table in flat form: key k is the text

@@ -89,6 +89,8 @@ void TripleStore::AdoptFrozenView(
          "TripleStore::AdoptFrozenView() during concurrent reads");
   assert(!live() && "TripleStore::AdoptFrozenView() on a live store");
   assert(keepalive != nullptr && "view adoption requires a keepalive");
+  assert(dict_.unindexed() == 0 &&
+         "TripleStore::AdoptFrozenView() before IndexAppended()");
   pending_.clear();
   pending_.shrink_to_fit();
   auto base = std::make_shared<IndexBase>();
@@ -304,6 +306,8 @@ void TripleStore::Freeze() {
   assert(active_readers_.load(std::memory_order_relaxed) == 0 &&
          "TripleStore::Freeze() during concurrent reads");
   assert(!live() && "live stores advance epochs via PublishChain()");
+  assert(dict_.unindexed() == 0 &&
+         "TripleStore::Freeze() before IndexAppended()");
   obs::Span span("store.freeze");
   const long faults = span.active() ? util::MinorFaults() : 0;
   Reopen();

@@ -265,7 +265,7 @@ util::Status DecodeDictionary(const std::byte* data, size_t bytes,
   if (count > r.remaining() / 6) {
     return util::Status::ParseError("snapshot dictionary overruns payload");
   }
-  dict->Reserve(count, r.remaining() - count * 6);
+  dict->Reserve(count, r.remaining() - count * 6, count);
   for (uint64_t i = 0; i < count; ++i) {
     if ((i + 1) % kGuardStride == 0) RE2X_RETURN_IF_ERROR(GuardCheck(guard));
     uint8_t kind = 0, lt = 0;
@@ -279,19 +279,20 @@ util::Status DecodeDictionary(const std::byte* data, size_t bytes,
           "snapshot dictionary term " + std::to_string(i + 1) +
           " has invalid kind/type tags");
     }
-    // The entry's bytes go straight into the dictionary's text buffer.
-    const TermId id = dict->Intern(
-        rdf::TermView(static_cast<rdf::TermKind>(kind), value,
-                      static_cast<rdf::LiteralType>(lt)));
-    if (id != static_cast<TermId>(i + 1)) {
-      return util::Status::ParseError(
-          "snapshot dictionary contains a duplicate term at id " +
-          std::to_string(i + 1));
-    }
+    // The entry's bytes go straight into the dictionary's text buffer,
+    // under id i + 1 (the dictionary is empty), unprobed.
+    dict->Append(rdf::TermView(static_cast<rdf::TermKind>(kind), value,
+                               static_cast<rdf::LiteralType>(lt)));
   }
   if (r.remaining() != 0) {
     return util::Status::ParseError(
         "snapshot dictionary has trailing garbage");
+  }
+  // One index pass over every entry, on this thread: this decode is itself
+  // a task on the loader's pool, which must not nest a ParallelFor.
+  if (util::Status st = dict->IndexAppended(nullptr); !st.ok()) {
+    return util::Status::ParseError(
+        "snapshot dictionary contains a duplicate term: " + st.message());
   }
   return util::Status::OK();
 }

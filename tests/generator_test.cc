@@ -159,6 +159,66 @@ TEST(GeneratorTest, RejectsBadSpecs) {
   DatasetSpec spec3 = EurostatSpec(10);
   spec3.levels.push_back(spec3.levels[0]);  // duplicate level name
   EXPECT_FALSE(Generate(spec3).ok());
+
+  // Member and observation IRIs are appended to the dictionary unprobed;
+  // any other term equal to one of them is rejected, not merged.
+  auto tiny = [] {
+    DatasetSpec spec;
+    spec.name = "tiny";
+    spec.iri_base = "http://example.org/tiny/";
+    spec.observation_class = spec.iri_base + "Observation";
+    spec.measure_predicates = {"amount"};
+    spec.levels = {{"color", {"red", "green"}}, {"shade", {"light", "dark"}}};
+    spec.dimensions = {
+        {"Color", "color", "color",
+         {BranchSpec{{HierarchyStep{"inShade", "color", "shade", nullptr, 1}}}}}};
+    spec.predicate_labels = {{"color", "Color"}};
+    spec.observations = 3;
+    return spec;
+  };
+  auto rejected = [](const DatasetSpec& spec) {
+    auto ds = Generate(spec);
+    return !ds.ok() && ds.status().IsInvalidArgument();
+  };
+  ASSERT_TRUE(Generate(tiny()).ok());
+  {
+    SCOPED_TRACE("a level named like the observations");
+    DatasetSpec spec = tiny();
+    spec.levels[0].name = "obs";
+    spec.dimensions[0].base_level = "obs";
+    spec.dimensions[0].branches[0].steps[0].from_level = "obs";
+    EXPECT_TRUE(rejected(spec));
+  }
+  {
+    SCOPED_TRACE("a dimension predicate equal to a member");
+    DatasetSpec spec = tiny();
+    spec.dimensions[0].predicate = "color/1";
+    EXPECT_TRUE(rejected(spec));
+  }
+  {
+    SCOPED_TRACE("a hierarchy predicate equal to a member");
+    DatasetSpec spec = tiny();
+    spec.dimensions[0].branches[0].steps[0].predicate = "shade/0";
+    EXPECT_TRUE(rejected(spec));
+  }
+  {
+    SCOPED_TRACE("a measure predicate equal to an observation");
+    DatasetSpec spec = tiny();
+    spec.measure_predicates = {"obs/2"};
+    EXPECT_TRUE(rejected(spec));
+  }
+  {
+    SCOPED_TRACE("a labelled predicate equal to a member");
+    DatasetSpec spec = tiny();
+    spec.predicate_labels.push_back({"color/0", "Red"});
+    EXPECT_TRUE(rejected(spec));
+  }
+  for (const char* local : {"color/0", "obs/0"}) {
+    SCOPED_TRACE(std::string("the class equal to ") + local);
+    DatasetSpec spec = tiny();
+    spec.observation_class = spec.iri_base + local;
+    EXPECT_TRUE(rejected(spec));
+  }
 }
 
 TEST(GeneratorTest, ObservationAttrsAttached) {
@@ -224,6 +284,15 @@ StoreDigests DigestStore(const rdf::TripleStore& s) {
           stats.Digest()};
 }
 
+// Lookup() inverts term() for every id: the reverse index, which
+// IndexAppended() fills for member and observation IRIs, finds each term.
+void ExpectLookupsInvertTerms(const rdf::TripleStore& s) {
+  const rdf::Dictionary& d = s.dictionary();
+  for (rdf::TermId id = 1; id <= d.size(); ++id) {
+    ASSERT_EQ(d.Lookup(d.term(id)), id) << d.term(id).ToString();
+  }
+}
+
 // Term ids, the three permutations and the predicate stats of generated
 // stores are pinned to digests of the store that per-triple Add() calls
 // and comparison sorts build: memoized interning and the counting-sort
@@ -268,6 +337,7 @@ TEST(GeneratorTest, GeneratedStoreIsBitIdenticalToRecordedDigests) {
     EXPECT_EQ(got.pos, c.want.pos);
     EXPECT_EQ(got.osp, c.want.osp);
     EXPECT_EQ(got.stats, c.want.stats);
+    ExpectLookupsInvertTerms(*ds->store);
   }
 }
 
@@ -366,6 +436,7 @@ void ExpectSameStore(const rdf::TripleStore& got,
                 g.value == w.value)
         << "term " << id << ": " << g.ToString() << " vs " << w.ToString();
   }
+  ExpectLookupsInvertTerms(got);
   for (rdf::Perm perm : {rdf::Perm::kSpo, rdf::Perm::kPos}) {
     std::vector<rdf::EncodedTriple> g, w;
     for (const rdf::EncodedTriple& t : got.PermutationRange(perm)) {

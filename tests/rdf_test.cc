@@ -22,6 +22,7 @@
 #include "util/exec_guard.h"
 #include "util/hash.h"
 #include "util/string_utils.h"
+#include "util/thread_pool.h"
 
 namespace re2xolap::rdf {
 namespace {
@@ -1073,6 +1074,128 @@ TEST(DictionaryTest, MatchesMapOracle) {
   }
   for (const auto& [t, id] : oracle) ASSERT_EQ(d.Lookup(t), id);
   EXPECT_FALSE(d.IsValid(static_cast<TermId>(base_end + 1000)));
+}
+
+// Append() and IndexAppended() against a std::map oracle, mixed with
+// Intern() calls that add new terms and find old ones between the index
+// calls. No Reserve(): the slot table grows while appended terms wait for
+// their slots. Two distinct terms with equal tags are both appended, so
+// the index pass compares text after a tag match and keeps both.
+TEST(DictionaryTest, AppendAndIndexMatchMapOracle) {
+  std::unordered_map<uint32_t, std::string> by_tag;
+  std::vector<Term> same_tag;
+  for (size_t i = 0; same_tag.empty(); ++i) {
+    Term t = Term::Iri("tag/" + std::to_string(i));
+    auto [it, fresh] = by_tag.emplace(Dictionary::Tag(t), t.value);
+    if (!fresh) same_tag = {Term::Iri(it->second), std::move(t)};
+  }
+  ASSERT_EQ(Dictionary::Tag(same_tag[0]), Dictionary::Tag(same_tag[1]));
+
+  std::mt19937_64 rng(33);
+  Dictionary d;
+  util::ThreadPool pool(3);
+  std::map<Term, TermId> oracle;
+  std::vector<Term> by_id(1);  // id -> term; slot 0 unused
+  std::vector<bool> indexed(1, false);
+  size_t fresh = 0;
+  auto add = [&](Term t, TermId got, bool appended) {
+    ASSERT_EQ(got, by_id.size()) << t.ToString();
+    oracle.emplace(t, got);
+    by_id.push_back(std::move(t));
+    indexed.push_back(!appended);
+  };
+  size_t growths = 0;
+  for (int round = 0; round < 6; ++round) {
+    SCOPED_TRACE(round);
+    const size_t slots_before = d.SlotBytes();
+    if (round == 2) {
+      for (const Term& t : same_tag) add(t, d.Append(t), true);
+    }
+    for (size_t op = 0; op < 20000; ++op) {
+      const uint64_t r = rng() % 8;
+      if (r == 0 && by_id.size() > 1) {
+        // An indexed term is found again; an unindexed one is skipped,
+        // since interning it would add a duplicate.
+        const TermId want = static_cast<TermId>(1 + rng() % (by_id.size() - 1));
+        if (!indexed[want]) continue;
+        const size_t before = d.size();
+        ASSERT_EQ(d.Intern(by_id[want]), want);
+        ASSERT_EQ(d.size(), before);
+      } else if (r <= 2) {
+        Term t = Term::StringLiteral("interned " + std::to_string(fresh++));
+        const TermId got = d.Intern(t);
+        add(std::move(t), got, false);
+      } else {
+        Term t = r == 3 ? Term::Blank("b" + std::to_string(fresh++))
+                        : Term::Iri("http://x/appended/" +
+                                    std::to_string(fresh++));
+        const TermId got = d.Append(t);
+        add(std::move(t), got, true);
+      }
+      // Appended terms have their ids and forms before they have slots.
+      ASSERT_EQ(d.term(static_cast<TermId>(by_id.size() - 1)), by_id.back());
+    }
+    if (d.SlotBytes() > slots_before) ++growths;
+    const size_t waiting = std::count(indexed.begin(), indexed.end(), false) - 1;
+    ASSERT_EQ(d.unindexed(), waiting);
+    // Serial and pooled index passes alike.
+    util::Status st = d.IndexAppended(round % 2 == 0 ? nullptr : &pool);
+    ASSERT_TRUE(st.ok()) << st;
+    EXPECT_EQ(d.unindexed(), 0u);
+    std::fill(indexed.begin() + 1, indexed.end(), true);
+    ASSERT_EQ(d.size(), by_id.size() - 1);
+    for (const auto& [t, id] : oracle) {
+      ASSERT_EQ(d.Lookup(t), id) << t.ToString();
+      ASSERT_EQ(d.term(id), t);
+    }
+    ASSERT_EQ(d.Lookup(Term::Iri("http://x/absent")), kInvalidTermId);
+  }
+  EXPECT_GE(growths, 3u);
+  EXPECT_TRUE(d.IndexAppended(&pool).ok());  // nothing appended: a no-op
+}
+
+// An appended term equal to any other term fails the index call with
+// AlreadyExists naming the later id, whichever call added which.
+TEST(DictionaryTest, IndexAppendedRejectsDuplicates) {
+  auto expect_duplicate = [](Dictionary& d, TermId later, TermId first) {
+    util::Status st = d.IndexAppended(nullptr);
+    EXPECT_EQ(st.code(), util::StatusCode::kAlreadyExists) << st;
+    EXPECT_NE(st.message().find("term " + std::to_string(later) +
+                                " duplicates term " + std::to_string(first)),
+              std::string::npos)
+        << st;
+  };
+  {
+    SCOPED_TRACE("appended twice");
+    Dictionary d;
+    d.Append(Term::Iri("x"));
+    d.Append(Term::Iri("y"));
+    d.Append(Term::Iri("x"));
+    expect_duplicate(d, 3, 1);
+  }
+  {
+    SCOPED_TRACE("appended after an intern");
+    Dictionary d;
+    d.Intern(Term::Iri("x"));
+    d.Append(Term::Iri("x"));
+    expect_duplicate(d, 2, 1);
+  }
+  {
+    SCOPED_TRACE("interned while the append waits");
+    Dictionary d;
+    d.Append(Term::Iri("x"));
+    EXPECT_EQ(d.Intern(Term::Iri("x")), 2u);  // the append is not seen
+    expect_duplicate(d, 2, 1);
+  }
+  {
+    SCOPED_TRACE("same form, other kind: not a duplicate");
+    Dictionary d;
+    d.Append(Term::Iri("x"));
+    d.Append(Term::StringLiteral("x"));
+    d.Append(Term::Blank("x"));
+    EXPECT_TRUE(d.IndexAppended(nullptr).ok());
+    EXPECT_EQ(d.Lookup(Term::StringLiteral("x")), 2u);
+  }
 }
 
 // A view of a base term is taken before EnterLive(); live interning only

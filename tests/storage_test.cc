@@ -779,6 +779,43 @@ TEST_F(TextSectionTest, MalformedSectionsYieldTypedStatus) {
   ExpectTextSectionRejected(no_postings.Take(), "");
 }
 
+/// The same image, for tests of its dictionary section.
+class DictionarySectionTest : public TextSectionTest {};
+
+// A dictionary section that lists one term twice is a ParseError naming the
+// later id: the loader appends every entry unprobed and finds the repeat
+// when it indexes them.
+TEST_F(DictionarySectionTest, RepeatedTermIsParseError) {
+  const size_t at = Entry(storage::SectionId::kDictionary);
+  ASSERT_LT(at, sections_.size());
+  std::string payload(image_.data() + sections_[at].offset,
+                      sections_[at].bytes);
+  const std::string base = "http://example.org/dbpedia/";
+  const rdf::TermId first = store_->Lookup(rdf::Term::Iri(base + "genre/1"));
+  const rdf::TermId later = store_->Lookup(rdf::Term::Iri(base + "genre/2"));
+  ASSERT_NE(first, rdf::kInvalidTermId);
+  ASSERT_LT(first, later);
+  // A u64 term count, then per term: u8 kind, u8 literal type, u32 length
+  // and the lexical form.
+  std::vector<size_t> form_at(1);  // by id
+  size_t pos = 8;
+  for (rdf::TermId id = 1; id <= store_->dictionary().size(); ++id) {
+    uint32_t len = 0;
+    ASSERT_LE(pos + 6, payload.size());
+    std::memcpy(&len, payload.data() + pos + 2, sizeof(len));
+    form_at.push_back(pos + 6);
+    pos += 6 + len;
+  }
+  ASSERT_EQ(pos, payload.size());
+  // genre/2 becomes a second genre/1: same kind, same length.
+  const std::string_view form = store_->term(first).value;
+  ASSERT_EQ(store_->term(later).value.size(), form.size());
+  std::memcpy(payload.data() + form_at[later], form.data(), form.size());
+  ExpectSectionRejected(storage::SectionId::kDictionary, payload,
+                        "term " + std::to_string(later) + " duplicates term " +
+                            std::to_string(first));
+}
+
 // Crafted counts are a typed ParseError in both load modes, also where the
 // count times the bytes of one entry wraps 64 bits: graph nodes (22 bytes)
 // and edges (12), predicate stats (28), delta-chain layers (24) and their
